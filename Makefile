@@ -1,10 +1,11 @@
 # Build and verification entry points. `make check` is the full gate:
-# the tier-1 suite (ROADMAP.md) plus static analysis and the race
-# detector over every package.
+# formatting, the tier-1 suite (ROADMAP.md), static analysis and the
+# race detector over every package, and the end-to-end benchmark's
+# build and self-test.
 
 GO ?= go
 
-.PHONY: all build test check vet race bench clean
+.PHONY: all build test check fmt vet race e2ebench bench clean
 
 all: build
 
@@ -15,6 +16,12 @@ build:
 test: build
 	$(GO) test ./...
 
+# gofmt must have nothing to rewrite (the benchmark's build directory
+# is not source).
+fmt:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
@@ -23,7 +30,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: test vet race
+# The end-to-end benchmark (e2ebench/) is its own module built on the
+# internal packages: vetting and self-testing it here makes an internal
+# API change that breaks the benchmark fail this gate, not the
+# benchmark run.
+e2ebench:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
+check: fmt test vet race e2ebench
 
 # Experiment benchmarks plus the machine-readable reports uploaded as CI
 # artifacts: the harvest pipeline (BENCH_harvest.json), the usage

@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -92,36 +91,9 @@ func main() {
 // flushTelemetry writes the telemetry exports requested on the command
 // line (no-op when telemetry is disabled).
 func flushTelemetry(tel *telemetry.Telemetry, metricsOut, traceOut string) {
-	if tel == nil {
-		return
-	}
 	tel.Trace().EndOpen()
-	if metricsOut != "" {
-		if err := writeTo(metricsOut, tel.Registry().WritePrometheus); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics written to %s\n", metricsOut)
+	if err := tel.WriteFiles(metricsOut, traceOut, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if traceOut != "" {
-		if err := writeTo(traceOut, tel.Trace().WriteChromeTrace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written to %s (%d spans; open in chrome://tracing)\n",
-			traceOut, tel.Trace().Len())
-	}
-}
-
-// writeTo writes one exporter's output to a file.
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -42,9 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
@@ -326,16 +324,16 @@ func main() {
 		}
 		srv := monitor.NewServer(mon, tel.Registry())
 		if harv != nil {
-			srv.AttachHarvest(func() any { return harv.Status() })
+			srv.Attach("harvest", func() any { return harv.Status() })
 		}
 		if samp != nil {
-			srv.AttachUtilization(func() any { return samp.Status() })
+			srv.Attach("utilization", func() any { return samp.Status() })
 			// Forensics on demand: each request analyzes the trace so
 			// far against the control room's plan, so the dashboard's
 			// blame panel works during a replay (in-flight runs show
 			// their lateness as of now) and stays current after the
 			// campaign drains.
-			srv.AttachForensics(func() any {
+			srv.Attach("forensics", func() any {
 				rep, err := forensicsReport(c, mon, samp, tel)
 				if err != nil {
 					return map[string]string{"error": err.Error()}
@@ -346,20 +344,20 @@ func main() {
 		// The SPC endpoint serves the observatory's current snapshot: the
 		// same report shape foreman -spc renders from the v5 tables, here
 		// refreshed live as runs complete during the replay.
-		srv.AttachSPC(func() any { return spcObs.Report() })
+		srv.Attach("spc", func() any { return spcObs.Report() })
 		// The engine panel reads the profiler's live snapshot on the same
 		// refresh interval as every other panel.
-		srv.AttachEngine(func() any { return kprof.Report() })
+		srv.Attach("engine", func() any { return kprof.Report() })
 		if edge != nil {
 			// The serving panel tracks the public edge live: hit rate,
 			// shed fractions, and staleness percentiles as of the replay.
-			srv.AttachServing(func() any { return edge.Stats() })
+			srv.Attach("serving", func() any { return edge.Stats() })
 		}
 		if *pprofOn {
 			srv.EnablePprof()
 		}
 		go func() {
-			if err := http.Serve(ln, srv.Handler()); err != nil {
+			if err := srv.Serve(ln); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
@@ -527,20 +525,11 @@ func main() {
 		}
 	}
 
-	if *metricsOut != "" {
-		if err := writeTo(*metricsOut, tel.Registry().WritePrometheus); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nmetrics written to %s\n", *metricsOut)
+	if err := tel.WriteFiles(*metricsOut, *traceOut, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *traceOut != "" {
-		if err := writeTo(*traceOut, tel.Trace().WriteChromeTrace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ntrace written to %s (%d spans; open in chrome://tracing)\n",
-			*traceOut, tel.Trace().Len())
 		// The trace doubles as the data source for the ForeMan Gantt view:
 		// render the last day's run spans as executed.
 		spans := tel.Trace().Spans()
@@ -609,7 +598,6 @@ func main() {
 	}
 }
 
-// writeTo writes one exporter's output to a file.
 // forensicsReport analyzes the campaign's trace against the plan the
 // control room watched — the launch rule for the planned start, the
 // launch-time completion prediction for the planned end, the SLO
@@ -640,28 +628,9 @@ func forensicsReport(c *factory.Campaign, mon *monitor.Monitor, samp *usage.Samp
 	})
 }
 
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func nodesOf(cfg factory.Config) []factory.NodeSpec {
 	if len(cfg.Nodes) > 0 {
 		return cfg.Nodes
 	}
 	return factory.DefaultNodes()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -54,7 +54,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	iofs "io/fs"
 	"math"
 	"os"
@@ -994,35 +993,8 @@ func harvestOSTree(db *statsdb.DB, root string) []*logs.RunRecord {
 // flushTelemetry writes the telemetry exports requested on the command
 // line (no-op when telemetry is disabled).
 func flushTelemetry(tel *telemetry.Telemetry, metricsOut, traceOut string) {
-	if tel == nil {
-		return
+	if err := tel.WriteFiles(metricsOut, traceOut, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if metricsOut != "" {
-		if err := writeTo(metricsOut, tel.Registry().WritePrometheus); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nmetrics written to %s\n", metricsOut)
-	}
-	if traceOut != "" {
-		if err := writeTo(traceOut, tel.Trace().WriteChromeTrace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ntrace written to %s (%d spans; open in chrome://tracing)\n",
-			traceOut, tel.Trace().Len())
-	}
-}
-
-// writeTo writes one exporter's output to a file.
-func writeTo(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

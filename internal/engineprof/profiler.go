@@ -208,16 +208,16 @@ func (p *Profiler) EventCancelled(label string, born, when, now float64, pending
 // of handlers the engine timed (sim.DefaultProbeSampleEvery), with
 // WallEstNS extrapolating to the full fire count.
 type LabelReport struct {
-	Label       string             `json:"label"`
-	Scheduled   int64              `json:"scheduled"`
-	Fired       int64              `json:"fired"`
-	Cancelled   int64              `json:"cancelled"`
-	WallSampled int64              `json:"wall_sampled"` // handlers actually timed
-	WallNS      int64              `json:"wall_ns"`      // cumulative wall-clock over timed handlers
-	WallMaxNS   int64              `json:"wall_max_ns"`  // slowest timed handler
-	WallHist    [HistBuckets]int64 `json:"wall_hist"`    // decade buckets over timed handlers
-	DwellSum    float64            `json:"dwell_sum_s"`  // Σ schedule→fire lag, sim seconds
-	DwellMax    float64            `json:"dwell_max_s"`  // longest single lag
+	Label       string             `json:"label" db:"label"`
+	Scheduled   int64              `json:"scheduled" db:"scheduled"`
+	Fired       int64              `json:"fired" db:"fired"`
+	Cancelled   int64              `json:"cancelled" db:"cancelled"`
+	WallSampled int64              `json:"wall_sampled" db:"wall_sampled"` // handlers actually timed
+	WallNS      int64              `json:"wall_ns" db:"wall_ns"`           // cumulative wall-clock over timed handlers
+	WallMaxNS   int64              `json:"wall_max_ns" db:"wall_max_ns"`   // slowest timed handler
+	WallHist    [HistBuckets]int64 `json:"wall_hist" db:"wall_hist"`       // decade buckets over timed handlers
+	DwellSum    float64            `json:"dwell_sum_s" db:"dwell_sum"`     // Σ schedule→fire lag, sim seconds
+	DwellMax    float64            `json:"dwell_max_s" db:"dwell_max"`     // longest single lag
 }
 
 // WallMeanNS is the mean cost of a timed handler, 0 when none were.
@@ -245,8 +245,8 @@ func (l LabelReport) DwellMean() float64 {
 
 // DepthPoint is one sample of the pending-queue-depth timeline.
 type DepthPoint struct {
-	T     float64 `json:"t"`     // sim time, bucket midpoint
-	Depth int     `json:"depth"` // max pending events in the bucket
+	T     float64 `json:"t" db:"t"`         // sim time, bucket midpoint
+	Depth int     `json:"depth" db:"depth"` // max pending events in the bucket
 }
 
 // Report is a snapshot of everything the profiler has observed. Labels

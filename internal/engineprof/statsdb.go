@@ -9,9 +9,7 @@ package engineprof
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
+	"sort"
 
 	"repro/internal/statsdb"
 )
@@ -22,32 +20,20 @@ const (
 	DepthTableName   = "engine_queue_depth"
 )
 
-// ProfileSchema returns the schema of the engine_profile table: one row
-// per scheduling label.
-func ProfileSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "label", Type: statsdb.String},
-		{Name: "scheduled", Type: statsdb.Int},
-		{Name: "fired", Type: statsdb.Int},
-		{Name: "cancelled", Type: statsdb.Int},
-		{Name: "wall_sampled", Type: statsdb.Int},
-		{Name: "wall_ns", Type: statsdb.Int},
-		{Name: "wall_max_ns", Type: statsdb.Int},
-		{Name: "wall_hist", Type: statsdb.String}, // comma-joined decade counts
-		{Name: "dwell_sum", Type: statsdb.Float},
-		{Name: "dwell_max", Type: statsdb.Float},
-	}
+// depthRow is one engine_queue_depth row: a depth point at its position
+// in the timeline.
+type depthRow struct {
+	Seq int `db:"seq"`
+	DepthPoint
 }
 
-// DepthSchema returns the schema of the engine_queue_depth table: the
-// depth timeline in sample order.
-func DepthSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "seq", Type: statsdb.Int},
-		{Name: "t", Type: statsdb.Float},
-		{Name: "depth", Type: statsdb.Int},
-	}
-}
+// engine_profile holds one row per scheduling label, its cost histogram
+// comma-joined in wall_hist; engine_queue_depth the depth timeline in
+// sample order.
+var (
+	profileTable = statsdb.NewTypedTable[LabelReport](ProfileTableName, "label")
+	depthTable   = statsdb.NewTypedTable[depthRow](DepthTableName)
+)
 
 // Migrations returns the engine observatory's schema migrations: v6
 // creates the engine_profile and engine_queue_depth tables. Combine
@@ -55,61 +41,7 @@ func DepthSchema() statsdb.Schema {
 // forensics.Migrations() (v4) and spc.Migrations() (v5); Migrate tracks
 // each independently.
 func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{
-		{
-			Version: 6,
-			Name:    "engine-observatory-tables",
-			Apply: func(db *statsdb.DB) error {
-				if db.Table(ProfileTableName) == nil {
-					t, err := db.CreateTable(ProfileTableName, ProfileSchema())
-					if err != nil {
-						return err
-					}
-					if err := t.CreateIndex("label"); err != nil {
-						return err
-					}
-				}
-				if db.Table(DepthTableName) == nil {
-					if _, err := db.CreateTable(DepthTableName, DepthSchema()); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		},
-	}
-}
-
-// finite guards statsdb's NaN rejection: non-finite floats persist as 0.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
-}
-
-// histString flattens the decade histogram for the wall_hist column.
-func histString(h [HistBuckets]int64) string {
-	parts := make([]string, HistBuckets)
-	for i, n := range h {
-		parts[i] = strconv.FormatInt(n, 10)
-	}
-	return strings.Join(parts, ",")
-}
-
-// parseHist reads a wall_hist column value back; malformed or short
-// strings yield zeros for the missing buckets.
-func parseHist(s string) (h [HistBuckets]int64) {
-	for i, part := range strings.Split(s, ",") {
-		if i >= HistBuckets {
-			break
-		}
-		n, err := strconv.ParseInt(part, 10, 64)
-		if err == nil {
-			h[i] = n
-		}
-	}
-	return h
+	return []statsdb.Migration{statsdb.TableMigration(6, "engine-observatory-tables", profileTable, depthTable)}
 }
 
 // LoadReport persists one observatory snapshot into the engine_profile
@@ -120,39 +52,20 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
 		return err
 	}
-	pt := db.Table(ProfileTableName)
-	dt := db.Table(DepthTableName)
 	for _, l := range rep.Labels {
 		if l.Label == "" {
 			return fmt.Errorf("engineprof: label report with empty label")
 		}
-		err := pt.Insert([]statsdb.Value{
-			statsdb.StringVal(l.Label),
-			statsdb.IntVal(l.Scheduled),
-			statsdb.IntVal(l.Fired),
-			statsdb.IntVal(l.Cancelled),
-			statsdb.IntVal(l.WallSampled),
-			statsdb.IntVal(l.WallNS),
-			statsdb.IntVal(l.WallMaxNS),
-			statsdb.StringVal(histString(l.WallHist)),
-			statsdb.FloatVal(finite(l.DwellSum)),
-			statsdb.FloatVal(finite(l.DwellMax)),
-		})
-		if err != nil {
-			return err
-		}
 	}
+	depth := make([]depthRow, len(rep.Depth))
 	for i, p := range rep.Depth {
-		err := dt.Insert([]statsdb.Value{
-			statsdb.IntVal(int64(i)),
-			statsdb.FloatVal(finite(p.T)),
-			statsdb.IntVal(int64(p.Depth)),
-		})
-		if err != nil {
-			return err
-		}
+		depth[i] = depthRow{i, p}
 	}
-	return nil
+	if _, err := profileTable.Insert(db, rep.Labels...); err != nil {
+		return err
+	}
+	_, err := depthTable.Insert(db, depth...)
+	return err
 }
 
 // ReadReport reconstructs a Report from the persisted tables — the
@@ -161,62 +74,21 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 // Returns an empty report when the tables are absent.
 func ReadReport(db *statsdb.DB) (*Report, error) {
 	rep := &Report{}
-	pt := db.Table(ProfileTableName)
-	if pt == nil {
-		return rep, nil
+	labels, err := profileTable.Read(db)
+	if err != nil {
+		return nil, err
 	}
-	schema := pt.Schema()
-	col := make(map[string]int, len(schema))
-	for i, c := range schema {
-		col[c.Name] = i
-	}
-	for i := 0; i < pt.Len(); i++ {
-		row := pt.Row(i)
-		rep.Labels = append(rep.Labels, LabelReport{
-			Label:       row[col["label"]].Str(),
-			Scheduled:   row[col["scheduled"]].Int(),
-			Fired:       row[col["fired"]].Int(),
-			Cancelled:   row[col["cancelled"]].Int(),
-			WallSampled: row[col["wall_sampled"]].Int(),
-			WallNS:      row[col["wall_ns"]].Int(),
-			WallMaxNS:   row[col["wall_max_ns"]].Int(),
-			WallHist:    parseHist(row[col["wall_hist"]].Str()),
-			DwellSum:    row[col["dwell_sum"]].Float(),
-			DwellMax:    row[col["dwell_max"]].Float(),
-		})
-	}
+	rep.Labels = labels
 	sortLabels(rep.Labels)
-	if dt := db.Table(DepthTableName); dt != nil {
-		dSchema := dt.Schema()
-		dcol := make(map[string]int, len(dSchema))
-		for i, c := range dSchema {
-			dcol[c.Name] = i
-		}
-		type seqPoint struct {
-			seq int64
-			p   DepthPoint
-		}
-		pts := make([]seqPoint, 0, dt.Len())
-		for i := 0; i < dt.Len(); i++ {
-			row := dt.Row(i)
-			pts = append(pts, seqPoint{
-				seq: row[dcol["seq"]].Int(),
-				p: DepthPoint{
-					T:     row[dcol["t"]].Float(),
-					Depth: int(row[dcol["depth"]].Int()),
-				},
-			})
-		}
-		// Rows normally come back in insertion order, but the timeline's
-		// meaning depends on order, so honor the explicit seq column.
-		for i := 1; i < len(pts); i++ {
-			for j := i; j > 0 && pts[j].seq < pts[j-1].seq; j-- {
-				pts[j], pts[j-1] = pts[j-1], pts[j]
-			}
-		}
-		for _, sp := range pts {
-			rep.Depth = append(rep.Depth, sp.p)
-		}
+	depth, err := depthTable.Read(db)
+	if err != nil {
+		return nil, err
+	}
+	// Rows normally come back in insertion order, but the timeline's
+	// meaning depends on order, so honor the explicit seq column.
+	sort.SliceStable(depth, func(i, j int) bool { return depth[i].Seq < depth[j].Seq })
+	for _, d := range depth {
+		rep.Depth = append(rep.Depth, d.DepthPoint)
 	}
 	return rep, nil
 }

@@ -2,6 +2,7 @@ package forensics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/factory"
@@ -197,5 +198,40 @@ func TestReportStatsdbRoundTrip(t *testing.T) {
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("blame rows group into %d forecasts, want 3", len(res.Rows))
+	}
+}
+
+// TestAnalyzeFromPersistedTimeline checks the replayable half of the
+// usage pipeline: the node_usage rows a campaign persisted read back as
+// the sampler's own timeline, and a forensics pass over a Timeline
+// rebuilt from them reproduces the live sampler's analysis exactly —
+// long after the campaign's engine and sampler are gone.
+func TestAnalyzeFromPersistedTimeline(t *testing.T) {
+	c, tel, sampler := forensicCampaign(t)
+	plan := campaignPlan(c, 2000)
+	live, err := Analyze(Input{Spans: tel.Trace().Spans(), Plan: plan, Timeline: sampler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := statsdb.NewDB()
+	if _, err := usage.LoadSamples(db, sampler.Samples()); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := usage.ReadSamples(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(samples, sampler.Samples()) {
+		t.Fatalf("read back %d samples that differ from the sampler's %d", len(samples), len(sampler.Samples()))
+	}
+	replayed, err := Analyze(Input{Spans: tel.Trace().Spans(), Plan: plan, Timeline: NewTimeline(samples)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(live.Runs) == 0 {
+		t.Fatal("live analysis found no runs")
+	}
+	if !reflect.DeepEqual(replayed, live) {
+		t.Fatalf("analysis from persisted node_usage differs from the live sampler's:\n%+v\nvs\n%+v", replayed.Runs, live.Runs)
 	}
 }

@@ -83,12 +83,12 @@ type Input struct {
 // run's completion, or a wait gap where nothing of the run was executing
 // (blocked on dataflow inputs or dispatch).
 type Segment struct {
-	Seq   int     `json:"seq"`
-	Kind  string  `json:"kind"` // span category, or "wait" for gaps
-	Name  string  `json:"name"`
-	Node  string  `json:"node"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
+	Seq   int     `json:"seq" db:"seq"`
+	Kind  string  `json:"kind" db:"kind"` // span category, or "wait" for gaps
+	Name  string  `json:"name" db:"name"`
+	Node  string  `json:"node" db:"node"`
+	Start float64 `json:"start" db:"start"`
+	End   float64 `json:"end" db:"end"`
 }
 
 // Duration returns the segment length in seconds.
@@ -100,38 +100,38 @@ func (s Segment) Duration() float64 { return s.End - s.Start }
 // tests enforce); negative components are credits (an early start, an
 // overestimate) and positive ones are blame.
 type RunBlame struct {
-	Forecast string  `json:"forecast"`
-	Day      int     `json:"day"`
-	Node     string  `json:"node"`
-	Start    float64 `json:"start"`
-	End      float64 `json:"end"`
+	Forecast string  `json:"forecast" db:"forecast"`
+	Day      int     `json:"day" db:"day"`
+	Node     string  `json:"node" db:"node"`
+	Start    float64 `json:"start" db:"start"`
+	End      float64 `json:"end" db:"end"`
 
-	Planned      bool    `json:"planned"`
-	PlannedStart float64 `json:"planned_start"`
-	PlannedEnd   float64 `json:"planned_end"`
-	Deadline     float64 `json:"deadline,omitempty"`
+	Planned      bool    `json:"planned" db:"planned"`
+	PlannedStart float64 `json:"planned_start" db:"planned_start"`
+	PlannedEnd   float64 `json:"planned_end" db:"planned_end"`
+	Deadline     float64 `json:"deadline,omitempty" db:"deadline"`
 
 	// Lateness is End − PlannedEnd: how far past the plan the run landed
 	// (negative = early). DeadlineMiss is max(0, End − Deadline), zero
 	// when no deadline is known.
-	Lateness     float64 `json:"lateness"`
-	DeadlineMiss float64 `json:"deadline_miss,omitempty"`
+	Lateness     float64 `json:"lateness" db:"lateness"`
+	DeadlineMiss float64 `json:"deadline_miss,omitempty" db:"deadline_miss"`
 
-	QueueWait     float64 `json:"queue_wait"`
-	Contention    float64 `json:"contention"`
-	Failure       float64 `json:"failure"`
-	UpstreamWait  float64 `json:"upstream_wait"`
-	EstimateError float64 `json:"estimate_error"`
+	QueueWait     float64 `json:"queue_wait" db:"queue_wait"`
+	Contention    float64 `json:"contention" db:"contention"`
+	Failure       float64 `json:"failure" db:"failure"`
+	UpstreamWait  float64 `json:"upstream_wait" db:"upstream_wait"`
+	EstimateError float64 `json:"estimate_error" db:"estimate_error"`
 
 	// MeanShare is the observed time-average CPU share on the run's node
 	// across its extent — the contention component's evidence.
-	MeanShare float64 `json:"mean_share"`
+	MeanShare float64 `json:"mean_share" db:"mean_share"`
 	// Dominant names the largest positive component (CompNone when the
 	// run has nothing to blame).
-	Dominant string `json:"dominant"`
+	Dominant string `json:"dominant" db:"dominant"`
 	// Interrupted marks runs whose span was closed by EndOpen (the
 	// campaign ended mid-run); their extent is what was observed.
-	Interrupted bool `json:"interrupted,omitempty"`
+	Interrupted bool `json:"interrupted,omitempty" db:"interrupted"`
 
 	Path []Segment `json:"path,omitempty"`
 }

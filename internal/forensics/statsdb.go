@@ -2,7 +2,6 @@ package forensics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/statsdb"
@@ -15,90 +14,28 @@ const (
 	PathsTableName = "critical_paths"
 )
 
-// BlameSchema returns the schema of the lateness_blame table: one row per
-// analyzed run, carrying the full decomposition.
-func BlameSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "forecast", Type: statsdb.String},
-		{Name: "day", Type: statsdb.Int},
-		{Name: "node", Type: statsdb.String},
-		{Name: "start", Type: statsdb.Float},
-		{Name: "end", Type: statsdb.Float},
-		{Name: "planned", Type: statsdb.Bool},
-		{Name: "planned_start", Type: statsdb.Float},
-		{Name: "planned_end", Type: statsdb.Float},
-		{Name: "deadline", Type: statsdb.Float},
-		{Name: "lateness", Type: statsdb.Float},
-		{Name: "deadline_miss", Type: statsdb.Float},
-		{Name: "queue_wait", Type: statsdb.Float},
-		{Name: "contention", Type: statsdb.Float},
-		{Name: "failure", Type: statsdb.Float},
-		{Name: "upstream_wait", Type: statsdb.Float},
-		{Name: "estimate_error", Type: statsdb.Float},
-		{Name: "mean_share", Type: statsdb.Float},
-		{Name: "dominant", Type: statsdb.String},
-		{Name: "interrupted", Type: statsdb.Bool},
-	}
+// pathRow is one critical_paths row: a critical-path segment keyed by
+// its run, ordered by seq within the run.
+type pathRow struct {
+	Forecast string `db:"forecast"`
+	Day      int    `db:"day"`
+	Segment
+	Duration float64 `db:"duration"`
 }
 
-// PathsSchema returns the schema of the critical_paths table: one row per
-// critical-path segment, ordered by seq within a run.
-func PathsSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "forecast", Type: statsdb.String},
-		{Name: "day", Type: statsdb.Int},
-		{Name: "seq", Type: statsdb.Int},
-		{Name: "kind", Type: statsdb.String},
-		{Name: "name", Type: statsdb.String},
-		{Name: "node", Type: statsdb.String},
-		{Name: "start", Type: statsdb.Float},
-		{Name: "end", Type: statsdb.Float},
-		{Name: "duration", Type: statsdb.Float},
-	}
-}
+// lateness_blame holds one row per analyzed run, carrying the full
+// decomposition; critical_paths one row per critical-path segment.
+var (
+	blameTable = statsdb.NewTypedTable[RunBlame](BlameTableName, "forecast", "day")
+	pathsTable = statsdb.NewTypedTable[pathRow](PathsTableName, "forecast")
+)
 
 // Migrations returns the forensics layer's schema migrations: v4 creates
 // the lateness_blame and critical_paths tables with their lookup indexes.
 // Combine with harvest.Migrations() (v1, v2) and usage.Migrations() (v3);
 // Migrate tracks each version independently.
 func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{
-		{
-			Version: 4,
-			Name:    "forensics-tables",
-			Apply: func(db *statsdb.DB) error {
-				if db.Table(BlameTableName) == nil {
-					t, err := db.CreateTable(BlameTableName, BlameSchema())
-					if err != nil {
-						return err
-					}
-					for _, col := range []string{"forecast", "day"} {
-						if err := t.CreateIndex(col); err != nil {
-							return err
-						}
-					}
-				}
-				if db.Table(PathsTableName) == nil {
-					t, err := db.CreateTable(PathsTableName, PathsSchema())
-					if err != nil {
-						return err
-					}
-					if err := t.CreateIndex("forecast"); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		},
-	}
-}
-
-// finite guards statsdb's NaN rejection: non-finite floats persist as 0.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
+	return []statsdb.Migration{statsdb.TableMigration(4, "forensics-tables", blameTable, pathsTable)}
 }
 
 // LoadReport persists one pass's results into the lateness_blame and
@@ -109,55 +46,21 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
 		return err
 	}
-	bt := db.Table(BlameTableName)
-	pt := db.Table(PathsTableName)
+	var paths []pathRow
 	for i := range rep.Runs {
 		r := &rep.Runs[i]
 		if r.Forecast == "" {
 			return fmt.Errorf("forensics: blame row with empty forecast")
 		}
-		err := bt.Insert([]statsdb.Value{
-			statsdb.StringVal(r.Forecast),
-			statsdb.IntVal(int64(r.Day)),
-			statsdb.StringVal(r.Node),
-			statsdb.FloatVal(finite(r.Start)),
-			statsdb.FloatVal(finite(r.End)),
-			statsdb.BoolVal(r.Planned),
-			statsdb.FloatVal(finite(r.PlannedStart)),
-			statsdb.FloatVal(finite(r.PlannedEnd)),
-			statsdb.FloatVal(finite(r.Deadline)),
-			statsdb.FloatVal(finite(r.Lateness)),
-			statsdb.FloatVal(finite(r.DeadlineMiss)),
-			statsdb.FloatVal(finite(r.QueueWait)),
-			statsdb.FloatVal(finite(r.Contention)),
-			statsdb.FloatVal(finite(r.Failure)),
-			statsdb.FloatVal(finite(r.UpstreamWait)),
-			statsdb.FloatVal(finite(r.EstimateError)),
-			statsdb.FloatVal(finite(r.MeanShare)),
-			statsdb.StringVal(r.Dominant),
-			statsdb.BoolVal(r.Interrupted),
-		})
-		if err != nil {
-			return err
-		}
 		for _, s := range r.Path {
-			err := pt.Insert([]statsdb.Value{
-				statsdb.StringVal(r.Forecast),
-				statsdb.IntVal(int64(r.Day)),
-				statsdb.IntVal(int64(s.Seq)),
-				statsdb.StringVal(s.Kind),
-				statsdb.StringVal(s.Name),
-				statsdb.StringVal(s.Node),
-				statsdb.FloatVal(finite(s.Start)),
-				statsdb.FloatVal(finite(s.End)),
-				statsdb.FloatVal(finite(s.End - s.Start)),
-			})
-			if err != nil {
-				return err
-			}
+			paths = append(paths, pathRow{Forecast: r.Forecast, Day: r.Day, Segment: s, Duration: s.Duration()})
 		}
 	}
-	return nil
+	if _, err := blameTable.Insert(db, rep.Runs...); err != nil {
+		return err
+	}
+	_, err := pathsTable.Insert(db, paths...)
+	return err
 }
 
 // ReadReport reconstructs a Report from the persisted tables — the
@@ -166,73 +69,33 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 // aggregates are recomputed from the run rows. Returns an empty report
 // when the tables are absent.
 func ReadReport(db *statsdb.DB) (*Report, error) {
-	rep := &Report{}
-	bt := db.Table(BlameTableName)
-	if bt == nil {
-		return rep, nil
+	if db.Table(BlameTableName) == nil {
+		return &Report{}, nil
 	}
-	schema := bt.Schema()
-	col := make(map[string]int, len(schema))
-	for i, c := range schema {
-		col[c.Name] = i
+	runs, err := blameTable.Read(db)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < bt.Len(); i++ {
-		row := bt.Row(i)
-		r := RunBlame{
-			Forecast:      row[col["forecast"]].Str(),
-			Day:           int(row[col["day"]].Int()),
-			Node:          row[col["node"]].Str(),
-			Start:         row[col["start"]].Float(),
-			End:           row[col["end"]].Float(),
-			Planned:       row[col["planned"]].Bool(),
-			PlannedStart:  row[col["planned_start"]].Float(),
-			PlannedEnd:    row[col["planned_end"]].Float(),
-			Deadline:      row[col["deadline"]].Float(),
-			Lateness:      row[col["lateness"]].Float(),
-			DeadlineMiss:  row[col["deadline_miss"]].Float(),
-			QueueWait:     row[col["queue_wait"]].Float(),
-			Contention:    row[col["contention"]].Float(),
-			Failure:       row[col["failure"]].Float(),
-			UpstreamWait:  row[col["upstream_wait"]].Float(),
-			EstimateError: row[col["estimate_error"]].Float(),
-			MeanShare:     row[col["mean_share"]].Float(),
-			Dominant:      row[col["dominant"]].Str(),
-			Interrupted:   row[col["interrupted"]].Bool(),
-		}
-		rep.Runs = append(rep.Runs, r)
+	rows, err := pathsTable.Read(db)
+	if err != nil {
+		return nil, err
 	}
-	if pt := db.Table(PathsTableName); pt != nil {
-		pSchema := pt.Schema()
-		pcol := make(map[string]int, len(pSchema))
-		for i, c := range pSchema {
-			pcol[c.Name] = i
-		}
-		paths := make(map[string][]Segment)
-		for i := 0; i < pt.Len(); i++ {
-			row := pt.Row(i)
-			key := runKey(row[pcol["forecast"]].Str(), int(row[pcol["day"]].Int()))
-			paths[key] = append(paths[key], Segment{
-				Seq:   int(row[pcol["seq"]].Int()),
-				Kind:  row[pcol["kind"]].Str(),
-				Name:  row[pcol["name"]].Str(),
-				Node:  row[pcol["node"]].Str(),
-				Start: row[pcol["start"]].Float(),
-				End:   row[pcol["end"]].Float(),
-			})
-		}
-		for i := range rep.Runs {
-			r := &rep.Runs[i]
-			p := paths[runKey(r.Forecast, r.Day)]
-			sort.Slice(p, func(a, b int) bool { return p[a].Seq < p[b].Seq })
-			r.Path = p
-		}
+	paths := make(map[string][]Segment)
+	for _, p := range rows {
+		key := runKey(p.Forecast, p.Day)
+		paths[key] = append(paths[key], p.Segment)
 	}
-	sort.Slice(rep.Runs, func(i, j int) bool {
-		if rep.Runs[i].Day != rep.Runs[j].Day {
-			return rep.Runs[i].Day < rep.Runs[j].Day
+	for i := range runs {
+		r := &runs[i]
+		p := paths[runKey(r.Forecast, r.Day)]
+		sort.Slice(p, func(a, b int) bool { return p[a].Seq < p[b].Seq })
+		r.Path = p
+	}
+	sort.Slice(runs, func(i, j int) bool {
+		if runs[i].Day != runs[j].Day {
+			return runs[i].Day < runs[j].Day
 		}
-		return rep.Runs[i].Forecast < rep.Runs[j].Forecast
+		return runs[i].Forecast < runs[j].Forecast
 	})
-	rep.Days = aggregateDays(rep.Runs)
-	return rep, nil
+	return &Report{Runs: runs, Days: aggregateDays(runs)}, nil
 }

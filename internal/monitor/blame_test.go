@@ -94,7 +94,7 @@ func TestForensicsEndpointServesPersistedReport(t *testing.T) {
 
 	m := testMonitor(Options{})
 	s := NewServer(m, nil)
-	s.AttachForensics(func() any {
+	s.Attach("forensics", func() any {
 		r, err := forensics.ReadReport(db)
 		if err != nil {
 			return map[string]string{"error": err.Error()}

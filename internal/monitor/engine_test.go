@@ -24,7 +24,7 @@ func TestEngineEndpointServesProfilerReport(t *testing.T) {
 
 	m := testMonitor(Options{})
 	s := NewServer(m, nil)
-	s.AttachEngine(func() any { return prof.Report() })
+	s.Attach("engine", func() any { return prof.Report() })
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

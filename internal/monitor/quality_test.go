@@ -177,7 +177,7 @@ func TestStaleHarvestAlertReachesDashboard(t *testing.T) {
 		}},
 	}, tel.Registry())
 	srv := NewServer(m, tel.Registry())
-	srv.AttachHarvest(func() any { return h.Status() })
+	srv.Attach("harvest", func() any { return h.Status() })
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

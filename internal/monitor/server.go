@@ -3,8 +3,10 @@ package monitor
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -14,80 +16,49 @@ import (
 //	GET /                 live HTML dashboard (auto-refreshing)
 //	GET /healthz          liveness JSON: clock, tracked runs, firing alerts
 //	GET /metrics          the telemetry registry in Prometheus text format
-//	GET /api/status       the full Status snapshot as JSON
 //	GET /api/alerts       the alert history as JSON
-//	GET /api/slo          the SLO report as JSON
-//	GET /api/harvest      the harvest pipeline's status (when attached)
-//	GET /api/utilization  the usage sampler's status (when attached)
-//	GET /api/forensics    the lateness-blame report (when attached)
-//	GET /api/spc          the SPC control-chart report (when attached)
-//	GET /api/engine       the kernel profiler's hotspot report (when attached)
-//	GET /api/serving      the product-serving edge's stats (when attached)
+//	GET /api/{name}       a report as JSON: status (the full Status
+//	                      snapshot), slo (the SLO report), and whatever
+//	                      is attached (see Attach); 404 otherwise
 //	GET /debug/pprof/     Go profiling endpoints (when EnablePprof)
 //
 // Handlers read monitor snapshots under its lock and never touch the
 // simulation engine, so the server can run on wall-clock goroutines
 // while a campaign replays. All handlers are httptest-able via Handler.
 type Server struct {
-	mon         *Monitor
-	reg         *telemetry.Registry
-	harvestFn   func() any
-	utilFn      func() any
-	forensicsFn func() any
-	spcFn       func() any
-	engineFn    func() any
-	servingFn   func() any
-	runtime     *telemetry.RuntimeCollector
-	pprofOn     bool
+	mon     *Monitor
+	reg     *telemetry.Registry
+	reports map[string]func() any
+	runtime *telemetry.RuntimeCollector
+	pprofOn bool
 }
+
+// Connection timeouts for Serve. A client that never finishes its
+// request headers is dropped after readHeaderTimeout, an idle keep-alive
+// connection after idleTimeout. There is deliberately no write timeout:
+// /debug/pprof/profile streams a 30 s CPU capture by default.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // NewServer builds a Server for a monitor. reg (may be nil) backs
 // /metrics and receives the Go runtime gauges, collected on every
 // scrape — the control room watches its own serving process too.
 func NewServer(mon *Monitor, reg *telemetry.Registry) *Server {
-	return &Server{mon: mon, reg: reg, runtime: telemetry.NewRuntimeCollector(reg)}
+	s := &Server{mon: mon, reg: reg, reports: map[string]func() any{}, runtime: telemetry.NewRuntimeCollector(reg)}
+	s.Attach("status", func() any { return mon.Status() })
+	s.Attach("slo", func() any { return mon.Report() })
+	return s
 }
 
-// AttachHarvest wires the harvest pipeline's status into the server: fn
-// (typically a closure over Harvester.Status) backs GET /api/harvest and
-// the dashboard's harvest panel. The server stays decoupled from the
-// harvest package — it serves whatever snapshot fn returns. Call before
-// the server starts handling requests.
-func (s *Server) AttachHarvest(fn func() any) { s.harvestFn = fn }
-
-// AttachUtilization wires the usage sampler's status into the server: fn
-// (typically a closure over Sampler.Status) backs GET /api/utilization
-// and the dashboard's heatmap panel. Call before the server starts
-// handling requests.
-func (s *Server) AttachUtilization(fn func() any) { s.utilFn = fn }
-
-// AttachForensics wires a lateness-blame report into the server: fn
-// (typically a closure over forensics.ReadReport on the stats database,
-// so the endpoint serves exactly the persisted rows the CLI report
-// renders) backs GET /api/forensics and the dashboard's blame panel.
-// Call before the server starts handling requests.
-func (s *Server) AttachForensics(fn func() any) { s.forensicsFn = fn }
-
-// AttachSPC wires the SPC observatory's control-chart report into the
-// server: fn (typically a closure over spc.ReadReport on the stats
-// database, or a live Observatory.Report) backs GET /api/spc and the
-// dashboard's control-chart panel. Call before the server starts
-// handling requests.
-func (s *Server) AttachSPC(fn func() any) { s.spcFn = fn }
-
-// AttachEngine wires the kernel profiler's report into the server: fn
-// (typically a closure over engineprof.Profiler.Report, whose snapshot
-// is safe to take while the engine runs) backs GET /api/engine and the
-// dashboard's engine panel. Call before the server starts handling
-// requests.
-func (s *Server) AttachEngine(fn func() any) { s.engineFn = fn }
-
-// AttachServing wires the product-serving edge into the server: fn
-// (typically a closure over serving.Edge.Stats, whose snapshot is safe to
-// take while the simulation runs) backs GET /api/serving and the
-// dashboard's serving panel. Call before the server starts handling
-// requests.
-func (s *Server) AttachServing(fn func() any) { s.servingFn = fn }
+// Attach serves fn's snapshot as JSON at GET /api/{name}, and the
+// dashboard shows that report's panel once the endpoint answers. The
+// server stays decoupled from the reporting packages: fn is typically a
+// closure over a live snapshot (Harvester.Status, Profiler.Report) or a
+// ReadReport of the stats database, and must be safe to call on the
+// HTTP goroutine while the simulation runs. Call before serving.
+func (s *Server) Attach(name string, fn func() any) { s.reports[name] = fn }
 
 // EnablePprof mounts net/http/pprof under /debug/pprof/ on the next
 // Handler call — opt-in, because the profiler exposes stacks and heap
@@ -100,15 +71,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /{$}", s.handleDashboard)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /api/status", s.handleStatus)
 	mux.HandleFunc("GET /api/alerts", s.handleAlerts)
-	mux.HandleFunc("GET /api/slo", s.handleSLO)
-	mux.HandleFunc("GET /api/harvest", s.handleHarvest)
-	mux.HandleFunc("GET /api/utilization", s.handleUtilization)
-	mux.HandleFunc("GET /api/forensics", s.handleForensics)
-	mux.HandleFunc("GET /api/spc", s.handleSPC)
-	mux.HandleFunc("GET /api/engine", s.handleEngine)
-	mux.HandleFunc("GET /api/serving", s.handleServing)
+	mux.HandleFunc("GET /api/{name}", s.handleReport)
 	if s.pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -117,6 +81,18 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+// Serve accepts control-room connections on ln until it fails, under
+// the connection timeouts above, so a client that stalls mid-request
+// cannot hold a connection forever.
+func (s *Server) Serve(ln net.Listener) error {
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	return hs.Serve(ln)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -152,50 +128,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
-	if s.utilFn == nil {
-		http.Error(w, "no usage sampler attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.utilFn())
-}
-
-func (s *Server) handleForensics(w http.ResponseWriter, r *http.Request) {
-	if s.forensicsFn == nil {
-		http.Error(w, "no forensics report attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.forensicsFn())
-}
-
-func (s *Server) handleSPC(w http.ResponseWriter, r *http.Request) {
-	if s.spcFn == nil {
-		http.Error(w, "no spc observatory attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.spcFn())
-}
-
-func (s *Server) handleEngine(w http.ResponseWriter, r *http.Request) {
-	if s.engineFn == nil {
-		http.Error(w, "no kernel profiler attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.engineFn())
-}
-
-func (s *Server) handleServing(w http.ResponseWriter, r *http.Request) {
-	if s.servingFn == nil {
-		http.Error(w, "no serving edge attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.servingFn())
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.mon.Status())
-}
-
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	alerts := s.mon.Alerts()
 	if r.URL.Query().Get("state") == StateFiring {
@@ -204,16 +136,14 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, alerts)
 }
 
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.mon.Report())
-}
-
-func (s *Server) handleHarvest(w http.ResponseWriter, r *http.Request) {
-	if s.harvestFn == nil {
-		http.Error(w, "no harvester attached", http.StatusNotFound)
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	fn, ok := s.reports[name]
+	if !ok {
+		http.Error(w, "no "+name+" report attached", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, s.harvestFn())
+	writeJSON(w, fn())
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
@@ -288,16 +218,30 @@ function cls(state) {
   return {late: "crit", "on-time": "ok", running: "", dropped: "warn",
           critical: "crit", warning: "warn", info: "dim"}[state] || "";
 }
-function stamp(panel, simNow, simDay, ok) {
-  const el = document.getElementById(panel + "-asof");
-  if (!el) return;
-  if (ok && simNow !== null) {
-    el.textContent = "· last updated day " + simDay + " t=" + hhmm(simNow);
-    el.className = "asof dim";
-  } else {
-    el.textContent = "· STALE (fetch failed)";
-    el.className = "asof crit";
-  }
+const SHADES = [" ", "░", "▒", "▓", "█"];
+// shade maps a fraction to a block glyph; anything above 0 shows.
+function shade(v) {
+  v = Math.max(0, Math.min(1, v));
+  const k = Math.round(v * (SHADES.length - 1));
+  return SHADES[v > 0 && k === 0 ? 1 : k];
+}
+// panel polls one report endpoint: when it answers, the panel is shown,
+// rendered, and stamped with the sim time of this pass; a failed fetch
+// (or a pass without a status clock) marks it stale. An endpoint that
+// 404s (nothing attached) stays hidden.
+async function panel(path, id, simNow, simDay, render) {
+  let fresh = false;
+  try {
+    const resp = await fetch(path);
+    if (!resp.ok) return;
+    const data = await resp.json();
+    document.getElementById(id + "-panel").style.display = "";
+    render(data);
+    fresh = simNow !== null;
+  } catch (e) {}
+  const el = document.getElementById(id + "-asof");
+  el.textContent = fresh ? "· last updated day " + simDay + " t=" + hhmm(simNow) : "· STALE (fetch failed)";
+  el.className = fresh ? "asof dim" : "asof crit";
 }
 async function refresh() {
   let simNow = null, simDay = null;
@@ -337,193 +281,144 @@ async function refresh() {
   } catch (e) {
     document.getElementById("summary").textContent = "status fetch failed: " + e;
   }
-  try {
-    const resp = await fetch("api/harvest");
-    if (resp.ok) {
-      const h = await resp.json();
-      document.getElementById("harvest-panel").style.display = "";
-      const lp = h.last_pass || {};
-      document.getElementById("harvest-summary").textContent =
-        "pass " + h.passes + " @ t=" + hhmm(lp.at || 0) +
-        " · scanned " + (lp.scanned || 0) + " · ingested " + (lp.ingested || 0) +
-        " · updated " + (lp.updated || 0) + " · watermark hits " + (lp.watermark_hits || 0) +
-        " · lag " + hhmm(h.watermark_lag_seconds || 0) +
-        " · totals: " + h.totals.ingested + " ingested / " +
-        h.totals.quarantined + " quarantined · schema v" + h.schema_version;
-      const q = h.quarantine || [];
-      document.getElementById("harvest-quarantine").innerHTML = q.length === 0 ? "" :
-        "<tr><th>quarantined file</th><th>error</th></tr>" +
-        q.slice(0, 20).map(e =>
-          '<tr><td class="warn">' + e.path + '</td><td class="dim">' + e.error + "</td></tr>").join("");
-      stamp("harvest", simNow, simDay, true);
-    }
-  } catch (e) { stamp("harvest", simNow, simDay, false); }
-  try {
-    const resp = await fetch("api/utilization");
-    if (resp.ok) {
-      const u = await resp.json();
-      document.getElementById("util-panel").style.display = "";
-      const shades = [" ", "░", "▒", "▓", "█"];
-      const grid = u.grid || {};
-      const names = grid.nodes || [];
-      const width = Math.max(...names.map(n => n.length), 4);
-      const lines = names.map((name, i) => {
-        const row = (grid.utilization || [])[i] || [];
-        const cells = row.slice(-120).map(v => {
-          v = Math.max(0, Math.min(1, v));
-          let k = Math.round(v * (shades.length - 1));
-          if (v > 0 && k === 0) k = 1;
-          return shades[k];
+  await panel("api/harvest", "harvest", simNow, simDay, h => {
+    const lp = h.last_pass || {};
+    document.getElementById("harvest-summary").textContent =
+      "pass " + h.passes + " @ t=" + hhmm(lp.at || 0) +
+      " · scanned " + (lp.scanned || 0) + " · ingested " + (lp.ingested || 0) +
+      " · updated " + (lp.updated || 0) + " · watermark hits " + (lp.watermark_hits || 0) +
+      " · lag " + hhmm(h.watermark_lag_seconds || 0) +
+      " · totals: " + h.totals.ingested + " ingested / " +
+      h.totals.quarantined + " quarantined · schema v" + h.schema_version;
+    const q = h.quarantine || [];
+    document.getElementById("harvest-quarantine").innerHTML = q.length === 0 ? "" :
+      "<tr><th>quarantined file</th><th>error</th></tr>" +
+      q.slice(0, 20).map(e =>
+        '<tr><td class="warn">' + e.path + '</td><td class="dim">' + e.error + "</td></tr>").join("");
+  });
+  await panel("api/utilization", "util", simNow, simDay, u => {
+    const grid = u.grid || {};
+    const names = grid.nodes || [];
+    const width = Math.max(...names.map(n => n.length), 4);
+    const lines = names.map((name, i) => {
+      const row = (grid.utilization || [])[i] || [];
+      return name.padEnd(width) + " |" + row.slice(-120).map(v => shade(v)).join("") + "|";
+    });
+    document.getElementById("util-heatmap").textContent = lines.join("\n");
+    document.getElementById("util-legend").textContent =
+      "· per-node utilization, " + hhmm(grid.step || 0) + " per column · " +
+      "scale " + SHADES.map((s, i) => s + "=" + (i / (SHADES.length - 1)).toFixed(2)).join(" ");
+    const ws = (u.windows || []).filter(w => w.kind === "contention").slice(-10).reverse();
+    document.getElementById("util-windows").innerHTML = ws.length === 0 ? "" :
+      "<tr><th>contention window</th><th>from</th><th>to</th><th>peak k</th><th>mean share</th></tr>" +
+      ws.map(w =>
+        '<tr><td class="warn">' + w.node + "</td><td>" + hhmm(w.start) + "</td><td>" + hhmm(w.end) +
+        "</td><td>" + (w.peak_active || "-") + "</td><td>" +
+        (w.mean_share ? w.mean_share.toFixed(2) : "-") + "</td></tr>").join("");
+  });
+  await panel("api/forensics", "blame", simNow, simDay, f => {
+    const days = f.days || [];
+    const comps = ["queue_wait", "contention", "failure", "upstream_wait", "estimate_error"];
+    const colors = {queue_wait: "#48a", contention: "#a84", failure: "#a44",
+                    upstream_wait: "#848", estimate_error: "#666"};
+    document.getElementById("blame-legend").innerHTML = "· " + comps.map(c =>
+      '<span class="bar" style="width:9px;background:' + colors[c] + '"></span> ' + c).join(" ");
+    const maxLate = Math.max(1, ...days.map(d => d.lateness));
+    document.getElementById("blame-days").innerHTML =
+      "<tr><th>day</th><th>runs</th><th>lateness</th><th>dominant</th><th>blame mix</th></tr>" +
+      days.slice(-40).map(d => {
+        const total = comps.reduce((s, c) => s + ((d.components || {})[c] || 0), 0);
+        const width = Math.round(300 * d.lateness / maxLate);
+        const bar = total <= 0 ? "" : comps.map(c => {
+          const w = Math.round(width * ((d.components || {})[c] || 0) / total);
+          return w <= 0 ? "" :
+            '<span class="bar" style="width:' + w + 'px;background:' + colors[c] + '"></span>';
         }).join("");
-        return name.padEnd(width) + " |" + cells + "|";
-      });
-      document.getElementById("util-heatmap").textContent = lines.join("\n");
-      document.getElementById("util-legend").textContent =
-        "· per-node utilization, " + hhmm(grid.step || 0) + " per column · " +
-        "scale " + shades.map((s, i) => s + "=" + (i / (shades.length - 1)).toFixed(2)).join(" ");
-      const ws = (u.windows || []).filter(w => w.kind === "contention").slice(-10).reverse();
-      document.getElementById("util-windows").innerHTML = ws.length === 0 ? "" :
-        "<tr><th>contention window</th><th>from</th><th>to</th><th>peak k</th><th>mean share</th></tr>" +
-        ws.map(w =>
-          '<tr><td class="warn">' + w.node + "</td><td>" + hhmm(w.start) + "</td><td>" + hhmm(w.end) +
-          "</td><td>" + (w.peak_active || "-") + "</td><td>" +
-          (w.mean_share ? w.mean_share.toFixed(2) : "-") + "</td></tr>").join("");
-      stamp("util", simNow, simDay, true);
-    }
-  } catch (e) { stamp("util", simNow, simDay, false); }
-  try {
-    const resp = await fetch("api/forensics");
-    if (resp.ok) {
-      const f = await resp.json();
-      const days = f.days || [];
-      const comps = ["queue_wait", "contention", "failure", "upstream_wait", "estimate_error"];
-      const colors = {queue_wait: "#48a", contention: "#a84", failure: "#a44",
-                      upstream_wait: "#848", estimate_error: "#666"};
-      document.getElementById("blame-panel").style.display = "";
-      document.getElementById("blame-legend").innerHTML = "· " + comps.map(c =>
-        '<span class="bar" style="width:9px;background:' + colors[c] + '"></span> ' + c).join(" ");
-      const maxLate = Math.max(1, ...days.map(d => d.lateness));
-      document.getElementById("blame-days").innerHTML =
-        "<tr><th>day</th><th>runs</th><th>lateness</th><th>dominant</th><th>blame mix</th></tr>" +
-        days.slice(-40).map(d => {
-          const total = comps.reduce((s, c) => s + ((d.components || {})[c] || 0), 0);
-          const width = Math.round(300 * d.lateness / maxLate);
-          const bar = total <= 0 ? "" : comps.map(c => {
-            const w = Math.round(width * ((d.components || {})[c] || 0) / total);
-            return w <= 0 ? "" :
-              '<span class="bar" style="width:' + w + 'px;background:' + colors[c] + '"></span>';
-          }).join("");
-          return "<tr><td>" + d.day + "</td><td>" + d.runs + "</td><td>" + hhmm(d.lateness) +
-                 "</td><td>" + d.dominant + "</td><td>" + bar + "</td></tr>";
-        }).join("");
-      stamp("blame", simNow, simDay, true);
-    }
-  } catch (e) { stamp("blame", simNow, simDay, false); }
-  try {
-    const resp = await fetch("api/spc");
-    if (resp.ok) {
-      const rep = await resp.json();
-      const series = rep.series || [];
-      document.getElementById("spc-panel").style.display = "";
-      document.getElementById("spc-series").innerHTML =
-        "<tr><th>kind</th><th>subject</th><th>n</th><th>center</th><th>sigma</th>" +
-        "<th>viol</th><th>state</th><th>recent (· ok, ! violation, : learning)</th></tr>" +
-        series.map(s => {
-          const pts = s.points || [];
-          const trace = pts.slice(-60).map(p =>
-            p.learning ? ":" : (p.out ? "!" : "·")).join("");
-          const state = pts.some(p => !p.learning)
-            ? (s.out ? '<span class="crit">OUT</span>' : '<span class="ok">in</span>')
-            : '<span class="dim">learning</span>';
-          return "<tr><td>" + s.kind + "</td><td>" + s.subject + "</td><td>" + pts.length +
-                 "</td><td>" + s.center.toPrecision(4) + "</td><td>" + s.sigma.toPrecision(4) +
-                 "</td><td>" + (s.violations || 0) + "</td><td>" + state +
-                 "</td><td><code>" + trace + "</code></td></tr>";
-        }).join("");
-      const cps = series.flatMap(s =>
-        (s.changepoints || []).map(c => ({kind: s.kind, subject: s.subject, ...c})));
-      cps.sort((a, b) => a.detected_day - b.detected_day);
-      document.getElementById("spc-changepoints").innerHTML = cps.length === 0 ? "" :
-        "<tr><th>changepoint</th><th>day</th><th>detected</th><th>cause</th>" +
-        "<th>before</th><th>after</th></tr>" +
-        cps.slice(-20).map(c =>
-          '<tr><td class="warn">' + c.kind + "/" + c.subject + "</td><td>" + c.day +
-          "</td><td>" + c.detected_day + "</td><td>" + c.cause +
-          "</td><td>" + c.before.toPrecision(4) + "</td><td>" + c.after.toPrecision(4) +
-          "</td></tr>").join("");
-      stamp("spc", simNow, simDay, true);
-    }
-  } catch (e) { stamp("spc", simNow, simDay, false); }
-  try {
-    const resp = await fetch("api/engine");
-    if (resp.ok) {
-      const rep = await resp.json();
-      const labels = rep.labels || [];
-      document.getElementById("engine-panel").style.display = "";
-      const fmtNs = ns => ns < 1e3 ? ns + "ns" : ns < 1e6 ? (ns/1e3).toFixed(1) + "µs"
-                        : ns < 1e9 ? (ns/1e6).toFixed(2) + "ms" : (ns/1e9).toFixed(3) + "s";
-      // Handler timing is sampled in the kernel: extrapolate each
-      // label's wall-clock as (sampled mean) x (total fires).
-      const wallEst = l => l.wall_sampled > 0 ? l.wall_ns/l.wall_sampled*l.fired : 0;
-      const totalWall = labels.reduce((s, l) => s + wallEst(l), 0);
-      const totalFired = labels.reduce((s, l) => s + l.fired, 0);
-      const depth = rep.depth || [];
-      const peak = Math.max(0, ...depth.map(p => p.depth));
-      document.getElementById("engine-summary").textContent =
-        totalFired + " events fired · " + labels.reduce((s, l) => s + l.cancelled, 0) +
-        " cancelled · ~" + fmtNs(totalWall) + " handler wall-clock (sampled) · peak queue depth " + peak;
-      document.getElementById("engine-labels").innerHTML =
-        "<tr><th>label</th><th>wall%</th><th>wall</th><th>fired</th><th>cancelled</th>" +
-        "<th>mean</th><th>max</th><th>dwell(mean)</th></tr>" +
-        labels.slice(0, 10).map(l => {
-          const est = wallEst(l);
-          const share = totalWall > 0 ? (100*est/totalWall).toFixed(1) : "0.0";
-          const mean = l.wall_sampled > 0 ? l.wall_ns/l.wall_sampled : 0;
-          const dwell = l.fired > 0 ? l.dwell_sum_s/l.fired : 0;
-          return "<tr><td>" + l.label + '</td><td><span class="bar" style="width:' +
-            Math.round(share) + 'px"></span> ' + share + "%</td><td>" + fmtNs(est) +
-            "</td><td>" + l.fired + "</td><td>" + l.cancelled + "</td><td>" + fmtNs(mean) +
-            "</td><td>" + fmtNs(l.wall_max_ns) + "</td><td>" + hhmm(dwell) + "</td></tr>";
-        }).join("");
-      const shades = [" ", "░", "▒", "▓", "█"];
-      const cells = depth.slice(-120).map(p => {
-        if (peak <= 0) return shades[0];
-        let k = Math.round(p.depth / peak * (shades.length - 1));
-        if (p.depth > 0 && k === 0) k = 1;
-        return shades[k];
+        return "<tr><td>" + d.day + "</td><td>" + d.runs + "</td><td>" + hhmm(d.lateness) +
+               "</td><td>" + d.dominant + "</td><td>" + bar + "</td></tr>";
       }).join("");
-      document.getElementById("engine-depth").textContent =
-        depth.length === 0 ? "" : "queue depth |" + cells + "| peak " + peak;
-      stamp("engine", simNow, simDay, true);
-    }
-  } catch (e) { stamp("engine", simNow, simDay, false); }
-  try {
-    const resp = await fetch("api/serving");
-    if (resp.ok) {
-      const sv = await resp.json();
-      document.getElementById("serving-panel").style.display = "";
-      document.getElementById("serving-summary").textContent =
-        sv.requests + " requests · hit " + (100*(sv.hit_rate || 0)).toFixed(1) + "%" +
-        " · coalesced " + sv.coalesced + " · renders " + sv.renders +
-        " (" + sv.active_renders + " active, " + sv.queued_renders + " queued)" +
-        " · shed " + sv.shed + " (" + (100*(sv.shed_fraction || 0)).toFixed(2) + "%)" +
-        " · stale served " + sv.served_stale +
-        " · staleness p50 " + hhmm(sv.staleness_p50_seconds || 0) +
-        " p99 " + hhmm(sv.staleness_p99_seconds || 0);
-      const prods = (sv.products || []).slice().sort((a, b) => b.requests - a.requests);
-      document.getElementById("serving-products").innerHTML =
-        "<tr><th>product</th><th>forecast</th><th>requests</th><th>hit%</th>" +
-        "<th>renders</th><th>shed</th><th>rate/h</th><th>cycle</th></tr>" +
-        prods.slice(0, 12).map(p => {
-          const hit = p.requests > 0 ? (100*p.hits/p.requests).toFixed(1) : "0.0";
-          return "<tr><td>" + p.product + (p.hot ? ' <span class="warn">HOT</span>' : "") +
-            "</td><td>" + p.forecast + "</td><td>" + p.requests + "</td><td>" + hit +
-            "%</td><td>" + p.renders + "</td><td>" + (p.shed || 0) +
-            "</td><td>" + Math.round(p.demand_rate || 0) + "</td><td>" + p.cycle + "</td></tr>";
-        }).join("");
-      stamp("serving", simNow, simDay, true);
-    }
-  } catch (e) { stamp("serving", simNow, simDay, false); }
+  });
+  await panel("api/spc", "spc", simNow, simDay, rep => {
+    const series = rep.series || [];
+    document.getElementById("spc-series").innerHTML =
+      "<tr><th>kind</th><th>subject</th><th>n</th><th>center</th><th>sigma</th>" +
+      "<th>viol</th><th>state</th><th>recent (· ok, ! violation, : learning)</th></tr>" +
+      series.map(s => {
+        const pts = s.points || [];
+        const trace = pts.slice(-60).map(p =>
+          p.learning ? ":" : (p.out ? "!" : "·")).join("");
+        const state = pts.some(p => !p.learning)
+          ? (s.out ? '<span class="crit">OUT</span>' : '<span class="ok">in</span>')
+          : '<span class="dim">learning</span>';
+        return "<tr><td>" + s.kind + "</td><td>" + s.subject + "</td><td>" + pts.length +
+               "</td><td>" + s.center.toPrecision(4) + "</td><td>" + s.sigma.toPrecision(4) +
+               "</td><td>" + (s.violations || 0) + "</td><td>" + state +
+               "</td><td><code>" + trace + "</code></td></tr>";
+      }).join("");
+    const cps = series.flatMap(s =>
+      (s.changepoints || []).map(c => ({kind: s.kind, subject: s.subject, ...c})));
+    cps.sort((a, b) => a.detected_day - b.detected_day);
+    document.getElementById("spc-changepoints").innerHTML = cps.length === 0 ? "" :
+      "<tr><th>changepoint</th><th>day</th><th>detected</th><th>cause</th>" +
+      "<th>before</th><th>after</th></tr>" +
+      cps.slice(-20).map(c =>
+        '<tr><td class="warn">' + c.kind + "/" + c.subject + "</td><td>" + c.day +
+        "</td><td>" + c.detected_day + "</td><td>" + c.cause +
+        "</td><td>" + c.before.toPrecision(4) + "</td><td>" + c.after.toPrecision(4) +
+        "</td></tr>").join("");
+  });
+  await panel("api/engine", "engine", simNow, simDay, rep => {
+    const labels = rep.labels || [];
+    const fmtNs = ns => ns < 1e3 ? ns + "ns" : ns < 1e6 ? (ns/1e3).toFixed(1) + "µs"
+                      : ns < 1e9 ? (ns/1e6).toFixed(2) + "ms" : (ns/1e9).toFixed(3) + "s";
+    // Handler timing is sampled in the kernel: extrapolate each
+    // label's wall-clock as (sampled mean) x (total fires).
+    const wallEst = l => l.wall_sampled > 0 ? l.wall_ns/l.wall_sampled*l.fired : 0;
+    const totalWall = labels.reduce((s, l) => s + wallEst(l), 0);
+    const totalFired = labels.reduce((s, l) => s + l.fired, 0);
+    const depth = rep.depth || [];
+    const peak = Math.max(0, ...depth.map(p => p.depth));
+    document.getElementById("engine-summary").textContent =
+      totalFired + " events fired · " + labels.reduce((s, l) => s + l.cancelled, 0) +
+      " cancelled · ~" + fmtNs(totalWall) + " handler wall-clock (sampled) · peak queue depth " + peak;
+    document.getElementById("engine-labels").innerHTML =
+      "<tr><th>label</th><th>wall%</th><th>wall</th><th>fired</th><th>cancelled</th>" +
+      "<th>mean</th><th>max</th><th>dwell(mean)</th></tr>" +
+      labels.slice(0, 10).map(l => {
+        const est = wallEst(l);
+        const share = totalWall > 0 ? (100*est/totalWall).toFixed(1) : "0.0";
+        const mean = l.wall_sampled > 0 ? l.wall_ns/l.wall_sampled : 0;
+        const dwell = l.fired > 0 ? l.dwell_sum_s/l.fired : 0;
+        return "<tr><td>" + l.label + '</td><td><span class="bar" style="width:' +
+          Math.round(share) + 'px"></span> ' + share + "%</td><td>" + fmtNs(est) +
+          "</td><td>" + l.fired + "</td><td>" + l.cancelled + "</td><td>" + fmtNs(mean) +
+          "</td><td>" + fmtNs(l.wall_max_ns) + "</td><td>" + hhmm(dwell) + "</td></tr>";
+      }).join("");
+    const cells = depth.slice(-120).map(p => shade(peak > 0 ? p.depth / peak : 0)).join("");
+    document.getElementById("engine-depth").textContent =
+      depth.length === 0 ? "" : "queue depth |" + cells + "| peak " + peak;
+  });
+  await panel("api/serving", "serving", simNow, simDay, sv => {
+    document.getElementById("serving-summary").textContent =
+      sv.requests + " requests · hit " + (100*(sv.hit_rate || 0)).toFixed(1) + "%" +
+      " · coalesced " + sv.coalesced + " · renders " + sv.renders +
+      " (" + sv.active_renders + " active, " + sv.queued_renders + " queued)" +
+      " · shed " + sv.shed + " (" + (100*(sv.shed_fraction || 0)).toFixed(2) + "%)" +
+      " · stale served " + sv.served_stale +
+      " · staleness p50 " + hhmm(sv.staleness_p50_seconds || 0) +
+      " p99 " + hhmm(sv.staleness_p99_seconds || 0);
+    const prods = (sv.products || []).slice().sort((a, b) => b.requests - a.requests);
+    document.getElementById("serving-products").innerHTML =
+      "<tr><th>product</th><th>forecast</th><th>requests</th><th>hit%</th>" +
+      "<th>renders</th><th>shed</th><th>rate/h</th><th>cycle</th></tr>" +
+      prods.slice(0, 12).map(p => {
+        const hit = p.requests > 0 ? (100*p.hits/p.requests).toFixed(1) : "0.0";
+        return "<tr><td>" + p.product + (p.hot ? ' <span class="warn">HOT</span>' : "") +
+          "</td><td>" + p.forecast + "</td><td>" + p.requests + "</td><td>" + hit +
+          "%</td><td>" + p.renders + "</td><td>" + (p.shed || 0) +
+          "</td><td>" + Math.round(p.demand_rate || 0) + "</td><td>" + p.cycle + "</td></tr>";
+      }).join("");
+  });
 }
 refresh();
 setInterval(refresh, REFRESH_MS);

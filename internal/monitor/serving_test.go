@@ -33,7 +33,7 @@ func TestServingEndpointServesEdgeStats(t *testing.T) {
 
 	m := testMonitor(Options{})
 	s := NewServer(m, nil)
-	s.AttachServing(func() any { return edge.Stats() })
+	s.Attach("serving", func() any { return edge.Stats() })
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

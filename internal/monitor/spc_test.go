@@ -103,7 +103,7 @@ func TestSPCEndpointServesPersistedReport(t *testing.T) {
 
 	m := testMonitor(Options{})
 	s := NewServer(m, nil)
-	s.AttachSPC(func() any {
+	s.Attach("spc", func() any {
 		r, err := spc.ReadReport(db)
 		if err != nil {
 			return map[string]string{"error": err.Error()}

@@ -7,64 +7,43 @@ import (
 // AlertsTableName is the conventional name of the alert-history table.
 const AlertsTableName = "alerts"
 
-// AlertsSchema returns the schema of the alert-history table: one tuple
-// per alert, joinable with the runs and spans tables on forecast (and
-// day), so lateness can be probed with the same SQL as run statistics —
-// e.g. walltimes of the runs that tripped the regression rule.
-func AlertsSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "id", Type: statsdb.Int},
-		{Name: "rule", Type: statsdb.String},
-		{Name: "severity", Type: statsdb.String},
-		{Name: "state", Type: statsdb.String},
-		{Name: "forecast", Type: statsdb.String},
-		{Name: "day", Type: statsdb.Int},
-		{Name: "node", Type: statsdb.String},
-		{Name: "predicted", Type: statsdb.Bool},
-		{Name: "value", Type: statsdb.Float},
-		{Name: "threshold", Type: statsdb.Float},
-		{Name: "fired_at", Type: statsdb.Float},
-		{Name: "resolved_at", Type: statsdb.Float},
-		{Name: "message", Type: statsdb.String},
-	}
+// alertRow is one alerts row, joinable with the runs and spans tables
+// on forecast (and day), so lateness can be probed with the same SQL as
+// run statistics — e.g. walltimes of the runs that tripped the
+// regression rule.
+type alertRow struct {
+	ID         int64   `db:"id"`
+	Rule       string  `db:"rule"`
+	Severity   string  `db:"severity"`
+	State      string  `db:"state"`
+	Forecast   string  `db:"forecast"`
+	Day        int     `db:"day"`
+	Node       string  `db:"node"`
+	Predicted  bool    `db:"predicted"`
+	Value      float64 `db:"value"`
+	Threshold  float64 `db:"threshold"`
+	FiredAt    float64 `db:"fired_at"`
+	ResolvedAt float64 `db:"resolved_at"`
+	Message    string  `db:"message"`
 }
+
+var alertsTable = statsdb.NewTypedTable[alertRow](AlertsTableName, "rule", "forecast")
 
 // LoadAlerts creates (or extends) the alerts table from an alert
 // history (Monitor.Alerts), indexing rule and forecast. resolved_at is
 // zero for alerts still firing when the history was taken.
 func LoadAlerts(db *statsdb.DB, alerts []Alert) (*statsdb.Table, error) {
-	t := db.Table(AlertsTableName)
-	if t == nil {
-		var err error
-		t, err = db.CreateTable(AlertsTableName, AlertsSchema())
-		if err != nil {
-			return nil, err
-		}
-		for _, col := range []string{"rule", "forecast"} {
-			if err := t.CreateIndex(col); err != nil {
-				return nil, err
-			}
+	if err := alertsTable.Create(db); err != nil {
+		return nil, err
+	}
+	rows := make([]alertRow, len(alerts))
+	for i, a := range alerts {
+		rows[i] = alertRow{
+			ID: a.ID, Rule: a.Rule, Severity: a.Severity.String(), State: a.State,
+			Forecast: a.Forecast, Day: a.Day, Node: a.Node, Predicted: a.Predicted,
+			Value: a.Value, Threshold: a.Threshold,
+			FiredAt: a.FiredAt, ResolvedAt: a.ResolvedAt, Message: a.Message,
 		}
 	}
-	for _, a := range alerts {
-		row := []statsdb.Value{
-			statsdb.IntVal(a.ID),
-			statsdb.StringVal(a.Rule),
-			statsdb.StringVal(a.Severity.String()),
-			statsdb.StringVal(a.State),
-			statsdb.StringVal(a.Forecast),
-			statsdb.IntVal(int64(a.Day)),
-			statsdb.StringVal(a.Node),
-			statsdb.BoolVal(a.Predicted),
-			statsdb.FloatVal(a.Value),
-			statsdb.FloatVal(a.Threshold),
-			statsdb.FloatVal(a.FiredAt),
-			statsdb.FloatVal(a.ResolvedAt),
-			statsdb.StringVal(a.Message),
-		}
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return alertsTable.Insert(db, rows...)
 }

@@ -128,7 +128,7 @@ func TestUtilizationEndpoint(t *testing.T) {
 	smp.Finalize(e.Now())
 
 	s := NewServer(m, reg)
-	s.AttachUtilization(func() any { return smp.Status() })
+	s.Attach("utilization", func() any { return smp.Status() })
 	srv2 := httptest.NewServer(s.Handler())
 	t.Cleanup(srv2.Close)
 

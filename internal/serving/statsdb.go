@@ -7,8 +7,6 @@
 package serving
 
 import (
-	"math"
-
 	"repro/internal/statsdb"
 )
 
@@ -18,58 +16,37 @@ const TableName = "serving_stats"
 // EdgeRow is the product key of the edge-total row.
 const EdgeRow = "__edge__"
 
-// Schema returns the serving_stats schema: one row per product plus the
-// edge-total row; quantile columns are meaningful only on the edge row.
-func Schema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "product", Type: statsdb.String},
-		{Name: "forecast", Type: statsdb.String},
-		{Name: "requests", Type: statsdb.Int},
-		{Name: "hits", Type: statsdb.Int},
-		{Name: "misses", Type: statsdb.Int},
-		{Name: "coalesced", Type: statsdb.Int},
-		{Name: "renders", Type: statsdb.Int},
-		{Name: "shed", Type: statsdb.Int},
-		{Name: "served_stale", Type: statsdb.Int},
-		{Name: "demand_rate", Type: statsdb.Float},
-		{Name: "cycle", Type: statsdb.Int},
-		{Name: "hot", Type: statsdb.Bool},
-		{Name: "staleness_p50", Type: statsdb.Float},
-		{Name: "staleness_p99", Type: statsdb.Float},
-		{Name: "staleness_max", Type: statsdb.Float},
-		{Name: "staleness_mean", Type: statsdb.Float},
-		{Name: "mean_wait", Type: statsdb.Float},
-	}
+// statsRow is one serving_stats row. Product rows and the edge-total
+// row share the table: the demand columns (demand_rate, cycle, hot) are
+// meaningful only on product rows, coalesced and the quantile columns
+// only on the edge row.
+type statsRow struct {
+	Product       string  `db:"product"`
+	Forecast      string  `db:"forecast"`
+	Requests      int64   `db:"requests"`
+	Hits          int64   `db:"hits"`
+	Misses        int64   `db:"misses"`
+	Coalesced     int64   `db:"coalesced"`
+	Renders       int64   `db:"renders"`
+	Shed          int64   `db:"shed"`
+	ServedStale   int64   `db:"served_stale"`
+	DemandRate    float64 `db:"demand_rate"`
+	Cycle         int     `db:"cycle"`
+	Hot           bool    `db:"hot"`
+	StalenessP50  float64 `db:"staleness_p50"`
+	StalenessP99  float64 `db:"staleness_p99"`
+	StalenessMax  float64 `db:"staleness_max"`
+	StalenessMean float64 `db:"staleness_mean"`
+	MeanWait      float64 `db:"mean_wait"`
 }
+
+var statsTable = statsdb.NewTypedTable[statsRow](TableName, "product")
 
 // Migrations returns the serving layer's schema migrations: v7 creates
 // serving_stats with its product index. Combine with the earlier layers
 // (harvest v1–v2, usage v3, forensics v4, spc v5, engineprof v6).
 func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{
-		{
-			Version: 7,
-			Name:    "serving-tables",
-			Apply: func(db *statsdb.DB) error {
-				if db.Table(TableName) != nil {
-					return nil
-				}
-				t, err := db.CreateTable(TableName, Schema())
-				if err != nil {
-					return err
-				}
-				return t.CreateIndex("product")
-			},
-		},
-	}
-}
-
-// finite guards statsdb's NaN rejection: non-finite floats persist as 0.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
+	return []statsdb.Migration{statsdb.TableMigration(7, "serving-tables", statsTable)}
 }
 
 // LoadReport persists one edge snapshot (created via the v7 migration
@@ -78,54 +55,26 @@ func LoadReport(db *statsdb.DB, st Stats) error {
 	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
 		return err
 	}
-	t := db.Table(TableName)
-	err := t.Insert([]statsdb.Value{
-		statsdb.StringVal(EdgeRow),
-		statsdb.StringVal(""),
-		statsdb.IntVal(st.Requests),
-		statsdb.IntVal(st.Hits),
-		statsdb.IntVal(st.Misses),
-		statsdb.IntVal(st.Coalesced),
-		statsdb.IntVal(st.Renders),
-		statsdb.IntVal(st.Shed),
-		statsdb.IntVal(st.ServedStale),
-		statsdb.FloatVal(0),
-		statsdb.IntVal(0),
-		statsdb.BoolVal(false),
-		statsdb.FloatVal(finite(st.StalenessP50)),
-		statsdb.FloatVal(finite(st.StalenessP99)),
-		statsdb.FloatVal(finite(st.StalenessMax)),
-		statsdb.FloatVal(finite(st.MeanStaleness)),
-		statsdb.FloatVal(finite(st.MeanWait)),
+	rows := make([]statsRow, 0, 1+len(st.Products))
+	rows = append(rows, statsRow{
+		Product:  EdgeRow,
+		Requests: st.Requests, Hits: st.Hits, Misses: st.Misses,
+		Coalesced: st.Coalesced, Renders: st.Renders, Shed: st.Shed,
+		ServedStale:  st.ServedStale,
+		StalenessP50: st.StalenessP50, StalenessP99: st.StalenessP99,
+		StalenessMax: st.StalenessMax, StalenessMean: st.MeanStaleness,
+		MeanWait: st.MeanWait,
 	})
-	if err != nil {
-		return err
-	}
 	for _, p := range st.Products {
-		err := t.Insert([]statsdb.Value{
-			statsdb.StringVal(p.Product),
-			statsdb.StringVal(p.Forecast),
-			statsdb.IntVal(p.Requests),
-			statsdb.IntVal(p.Hits),
-			statsdb.IntVal(p.Misses),
-			statsdb.IntVal(0),
-			statsdb.IntVal(p.Renders),
-			statsdb.IntVal(p.Shed),
-			statsdb.IntVal(p.ServedStale),
-			statsdb.FloatVal(finite(p.DemandRate)),
-			statsdb.IntVal(int64(p.Cycle)),
-			statsdb.BoolVal(p.Hot),
-			statsdb.FloatVal(0),
-			statsdb.FloatVal(0),
-			statsdb.FloatVal(0),
-			statsdb.FloatVal(0),
-			statsdb.FloatVal(0),
+		rows = append(rows, statsRow{
+			Product: p.Product, Forecast: p.Forecast,
+			Requests: p.Requests, Hits: p.Hits, Misses: p.Misses,
+			Renders: p.Renders, Shed: p.Shed, ServedStale: p.ServedStale,
+			DemandRate: p.DemandRate, Cycle: p.Cycle, Hot: p.Hot,
 		})
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	_, err := statsTable.Insert(db, rows...)
+	return err
 }
 
 // ReadReport reconstructs a Stats from the persisted rows. Derived rates
@@ -133,44 +82,25 @@ func LoadReport(db *statsdb.DB, st Stats) error {
 // the table is absent.
 func ReadReport(db *statsdb.DB) (Stats, error) {
 	var st Stats
-	t := db.Table(TableName)
-	if t == nil {
-		return st, nil
+	rows, err := statsTable.Read(db)
+	if err != nil {
+		return st, err
 	}
-	schema := t.Schema()
-	col := make(map[string]int, len(schema))
-	for i, c := range schema {
-		col[c.Name] = i
-	}
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		if row[col["product"]].Str() == EdgeRow {
-			st.Requests = row[col["requests"]].Int()
-			st.Hits = row[col["hits"]].Int()
-			st.Misses = row[col["misses"]].Int()
-			st.Coalesced = row[col["coalesced"]].Int()
-			st.Renders = row[col["renders"]].Int()
-			st.Shed = row[col["shed"]].Int()
-			st.ServedStale = row[col["served_stale"]].Int()
-			st.StalenessP50 = row[col["staleness_p50"]].Float()
-			st.StalenessP99 = row[col["staleness_p99"]].Float()
-			st.StalenessMax = row[col["staleness_max"]].Float()
-			st.MeanStaleness = row[col["staleness_mean"]].Float()
-			st.MeanWait = row[col["mean_wait"]].Float()
+	for _, r := range rows {
+		if r.Product == EdgeRow {
+			st.Requests, st.Hits, st.Misses = r.Requests, r.Hits, r.Misses
+			st.Coalesced, st.Renders, st.Shed = r.Coalesced, r.Renders, r.Shed
+			st.ServedStale = r.ServedStale
+			st.StalenessP50, st.StalenessP99 = r.StalenessP50, r.StalenessP99
+			st.StalenessMax, st.MeanStaleness = r.StalenessMax, r.StalenessMean
+			st.MeanWait = r.MeanWait
 			continue
 		}
 		st.Products = append(st.Products, ProductStats{
-			Product:     row[col["product"]].Str(),
-			Forecast:    row[col["forecast"]].Str(),
-			Requests:    row[col["requests"]].Int(),
-			Hits:        row[col["hits"]].Int(),
-			Misses:      row[col["misses"]].Int(),
-			Renders:     row[col["renders"]].Int(),
-			Shed:        row[col["shed"]].Int(),
-			ServedStale: row[col["served_stale"]].Int(),
-			DemandRate:  row[col["demand_rate"]].Float(),
-			Cycle:       int(row[col["cycle"]].Int()),
-			Hot:         row[col["hot"]].Bool(),
+			Product: r.Product, Forecast: r.Forecast,
+			Requests: r.Requests, Hits: r.Hits, Misses: r.Misses,
+			Renders: r.Renders, Shed: r.Shed, ServedStale: r.ServedStale,
+			DemandRate: r.DemandRate, Cycle: r.Cycle, Hot: r.Hot,
 		})
 	}
 	if st.Requests > 0 {

@@ -8,6 +8,7 @@
 package spc
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/logs"
@@ -30,6 +31,12 @@ type BaselineFit struct {
 	// first, with Cause = CauseCodeVersion.
 	Changepoints []Changepoint
 }
+
+// logResolution is the precision harvested walltimes carry: logs.Format
+// writes them to the hundredth of a second. A baseline fitted from them
+// cannot tell apart values closer than that, so seeded series are
+// judged at this resolution and their sigma floored to it.
+const logResolution = 0.01
 
 // FitRunHistory fits per-forecast walltime baselines from harvested run
 // records, segmenting at code-version changes. Only completed runs
@@ -111,14 +118,16 @@ func (o *Observatory) SeedFromDB(db *statsdb.DB) ([]BaselineFit, error) {
 }
 
 // SeedFits applies history fits: each seeds run_time/<forecast> with a
-// frozen baseline and pre-loads its code-version changepoints.
+// frozen baseline, judged at the logs' resolution, and pre-loads its
+// code-version changepoints.
 func (o *Observatory) SeedFits(fits []BaselineFit) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for _, f := range fits {
 		s := o.get(KindRunTime, f.Forecast)
 		s.center = f.Center
-		s.sigma = sigmaFloor(f.Sigma, f.Center)
+		s.sigma = math.Max(sigmaFloor(f.Sigma, f.Center), logResolution)
+		s.resolution = logResolution
 		s.frozen = true
 		s.changepoints = append(s.changepoints, f.Changepoints...)
 	}

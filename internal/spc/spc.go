@@ -128,9 +128,18 @@ func (r RuleSet) Names() []string {
 	return names
 }
 
-// String renders the set comma-joined ("" when empty) — the form the
-// statsdb rules column stores.
+// String renders the set comma-joined ("" when empty).
 func (r RuleSet) String() string { return strings.Join(r.Names(), ",") }
+
+// MarshalText writes the comma-joined form — the one the statsdb rules
+// column stores.
+func (r RuleSet) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText parses the comma-joined form; unknown names are ignored.
+func (r *RuleSet) UnmarshalText(text []byte) error {
+	*r = ParseRuleSet(strings.Split(string(text), ",")...)
+	return nil
+}
 
 // MarshalJSON writes the set as a string array, the wire shape Rules
 // had when it was a []string.
@@ -238,28 +247,28 @@ const d2 = 1.128
 // Point is one observation as judged by its series' charts at the time
 // it arrived. Learning points predate the baseline and carry no verdict.
 type Point struct {
-	Seq   int     `json:"seq"`
-	Day   int     `json:"day"`
-	T     float64 `json:"t"`
-	Value float64 `json:"value"`
+	Seq   int     `json:"seq" db:"seq"`
+	Day   int     `json:"day" db:"day"`
+	T     float64 `json:"t" db:"t"`
+	Value float64 `json:"value" db:"value"`
 
-	Center float64 `json:"center"`
-	Sigma  float64 `json:"sigma"`
-	UCL    float64 `json:"ucl"`
-	LCL    float64 `json:"lcl"`
-	Z      float64 `json:"z"`
+	Center float64 `json:"center" db:"center"`
+	Sigma  float64 `json:"sigma" db:"sigma"`
+	UCL    float64 `json:"ucl" db:"ucl"`
+	LCL    float64 `json:"lcl" db:"lcl"`
+	Z      float64 `json:"z" db:"z"`
 
-	EWMA      float64 `json:"ewma"`
-	EWMAUpper float64 `json:"ewma_upper"`
-	EWMALower float64 `json:"ewma_lower"`
-	CusumPos  float64 `json:"cusum_pos"`
-	CusumNeg  float64 `json:"cusum_neg"`
+	EWMA      float64 `json:"ewma" db:"ewma"`
+	EWMAUpper float64 `json:"ewma_upper" db:"ewma_upper"`
+	EWMALower float64 `json:"ewma_lower" db:"ewma_lower"`
+	CusumPos  float64 `json:"cusum_pos" db:"cusum_pos"`
+	CusumNeg  float64 `json:"cusum_neg" db:"cusum_neg"`
 
 	// Rules is the set of violated rules (empty = clean); Out mirrors
 	// !Rules.Empty(). Learning marks baseline-collection points.
-	Rules    RuleSet `json:"rules,omitempty"`
-	Out      bool    `json:"out,omitempty"`
-	Learning bool    `json:"learning,omitempty"`
+	Rules    RuleSet `json:"rules,omitempty" db:"rules"`
+	Out      bool    `json:"out,omitempty" db:"out"`
+	Learning bool    `json:"learning,omitempty" db:"learning"`
 }
 
 // Changepoint is one detected (or history-supplied) level shift in a
@@ -268,14 +277,14 @@ type Point struct {
 // CUSUM decisions and "code_version" for shifts aligned with a
 // code-version change in harvested history.
 type Changepoint struct {
-	Seq         int     `json:"seq"`
-	Day         int     `json:"day"`
-	T           float64 `json:"t"`
-	Cause       string  `json:"cause"`
-	Before      float64 `json:"before"`
-	After       float64 `json:"after"`
-	DetectedSeq int     `json:"detected_seq"`
-	DetectedDay int     `json:"detected_day"`
+	Seq         int     `json:"seq" db:"seq"`
+	Day         int     `json:"day" db:"day"`
+	T           float64 `json:"t" db:"t"`
+	Cause       string  `json:"cause" db:"cause"`
+	Before      float64 `json:"before" db:"before"`
+	After       float64 `json:"after" db:"after"`
+	DetectedSeq int     `json:"detected_seq" db:"detected_seq"`
+	DetectedDay int     `json:"detected_day" db:"detected_day"`
 }
 
 // Changepoint causes.
@@ -322,6 +331,11 @@ type series struct {
 	center float64
 	sigma  float64
 	learn  []float64 // values collected while learning
+
+	// resolution is the finest difference the baseline can resolve (0 =
+	// exact): a baseline fitted from harvested logs only knows values to
+	// the precision the logs carry them at.
+	resolution float64
 
 	// Chart state since the current segment began.
 	ewma     float64
@@ -598,7 +612,13 @@ func (o *Observatory) observeLocked(s *series, day int, t, value float64) (Event
 	p.Center, p.Sigma = s.center, s.sigma
 	p.UCL = s.center + o.params.SigmaK*s.sigma
 	p.LCL = s.center - o.params.SigmaK*s.sigma
-	p.Z = (value - s.center) / s.sigma
+	// A seeded series is judged at its history's resolution: a gap finer
+	// than the baseline can resolve is no deviation, on either side.
+	dev := value - s.center
+	if s.resolution > 0 {
+		dev = math.Round(dev/s.resolution) * s.resolution
+	}
+	p.Z = dev / s.sigma
 
 	// Both accumulating charts see deviations clamped to ±CUSUMClamp
 	// sigma: one wild outlier (a node-failure day) registers on the

@@ -8,9 +8,7 @@ package spc
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/statsdb"
 )
@@ -21,91 +19,33 @@ const (
 	ChangepointsTableName = "changepoints"
 )
 
-// PointsSchema returns the schema of the control_points table: one row
-// per charted observation, keyed by (kind, subject, seq).
-func PointsSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "kind", Type: statsdb.String},
-		{Name: "subject", Type: statsdb.String},
-		{Name: "seq", Type: statsdb.Int},
-		{Name: "day", Type: statsdb.Int},
-		{Name: "t", Type: statsdb.Float},
-		{Name: "value", Type: statsdb.Float},
-		{Name: "center", Type: statsdb.Float},
-		{Name: "sigma", Type: statsdb.Float},
-		{Name: "ucl", Type: statsdb.Float},
-		{Name: "lcl", Type: statsdb.Float},
-		{Name: "z", Type: statsdb.Float},
-		{Name: "ewma", Type: statsdb.Float},
-		{Name: "ewma_upper", Type: statsdb.Float},
-		{Name: "ewma_lower", Type: statsdb.Float},
-		{Name: "cusum_pos", Type: statsdb.Float},
-		{Name: "cusum_neg", Type: statsdb.Float},
-		{Name: "rules", Type: statsdb.String},
-		{Name: "out", Type: statsdb.Bool},
-		{Name: "learning", Type: statsdb.Bool},
-	}
+// pointRow is one control_points row: a charted observation keyed by
+// (kind, subject, seq).
+type pointRow struct {
+	Kind    string `db:"kind"`
+	Subject string `db:"subject"`
+	Point
 }
 
-// ChangepointsSchema returns the schema of the changepoints table: one
-// row per detected or history-derived level shift.
-func ChangepointsSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "kind", Type: statsdb.String},
-		{Name: "subject", Type: statsdb.String},
-		{Name: "seq", Type: statsdb.Int},
-		{Name: "day", Type: statsdb.Int},
-		{Name: "t", Type: statsdb.Float},
-		{Name: "cause", Type: statsdb.String},
-		{Name: "before", Type: statsdb.Float},
-		{Name: "after", Type: statsdb.Float},
-		{Name: "detected_seq", Type: statsdb.Int},
-		{Name: "detected_day", Type: statsdb.Int},
-	}
+// changepointRow is one changepoints row: a detected or history-derived
+// level shift of the (kind, subject) series.
+type changepointRow struct {
+	Kind    string `db:"kind"`
+	Subject string `db:"subject"`
+	Changepoint
 }
+
+var (
+	pointsTable       = statsdb.NewTypedTable[pointRow](PointsTableName, "kind", "subject")
+	changepointsTable = statsdb.NewTypedTable[changepointRow](ChangepointsTableName, "subject")
+)
 
 // Migrations returns the SPC layer's schema migrations: v5 creates the
 // control_points and changepoints tables with their lookup indexes.
 // Combine with harvest.Migrations() (v1, v2), usage.Migrations() (v3),
 // and forensics.Migrations() (v4); Migrate tracks each independently.
 func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{
-		{
-			Version: 5,
-			Name:    "spc-tables",
-			Apply: func(db *statsdb.DB) error {
-				if db.Table(PointsTableName) == nil {
-					t, err := db.CreateTable(PointsTableName, PointsSchema())
-					if err != nil {
-						return err
-					}
-					for _, col := range []string{"kind", "subject"} {
-						if err := t.CreateIndex(col); err != nil {
-							return err
-						}
-					}
-				}
-				if db.Table(ChangepointsTableName) == nil {
-					t, err := db.CreateTable(ChangepointsTableName, ChangepointsSchema())
-					if err != nil {
-						return err
-					}
-					if err := t.CreateIndex("subject"); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		},
-	}
-}
-
-// finite guards statsdb's NaN rejection: non-finite floats persist as 0.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
+	return []statsdb.Migration{statsdb.TableMigration(5, "spc-tables", pointsTable, changepointsTable)}
 }
 
 // LoadReport persists one observatory snapshot into the control_points
@@ -115,58 +55,25 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
 		return err
 	}
-	pt := db.Table(PointsTableName)
-	ct := db.Table(ChangepointsTableName)
+	var points []pointRow
+	var cps []changepointRow
 	for i := range rep.Series {
 		sr := &rep.Series[i]
 		if sr.Kind == "" || sr.Subject == "" {
 			return fmt.Errorf("spc: series with empty kind or subject")
 		}
 		for _, p := range sr.Points {
-			err := pt.Insert([]statsdb.Value{
-				statsdb.StringVal(sr.Kind),
-				statsdb.StringVal(sr.Subject),
-				statsdb.IntVal(int64(p.Seq)),
-				statsdb.IntVal(int64(p.Day)),
-				statsdb.FloatVal(finite(p.T)),
-				statsdb.FloatVal(finite(p.Value)),
-				statsdb.FloatVal(finite(p.Center)),
-				statsdb.FloatVal(finite(p.Sigma)),
-				statsdb.FloatVal(finite(p.UCL)),
-				statsdb.FloatVal(finite(p.LCL)),
-				statsdb.FloatVal(finite(p.Z)),
-				statsdb.FloatVal(finite(p.EWMA)),
-				statsdb.FloatVal(finite(p.EWMAUpper)),
-				statsdb.FloatVal(finite(p.EWMALower)),
-				statsdb.FloatVal(finite(p.CusumPos)),
-				statsdb.FloatVal(finite(p.CusumNeg)),
-				statsdb.StringVal(p.Rules.String()),
-				statsdb.BoolVal(p.Out),
-				statsdb.BoolVal(p.Learning),
-			})
-			if err != nil {
-				return err
-			}
+			points = append(points, pointRow{sr.Kind, sr.Subject, p})
 		}
 		for _, cp := range sr.Changepoints {
-			err := ct.Insert([]statsdb.Value{
-				statsdb.StringVal(sr.Kind),
-				statsdb.StringVal(sr.Subject),
-				statsdb.IntVal(int64(cp.Seq)),
-				statsdb.IntVal(int64(cp.Day)),
-				statsdb.FloatVal(finite(cp.T)),
-				statsdb.StringVal(cp.Cause),
-				statsdb.FloatVal(finite(cp.Before)),
-				statsdb.FloatVal(finite(cp.After)),
-				statsdb.IntVal(int64(cp.DetectedSeq)),
-				statsdb.IntVal(int64(cp.DetectedDay)),
-			})
-			if err != nil {
-				return err
-			}
+			cps = append(cps, changepointRow{sr.Kind, sr.Subject, cp})
 		}
 	}
-	return nil
+	if _, err := pointsTable.Insert(db, points...); err != nil {
+		return err
+	}
+	_, err := changepointsTable.Insert(db, cps...)
+	return err
 }
 
 // ReadReport reconstructs a Report from the persisted tables — the
@@ -177,75 +84,33 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 // tables are absent.
 func ReadReport(db *statsdb.DB) (*Report, error) {
 	rep := &Report{}
-	pt := db.Table(PointsTableName)
-	if pt == nil {
-		return rep, nil
+	points, err := pointsTable.Read(db)
+	if err != nil {
+		return nil, err
 	}
-	schema := pt.Schema()
-	col := make(map[string]int, len(schema))
-	for i, c := range schema {
-		col[c.Name] = i
+	cps, err := changepointsTable.Read(db)
+	if err != nil {
+		return nil, err
 	}
 	bySeries := make(map[seriesKey]*SeriesReport)
 	var order []seriesKey
-	for i := 0; i < pt.Len(); i++ {
-		row := pt.Row(i)
-		key := seriesKey{row[col["kind"]].Str(), row[col["subject"]].Str()}
+	series := func(kind, subject string) *SeriesReport {
+		key := seriesKey{kind, subject}
 		sr, ok := bySeries[key]
 		if !ok {
-			sr = &SeriesReport{Kind: key.kind, Subject: key.subject}
+			sr = &SeriesReport{Kind: kind, Subject: subject}
 			bySeries[key] = sr
 			order = append(order, key)
 		}
-		p := Point{
-			Seq:       int(row[col["seq"]].Int()),
-			Day:       int(row[col["day"]].Int()),
-			T:         row[col["t"]].Float(),
-			Value:     row[col["value"]].Float(),
-			Center:    row[col["center"]].Float(),
-			Sigma:     row[col["sigma"]].Float(),
-			UCL:       row[col["ucl"]].Float(),
-			LCL:       row[col["lcl"]].Float(),
-			Z:         row[col["z"]].Float(),
-			EWMA:      row[col["ewma"]].Float(),
-			EWMAUpper: row[col["ewma_upper"]].Float(),
-			EWMALower: row[col["ewma_lower"]].Float(),
-			CusumPos:  row[col["cusum_pos"]].Float(),
-			CusumNeg:  row[col["cusum_neg"]].Float(),
-			Out:       row[col["out"]].Bool(),
-			Learning:  row[col["learning"]].Bool(),
-		}
-		if rules := row[col["rules"]].Str(); rules != "" {
-			p.Rules = ParseRuleSet(strings.Split(rules, ",")...)
-		}
-		sr.Points = append(sr.Points, p)
+		return sr
 	}
-	if ct := db.Table(ChangepointsTableName); ct != nil {
-		cSchema := ct.Schema()
-		ccol := make(map[string]int, len(cSchema))
-		for i, c := range cSchema {
-			ccol[c.Name] = i
-		}
-		for i := 0; i < ct.Len(); i++ {
-			row := ct.Row(i)
-			key := seriesKey{row[ccol["kind"]].Str(), row[ccol["subject"]].Str()}
-			sr, ok := bySeries[key]
-			if !ok {
-				sr = &SeriesReport{Kind: key.kind, Subject: key.subject}
-				bySeries[key] = sr
-				order = append(order, key)
-			}
-			sr.Changepoints = append(sr.Changepoints, Changepoint{
-				Seq:         int(row[ccol["seq"]].Int()),
-				Day:         int(row[ccol["day"]].Int()),
-				T:           row[ccol["t"]].Float(),
-				Cause:       row[ccol["cause"]].Str(),
-				Before:      row[ccol["before"]].Float(),
-				After:       row[ccol["after"]].Float(),
-				DetectedSeq: int(row[ccol["detected_seq"]].Int()),
-				DetectedDay: int(row[ccol["detected_day"]].Int()),
-			})
-		}
+	for _, r := range points {
+		sr := series(r.Kind, r.Subject)
+		sr.Points = append(sr.Points, r.Point)
+	}
+	for _, r := range cps {
+		sr := series(r.Kind, r.Subject)
+		sr.Changepoints = append(sr.Changepoints, r.Changepoint)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].kind != order[j].kind {

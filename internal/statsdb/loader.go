@@ -46,39 +46,25 @@ const NodesTableName = "nodes"
 
 // NodeRow is plant metadata for the nodes table.
 type NodeRow struct {
-	Name  string
-	CPUs  int
-	Speed float64
+	Name  string  `db:"name"`
+	CPUs  int     `db:"cpus"`
+	Speed float64 `db:"speed"`
 }
+
+var nodesTable = NewTypedTable[NodeRow](NodesTableName, "name")
 
 // LoadNodes creates (or extends) the nodes table, enabling joined queries
 // such as speed-normalized walltimes per node.
 func LoadNodes(db *DB, nodes []NodeRow) (*Table, error) {
-	t := db.Table(NodesTableName)
-	if t == nil {
-		var err error
-		t, err = db.CreateTable(NodesTableName, Schema{
-			{Name: "name", Type: String},
-			{Name: "cpus", Type: Int},
-			{Name: "speed", Type: Float},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("name"); err != nil {
-			return nil, err
-		}
+	if err := nodesTable.Create(db); err != nil {
+		return nil, err
 	}
 	for _, n := range nodes {
 		if n.Name == "" {
 			return nil, fmt.Errorf("statsdb: node row with empty name")
 		}
-		err := t.Insert([]Value{StringVal(n.Name), IntVal(int64(n.CPUs)), FloatVal(n.Speed)})
-		if err != nil {
-			return nil, err
-		}
 	}
-	return t, nil
+	return nodesTable.Insert(db, nodes...)
 }
 
 // EnsureRunsTable finds or creates the runs table with the base schema,

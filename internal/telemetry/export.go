@@ -5,10 +5,45 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// WriteFiles exports the registry in the Prometheus text format to
+// metricsPath and the trace as Chrome trace-event JSON to tracePath, the
+// files behind every CLI's -metrics-out and -trace-out, and notes each
+// file written on notes. An empty path skips that export, and a nil
+// Telemetry writes nothing.
+func (t *Telemetry) WriteFiles(metricsPath, tracePath string, notes io.Writer) error {
+	if t == nil {
+		return nil
+	}
+	for _, out := range []struct {
+		path, what, detail string
+		write              func(io.Writer) error
+	}{
+		{metricsPath, "metrics", "", t.Metrics.WritePrometheus},
+		{tracePath, "trace", fmt.Sprintf(" (%d spans; open in chrome://tracing)", t.Tracer.Len()), t.Tracer.WriteChromeTrace},
+	} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err == nil {
+			err = out.write(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(notes, "\n%s written to %s%s\n", out.what, out.path, out.detail)
+	}
+	return nil
+}
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): `# HELP` / `# TYPE` headers per family, one

@@ -28,22 +28,22 @@ type Outcome struct {
 // contention; late with share ≈ 1 means the work estimate itself was
 // off — the distinction Bader et al. show plan-quality feedback needs.
 type Drift struct {
-	Run         string  `json:"run"`
-	Day         int     `json:"day"`
-	PlannedNode string  `json:"planned_node"`
-	ActualNode  string  `json:"actual_node"`
-	Moved       bool    `json:"moved"`
-	PredStart   float64 `json:"predicted_start"`
-	PredEnd     float64 `json:"predicted_end"`
-	ActualStart float64 `json:"actual_start"`
-	ActualEnd   float64 `json:"actual_end"`
+	Run         string  `json:"run" db:"forecast"`
+	Day         int     `json:"day" db:"day"`
+	PlannedNode string  `json:"planned_node" db:"planned_node"`
+	ActualNode  string  `json:"actual_node" db:"actual_node"`
+	Moved       bool    `json:"moved" db:"moved"`
+	PredStart   float64 `json:"predicted_start" db:"predicted_start"`
+	PredEnd     float64 `json:"predicted_end" db:"predicted_end"`
+	ActualStart float64 `json:"actual_start" db:"actual_start"`
+	ActualEnd   float64 `json:"actual_end" db:"actual_end"`
 	// EndDelta is actual − predicted completion (positive = late).
-	EndDelta float64 `json:"end_delta"`
+	EndDelta float64 `json:"end_delta" db:"end_delta"`
 	// RelError is |EndDelta| over the predicted duration (floored at 1 s).
-	RelError float64 `json:"rel_error"`
+	RelError float64 `json:"rel_error" db:"rel_error"`
 	// MeanShare is the observed time-average per-job CPU share on the
 	// actual node across the run's lifetime.
-	MeanShare float64 `json:"mean_share"`
+	MeanShare float64 `json:"mean_share" db:"mean_share"`
 }
 
 // ShareSource yields observed mean shares; *Sampler implements it.

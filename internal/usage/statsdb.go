@@ -2,7 +2,6 @@ package usage
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/statsdb"
 )
@@ -14,41 +13,12 @@ const (
 	DriftTableName     = "drift"
 )
 
-// NodeUsageSchema returns the schema of the node_usage timeline table:
-// one row per node×interval sample.
-func NodeUsageSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "node", Type: statsdb.String},
-		{Name: "start", Type: statsdb.Float},
-		{Name: "end", Type: statsdb.Float},
-		{Name: "utilization", Type: statsdb.Float},
-		{Name: "mean_share", Type: statsdb.Float},
-		{Name: "mean_active", Type: statsdb.Float},
-		{Name: "peak_active", Type: statsdb.Int},
-		{Name: "contention_secs", Type: statsdb.Float},
-		{Name: "idle_secs", Type: statsdb.Float},
-		{Name: "down_secs", Type: statsdb.Float},
-	}
-}
-
-// DriftSchema returns the schema of the plan-vs-actual drift table: one
-// row per planned run with an observed completion.
-func DriftSchema() statsdb.Schema {
-	return statsdb.Schema{
-		{Name: "forecast", Type: statsdb.String},
-		{Name: "day", Type: statsdb.Int},
-		{Name: "planned_node", Type: statsdb.String},
-		{Name: "actual_node", Type: statsdb.String},
-		{Name: "moved", Type: statsdb.Bool},
-		{Name: "predicted_start", Type: statsdb.Float},
-		{Name: "predicted_end", Type: statsdb.Float},
-		{Name: "actual_start", Type: statsdb.Float},
-		{Name: "actual_end", Type: statsdb.Float},
-		{Name: "end_delta", Type: statsdb.Float},
-		{Name: "rel_error", Type: statsdb.Float},
-		{Name: "mean_share", Type: statsdb.Float},
-	}
-}
+// node_usage holds one row per node×interval sample; drift one row per
+// planned run with an observed completion.
+var (
+	samplesTable = statsdb.NewTypedTable[Sample](NodeUsageTableName, "node")
+	driftTable   = statsdb.NewTypedTable[Drift](DriftTableName, "forecast")
+)
 
 // Migrations returns the usage layer's schema migrations: v3 creates the
 // node_usage and drift tables with their lookup indexes. Combine with
@@ -56,42 +26,7 @@ func DriftSchema() statsdb.Schema {
 // tracks each version independently, so applying v3 to a database that
 // already carries v1+v2 only adds the new tables.
 func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{
-		{
-			Version: 3,
-			Name:    "usage-tables",
-			Apply: func(db *statsdb.DB) error {
-				if db.Table(NodeUsageTableName) == nil {
-					t, err := db.CreateTable(NodeUsageTableName, NodeUsageSchema())
-					if err != nil {
-						return err
-					}
-					if err := t.CreateIndex("node"); err != nil {
-						return err
-					}
-				}
-				if db.Table(DriftTableName) == nil {
-					t, err := db.CreateTable(DriftTableName, DriftSchema())
-					if err != nil {
-						return err
-					}
-					if err := t.CreateIndex("forecast"); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		},
-	}
-}
-
-// finite guards statsdb's NaN rejection: non-finite floats (an unset
-// share, an infinite prediction that slipped through) persist as 0.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
+	return []statsdb.Migration{statsdb.TableMigration(3, "usage-tables", samplesTable, driftTable)}
 }
 
 // LoadSamples appends timeline samples into the node_usage table,
@@ -100,28 +35,19 @@ func LoadSamples(db *statsdb.DB, samples []Sample) (*statsdb.Table, error) {
 	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
 		return nil, err
 	}
-	t := db.Table(NodeUsageTableName)
 	for _, s := range samples {
 		if s.Node == "" {
 			return nil, fmt.Errorf("usage: sample with empty node")
 		}
-		err := t.Insert([]statsdb.Value{
-			statsdb.StringVal(s.Node),
-			statsdb.FloatVal(finite(s.Start)),
-			statsdb.FloatVal(finite(s.End)),
-			statsdb.FloatVal(finite(s.Utilization)),
-			statsdb.FloatVal(finite(s.MeanShare)),
-			statsdb.FloatVal(finite(s.MeanActive)),
-			statsdb.IntVal(int64(s.PeakActive)),
-			statsdb.FloatVal(finite(s.ContentionSecs)),
-			statsdb.FloatVal(finite(s.IdleSecs)),
-			statsdb.FloatVal(finite(s.DownSecs)),
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
-	return t, nil
+	return samplesTable.Insert(db, samples...)
+}
+
+// ReadSamples reads the node_usage rows back in table order — the
+// inverse of LoadSamples, so a forensics Timeline can be rebuilt from a
+// persisted database long after the sampler is gone.
+func ReadSamples(db *statsdb.DB) ([]Sample, error) {
+	return samplesTable.Read(db)
 }
 
 // LoadDrift appends drift records into the drift table, creating it (via
@@ -130,28 +56,10 @@ func LoadDrift(db *statsdb.DB, ds []Drift) (*statsdb.Table, error) {
 	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
 		return nil, err
 	}
-	t := db.Table(DriftTableName)
 	for _, d := range ds {
 		if d.Run == "" {
 			return nil, fmt.Errorf("usage: drift record with empty run")
 		}
-		err := t.Insert([]statsdb.Value{
-			statsdb.StringVal(d.Run),
-			statsdb.IntVal(int64(d.Day)),
-			statsdb.StringVal(d.PlannedNode),
-			statsdb.StringVal(d.ActualNode),
-			statsdb.BoolVal(d.Moved),
-			statsdb.FloatVal(finite(d.PredStart)),
-			statsdb.FloatVal(finite(d.PredEnd)),
-			statsdb.FloatVal(finite(d.ActualStart)),
-			statsdb.FloatVal(finite(d.ActualEnd)),
-			statsdb.FloatVal(finite(d.EndDelta)),
-			statsdb.FloatVal(finite(d.RelError)),
-			statsdb.FloatVal(finite(d.MeanShare)),
-		})
-		if err != nil {
-			return nil, err
-		}
 	}
-	return t, nil
+	return driftTable.Insert(db, ds...)
 }

@@ -71,22 +71,22 @@ type Options struct {
 
 // Sample is one node×interval cell of the utilization timeline.
 type Sample struct {
-	Node  string  `json:"node"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
+	Node  string  `json:"node" db:"node"`
+	Start float64 `json:"start" db:"start"`
+	End   float64 `json:"end" db:"end"`
 	// Utilization is consumed capacity over available capacity:
 	// ∫ rate dt / (CPUs × speed × elapsed).
-	Utilization float64 `json:"utilization"`
+	Utilization float64 `json:"utilization" db:"utilization"`
 	// MeanShare is the time-average per-job CPU share min(1, c/k) over
 	// the interval's running time (1 when nothing ran).
-	MeanShare float64 `json:"mean_share"`
+	MeanShare float64 `json:"mean_share" db:"mean_share"`
 	// MeanActive and PeakActive summarize the job population k.
-	MeanActive float64 `json:"mean_active"`
-	PeakActive int     `json:"peak_active"`
+	MeanActive float64 `json:"mean_active" db:"mean_active"`
+	PeakActive int     `json:"peak_active" db:"peak_active"`
 	// ContentionSecs, IdleSecs, and DownSecs partition the interval.
-	ContentionSecs float64 `json:"contention_secs"`
-	IdleSecs       float64 `json:"idle_secs"`
-	DownSecs       float64 `json:"down_secs"`
+	ContentionSecs float64 `json:"contention_secs" db:"contention_secs"`
+	IdleSecs       float64 `json:"idle_secs" db:"idle_secs"`
+	DownSecs       float64 `json:"down_secs" db:"down_secs"`
 }
 
 // Window is one maximal contention or idle stretch on a node. A
