@@ -56,9 +56,13 @@ check: fmt test vet race e2ebench
 # the committed BENCH_sim_baseline.json), and the public serving edge's
 # storm scenario (BENCH_serving.json: ≥ 1M simulated user requests
 # through the cache/coalesce/shed path with a late forecast and a flash
-# crowd, gating on zero made-to-stock deadlines displaced).
+# crowd, gating on zero made-to-stock deadlines displaced). The first
+# line runs every benchmark once so they keep building, among them the
+# per-layer ones at an operator planning session's size (estimate replay,
+# query shapes, Harvester.Records, the run-tree walk) that profile one
+# layer with -cpuprofile in its own package.
 bench:
-	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/core ./internal/engineprof ./internal/forensics ./internal/harvest ./internal/serving ./internal/spc ./internal/usage
+	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/core ./internal/engineprof ./internal/forensics ./internal/harvest ./internal/serving ./internal/spc ./internal/statsdb ./internal/usage ./internal/vfs
 	BENCH_OUT=$(CURDIR)/BENCH_harvest.json $(GO) test -run TestEmitBenchReport -v ./internal/harvest
 	BENCH_OUT=$(CURDIR)/BENCH_usage.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/usage
 	BENCH_OUT=$(CURDIR)/BENCH_planner.json $(GO) test -count=1 -run TestEmitPlannerBenchReport -v ./internal/core

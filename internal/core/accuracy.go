@@ -47,11 +47,22 @@ type EstimateAccuracy struct {
 // core_estimate_abs_pct_error histogram.
 func EvaluateEstimates(records []*logs.RunRecord, nodes []NodeInfo) EstimateAccuracy {
 	byForecast := make(map[string][]*logs.RunRecord)
+	// Every node the replay looks up (each sample's basis and target) is
+	// named by a record, so the speed index holds just those and its size
+	// follows the history, not the plant. A name the plant does not list
+	// keeps speed 0, which estimateFrom rejects like a missing one.
+	nodeSpeed := make(map[string]float64)
 	for _, r := range records {
 		if r.Status != logs.StatusCompleted || r.Walltime <= 0 {
 			continue
 		}
 		byForecast[r.Forecast] = append(byForecast[r.Forecast], r)
+		nodeSpeed[r.Node] = 0
+	}
+	for _, n := range nodes {
+		if _, ok := nodeSpeed[n.Name]; ok {
+			nodeSpeed[n.Name] = n.Speed
+		}
 	}
 	names := make([]string, 0, len(byForecast))
 	for name := range byForecast {
@@ -78,19 +89,21 @@ func EvaluateEstimates(records []*logs.RunRecord, nodes []NodeInfo) EstimateAccu
 			return rs[i].Day < rs[j].Day
 		})
 		for i := 1; i < len(rs); i++ {
+			// The history before target is rs[:i], already in day order,
+			// so its latest record prev is the estimate's basis.
 			target := rs[i]
 			prev := rs[i-1]
 			adjust := 1.0
 			if prev.CodeFactor > 0 && target.CodeFactor > 0 {
 				adjust = target.CodeFactor / prev.CodeFactor
 			}
-			est, err := NewEstimator(rs[:i], nodes).Estimate(Request{
+			est, err := estimateFrom(prev, Request{
 				Forecast:  name,
 				Timesteps: target.Timesteps,
 				MeshSides: target.MeshSides,
 				Node:      target.Node,
 				Adjust:    adjust,
-			})
+			}, nodeSpeed)
 			if err != nil {
 				continue
 			}

@@ -85,12 +85,19 @@ func (e *Estimator) Estimate(req Request) (Estimate, error) {
 	if len(hist) == 0 {
 		return Estimate{}, fmt.Errorf("core: no completed history for forecast %q", req.Forecast)
 	}
-	base := hist[len(hist)-1]
-	targetSpeed, ok := e.nodeSpeed[req.Node]
+	return estimateFrom(hist[len(hist)-1], req, e.nodeSpeed)
+}
+
+// estimateFrom scales the basis record base to the request: node speeds,
+// timesteps, mesh sides, the code-change factor, and the caveats §4.3.2
+// asks for. Estimate and the EvaluateEstimates replay both answer through
+// it, each picking the latest record of the history they hold.
+func estimateFrom(base *logs.RunRecord, req Request, nodeSpeed map[string]float64) (Estimate, error) {
+	targetSpeed, ok := nodeSpeed[req.Node]
 	if !ok || targetSpeed <= 0 {
 		return Estimate{}, fmt.Errorf("core: unknown target node %q", req.Node)
 	}
-	baseSpeed, ok := e.nodeSpeed[base.Node]
+	baseSpeed, ok := nodeSpeed[base.Node]
 	if !ok || baseSpeed <= 0 {
 		return Estimate{}, fmt.Errorf("core: history for %q ran on unknown node %q", req.Forecast, base.Node)
 	}

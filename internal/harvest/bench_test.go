@@ -64,6 +64,43 @@ func BenchmarkHarvestWarmPass(b *testing.B) {
 	}
 }
 
+// BenchmarkRecords reads 80k harvested runs back as sorted records, in
+// the row order an operator's session leaves behind: a cold harvest of 30
+// days in walk order (forecast, then day), then each later day's logs
+// appended as a daily pass finds them.
+func BenchmarkRecords(b *testing.B) {
+	const forecasts, histDays, days = 2000, 30, 40
+	db := statsdb.NewDB()
+	h, err := New(vfs.New(nil), db, NewVFSJournal(vfs.New(nil), "/j"), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var records []*logs.RunRecord
+	add := func(f, d int) {
+		records = append(records, record(fmt.Sprintf("forecast-%04d", f), d, "elcirc-5.01"))
+	}
+	for f := 0; f < forecasts; f++ {
+		for d := 1; d <= histDays; d++ {
+			add(f, d)
+		}
+	}
+	for d := histDays + 1; d <= days; d++ {
+		for f := 0; f < forecasts; f++ {
+			add(f, d)
+		}
+	}
+	if _, _, err := statsdb.UpsertRuns(db, records, 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := h.Records(); err != nil || len(got) != len(records) {
+			b.Fatalf("Records = %d records, %v; want %d", len(got), err, len(records))
+		}
+	}
+}
+
 // TestEmitBenchReport writes a machine-readable harvest benchmark to the
 // file named by BENCH_OUT; `make bench` sets it and CI uploads the result
 // as an artifact. Without BENCH_OUT the test is skipped.

@@ -24,8 +24,11 @@
 package harvest
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -501,14 +504,14 @@ func (h *Harvester) Records() ([]*logs.RunRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(records, func(i, j int) bool {
-		if records[i].Forecast != records[j].Forecast {
-			return records[i].Forecast < records[j].Forecast
+	slices.SortFunc(records, func(a, b *logs.RunRecord) int {
+		if c := strings.Compare(a.Forecast, b.Forecast); c != 0 {
+			return c
 		}
-		if records[i].Year != records[j].Year {
-			return records[i].Year < records[j].Year
+		if c := cmp.Compare(a.Year, b.Year); c != 0 {
+			return c
 		}
-		return records[i].Day < records[j].Day
+		return cmp.Compare(a.Day, b.Day)
 	})
 	return records, nil
 }

@@ -209,45 +209,38 @@ func ReadRuns(db *DB) ([]*logs.RunRecord, error) {
 	if t == nil {
 		return nil, nil
 	}
+	// Resolve each field's column once; a column the table lacks (such as
+	// source_path before the provenance migration) reads as the zero value.
+	pos := t.schema.Index
+	forecast, region, year, day := pos("forecast"), pos("region"), pos("year"), pos("day")
+	node, codeVersion, codeFactor, mesh := pos("node"), pos("code_version"), pos("code_factor"), pos("mesh")
+	meshSides, timesteps, start, end := pos("mesh_sides"), pos("timesteps"), pos("start"), pos("end")
+	walltime, status, products, sourcePath := pos("walltime"), pos("status"), pos("products"), pos(ColSourcePath)
 	out := make([]*logs.RunRecord, 0, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		r := &logs.RunRecord{}
-		for ci, c := range t.schema {
-			v := t.rows[i][ci]
-			switch c.Name {
-			case "forecast":
-				r.Forecast = v.Str()
-			case "region":
-				r.Region = v.Str()
-			case "year":
-				r.Year = int(v.Int())
-			case "day":
-				r.Day = int(v.Int())
-			case "node":
-				r.Node = v.Str()
-			case "code_version":
-				r.CodeVersion = v.Str()
-			case "code_factor":
-				r.CodeFactor = v.Float()
-			case "mesh":
-				r.MeshName = v.Str()
-			case "mesh_sides":
-				r.MeshSides = int(v.Int())
-			case "timesteps":
-				r.Timesteps = int(v.Int())
-			case "start":
-				r.Start = v.Float()
-			case "end":
-				r.End = v.Float()
-			case "walltime":
-				r.Walltime = v.Float()
-			case "status":
-				r.Status = v.Str()
-			case "products":
-				r.Products = int(v.Int())
-			case ColSourcePath:
-				r.SourcePath = v.Str()
+	for i, row := range t.rows {
+		at := func(ci int) Value {
+			if ci < 0 {
+				return Value{}
 			}
+			return row[ci]
+		}
+		r := &logs.RunRecord{
+			Forecast:    at(forecast).Str(),
+			Region:      at(region).Str(),
+			Year:        int(at(year).Int()),
+			Day:         int(at(day).Int()),
+			Node:        at(node).Str(),
+			CodeVersion: at(codeVersion).Str(),
+			CodeFactor:  at(codeFactor).Float(),
+			MeshName:    at(mesh).Str(),
+			MeshSides:   int(at(meshSides).Int()),
+			Timesteps:   int(at(timesteps).Int()),
+			Start:       at(start).Float(),
+			End:         at(end).Float(),
+			Walltime:    at(walltime).Float(),
+			Status:      at(status).Str(),
+			Products:    int(at(products).Int()),
+			SourcePath:  at(sourcePath).Str(),
 		}
 		if err := r.Validate(); err != nil {
 			return nil, fmt.Errorf("statsdb: read runs row %d: %w", i, err)

@@ -158,6 +158,63 @@ func TestUpsertRunsFillsProvenanceColumns(t *testing.T) {
 	}
 }
 
+func TestReadRunsAcrossSchemas(t *testing.T) {
+	provenance := []Column{{Name: ColHarvestedAt, Type: Float}, {Name: ColSourcePath, Type: String}}
+	cases := []struct {
+		name  string
+		added []Column // columns the table gains before loading
+	}{
+		{"base schema", nil},
+		{"after the provenance migrations", provenance},
+		{"with an unknown column", append(append([]Column(nil), provenance...), Column{Name: "operator_note", Type: Int})},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := NewDB()
+			tbl, err := EnsureRunsTable(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, col := range c.added {
+				def := map[Type]Value{Int: IntVal(0), Float: FloatVal(0), String: StringVal("")}[col.Type]
+				if err := tbl.AddColumn(col, def); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := &logs.RunRecord{
+				Forecast: "tillamook", Region: "columbia", Year: 2005, Day: 42, Node: "fnode03",
+				CodeVersion: "elcirc-5.01", CodeFactor: 1.1, MeshName: "m2", MeshSides: 31000,
+				Timesteps: 5760, Start: 3600.5, End: 43600.25, Walltime: 39999.75,
+				Status: logs.StatusCompleted, Products: 8, SourcePath: "/runs/tillamook/2005-042/run.log",
+			}
+			running := &logs.RunRecord{
+				Forecast: "dev", Region: "r", Year: 2006, Day: 1, Node: "fnode01", CodeVersion: "v2",
+				CodeFactor: 0.9, MeshName: "m", MeshSides: 12000, Timesteps: 2880, Start: 7200,
+				Status: logs.StatusRunning, SourcePath: "/runs/dev/2006-001/run.log",
+			}
+			if _, _, err := UpsertRuns(db, []*logs.RunRecord{done, running}, 42); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadRuns(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []logs.RunRecord{*done, *running}
+			if tbl.Schema().Index(ColSourcePath) < 0 {
+				want[0].SourcePath, want[1].SourcePath = "", ""
+			}
+			if len(back) != len(want) {
+				t.Fatalf("ReadRuns returned %d records, want %d", len(back), len(want))
+			}
+			for i := range want {
+				if *back[i] != want[i] {
+					t.Fatalf("record %d:\ngot  %+v\nwant %+v", i, *back[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 func TestLoadRunsRejectsInvalidRecords(t *testing.T) {
 	db := NewDB()
 	bad := rec("a", 1, 100, "v")

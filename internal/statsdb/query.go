@@ -221,15 +221,8 @@ func (q *Query) Explain() (string, error) {
 	}
 	t := q.table
 	var b strings.Builder
-	probe := ""
-	for _, p := range q.preds {
-		if p.Op == OpEq && t.Indexed(p.Col) {
-			probe = p.Col
-			break
-		}
-	}
-	if probe != "" {
-		fmt.Fprintf(&b, "index probe on %s.%s", t.name, probe)
+	if i := q.probe(); i >= 0 {
+		fmt.Fprintf(&b, "index probe on %s.%s", t.name, q.preds[i].Col)
 	} else {
 		fmt.Fprintf(&b, "full scan of %s (%d rows)", t.name, t.Len())
 	}
@@ -260,38 +253,44 @@ func (q *Query) Explain() (string, error) {
 
 // Run plans and executes the query.
 //
-// Planning: an equality predicate on an indexed column selects an index
-// probe; remaining predicates filter the probed rows. Otherwise the table
-// is scanned. Grouping hashes rows by group key; ordering is a stable sort
-// over the result.
+// Planning: an equality predicate on an indexed column, with a literal of
+// the column's type, selects an index probe; remaining predicates filter
+// the probed rows. Otherwise the table is scanned. Grouping hashes rows by
+// group key; ordering is a stable sort over the result.
 func (q *Query) Run() (*Result, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
 	t := q.table
 
-	// Resolve and validate referenced columns.
-	for _, c := range q.cols {
-		if t.schema.Index(c) < 0 {
-			return nil, fmt.Errorf("statsdb: table %s has no column %q", t.name, c)
-		}
+	// Resolve and validate referenced columns, once: the per-row loops
+	// below index rows by these positions.
+	var cols columns
+	var err error
+	if cols.sel, err = t.positions(q.cols); err != nil {
+		return nil, err
 	}
-	for _, p := range q.preds {
-		if t.schema.Index(p.Col) < 0 {
-			return nil, fmt.Errorf("statsdb: table %s has no column %q", t.name, p.Col)
-		}
+	predCols := make([]string, len(q.preds))
+	for i, p := range q.preds {
+		predCols[i] = p.Col
 	}
-	for _, g := range q.groupBy {
-		if t.schema.Index(g) < 0 {
-			return nil, fmt.Errorf("statsdb: table %s has no column %q", t.name, g)
-		}
+	if cols.preds, err = t.positions(predCols); err != nil {
+		return nil, err
 	}
-	for _, a := range q.aggs {
-		if a.Col != "*" && t.schema.Index(a.Col) < 0 {
+	if cols.group, err = t.positions(q.groupBy); err != nil {
+		return nil, err
+	}
+	cols.aggs = make([]int, len(q.aggs))
+	for i, a := range q.aggs {
+		if a.Col == "*" {
+			if a.Fn != AggCount {
+				return nil, fmt.Errorf("statsdb: %s(*) is not defined", a.Fn)
+			}
+			cols.aggs[i] = -1
+			continue
+		}
+		if cols.aggs[i] = t.schema.Index(a.Col); cols.aggs[i] < 0 {
 			return nil, fmt.Errorf("statsdb: table %s has no column %q", t.name, a.Col)
-		}
-		if a.Col == "*" && a.Fn != AggCount {
-			return nil, fmt.Errorf("statsdb: %s(*) is not defined", a.Fn)
 		}
 	}
 	if len(q.groupBy) > 0 {
@@ -309,16 +308,16 @@ func (q *Query) Run() (*Result, error) {
 		return nil, fmt.Errorf("statsdb: plain columns with aggregates require GROUP BY")
 	}
 
-	rowIDs, err := q.plan()
+	rowIDs, err := q.plan(cols.preds)
 	if err != nil {
 		return nil, err
 	}
 
 	var res *Result
 	if len(q.aggs) > 0 || len(q.groupBy) > 0 {
-		res, err = q.aggregate(rowIDs)
+		res, err = q.aggregate(rowIDs, cols)
 	} else {
-		res, err = q.project(rowIDs)
+		res = q.project(rowIDs, cols.sel)
 	}
 	if err != nil {
 		return nil, err
@@ -350,20 +349,50 @@ func (q *Query) colsExplicit() []string {
 	return q.cols
 }
 
-// plan chooses index probe vs scan and applies all predicates.
-func (q *Query) plan() ([]int, error) {
-	t := q.table
-	candidates := -1 // index into preds used for the probe
-	for i, p := range q.preds {
-		if p.Op == OpEq && t.Indexed(p.Col) {
-			candidates = i
-			break
+// columns are a query's column positions in its table's schema, resolved
+// once per Run.
+type columns struct {
+	sel, preds, group []int
+	aggs              []int // -1 for COUNT(*)
+}
+
+// positions resolves column names to their schema positions.
+func (t *Table) positions(names []string) ([]int, error) {
+	out := make([]int, len(names))
+	for i, c := range names {
+		if out[i] = t.schema.Index(c); out[i] < 0 {
+			return nil, fmt.Errorf("statsdb: table %s has no column %q", t.name, c)
 		}
 	}
+	return out, nil
+}
+
+// probe returns the index of the predicate an index probe answers — the
+// first equality on an indexed column whose literal has the column's
+// type — or -1 when the query scans. The hash index holds exact Values, so
+// a literal of another type would miss rows a scan's numeric comparison
+// matches (INT 2 = 2.0) or hide the type error a scan reports.
+func (q *Query) probe() int {
+	t := q.table
+	for i, p := range q.preds {
+		if p.Op != OpEq || !t.Indexed(p.Col) {
+			continue
+		}
+		if ci := t.schema.Index(p.Col); t.schema[ci].Type == p.Val.Type() {
+			return i
+		}
+	}
+	return -1
+}
+
+// plan chooses index probe vs scan and applies all predicates; cis are
+// the predicates' column positions.
+func (q *Query) plan(cis []int) ([]int, error) {
+	t := q.table
 	var ids []int
-	if candidates >= 0 {
-		probe := q.preds[candidates]
-		ids = append(ids, t.indexes[probe.Col][probe.Val]...)
+	if pi := q.probe(); pi >= 0 {
+		p := q.preds[pi]
+		ids = append(ids, t.indexes[p.Col][p.Val]...)
 	} else {
 		ids = make([]int, len(t.rows))
 		for i := range t.rows {
@@ -374,8 +403,8 @@ func (q *Query) plan() ([]int, error) {
 	for _, id := range ids {
 		row := t.rows[id]
 		keep := true
-		for _, p := range q.preds {
-			ok, err := p.matches(row[t.schema.Index(p.Col)])
+		for i, p := range q.preds {
+			ok, err := p.matches(row[cis[i]])
 			if err != nil {
 				return nil, err
 			}
@@ -392,14 +421,10 @@ func (q *Query) plan() ([]int, error) {
 	return out, nil
 }
 
-// project emits the plain select list.
-func (q *Query) project(rowIDs []int) (*Result, error) {
+// project emits the plain select list; cis are its column positions.
+func (q *Query) project(rowIDs []int, cis []int) *Result {
 	t := q.table
 	res := &Result{Columns: append([]string(nil), q.cols...)}
-	cis := make([]int, len(q.cols))
-	for i, c := range q.cols {
-		cis[i] = t.schema.Index(c)
-	}
 	for _, id := range rowIDs {
 		row := make([]Value, len(cis))
 		for i, ci := range cis {
@@ -407,12 +432,12 @@ func (q *Query) project(rowIDs []int) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res
 }
 
 // aggregate groups rows and computes aggregates per group (or one global
 // group without GROUP BY).
-func (q *Query) aggregate(rowIDs []int) (*Result, error) {
+func (q *Query) aggregate(rowIDs []int, cols columns) (*Result, error) {
 	t := q.table
 	groupCols := q.groupBy
 	selectCols := q.colsExplicit()
@@ -434,39 +459,32 @@ func (q *Query) aggregate(rowIDs []int) (*Result, error) {
 	groups := make(map[string]*groupState)
 	var groupOrder []string
 
-	keyOf := func(row []Value) (string, []Value) {
-		if len(groupCols) == 0 {
-			return "", nil
-		}
-		parts := make([]string, len(groupCols))
-		vals := make([]Value, len(groupCols))
-		for i, g := range groupCols {
-			v := row[t.schema.Index(g)]
-			parts[i] = fmt.Sprintf("%d\x00%s", v.Type(), v.String())
-			vals[i] = v
-		}
-		return strings.Join(parts, "\x01"), vals
-	}
-
+	var key []byte // the row's group key, rebuilt in place per row
 	for _, id := range rowIDs {
 		row := t.rows[id]
-		key, vals := keyOf(row)
-		g, ok := groups[key]
+		key = key[:0]
+		for _, ci := range cols.group {
+			key = row[ci].appendKey(key)
+		}
+		g, ok := groups[string(key)]
 		if !ok {
-			g = &groupState{key: vals, order: len(groupOrder)}
+			g = &groupState{key: make([]Value, len(cols.group)), order: len(groupOrder)}
+			for i, ci := range cols.group {
+				g.key[i] = row[ci]
+			}
 			for range q.aggs {
 				g.accums = append(g.accums, &accum{})
 			}
-			groups[key] = g
-			groupOrder = append(groupOrder, key)
+			k := string(key)
+			groups[k] = g
+			groupOrder = append(groupOrder, k)
 		}
 		for i, a := range q.aggs {
-			if a.Col == "*" {
+			if cols.aggs[i] < 0 {
 				g.accums[i].count++
 				continue
 			}
-			v := row[t.schema.Index(a.Col)]
-			if err := g.accums[i].observe(a, v); err != nil {
+			if err := g.accums[i].observe(a, row[cols.aggs[i]]); err != nil {
 				return nil, err
 			}
 		}

@@ -1,6 +1,7 @@
 package statsdb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -87,30 +88,46 @@ func TestWherePredicates(t *testing.T) {
 }
 
 func TestIndexProbeMatchesScan(t *testing.T) {
-	tbl := runsFixture(t)
-	scan, err := Select(tbl).Where(Pred{"forecast", OpEq, StringVal("dev")}).Run()
-	if err != nil {
-		t.Fatal(err)
+	// An indexed and an unindexed copy of the table answer every equality
+	// alike: the same rows, or the same error. The hash index is probed
+	// only when the literal has the column's type; otherwise both scan.
+	cases := []struct {
+		name  string
+		pred  Pred
+		probe bool
+	}{
+		{"string column, string literal", Pred{"forecast", OpEq, StringVal("dev")}, true},
+		{"int column, int literal", Pred{"day", OpEq, IntVal(3)}, true},
+		{"int column, integral float literal", Pred{"day", OpEq, FloatVal(3)}, false},
+		{"int column, fractional float literal", Pred{"day", OpEq, FloatVal(3.5)}, false},
+		{"int column, string literal", Pred{"day", OpEq, StringVal("x")}, false},
+		{"float column, int literal", Pred{"walltime", OpEq, IntVal(40000)}, false},
 	}
-	if err := tbl.CreateIndex("forecast"); err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.Indexed("forecast") {
-		t.Fatal("index not reported")
-	}
-	probe, err := Select(tbl).Where(Pred{"forecast", OpEq, StringVal("dev")}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.Rows) != len(probe.Rows) {
-		t.Fatalf("scan %d rows, probe %d rows", len(scan.Rows), len(probe.Rows))
-	}
-	for i := range scan.Rows {
-		for j := range scan.Rows[i] {
-			if scan.Rows[i][j] != probe.Rows[i][j] {
-				t.Fatalf("row %d differs between scan and probe", i)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			scan, scanErr := Select(runsFixture(t)).Where(c.pred).Run()
+			tbl := runsFixture(t)
+			if err := tbl.CreateIndex(c.pred.Col); err != nil {
+				t.Fatal(err)
 			}
-		}
+			if !tbl.Indexed(c.pred.Col) {
+				t.Fatal("index not reported")
+			}
+			probe, probeErr := Select(tbl).Where(c.pred).Run()
+			if (scanErr == nil) != (probeErr == nil) || (scanErr != nil && scanErr.Error() != probeErr.Error()) {
+				t.Fatalf("scan error %v, indexed error %v", scanErr, probeErr)
+			}
+			if scanErr == nil && !reflect.DeepEqual(scan.Rows, probe.Rows) {
+				t.Fatalf("scan rows %v, indexed rows %v", scan.Rows, probe.Rows)
+			}
+			plan, err := Select(tbl).Where(c.pred).Explain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.HasPrefix(plan, "index probe"); got != c.probe {
+				t.Fatalf("plan = %q, want index probe %v", plan, c.probe)
+			}
+		})
 	}
 }
 
@@ -156,6 +173,34 @@ func TestGroupByAggregates(t *testing.T) {
 	}
 	if dev[res.Column("min(day)")].Int() != 1 || dev[res.Column("max(day)")].Int() != 3 {
 		t.Fatalf("min/max wrong: %v", dev)
+	}
+}
+
+func TestGroupByKeysDoNotCollide(t *testing.T) {
+	// Two-column groups whose values concatenate to the same text — with
+	// or without separator bytes inside the values — stay apart.
+	tbl, err := NewTable("t", Schema{{Name: "a", Type: String}, {Name: "b", Type: String}, {Name: "n", Type: Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := [][2]string{{"ab", "c"}, {"a", "bc"}, {"a\x012\x00b", "c"}, {"a", "b\x012\x00c"}, {"ab", "c"}}
+	for _, p := range pairs {
+		if err := tbl.Insert([]Value{StringVal(p[0]), StringVal(p[1]), IntVal(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := Select(tbl, "a", "b").Aggregate(Agg{AggCount, "*"}).GroupBy("a", "b").Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]Value{
+		{StringVal("ab"), StringVal("c"), IntVal(2)},
+		{StringVal("a"), StringVal("bc"), IntVal(1)},
+		{StringVal("a\x012\x00b"), StringVal("c"), IntVal(1)},
+		{StringVal("a"), StringVal("b\x012\x00c"), IntVal(1)},
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("rows = %q, want %q", res.Rows, want)
 	}
 }
 

@@ -10,6 +10,7 @@
 package statsdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -101,6 +102,30 @@ func (v Value) String() string {
 		return strconv.FormatBool(v.b)
 	default:
 		return "?"
+	}
+}
+
+// appendKey appends an encoding of v that two values share only when they
+// are identical: the type, then a fixed-width payload or, for strings, a
+// length-prefixed one, so a concatenation of keys cannot collide either
+// ("ab","c" vs "a","bc").
+func (v Value) appendKey(b []byte) []byte {
+	b = append(b, byte(v.t))
+	switch v.t {
+	case Int:
+		return binary.LittleEndian.AppendUint64(b, uint64(v.i))
+	case Float:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.f))
+	case String:
+		b = binary.AppendUvarint(b, uint64(len(v.s)))
+		return append(b, v.s...)
+	case Bool:
+		if v.b {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	default:
+		return b
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -38,9 +39,31 @@ type file struct {
 	info     FileInfo
 	content  []byte // only for text files; nil for size-only bulk data
 	children map[string]*file
+	// sorted caches a directory's children in name order. Adding or
+	// removing a child drops it (sets it to nil, never edits it in place,
+	// so a walk already iterating the old slice keeps its snapshot); the
+	// next Walk or ReadDir of the directory rebuilds it.
+	sorted []*file
+}
+
+// entries returns a directory's children in name order.
+func (f *file) entries() []*file {
+	if f.sorted == nil && len(f.children) > 0 {
+		f.sorted = make([]*file, 0, len(f.children))
+		for _, c := range f.children {
+			f.sorted = append(f.sorted, c)
+		}
+		slices.SortFunc(f.sorted, func(a, b *file) int { return strings.Compare(a.info.Name, b.info.Name) })
+	}
+	return f.sorted
 }
 
 // FS is an in-memory filesystem. The zero value is not usable; use New.
+//
+// An FS has no lock and is not safe for concurrent use; the simulation
+// drives it from one goroutine. Reads are not read-only either: Walk and
+// ReadDir fill each directory's name-ordered listing cache on first read
+// after a change.
 type FS struct {
 	root *file
 	// clock supplies the virtual time for mtimes. It may be nil, in which
@@ -114,6 +137,7 @@ func (fs *FS) MkdirAll(p string) error {
 				children: make(map[string]*file),
 			}
 			cur.children[part] = next
+			cur.sorted = nil
 		} else if !next.info.IsDir {
 			return fmt.Errorf("mkdir %s: %w", walked, ErrNotDir)
 		}
@@ -141,6 +165,7 @@ func (fs *FS) create(p string) (*file, error) {
 	}
 	f := &file{info: FileInfo{Path: p, Name: name, MTime: fs.now()}}
 	parent.children[name] = f
+	parent.sorted = nil
 	return f, nil
 }
 
@@ -281,6 +306,7 @@ func (fs *FS) Remove(p string) error {
 	}
 	parent := fs.lookup(path.Dir(p))
 	delete(parent.children, f.info.Name)
+	parent.sorted = nil
 	return nil
 }
 
@@ -293,21 +319,19 @@ func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
 	if !f.info.IsDir {
 		return nil, fmt.Errorf("readdir %s: %w", clean(p), ErrNotDir)
 	}
-	names := make([]string, 0, len(f.children))
-	for name := range f.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	infos := make([]FileInfo, len(names))
-	for i, name := range names {
-		infos[i] = f.children[name].info
+	ents := f.entries()
+	infos := make([]FileInfo, len(ents))
+	for i, c := range ents {
+		infos[i] = c.info
 	}
 	return infos, nil
 }
 
 // Walk visits every file and directory under root in depth-first,
 // name-sorted order, calling fn for each. Returning a non-nil error from fn
-// stops the walk and propagates the error.
+// stops the walk and propagates the error. A directory's entries are
+// fixed once fn has returned for the directory itself: a child added to
+// it after that, during the walk, is visited by the next walk only.
 func (fs *FS) Walk(root string, fn func(info FileInfo) error) error {
 	f := fs.lookup(root)
 	if f == nil {
@@ -320,16 +344,8 @@ func walk(f *file, fn func(info FileInfo) error) error {
 	if err := fn(f.info); err != nil {
 		return err
 	}
-	if !f.info.IsDir {
-		return nil
-	}
-	names := make([]string, 0, len(f.children))
-	for name := range f.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := walk(f.children[name], fn); err != nil {
+	for _, c := range f.entries() {
+		if err := walk(c, fn); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,10 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"path"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -173,6 +177,113 @@ func TestWalkVisitsEverything(t *testing.T) {
 	}
 }
 
+// TestListingsTrackChangesBetweenWalks interleaves creates, MkdirAll and
+// Remove with walks: every Walk and ReadDir lists exactly the live entries
+// in the order a fresh sort gives. Names like "a" and "a-b" make the walk
+// order differ from a plain sort of full paths ('-' sorts before '/').
+func TestListingsTrackChangesBetweenWalks(t *testing.T) {
+	fs := New(nil)
+	live := map[string]bool{"/": true} // every path that exists
+	names := []string{"a", "a-b", "b", "c"}
+	rng := rand.New(rand.NewSource(7))
+	randomPath := func() string {
+		p := ""
+		for depth := 1 + rng.Intn(3); depth > 0; depth-- {
+			p += "/" + names[rng.Intn(len(names))]
+		}
+		return p
+	}
+	for step := 0; step < 400; step++ {
+		p := randomPath()
+		switch rng.Intn(3) {
+		case 0:
+			if fs.Create(p) == nil {
+				for q := p; q != "/"; q = path.Dir(q) {
+					live[q] = true
+				}
+			}
+		case 1:
+			if fs.MkdirAll(p) == nil {
+				for q := p; q != "/"; q = path.Dir(q) {
+					live[q] = true
+				}
+			}
+		case 2:
+			if fs.Remove(p) == nil {
+				delete(live, p)
+			}
+		}
+		// The walk order is a component-wise sort of the live paths.
+		want := make([]string, 0, len(live))
+		for q := range live {
+			want = append(want, q)
+		}
+		slices.SortFunc(want, func(a, b string) int {
+			return slices.Compare(strings.Split(a, "/"), strings.Split(b, "/"))
+		})
+		var walked []string
+		if err := fs.Walk("/", func(info FileInfo) error { walked = append(walked, info.Path); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(walked, want) {
+			t.Fatalf("step %d: walk = %v, want %v", step, walked, want)
+		}
+		for _, dir := range want {
+			if info, _ := fs.Stat(dir); !info.IsDir {
+				continue
+			}
+			infos, err := fs.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, wantKids []string
+			for _, info := range infos {
+				got = append(got, info.Path)
+			}
+			for _, q := range want {
+				if q != "/" && path.Dir(q) == dir {
+					wantKids = append(wantKids, q)
+				}
+			}
+			if !slices.Equal(got, wantKids) {
+				t.Fatalf("step %d: ReadDir(%s) = %v, want %v", step, dir, got, wantKids)
+			}
+		}
+	}
+}
+
+func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
+	fs := New(nil)
+	_ = fs.Create("/d/a")
+	_ = fs.Create("/d/c")
+	visit := func(during func(FileInfo)) []string {
+		var visited []string
+		err := fs.Walk("/d", func(info FileInfo) error {
+			visited = append(visited, info.Path)
+			during(info)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return visited
+	}
+	// /d/b lands in /d after the walk has listed it.
+	current := visit(func(info FileInfo) {
+		if info.Path == "/d/a" {
+			if err := fs.Create("/d/b"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if want := []string{"/d", "/d/a", "/d/c"}; !slices.Equal(current, want) {
+		t.Fatalf("walk that created /d/b = %v, want %v", current, want)
+	}
+	if next, want := visit(func(FileInfo) {}), []string{"/d", "/d/a", "/d/b", "/d/c"}; !slices.Equal(next, want) {
+		t.Fatalf("next walk = %v, want %v", next, want)
+	}
+}
+
 func TestWalkErrorStops(t *testing.T) {
 	fs := New(nil)
 	_ = fs.Create("/d/a")
@@ -286,5 +397,39 @@ func TestPropertyTreeSizeConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkWalk walks a run tree of 80k logs (2000 forecasts × 40 days,
+// /runs/<forecast>/<year-day>/run.log), as a daily harvest pass does over
+// a tree that has not changed since the previous pass.
+func BenchmarkWalk(b *testing.B) {
+	fs := New(nil)
+	for f := 0; f < 2000; f++ {
+		for d := 1; d <= 40; d++ {
+			if err := fs.WriteString(fmt.Sprintf("/runs/fc-%04d/2005-%03d/run.log", f, d), "x"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	walk := func() int {
+		n := 0
+		if err := fs.Walk("/runs", func(info FileInfo) error {
+			if !info.IsDir {
+				n++
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		return n
+	}
+	walk() // the previous pass
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := walk(); n != 80000 {
+			b.Fatalf("walked %d logs, want 80000", n)
+		}
 	}
 }
