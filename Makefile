@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race e2ebench bench clean
+.PHONY: all build test check fmt vet race e2ebench fuzz bench clean
 
 all: build
 
@@ -38,6 +38,15 @@ e2ebench:
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 check: fmt test vet race e2ebench
+
+# Native fuzzing of the three parsers of untrusted text (run logs, the
+# statsdb SQL subset, factory config files), 60 s each. Their seed inputs
+# also run in the tier-1 suite. A crasher is written under the package's
+# testdata/fuzz/ and lands as a regression test with its fix.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/logs
+	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 60s ./internal/statsdb
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/config
 
 # Experiment benchmarks plus the machine-readable reports uploaded as CI
 # artifacts: the harvest pipeline (BENCH_harvest.json), the usage

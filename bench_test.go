@@ -8,9 +8,10 @@ package repro_test
 
 import (
 	"fmt"
-	"math"
+	"runtime"
+	"sort"
+	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -356,36 +357,62 @@ func BenchmarkCampaignDayTelemetry(b *testing.B) {
 }
 
 // TestTelemetryOverhead guards the design target that full collection
-// (nil-safe cached instruments, one span per task) costs on the order of
-// 5% of a campaign. The assertion uses best-of-N timings and a bound of
-// 25% so a loaded CI machine doesn't flake the suite; run the two
-// CampaignDay benchmarks for the precise ratio.
+// (nil-safe cached instruments, one span per task, a pointer-free trace)
+// costs on the order of 5% of a campaign. The bound of 25% leaves
+// headroom for a loaded CI machine; run the two CampaignDay benchmarks
+// for the precise ratio.
+//
+// Each round runs one baseline and one instrumented 3-day campaign back
+// to back, in alternating (ABBA) order, and the ratio is the median over
+// rounds of instrumented/baseline. Samples are process CPU seconds from
+// rusage, taken after a collection so a campaign pays for its own
+// garbage. Beside the other test binaries of `go test ./...` a single
+// round's ratio ranges from about 0.8 to 1.5 on a 2-CPU box; the median
+// of 15 rounds stays within a few percent of the quiet-machine figure.
+// Comparing the best sample of each variant instead lets whichever
+// variant happens to run in the one quiet moment win, and wall time
+// hides the collector's background marking whenever the other core is
+// idle. The campaign stays three days long because the cost of keeping
+// spans grows with the trace.
 func TestTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test skipped in -short mode")
 	}
-	const rounds = 5
-	best := func(tel func() *telemetry.Telemetry) time.Duration {
-		min := time.Duration(math.MaxInt64)
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			runCampaign(t, 3, tel())
-			if d := time.Since(start); d < min {
-				min = d
-			}
+	const rounds = 15
+	cpuSeconds := func() float64 {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatal(err)
 		}
-		return min
+		return float64(ru.Utime.Sec+ru.Stime.Sec) +
+			float64(ru.Utime.Usec+ru.Stime.Usec)/1e6
+	}
+	timed := func(tel *telemetry.Telemetry) float64 {
+		runtime.GC()
+		t0 := cpuSeconds()
+		runCampaign(t, 3, tel)
+		return cpuSeconds() - t0
 	}
 	// Interleave a warm-up of each variant so allocator state is comparable.
 	runCampaign(t, 1, nil)
 	runCampaign(t, 1, telemetry.New())
 
-	baseline := best(func() *telemetry.Telemetry { return nil })
-	instrumented := best(func() *telemetry.Telemetry { return telemetry.New() })
-	ratio := float64(instrumented) / float64(baseline)
-	t.Logf("baseline %v, instrumented %v, ratio %.3f", baseline, instrumented, ratio)
+	ratios := make([]float64, rounds)
+	for i := range ratios {
+		var b, in float64
+		if i%2 == 0 {
+			b = timed(nil)
+			in = timed(telemetry.New())
+		} else {
+			in = timed(telemetry.New())
+			b = timed(nil)
+		}
+		ratios[i] = in / b
+	}
+	sort.Float64s(ratios)
+	ratio := ratios[rounds/2]
+	t.Logf("instrumented/baseline CPU by round (sorted) %.3f, median %.3f", ratios, ratio)
 	if ratio > 1.25 {
-		t.Fatalf("telemetry overhead ratio %.3f exceeds bound 1.25 (baseline %v, instrumented %v)",
-			ratio, baseline, instrumented)
+		t.Fatalf("telemetry overhead ratio %.3f exceeds bound 1.25 (rounds, sorted: %.3f)", ratio, ratios)
 	}
 }

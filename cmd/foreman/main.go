@@ -119,6 +119,17 @@ func heuristicByName(name string) (core.Heuristic, bool) {
 	}
 }
 
+func policyByName(name string) (core.ReschedulePolicy, bool) {
+	switch name {
+	case "minimal":
+		return core.MinimalMove, true
+	case "reshuffle":
+		return core.FullReshuffle, true
+	default:
+		return 0, false
+	}
+}
+
 func main() {
 	heuristicFlag := flag.String("heuristic", "stay-put", "assignment heuristic: stay-put, ffd, bfd, wfd")
 	failNode := flag.String("fail", "", "simulate failure of this node and reschedule")
@@ -145,6 +156,11 @@ func main() {
 	h, ok := heuristicByName(*heuristicFlag)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown heuristic %q\n", *heuristicFlag)
+		os.Exit(2)
+	}
+	pol, ok := policyByName(*policyFlag)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown policy %q (want minimal or reshuffle)\n", *policyFlag)
 		os.Exit(2)
 	}
 
@@ -389,10 +405,6 @@ func main() {
 			run, node, makespanBefore, schedule.Prediction.Makespan())
 	}
 	if *failNode != "" {
-		pol := core.MinimalMove
-		if *policyFlag == "reshuffle" {
-			pol = core.FullReshuffle
-		}
 		before := schedule
 		schedule, err = core.RescheduleAfterFailure(schedule, *failNode, pol, h)
 		if err != nil {

@@ -34,7 +34,7 @@ func RunPartitioned(p Params, k int) Result {
 
 	eng := sim.NewEngine()
 	cl := cluster.New(eng)
-	client := cl.AddNode("client", p.ClientCPUs, p.ClientSpeed)
+	client := cl.AddNode("client", p.ClientCPUs, clientSpeed)
 	clientFS := vfs.New(eng.Now)
 	serverFS := vfs.New(eng.Now)
 	link := netsim.NewLink(eng, "lan", p.Bandwidth)
@@ -42,7 +42,7 @@ func RunPartitioned(p Params, k int) Result {
 	secondaries := make([]*cluster.Node, k)
 	secondaryFS := make([]*vfs.FS, k)
 	for i := 0; i < k; i++ {
-		secondaries[i] = cl.AddNode(fmt.Sprintf("worker%02d", i+1), p.ServerCPUs, p.ServerSpeed)
+		secondaries[i] = cl.AddNode(fmt.Sprintf("worker%02d", i+1), p.ServerCPUs, serverSpeed)
 		secondaryFS[i] = vfs.New(eng.Now)
 	}
 
@@ -54,7 +54,7 @@ func RunPartitioned(p Params, k int) Result {
 		Dir:        dir,
 		SimNode:    client,
 		SimFS:      clientFS,
-		Increments: p.Increments,
+		Increments: workflow.DefaultIncrements,
 	})
 
 	// Partition the catalog, keeping each product with its dependencies.
@@ -75,7 +75,7 @@ func RunPartitioned(p Params, k int) Result {
 			FS:          secondaryFS[i],
 			InputTotals: totals,
 			Workers:     p.Workers,
-			Poll:        p.Poll,
+			Poll:        workflow.DefaultPoll,
 		}))
 	}
 
@@ -128,9 +128,9 @@ func RunPartitioned(p Params, k int) Result {
 		if eng.Now() > watchdogDeadline {
 			panic("dataflow: partitioned run did not complete")
 		}
-		sched.After(p.SampleInterval, watchdog)
+		sched.After(sampleInterval, watchdog)
 	}
-	sched.After(p.SampleInterval, watchdog)
+	sched.After(sampleInterval, watchdog)
 
 	eng.Run()
 

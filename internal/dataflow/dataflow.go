@@ -53,40 +53,40 @@ func (a Architecture) String() string {
 }
 
 // Params configures an architecture experiment. Zero fields take the
-// defaults of the paper's §4.2 testbed: a 2.80 GHz single-CPU client
-// (reference speed 1.0), a 2.60 GHz single-CPU server (0.93), a 100 Mb/s
-// LAN, rsync every 5 minutes, and the standard run execution parameters.
+// defaults of the paper's §4.2 testbed: single-CPU client and server, a
+// 100 Mb/s LAN, rsync every 5 minutes, and the standard run execution
+// parameters.
 type Params struct {
 	Spec *forecast.Spec
 
-	ClientCPUs  int
-	ClientSpeed float64
-	ServerCPUs  int
-	ServerSpeed float64
+	ClientCPUs int
+	ServerCPUs int
 
 	Bandwidth     float64 // link bytes/second
 	RsyncInterval float64 // seconds between rsync scans
 
-	Increments int
-	Workers    int
-	Poll       float64
-
-	// Watch lists run-relative data series to sample, as in Figures 6/7.
-	// Entries name either model-output files or product directories; the
-	// special name "process" watches the master process's directory.
-	// Nil selects the paper's five series.
-	Watch []string
-
-	// SampleInterval is the spacing of series samples (default 60 s).
-	SampleInterval float64
+	Workers int
 
 	// Telemetry, when non-nil, receives link/workflow metrics and an
 	// experiment span tree (experiment → simulation/product/transfer).
 	Telemetry *telemetry.Telemetry
 }
 
-// DefaultWatch is the five series plotted in Figures 6 and 7.
-var DefaultWatch = []string{
+// The §4.2 testbed's node speeds: a 2.80 GHz client is the reference
+// (1.0) and the 2.60 GHz server runs at 0.93 of it.
+const (
+	clientSpeed = 1.0
+	serverSpeed = 2.60 / 2.80
+)
+
+// sampleInterval is the spacing of series samples in seconds.
+const sampleInterval = 60.0
+
+// watchedSeries are the run-relative data series sampled, the five
+// plotted in Figures 6 and 7. Entries name either model-output files or
+// product directories; the special name "process" watches the master
+// process's directory.
+var watchedSeries = []string{
 	"1_salt.63",
 	"2_salt.63",
 	"isosal_far_surface",
@@ -101,14 +101,8 @@ func (p *Params) fillDefaults() {
 	if p.ClientCPUs == 0 {
 		p.ClientCPUs = 1
 	}
-	if p.ClientSpeed == 0 {
-		p.ClientSpeed = 1.0
-	}
 	if p.ServerCPUs == 0 {
 		p.ServerCPUs = 1
-	}
-	if p.ServerSpeed == 0 {
-		p.ServerSpeed = 2.60 / 2.80
 	}
 	if p.Bandwidth == 0 {
 		p.Bandwidth = 12.5e6
@@ -116,20 +110,8 @@ func (p *Params) fillDefaults() {
 	if p.RsyncInterval == 0 {
 		p.RsyncInterval = 300
 	}
-	if p.Increments == 0 {
-		p.Increments = workflow.DefaultIncrements
-	}
 	if p.Workers == 0 {
 		p.Workers = workflow.DefaultWorkers
-	}
-	if p.Poll == 0 {
-		p.Poll = workflow.DefaultPoll
-	}
-	if p.Watch == nil {
-		p.Watch = DefaultWatch
-	}
-	if p.SampleInterval == 0 {
-		p.SampleInterval = 60
 	}
 }
 
@@ -182,8 +164,8 @@ func Run(arch Architecture, p Params) Result {
 
 	eng := sim.NewEngine()
 	cl := cluster.New(eng)
-	client := cl.AddNode("client", p.ClientCPUs, p.ClientSpeed)
-	server := cl.AddNode("server", p.ServerCPUs, p.ServerSpeed)
+	client := cl.AddNode("client", p.ClientCPUs, clientSpeed)
+	server := cl.AddNode("server", p.ServerCPUs, serverSpeed)
 	clientFS := vfs.New(eng.Now)
 	serverFS := vfs.New(eng.Now)
 	link := netsim.NewLink(eng, "lan", p.Bandwidth)
@@ -204,9 +186,9 @@ func Run(arch Architecture, p Params) Result {
 		Dir:        dir,
 		SimNode:    client,
 		SimFS:      clientFS,
-		Increments: p.Increments,
+		Increments: workflow.DefaultIncrements,
 		Workers:    p.Workers,
-		Poll:       p.Poll,
+		Poll:       workflow.DefaultPoll,
 		Telemetry:  tel,
 		Span:       expSpan,
 	}
@@ -235,7 +217,7 @@ func Run(arch Architecture, p Params) Result {
 	rs.Start()
 
 	// Sample the watched series at the server.
-	watchPaths := resolveWatch(run, p.Watch)
+	watchPaths := resolveWatch(run, watchedSeries)
 	samples := make(map[string][]sample, len(watchPaths))
 	sched := eng.Scope("dataflow")
 	var sampler func()
@@ -245,10 +227,10 @@ func Run(arch Architecture, p Params) Result {
 			samples[name] = append(samples[name], sample{eng.Now(), serverFS.Size(path)})
 		}
 		if !samplerDone {
-			sched.After(p.SampleInterval, sampler)
+			sched.After(sampleInterval, sampler)
 		}
 	}
-	sched.After(p.SampleInterval, sampler)
+	sched.After(sampleInterval, sampler)
 
 	// Watchdog: once the run is finished and rsync has delivered
 	// everything, stop the periodic agents so the event queue drains.
@@ -263,9 +245,9 @@ func Run(arch Architecture, p Params) Result {
 		if eng.Now() > watchdogDeadline {
 			panic(fmt.Sprintf("dataflow: %v did not complete within %v virtual seconds", arch, watchdogDeadline))
 		}
-		sched.After(p.SampleInterval, watchdog)
+		sched.After(sampleInterval, watchdog)
 	}
-	sched.After(p.SampleInterval, watchdog)
+	sched.After(sampleInterval, watchdog)
 
 	eng.Run()
 

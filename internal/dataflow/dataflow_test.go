@@ -97,8 +97,8 @@ func seriesEnd(t *testing.T, r Result, name string) float64 {
 func TestSeriesAreMonotonicAndNormalized(t *testing.T) {
 	for _, arch := range []Architecture{Architecture1, Architecture2} {
 		r := Run(arch, Params{})
-		if len(r.Series) != len(DefaultWatch) {
-			t.Fatalf("%v: %d series, want %d", arch, len(r.Series), len(DefaultWatch))
+		if len(r.Series) != len(watchedSeries) {
+			t.Fatalf("%v: %d series, want %d", arch, len(r.Series), len(watchedSeries))
 		}
 		for _, s := range r.Series {
 			if len(s.Times) == 0 {

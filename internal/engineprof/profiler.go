@@ -321,15 +321,6 @@ func (r *Report) TotalCancelled() int64 {
 	return n
 }
 
-// TotalWallNS sums timed handler wall-clock across labels.
-func (r *Report) TotalWallNS() int64 {
-	var n int64
-	for _, l := range r.Labels {
-		n += l.WallNS
-	}
-	return n
-}
-
 // TotalWallEstNS sums the per-label extrapolated wall-clock estimates.
 func (r *Report) TotalWallEstNS() float64 {
 	var n float64

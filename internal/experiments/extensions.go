@@ -129,18 +129,15 @@ func DatabaseFreshness() Report {
 		learned   float64 // when the database heard about it
 	}
 	var live []seen
-	cfgLive := mkConfig()
-	var campLive *factory.Campaign
-	cfgLive.OnRunLog = func(r *logs.RunRecord) {
-		if r.Status == logs.StatusCompleted {
-			live = append(live, seen{completed: r.End, learned: campLive.Engine().Now()})
-		}
-	}
-	var err error
-	campLive, err = factory.New(telemetered(cfgLive))
+	campLive, err := factory.New(telemetered(mkConfig()))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: x1: %v", err))
 	}
+	campLive.AddRunLogHook(func(r *logs.RunRecord) {
+		if r.Status == logs.StatusCompleted {
+			live = append(live, seen{completed: r.End, learned: campLive.Engine().Now()})
+		}
+	})
 	campLive.Run()
 
 	// Periodic crawling at interval T: a run completing at t becomes

@@ -63,19 +63,6 @@ type Config struct {
 	// extra days to finish before the campaign stops (default 3).
 	DrainDays int
 
-	// Run execution parameters (defaults as in package workflow).
-	Increments int
-	Workers    int
-	Poll       float64
-
-	// OnRunLog, when set, is invoked with every run record the factory
-	// writes (both the provisional "running" record at launch and the
-	// final "completed" one) at the virtual time it is written. This
-	// models §4.3.2's alternative to periodic crawling: "inserting
-	// commands into the run scripts to update the database", which keeps
-	// statistics on currently running forecasts accurate.
-	OnRunLog func(*logs.RunRecord)
-
 	// Telemetry, when non-nil, collects campaign metrics and the span
 	// hierarchy campaign → day → run → {simulation, product task}. The
 	// campaign installs its engine clock on the tracer.
@@ -121,6 +108,7 @@ type Campaign struct {
 	active      map[string]*workflow.Run
 	inputDelays map[string]float64 // per-forecast, today only
 	prepared    bool
+	runLogHooks []func(*logs.RunRecord)
 
 	// Telemetry wiring (all nil when cfg.Telemetry is nil).
 	campaignSpan *telemetry.Span
@@ -178,6 +166,9 @@ func New(cfg Config) (*Campaign, error) {
 		c.mWalltimes = reg.Histogram("factory_run_walltime_seconds", nil, nil)
 	}
 	for _, ns := range cfg.Nodes {
+		if c.cluster.Node(ns.Name) != nil {
+			return nil, fmt.Errorf("factory: duplicate node %q", ns.Name)
+		}
 		c.cluster.AddNode(ns.Name, ns.CPUs, ns.Speed)
 	}
 	for _, a := range cfg.Forecasts {
@@ -218,19 +209,17 @@ func (c *Campaign) Horizon() float64 {
 	return c.dayTime(lastDay+1) + float64(c.cfg.DrainDays)*SecondsPerDay
 }
 
-// AddRunLogHook chains fn after any previously configured OnRunLog
-// callback. Observers (the control-room monitor, statsdb feeds) attach
-// here without displacing each other. Call before the campaign runs.
+// AddRunLogHook registers fn to be invoked with every run record the
+// factory writes (both the provisional "running" record at launch and
+// the final "completed" one) at the virtual time it is written. This
+// models §4.3.2's alternative to periodic crawling: "inserting commands
+// into the run scripts to update the database", which keeps statistics
+// on currently running forecasts accurate. Observers (the control-room
+// monitor, statsdb feeds) attach here without displacing each other;
+// hooks run in registration order. Call before the campaign runs.
 func (c *Campaign) AddRunLogHook(fn func(*logs.RunRecord)) {
-	if fn == nil {
-		return
-	}
-	prev := c.cfg.OnRunLog
-	c.cfg.OnRunLog = func(r *logs.RunRecord) {
-		if prev != nil {
-			prev(r)
-		}
-		fn(r)
+	if fn != nil {
+		c.runLogHooks = append(c.runLogHooks, fn)
 	}
 }
 
@@ -400,9 +389,6 @@ func (c *Campaign) launch(day int, name string, spec *forecast.Spec) {
 		SimFS:       c.fs,
 		ProductNode: node,
 		ProductFS:   c.fs,
-		Increments:  c.cfg.Increments,
-		Workers:     c.cfg.Workers,
-		Poll:        c.cfg.Poll,
 		Telemetry:   c.cfg.Telemetry,
 		Span:        runSpan,
 		OnDone: func(r *workflow.Run) {
@@ -460,8 +446,8 @@ func (c *Campaign) writeLog(r *RunResult, status string) {
 	if err := logs.Write(c.fs, rec); err != nil {
 		panic(fmt.Sprintf("factory: write log: %v", err))
 	}
-	if c.cfg.OnRunLog != nil {
-		c.cfg.OnRunLog(rec)
+	for _, fn := range c.runLogHooks {
+		fn(rec)
 	}
 }
 

@@ -237,6 +237,7 @@ func TestConfigValidation(t *testing.T) {
 		{Days: 1, Forecasts: []Assignment{{Spec: good, Node: "fnode01"}, {Spec: good, Node: "fnode02"}}},
 		{Days: 1, Events: []Event{SetTimesteps{Day: 99, Forecast: "f", Timesteps: 10}}},
 		{Days: 1, Forecasts: []Assignment{{Spec: &forecast.Spec{Name: "bad"}, Node: "fnode01"}}},
+		{Days: 1, Nodes: []NodeSpec{{Name: "n", CPUs: 2, Speed: 1}, {Name: "n", CPUs: 2, Speed: 1}}},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

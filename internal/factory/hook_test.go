@@ -19,14 +19,13 @@ func TestOnRunLogHookFiresAtWriteTime(t *testing.T) {
 			{Spec: smallSpec("f1"), Node: "fnode01"},
 		},
 	}
-	var c *Campaign
-	cfg.OnRunLog = func(r *logs.RunRecord) {
-		events = append(events, event{status: r.Status, at: c.Engine().Now(), end: r.End})
-	}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.AddRunLogHook(func(r *logs.RunRecord) {
+		events = append(events, event{status: r.Status, at: c.Engine().Now(), end: r.End})
+	})
 	c.Run()
 
 	var running, completed int

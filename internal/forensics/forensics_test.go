@@ -257,9 +257,6 @@ func TestRenderers(t *testing.T) {
 	if g := PathGantt(worst); !contains(g, "critical path") || !contains(g, "simulation") {
 		t.Errorf("gantt missing rows:\n%s", g)
 	}
-	if fs := Forecasts(rep); len(fs) != 1 || fs[0] != "f1" {
-		t.Errorf("Forecasts = %v", fs)
-	}
 }
 
 func contains(s, sub string) bool {

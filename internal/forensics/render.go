@@ -3,23 +3,10 @@ package forensics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/plot"
 )
-
-// hhmm renders a duration in seconds as ±h:mm.
-func hhmm(sec float64) string {
-	sign := ""
-	if sec < 0 {
-		sign = "-"
-		sec = -sec
-	}
-	h := int(sec) / 3600
-	m := (int(sec) % 3600) / 60
-	return fmt.Sprintf("%s%d:%02d", sign, h, m)
-}
 
 // BlameTable renders the per-run decomposition for one forecast ("" = all
 // runs) as the foreman CLI's blame report.
@@ -39,9 +26,9 @@ func BlameTable(rep *Report, forecastName string) string {
 			flag = "!"
 		}
 		fmt.Fprintf(&b, "%-23s%s %4d %-10s %9s %7s %7s %7s %7s %7s %6.2f %-14s\n",
-			r.Forecast, flag, r.Day, r.Node, hhmm(r.Lateness),
-			hhmm(r.QueueWait), hhmm(r.Contention), hhmm(r.Failure),
-			hhmm(r.UpstreamWait), hhmm(r.EstimateError), r.MeanShare, r.Dominant)
+			r.Forecast, flag, r.Day, r.Node, plot.HHMM(r.Lateness),
+			plot.HHMM(r.QueueWait), plot.HHMM(r.Contention), plot.HHMM(r.Failure),
+			plot.HHMM(r.UpstreamWait), plot.HHMM(r.EstimateError), r.MeanShare, r.Dominant)
 	}
 	if shown == 0 {
 		fmt.Fprintf(&b, "(no analyzed runs%s)\n", forClause(forecastName))
@@ -86,7 +73,7 @@ func DayTable(rep *Report, width int) string {
 				}
 			}
 		}
-		fmt.Fprintf(&b, "%4d %5d %9s %-14s |%s\n", d.Day, d.Runs, hhmm(d.Lateness), d.Dominant, bar.String())
+		fmt.Fprintf(&b, "%4d %5d %9s %-14s |%s\n", d.Day, d.Runs, plot.HHMM(d.Lateness), d.Dominant, bar.String())
 	}
 	return b.String()
 }
@@ -125,7 +112,7 @@ func PathGantt(r *RunBlame) string {
 	}
 	g := plot.Gantt{
 		Title: fmt.Sprintf("critical path: %s day %d on %s (lateness %s, dominant %s; | = planned end)",
-			r.Forecast, r.Day, r.Node, hhmm(r.Lateness), r.Dominant),
+			r.Forecast, r.Day, r.Node, plot.HHMM(r.Lateness), r.Dominant),
 		Bars: bars,
 		Now:  now,
 	}
@@ -146,20 +133,6 @@ func WorstRun(rep *Report, forecastName string) *RunBlame {
 		}
 	}
 	return worst
-}
-
-// Forecasts returns the distinct forecast names in the report, sorted.
-func Forecasts(rep *Report) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for i := range rep.Runs {
-		if f := rep.Runs[i].Forecast; !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 func forClause(forecastName string) string {

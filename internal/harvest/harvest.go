@@ -68,21 +68,17 @@ type FS interface {
 // Options configure a Harvester. The zero value harvests /runs with no
 // telemetry.
 type Options struct {
-	// Root is the run-tree root to crawl (default "/runs").
-	Root string
-	// LogName is the per-run log file name (default "run.log").
-	LogName string
 	// Telemetry receives the harvester's metrics and pass spans (nil
 	// disables collection).
 	Telemetry *telemetry.Telemetry
 	// Clock supplies sim time for watermarks, harvested_at, and the
 	// staleness gauge (nil pins it at 0). Campaigns pass Engine.Now.
 	Clock func() float64
-	// OnRecord, when set, is called with every record ingested or
-	// updated — how a monitor feeds from the harvest rather than from
-	// in-script hooks.
-	OnRecord func(*logs.RunRecord)
 }
+
+// runsRoot is the run-tree root to crawl: where logs.RunDir puts every
+// run directory.
+const runsRoot = "/runs"
 
 // Migrations returns the schema migrations the harvester applies to its
 // database before ingesting:
@@ -214,12 +210,6 @@ func New(fs FS, db *statsdb.DB, journal JournalStore, opts Options) (*Harvester,
 	if fs == nil || db == nil || journal == nil {
 		return nil, fmt.Errorf("harvest: fs, db, and journal are all required")
 	}
-	if opts.Root == "" {
-		opts.Root = "/runs"
-	}
-	if opts.LogName == "" {
-		opts.LogName = "run.log"
-	}
 	if opts.Clock == nil {
 		opts.Clock = func() float64 { return 0 }
 	}
@@ -320,11 +310,11 @@ func (h *Harvester) Pass() (PassStats, error) {
 	stats := PassStats{Pass: h.passes + 1, At: now}
 
 	err := func() error {
-		if !h.fs.Exists(h.opts.Root) {
+		if !h.fs.Exists(runsRoot) {
 			return nil // nothing harvested yet; an empty pass, not an error
 		}
-		return h.fs.Walk(h.opts.Root, func(info vfs.FileInfo) error {
-			if info.IsDir || info.Name != h.opts.LogName {
+		return h.fs.Walk(runsRoot, func(info vfs.FileInfo) error {
+			if info.IsDir || info.Name != logs.LogName {
 				return nil
 			}
 			stats.Scanned++
@@ -375,15 +365,9 @@ func (h *Harvester) Pass() (PassStats, error) {
 					return err
 				}
 			}
-			if err := h.markLocked(&Watermark{
+			return h.markLocked(&Watermark{
 				Path: info.Path, MTime: info.MTime, Size: info.Size, Hash: hash, At: now,
-			}); err != nil {
-				return err
-			}
-			if h.opts.OnRecord != nil {
-				h.opts.OnRecord(rec)
-			}
-			return nil
+			})
 		})
 	}()
 	if err != nil {
@@ -462,7 +446,7 @@ func (h *Harvester) Status() Status {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := Status{
-		Root:          h.opts.Root,
+		Root:          runsRoot,
 		Passes:        h.passes,
 		LastPass:      h.lastPass,
 		Watermarks:    len(h.marks),

@@ -66,7 +66,9 @@ func (r *RunRecord) Validate() error {
 	default:
 		return fmt.Errorf("logs: record %s/%d has unknown status %q", r.Forecast, r.Day, r.Status)
 	}
-	if r.Status == StatusCompleted && r.Walltime <= 0 {
+	// Format stores walltimes to 0.01 s: a completed run shorter than
+	// that would be written as 0.00 and could not be read back.
+	if r.Status == StatusCompleted && r.Walltime < 0.01 {
 		return fmt.Errorf("logs: completed record %s/%d has walltime %v", r.Forecast, r.Day, r.Walltime)
 	}
 	return nil
@@ -78,8 +80,11 @@ func RunDir(forecast string, year, day int) string {
 	return fmt.Sprintf("/runs/%s/%d-%03d", forecast, year, day)
 }
 
+// LogName is the file name of the run log inside every run directory.
+const LogName = "run.log"
+
 // LogPath returns the run log path inside a run directory.
-func LogPath(dir string) string { return dir + "/run.log" }
+func LogPath(dir string) string { return dir + "/" + LogName }
 
 // Format renders a record as the textual run log.
 func Format(r *RunRecord) string {
@@ -264,7 +269,7 @@ func Crawl(fs *vfs.FS, root string) ([]*RunRecord, error) {
 	}
 	var records []*RunRecord
 	err := fs.Walk(root, func(info vfs.FileInfo) error {
-		if info.IsDir || info.Name != "run.log" {
+		if info.IsDir || info.Name != LogName {
 			return nil
 		}
 		rec, err := ParseFile(fs, info.Path)

@@ -132,6 +132,7 @@ func TestValidateRules(t *testing.T) {
 		{"day too large", func(r *RunRecord) { r.Day = 400 }},
 		{"bad status", func(r *RunRecord) { r.Status = "exploded" }},
 		{"completed without walltime", func(r *RunRecord) { r.Walltime = 0 }},
+		{"completed under the log's resolution", func(r *RunRecord) { r.Walltime = 0.004 }},
 	}
 	for _, tc := range cases {
 		r := sample()

@@ -212,10 +212,9 @@ func metricValue(fams []telemetry.FamilySnapshot, metric string, labels telemetr
 // when that heartbeat goes quiet. The rule stays silent until the metric
 // exists, so a campaign that never harvests never alerts.
 type StalenessRule struct {
-	Name     string           // rule name; also the dedupe key suffix
-	Metric   string           // gauge holding a sim-time timestamp
-	Labels   telemetry.Labels // series selector (nil = the unlabelled series)
-	MaxAge   float64          // fire while now − value > MaxAge (sim seconds)
+	Name     string  // rule name; also the dedupe key suffix
+	Metric   string  // unlabelled gauge holding a sim-time timestamp
+	MaxAge   float64 // fire while now − value > MaxAge (sim seconds)
 	Severity Severity
 }
 
@@ -225,10 +224,9 @@ type StalenessRule struct {
 // monitor differentiates the counter between consecutive ticks; the rule
 // resolves once the rate falls back under the bound.
 type RateRule struct {
-	Name         string           // rule name; also the dedupe key suffix
-	Metric       string           // counter to differentiate
-	Labels       telemetry.Labels // series selector (nil = the unlabelled series)
-	PerHourAbove float64          // fire while d(value)/dt > PerHourAbove per sim hour
+	Name         string  // rule name; also the dedupe key suffix
+	Metric       string  // unlabelled counter to differentiate
+	PerHourAbove float64 // fire while d(value)/dt > PerHourAbove per sim hour
 	Severity     Severity
 }
 
@@ -251,29 +249,29 @@ func labelsEqual(a, b telemetry.Labels) bool {
 	return true
 }
 
-// RegressionRule fires when a completed run's walltime exceeds Ratio
-// times the trailing median of that forecast's previous Window completed
-// runs — the rolling-window anomaly detector for the step changes of
-// Figures 8 and 9 (a doubled timestep count, a slower code version)
-// and for creeping contention. It resolves when a later run of the same
-// forecast comes back under the bound.
-type RegressionRule struct {
-	Window     int     // trailing runs forming the baseline (default 7)
-	Ratio      float64 // fire when walltime > Ratio × median (default 1.5)
-	MinSamples int     // baseline runs required before judging (default 3)
-	Severity   Severity
-	Disabled   bool
-}
+// The run-time regression rule fires (at warning) when a completed run's
+// walltime exceeds regressionRatio times the trailing median of that
+// forecast's previous regressionWindow completed runs — the rolling-window
+// anomaly detector for the step changes of Figures 8 and 9 (a doubled
+// timestep count, a slower code version) and for creeping contention. It
+// resolves when a later run of the same forecast comes back under the
+// bound.
+const (
+	regressionWindow     = 7   // trailing runs forming the baseline
+	regressionRatio      = 1.5 // fire when walltime > ratio × median
+	regressionMinSamples = 3   // baseline runs required before judging
+)
 
-// baseline computes the trailing median of walltimes (already oldest
-// first). It returns false with fewer than MinSamples samples.
-func (r RegressionRule) baseline(walltimes []float64) (float64, bool) {
+// trailingMedian computes the median of the last regressionWindow
+// walltimes (already oldest first). It returns false with fewer than
+// regressionMinSamples samples.
+func trailingMedian(walltimes []float64) (float64, bool) {
 	n := len(walltimes)
-	if n > r.Window {
-		walltimes = walltimes[n-r.Window:]
-		n = r.Window
+	if n > regressionWindow {
+		walltimes = walltimes[n-regressionWindow:]
+		n = regressionWindow
 	}
-	if n < r.MinSamples || n == 0 {
+	if n < regressionMinSamples {
 		return 0, false
 	}
 	sorted := append([]float64(nil), walltimes...)

@@ -90,6 +90,38 @@ func TestMonitorAttachedToCampaign(t *testing.T) {
 	}
 }
 
+// TestRetiredForecastNotMissing retires one of two forecasts on day 4 of
+// an 8-day campaign: the missing-run rule expects each day's roster, so
+// the retired forecast's absence from days 4–8 is not a missing run.
+func TestRetiredForecastNotMissing(t *testing.T) {
+	tel := telemetry.New()
+	c, err := factory.New(factory.Config{
+		Days: 8,
+		Forecasts: []factory.Assignment{
+			{Spec: attachSpec("f-keep", 86400), Node: "fnode01"},
+			{Spec: attachSpec("f-retire", 86400), Node: "fnode02"},
+		},
+		Events:    []factory.Event{factory.RemoveForecast{Day: 4, Forecast: "f-retire"}},
+		Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(DefaultOptions(), tel.Registry())
+	m.Attach(c)
+	c.Run()
+	m.Finalize(c.Engine().Now())
+
+	for _, a := range m.Alerts() {
+		if a.Rule == "missing_run" {
+			t.Errorf("missing_run alert: %s", a.Message)
+		}
+	}
+	if got := len(m.Status().Runs); got != 8+3 {
+		t.Errorf("tracked %d runs, want 11 (f-keep × 8, f-retire × 3)", got)
+	}
+}
+
 // TestAlertsQueryableViaSQL checks the foreman -sql path end to end:
 // alerts persisted into statsdb join against the runs table.
 func TestAlertsQueryableViaSQL(t *testing.T) {

@@ -30,6 +30,7 @@ import (
 	"repro/internal/factory"
 	"repro/internal/forecast"
 	"repro/internal/logs"
+	"repro/internal/plot"
 	"repro/internal/telemetry"
 )
 
@@ -77,18 +78,11 @@ type NodeStatus struct {
 	Utilization float64 `json:"utilization"`
 }
 
-// Options configure a Monitor. The zero value is usable; DefaultOptions
-// fills in the standard rule set.
+// Options configure a Monitor. The zero value is the standard control
+// room: the deadline and run-time regression rules always apply, and an
+// attached monitor also checks for missing runs; the fields below add
+// rules and inputs.
 type Options struct {
-	// TickEvery is the rule-evaluation interval in sim seconds when
-	// attached to a campaign (default 900 = 15 sim-minutes).
-	TickEvery float64
-	// PredictedSeverity and MissSeverity grade the deadline rule's two
-	// stages (defaults: warning, critical).
-	PredictedSeverity Severity
-	MissSeverity      Severity
-	// Regression is the rolling-window walltime anomaly rule.
-	Regression RegressionRule
 	// Thresholds are metric threshold rules evaluated every tick.
 	Thresholds []ThresholdRule
 	// Staleness rules watch timestamp gauges (harvest heartbeat) for
@@ -109,46 +103,41 @@ type Options struct {
 	// level shift (fed via ObserveChangepoint). Zero values disable both.
 	OutOfControl OutOfControlRule
 	Changepoint  ChangepointRule
-	// Expected lists the forecasts that must produce a run every campaign
-	// day — the data-quality rule for "a run we expected never appeared".
-	// Attach fills it from the campaign roster. Empty disables the check.
+	// Expected lists the forecasts that must produce a run every day —
+	// the data-quality rule for "a run we expected never appeared". Empty
+	// disables the check. An attached monitor expects the campaign's
+	// roster as of each day instead.
 	Expected []string
-	// LastDay bounds the missing-run check (Attach sets it to the last
-	// campaign day so drain time is not flagged).
+	// LastDay bounds the missing-run check over Expected (Attach bounds
+	// it at the last campaign day so drain time is not flagged).
 	LastDay int
 	// MissingRunGrace is how far past a day's deadline the monitor waits
 	// before declaring an expected run missing (sim seconds).
 	MissingRunGrace float64
-	// MissingRunSeverity grades missing-run alerts (default critical).
-	MissingRunSeverity Severity
 	// History seeds the estimator and the regression baselines with
 	// completed run records (e.g. harvested from the statsdb runs table).
 	History []*logs.RunRecord
-	// StartDay anchors day-of-year to campaign seconds (default 1).
-	// Attach overrides it from the campaign.
-	StartDay int
 	// Nodes supplies node speeds for the estimator. Attach overrides it
 	// from the campaign's cluster.
 	Nodes []core.NodeInfo
 	// Deadlines overrides the per-forecast deadline (seconds after
-	// midnight). Unlisted forecasts use the spec's deadline via SpecOf,
-	// else end of day.
+	// midnight). Unlisted forecasts use the campaign spec's deadline when
+	// attached, else end of day.
 	Deadlines map[string]float64
-	// SpecOf resolves a forecast's current spec for deadline lookup and
-	// history-less estimates. Attach wires it to Campaign.Spec.
-	SpecOf func(name string) *forecast.Spec
 }
 
 // DefaultOptions returns the standard control-room configuration.
 func DefaultOptions() Options {
-	return Options{
-		TickEvery:         900,
-		PredictedSeverity: SevWarning,
-		MissSeverity:      SevCritical,
-		Regression:        RegressionRule{Window: 7, Ratio: 1.5, MinSamples: 3, Severity: SevWarning},
-		StartDay:          1,
-	}
+	return Options{}
 }
+
+// Severities of the built-in rules: the deadline rule's two stages
+// (predicted, then actual miss) and a missing expected run.
+const (
+	predictedSeverity  = SevWarning
+	missSeverity       = SevCritical
+	missingRunSeverity = SevCritical
+)
 
 // Monitor is the control room's state: the SLO tracker, the alert
 // engine, and cached node utilization. All exported methods are safe for
@@ -157,6 +146,19 @@ type Monitor struct {
 	mu   sync.Mutex
 	opts Options
 	reg  *telemetry.Registry
+
+	// startDay anchors day-of-year to campaign seconds (1 unless a
+	// campaign is attached). specOf resolves a forecast's current spec
+	// for deadline lookup and history-less estimates; Attach wires it to
+	// Campaign.Spec.
+	startDay int
+	specOf   func(name string) *forecast.Spec
+	// expected is the missing-run rule's roster: expected[i] lists the
+	// forecasts that must produce a run on day startDay+i. The first
+	// settled past days have a record for every expected run; records
+	// are never forgotten, so the check skips them.
+	expected [][]string
+	settled  int
 
 	now  float64
 	done bool
@@ -185,34 +187,13 @@ type Monitor struct {
 // New builds a Monitor. reg (may be nil) receives the monitor's own
 // metrics: alerts firing/fired, deadline misses, predicted misses.
 func New(opts Options, reg *telemetry.Registry) *Monitor {
-	if opts.TickEvery <= 0 {
-		opts.TickEvery = 900
-	}
-	if opts.StartDay <= 0 {
-		opts.StartDay = 1
-	}
-	if opts.Regression.Window <= 0 {
-		opts.Regression.Window = 7
-	}
-	if opts.Regression.Ratio <= 0 {
-		opts.Regression.Ratio = 1.5
-	}
-	if opts.Regression.MinSamples <= 0 {
-		opts.Regression.MinSamples = 3
-	}
-	if opts.PredictedSeverity == 0 && opts.MissSeverity == 0 {
-		opts.PredictedSeverity = SevWarning
-		opts.MissSeverity = SevCritical
-	}
-	if opts.MissingRunSeverity == 0 {
-		opts.MissingRunSeverity = SevCritical
-	}
 	reg.Describe("monitor_deadline_misses_total", "Runs that completed (or are executing) past their deadline.")
 	reg.Describe("monitor_predicted_misses_total", "Deadline misses predicted before they occurred.")
 	reg.Describe("monitor_runs_tracked", "Runs currently tracked as executing.")
 	m := &Monitor{
 		opts:       opts,
 		reg:        reg,
+		startDay:   1,
 		runs:       make(map[string]*RunSLO),
 		walltimes:  make(map[string][]float64),
 		rates:      make(map[string]*rateState),
@@ -228,8 +209,17 @@ func New(opts Options, reg *telemetry.Registry) *Monitor {
 		}
 	}
 	m.estDirty = len(m.records) > 0
+	if len(opts.Expected) > 0 {
+		for day := m.startDay; day <= opts.LastDay; day++ {
+			m.expected = append(m.expected, opts.Expected)
+		}
+	}
 	return m
 }
+
+// tickEvery is the rule-evaluation interval in sim seconds when attached
+// to a campaign: 15 sim-minutes.
+const tickEvery = 900.0
 
 // Attach wires the monitor to a campaign: it subscribes to run-log
 // writes, reads specs and node speeds from the campaign, and schedules
@@ -237,10 +227,10 @@ func New(opts Options, reg *telemetry.Registry) *Monitor {
 // before the campaign runs.
 func (m *Monitor) Attach(c *factory.Campaign) {
 	m.mu.Lock()
-	m.opts.StartDay = c.StartDay()
-	m.opts.SpecOf = c.Spec
-	m.opts.Expected = c.Forecasts()
-	m.opts.LastDay = c.StartDay() + c.Days() - 1
+	m.startDay = c.StartDay()
+	m.specOf = c.Spec
+	m.expected = make([][]string, c.Days())
+	m.settled = 0
 	m.opts.Nodes = nil
 	for _, n := range c.Cluster().Nodes() {
 		m.opts.Nodes = append(m.opts.Nodes, core.NodeInfo{Name: n.Name(), CPUs: n.CPUs(), Speed: n.Speed()})
@@ -253,9 +243,18 @@ func (m *Monitor) Attach(c *factory.Campaign) {
 	eng := c.Engine()
 	sched := eng.Scope("monitor")
 	horizon := c.Horizon()
-	interval := m.opts.TickEvery
+	interval := tickEvery
+	rosterDay := 0
 	var tick func()
 	tick = func() {
+		// The first tick of each day records that day's roster. A tick at
+		// midnight runs after the campaign's day start (scheduled earlier
+		// for the same instant), so the day's add and remove events have
+		// applied.
+		if day := c.StartDay() + int(eng.Now()/factory.SecondsPerDay); day != rosterDay {
+			rosterDay = day
+			m.expectOn(day, c.Forecasts())
+		}
 		snap := c.Snapshot()
 		var nodes []NodeStatus
 		for _, n := range c.Cluster().Nodes() {
@@ -269,6 +268,15 @@ func (m *Monitor) Attach(c *factory.Campaign) {
 	sched.After(interval, tick)
 }
 
+// expectOn records the forecasts that must produce a run on day.
+func (m *Monitor) expectOn(day int, forecasts []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i := day - m.startDay; i >= 0 && i < len(m.expected) {
+		m.expected[i] = forecasts
+	}
+}
+
 // runKey builds the tracker key for a record.
 func runKey(forecastName string, day int) string {
 	return fmt.Sprintf("%s/%d", forecastName, day)
@@ -276,15 +284,15 @@ func runKey(forecastName string, day int) string {
 
 // dayStart converts a day of year to campaign seconds.
 func (m *Monitor) dayStart(day int) float64 {
-	return float64(day-m.opts.StartDay) * factory.SecondsPerDay
+	return float64(day-m.startDay) * factory.SecondsPerDay
 }
 
 // deadlineFor resolves a forecast's absolute deadline for a day.
 func (m *Monitor) deadlineFor(forecastName string, day int) float64 {
 	rel, ok := m.opts.Deadlines[forecastName]
 	if !ok {
-		if m.opts.SpecOf != nil {
-			if s := m.opts.SpecOf(forecastName); s != nil && s.Deadline > 0 {
+		if m.specOf != nil {
+			if s := m.specOf(forecastName); s != nil && s.Deadline > 0 {
 				rel = s.Deadline
 			}
 		}
@@ -318,8 +326,8 @@ func (m *Monitor) launchETA(rec *logs.RunRecord) float64 {
 	if err == nil {
 		return rec.Start + est.Seconds
 	}
-	if m.opts.SpecOf != nil {
-		if spec := m.opts.SpecOf(rec.Forecast); spec != nil {
+	if m.specOf != nil {
+		if spec := m.specOf(rec.Forecast); spec != nil {
 			for _, n := range m.opts.Nodes {
 				if n.Name == rec.Node && n.Speed > 0 {
 					return rec.Start + core.EstimateFromSpec(spec, n).Seconds
@@ -496,13 +504,13 @@ func (m *Monitor) evaluateLocked() {
 func (m *Monitor) checkStaleness(fams []telemetry.FamilySnapshot) {
 	for _, rule := range m.opts.Staleness {
 		key := "stale:" + rule.Name
-		v, ok := metricValue(fams, rule.Metric, rule.Labels)
+		v, ok := metricValue(fams, rule.Metric, nil)
 		if age := m.now - v; ok && age > rule.MaxAge {
 			m.book.fire(m.now, Alert{
 				Rule: rule.Name, Key: key, Severity: rule.Severity,
 				Value: age, Threshold: rule.MaxAge,
 				Message: fmt.Sprintf("%s: %s last updated %s ago (limit %s)",
-					rule.Name, rule.Metric, hhmm(age), hhmm(rule.MaxAge)),
+					rule.Name, rule.Metric, plot.HHMM(age), plot.HHMM(rule.MaxAge)),
 			})
 		} else {
 			m.book.resolve(m.now, key)
@@ -515,7 +523,7 @@ func (m *Monitor) checkStaleness(fams []telemetry.FamilySnapshot) {
 func (m *Monitor) checkRates(fams []telemetry.FamilySnapshot) {
 	for _, rule := range m.opts.Rates {
 		key := "rate:" + rule.Name
-		v, ok := metricValue(fams, rule.Metric, rule.Labels)
+		v, ok := metricValue(fams, rule.Metric, nil)
 		if !ok {
 			continue
 		}
@@ -546,28 +554,30 @@ func (m *Monitor) checkRates(fams []telemetry.FamilySnapshot) {
 // grace) has passed. A record appearing later (a delayed harvest, a
 // backfill) resolves the alert.
 func (m *Monitor) checkMissingRuns() {
-	if len(m.opts.Expected) == 0 || m.opts.LastDay < m.opts.StartDay {
-		return
-	}
-	curDay := m.opts.StartDay + int(m.now/factory.SecondsPerDay)
-	lastDay := m.opts.LastDay
+	curDay := m.startDay + int(m.now/factory.SecondsPerDay)
+	lastDay := m.startDay + len(m.expected) - 1
 	if curDay < lastDay {
 		lastDay = curDay
 	}
-	for day := m.opts.StartDay; day <= lastDay; day++ {
-		for _, f := range m.opts.Expected {
+	for day := m.startDay + m.settled; day <= lastDay; day++ {
+		complete := true
+		for _, f := range m.expected[day-m.startDay] {
 			key := runKey(f, day)
 			if _, ok := m.runs[key]; ok {
 				m.book.resolve(m.now, "missing_run:"+key)
 				continue
 			}
+			complete = false
 			if m.now > m.deadlineFor(f, day)+m.opts.MissingRunGrace {
 				m.book.fire(m.now, Alert{
 					Rule: "missing_run", Key: "missing_run:" + key,
-					Severity: m.opts.MissingRunSeverity, Forecast: f, Day: day,
+					Severity: missingRunSeverity, Forecast: f, Day: day,
 					Message: fmt.Sprintf("%s day %d: no run record past its deadline — expected production missing", f, day),
 				})
 			}
+		}
+		if complete && day < curDay && day == m.startDay+m.settled {
+			m.settled++
 		}
 	}
 }
@@ -588,11 +598,11 @@ func (m *Monitor) checkDeadline(r *RunSLO) {
 			m.mPredicted.Inc()
 		}
 		m.book.fire(m.now, Alert{
-			Rule: "deadline", Key: "deadline:" + key, Severity: m.opts.PredictedSeverity,
+			Rule: "deadline", Key: "deadline:" + key, Severity: predictedSeverity,
 			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
 			Value: r.ETA, Threshold: r.Deadline, Predicted: true,
 			Message: fmt.Sprintf("%s day %d predicted to finish %s after its deadline",
-				r.Forecast, r.Day, hhmm(r.ETA-r.Deadline)),
+				r.Forecast, r.Day, plot.HHMM(r.ETA-r.Deadline)),
 		})
 	case r.PredictedMiss:
 		// The ETA recovered (faster progress than estimated): resolve.
@@ -611,10 +621,10 @@ func (m *Monitor) fireMiss(r *RunSLO, predicted bool) {
 	prior := m.book.firing["deadline:"+key]
 	escalating := prior == nil || prior.Predicted
 	m.book.fire(m.now, Alert{
-		Rule: "deadline", Key: "deadline:" + key, Severity: m.opts.MissSeverity,
+		Rule: "deadline", Key: "deadline:" + key, Severity: missSeverity,
 		Forecast: r.Forecast, Day: r.Day, Node: r.Node,
 		Value: m.now, Threshold: r.Deadline, Predicted: predicted,
-		Message: fmt.Sprintf("%s day %d missed its deadline by %s", r.Forecast, r.Day, hhmm(over)),
+		Message: fmt.Sprintf("%s day %d missed its deadline by %s", r.Forecast, r.Day, plot.HHMM(over)),
 	})
 	if escalating {
 		m.mLate.Inc()
@@ -624,23 +634,19 @@ func (m *Monitor) fireMiss(r *RunSLO, predicted bool) {
 // checkRegression compares a completed run against the trailing median
 // of its forecast's previous runs.
 func (m *Monitor) checkRegression(rec *logs.RunRecord) {
-	rule := m.opts.Regression
-	if rule.Disabled {
-		return
-	}
-	median, ok := rule.baseline(m.walltimes[rec.Forecast])
+	median, ok := trailingMedian(m.walltimes[rec.Forecast])
 	if !ok {
 		return
 	}
 	key := "regression:" + rec.Forecast
-	bound := rule.Ratio * median
+	bound := regressionRatio * median
 	if rec.Walltime > bound {
 		m.book.fire(m.now, Alert{
-			Rule: "runtime_regression", Key: key, Severity: rule.Severity,
+			Rule: "runtime_regression", Key: key, Severity: SevWarning,
 			Forecast: rec.Forecast, Day: rec.Day, Node: rec.Node,
 			Value: rec.Walltime, Threshold: bound,
 			Message: fmt.Sprintf("%s day %d ran %.0fs, %.1f× the trailing %d-run median %.0fs",
-				rec.Forecast, rec.Day, rec.Walltime, rec.Walltime/median, rule.Window, median),
+				rec.Forecast, rec.Day, rec.Walltime, rec.Walltime/median, regressionWindow, median),
 		})
 	} else {
 		m.book.resolve(m.now, key)
@@ -711,7 +717,7 @@ func (m *Monitor) Status() Status {
 	defer m.mu.Unlock()
 	st := Status{
 		Now:  m.now,
-		Day:  m.opts.StartDay + int(m.now/factory.SecondsPerDay),
+		Day:  m.startDay + int(m.now/factory.SecondsPerDay),
 		Done: m.done,
 	}
 	st.Runs = make([]RunSLO, 0, len(m.order))
@@ -841,23 +847,11 @@ func (r SLOReport) String() string {
 	row := func(f ForecastSLO) {
 		fmt.Fprintf(&b, "%-26s %5d %7d %5d %7d %9.1f%% %12s %12s\n",
 			f.Forecast, f.Runs, f.OnTime, f.Late, f.Dropped,
-			100*f.Attainment, hhmm(f.WorstLateness), hhmm(f.MeanBudget))
+			100*f.Attainment, plot.HHMM(f.WorstLateness), plot.HHMM(f.MeanBudget))
 	}
 	for _, f := range r.Forecasts {
 		row(f)
 	}
 	row(r.Total)
 	return b.String()
-}
-
-// hhmm renders a duration in seconds as ±h:mm.
-func hhmm(sec float64) string {
-	sign := ""
-	if sec < 0 {
-		sign = "-"
-		sec = -sec
-	}
-	h := int(sec) / 3600
-	m := (int(sec) % 3600) / 60
-	return fmt.Sprintf("%s%d:%02d", sign, h, m)
 }

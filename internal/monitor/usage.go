@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/plot"
 	"repro/internal/telemetry"
 	"repro/internal/usage"
 )
@@ -44,7 +45,7 @@ func (m *Monitor) checkDrift(r *RunSLO) {
 			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
 			Value: rel, Threshold: rule.RelAbove,
 			Message: fmt.Sprintf("%s day %d landed %s %s of plan (%.0f%% of predicted duration)",
-				r.Forecast, r.Day, hhmm(math.Abs(delta)), direction, 100*rel),
+				r.Forecast, r.Day, plot.HHMM(math.Abs(delta)), direction, 100*rel),
 		})
 	} else {
 		m.book.resolve(m.now, key)

@@ -152,3 +152,16 @@ func csvEscape(s string) string {
 	}
 	return s
 }
+
+// HHMM renders a duration in seconds as ±h:mm, truncated to the minute:
+// the reports' and alert messages' one duration format.
+func HHMM(sec float64) string {
+	sign := ""
+	if sec < 0 {
+		sign = "-"
+		sec = -sec
+	}
+	h := int(sec) / 3600
+	m := (int(sec) % 3600) / 60
+	return fmt.Sprintf("%s%d:%02d", sign, h, m)
+}

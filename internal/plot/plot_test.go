@@ -112,3 +112,20 @@ func TestGanttEmptyAndDefaults(t *testing.T) {
 		t.Fatalf("horizon label missing:\n%s", out)
 	}
 }
+
+func TestHHMM(t *testing.T) {
+	for _, tc := range []struct {
+		sec  float64
+		want string
+	}{
+		{0, "0:00"},
+		{59, "0:00"},
+		{3600, "1:00"},
+		{-1.5 * 3600, "-1:30"},
+		{86399.9, "23:59"},
+	} {
+		if got := HHMM(tc.sec); got != tc.want {
+			t.Errorf("HHMM(%v) = %q, want %q", tc.sec, got, tc.want)
+		}
+	}
+}

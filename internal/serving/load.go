@@ -23,19 +23,8 @@ type Storm struct {
 // LoadConfig describes the synthetic user population.
 type LoadConfig struct {
 	// Users is the simulated population size.
-	Users int
-	// RequestsPerUserDay is the mean daily request rate per user
-	// (default 2).
-	RequestsPerUserDay float64
-	// Step is the batching interval in seconds (default 60): one event
-	// per step issues the whole step's requests via ArriveN, so 1M+ users
-	// cost ~1440 events/day.
-	Step float64
-	// DiurnalAmplitude in [0,1) shapes the day curve (default 0.6);
-	// PeakHour is the local-time maximum (default 9).
-	DiurnalAmplitude float64
-	PeakHour         float64
-	Storms           []Storm
+	Users  int
+	Storms []Storm
 	// Seed makes the jittered per-product split deterministic (default 1).
 	Seed int64
 }
@@ -58,21 +47,6 @@ func NewGenerator(e *Edge, cfg LoadConfig) (*Generator, error) {
 	if cfg.Users <= 0 {
 		return nil, fmt.Errorf("serving: load needs Users > 0")
 	}
-	if cfg.RequestsPerUserDay <= 0 {
-		cfg.RequestsPerUserDay = 2
-	}
-	if cfg.Step <= 0 {
-		cfg.Step = 60
-	}
-	if cfg.DiurnalAmplitude < 0 || cfg.DiurnalAmplitude >= 1 {
-		return nil, fmt.Errorf("serving: diurnal amplitude must be in [0,1)")
-	}
-	if cfg.DiurnalAmplitude == 0 {
-		cfg.DiurnalAmplitude = 0.6
-	}
-	if cfg.PeakHour == 0 {
-		cfg.PeakHour = 9
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -92,11 +66,23 @@ func NewGenerator(e *Edge, cfg LoadConfig) (*Generator, error) {
 	return g, nil
 }
 
+// diurnalAmplitude in [0,1) shapes the day curve; peakHour is its
+// local-time maximum.
+const (
+	diurnalAmplitude = 0.6
+	peakHour         = 9.0
+)
+
 // diurnal is the day-shape factor at simulation time t.
 func (g *Generator) diurnal(t float64) float64 {
 	h := math.Mod(t/3600, 24)
-	return 1 + g.cfg.DiurnalAmplitude*math.Cos(2*math.Pi*(h-g.cfg.PeakHour)/24)
+	return 1 + diurnalAmplitude*math.Cos(2*math.Pi*(h-peakHour)/24)
 }
+
+// loadStep is the batching interval in seconds: one event per step
+// issues the whole step's requests via ArriveN, so 1M+ users cost ~1440
+// events/day.
+const loadStep = 60.0
 
 // Start schedules one batch event per step until the horizon.
 func (g *Generator) Start(until float64) {
@@ -104,17 +90,20 @@ func (g *Generator) Start(until float64) {
 	var step func()
 	step = func() {
 		g.emit(g.edge.cfg.Engine.Now())
-		if g.edge.cfg.Engine.Now()+g.cfg.Step <= until {
-			sched.After(g.cfg.Step, step)
+		if g.edge.cfg.Engine.Now()+loadStep <= until {
+			sched.After(loadStep, step)
 		}
 	}
-	sched.After(g.cfg.Step, step)
+	sched.After(loadStep, step)
 }
+
+// requestsPerUserDay is the mean daily request rate per user.
+const requestsPerUserDay = 2.0
 
 // emit issues one step's worth of requests, split over products by
 // weight with small multiplicative jitter.
 func (g *Generator) emit(now float64) {
-	base := float64(g.cfg.Users) * g.cfg.RequestsPerUserDay / 86400 * g.diurnal(now)
+	base := float64(g.cfg.Users) * requestsPerUserDay / 86400 * g.diurnal(now)
 	// Storm surges: global multiplier, plus per-forecast focus.
 	focus := make(map[string]float64)
 	mult := 1.0
@@ -132,7 +121,7 @@ func (g *Generator) emit(now float64) {
 			focus[s.Forecast] = f * s.Multiplier
 		}
 	}
-	perStep := base * mult * g.cfg.Step
+	perStep := base * mult * loadStep
 	for i, name := range g.names {
 		share := perStep * g.weights[i] / g.wsum
 		if f := focus[g.edge.products[name].p.Forecast]; f > 1 {

@@ -27,34 +27,36 @@ type ScenarioConfig struct {
 	Products []Product // default: DefaultProducts over five CORIE-style forecasts
 	Load     LoadConfig
 
-	// PublishOffset is when each day's product files appear on the
-	// factory side (default 6h after midnight). LateDay (0-based; -1 =
-	// none; zero value means day 0 is never late — use ≥1) publishes
-	// LateBy seconds late: the headline cache-miss-storm failure mode.
-	PublishOffset float64
-	LateDay       int
-	LateBy        float64
+	// LateDay (0-based; -1 = none; zero value means day 0 is never late
+	// — use ≥1) publishes LateBy seconds late: the headline
+	// cache-miss-storm failure mode.
+	LateDay int
+	LateBy  float64
 
-	// ProductBytes per product file (default 8 MB) over a Bandwidth
-	// bytes/s link (default 12.5e6 ≈ 100 Mb/s), scanned every
-	// RsyncInterval seconds (default 300).
-	ProductBytes  int64
-	Bandwidth     float64
-	RsyncInterval float64
-
-	// StockWork is the made-to-stock product generation the public server
-	// runs each day (default 3h of CPU), due StockDeadline seconds after
-	// the day's data actually arrives (default 4h).
-	StockWork     float64
-	StockDeadline float64
 	// NoStockGuard disables the admission oracle — the control arm that
 	// shows why the guard matters.
 	NoStockGuard bool
 
 	MaxRenders int
 	MaxQueue   int
-	HotRate    float64
 }
+
+// The scenario's fixed plant.
+const (
+	// publishOffset is when each day's product files appear on the
+	// factory side: 6h after midnight.
+	publishOffset = 6 * 3600
+	// productBytes per product file (8 MB) over a bandwidth bytes/s link
+	// (12.5e6 ≈ 100 Mb/s), scanned every rsyncInterval seconds.
+	productBytes  = 8 << 20
+	bandwidth     = 12.5e6
+	rsyncInterval = 300
+	// stockWork is the made-to-stock product generation the public server
+	// runs each day (3h of CPU), due stockDeadline seconds after the day's
+	// data actually arrives (4h).
+	stockWork     = 3 * 3600
+	stockDeadline = 4 * 3600
+)
 
 // ScenarioResult is one scenario's outcome.
 type ScenarioResult struct {
@@ -80,24 +82,6 @@ func (c *ScenarioConfig) defaults() {
 			"columbia": 10, "willapa": 6, "grays": 4, "fraser": 3, "yaquina": 2,
 		})
 	}
-	if c.PublishOffset <= 0 {
-		c.PublishOffset = 6 * 3600
-	}
-	if c.ProductBytes <= 0 {
-		c.ProductBytes = 8 << 20
-	}
-	if c.Bandwidth <= 0 {
-		c.Bandwidth = 12.5e6
-	}
-	if c.RsyncInterval <= 0 {
-		c.RsyncInterval = 300
-	}
-	if c.StockWork <= 0 {
-		c.StockWork = 3 * 3600
-	}
-	if c.StockDeadline <= 0 {
-		c.StockDeadline = 4 * 3600
-	}
 }
 
 // RunScenario simulates the configured days and returns the edge's
@@ -111,7 +95,7 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 
 	srcFS := vfs.New(eng.Now)
 	dstFS := vfs.New(eng.Now)
-	link := netsim.NewLink(eng, "wan", cfg.Bandwidth)
+	link := netsim.NewLink(eng, "wan", bandwidth)
 
 	// Made-to-stock product generation on the public server, due a fixed
 	// window after each day's data arrives.
@@ -130,18 +114,18 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	}
 	expected := make(map[string]target, cfg.Days*len(cfg.Products))
 	observer := func(t float64, path string, destSize int64) {
-		if destSize >= cfg.ProductBytes {
+		if destSize >= productBytes {
 			if tg, ok := expected[path]; ok {
 				edge.Publish(tg.product, tg.cycle, t)
 				delete(expected, path)
 			}
 		}
 	}
-	rsync := netsim.NewRsync(eng, srcFS, dstFS, link, cfg.RsyncInterval, []string{"/products"}, observer)
+	rsync := netsim.NewRsync(eng, srcFS, dstFS, link, rsyncInterval, []string{"/products"}, observer)
 
 	for d := 0; d < cfg.Days; d++ {
 		d := d
-		pub := float64(d)*86400 + cfg.PublishOffset
+		pub := float64(d)*86400 + publishOffset
 		if d == cfg.LateDay && cfg.LateBy > 0 {
 			pub += cfg.LateBy
 		}
@@ -149,15 +133,15 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 			path := fmt.Sprintf("/products/%s/day%d", p.Name, d)
 			expected[path] = target{product: p.Name, cycle: d}
 			sched.At(pub, func() {
-				if err := srcFS.Append(path, cfg.ProductBytes); err != nil {
+				if err := srcFS.Append(path, productBytes); err != nil {
 					panic(err)
 				}
 			})
 		}
 		name := fmt.Sprintf("stock-d%d", d)
 		sched.At(pub, func() {
-			deadlines[name] = eng.Now() + cfg.StockDeadline
-			stockJobs[name] = server.Submit("stock:"+name, cfg.StockWork, func() {
+			deadlines[name] = eng.Now() + stockDeadline
+			stockJobs[name] = server.Submit("stock:"+name, stockWork, func() {
 				completions[name] = eng.Now()
 				delete(stockJobs, name)
 			})
@@ -190,7 +174,6 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		Products:   cfg.Products,
 		MaxRenders: cfg.MaxRenders,
 		MaxQueue:   cfg.MaxQueue,
-		HotRate:    cfg.HotRate,
 		Stock:      stockState,
 	})
 	if err != nil {

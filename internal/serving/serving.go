@@ -53,9 +53,6 @@ type Config struct {
 	Server *cluster.Node
 	// Products is the public catalog.
 	Products []Product
-	// CycleLength is the forecast cycle in seconds (default 86400: the
-	// daily forecast). A cached entry from an older cycle is stale.
-	CycleLength float64
 	// MaxRenders bounds concurrent renders (default: server CPUs).
 	MaxRenders int
 	// MaxQueue bounds the render queue; beyond it requests degrade to
@@ -64,11 +61,6 @@ type Config struct {
 	// HotRate is the decayed requests-per-hour rate above which a product
 	// counts as popular (default 600).
 	HotRate float64
-	// DemandTau is the demand decay time constant in seconds (default 3600).
-	DemandTau float64
-	// RetryInterval re-polls the admission oracle for queued renders
-	// (default 60).
-	RetryInterval float64
 	// Stock, when set, returns the current made-to-stock state for the
 	// admission oracle. A render is admitted only if DeadlineAwarePolicy
 	// says every stock deadline still holds with the render's work (and
@@ -192,9 +184,6 @@ func New(cfg Config) (*Edge, error) {
 	if len(cfg.Products) == 0 {
 		return nil, fmt.Errorf("serving: empty product catalog")
 	}
-	if cfg.CycleLength <= 0 {
-		cfg.CycleLength = 86400
-	}
 	if cfg.MaxRenders <= 0 {
 		cfg.MaxRenders = cfg.Server.CPUs()
 	}
@@ -203,12 +192,6 @@ func New(cfg Config) (*Edge, error) {
 	}
 	if cfg.HotRate <= 0 {
 		cfg.HotRate = 600
-	}
-	if cfg.DemandTau <= 0 {
-		cfg.DemandTau = 3600
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = 60
 	}
 	e := &Edge{
 		cfg:        cfg,
@@ -330,10 +313,14 @@ func (e *Edge) ArriveN(product string, n int64) {
 	e.enqueue(job, now)
 }
 
+// cycleLength is the forecast cycle in seconds: the daily forecast. A
+// cached entry from an older cycle is stale.
+const cycleLength = 86400.0
+
 // tier classifies the product right now: fresh (a render would serve the
 // current cycle) beats stale, hot (decayed demand above HotRate) beats cold.
 func (e *Edge) tier(ps *productState, now float64) int {
-	fresh := ps.cycle >= 0 && ps.cycle == int(now/e.cfg.CycleLength)
+	fresh := ps.cycle >= 0 && ps.cycle == int(now/cycleLength)
 	hot := e.decayedRate(ps, now) >= e.cfg.HotRate
 	switch {
 	case fresh && hot:
@@ -347,8 +334,11 @@ func (e *Edge) tier(ps *productState, now float64) int {
 	}
 }
 
+// demandTau is the demand decay time constant in seconds.
+const demandTau = 3600.0
+
 func (e *Edge) noteDemand(ps *productState, now float64, n int64) {
-	ps.rate = e.decayedRate(ps, now) + float64(n)*3600/e.cfg.DemandTau
+	ps.rate = e.decayedRate(ps, now) + float64(n)*3600/demandTau
 	ps.rateAt = now
 }
 
@@ -356,7 +346,7 @@ func (e *Edge) decayedRate(ps *productState, now float64) float64 {
 	if now <= ps.rateAt {
 		return ps.rate
 	}
-	return ps.rate * math.Exp(-(now-ps.rateAt)/e.cfg.DemandTau)
+	return ps.rate * math.Exp(-(now-ps.rateAt)/demandTau)
 }
 
 // admit asks the on-demand what-if oracle whether the server can absorb
@@ -474,11 +464,15 @@ func (e *Edge) drainQueue(now float64) {
 	}
 }
 
+// retryInterval is how often, in seconds, queued renders re-poll the
+// admission oracle.
+const retryInterval = 60.0
+
 func (e *Edge) armRetry() {
 	if e.retry.Active() {
 		return
 	}
-	e.retry = e.sched.After(e.cfg.RetryInterval, func() {
+	e.retry = e.sched.After(retryInterval, func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		e.drainQueue(e.cfg.Engine.Now())

@@ -105,23 +105,6 @@ func ChangepointTable(rep *Report) string {
 	return b.String()
 }
 
-// Subjects returns the distinct subjects monitored for a kind, sorted.
-func Subjects(rep *Report, kind string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for i := range rep.Series {
-		if rep.Series[i].Kind != kind {
-			continue
-		}
-		if s := rep.Series[i].Subject; !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // FilterSubject returns a report restricted to one subject (plus the
 // factory-wide series, which belong to every view); "" or "all" returns
 // rep unchanged.

@@ -1,9 +1,9 @@
 // Package stats provides the statistical tooling §4.3.2 of the paper
 // builds on the run database: least-squares fits confirming that run time
 // is linear in timesteps and near-linear in mesh sides, scaling-based
-// run-time estimation, and statistical-process-control style analysis of
-// walltime series (moving averages, MAD outlier detection, control
-// charts) to spot contention spikes and code-change level shifts.
+// run-time estimation, and summary statistics plus MAD outlier and
+// level-shift detection over walltime series to spot contention spikes
+// and code-change steps. Control charts live in package spc.
 package stats
 
 import (
@@ -116,29 +116,6 @@ func MAD(xs []float64) float64 {
 	return Median(devs)
 }
 
-// MovingAverage returns the trailing moving average with the given window
-// (each output point averages the window ending at that index; shorter
-// prefixes average what is available).
-func MovingAverage(xs []float64, window int) []float64 {
-	if window <= 0 {
-		window = 1
-	}
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, v := range xs {
-		sum += v
-		if i >= window {
-			sum -= xs[i-window]
-		}
-		n := window
-		if i+1 < window {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
-}
-
 // Outliers flags points whose distance from the series median exceeds
 // k × MAD (robust z-score). It returns the indexes of flagged points.
 // Contention spikes like days 172 and 192 of Figure 9 surface this way.
@@ -162,41 +139,6 @@ func Outliers(xs []float64, k float64) []int {
 	var out []int
 	for i, v := range xs {
 		if math.Abs(v-m) > k*mad {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ControlChart is an SPC chart over a walltime series: a center line with
-// upper/lower control limits at k sigma.
-type ControlChart struct {
-	Center float64
-	Sigma  float64
-	K      float64
-	Upper  float64
-	Lower  float64
-}
-
-// NewControlChart builds a chart from a baseline sample.
-func NewControlChart(baseline []float64, k float64) (ControlChart, error) {
-	if len(baseline) < 2 {
-		return ControlChart{}, fmt.Errorf("stats: control chart needs ≥2 baseline points, got %d", len(baseline))
-	}
-	if k <= 0 {
-		k = 3
-	}
-	c := ControlChart{Center: Mean(baseline), Sigma: StdDev(baseline), K: k}
-	c.Upper = c.Center + k*c.Sigma
-	c.Lower = c.Center - k*c.Sigma
-	return c, nil
-}
-
-// OutOfControl returns the indexes of points outside the control limits.
-func (c ControlChart) OutOfControl(xs []float64) []int {
-	var out []int
-	for i, v := range xs {
-		if v > c.Upper || v < c.Lower {
 			out = append(out, i)
 		}
 	}

@@ -94,20 +94,6 @@ func TestMAD(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	got := MovingAverage(xs, 3)
-	want := []float64{1, 1.5, 2, 3, 4}
-	for i := range want {
-		if !almost(got[i], want[i], 1e-12) {
-			t.Fatalf("MovingAverage = %v, want %v", got, want)
-		}
-	}
-	if got := MovingAverage(xs, 0); !almost(got[4], 5, 1e-12) {
-		t.Fatal("window 0 should behave as window 1")
-	}
-}
-
 func TestOutliersFlagSpikes(t *testing.T) {
 	// A walltime series with two contention spikes (Figure 9 style).
 	xs := []float64{52000, 52100, 51900, 52050, 64000, 52000, 51950, 57500, 52020}
@@ -125,29 +111,6 @@ func TestOutliersDegenerateSeries(t *testing.T) {
 	}
 	if Outliers(nil, 3) != nil {
 		t.Fatal("Outliers(nil) should be nil")
-	}
-}
-
-func TestControlChart(t *testing.T) {
-	baseline := []float64{100, 102, 98, 101, 99}
-	c, err := NewControlChart(baseline, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(c.Center, 100, 1e-9) {
-		t.Fatalf("Center = %v", c.Center)
-	}
-	out := c.OutOfControl([]float64{100, 103, 120, 80, 99})
-	if len(out) != 2 || out[0] != 2 || out[1] != 3 {
-		t.Fatalf("OutOfControl = %v", out)
-	}
-	if _, err := NewControlChart([]float64{1}, 3); err == nil {
-		t.Fatal("short baseline accepted")
-	}
-	// k defaults to 3 when non-positive.
-	c2, err := NewControlChart(baseline, 0)
-	if err != nil || c2.K != 3 {
-		t.Fatalf("default k = %v, err %v", c2.K, err)
 	}
 }
 

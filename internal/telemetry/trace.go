@@ -12,6 +12,11 @@ import (
 // planner pass}. Spans are created by Tracer.Begin and closed by End; a
 // nil Span ignores all operations, so call sites need no telemetry
 // checks.
+//
+// A live span (one Begin returned) carries the fields fixed at Begin —
+// ID, Parent, Cat, Name, Track and Start — and reads its end and
+// annotations through Finished, Duration and Arg. The detached copies
+// Tracer.Spans returns carry every field.
 type Span struct {
 	tracer *Tracer
 
@@ -40,7 +45,7 @@ func (s *Span) Finished() bool {
 	}
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	return s.finished
+	return s.tracer.rec(s.ID).finished
 }
 
 // Duration returns End-Start for a finished span, else the time elapsed
@@ -54,8 +59,8 @@ func (s *Span) Duration() float64 {
 	}
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	if s.finished {
-		return s.End - s.Start
+	if r := s.tracer.rec(s.ID); r.finished {
+		return r.end - r.start
 	}
 	return s.tracer.clock() - s.Start
 }
@@ -65,14 +70,16 @@ func (s *Span) SetArg(key, value string) {
 	if s == nil {
 		return
 	}
-	if s.tracer != nil {
-		s.tracer.mu.Lock()
-		defer s.tracer.mu.Unlock()
+	if s.tracer == nil {
+		if s.Args == nil {
+			s.Args = make(map[string]string, 4)
+		}
+		s.Args[key] = value
+		return
 	}
-	if s.Args == nil {
-		s.Args = make(map[string]string, 4)
-	}
-	s.Args[key] = value
+	s.tracer.mu.Lock()
+	s.tracer.setArg(s.ID, key, value)
+	s.tracer.mu.Unlock()
 }
 
 // Arg reads an annotation ("" when absent or on nil).
@@ -85,7 +92,7 @@ func (s *Span) Arg(key string) string {
 	}
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	return s.Args[key]
+	return s.tracer.args[s.ID][key]
 }
 
 // EndSpan closes the span at the tracer's current sim time. Ending an
@@ -95,11 +102,25 @@ func (s *Span) EndSpan() {
 		return
 	}
 	s.tracer.mu.Lock()
-	if !s.finished {
-		s.finished = true
-		s.End = s.tracer.clock()
+	if r := s.tracer.rec(s.ID); !r.finished {
+		r.finished = true
+		r.end = s.tracer.clock()
 	}
 	s.tracer.mu.Unlock()
+}
+
+// spanRec is the tracer's own record of one span. It holds no pointers
+// (the strings are indices into the tracer's intern table, the
+// annotations live in Tracer.args), so the garbage collector never
+// scans the record chunks. A campaign records tens of thousands of
+// product-task spans, and a pointer-bearing record would be re-scanned
+// on every collection cycle for the rest of the campaign.
+type spanRec struct {
+	parent           int64
+	start, end       float64
+	cat, name, track uint32
+	finished         bool
+	hasArgs          bool
 }
 
 // Tracer records sim-time spans. Create with NewTracer; a nil Tracer
@@ -107,22 +128,23 @@ func (s *Span) EndSpan() {
 type Tracer struct {
 	mu    sync.Mutex
 	clock func() float64
-	next  int64
-	spans []*Span
-	// arena is the current backing chunk for span storage. Campaigns
-	// record tens of thousands of short spans; carving them out of fixed
-	// chunks keeps Begin from being one heap allocation (and one GC
-	// object) per span. Chunks are never grown, so &arena[i] stays valid.
-	arena []Span
+	// chunks store the records in creation order: span ID i lives at
+	// chunks[(i-1)/tracerChunk][(i-1)%tracerChunk]. Chunks are never
+	// grown, so recording a span never copies earlier ones.
+	chunks [][]spanRec
+	n      int64
+	strs   []string          // interned Cat, Name and Track values
+	strID  map[string]uint32 // string → index in strs
+	args   map[int64]map[string]string
 }
 
-// tracerChunk is the span-arena chunk size.
+// tracerChunk is the span-record chunk size.
 const tracerChunk = 256
 
 // NewTracer returns a tracer reading sim time from clock (nil clock
 // pins time at 0 until SetClock installs a real one).
 func NewTracer(clock func() float64) *Tracer {
-	t := &Tracer{}
+	t := &Tracer{strID: make(map[string]uint32)}
 	t.SetClock(clock)
 	return t
 }
@@ -141,33 +163,64 @@ func (t *Tracer) SetClock(clock func() float64) {
 	t.mu.Unlock()
 }
 
+// rec returns the record of span id. Callers hold t.mu.
+func (t *Tracer) rec(id int64) *spanRec {
+	i := id - 1
+	return &t.chunks[i/tracerChunk][i%tracerChunk]
+}
+
+// intern returns s's index in the string table. Callers hold t.mu.
+func (t *Tracer) intern(s string) uint32 {
+	id, ok := t.strID[s]
+	if !ok {
+		id = uint32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.strID[s] = id
+	}
+	return id
+}
+
+// setArg annotates span id. Callers hold t.mu.
+func (t *Tracer) setArg(id int64, key, value string) {
+	m := t.args[id]
+	if m == nil {
+		if t.args == nil {
+			t.args = make(map[int64]map[string]string)
+		}
+		m = make(map[string]string, 4)
+		t.args[id] = m
+	}
+	m[key] = value
+	t.rec(id).hasArgs = true
+}
+
 // Begin opens a span under parent (nil for a root span) at the current
 // sim time.
 func (t *Tracer) Begin(cat, name, track string, parent *Span) *Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	t.next++
-	if len(t.arena) == cap(t.arena) {
-		t.arena = make([]Span, 0, tracerChunk)
-	}
-	t.arena = append(t.arena, Span{
-		tracer: t,
-		ID:     t.next,
-		Cat:    cat,
-		Name:   name,
-		Track:  track,
-		Start:  t.clock(),
-	})
-	s := &t.arena[len(t.arena)-1]
+	s := &Span{tracer: t, Cat: cat, Name: name, Track: track}
 	if parent != nil {
 		s.Parent = parent.ID
 		if s.Track == "" {
 			s.Track = parent.Track
 		}
 	}
-	t.spans = append(t.spans, s)
+	t.mu.Lock()
+	if t.n%tracerChunk == 0 {
+		t.chunks = append(t.chunks, make([]spanRec, tracerChunk))
+	}
+	t.n++
+	s.ID = t.n
+	s.Start = t.clock()
+	*t.rec(s.ID) = spanRec{
+		parent: s.Parent,
+		start:  s.Start,
+		cat:    t.intern(cat),
+		name:   t.intern(name),
+		track:  t.intern(s.Track),
+	}
 	t.mu.Unlock()
 	return s
 }
@@ -181,14 +234,11 @@ func (t *Tracer) EndOpen() {
 	}
 	t.mu.Lock()
 	now := t.clock()
-	for _, s := range t.spans {
-		if !s.finished {
-			s.finished = true
-			s.End = now
-			if s.Args == nil {
-				s.Args = make(map[string]string, 1)
-			}
-			s.Args["interrupted"] = "true"
+	for id := int64(1); id <= t.n; id++ {
+		if r := t.rec(id); !r.finished {
+			r.finished = true
+			r.end = now
+			t.setArg(id, "interrupted", "true")
 		}
 	}
 	t.mu.Unlock()
@@ -201,7 +251,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return int(t.n)
 }
 
 // Spans returns a copy of all recorded spans in creation order.
@@ -213,16 +263,27 @@ func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.clock()
-	out := make([]Span, len(t.spans))
-	for i, s := range t.spans {
-		c := *s
-		c.tracer = nil
-		if !s.finished {
+	out := make([]Span, t.n)
+	for i := range out {
+		id := int64(i) + 1
+		r := t.rec(id)
+		c := Span{
+			ID:       id,
+			Parent:   r.parent,
+			Cat:      t.strs[r.cat],
+			Name:     t.strs[r.name],
+			Track:    t.strs[r.track],
+			Start:    r.start,
+			End:      r.end,
+			finished: r.finished,
+		}
+		if !r.finished {
 			c.End = now
 		}
-		if len(s.Args) > 0 {
-			c.Args = make(map[string]string, len(s.Args))
-			for k, v := range s.Args {
+		if r.hasArgs {
+			src := t.args[id]
+			c.Args = make(map[string]string, len(src))
+			for k, v := range src {
 				c.Args[k] = v
 			}
 		}

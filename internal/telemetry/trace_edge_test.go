@@ -1,6 +1,9 @@
 package telemetry
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // The forensics layer reconstructs causal chains from exported spans, so
 // the tracer's edge behavior — out-of-order ends, interrupted spans,
@@ -109,4 +112,40 @@ func TestDurationOnUnfinishedSpans(t *testing.T) {
 		t.Error("nil span must report zero duration, not finished")
 	}
 	nilSpan.EndSpan() // must not panic
+}
+
+func TestLiveSpanArgs(t *testing.T) {
+	tr := NewTracer(nil)
+	s := tr.Begin("run", "r", "n1", nil)
+	s.SetArg("forecast", "f")
+	if got := s.Arg("forecast"); got != "f" {
+		t.Errorf("live Arg(forecast) = %q, want f", got)
+	}
+	tr.EndOpen()
+	if got := s.Arg("interrupted"); got != "true" {
+		t.Errorf("live Arg(interrupted) = %q after EndOpen, want true", got)
+	}
+	// Exported args are copies: editing one leaves the trace as recorded.
+	snap := tr.Spans()[0]
+	if len(snap.Args) != 2 || snap.Args["forecast"] != "f" {
+		t.Fatalf("exported args = %v", snap.Args)
+	}
+	snap.Args["forecast"] = "edited"
+	if got := tr.Spans()[0].Args["forecast"]; got != "f" {
+		t.Errorf("editing an exported copy changed the trace: forecast = %q", got)
+	}
+}
+
+// The tracer's own records must stay pointer-free: the garbage collector
+// then never scans the trace, which keeps a campaign's tens of thousands
+// of product-task spans out of every collection cycle.
+func TestSpanRecordsHoldNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(spanRec{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int64, reflect.Uint32, reflect.Float64:
+		default:
+			t.Errorf("spanRec.%s is a %s; the record must hold no pointers", f.Name, f.Type)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/plot"
 )
 
 // Outcome is the observed execution of one planned run: where it
@@ -152,10 +153,10 @@ func DriftReport(ds []Drift) string {
 		}
 		fmt.Fprintf(&b, "%-24s %-10s %-9s%s %10s %10s %9s %6.1f%% %6.2f\n",
 			d.Run, d.PlannedNode, d.ActualNode, moved,
-			hhmm(d.PredEnd), hhmm(d.ActualEnd), hhmm(d.EndDelta), 100*d.RelError, d.MeanShare)
+			plot.HHMM(d.PredEnd), plot.HHMM(d.ActualEnd), plot.HHMM(d.EndDelta), 100*d.RelError, d.MeanShare)
 	}
 	s := Summarize(ds)
 	fmt.Fprintf(&b, "drift: %d runs, %d late, %d moved; mean |delta| %s, max %s (%s); mean rel error %.1f%%, mean share %.2f\n",
-		s.Runs, s.Late, s.Moved, hhmm(s.MeanAbs), hhmm(s.MaxAbs), s.WorstRun, 100*s.MeanRel, s.MeanShare)
+		s.Runs, s.Late, s.Moved, plot.HHMM(s.MeanAbs), plot.HHMM(s.MaxAbs), s.WorstRun, 100*s.MeanRel, s.MeanShare)
 	return b.String()
 }

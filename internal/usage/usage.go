@@ -29,6 +29,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/plot"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -961,7 +962,7 @@ func (s *Sampler) Report(maxWindows int) string {
 	for _, n := range st.Nodes {
 		fmt.Fprintf(&b, "%-10s %4d %6.2f %10.1f%% %13s %11s %11s\n",
 			n.Name, n.CPUs, n.Speed, 100*n.Utilization,
-			hhmm(n.ContentionSecs), hhmm(n.IdleSecs), hhmm(n.DownSecs))
+			plot.HHMM(n.ContentionSecs), plot.HHMM(n.IdleSecs), plot.HHMM(n.DownSecs))
 	}
 	all := s.Windows() // uncapped: the longest windows may be old
 	var cont []Window
@@ -977,7 +978,7 @@ func (s *Sampler) Report(maxWindows int) string {
 			break
 		}
 		fmt.Fprintf(&b, "  contention %-10s %s → %s (%s, peak k=%d, mean share %.2f)\n",
-			w.Node, hhmm(w.Start), hhmm(w.End), hhmm(w.Duration()), w.PeakActive, w.MeanShare)
+			w.Node, plot.HHMM(w.Start), plot.HHMM(w.End), plot.HHMM(w.Duration()), w.PeakActive, w.MeanShare)
 	}
 	return b.String()
 }
@@ -1053,16 +1054,4 @@ func CondenseGrid(nodes []string, samples []Sample, cols int) Grid {
 	g.Utilization = util
 	g.Share = share
 	return g
-}
-
-// hhmm renders seconds as h:mm for reports.
-func hhmm(sec float64) string {
-	sign := ""
-	if sec < 0 {
-		sign = "-"
-		sec = -sec
-	}
-	h := int(sec) / 3600
-	m := (int(sec) % 3600) / 60
-	return fmt.Sprintf("%s%d:%02d", sign, h, m)
 }

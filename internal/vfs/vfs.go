@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"path"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -257,19 +256,6 @@ func (fs *FS) ReadFile(p string) (string, error) {
 	return string(f.content), nil
 }
 
-// SetMTime overrides a file's modification time. Mirrors of real
-// directory trees (foreman -harvest) use it to carry the on-disk mtimes
-// the harvester's watermarks compare against; files written afterwards
-// revert to clock-supplied mtimes.
-func (fs *FS) SetMTime(p string, mtime float64) error {
-	f := fs.lookup(p)
-	if f == nil {
-		return fmt.Errorf("setmtime %s: %w", clean(p), ErrNotExist)
-	}
-	f.info.MTime = mtime
-	return nil
-}
-
 // Stat returns metadata for a path.
 func (fs *FS) Stat(p string) (FileInfo, error) {
 	f := fs.lookup(p)
@@ -350,30 +336,6 @@ func walk(f *file, fn func(info FileInfo) error) error {
 		}
 	}
 	return nil
-}
-
-// Glob returns the paths of files (not directories) whose base name matches
-// the pattern (path.Match syntax) anywhere under root, sorted.
-func (fs *FS) Glob(root, pattern string) ([]string, error) {
-	var out []string
-	err := fs.Walk(root, func(info FileInfo) error {
-		if info.IsDir {
-			return nil
-		}
-		ok, err := path.Match(pattern, info.Name)
-		if err != nil {
-			return err
-		}
-		if ok {
-			out = append(out, info.Path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // TreeSize returns the total size in bytes of all regular files under root.

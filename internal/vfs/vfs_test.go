@@ -305,22 +305,6 @@ func TestWalkErrorStops(t *testing.T) {
 	}
 }
 
-func TestGlob(t *testing.T) {
-	fs := New(nil)
-	for _, p := range []string{"/runs/f1/1_salt.63", "/runs/f1/2_salt.63", "/runs/f1/1_temp.63", "/runs/f1/run.log"} {
-		if err := fs.Create(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := fs.Glob("/runs", "*_salt.63")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "/runs/f1/1_salt.63" || got[1] != "/runs/f1/2_salt.63" {
-		t.Fatalf("Glob = %v", got)
-	}
-}
-
 func TestTreeSize(t *testing.T) {
 	fs := New(nil)
 	_ = fs.Append("/d/a", 100)

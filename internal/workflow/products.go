@@ -53,7 +53,6 @@ type ProductEngine struct {
 	rrCursor  int
 	pollTimer sim.Timer
 	finished  bool
-	aborted   bool
 	endTime   float64
 
 	depthPolls int // saturated polls since the last backlog scan
@@ -127,18 +126,6 @@ func (p *ProductEngine) Finished() bool { return p.finished }
 // FinishedAt returns the completion time (0 if unfinished).
 func (p *ProductEngine) FinishedAt() float64 { return p.endTime }
 
-// Abort cancels future work; OnDone is not called.
-func (p *ProductEngine) Abort() {
-	if p.finished || p.aborted {
-		return
-	}
-	p.aborted = true
-	if p.pollTimer.Active() {
-		p.pollTimer.Cancel()
-		p.pollTimer = sim.Timer{}
-	}
-}
-
 // OutputPath returns a model-output path in the engine's run directory.
 func (p *ProductEngine) OutputPath(name string) string {
 	return p.cfg.Dir + "/outputs/" + name
@@ -199,13 +186,13 @@ func (p *ProductEngine) availableFraction(st *productState) float64 {
 
 func (p *ProductEngine) poll() {
 	p.pollTimer = sim.Timer{}
-	if p.aborted || p.finished {
+	if p.finished {
 		return
 	}
 	p.mPolls.Inc()
 	p.dispatch()
 	p.updateQueueDepth()
-	if !p.finished && !p.aborted {
+	if !p.finished {
 		p.pollTimer = p.sched.After(p.cfg.Poll, p.poll)
 	}
 }
@@ -288,9 +275,6 @@ func (p *ProductEngine) startTask(st *productState, bytes float64) {
 		span = tel.Trace().Begin("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
 	}
 	p.cfg.Node.Submit(st.taskName, work, func() {
-		if p.aborted {
-			return
-		}
 		span.EndSpan()
 		st.active = false
 		st.consumed += st.dispatched
@@ -313,7 +297,7 @@ func (p *ProductEngine) startTask(st *productState, bytes float64) {
 }
 
 func (p *ProductEngine) checkDone() {
-	if p.finished || p.aborted {
+	if p.finished {
 		return
 	}
 	for _, st := range p.products {

@@ -70,30 +70,6 @@ func TestProductEngineEmptyCatalogFinishesImmediately(t *testing.T) {
 	}
 }
 
-func TestProductEngineAbort(t *testing.T) {
-	e, n, fs := engineFixture()
-	spec := forecast.NewSpec("f", "r", 960, 10000, 2)
-	totals := map[string]int64{}
-	for _, o := range spec.Outputs {
-		totals[o.Name] = 1000
-		_ = fs.Append("/runs/f/d/outputs/"+o.Name, 1000)
-	}
-	pe := StartProducts(e, ProductConfig{
-		Products:    spec.Products,
-		Dir:         "/runs/f/d",
-		Node:        n,
-		FS:          fs,
-		InputTotals: totals,
-		OnDone:      func() { t.Error("aborted engine reported done") },
-	})
-	e.At(30, func() { pe.Abort() })
-	e.RunUntil(86400)
-	if pe.Finished() {
-		t.Fatal("aborted engine finished")
-	}
-	pe.Abort() // idempotent
-}
-
 func TestProductEnginePanicsOnBadConfig(t *testing.T) {
 	e, n, fs := engineFixture()
 	spec := forecast.NewSpec("f", "r", 960, 10000, 1)

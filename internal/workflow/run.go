@@ -37,7 +37,6 @@ type Config struct {
 	Increments  int     // simulation output increments (default DefaultIncrements)
 	Workers     int     // max concurrent product tasks (default DefaultWorkers)
 	Poll        float64 // master process scan interval (default DefaultPoll)
-	OnSimDone   func(*Run)
 	OnDone      func(*Run)
 
 	// Telemetry, when non-nil, receives workflow metrics and spans; Span
@@ -84,7 +83,6 @@ type Run struct {
 	days       int
 	increments int
 	incDone    int
-	simJob     *cluster.Job
 
 	engine *ProductEngine // nil for simulation-only runs
 
@@ -92,7 +90,6 @@ type Run struct {
 	simEnd   float64
 	finished bool
 	endTime  float64
-	aborted  bool
 
 	simSpan       *telemetry.Span
 	mIncrements   *telemetry.Counter
@@ -277,29 +274,11 @@ func Start(eng *sim.Engine, cfg Config) *Run {
 	return r
 }
 
-// Abort cancels all in-flight work. The run never completes; OnDone is not
-// called. Used when a forecast is dropped mid-flight.
-func (r *Run) Abort() {
-	if r.finished || r.aborted {
-		return
-	}
-	r.aborted = true
-	if r.simJob != nil && !r.simJob.Finished() {
-		r.simJob.Cancel()
-	}
-	if r.engine != nil {
-		r.engine.Abort()
-	}
-}
-
-// Aborted reports whether the run was aborted.
-func (r *Run) Aborted() bool { return r.aborted }
-
 // submitIncrement runs the next simulation chunk.
 func (r *Run) submitIncrement() {
 	work := r.simFactor * r.cfg.Spec.SimWork() / float64(r.increments)
 	label := fmt.Sprintf("sim:%s[%d/%d]", r.cfg.Spec.Name, r.incDone+1, r.increments)
-	r.simJob = r.cfg.SimNode.Submit(label, work, r.incrementDone)
+	r.cfg.SimNode.Submit(label, work, r.incrementDone)
 }
 
 // incrementDay maps a 1-based increment index to the forecast day it
@@ -317,9 +296,6 @@ func (r *Run) incrementDay(i int) int {
 
 // incrementDone appends the increment's output bytes and continues.
 func (r *Run) incrementDone() {
-	if r.aborted {
-		return
-	}
 	r.incDone++
 	day := r.incrementDay(r.incDone)
 	for _, o := range r.cfg.Spec.Outputs {
@@ -342,19 +318,15 @@ func (r *Run) incrementDone() {
 		return
 	}
 	r.simEnd = r.eng.Now()
-	r.simJob = nil
 	r.simSpan.EndSpan()
 	r.mSimWalltimes.Observe(r.simEnd - r.started)
-	if r.cfg.OnSimDone != nil {
-		r.cfg.OnSimDone(r)
-	}
 	r.checkDone()
 }
 
 // checkDone finishes the run when the simulation and every product are
 // complete.
 func (r *Run) checkDone() {
-	if r.finished || r.aborted || r.incDone < r.increments {
+	if r.finished || r.incDone < r.increments {
 		return
 	}
 	if r.engine != nil && !r.engine.Finished() {

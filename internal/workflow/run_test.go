@@ -184,23 +184,6 @@ func TestWalltimeNaNWhileRunning(t *testing.T) {
 	}
 }
 
-func TestAbortStopsAllWork(t *testing.T) {
-	e, n, fs := fixture()
-	spec := forecast.NewSpec("f", "r", 960, 10000, 4)
-	cfg := localConfig(spec, n, fs)
-	cfg.OnDone = func(*Run) { t.Error("aborted run reported done") }
-	r := Start(e, cfg)
-	e.At(spec.SimWork()/4, func() { r.Abort() })
-	e.Run()
-	if !r.Aborted() || r.Finished() {
-		t.Fatal("abort state wrong")
-	}
-	if n.Active() != 0 {
-		t.Fatalf("node still has %d active jobs after abort", n.Active())
-	}
-	r.Abort() // idempotent
-}
-
 func TestTwoRunsOnOneNodeContend(t *testing.T) {
 	// Two sim-only runs on a 1-CPU node take twice as long each.
 	e := sim.NewEngine()
