@@ -39,14 +39,17 @@ e2ebench:
 
 check: fmt test vet race e2ebench
 
-# Native fuzzing of the three parsers of untrusted text (run logs, the
-# statsdb SQL subset, factory config files), 60 s each. Their seed inputs
-# also run in the tier-1 suite. A crasher is written under the package's
-# testdata/fuzz/ and lands as a regression test with its fix.
+# Native fuzzing of the readers of untrusted text (run logs, the statsdb
+# SQL subset, factory config files, the harvest journal and snapshot),
+# 60 s each. Their seed inputs also run in the tier-1 suite. A crasher is
+# written under the package's testdata/fuzz/ and lands as a regression
+# test with its fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/logs
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 60s ./internal/statsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/config
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s ./internal/harvest
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 60s ./internal/harvest
 
 # Experiment benchmarks plus the machine-readable reports uploaded as CI
 # artifacts: the harvest pipeline (BENCH_harvest.json), the usage

@@ -18,18 +18,18 @@ import (
 )
 
 // Job and node lifecycle event kinds, delivered to Cluster.OnEvent
-// observers. Submit/finish/cancel are per-job; fail/repair are per-node
+// observers. Submit/finish are per-job; add/fail/repair are per-node
 // (Job is empty).
 const (
 	EventSubmit = "submit"
 	EventFinish = "finish"
-	EventCancel = "cancel"
+	EventAdd    = "add"
 	EventFail   = "fail"
 	EventRepair = "repair"
 )
 
-// JobEvent is one lifecycle transition on the cluster: a job starting,
-// finishing, or being cancelled, or a node going down or coming back.
+// JobEvent is one lifecycle transition on the cluster: a job starting or
+// finishing, or a node joining, going down or coming back.
 // Events fire at the virtual instant the transition takes effect, after
 // the node's resource state already reflects it — an observer reading
 // Node.Active or Node.BusySeconds from the callback sees the new state.
@@ -109,26 +109,11 @@ func (j *Job) Remaining() float64 { return j.task.Remaining() }
 // Finished reports whether the job has completed.
 func (j *Job) Finished() bool { return j.task.Finished() }
 
-// Cancelled reports whether the job was cancelled.
-func (j *Job) Cancelled() bool { return j.task.Cancelled() }
-
 // Label returns the job's diagnostic label.
 func (j *Job) Label() string { return j.task.Label() }
 
 // Started returns the virtual time the job was submitted.
 func (j *Job) Started() float64 { return j.task.Started() }
-
-// AddWork grows the job's remaining work (incremental workloads).
-func (j *Job) AddWork(extra float64) { j.task.AddWork(extra) }
-
-// Cancel removes the job without invoking its completion callback.
-func (j *Job) Cancel() {
-	if j.task.Finished() || j.task.Cancelled() {
-		return
-	}
-	j.task.Cancel()
-	j.node.emit(EventCancel, j.task.Label())
-}
 
 // Submit starts a serial job on the node. work is in reference
 // CPU-seconds; done (may be nil) runs at completion. Submitting to a down
@@ -222,9 +207,10 @@ func (c *Cluster) OnEvent(fn func(JobEvent)) {
 	}
 }
 
-// AddNode creates a node with the given CPU count and relative speed.
-// Adding a duplicate name or non-positive parameters panics: cluster
-// construction errors are programming errors in this library.
+// AddNode creates a node with the given CPU count and relative speed and
+// announces it to observers. Adding a duplicate name or non-positive
+// parameters panics: cluster construction errors are programming errors
+// in this library.
 func (c *Cluster) AddNode(name string, cpus int, speed float64) *Node {
 	if _, ok := c.nodes[name]; ok {
 		panic(fmt.Sprintf("cluster: duplicate node %q", name))
@@ -244,6 +230,7 @@ func (c *Cluster) AddNode(name string, cpus int, speed float64) *Node {
 	c.nodes[name] = n
 	c.order = append(c.order, name)
 	sort.Strings(c.order)
+	n.emit(EventAdd, "")
 	return n
 }
 

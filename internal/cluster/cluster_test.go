@@ -104,21 +104,6 @@ func TestDoubleFailAndRepairAreIdempotent(t *testing.T) {
 	}
 }
 
-func TestJobCancelAndAccessors(t *testing.T) {
-	e := sim.NewEngine()
-	c := New(e)
-	n := c.AddNode("n", 1, 1.0)
-	j := n.Submit("f", 100, func() { t.Error("cancelled job completed") })
-	if j.Node() != n || j.Label() != "f" || j.Started() != 0 {
-		t.Fatalf("accessors wrong: %v %v %v", j.Node(), j.Label(), j.Started())
-	}
-	e.At(10, func() { j.Cancel() })
-	e.Run()
-	if !j.Cancelled() || j.Finished() {
-		t.Fatal("job state wrong after cancel")
-	}
-}
-
 func TestClusterAccessors(t *testing.T) {
 	e := sim.NewEngine()
 	c := New(e)
@@ -192,21 +177,21 @@ func TestNodeAccessors(t *testing.T) {
 	if n.CPUs() != 2 || n.Speed() != 1.5 || n.Active() != 0 {
 		t.Fatal("accessors wrong")
 	}
+	e.RunUntil(5)
 	j := n.Submit("f", 100, nil)
 	if n.Active() != 1 {
 		t.Fatalf("Active = %d", n.Active())
 	}
-	e.RunUntil(10)
+	if j.Node() != n || j.Label() != "f" || j.Started() != 5 {
+		t.Fatalf("job accessors wrong: %v %v %v", j.Node(), j.Label(), j.Started())
+	}
+	e.RunUntil(15)
 	// 10 s at rate 1.5 → 15 done of 100.
 	if got := j.Remaining(); math.Abs(got-85) > eps {
 		t.Fatalf("Remaining = %v, want 85", got)
 	}
-	j.AddWork(15)
-	if got := j.Remaining(); math.Abs(got-100) > eps {
-		t.Fatalf("Remaining after AddWork = %v, want 100", got)
-	}
 	e.Run()
-	if !j.Finished() {
+	if !j.Finished() || j.Remaining() != 0 {
 		t.Fatal("job should finish")
 	}
 }
@@ -323,36 +308,38 @@ func TestUtilizationAcrossDowntime(t *testing.T) {
 }
 
 // The lifecycle event stream: kinds and order, observer chaining, and the
-// guarantee that observers see the post-transition resource state.
+// guarantee that observers see the post-transition node state.
 func TestOnEventStream(t *testing.T) {
 	e := sim.NewEngine()
 	c := New(e)
 	n := c.AddNode("n", 1, 1.0)
 	type seen struct {
-		kind, job string
-		active    int
-		down      bool
+		kind, node, job string
+		active          int
+		down            bool
 	}
 	var first, second []seen
 	c.OnEvent(func(ev JobEvent) {
-		first = append(first, seen{ev.Kind, ev.Job, n.Active(), n.Down()})
+		at := c.Node(ev.Node)
+		first = append(first, seen{ev.Kind, ev.Node, ev.Job, at.Active(), at.Down()})
 	})
 	c.OnEvent(func(ev JobEvent) { // chained after the first observer
 		second = append(second, seen{kind: ev.Kind})
 	})
 	n.Submit("a", 100, nil)
-	j := n.Submit("b", 1000, nil)
+	n.Submit("b", 1000, nil)
 	e.At(50, n.Fail)
 	e.At(150, n.Repair)
-	e.At(400, j.Cancel)
+	e.At(200, func() { c.AddNode("m", 2, 1.0) })
 	e.Run()
 	want := []seen{
-		{"submit", "a", 1, false}, // a running
-		{"submit", "b", 2, false}, // b joins, k=2
-		{"fail", "", 2, true},     // frozen with both jobs intact
-		{"repair", "", 2, false},  // thawed
-		{"finish", "a", 1, false}, // a done; post-state k=1
-		{"cancel", "b", 0, false}, // b cancelled; post-state k=0
+		{"submit", "n", "a", 1, false}, // a running
+		{"submit", "n", "b", 2, false}, // b joins, k=2
+		{"fail", "n", "", 2, true},     // frozen with both jobs intact
+		{"repair", "n", "", 2, false},  // thawed
+		{"add", "m", "", 0, false},     // m joins the roster
+		{"finish", "n", "a", 1, false}, // a done at 300; post-state k=1
+		{"finish", "n", "b", 0, false}, // b done at 1200; post-state k=0
 	}
 	if len(first) != len(want) {
 		t.Fatalf("saw %d events %+v, want %d", len(first), first, len(want))
@@ -369,5 +356,8 @@ func TestOnEventStream(t *testing.T) {
 		if second[i].kind != first[i].kind {
 			t.Fatalf("chained observer event %d kind %q, want %q", i, second[i].kind, first[i].kind)
 		}
+	}
+	if now := e.Now(); !almost(now, 1200) {
+		t.Fatalf("b finished at %v, want 1200", now)
 	}
 }

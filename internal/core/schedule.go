@@ -15,8 +15,6 @@ type ScheduleOptions struct {
 	// assignment meets every deadline (§4.1: ForeMan "may automatically
 	// delay or drop lower priority forecasts if needed").
 	AllowDrop bool
-	// MaxDrops caps how many runs may be dropped (default: all but one).
-	MaxDrops int
 	// fullRepredict forces a from-scratch full-plan sweep after every
 	// drop instead of the incremental re-sweep — the pre-incremental
 	// behaviour, kept as the benchmark baseline and the cross-validation
@@ -70,11 +68,9 @@ func BuildSchedule(nodes []NodeInfo, runs []Run, opts ScheduleOptions) (*Schedul
 	if !opts.AllowDrop {
 		return s, nil
 	}
-	maxDrops := opts.MaxDrops
-	if maxDrops <= 0 {
-		maxDrops = len(runs) - 1
-	}
-	for len(s.Dropped) < maxDrops {
+	// Drop at most all but one run: an overloaded plant still runs its
+	// most important forecast, late or not.
+	for len(s.Dropped) < len(runs)-1 {
 		victim, ok := s.dropCandidate()
 		if !ok {
 			break

@@ -56,21 +56,25 @@ func TestBuildScheduleWithoutDropReportsLate(t *testing.T) {
 	}
 }
 
+// TestMaxDropsCapsDropping: the drop loop keeps at least one run. Each
+// run is late even alone, so dropping never restores feasibility; the
+// loop drops the two lowest priorities and keeps the highest.
 func TestMaxDropsCapsDropping(t *testing.T) {
 	nodes := []NodeInfo{{Name: "n1", CPUs: 1, Speed: 1}}
 	runs := []Run{
-		{Name: "a", Work: 86400, Deadline: 86400, Priority: 3},
-		{Name: "b", Work: 86400, Deadline: 86400, Priority: 2},
-		{Name: "c", Work: 86400, Deadline: 86400, Priority: 1},
+		{Name: "a", Work: 100000, Deadline: 86400, Priority: 3},
+		{Name: "b", Work: 100000, Deadline: 86400, Priority: 2},
+		{Name: "c", Work: 100000, Deadline: 86400, Priority: 1},
 	}
-	s, err := BuildSchedule(nodes, runs, ScheduleOptions{
-		Heuristic: FirstFitDecreasing, AllowDrop: true, MaxDrops: 1,
-	})
+	s, err := BuildSchedule(nodes, runs, ScheduleOptions{Heuristic: FirstFitDecreasing, AllowDrop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Dropped) != 1 {
-		t.Fatalf("dropped = %v, want exactly 1", s.Dropped)
+	if strings.Join(s.Dropped, ",") != "b,c" {
+		t.Fatalf("dropped = %v, want [b c]", s.Dropped)
+	}
+	if late := s.Late(); len(late) != 1 || late[0] != "a" {
+		t.Fatalf("late = %v, want the kept run [a]", late)
 	}
 }
 

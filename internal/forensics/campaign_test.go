@@ -86,7 +86,7 @@ func TestCampaignBlameSumsToLateness(t *testing.T) {
 	rep, err := Analyze(Input{
 		Spans:    tel.Trace().Spans(),
 		Plan:     campaignPlan(c, 2000),
-		Timeline: NewTimeline(sampler.Samples()),
+		Timeline: usage.NewTimeline(sampler.Samples()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestReportStatsdbRoundTrip(t *testing.T) {
 	rep, err := Analyze(Input{
 		Spans:    tel.Trace().Spans(),
 		Plan:     campaignPlan(c, 2000),
-		Timeline: NewTimeline(sampler.Samples()),
+		Timeline: usage.NewTimeline(sampler.Samples()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestAnalyzeFromPersistedTimeline(t *testing.T) {
 	if !reflect.DeepEqual(samples, sampler.Samples()) {
 		t.Fatalf("read back %d samples that differ from the sampler's %d", len(samples), len(sampler.Samples()))
 	}
-	replayed, err := Analyze(Input{Spans: tel.Trace().Spans(), Plan: plan, Timeline: NewTimeline(samples)})
+	replayed, err := Analyze(Input{Spans: tel.Trace().Spans(), Plan: plan, Timeline: usage.NewTimeline(samples)})
 	if err != nil {
 		t.Fatal(err)
 	}

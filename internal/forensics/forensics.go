@@ -22,6 +22,7 @@ import (
 	"strconv"
 
 	"repro/internal/telemetry"
+	"repro/internal/usage"
 )
 
 // Component names, as persisted in the dominant column and served by
@@ -58,8 +59,8 @@ type PlanEntry struct {
 
 // ShareSource supplies the observed node conditions the decomposition
 // charges the contention and failure components against. Both the live
-// usage.Sampler (zero-copy, mid-campaign) and the replayable Timeline
-// (from persisted node_usage rows) implement it.
+// usage.Sampler (zero-copy, mid-campaign) and the replayable
+// usage.Timeline (from persisted node_usage rows) implement it.
 type ShareSource interface {
 	MeanShareOver(node string, start, end float64) float64
 	DownSecsOver(node string, start, end float64) float64
@@ -214,7 +215,7 @@ func Analyze(in Input) (*Report, error) {
 
 	shares := in.Timeline
 	if shares == nil {
-		shares = (*Timeline)(nil) // nil-safe: share 1, no down time
+		shares = (*usage.Timeline)(nil) // nil-safe: share 1, no down time
 	}
 
 	rep := &Report{}

@@ -32,7 +32,7 @@ func synthInput() Input {
 		Plan: []PlanEntry{
 			{Forecast: "f1", Day: 1, Node: "n1", Start: 50, End: 434, Deadline: 600},
 		},
-		Timeline: NewTimeline([]usage.Sample{
+		Timeline: usage.NewTimeline([]usage.Sample{
 			{Node: "n1", Start: 100, End: 700, MeanShare: 0.8, DownSecs: 50},
 		}),
 	}
@@ -185,35 +185,6 @@ func TestClipUnion(t *testing.T) {
 		if math.Abs(got[i][0]-want[i][0]) > eps || math.Abs(got[i][1]-want[i][1]) > eps {
 			t.Fatalf("clipUnion = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestTimelineIntegrals(t *testing.T) {
-	tl := NewTimeline([]usage.Sample{
-		{Node: "n1", Start: 0, End: 100, MeanShare: 1.0},
-		{Node: "n1", Start: 100, End: 200, MeanShare: 0.5, DownSecs: 20},
-		{Node: "n2", Start: 0, End: 100, MeanShare: 0.25},
-	})
-	// Full overlap of both n1 samples: run time 100 + 80, share-weighted.
-	want := (1.0*100 + 0.5*80) / 180
-	if got := tl.MeanShareOver("n1", 0, 200); math.Abs(got-want) > eps {
-		t.Errorf("MeanShareOver(n1, 0, 200) = %v, want %v", got, want)
-	}
-	// Half overlap of the second sample pro-rates run and down time.
-	want = (1.0*100 + 0.5*40) / 140
-	if got := tl.MeanShareOver("n1", 0, 150); math.Abs(got-want) > eps {
-		t.Errorf("MeanShareOver(n1, 0, 150) = %v, want %v", got, want)
-	}
-	if got := tl.DownSecsOver("n1", 0, 150); math.Abs(got-10) > eps {
-		t.Errorf("DownSecsOver(n1, 0, 150) = %v, want 10", got)
-	}
-	// No samples / nil timeline: share 1, no down time.
-	if got := tl.MeanShareOver("missing", 0, 100); got != 1 {
-		t.Errorf("MeanShareOver on unknown node = %v, want 1", got)
-	}
-	var nilTL *Timeline
-	if nilTL.MeanShareOver("n1", 0, 10) != 1 || nilTL.DownSecsOver("n1", 0, 10) != 0 {
-		t.Error("nil Timeline must report share 1 and no down time")
 	}
 }
 

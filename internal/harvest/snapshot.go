@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/logs"
@@ -23,10 +24,15 @@ import (
 // journalling a file but before the snapshot rewrite, the next start
 // finds a watermark without its row, drops it, and re-reads the file.
 
+// maxSnapshotLine bounds one snapshot line. A record is a few hundred
+// bytes, so a longer line is corrupt and skipped like any unparsable one.
+const maxSnapshotLine = 64 << 10
+
 // LoadSnapshot applies the harvest migrations to db and upserts the
 // records stored at path into it. A missing snapshot is a cold start, not
-// an error. Unparsable lines (a torn final write) are skipped — their
-// files simply get re-read. Returns the number of records loaded.
+// an error. Unparsable lines (a torn final write, an over-long corrupt
+// line) are skipped — their files simply get re-read. Returns the number
+// of records loaded.
 func LoadSnapshot(db *statsdb.DB, path string) (int, error) {
 	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
 		return 0, err
@@ -39,27 +45,42 @@ func LoadSnapshot(db *statsdb.DB, path string) (int, error) {
 		return 0, fmt.Errorf("harvest: load snapshot: %w", err)
 	}
 	defer f.Close()
-	var recs []*logs.RunRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		rec := &logs.RunRecord{}
-		if err := json.Unmarshal(line, rec); err != nil || rec.Validate() != nil {
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+	recs, err := readSnapshot(f)
+	if err != nil {
 		return 0, fmt.Errorf("harvest: load snapshot: %w", err)
 	}
 	if _, _, err := statsdb.UpsertRuns(db, recs, 0); err != nil {
 		return 0, err
 	}
 	return len(recs), nil
+}
+
+// readSnapshot decodes the records of a snapshot, one JSON object per
+// line, keeping only lines that parse and validate (a blank line parses
+// as nothing). A line longer than maxSnapshotLine is skipped as it
+// streams past, never held whole.
+func readSnapshot(r io.Reader) ([]*logs.RunRecord, error) {
+	br := bufio.NewReaderSize(r, maxSnapshotLine)
+	var recs []*logs.RunRecord
+	for {
+		line, err := br.ReadSlice('\n')
+		if errors.Is(err, bufio.ErrBufferFull) {
+			for errors.Is(err, bufio.ErrBufferFull) {
+				_, err = br.ReadSlice('\n')
+			}
+			line = nil
+		}
+		rec := &logs.RunRecord{}
+		if json.Unmarshal(line, rec) == nil && rec.Validate() == nil {
+			recs = append(recs, rec)
+		}
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // SaveSnapshot atomically rewrites the snapshot at path from records

@@ -80,7 +80,7 @@ func TestForensicsEndpointServesPersistedReport(t *testing.T) {
 		Plan: []forensics.PlanEntry{
 			{Forecast: "f1", Day: 1, Node: "n1", Start: 50, End: 434, Deadline: 600},
 		},
-		Timeline: forensics.NewTimeline([]usage.Sample{
+		Timeline: usage.NewTimeline([]usage.Sample{
 			{Node: "n1", Start: 100, End: 700, MeanShare: 0.75, DownSecs: 30},
 		}),
 	})

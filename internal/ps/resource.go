@@ -14,9 +14,10 @@
 package ps
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -28,9 +29,8 @@ type Resource struct {
 	name     string
 	capacity float64
 	taskCap  float64
-	tasks    map[*Task]struct{}
-	frozen   bool  // when true (resource down), tasks make no progress
-	taskSeq  int64 // monotonically identifies tasks for deterministic ordering
+	tasks    []*Task // active tasks in submission order
+	frozen   bool    // when true (resource down), tasks make no progress
 
 	// busyIntegral accumulates ∫ rate_total dt for utilization accounting.
 	// totalRate caches Σ task rates, maintained by retimeAll, so settling
@@ -54,7 +54,6 @@ func NewResource(eng *sim.Engine, name string, capacity, taskCap float64) *Resou
 		name:     name,
 		capacity: capacity,
 		taskCap:  taskCap,
-		tasks:    make(map[*Task]struct{}),
 	}
 }
 
@@ -73,34 +72,28 @@ func (r *Resource) Active() int { return len(r.tasks) }
 // Frozen reports whether the resource is frozen (e.g. node down).
 func (r *Resource) Frozen() bool { return r.frozen }
 
-// rate returns the uniform per-task rate for k active tasks with the
-// default cap (used for utilization accounting fast paths).
-func (r *Resource) rate(k int) float64 {
-	if k == 0 || r.frozen {
-		return 0
-	}
-	return math.Min(r.taskCap, r.capacity/float64(k))
-}
-
 // waterFill computes the max-min fair allocation of the resource's
 // capacity among tasks with per-task caps ("mega-jobs" spanning multiple
 // CPUs get a larger cap — the extension footnote 1 of the paper
-// anticipates). Tasks are filled lowest-cap first: each takes
-// min(cap, remaining/left); leftovers flow to tasks that can use them.
-func (r *Resource) waterFill(tasks []*Task) {
+// anticipates). Tasks are filled lowest-cap first, ties in submission
+// order: each takes min(cap, remaining/left); leftovers flow to tasks
+// that can use them.
+func (r *Resource) waterFill() {
 	if r.frozen {
-		for _, t := range tasks {
+		for _, t := range r.tasks {
 			t.rate = 0
 		}
 		return
 	}
-	sorted := append([]*Task(nil), tasks...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].cap != sorted[j].cap {
-			return sorted[i].cap < sorted[j].cap
-		}
-		return sorted[i].seq < sorted[j].seq
-	})
+	// The tasks are already in submission order, so a stable sort by cap
+	// fills ties in that order; with one cap throughout (every serial job)
+	// there is nothing to sort.
+	byCap := func(a, b *Task) int { return cmp.Compare(a.cap, b.cap) }
+	sorted := r.tasks
+	if !slices.IsSortedFunc(sorted, byCap) {
+		sorted = slices.Clone(sorted)
+		slices.SortStableFunc(sorted, byCap)
+	}
 	remaining := r.capacity
 	for i, t := range sorted {
 		share := remaining / float64(len(sorted)-i)
@@ -112,7 +105,6 @@ func (r *Resource) waterFill(tasks []*Task) {
 // Task is one unit of work executing on a Resource.
 type Task struct {
 	res       *Resource
-	seq       int64 // submission order, for deterministic scheduling
 	remaining float64
 	rate      float64
 	cap       float64 // per-task rate cap (default: the resource's)
@@ -122,7 +114,6 @@ type Task struct {
 	label     string
 	started   float64
 	finished  bool
-	cancelled bool
 }
 
 // Submit adds a task with the given amount of work (in work units). done is
@@ -145,10 +136,8 @@ func (r *Resource) SubmitCapped(label string, work, cap float64, done func()) *T
 	if cap > r.capacity {
 		cap = r.capacity
 	}
-	r.taskSeq++
 	t := &Task{
 		res:       r,
-		seq:       r.taskSeq,
 		remaining: work,
 		cap:       cap,
 		settled:   r.eng.Now(),
@@ -157,7 +146,7 @@ func (r *Resource) SubmitCapped(label string, work, cap float64, done func()) *T
 		started:   r.eng.Now(),
 	}
 	r.settleAll()
-	r.tasks[t] = struct{}{}
+	r.tasks = append(r.tasks, t)
 	r.retimeAll()
 	return t
 }
@@ -177,46 +166,13 @@ func (t *Task) Started() float64 { return t.started }
 // Finished reports whether the task has completed.
 func (t *Task) Finished() bool { return t.finished }
 
-// Cancelled reports whether the task was cancelled before completion.
-func (t *Task) Cancelled() bool { return t.cancelled }
-
 // Remaining returns the work left, settling progress up to the current time.
 func (t *Task) Remaining() float64 {
-	if t.finished || t.cancelled {
+	if t.finished {
 		return 0
 	}
 	now := t.res.eng.Now()
 	return t.remaining - t.rate*(now-t.settled)
-}
-
-// AddWork increases the task's remaining work by extra units. This supports
-// incremental workloads (a product task given a new data increment).
-func (t *Task) AddWork(extra float64) {
-	if extra < 0 {
-		panic(fmt.Sprintf("ps: AddWork(%v) on task %q", extra, t.label))
-	}
-	if t.finished || t.cancelled {
-		panic(fmt.Sprintf("ps: AddWork on finished/cancelled task %q", t.label))
-	}
-	r := t.res
-	r.settleAll()
-	t.remaining += extra
-	r.retimeAll()
-}
-
-// Cancel removes the task from the resource without running its completion
-// callback. Cancelling a finished or already-cancelled task is a no-op.
-func (t *Task) Cancel() {
-	if t.finished || t.cancelled {
-		return
-	}
-	r := t.res
-	r.settleAll()
-	t.cancelled = true
-	t.timer.Cancel()
-	t.timer = sim.Timer{}
-	delete(r.tasks, t)
-	r.retimeAll()
 }
 
 // Freeze stops all progress on the resource (models a node going down while
@@ -241,24 +197,6 @@ func (r *Resource) Thaw() {
 	r.retimeAll()
 }
 
-// SetCapacity changes the aggregate capacity (e.g. node speed change after
-// a hardware upgrade) effective immediately. Per-task caps of running
-// tasks scale by the taskCap ratio, so a serial task on an upgraded node
-// speeds up like a freshly submitted one.
-func (r *Resource) SetCapacity(capacity, taskCap float64) {
-	if capacity <= 0 || taskCap <= 0 {
-		panic(fmt.Sprintf("ps: SetCapacity(%v, %v) on %q", capacity, taskCap, r.name))
-	}
-	r.settleAll()
-	ratio := taskCap / r.taskCap
-	for t := range r.tasks {
-		t.cap = math.Min(t.cap*ratio, capacity)
-	}
-	r.capacity = capacity
-	r.taskCap = taskCap
-	r.retimeAll()
-}
-
 // BusySeconds returns the accumulated capacity-seconds consumed so far
 // (∫ total rate dt), settled to the current time. Dividing by
 // capacity × elapsed gives utilization.
@@ -279,7 +217,7 @@ func (r *Resource) accountTo(now float64) {
 func (r *Resource) settleAll() {
 	now := r.eng.Now()
 	r.accountTo(now)
-	for t := range r.tasks {
+	for _, t := range r.tasks {
 		dt := now - t.settled
 		if dt > 0 {
 			t.remaining -= t.rate * dt
@@ -297,19 +235,14 @@ func (r *Resource) settleAll() {
 // called with all tasks settled to Now.
 func (r *Resource) retimeAll() {
 	now := r.eng.Now()
-	tasks := make([]*Task, 0, len(r.tasks))
-	for t := range r.tasks {
-		tasks = append(tasks, t)
-	}
-	// Stable order: map iteration must not influence timer scheduling
-	// (ties at the same instant fire in submission order).
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].seq < tasks[j].seq })
-	r.waterFill(tasks)
+	r.waterFill()
 	r.totalRate = 0
-	for _, t := range tasks {
+	for _, t := range r.tasks {
 		r.totalRate += t.rate
 	}
-	for _, t := range tasks {
+	// Timers are re-armed in submission order, so completions tied at one
+	// instant fire in that order.
+	for _, t := range r.tasks {
 		t.timer.Cancel()
 		t.timer = sim.Timer{}
 		if t.rate <= 0 {
@@ -327,7 +260,8 @@ func (r *Resource) complete(t *Task) {
 	t.finished = true
 	t.remaining = 0
 	t.timer = sim.Timer{}
-	delete(r.tasks, t)
+	i := slices.Index(r.tasks, t)
+	r.tasks = slices.Delete(r.tasks, i, i+1)
 	r.retimeAll()
 	if t.done != nil {
 		t.done()

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -102,40 +103,6 @@ func TestRemainingSettlesMidFlight(t *testing.T) {
 	}
 }
 
-func TestCancelRemovesTask(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
-	var aDone, bDone float64
-	a := r.Submit("a", 100, func() { aDone = e.Now() })
-	r.Submit("b", 100, func() { bDone = e.Now() })
-	e.At(20, func() { a.Cancel() })
-	e.Run()
-	if aDone != 0 {
-		t.Fatal("cancelled task ran its done callback")
-	}
-	if !a.Cancelled() {
-		t.Fatal("task should report cancelled")
-	}
-	// b: 20s at 1/2 (10 done), then alone: 90 left at rate 1 → 110.
-	if !almost(bDone, 110) {
-		t.Fatalf("b finished at %v, want 110", bDone)
-	}
-	// Cancelling again is a no-op.
-	a.Cancel()
-}
-
-func TestAddWorkExtendsTask(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
-	var done float64
-	task := r.Submit("a", 50, func() { done = e.Now() })
-	e.At(20, func() { task.AddWork(30) })
-	e.Run()
-	if !almost(done, 80) {
-		t.Fatalf("task finished at %v, want 80", done)
-	}
-}
-
 func TestFreezeAndThaw(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewResource(e, "cpu", 1.0, 1.0)
@@ -163,16 +130,22 @@ func TestSubmitWhileFrozenWaits(t *testing.T) {
 	}
 }
 
-func TestSetCapacityRescales(t *testing.T) {
+// Completions tied at one instant fire in submission order, also after a
+// task has left from the middle of the active list.
+func TestTiedCompletionsFireInSubmissionOrder(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
-	var done float64
-	r.Submit("a", 100, func() { done = e.Now() })
-	e.At(50, func() { r.SetCapacity(2.0, 2.0) }) // node upgraded to 2× speed
+	r := NewResource(e, "cpu", 5.0, 1.0)
+	var order []string
+	for _, tc := range []struct {
+		label string
+		work  float64
+	}{{"a", 100}, {"short", 10}, {"b", 100}, {"c", 100}, {"d", 100}} {
+		label := tc.label
+		r.Submit(label, tc.work, func() { order = append(order, label) })
+	}
 	e.Run()
-	// 50 done at rate 1, 50 left at rate 2 → finishes at 75.
-	if !almost(done, 75) {
-		t.Fatalf("task finished at %v, want 75", done)
+	if got := strings.Join(order, " "); got != "short a b c d" || !almost(e.Now(), 100) {
+		t.Fatalf("completion order %q at %v, want \"short a b c d\" with a to d tied at 100", got, e.Now())
 	}
 }
 
@@ -224,34 +197,9 @@ func TestResourceAccessors(t *testing.T) {
 		t.Fatal("task accessors wrong")
 	}
 	e.Run()
-	if !task.Finished() || task.Cancelled() {
+	if !task.Finished() {
 		t.Fatal("task state wrong")
 	}
-}
-
-func TestAddWorkOnFinishedTaskPanics(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1, 1)
-	task := r.Submit("a", 1, nil)
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("AddWork on finished task did not panic")
-		}
-	}()
-	task.AddWork(1)
-}
-
-func TestAddWorkNegativePanics(t *testing.T) {
-	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1, 1)
-	task := r.Submit("a", 100, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative AddWork did not panic")
-		}
-	}()
-	task.AddWork(-1)
 }
 
 func TestInvalidConstruction(t *testing.T) {

@@ -1,9 +1,8 @@
 // Package usage is the cluster utilization observatory: a sim-time
 // sampler driven by cluster job-lifecycle events that records per-node,
 // per-interval CPU-share timelines, detects contention windows (k > c,
-// per-job share < 1) and idle windows, aggregates per-job share
-// histories, and computes plan-vs-actual drift against a ForeMan
-// schedule.
+// per-job share < 1) and idle windows, and computes plan-vs-actual drift
+// against a ForeMan schedule.
 //
 // ForeMan's §4.1 planning rests on the c/k CPU-sharing model, but the
 // seed factory recorded nothing about how shares actually evolved —
@@ -24,6 +23,7 @@ package usage
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,9 +59,6 @@ type Options struct {
 	// Interval is the timeline bucket width in sim seconds
 	// (default DefaultInterval).
 	Interval float64
-	// MinWindow drops contention/idle windows shorter than this many sim
-	// seconds (default 0: keep every window with positive length).
-	MinWindow float64
 	// StatusCols caps the number of timeline buckets included in the
 	// Status heatmap grid (default 288 = 3 days at 15 min). The full
 	// timeline is always available through Samples.
@@ -108,31 +105,6 @@ type Window struct {
 // Duration returns the window length in sim seconds.
 func (w Window) Duration() float64 { return w.End - w.Start }
 
-// JobShare aggregates the share history of one job family on one node
-// and day: all cluster jobs whose label shares the same base (the text
-// before any '[', so the 96 increments of "sim:forecast-x[i/96]"
-// collapse into one row).
-type JobShare struct {
-	Job       string  `json:"job"` // base label, e.g. "sim:forecast-tillamook"
-	Node      string  `json:"node"`
-	Day       int     `json:"day"` // zero-based campaign day of first submit
-	First     float64 `json:"first"`
-	Last      float64 `json:"last"`
-	Jobs      int     `json:"jobs"`       // lifecycle jobs aggregated
-	RunSecs   float64 `json:"run_secs"`   // Σ active seconds
-	ShareSecs float64 `json:"share_secs"` // ∫ share dt over active time
-	Cancelled int     `json:"cancelled"`
-}
-
-// MeanShare returns the time-average CPU share the job family received
-// while active (1 when it never accumulated running time).
-func (j JobShare) MeanShare() float64 {
-	if j.RunSecs <= 0 {
-		return 1
-	}
-	return j.ShareSecs / j.RunSecs
-}
-
 // nodeState carries one node's open segment, current-bucket
 // accumulators, lifetime totals, and open windows.
 type nodeState struct {
@@ -145,8 +117,9 @@ type nodeState struct {
 	down     bool
 	lastBusy float64
 
-	// Current bucket accumulators.
+	// Current bucket [bucketStart, bucketEnd) and its accumulators.
 	bucketStart float64
+	bucketEnd   float64
 	busyAcc     float64
 	shareInt    float64
 	runSecs     float64
@@ -175,14 +148,6 @@ type nodeState struct {
 	pend         Window
 	pendShareInt float64
 
-	// Cumulative run- and share-seconds since sampler start. Every job
-	// active on a PS node accrues the identical (dt, share·dt), so a
-	// job's contribution is the cumulative delta between its submit and
-	// finish — settled lazily instead of iterating active jobs per event
-	// (the map walk dominated sampler overhead).
-	cumRun   float64
-	cumShare float64
-
 	// Classification the cluster-wide imbalance counters track:
 	// contended (k > c, up) or idle (k = 0, up).
 	wasContended bool
@@ -192,20 +157,6 @@ type nodeState struct {
 	// window/gauge refresh is deferred to settleLocked so only the
 	// settled end-of-burst state is classified.
 	dirty bool
-
-	// Jobs currently executing, scanned linearly: k is at most a few
-	// per node, and short slices beat a map keyed by long labels on the
-	// per-event path.
-	active []activeEntry
-	// Share aggregates keyed by base label, holding each family's
-	// current-day entry. Keeping the map per node lets submits hash one
-	// short string instead of a (node, base, day) composite — the global
-	// lookup was half the sampler's event-path cost.
-	aggs map[string]*JobShare
-	// lastAgg caches the aggregate touched by the node's previous submit
-	// or finish. A run's increments finish and resubmit back to back, so
-	// the successor's submit finds its family here without hashing.
-	lastAgg *JobShare
 
 	samples []Sample
 
@@ -223,9 +174,9 @@ type Sampler struct {
 	eng    *sim.Engine
 	cl     *cluster.Cluster
 	opts   Options
+	epoch  float64 // where every node's bucket boundaries start
 	nodes  map[string]*nodeState
 	states []*nodeState // name-ordered; the hot paths iterate this
-	order  []string
 
 	// Incremental counts behind the imbalance gauges, maintained by
 	// refreshLocked so the per-event path never re-scans the cluster.
@@ -243,7 +194,6 @@ type Sampler struct {
 	dirty   []*nodeState
 	dirtyAt float64
 
-	allAggs       []*JobShare // every aggregate ever created, for reporting
 	windows       []Window
 	imbalanceOpen float64
 	finalized     bool
@@ -255,7 +205,8 @@ type Sampler struct {
 }
 
 // NewSampler builds a sampler over the cluster's current nodes and
-// subscribes to its lifecycle events. Nodes added later are not tracked.
+// subscribes to its lifecycle events. A node added later is sampled from
+// its add time, in buckets aligned with the other nodes'.
 func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
@@ -267,6 +218,7 @@ func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 		eng:           cl.Engine(),
 		cl:            cl,
 		opts:          opts,
+		epoch:         cl.Engine().Now(),
 		nodes:         make(map[string]*nodeState),
 		imbalanceOpen: math.NaN(),
 	}
@@ -283,45 +235,56 @@ func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 		s.gIdleSat = s.reg.Gauge(MetricIdleWhileSat, nil)
 		s.gImbAge = s.reg.Gauge(MetricImbalanceAge, nil)
 	}
-	now := s.eng.Now()
 	for _, n := range cl.Nodes() {
-		ns := &nodeState{
-			node:        n,
-			cpus:        n.CPUs(),
-			last:        now,
-			k:           n.Active(),
-			down:        n.Down(),
-			lastBusy:    n.BusySeconds(),
-			bucketStart: now,
-			aggs:        make(map[string]*JobShare),
-			contOpen:    math.NaN(),
-			idleOpen:    math.NaN(),
-		}
-		if s.reg != nil {
-			labels := telemetry.Labels{"node": n.Name()}
-			ns.gShare = s.reg.Gauge(MetricNodeShare, labels)
-			ns.gActive = s.reg.Gauge(MetricNodeActive, labels)
-			ns.gContAge = s.reg.Gauge(MetricContentionAge, labels)
-			ns.gShare.Set(1)
-		}
-		ns.wasContended = !ns.down && ns.k > ns.cpus
-		ns.wasIdle = !ns.down && ns.k == 0
-		if ns.wasContended {
-			s.contendedNodes++
-		}
-		if ns.wasIdle {
-			s.idleUpNodes++
-		}
-		s.nodes[n.Name()] = ns
-		s.states = append(s.states, ns)
-		s.order = append(s.order, n.Name())
+		s.track(n, s.epoch)
 	}
 	cl.OnEvent(s.onEvent)
 	return s
 }
 
-// Interval returns the timeline bucket width in sim seconds.
-func (s *Sampler) Interval() float64 { return s.opts.Interval }
+// track starts sampling node n at now. Its first bucket ends at the next
+// boundary the other nodes' buckets share: boundaries step from the epoch
+// by the interval, summed the way flushBucketLocked sums them, so they
+// agree bit for bit.
+func (s *Sampler) track(n *cluster.Node, now float64) *nodeState {
+	end := s.epoch + s.opts.Interval
+	for end <= now {
+		end += s.opts.Interval
+	}
+	ns := &nodeState{
+		node:        n,
+		cpus:        n.CPUs(),
+		last:        now,
+		k:           n.Active(),
+		down:        n.Down(),
+		lastBusy:    n.BusySeconds(),
+		bucketStart: now,
+		bucketEnd:   end,
+		contOpen:    math.NaN(),
+		idleOpen:    math.NaN(),
+	}
+	if s.reg != nil {
+		labels := telemetry.Labels{"node": n.Name()}
+		ns.gShare = s.reg.Gauge(MetricNodeShare, labels)
+		ns.gActive = s.reg.Gauge(MetricNodeActive, labels)
+		ns.gContAge = s.reg.Gauge(MetricContentionAge, labels)
+		ns.gShare.Set(1)
+	}
+	ns.wasContended = !ns.down && ns.k > ns.cpus
+	ns.wasIdle = !ns.down && ns.k == 0
+	if ns.wasContended {
+		s.contendedNodes++
+	}
+	if ns.wasIdle {
+		s.idleUpNodes++
+	}
+	s.nodes[n.Name()] = ns
+	i, _ := slices.BinarySearchFunc(s.states, n.Name(), func(ns *nodeState, name string) int {
+		return strings.Compare(ns.node.Name(), name)
+	})
+	s.states = slices.Insert(s.states, i, ns)
+	return ns
+}
 
 // Start schedules the per-interval tick on the engine until horizon —
 // the tick flushes timeline buckets on schedule and keeps the age and
@@ -380,89 +343,28 @@ func shareOf(k, cpus int) float64 {
 	return math.Min(1, float64(cpus)/float64(k))
 }
 
-// openJob is one executing job's link to its aggregate: the node's
-// cumulative counters at submit time, subtracted out when it finishes.
-type openJob struct {
-	agg       *JobShare
-	baseRun   float64
-	baseShare float64
-}
-
-// activeEntry is one executing job in a node's active list.
-type activeEntry struct {
-	label string
-	oj    openJob
-}
-
-// baseLabel strips the increment suffix from a job label:
-// "sim:forecast-x[3/96]" → "sim:forecast-x".
-func baseLabel(label string) string {
-	if i := strings.IndexByte(label, '['); i >= 0 {
-		return label[:i]
-	}
-	return label
-}
-
 // onEvent is the cluster lifecycle observer. It does only bookkeeping —
 // integrate the closing segment, track k/down incrementally from the
-// event kind, settle job aggregates — and defers window and gauge
+// event kind, start sampling an added node — and defers window and gauge
 // classification to settleLocked once the instant's event burst is over.
 func (s *Sampler) onEvent(ev cluster.JobEvent) {
 	s.mu.Lock()
-	ns := s.lastNS
-	if ns == nil || ns.node.Name() != ev.Node {
-		ns = s.nodes[ev.Node]
-		if ns == nil {
-			s.mu.Unlock()
-			return
-		}
-		s.lastNS = ns
-	}
 	if len(s.dirty) > 0 && ev.Time != s.dirtyAt {
 		s.settleLocked()
 	}
+	ns := s.lastNS
+	if ev.Kind == cluster.EventAdd {
+		ns = s.track(s.cl.Node(ev.Node), ev.Time)
+	} else if ns == nil || ns.node.Name() != ev.Node {
+		ns = s.nodes[ev.Node]
+	}
+	s.lastNS = ns
 	s.advanceLocked(ns, ev.Time)
 	switch ev.Kind {
 	case cluster.EventSubmit:
 		ns.k++
-		base := baseLabel(ev.Job)
-		day := int(ev.Time / 86400)
-		agg := ns.lastAgg
-		if agg == nil || agg.Day != day || agg.Job != base {
-			agg = ns.aggs[base]
-			if agg == nil || agg.Day != day {
-				agg = &JobShare{
-					Job:   base,
-					Node:  ev.Node,
-					Day:   day,
-					First: ev.Time,
-				}
-				ns.aggs[base] = agg
-				s.allAggs = append(s.allAggs, agg)
-			}
-			ns.lastAgg = agg
-		}
-		agg.Jobs++
-		ns.active = append(ns.active, activeEntry{label: ev.Job,
-			oj: openJob{agg: agg, baseRun: ns.cumRun, baseShare: ns.cumShare}})
-	case cluster.EventFinish, cluster.EventCancel:
+	case cluster.EventFinish:
 		ns.k--
-		for i := range ns.active {
-			if ns.active[i].label != ev.Job {
-				continue
-			}
-			oj := ns.active[i].oj
-			oj.agg.RunSecs += ns.cumRun - oj.baseRun
-			oj.agg.ShareSecs += ns.cumShare - oj.baseShare
-			oj.agg.Last = ev.Time
-			ns.lastAgg = oj.agg
-			if ev.Kind == cluster.EventCancel {
-				oj.agg.Cancelled++
-			}
-			ns.active[i] = ns.active[len(ns.active)-1]
-			ns.active = ns.active[:len(ns.active)-1]
-			break
-		}
 	case cluster.EventFail:
 		ns.down = true
 	case cluster.EventRepair:
@@ -502,7 +404,7 @@ func (s *Sampler) advanceLocked(ns *nodeState, now float64) {
 	busyDelta := busyNow - ns.lastBusy
 	share := shareOf(ns.k, ns.cpus)
 	for ns.last < now {
-		end := math.Min(now, ns.bucketStart+s.opts.Interval)
+		end := math.Min(now, ns.bucketEnd)
 		dt := end - ns.last
 		ns.busyAcc += busyDelta * (dt / total)
 		ns.activeInt += float64(ns.k) * dt
@@ -517,15 +419,13 @@ func (s *Sampler) advanceLocked(ns *nodeState, now float64) {
 		default:
 			ns.shareInt += share * dt
 			ns.runSecs += dt
-			ns.cumRun += dt
-			ns.cumShare += share * dt
 			if ns.k > ns.cpus {
 				ns.contSecs += dt
 				ns.contShareInt += share * dt
 			}
 		}
 		ns.last = end
-		if end >= ns.bucketStart+s.opts.Interval {
+		if end >= ns.bucketEnd {
 			s.flushBucketLocked(ns, end)
 		}
 	}
@@ -558,7 +458,7 @@ func (s *Sampler) flushBucketLocked(ns *nodeState, end float64) {
 	ns.totContention += ns.contSecs
 	ns.totIdle += ns.idleSecs
 	ns.totDown += ns.downSecs
-	ns.bucketStart = end
+	ns.bucketStart, ns.bucketEnd = end, end+s.opts.Interval
 	ns.busyAcc, ns.shareInt, ns.runSecs, ns.activeInt = 0, 0, 0, 0
 	ns.peak, ns.contSecs, ns.idleSecs, ns.downSecs = 0, 0, 0, 0
 	s.cSamples.Inc()
@@ -650,7 +550,7 @@ func (s *Sampler) closeWindowLocked(ns *nodeState, kind string, now float64) {
 	case WindowIdle:
 		w := Window{Node: ns.node.Name(), Kind: kind, Start: ns.idleOpen, End: now}
 		ns.idleOpen = math.NaN()
-		if w.Duration() > 0 && w.Duration() >= s.opts.MinWindow {
+		if w.Duration() > 0 {
 			s.windows = append(s.windows, w)
 		}
 	}
@@ -663,7 +563,7 @@ func (s *Sampler) flushPendingLocked(ns *nodeState) {
 	}
 	ns.pendValid = false
 	w := ns.pend
-	if dur := w.Duration(); dur > 0 && dur >= s.opts.MinWindow {
+	if dur := w.Duration(); dur > 0 {
 		w.MeanShare = ns.pendShareInt / dur
 		s.windows = append(s.windows, w)
 	}
@@ -719,14 +619,6 @@ func (s *Sampler) Finalize(now float64) {
 		if !math.IsNaN(ns.idleOpen) {
 			s.closeWindowLocked(ns, WindowIdle, now)
 		}
-		// Settle jobs still executing: their share history counts up to
-		// the finalization instant, though Last stays unset (they never
-		// finished).
-		for _, e := range ns.active {
-			e.oj.agg.RunSecs += ns.cumRun - e.oj.baseRun
-			e.oj.agg.ShareSecs += ns.cumShare - e.oj.baseShare
-		}
-		ns.active = nil
 	}
 	sort.Slice(s.windows, func(i, j int) bool {
 		if s.windows[i].Start != s.windows[j].Start {
@@ -759,42 +651,6 @@ func (s *Sampler) Windows() []Window {
 	return append([]Window(nil), s.windows...)
 }
 
-// JobShares returns the per-job share aggregates, sorted by (node, job,
-// day). Jobs still executing contribute their accrual so far.
-func (s *Sampler) JobShares() []JobShare {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	type delta struct{ run, share float64 }
-	open := make(map[*JobShare]delta)
-	for _, ns := range s.states {
-		for _, e := range ns.active {
-			d := open[e.oj.agg]
-			d.run += ns.cumRun - e.oj.baseRun
-			d.share += ns.cumShare - e.oj.baseShare
-			open[e.oj.agg] = d
-		}
-	}
-	out := make([]JobShare, 0, len(s.allAggs))
-	for _, a := range s.allAggs {
-		c := *a
-		if d, ok := open[a]; ok {
-			c.RunSecs += d.run
-			c.ShareSecs += d.share
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		if out[i].Job != out[j].Job {
-			return out[i].Job < out[j].Job
-		}
-		return out[i].Day < out[j].Day
-	})
-	return out
-}
-
 // MeanShareOver returns the time-average per-job share on a node across
 // [start, end], integrated from the flushed timeline (1 when the window
 // holds no running time). It backs the drift report's observed-share
@@ -802,26 +658,7 @@ func (s *Sampler) JobShares() []JobShare {
 func (s *Sampler) MeanShareOver(node string, start, end float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ns := s.nodes[node]
-	if ns == nil || end <= start {
-		return 1
-	}
-	var shareInt, runSecs float64
-	for _, sm := range overlappingSamples(ns.samples, start, end) {
-		lo, hi := math.Max(sm.Start, start), math.Min(sm.End, end)
-		if hi <= lo {
-			continue
-		}
-		frac := (hi - lo) / (sm.End - sm.Start)
-		// runSecs within the sample = elapsed − idle − down.
-		run := (sm.End - sm.Start - sm.IdleSecs - sm.DownSecs) * frac
-		shareInt += sm.MeanShare * run
-		runSecs += run
-	}
-	if runSecs <= 0 {
-		return 1
-	}
-	return shareInt / runSecs
+	return meanShareOver(s.samplesOf(node), start, end)
 }
 
 // DownSecsOver returns the node's down time overlapping [start, end],
@@ -830,29 +667,15 @@ func (s *Sampler) MeanShareOver(node string, start, end float64) float64 {
 func (s *Sampler) DownSecsOver(node string, start, end float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ns := s.nodes[node]
-	if ns == nil || end <= start {
-		return 0
-	}
-	var down float64
-	for _, sm := range overlappingSamples(ns.samples, start, end) {
-		lo, hi := math.Max(sm.Start, start), math.Min(sm.End, end)
-		if hi <= lo || sm.End <= sm.Start {
-			continue
-		}
-		down += sm.DownSecs * (hi - lo) / (sm.End - sm.Start)
-	}
-	return down
+	return downSecsOver(s.samplesOf(node), start, end)
 }
 
-// overlappingSamples narrows a node's flushed timeline (disjoint buckets
-// in start order) to the ones that can intersect [start, end] — binary
-// search on both ends, so window queries over a long campaign cost
-// O(log n + overlap) instead of a full rescan per query.
-func overlappingSamples(ss []Sample, start, end float64) []Sample {
-	lo := sort.Search(len(ss), func(i int) bool { return ss[i].End > start })
-	hi := lo + sort.Search(len(ss)-lo, func(i int) bool { return ss[lo+i].Start >= end })
-	return ss[lo:hi]
+// samplesOf returns the node's flushed timeline (nil for an unknown node).
+func (s *Sampler) samplesOf(node string) []Sample {
+	if ns := s.nodes[node]; ns != nil {
+		return ns.samples
+	}
+	return nil
 }
 
 // NodeSummary is one node's aggregate standing in the Status snapshot.
@@ -893,46 +716,45 @@ type Status struct {
 func (s *Sampler) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.eng.Now()
-	st := Status{Now: now, Interval: s.opts.Interval}
+	step := s.opts.Interval
+	st := Status{Now: s.eng.Now(), Interval: step, Grid: Grid{Step: step}}
 
-	// Bucket index range across all nodes (buckets are aligned: every
-	// node starts at the same sampler epoch).
-	maxBuckets := 0
-	for _, name := range s.order {
-		if n := len(s.nodes[name].samples); n > maxBuckets {
-			maxBuckets = n
+	// Every node's buckets share one set of boundaries, so a sample's
+	// column is the bucket holding its midpoint: a node added mid-run
+	// starts partway along its row. The grid ends at the latest bucket.
+	col := func(sm Sample) int { return int(((sm.Start+sm.End)/2 - s.epoch) / step) }
+	total := 0
+	for _, ns := range s.states {
+		if n := len(ns.samples); n > 0 {
+			total = max(total, col(ns.samples[n-1])+1)
 		}
 	}
-	first := 0
-	if maxBuckets > s.opts.StatusCols {
-		first = maxBuckets - s.opts.StatusCols
+	first := max(0, total-s.opts.StatusCols)
+	cols := total - first
+	if cols > 0 {
+		st.Grid.Start = s.epoch + float64(first)*step
 	}
-	cols := maxBuckets - first
-	st.Grid = Grid{Nodes: append([]string(nil), s.order...), Step: s.opts.Interval}
-	for _, name := range s.order {
-		ns := s.nodes[name]
+	for _, ns := range s.states {
+		st.Grid.Nodes = append(st.Grid.Nodes, ns.node.Name())
 		util := make([]float64, cols)
 		share := make([]float64, cols)
 		for i := range share {
 			share[i] = 1
 		}
-		for i, sm := range ns.samples {
-			if i < first {
-				continue
+		for i := len(ns.samples) - 1; i >= 0; i-- {
+			c := col(ns.samples[i]) - first
+			if c < 0 {
+				break
 			}
-			if st.Grid.Start == 0 && i == first {
-				st.Grid.Start = sm.Start
-			}
-			util[i-first] = sm.Utilization
-			share[i-first] = sm.MeanShare
+			util[c] = ns.samples[i].Utilization
+			share[c] = ns.samples[i].MeanShare
 		}
 		st.Grid.Utilization = append(st.Grid.Utilization, util)
 		st.Grid.Share = append(st.Grid.Share, share)
 
 		cont, idle, down := ns.totContention+ns.contSecs, ns.totIdle+ns.idleSecs, ns.totDown+ns.downSecs
 		st.Nodes = append(st.Nodes, NodeSummary{
-			Name:           name,
+			Name:           ns.node.Name(),
 			CPUs:           ns.cpus,
 			Speed:          ns.node.Speed(),
 			Active:         ns.k,

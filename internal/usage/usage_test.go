@@ -130,23 +130,6 @@ func TestSeparateWindowsAcrossRealGap(t *testing.T) {
 	}
 }
 
-// TestMinWindowFilter drops windows shorter than the floor.
-func TestMinWindowFilter(t *testing.T) {
-	e := sim.NewEngine()
-	c := cluster.New(e)
-	n := c.AddNode("n", 1, 1.0)
-	s := NewSampler(c, Options{Interval: 600, MinWindow: 150})
-	n.Submit("a", 50, nil)
-	n.Submit("b", 50, nil) // contention [0,100]: below the floor
-	e.Run()
-	s.Finalize(e.Now())
-	for _, w := range s.Windows() {
-		if w.Kind == WindowContention {
-			t.Errorf("short contention window survived MinWindow: %+v", w)
-		}
-	}
-}
-
 // TestDownNodeAccounting: failed time lands in DownSecs and closes any
 // open contention window.
 func TestDownNodeAccounting(t *testing.T) {
@@ -182,33 +165,6 @@ func TestDownNodeAccounting(t *testing.T) {
 	}
 }
 
-// TestJobShareAggregation: increment labels "x[i/n]" collapse into one
-// per-day family row with the observed mean share.
-func TestJobShareAggregation(t *testing.T) {
-	e := sim.NewEngine()
-	c := cluster.New(e)
-	n := c.AddNode("n", 1, 1.0)
-	s := NewSampler(c, Options{Interval: 600})
-	// Two increments of "sim:f" back to back, sharing with "other".
-	n.Submit("sim:f[0/2]", 100, func() { n.Submit("sim:f[1/2]", 100, nil) })
-	n.Submit("other", 1000, nil)
-	e.Run()
-	s.Finalize(e.Now())
-
-	shares := s.JobShares()
-	if len(shares) != 2 {
-		t.Fatalf("got %d job shares, want 2: %+v", len(shares), shares)
-	}
-	f := shares[1] // sorted by (node, job, day): "other" < "sim:f"
-	if f.Job != "sim:f" || f.Jobs != 2 || f.Day != 0 {
-		t.Fatalf("aggregate = %+v, want sim:f with 2 jobs", f)
-	}
-	// Both increments ran at share 1/2 (always sharing with "other").
-	if !almost(f.MeanShare(), 0.5) || !almost(f.RunSecs, 400) {
-		t.Errorf("mean share %v over %v run secs, want 0.5 over 400", f.MeanShare(), f.RunSecs)
-	}
-}
-
 // TestMeanShareOver integrates the flushed timeline.
 func TestMeanShareOver(t *testing.T) {
 	e := sim.NewEngine()
@@ -229,6 +185,110 @@ func TestMeanShareOver(t *testing.T) {
 	}
 	if got := s.MeanShareOver("nosuch", 0, 1); !almost(got, 1) {
 		t.Errorf("MeanShareOver on unknown node = %v, want 1", got)
+	}
+}
+
+// TestNodeAddedMidRun: a node that joins after the sampler starts is
+// sampled from its add time, in buckets aligned with the other nodes',
+// and takes its name-ordered row in the live grid.
+func TestNodeAddedMidRun(t *testing.T) {
+	e := sim.NewEngine()
+	c := cluster.New(e)
+	c.AddNode("m", 1, 1.0)
+	s := NewSampler(c, Options{Interval: 100})
+	s.Start(600)
+	e.At(250, func() {
+		b := c.AddNode("b", 1, 1.0)
+		b.Submit("x", 100, nil)
+		b.Submit("y", 100, nil) // both at share 1/2 until 450
+	})
+	e.RunUntil(600)
+	s.Finalize(e.Now())
+
+	var got []Sample
+	for _, sm := range s.Samples() {
+		if sm.Node == "b" {
+			got = append(got, sm)
+		}
+	}
+	want := []Sample{
+		{Node: "b", Start: 250, End: 300, Utilization: 1, MeanShare: 0.5, MeanActive: 2, PeakActive: 2, ContentionSecs: 50},
+		{Node: "b", Start: 300, End: 400, Utilization: 1, MeanShare: 0.5, MeanActive: 2, PeakActive: 2, ContentionSecs: 100},
+		{Node: "b", Start: 400, End: 500, Utilization: 0.5, MeanShare: 0.5, MeanActive: 1, PeakActive: 2, ContentionSecs: 50, IdleSecs: 50},
+		{Node: "b", Start: 500, End: 600, MeanShare: 1, IdleSecs: 100},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("node b has %d samples, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		g := got[i]
+		if !almost(g.Start, w.Start) || !almost(g.End, w.End) || !almost(g.Utilization, w.Utilization) ||
+			!almost(g.MeanShare, w.MeanShare) || !almost(g.MeanActive, w.MeanActive) || g.PeakActive != w.PeakActive ||
+			!almost(g.ContentionSecs, w.ContentionSecs) || !almost(g.IdleSecs, w.IdleSecs) {
+			t.Errorf("b sample %d = %+v, want %+v", i, g, w)
+		}
+	}
+
+	var bw []Window
+	for _, w := range s.Windows() {
+		if w.Node == "b" {
+			bw = append(bw, w)
+		}
+	}
+	if len(bw) != 2 || bw[0].Kind != WindowContention || !almost(bw[0].Start, 250) || !almost(bw[0].End, 450) ||
+		!almost(bw[0].MeanShare, 0.5) || bw[1].Kind != WindowIdle || !almost(bw[1].Start, 450) || !almost(bw[1].End, 600) {
+		t.Errorf("b windows = %+v, want contention [250,450] share 0.5 and idle [450,600]", bw)
+	}
+	if got := s.MeanShareOver("b", 0, 600); !almost(got, 0.5) {
+		t.Errorf("MeanShareOver(b) = %v, want 0.5", got)
+	}
+
+	st := s.Status()
+	if len(st.Grid.Nodes) != 2 || st.Grid.Nodes[0] != "b" || st.Grid.Nodes[1] != "m" {
+		t.Fatalf("grid nodes = %v, want [b m]", st.Grid.Nodes)
+	}
+	if !almost(st.Grid.Start, 0) || len(st.Grid.Utilization[0]) != 6 {
+		t.Fatalf("grid start %v with %d cols, want 0 and 6", st.Grid.Start, len(st.Grid.Utilization[0]))
+	}
+	wantRow := []float64{0, 0, 1, 1, 0.5, 0}
+	for i, w := range wantRow {
+		if !almost(st.Grid.Utilization[0][i], w) {
+			t.Fatalf("grid row b = %v, want %v", st.Grid.Utilization[0], wantRow)
+		}
+	}
+	if !almost(st.Grid.Share[0][2], 0.5) || !almost(st.Grid.Share[0][0], 1) {
+		t.Errorf("grid share row b = %v, want 1 before the add and 0.5 from column 2", st.Grid.Share[0])
+	}
+}
+
+// TestTimelineIntegrals integrates a replayed timeline: share weighted by
+// running time, down time pro-rated, and the nil Timeline's defaults.
+func TestTimelineIntegrals(t *testing.T) {
+	tl := NewTimeline([]Sample{
+		{Node: "n1", Start: 0, End: 100, MeanShare: 1.0},
+		{Node: "n1", Start: 100, End: 200, MeanShare: 0.5, DownSecs: 20},
+		{Node: "n2", Start: 0, End: 100, MeanShare: 0.25},
+	})
+	// Full overlap of both n1 samples: run time 100 + 80, share-weighted.
+	want := (1.0*100 + 0.5*80) / 180
+	if got := tl.MeanShareOver("n1", 0, 200); !almost(got, want) {
+		t.Errorf("MeanShareOver(n1, 0, 200) = %v, want %v", got, want)
+	}
+	// Half overlap of the second sample pro-rates run and down time.
+	want = (1.0*100 + 0.5*40) / 140
+	if got := tl.MeanShareOver("n1", 0, 150); !almost(got, want) {
+		t.Errorf("MeanShareOver(n1, 0, 150) = %v, want %v", got, want)
+	}
+	if got := tl.DownSecsOver("n1", 0, 150); !almost(got, 10) {
+		t.Errorf("DownSecsOver(n1, 0, 150) = %v, want 10", got)
+	}
+	// No samples / nil timeline: share 1, no down time.
+	if got := tl.MeanShareOver("missing", 0, 100); got != 1 {
+		t.Errorf("MeanShareOver on unknown node = %v, want 1", got)
+	}
+	var nilTL *Timeline
+	if nilTL.MeanShareOver("n1", 0, 10) != 1 || nilTL.DownSecsOver("n1", 0, 10) != 0 {
+		t.Error("nil Timeline must report share 1 and no down time")
 	}
 }
 
