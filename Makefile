@@ -41,7 +41,8 @@ check: fmt test vet race e2ebench
 
 # Native fuzzing of the readers of untrusted text (run logs, the statsdb
 # SQL subset, factory config files, the harvest journal and snapshot),
-# 60 s each. Their seed inputs also run in the tier-1 suite. A crasher is
+# and of the vfs path lookup's in-place walk against path.Clean, 60 s
+# each. Their seed inputs also run in the tier-1 suite. A crasher is
 # written under the package's testdata/fuzz/ and lands as a regression
 # test with its fix.
 fuzz:
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/config
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s ./internal/harvest
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 60s ./internal/harvest
+	$(GO) test -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 60s ./internal/vfs
 
 # Experiment benchmarks plus the machine-readable reports uploaded as CI
 # artifacts: the harvest pipeline (BENCH_harvest.json), the usage

@@ -199,10 +199,12 @@ func (c *Cluster) OnEvent(fn func(JobEvent)) {
 		return
 	}
 	prev := c.onEvent
+	if prev == nil {
+		c.onEvent = fn // the only observer: no wrapper on the event path
+		return
+	}
 	c.onEvent = func(ev JobEvent) {
-		if prev != nil {
-			prev(ev)
-		}
+		prev(ev)
 		fn(ev)
 	}
 }

@@ -39,23 +39,7 @@ type Snapshot struct {
 // moment of interest.
 func (c *Campaign) Snapshot() Snapshot {
 	now := c.eng.Now()
-	s := Snapshot{Now: now}
-	for key, run := range c.active {
-		name, day := splitRunKey(key)
-		s.Active = append(s.Active, ActiveRun{
-			Forecast:    name,
-			Day:         day,
-			Node:        run.Node().Name(),
-			Started:     run.Started(),
-			SimProgress: run.SimProgress(),
-		})
-	}
-	sort.Slice(s.Active, func(i, j int) bool {
-		if s.Active[i].Forecast != s.Active[j].Forecast {
-			return s.Active[i].Forecast < s.Active[j].Forecast
-		}
-		return s.Active[i].Day < s.Active[j].Day
-	})
+	s := Snapshot{Now: now, Active: c.Active()}
 	// Upcoming launches: today's not-yet-started forecasts and tomorrow's.
 	lastDay := c.cfg.StartDay + c.cfg.Days - 1
 	for day := c.dayOf(now); day <= lastDay && day <= c.dayOf(now)+1; day++ {
@@ -97,6 +81,29 @@ func (c *Campaign) Snapshot() Snapshot {
 		return s.Completed[i].Day < s.Completed[j].Day
 	})
 	return s
+}
+
+// Active returns the executing runs, ordered by forecast then day: the
+// part of a Snapshot a monitor reads on every tick.
+func (c *Campaign) Active() []ActiveRun {
+	var active []ActiveRun
+	for key, run := range c.active {
+		name, day := splitRunKey(key)
+		active = append(active, ActiveRun{
+			Forecast:    name,
+			Day:         day,
+			Node:        run.Node().Name(),
+			Started:     run.Started(),
+			SimProgress: run.SimProgress(),
+		})
+	}
+	sort.Slice(active, func(i, j int) bool {
+		if active[i].Forecast != active[j].Forecast {
+			return active[i].Forecast < active[j].Forecast
+		}
+		return active[i].Day < active[j].Day
+	})
+	return active
 }
 
 // dayOf maps campaign time to day of year.

@@ -171,39 +171,14 @@ func (b *alertBook) snapshotAll() []Alert {
 
 // ThresholdRule fires while a metric series exceeds a bound — the simple
 // "node is saturated / too much WIP" class of alert. The metric value is
-// read from the registry snapshot on every monitor tick; counters and
-// gauges compare their value, histograms their observation count.
+// read from the registry (Registry.Value) on every monitor tick; counters
+// and gauges compare their value, histograms their observation count.
 type ThresholdRule struct {
 	Name     string           // rule name; also the dedupe key suffix
 	Metric   string           // metric family name in the registry
 	Labels   telemetry.Labels // series selector (nil = the unlabelled series)
 	Above    float64          // fire while value > Above
 	Severity Severity
-}
-
-// value extracts the rule's series value from a registry snapshot.
-func (r ThresholdRule) value(fams []telemetry.FamilySnapshot) (float64, bool) {
-	return metricValue(fams, r.Metric, r.Labels)
-}
-
-// metricValue finds a series in a registry snapshot: counters and gauges
-// yield their value, histograms their observation count.
-func metricValue(fams []telemetry.FamilySnapshot, metric string, labels telemetry.Labels) (float64, bool) {
-	for _, f := range fams {
-		if f.Name != metric {
-			continue
-		}
-		for _, s := range f.Series {
-			if !labelsEqual(s.Labels, labels) {
-				continue
-			}
-			if f.Kind == telemetry.KindHistogram {
-				return float64(s.Count), true
-			}
-			return s.Value, true
-		}
-	}
-	return 0, false
 }
 
 // StalenessRule fires when a timestamp gauge falls too far behind the
@@ -235,18 +210,6 @@ type rateState struct {
 	value float64
 	at    float64
 	seen  bool
-}
-
-func labelsEqual(a, b telemetry.Labels) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // The run-time regression rule fires (at warning) when a completed run's

@@ -255,12 +255,13 @@ func (m *Monitor) Attach(c *factory.Campaign) {
 			rosterDay = day
 			m.expectOn(day, c.Forecasts())
 		}
-		snap := c.Snapshot()
+		// The rules read only the clock and the executing runs, not the
+		// results and launches a full Snapshot copies and sorts.
 		var nodes []NodeStatus
 		for _, n := range c.Cluster().Nodes() {
 			nodes = append(nodes, NodeStatus{Name: n.Name(), CPUs: n.CPUs(), Utilization: n.Utilization()})
 		}
-		m.ObserveSnapshot(snap, nodes)
+		m.ObserveSnapshot(factory.Snapshot{Now: eng.Now(), Active: c.Active()}, nodes)
 		if eng.Now()+interval <= horizon {
 			sched.After(interval, tick)
 		}
@@ -429,7 +430,8 @@ func (m *Monitor) ObserveRecord(rec *logs.RunRecord) {
 
 // ObserveSnapshot ingests a factory snapshot (taken on the engine's
 // goroutine): it advances the clock, refreshes progress-based ETAs for
-// executing runs, caches node utilization, and evaluates all rules.
+// executing runs, caches node utilization, and evaluates all rules. Only
+// the snapshot's Now and Active are read.
 func (m *Monitor) ObserveSnapshot(snap factory.Snapshot, nodes []NodeStatus) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -478,33 +480,30 @@ func (m *Monitor) evaluateLocked() {
 			m.checkDeadline(r)
 		}
 	}
-	if len(m.opts.Thresholds)+len(m.opts.Staleness)+len(m.opts.Rates) > 0 {
-		fams := m.reg.Snapshot()
-		for _, rule := range m.opts.Thresholds {
-			key := "threshold:" + rule.Name
-			v, ok := rule.value(fams)
-			if ok && v > rule.Above {
-				m.book.fire(m.now, Alert{
-					Rule: rule.Name, Key: key, Severity: rule.Severity,
-					Value: v, Threshold: rule.Above,
-					Message: fmt.Sprintf("%s: %s = %g above %g", rule.Name, rule.Metric, v, rule.Above),
-				})
-			} else {
-				m.book.resolve(m.now, key)
-			}
+	for _, rule := range m.opts.Thresholds {
+		key := "threshold:" + rule.Name
+		v, ok := m.reg.Value(rule.Metric, rule.Labels)
+		if ok && v > rule.Above {
+			m.book.fire(m.now, Alert{
+				Rule: rule.Name, Key: key, Severity: rule.Severity,
+				Value: v, Threshold: rule.Above,
+				Message: fmt.Sprintf("%s: %s = %g above %g", rule.Name, rule.Metric, v, rule.Above),
+			})
+		} else {
+			m.book.resolve(m.now, key)
 		}
-		m.checkStaleness(fams)
-		m.checkRates(fams)
 	}
+	m.checkStaleness()
+	m.checkRates()
 	m.checkMissingRuns()
 }
 
 // checkStaleness fires staleness rules whose timestamp gauge has gone
 // quiet for longer than MaxAge.
-func (m *Monitor) checkStaleness(fams []telemetry.FamilySnapshot) {
+func (m *Monitor) checkStaleness() {
 	for _, rule := range m.opts.Staleness {
 		key := "stale:" + rule.Name
-		v, ok := metricValue(fams, rule.Metric, nil)
+		v, ok := m.reg.Value(rule.Metric, nil)
 		if age := m.now - v; ok && age > rule.MaxAge {
 			m.book.fire(m.now, Alert{
 				Rule: rule.Name, Key: key, Severity: rule.Severity,
@@ -520,10 +519,10 @@ func (m *Monitor) checkStaleness(fams []telemetry.FamilySnapshot) {
 
 // checkRates differentiates rate-rule counters between ticks and fires
 // while the growth rate exceeds the per-hour bound.
-func (m *Monitor) checkRates(fams []telemetry.FamilySnapshot) {
+func (m *Monitor) checkRates() {
 	for _, rule := range m.opts.Rates {
 		key := "rate:" + rule.Name
-		v, ok := metricValue(fams, rule.Metric, nil)
+		v, ok := m.reg.Value(rule.Metric, nil)
 		if !ok {
 			continue
 		}

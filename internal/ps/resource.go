@@ -10,7 +10,8 @@
 //
 // Whenever the set of active tasks changes, the resource settles every
 // task's remaining work exactly (no numerical drift beyond float64
-// arithmetic) and re-times its completion event.
+// arithmetic) and re-times its one completion event: every task's rate is
+// fixed between changes, so only the earliest completion needs an event.
 package ps
 
 import (
@@ -32,6 +33,12 @@ type Resource struct {
 	tasks    []*Task // active tasks in submission order
 	frozen   bool    // when true (resource down), tasks make no progress
 
+	// timer is the resource's one completion event, armed for next, the
+	// task due first; fire, its handler, is built once.
+	timer sim.Timer
+	next  *Task
+	fire  func()
+
 	// busyIntegral accumulates ∫ rate_total dt for utilization accounting.
 	// totalRate caches Σ task rates, maintained by retimeAll, so settling
 	// the integral is O(1) — callers like the usage sampler settle on
@@ -48,13 +55,15 @@ func NewResource(eng *sim.Engine, name string, capacity, taskCap float64) *Resou
 	if capacity <= 0 || taskCap <= 0 {
 		panic(fmt.Sprintf("ps: resource %q needs positive capacity (%v) and task cap (%v)", name, capacity, taskCap))
 	}
-	return &Resource{
+	r := &Resource{
 		eng:      eng,
 		sched:    eng.Scope("ps"),
 		name:     name,
 		capacity: capacity,
 		taskCap:  taskCap,
 	}
+	r.fire = r.completeNext
+	return r
 }
 
 // Name returns the resource's diagnostic name.
@@ -109,7 +118,6 @@ type Task struct {
 	rate      float64
 	cap       float64 // per-task rate cap (default: the resource's)
 	settled   float64 // virtual time remaining was last brought up to date
-	timer     sim.Timer
 	done      func()
 	label     string
 	started   float64
@@ -231,35 +239,40 @@ func (r *Resource) settleAll() {
 	}
 }
 
-// retimeAll recomputes every task's rate and completion timer. Must be
-// called with all tasks settled to Now.
+// retimeAll recomputes every task's rate and re-arms the completion
+// timer for the first task, in submission order, due earliest. Must be
+// called with all tasks settled to Now. The timer is re-armed on every
+// change, even when the earliest time did not move, and completes one
+// task per fire: a completion then fires after every event scheduled
+// before the resource's last change, which fixes how it ties with other
+// subsystems' events at one instant.
 func (r *Resource) retimeAll() {
 	now := r.eng.Now()
 	r.waterFill()
 	r.totalRate = 0
+	r.timer.Cancel()
+	r.timer, r.next = sim.Timer{}, nil
+	eta := math.Inf(1)
 	for _, t := range r.tasks {
 		r.totalRate += t.rate
-	}
-	// Timers are re-armed in submission order, so completions tied at one
-	// instant fire in that order.
-	for _, t := range r.tasks {
-		t.timer.Cancel()
-		t.timer = sim.Timer{}
 		if t.rate <= 0 {
 			continue // frozen: no completion until thawed
 		}
-		eta := now + t.remaining/t.rate
-		tt := t
-		t.timer = r.sched.At(eta, func() { r.complete(tt) })
+		if due := now + t.remaining/t.rate; due < eta {
+			eta, r.next = due, t
+		}
+	}
+	if r.next != nil {
+		r.timer = r.sched.At(eta, r.fire)
 	}
 }
 
-// complete finishes a task whose completion event fired.
-func (r *Resource) complete(t *Task) {
+// completeNext finishes the task the completion timer fired for.
+func (r *Resource) completeNext() {
+	t := r.next
 	r.settleAll()
 	t.finished = true
 	t.remaining = 0
-	t.timer = sim.Timer{}
 	i := slices.Index(r.tasks, t)
 	r.tasks = slices.Delete(r.tasks, i, i+1)
 	r.retimeAll()

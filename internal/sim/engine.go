@@ -62,7 +62,8 @@ type Engine struct {
 	running bool
 	stopped bool
 
-	fired int64 // events delivered since creation
+	fired     int64 // events delivered since creation
+	published int64 // fired as last added to mEvents
 
 	probe Probe
 	// probeEvery samples handler wall-clock timing: every probeEvery-th
@@ -73,8 +74,8 @@ type Engine struct {
 	probeEvery int
 	probeTick  int
 
-	// Optional telemetry handles, resolved once by Instrument so the
-	// per-event cost is a few nil-safe atomic operations.
+	// Optional telemetry handles, resolved once by Instrument. No event
+	// writes them: publish does, when Run, RunUntil or Step returns.
 	mEvents  *telemetry.Counter
 	mClock   *telemetry.Gauge
 	mPending *telemetry.Gauge
@@ -126,8 +127,9 @@ func (e *Engine) SetProbeSampling(n int) {
 // tracks the virtual clock, sim_pending_events gauges the event-queue
 // length (a growing queue while the clock stalls is the signature of an
 // engine pile-up), and sim_replay_lag_seconds (fed by ObserveReplayLag)
-// shows how far a paced replay trails its wall-clock schedule. A nil
-// registry detaches the instruments.
+// shows how far a paced replay trails its wall-clock schedule. The first
+// three publish when Run, RunUntil or Step returns; the counter counts
+// from this call. A nil registry detaches the instruments.
 func (e *Engine) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		e.mEvents, e.mClock, e.mPending, e.mLag = nil, nil, nil, nil
@@ -141,6 +143,15 @@ func (e *Engine) Instrument(reg *telemetry.Registry) {
 	e.mClock = reg.Gauge("sim_clock_seconds", nil)
 	e.mPending = reg.Gauge("sim_pending_events", nil)
 	e.mLag = reg.Gauge("sim_replay_lag_seconds", nil)
+	e.published = e.fired
+	e.publish()
+}
+
+// publish brings the kernel instruments up to date.
+func (e *Engine) publish() {
+	e.mEvents.Add(float64(e.fired - e.published))
+	e.published = e.fired
+	e.mClock.Set(e.now)
 	e.mPending.Set(float64(len(e.queue)))
 }
 
@@ -205,7 +216,6 @@ func (t Timer) Cancel() bool {
 		e.probe.EventCancelled(ev.label, ev.born, ev.when, e.now, len(e.queue))
 	}
 	e.recycle(ev)
-	e.mPending.Set(float64(len(e.queue)))
 	return true
 }
 
@@ -304,7 +314,6 @@ func (e *Engine) schedule(label string, when float64, fn func()) Timer {
 	}
 	ev.when, ev.born, ev.seq, ev.label, ev.fn = when, e.now, e.seq, label, fn
 	heap.Push(&e.queue, ev)
-	e.mPending.Set(float64(len(e.queue)))
 	if e.probe != nil {
 		e.probe.EventScheduled(label, e.now, when, len(e.queue))
 	}
@@ -330,6 +339,13 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step fires the single next event, advancing the clock to its time.
 // It reports whether an event was fired.
 func (e *Engine) Step() bool {
+	fired := e.step()
+	e.publish()
+	return fired
+}
+
+// step fires the next event, if any, without publishing.
+func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
@@ -341,9 +357,6 @@ func (e *Engine) Step() bool {
 	// reuses this struct while it is still hot in cache, and the
 	// generation bump has already invalidated stale handles.
 	e.recycle(ev)
-	e.mEvents.Inc()
-	e.mClock.Set(e.now)
-	e.mPending.Set(float64(len(e.queue)))
 	if p := e.probe; p != nil {
 		pending := len(e.queue)
 		wall := time.Duration(-1)
@@ -372,8 +385,9 @@ func (e *Engine) Run() float64 {
 	e.running = true
 	e.stopped = false
 	defer func() { e.running = false }()
-	for !e.stopped && e.Step() {
+	for !e.stopped && e.step() {
 	}
+	e.publish()
 	return e.now
 }
 
@@ -388,12 +402,12 @@ func (e *Engine) RunUntil(deadline float64) float64 {
 	e.stopped = false
 	defer func() { e.running = false }()
 	for !e.stopped && len(e.queue) > 0 && e.queue[0].when <= deadline {
-		e.Step()
+		e.step()
 	}
 	if !e.stopped && deadline > e.now {
 		e.now = deadline
-		e.mClock.Set(e.now)
 	}
+	e.publish()
 	return e.now
 }
 

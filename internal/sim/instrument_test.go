@@ -55,3 +55,48 @@ func TestInstrumentDetach(t *testing.T) {
 		t.Errorf("EventsFired = %d, want 1", e.EventsFired())
 	}
 }
+
+// The kernel gauges publish when RunUntil returns: they then read the
+// clock, the queue length and the events fired since Instrument, also
+// when Instrument came after some events had fired.
+func TestKernelGaugesPublishAtReturn(t *testing.T) {
+	e := NewEngine()
+	for i := 1; i <= 6; i++ {
+		e.At(float64(10*i), func() { e.At(e.Now()+100, func() {}) })
+	}
+	e.RunUntil(25) // two events fire before the instruments attach
+	reg := telemetry.NewRegistry()
+	e.Instrument(reg)
+	events := reg.Counter("sim_events_fired_total", nil)
+	clock := reg.Gauge("sim_clock_seconds", nil)
+	pending := reg.Gauge("sim_pending_events", nil)
+	check := func(when string, fired float64) {
+		t.Helper()
+		if events.Value() != fired || clock.Value() != e.Now() || pending.Value() != float64(e.Pending()) {
+			t.Fatalf("%s: events %v clock %v pending %v, want %v, %v, %d",
+				when, events.Value(), clock.Value(), pending.Value(), fired, e.Now(), e.Pending())
+		}
+	}
+	check("at Instrument", 0)
+	e.RunUntil(45)
+	check("after RunUntil(45)", 2)
+	e.Step()
+	check("after Step", 3)
+	e.RunUntil(1000)
+	check("after the drain", 10)
+}
+
+// An instrumented Step writes its gauges once, outside the handler, and
+// allocates nothing.
+func TestInstrumentedStepAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	e.Instrument(telemetry.NewRegistry())
+	s := e.Scope("tick")
+	var tick func()
+	tick = func() { s.After(1, tick) }
+	s.After(1, tick)
+	e.Step() // warm the free list
+	if n := testing.AllocsPerRun(100, func() { e.Step() }); n != 0 {
+		t.Fatalf("instrumented Step allocates %.1f objects, want 0", n)
+	}
+}

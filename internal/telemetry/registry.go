@@ -19,6 +19,7 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -344,6 +345,33 @@ func (r *Registry) Histogram(name string, buckets []float64, labels Labels) *His
 		panic(fmt.Sprintf("telemetry: histogram %q buckets are not sorted", name))
 	}
 	return r.getSeries(name, KindHistogram, buckets, labels).hist
+}
+
+// Value reads one series as Snapshot exports it, without copying or
+// sorting anything: a counter's or gauge's value, or a histogram's
+// observation count. It reports false for a series that does not exist.
+func (r *Registry) Value(name string, labels Labels) (float64, bool) {
+	if r == nil {
+		return 0, false
+	}
+	r.mu.RLock()
+	f := r.families[name]
+	r.mu.RUnlock()
+	if f == nil {
+		return 0, false
+	}
+	f.mu.RLock()
+	s := f.series[labelKey(labels)]
+	f.mu.RUnlock()
+	switch {
+	case s == nil || !maps.Equal(s.labels, labels):
+		return 0, false
+	case s.hist != nil:
+		return float64(s.hist.Count()), true
+	case s.gauge != nil:
+		return s.gauge.Value(), true
+	}
+	return s.counter.Value(), true
 }
 
 // SeriesSnapshot is one exported series.

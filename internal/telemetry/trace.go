@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Span is one timed operation in the factory's hierarchy:
@@ -101,12 +102,7 @@ func (s *Span) EndSpan() {
 	if s == nil || s.tracer == nil {
 		return
 	}
-	s.tracer.mu.Lock()
-	if r := s.tracer.rec(s.ID); !r.finished {
-		r.finished = true
-		r.end = s.tracer.clock()
-	}
-	s.tracer.mu.Unlock()
+	s.tracer.EndID(s.ID)
 }
 
 // spanRec is the tracer's own record of one span. It holds no pointers
@@ -133,9 +129,16 @@ type Tracer struct {
 	// grown, so recording a span never copies earlier ones.
 	chunks [][]spanRec
 	n      int64
-	strs   []string          // interned Cat, Name and Track values
+	strs   []string          // interned Cat, Name and Track values; strs[0] is ""
 	strID  map[string]uint32 // string → index in strs
 	args   map[int64]map[string]string
+	// hot caches strID by string address for the few strings a hot path
+	// passes over and over (a product task's category, name and node).
+	// A zero slot holds "" at index 0, which is right.
+	hot [256]struct {
+		s  string
+		id uint32
+	}
 }
 
 // tracerChunk is the span-record chunk size.
@@ -144,7 +147,7 @@ const tracerChunk = 256
 // NewTracer returns a tracer reading sim time from clock (nil clock
 // pins time at 0 until SetClock installs a real one).
 func NewTracer(clock func() float64) *Tracer {
-	t := &Tracer{strID: make(map[string]uint32)}
+	t := &Tracer{strs: []string{""}, strID: map[string]uint32{"": 0}}
 	t.SetClock(clock)
 	return t
 }
@@ -171,12 +174,17 @@ func (t *Tracer) rec(id int64) *spanRec {
 
 // intern returns s's index in the string table. Callers hold t.mu.
 func (t *Tracer) intern(s string) uint32 {
+	h := &t.hot[uintptr(unsafe.Pointer(unsafe.StringData(s)))>>4%uintptr(len(t.hot))]
+	if h.s == s {
+		return h.id
+	}
 	id, ok := t.strID[s]
 	if !ok {
 		id = uint32(len(t.strs))
 		t.strs = append(t.strs, s)
 		t.strID[s] = id
 	}
+	h.s, h.id = s, id
 	return id
 }
 
@@ -197,32 +205,59 @@ func (t *Tracer) setArg(id int64, key, value string) {
 // Begin opens a span under parent (nil for a root span) at the current
 // sim time.
 func (t *Tracer) Begin(cat, name, track string, parent *Span) *Span {
-	if t == nil {
+	id := t.BeginID(cat, name, track, parent)
+	if id == 0 {
 		return nil
 	}
-	s := &Span{tracer: t, Cat: cat, Name: name, Track: track}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := t.rec(id)
+	return &Span{tracer: t, ID: id, Parent: r.parent, Cat: cat, Name: name, Track: t.strs[r.track], Start: r.start}
+}
+
+// BeginID opens a span as Begin does but returns only its ID and
+// allocates nothing: for a hot path that opens many short spans and
+// closes each with EndID, such as a campaign's product tasks. A nil
+// tracer returns 0, which EndID ignores.
+func (t *Tracer) BeginID(cat, name, track string, parent *Span) int64 {
+	if t == nil {
+		return 0
+	}
+	var pid int64
 	if parent != nil {
-		s.Parent = parent.ID
-		if s.Track == "" {
-			s.Track = parent.Track
+		pid = parent.ID
+		if track == "" {
+			track = parent.Track
 		}
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.n%tracerChunk == 0 {
 		t.chunks = append(t.chunks, make([]spanRec, tracerChunk))
 	}
 	t.n++
-	s.ID = t.n
-	s.Start = t.clock()
-	*t.rec(s.ID) = spanRec{
-		parent: s.Parent,
-		start:  s.Start,
+	*t.rec(t.n) = spanRec{
+		parent: pid,
+		start:  t.clock(),
 		cat:    t.intern(cat),
 		name:   t.intern(name),
-		track:  t.intern(s.Track),
+		track:  t.intern(track),
+	}
+	return t.n
+}
+
+// EndID closes span id at the current sim time, as Span.EndSpan does.
+// Ending an already-ended span, or ID 0, is a no-op.
+func (t *Tracer) EndID(id int64) {
+	if t == nil || id <= 0 {
+		return
+	}
+	t.mu.Lock()
+	if r := t.rec(id); !r.finished {
+		r.finished = true
+		r.end = t.clock()
 	}
 	t.mu.Unlock()
-	return s
 }
 
 // EndOpen closes every unfinished span at the current sim time — called

@@ -6,6 +6,10 @@
 // text files (run logs, configuration) carry real content so the log
 // parser and crawler exercise the same code paths they would against a
 // real directory tree. Paths use forward slashes; the root is "/".
+//
+// Files are never removed, so a handle from Open or OpenDir stays valid
+// for the life of its FS: a watcher resolves a path once, then reads
+// through one pointer instead of walking the path again.
 package vfs
 
 import (
@@ -33,28 +37,74 @@ type FileInfo struct {
 	IsDir bool
 }
 
-// file is a node in the tree.
-type file struct {
+// File is a node in the tree: a regular file or a directory. Open hands
+// out a *File for a regular file as a handle to it.
+type File struct {
+	fs       *FS // for the mtime clock of appends through a handle
 	info     FileInfo
 	content  []byte // only for text files; nil for size-only bulk data
-	children map[string]*file
-	// sorted caches a directory's children in name order. Adding or
-	// removing a child drops it (sets it to nil, never edits it in place,
-	// so a walk already iterating the old slice keeps its snapshot); the
-	// next Walk or ReadDir of the directory rebuilds it.
-	sorted []*file
+	children map[string]*File
+	// sorted caches a directory's children in name order. Adding a child
+	// drops it (sets it to nil, never edits it in place, so a walk
+	// already iterating the old slice keeps its snapshot); the next Walk
+	// or ReadDir of the directory rebuilds it.
+	sorted []*File
 }
 
 // entries returns a directory's children in name order.
-func (f *file) entries() []*file {
+func (f *File) entries() []*File {
 	if f.sorted == nil && len(f.children) > 0 {
-		f.sorted = make([]*file, 0, len(f.children))
+		f.sorted = make([]*File, 0, len(f.children))
 		for _, c := range f.children {
 			f.sorted = append(f.sorted, c)
 		}
-		slices.SortFunc(f.sorted, func(a, b *file) int { return strings.Compare(a.info.Name, b.info.Name) })
+		slices.SortFunc(f.sorted, func(a, b *File) int { return strings.Compare(a.info.Name, b.info.Name) })
 	}
 	return f.sorted
+}
+
+// Size returns the file's logical size. A nil handle (a file that did not
+// exist when it was opened) has size 0, as FS.Size reports.
+func (f *File) Size() int64 {
+	if f == nil {
+		return 0
+	}
+	return f.info.Size
+}
+
+// Append grows a size-only file by n bytes and stamps its mtime from the
+// FS clock, as FS.Append does.
+func (f *File) Append(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("append %s: negative size %d", f.info.Path, n)
+	}
+	if f.content != nil {
+		return fmt.Errorf("append %s: size-only append to content file", f.info.Path)
+	}
+	f.info.Size += n
+	f.info.MTime = f.fs.now()
+	return nil
+}
+
+// Dir is a handle to a directory, for a watcher that probes it for a
+// child to appear. Like a File handle it stays valid for the FS's life.
+type Dir File
+
+// Open returns a handle to the directory's regular file name, or nil if
+// there is none yet. A nil Dir has no files.
+func (d *Dir) Open(name string) *File {
+	if d == nil {
+		return nil
+	}
+	return regular(d.children[name])
+}
+
+// regular returns f if it is a regular file, else nil.
+func regular(f *File) *File {
+	if f == nil || f.info.IsDir {
+		return nil
+	}
+	return f
 }
 
 // FS is an in-memory filesystem. The zero value is not usable; use New.
@@ -64,7 +114,7 @@ func (f *file) entries() []*file {
 // ReadDir fill each directory's name-ordered listing cache on first read
 // after a change.
 type FS struct {
-	root *file
+	root *File
 	// clock supplies the virtual time for mtimes. It may be nil, in which
 	// case mtimes are zero.
 	clock func() float64
@@ -74,9 +124,9 @@ type FS struct {
 // timestamps for modification times (typically sim.Engine.Now).
 func New(clock func() float64) *FS {
 	return &FS{
-		root: &file{
+		root: &File{
 			info:     FileInfo{Path: "/", Name: "/", IsDir: true},
-			children: make(map[string]*file),
+			children: make(map[string]*File),
 		},
 		clock: clock,
 	}
@@ -97,22 +147,32 @@ func clean(p string) string {
 	return path.Clean(p)
 }
 
-// lookup walks to the node for p, or returns nil.
-func (fs *FS) lookup(p string) *file {
-	p = clean(p)
-	if p == "/" {
-		return fs.root
+// isClean reports whether clean would return p unchanged: a leading
+// slash, then segments none of which is empty, "." or "..".
+func isClean(p string) bool {
+	return p == "/" || len(p) > 1 && p[0] == '/' && p[len(p)-1] != '/' &&
+		!strings.Contains(p, "//") && !strings.Contains(p, "/./") && !strings.Contains(p, "/../") &&
+		!strings.HasSuffix(p, "/.") && !strings.HasSuffix(p, "/..")
+}
+
+// lookup walks to the node for p, or returns nil. A clean path (the form
+// every caller builds) is walked in place, segment by segment, without
+// allocating; any other path is cleaned first.
+func (fs *FS) lookup(p string) *File {
+	if !isClean(p) {
+		p = clean(p)
 	}
 	cur := fs.root
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
-		if cur.children == nil {
+	for rest := p[1:]; rest != ""; {
+		seg := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			seg, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		if cur = cur.children[seg]; cur == nil {
 			return nil
 		}
-		next, ok := cur.children[part]
-		if !ok {
-			return nil
-		}
-		cur = next
 	}
 	return cur
 }
@@ -131,9 +191,9 @@ func (fs *FS) MkdirAll(p string) error {
 		walked += "/" + part
 		next, ok := cur.children[part]
 		if !ok {
-			next = &file{
+			next = &File{
 				info:     FileInfo{Path: walked, Name: part, IsDir: true, MTime: fs.now()},
-				children: make(map[string]*file),
+				children: make(map[string]*File),
 			}
 			cur.children[part] = next
 			cur.sorted = nil
@@ -146,7 +206,7 @@ func (fs *FS) MkdirAll(p string) error {
 }
 
 // create makes a regular file node, creating parents as needed.
-func (fs *FS) create(p string) (*file, error) {
+func (fs *FS) create(p string) (*File, error) {
 	p = clean(p)
 	dir, name := path.Split(p)
 	if name == "" {
@@ -162,7 +222,7 @@ func (fs *FS) create(p string) (*file, error) {
 		}
 		return nil, fmt.Errorf("create %s: %w", p, ErrExist)
 	}
-	f := &file{info: FileInfo{Path: p, Name: name, MTime: fs.now()}}
+	f := &File{fs: fs, info: FileInfo{Path: p, Name: name, MTime: fs.now()}}
 	parent.children[name] = f
 	parent.sorted = nil
 	return f, nil
@@ -191,12 +251,7 @@ func (fs *FS) Append(p string, n int64) error {
 	if f.info.IsDir {
 		return fmt.Errorf("append %s: %w", p, ErrIsDir)
 	}
-	if f.content != nil {
-		return fmt.Errorf("append %s: size-only append to content file", p)
-	}
-	f.info.Size += n
-	f.info.MTime = fs.now()
-	return nil
+	return f.Append(n)
 }
 
 // WriteString replaces the content of a text file, creating it if absent.
@@ -269,30 +324,19 @@ func (fs *FS) Stat(p string) (FileInfo, error) {
 func (fs *FS) Exists(p string) bool { return fs.lookup(p) != nil }
 
 // Size returns the logical size of a file, or 0 if it does not exist.
-func (fs *FS) Size(p string) int64 {
-	f := fs.lookup(p)
-	if f == nil || f.info.IsDir {
-		return 0
-	}
-	return f.info.Size
-}
+func (fs *FS) Size(p string) int64 { return fs.Open(p).Size() }
 
-// Remove deletes a file or empty directory.
-func (fs *FS) Remove(p string) error {
-	p = clean(p)
-	if p == "/" {
-		return errors.New("vfs: cannot remove root")
+// Open returns a handle to the regular file at p, or nil while p does
+// not exist or names a directory. The handle sees every later write,
+// through it or by path.
+func (fs *FS) Open(p string) *File { return regular(fs.lookup(p)) }
+
+// OpenDir returns a handle to the directory at p, or nil while p does
+// not exist or names a regular file.
+func (fs *FS) OpenDir(p string) *Dir {
+	if f := fs.lookup(p); f != nil && f.info.IsDir {
+		return (*Dir)(f)
 	}
-	f := fs.lookup(p)
-	if f == nil {
-		return fmt.Errorf("remove %s: %w", p, ErrNotExist)
-	}
-	if f.info.IsDir && len(f.children) > 0 {
-		return fmt.Errorf("remove %s: directory not empty", p)
-	}
-	parent := fs.lookup(path.Dir(p))
-	delete(parent.children, f.info.Name)
-	parent.sorted = nil
 	return nil
 }
 
@@ -326,7 +370,7 @@ func (fs *FS) Walk(root string, fn func(info FileInfo) error) error {
 	return walk(f, fn)
 }
 
-func walk(f *file, fn func(info FileInfo) error) error {
+func walk(f *File, fn func(info FileInfo) error) error {
 	if err := fn(f.info); err != nil {
 		return err
 	}

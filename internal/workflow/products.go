@@ -52,8 +52,15 @@ type ProductEngine struct {
 	active    int
 	rrCursor  int
 	pollTimer sim.Timer
+	pollFn    func() // poll, bound once
 	finished  bool
 	endTime   float64
+
+	// Handles, so a poll builds no path: the outputs/ directory, probed
+	// for inputs not written yet, and the process log.
+	outputsDir string
+	outputs    *vfs.Dir
+	master     *vfs.File
 
 	depthPolls int // saturated polls since the last backlog scan
 
@@ -81,11 +88,13 @@ func StartProducts(eng *sim.Engine, cfg ProductConfig) *ProductEngine {
 		cfg.WorkFactor = 1
 	}
 	p := &ProductEngine{
-		cfg:    cfg,
-		eng:    eng,
-		sched:  eng.Scope("workflow"),
-		byName: make(map[string]*productState, len(cfg.Products)),
+		cfg:        cfg,
+		eng:        eng,
+		sched:      eng.Scope("workflow"),
+		byName:     make(map[string]*productState, len(cfg.Products)),
+		outputsDir: cfg.Dir + "/outputs",
 	}
+	p.pollFn = p.poll
 	reg := cfg.Telemetry.Registry()
 	if reg != nil {
 		reg.Describe("workflow_master_polls_total", "Master-process scans for new model output.")
@@ -108,6 +117,7 @@ func StartProducts(eng *sim.Engine, cfg ProductConfig) *ProductEngine {
 				panic(fmt.Sprintf("workflow: product %q reads %q with unknown total", spec.Name, in))
 			}
 			st.totalIn += float64(total)
+			st.inputs = append(st.inputs, productInput{name: in, total: float64(total)})
 		}
 		p.products = append(p.products, st)
 		p.byName[spec.Name] = st
@@ -116,7 +126,7 @@ func StartProducts(eng *sim.Engine, cfg ProductConfig) *ProductEngine {
 		p.finish()
 		return p
 	}
-	p.pollTimer = p.sched.After(cfg.Poll, p.poll)
+	p.pollTimer = p.sched.After(cfg.Poll, p.pollFn)
 	return p
 }
 
@@ -125,11 +135,6 @@ func (p *ProductEngine) Finished() bool { return p.finished }
 
 // FinishedAt returns the completion time (0 if unfinished).
 func (p *ProductEngine) FinishedAt() float64 { return p.endTime }
-
-// OutputPath returns a model-output path in the engine's run directory.
-func (p *ProductEngine) OutputPath(name string) string {
-	return p.cfg.Dir + "/outputs/" + name
-}
 
 // ProductPath returns a product's data path.
 func (p *ProductEngine) ProductPath(name string) string {
@@ -156,11 +161,18 @@ func (p *ProductEngine) ConsumedFraction(name string) float64 {
 // across inputs; dependencies gate the whole product.
 func (p *ProductEngine) availableFraction(st *productState) float64 {
 	frac := 1.0
-	if len(st.spec.Inputs) > 0 {
+	if len(st.inputs) > 0 {
 		var avail, total float64
-		for _, in := range st.spec.Inputs {
-			t := float64(p.cfg.InputTotals[in])
-			a := float64(p.cfg.FS.Size(p.OutputPath(in)))
+		for i := range st.inputs {
+			in := &st.inputs[i]
+			if in.file == nil {
+				if p.outputs == nil {
+					p.outputs = p.cfg.FS.OpenDir(p.outputsDir)
+				}
+				in.file = p.outputs.Open(in.name)
+			}
+			t := in.total
+			a := float64(in.file.Size())
 			if a > t {
 				a = t
 			}
@@ -193,7 +205,7 @@ func (p *ProductEngine) poll() {
 	p.dispatch()
 	p.updateQueueDepth()
 	if !p.finished {
-		p.pollTimer = p.sched.After(p.cfg.Poll, p.poll)
+		p.pollTimer = p.sched.After(p.cfg.Poll, p.pollFn)
 	}
 }
 
@@ -269,13 +281,13 @@ func (p *ProductEngine) startTask(st *productState, bytes float64) {
 	// a campaign dispatches thousands of product tasks and a map
 	// allocation per span is measurable against the telemetry overhead
 	// budget. Aggregate byte counts live in the metrics registry instead.
-	var span *telemetry.Span
+	var span int64
 	if tel := p.cfg.Telemetry; tel != nil {
 		st.mTasks.Inc()
-		span = tel.Trace().Begin("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
+		span = tel.Trace().BeginID("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
 	}
 	p.cfg.Node.Submit(st.taskName, work, func() {
-		span.EndSpan()
+		p.cfg.Telemetry.Trace().EndID(span)
 		st.active = false
 		st.consumed += st.dispatched
 		p.active--
@@ -283,17 +295,32 @@ func (p *ProductEngine) startTask(st *productState, bytes float64) {
 		outBytes := int64(math.Round(ratio * st.spec.Scale * st.dispatched))
 		if outBytes > 0 {
 			st.outWritten += outBytes
-			if err := p.cfg.FS.Append(p.ProductPath(st.spec.Name), outBytes); err != nil {
+			if st.out == nil {
+				st.out = create(p.cfg.FS, p.ProductPath(st.spec.Name))
+			}
+			if err := st.out.Append(outBytes); err != nil {
 				panic(fmt.Sprintf("workflow: append product: %v", err))
 			}
 		}
-		if err := p.cfg.FS.Append(p.processPath(), 4096); err != nil {
+		if p.master == nil {
+			p.master = create(p.cfg.FS, p.processPath())
+		}
+		if err := p.master.Append(4096); err != nil {
 			panic(fmt.Sprintf("workflow: append process log: %v", err))
 		}
 		st.dispatched = 0
 		p.dispatch()
 		p.checkDone()
 	})
+}
+
+// create resolves a size-only file for appending through its handle,
+// creating it empty if it does not exist.
+func create(fs *vfs.FS, path string) *vfs.File {
+	if err := fs.Append(path, 0); err != nil {
+		panic(fmt.Sprintf("workflow: create %s: %v", path, err))
+	}
+	return fs.Open(path)
 }
 
 func (p *ProductEngine) checkDone() {

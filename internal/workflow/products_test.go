@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/forecast"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/vfs"
 )
 
@@ -88,5 +89,45 @@ func TestProductEnginePanicsOnBadConfig(t *testing.T) {
 			}()
 			StartProducts(e, cfg)
 		}()
+	}
+}
+
+// A poll that finds nothing new to dispatch reads every input through
+// its handle (or probes the outputs directory for one not written yet)
+// and allocates nothing, telemetry attached.
+func TestIdlePollAllocatesNothing(t *testing.T) {
+	e, n, fs := engineFixture()
+	spec := forecast.NewSpec("f", "r", 960, 10000, 3)
+	totals := map[string]int64{}
+	for _, o := range spec.Outputs {
+		totals[o.Name] = int64(spec.OutputBytes() * o.Share)
+	}
+	pe := StartProducts(e, ProductConfig{
+		Products:    spec.Products,
+		Dir:         "/runs/f/d",
+		Node:        n,
+		FS:          fs,
+		InputTotals: totals,
+		Telemetry:   telemetry.New(),
+	})
+	// Day 1's outputs are half written; the later days' do not exist.
+	written := 0
+	for _, o := range spec.Outputs {
+		if o.Day == 1 {
+			written++
+			if err := fs.Append("/runs/f/d/outputs/"+o.Name, totals[o.Name]/2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if written == 0 || written == len(spec.Outputs) {
+		t.Fatalf("fixture writes %d of %d outputs, want some but not all", written, len(spec.Outputs))
+	}
+	e.RunUntil(86400) // consume what is there
+	if pe.Finished() || e.Pending() != 1 {
+		t.Fatalf("engine finished=%v with %d pending events, want an idle poll loop", pe.Finished(), e.Pending())
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Step() }); n != 0 {
+		t.Fatalf("an idle poll allocates %.1f objects, want 0", n)
 	}
 }

@@ -49,10 +49,12 @@ type Config struct {
 // productState tracks incremental progress of one product.
 type productState struct {
 	spec       forecast.ProductSpec
-	totalIn    float64 // total input bytes this product will consume
-	consumed   float64 // input bytes processed so far
-	dispatched float64 // input bytes handed to an in-flight task
-	outWritten int64   // product bytes written so far
+	inputs     []productInput
+	totalIn    float64   // total input bytes this product will consume
+	consumed   float64   // input bytes processed so far
+	dispatched float64   // input bytes handed to an in-flight task
+	outWritten int64     // product bytes written so far
+	out        *vfs.File // the product's data file, once first written
 	active     bool
 
 	// taskName ("prod:<name>") and mTasks (the per-class task counter)
@@ -60,6 +62,14 @@ type productState struct {
 	// string concatenation nor a registry lookup per task.
 	taskName string
 	mTasks   *telemetry.Counter
+}
+
+// productInput is a model-output file a product reads; file is nil until
+// the file exists.
+type productInput struct {
+	name  string
+	total float64
+	file  *vfs.File
 }
 
 func (p *productState) consumedFraction() float64 {
@@ -80,6 +90,7 @@ type Run struct {
 	// active increment, incCount the number of active increments.
 	incBytes   map[string]int64
 	incCount   map[string]int
+	outFiles   []*vfs.File // per Spec.Outputs entry, once first written
 	days       int
 	increments int
 	incDone    int
@@ -214,6 +225,7 @@ func Start(eng *sim.Engine, cfg Config) *Run {
 		r.prodFactor = forecast.ProductColocationSlowdown
 	}
 	r.incCount = make(map[string]int, len(cfg.Spec.Outputs))
+	r.outFiles = make([]*vfs.File, len(cfg.Spec.Outputs))
 	for _, o := range cfg.Spec.Outputs {
 		if o.Day > r.days {
 			r.days = o.Day
@@ -298,7 +310,7 @@ func (r *Run) incrementDay(i int) int {
 func (r *Run) incrementDone() {
 	r.incDone++
 	day := r.incrementDay(r.incDone)
-	for _, o := range r.cfg.Spec.Outputs {
+	for i, o := range r.cfg.Spec.Outputs {
 		grow := o.Day == day
 		if r.incCount[o.Name] == 1 {
 			// Degenerate fold-in: append once, on the final increment of
@@ -308,7 +320,10 @@ func (r *Run) incrementDone() {
 		if !grow {
 			continue
 		}
-		if err := r.cfg.SimFS.Append(r.OutputPath(o.Name), r.incBytes[o.Name]); err != nil {
+		if r.outFiles[i] == nil {
+			r.outFiles[i] = create(r.cfg.SimFS, r.OutputPath(o.Name))
+		}
+		if err := r.outFiles[i].Append(r.incBytes[o.Name]); err != nil {
 			panic(fmt.Sprintf("workflow: append output: %v", err))
 		}
 	}
