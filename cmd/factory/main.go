@@ -51,10 +51,8 @@ import (
 	"repro/internal/config"
 	"repro/internal/engineprof"
 	"repro/internal/factory"
-	"repro/internal/forensics"
-	"repro/internal/harvest"
 	"repro/internal/logs"
-	"repro/internal/monitor"
+	"repro/internal/observe"
 	"repro/internal/plot"
 	"repro/internal/serving"
 	"repro/internal/spc"
@@ -130,17 +128,18 @@ func main() {
 		cfg.Events = kept
 	}
 
+	nodes := len(cfg.Nodes)
+	if nodes == 0 {
+		nodes = len(factory.DefaultNodes())
+	}
 	fmt.Printf("campaign %s: days %d..%d, %d forecasts, %d nodes\n",
-		*scenario, max(cfg.StartDay, 1), max(cfg.StartDay, 1)+cfg.Days-1,
-		len(cfg.Forecasts), len(nodesOf(cfg)))
+		*scenario, max(cfg.StartDay, 1), max(cfg.StartDay, 1)+cfg.Days-1, len(cfg.Forecasts), nodes)
 	for _, e := range cfg.Events {
 		fmt.Printf("  event: %s\n", e)
 	}
 
-	var tel *telemetry.Telemetry
 	if *metricsOut != "" || *traceOut != "" || *monitorAddr != "" || *harvestInterval > 0 || *usageInterval > 0 {
-		tel = telemetry.New()
-		cfg.Telemetry = tel
+		cfg.Telemetry = telemetry.New()
 	}
 
 	c, err := factory.New(cfg)
@@ -165,194 +164,37 @@ func main() {
 		})
 	}
 
-	// The statistics database shared by the harvest pipeline and the
-	// utilization observatory: run records land in runs, the sampler's
-	// timeline in node_usage, joinable on node and time overlap.
-	statsDB := statsdb.NewDB()
-
-	// The kernel profiler rides along whenever asked for explicitly or
-	// whenever the control room serves (so /api/engine always answers);
-	// the bench holds its overhead under 5% of the replay.
-	var kprof *engineprof.Profiler
-	if *engineProf || *monitorAddr != "" {
-		kprof = engineprof.New()
-		c.Engine().SetProbe(kprof)
+	// The wiring the observers-inert test runs. The kernel profiler rides
+	// along whenever the control room serves, so /api/engine answers.
+	o, err := observe.Observe(c, observe.Set{
+		HarvestEvery: *harvestInterval * 3600,
+		UsageEvery:   *usageInterval * 60,
+		ServingUsers: *servingUsers,
+		Monitor:      *monitorAddr != "",
+		EngineProf:   *engineProf || *monitorAddr != "",
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-
-	// Continuous harvest: an incremental pass over the run tree every
-	// interval, journalled beside it, feeding the statistics database the
-	// provenance queries and data-quality alerts read from.
-	var harv *harvest.Harvester
-	if *harvestInterval > 0 {
-		harv, err = harvest.New(c.FS(), statsDB,
-			harvest.NewVFSJournal(c.FS(), "/harvest/journal.jsonl"),
-			harvest.Options{Telemetry: tel, Clock: c.Engine().Now})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		harvest.Schedule(c.Engine(), harv, *harvestInterval*3600, c.Horizon(), func(err error) {
-			fmt.Fprintln(os.Stderr, "harvest:", err)
-		})
-	}
-
-	// Utilization observatory: the sampler subscribes to cluster job
-	// lifecycle events and buckets per-node CPU shares on the interval.
-	var samp *usage.Sampler
-	if *usageInterval > 0 {
-		samp = usage.NewSampler(c.Cluster(), usage.Options{
-			Interval:  *usageInterval * 60,
-			Telemetry: tel,
-		})
-		samp.Start(c.Horizon())
-	}
-
-	// Public serving edge: the campaign's products go public on a
-	// dedicated server node. Each completed run publishes its forecast's
-	// products (run-log hook → PublishForecast), invalidating the cached
-	// copies of the previous cycle, while the load generator replays the
-	// user crowd against the edge for the whole campaign.
-	var edge *serving.Edge
-	var servingBase map[string]int
-	if *servingUsers > 0 {
-		pub := c.Cluster().AddNode("public-server", 2, 1)
-		servingBase = make(map[string]int, len(cfg.Forecasts))
-		for _, a := range cfg.Forecasts {
-			servingBase[a.Spec.Name] = a.Spec.Priority
-		}
-		scfg := serving.Config{
-			Engine:   c.Engine(),
-			Server:   pub,
-			Products: serving.DefaultProducts(servingBase),
-		}
-		if tel != nil {
-			scfg.Telemetry = tel.Registry()
-		}
-		edge, err = serving.New(scfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		c.AddRunLogHook(func(r *logs.RunRecord) {
-			if r.End <= 0 {
-				return
-			}
-			edge.PublishForecast(r.Forecast, r.Day-c.StartDay(), r.End)
-		})
-		gen, err := serving.NewGenerator(edge, serving.LoadConfig{Users: *servingUsers})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		gen.Start(c.Horizon())
-	}
-
-	// Control room: attach the monitor before the campaign runs, serve it
-	// from a wall-clock goroutine while the simulation replays.
-	var mon *monitor.Monitor
-	var spcObs *spc.Observatory
-	var servedAddr net.Addr
-	if *monitorAddr != "" {
-		opts := monitor.DefaultOptions()
-		if harv != nil {
-			// Data-quality rules over the harvest pipeline's own metrics:
-			// page when the harvester's heartbeat goes quiet for two
-			// intervals, and when quarantines spike (bad logs arriving
-			// faster than one per sim-hour means something upstream broke).
-			opts.Staleness = []monitor.StalenessRule{{
-				Name: "harvest_stale", Metric: harvest.MetricLastPassTime,
-				MaxAge: 2 * *harvestInterval * 3600, Severity: monitor.SevCritical,
-			}}
-			opts.Rates = []monitor.RateRule{{
-				Name: "quarantine_spike", Metric: harvest.MetricQuarantinedTotal,
-				PerHourAbove: 1, Severity: monitor.SevWarning,
-			}}
-		}
-		if samp != nil {
-			// Capacity rules over the sampler's gauges: sustained per-node
-			// saturation and idle-while-saturated imbalance, plus the
-			// plan-vs-actual drift rule on completed runs.
-			var nodeNames []string
-			for _, n := range c.Cluster().Nodes() {
-				nodeNames = append(nodeNames, n.Name())
-			}
-			opts.Thresholds = append(opts.Thresholds,
-				monitor.UsageRules(nodeNames, 2*3600, monitor.SevWarning)...)
-			opts.Drift = monitor.DriftRule{RelAbove: 0.25, MinSecs: 600, Severity: monitor.SevWarning}
-		}
-		// Process-control rules: the SPC observatory's run-rule verdicts
-		// and changepoint detections surface through the standard alert
-		// lifecycle alongside the threshold and staleness rules.
-		opts.OutOfControl = monitor.OutOfControlRule{Enabled: true, Severity: monitor.SevWarning}
-		opts.Changepoint = monitor.ChangepointRule{Enabled: true, Severity: monitor.SevWarning}
-		mon = monitor.New(opts, tel.Registry())
-		mon.Attach(c)
-
-		// SPC observatory: every completed run streams through the online
-		// control charts the moment its log is written, so the charts —
-		// and the out_of_control/changepoint alerts they drive — track the
-		// replay live. Drift and node-share series need the run ledger and
-		// usage timeline and are closed out after the campaign drains.
-		spcObs = spc.New(spc.DefaultParams())
-		spcObs.OnEvent(func(e spc.Event) {
-			if cp := e.Changepoint; cp != nil {
-				mon.ObserveChangepoint(e.Kind, e.Subject, cp.Day, cp.DetectedDay, cp.Cause, cp.Before, cp.After)
-			}
-			mon.ObserveControl(e.Kind, e.Subject, e.Point.Day, e.SeriesOut, e.Point.Value, e.Point.Center, e.Point.Rules.Names())
-		})
-		spcObs.OnReplan(func(e spc.Event) {
+	if o.SPC != nil {
+		// The replan-trigger seam: a drift series leaving control means
+		// the plan the factory executes no longer predicts reality.
+		o.SPC.OnReplan(func(e spc.Event) {
 			fmt.Printf("REPLAN trigger: drift/%s out of control on day %d (%+.0fs against plan)\n",
 				e.Subject, e.Point.Day, e.Point.Value)
 		})
-		c.AddRunLogHook(func(r *logs.RunRecord) {
-			if r.End <= 0 || r.Walltime <= 0 {
-				return
-			}
-			deadline := 0.0
-			if s := c.Spec(r.Forecast); s != nil && s.Deadline > 0 {
-				deadline = float64(r.Day-c.StartDay())*factory.SecondsPerDay + s.Deadline
-			}
-			spcObs.ObserveRun(spc.RunObs{
-				Forecast: r.Forecast, Day: r.Day, Node: r.Node,
-				Walltime: r.Walltime, End: r.End, Deadline: deadline,
-			})
-		})
+	}
+
+	// The control room serves from a wall-clock goroutine.
+	var servedAddr net.Addr
+	if *monitorAddr != "" {
 		ln, err := net.Listen("tcp", *monitorAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		srv := monitor.NewServer(mon, tel.Registry())
-		if harv != nil {
-			srv.Attach("harvest", func() any { return harv.Status() })
-		}
-		if samp != nil {
-			srv.Attach("utilization", func() any { return samp.Status() })
-			// Forensics on demand: each request analyzes the trace so
-			// far against the control room's plan, so the dashboard's
-			// blame panel works during a replay (in-flight runs show
-			// their lateness as of now) and stays current after the
-			// campaign drains.
-			srv.Attach("forensics", func() any {
-				rep, err := forensicsReport(c, mon, samp, tel)
-				if err != nil {
-					return map[string]string{"error": err.Error()}
-				}
-				return rep
-			})
-		}
-		// The SPC endpoint serves the observatory's current snapshot: the
-		// same report shape foreman -spc renders from the v5 tables, here
-		// refreshed live as runs complete during the replay.
-		srv.Attach("spc", func() any { return spcObs.Report() })
-		// The engine panel reads the profiler's live snapshot on the same
-		// refresh interval as every other panel.
-		srv.Attach("engine", func() any { return kprof.Report() })
-		if edge != nil {
-			// The serving panel tracks the public edge live: hit rate,
-			// shed fractions, and staleness percentiles as of the replay.
-			srv.Attach("serving", func() any { return edge.Stats() })
-		}
+		srv := o.Server()
 		if *pprofOn {
 			srv.EnablePprof()
 		}
@@ -397,46 +239,8 @@ func main() {
 		}
 	}
 	results := c.Finish()
-	if harv != nil {
-		// One closing pass picks up logs written after the last scheduled
-		// harvest (drain-time completions).
-		if _, err := harv.Pass(); err != nil {
-			fmt.Fprintln(os.Stderr, "harvest:", err)
-		}
-	}
-	if mon != nil {
-		mon.Finalize(c.Engine().Now())
-	}
-	if samp != nil {
-		samp.Finalize(c.Engine().Now())
-	}
-	if spcObs != nil {
-		// Close out the charts: plan-vs-actual drift from the control
-		// room's run ledger, per-node daily mean shares from the usage
-		// timeline, then persist the snapshot into the v5 tables so the
-		// end-of-campaign summary below is read back from the same rows
-		// /api/spc and foreman -spc render.
-		runs := mon.Status().Runs
-		sort.Slice(runs, func(i, j int) bool { return runs[i].End < runs[j].End })
-		for _, r := range runs {
-			if r.End == 0 || r.LaunchETA == 0 {
-				continue
-			}
-			spcObs.ObserveDrift(r.Forecast, r.Day, r.End, r.End-r.LaunchETA)
-		}
-		if samp != nil {
-			for day := c.StartDay(); day < c.StartDay()+c.Days(); day++ {
-				d0 := float64(day-c.StartDay()) * factory.SecondsPerDay
-				d1 := d0 + factory.SecondsPerDay
-				for _, n := range c.Cluster().Nodes() {
-					spcObs.ObserveNodeShare(n.Name(), day, d1, samp.MeanShareOver(n.Name(), d0, d1))
-				}
-			}
-		}
-		spcObs.Finalize()
-		if err := spc.LoadReport(statsDB, spcObs.Report()); err != nil {
-			fmt.Fprintln(os.Stderr, "spc:", err)
-		}
+	if err := o.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 	}
 
 	fmt.Printf("\n%s walltimes by day:\n", subject)
@@ -472,7 +276,7 @@ func main() {
 		fmt.Printf("  %-10s %5.1f%%\n", n.Name(), 100*n.Utilization())
 	}
 
-	if samp != nil {
+	if samp := o.Samp; samp != nil {
 		fmt.Println("\nutilization observatory:")
 		fmt.Print(samp.Report(5))
 		var rows []string
@@ -490,15 +294,12 @@ func main() {
 		}
 		fmt.Println()
 		fmt.Print(hm.Render())
-		if t, err := usage.LoadSamples(statsDB, samp.Samples()); err != nil {
-			fmt.Fprintln(os.Stderr, "usage:", err)
-		} else {
-			fmt.Printf("node_usage table: %d rows (schema v%d)\n", t.Len(), statsdb.SchemaVersion(statsDB))
-		}
+		fmt.Printf("node_usage table: %d rows (schema v%d)\n",
+			o.DB.Table(usage.NodeUsageTableName).Len(), statsdb.SchemaVersion(o.DB))
 	}
 
-	if harv != nil {
-		st := harv.Status()
+	if o.Harv != nil {
+		st := o.Harv.Status()
 		fmt.Printf("\nharvest pipeline: %d passes, %d records ingested (%d updated), %d watermark hits, %d quarantined\n",
 			st.Passes, st.Totals.Ingested, st.Totals.Updated, st.Totals.WatermarkHits, st.Totals.Quarantined)
 		for _, q := range st.Quarantine {
@@ -506,7 +307,7 @@ func main() {
 		}
 	}
 
-	if edge != nil {
+	if edge := o.Edge; edge != nil {
 		st := edge.Stats()
 		fmt.Println("\npublic serving edge:")
 		fmt.Print(serving.SummaryTable(st))
@@ -516,15 +317,12 @@ func main() {
 		// against the specs' configured priorities — the next planning
 		// cycle's priority boost for storm-hit forecasts.
 		fmt.Println()
-		fmt.Print(serving.DemandTable(servingBase, edge.ForecastDemand()))
-		if err := serving.LoadReport(statsDB, st); err != nil {
-			fmt.Fprintln(os.Stderr, "serving:", err)
-		} else {
-			fmt.Printf("serving_stats table: %d products (schema v%d)\n",
-				len(st.Products), statsdb.SchemaVersion(statsDB))
-		}
+		fmt.Print(serving.DemandTable(o.ServingBase, edge.ForecastDemand()))
+		fmt.Printf("serving_stats table: %d products (schema v%d)\n",
+			len(st.Products), statsdb.SchemaVersion(o.DB))
 	}
 
+	tel := c.Telemetry()
 	if err := tel.WriteFiles(*metricsOut, *traceOut, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -537,9 +335,7 @@ func main() {
 		if len(bars) > 0 {
 			lastDay := 0.0
 			for _, b := range bars {
-				if b.Start > lastDay {
-					lastDay = b.Start
-				}
+				lastDay = max(lastDay, b.Start)
 			}
 			dayStart := float64(int(lastDay/86400)) * 86400
 			var dayBars []plot.GanttBar
@@ -556,31 +352,26 @@ func main() {
 		}
 	}
 
-	if kprof != nil {
-		// Persist the campaign's kernel profile into the v6 tables and
-		// re-read before rendering — the same rows foreman -engineprof
-		// and /api/engine derive from.
-		if err := engineprof.LoadReport(statsDB, kprof.Report()); err != nil {
-			fmt.Fprintln(os.Stderr, "engineprof:", err)
-		} else if rep, err := engineprof.ReadReport(statsDB); err == nil {
+	if o.Prof != nil {
+		// Rendered from the v6 rows Close persisted: the same rows
+		// foreman -engineprof and /api/engine derive from.
+		if rep, err := engineprof.ReadReport(o.DB); err == nil {
 			fmt.Printf("\nengine observatory (schema v%d; live report at /api/engine):\n",
-				statsdb.SchemaVersion(statsDB))
+				statsdb.SchemaVersion(o.DB))
 			fmt.Print(engineprof.SummaryTable(rep, 8))
 		}
 	}
 
-	if mon != nil {
+	if mon := o.Mon; mon != nil {
 		fmt.Println("\nSLO report (deadline attainment):")
 		fmt.Print(mon.Report())
-		if spcObs != nil {
-			if rep, err := spc.ReadReport(statsDB); err == nil && len(rep.Series) > 0 {
-				fmt.Printf("\nprocess control (schema v%d; full report at /api/spc):\n",
-					statsdb.SchemaVersion(statsDB))
-				fmt.Print(spc.SummaryTable(rep))
-				if cps := spc.ChangepointTable(rep); cps != "" {
-					fmt.Println()
-					fmt.Print(cps)
-				}
+		if rep, err := spc.ReadReport(o.DB); err == nil && len(rep.Series) > 0 {
+			fmt.Printf("\nprocess control (schema v%d; full report at /api/spc):\n",
+				statsdb.SchemaVersion(o.DB))
+			fmt.Print(spc.SummaryTable(rep))
+			if cps := spc.ChangepointTable(rep); cps != "" {
+				fmt.Println()
+				fmt.Print(cps)
 			}
 		}
 		if alerts := mon.Alerts(); len(alerts) > 0 {
@@ -596,41 +387,4 @@ func main() {
 		fmt.Printf("\ncontrol room still serving on http://%s — Ctrl-C to exit\n", servedAddr)
 		select {}
 	}
-}
-
-// forensicsReport analyzes the campaign's trace against the plan the
-// control room watched — the launch rule for the planned start, the
-// launch-time completion prediction for the planned end, the SLO
-// deadline — splitting each run's lateness into its blame components
-// for the dashboard's blame panel. All inputs are snapshots or locked
-// accessors, so it is safe to call from the HTTP goroutine while the
-// simulation runs.
-func forensicsReport(c *factory.Campaign, mon *monitor.Monitor, samp *usage.Sampler, tel *telemetry.Telemetry) (*forensics.Report, error) {
-	var plan []forensics.PlanEntry
-	for _, r := range mon.Status().Runs {
-		start := r.Start
-		if s := c.Spec(r.Forecast); s != nil {
-			start = float64(r.Day-c.StartDay())*factory.SecondsPerDay + s.StartOffset
-		}
-		end := r.LaunchETA
-		if end == 0 {
-			end = r.ETA
-		}
-		plan = append(plan, forensics.PlanEntry{
-			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
-			Start: start, End: end, Deadline: r.Deadline,
-		})
-	}
-	return forensics.Analyze(forensics.Input{
-		Spans:    tel.Trace().Spans(),
-		Plan:     plan,
-		Timeline: samp,
-	})
-}
-
-func nodesOf(cfg factory.Config) []factory.NodeSpec {
-	if len(cfg.Nodes) > 0 {
-		return cfg.Nodes
-	}
-	return factory.DefaultNodes()
 }

@@ -72,6 +72,7 @@ import (
 	"repro/internal/harvest"
 	"repro/internal/logs"
 	"repro/internal/monitor"
+	"repro/internal/observe"
 	"repro/internal/plot"
 	"repro/internal/serving"
 	"repro/internal/sim"
@@ -310,7 +311,7 @@ func main() {
 		if *blameFlag != "" {
 			// Before LoadAlerts, so any blame_shift alert the forensics
 			// raise lands in the alerts table too.
-			blameForensics(db, campaign, mon, samp, tel, specs, *blameFlag)
+			blameForensics(db, mon, samp, tel, *blameFlag)
 		}
 		if *spcFlag != "" {
 			// Likewise before LoadAlerts: out_of_control and changepoint
@@ -678,40 +679,11 @@ func engineprofReport(db *statsdb.DB, kprof *engineprof.Profiler) {
 // them, so this output and the monitor's /api/forensics endpoint render
 // the same rows. Each day's dominant cause also feeds the monitor's
 // blame-shift rule, whose alerts join the alert history.
-func blameForensics(db *statsdb.DB, campaign *factory.Campaign, mon *monitor.Monitor,
-	samp *usage.Sampler, tel *telemetry.Telemetry, specs []*forecast.Spec, forecastName string) {
+func blameForensics(db *statsdb.DB, mon *monitor.Monitor, samp *usage.Sampler, tel *telemetry.Telemetry, forecastName string) {
 	if forecastName == "all" {
 		forecastName = ""
 	}
-	specOf := make(map[string]*forecast.Spec, len(specs))
-	for _, s := range specs {
-		specOf[s.Name] = s
-	}
-	// The plan blame is measured against is the one the control room
-	// watched: the launch rule (day start + spec offset) for the planned
-	// start, the launch-time completion prediction for the planned end,
-	// and the SLO deadline. Runs the monitor never saw launch (dropped)
-	// get a zero-length plan window and are analyzed as unplanned.
-	var plan []forensics.PlanEntry
-	for _, r := range mon.Status().Runs {
-		start := r.Start
-		if s := specOf[r.Forecast]; s != nil {
-			start = float64(r.Day-campaign.StartDay())*factory.SecondsPerDay + s.StartOffset
-		}
-		end := r.LaunchETA
-		if end == 0 {
-			end = r.ETA
-		}
-		plan = append(plan, forensics.PlanEntry{
-			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
-			Start: start, End: end, Deadline: r.Deadline,
-		})
-	}
-	rep, err := forensics.Analyze(forensics.Input{
-		Spans:    tel.Trace().Spans(),
-		Plan:     plan,
-		Timeline: samp,
-	})
+	rep, err := observe.Forensics(mon, tel.Trace().Spans(), samp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -775,12 +747,7 @@ func spcReport(db *statsdb.DB, campaign *factory.Campaign, mon *monitor.Monitor,
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	obs.OnEvent(func(e spc.Event) {
-		if cp := e.Changepoint; cp != nil {
-			mon.ObserveChangepoint(e.Kind, e.Subject, cp.Day, cp.DetectedDay, cp.Cause, cp.Before, cp.After)
-		}
-		mon.ObserveControl(e.Kind, e.Subject, e.Point.Day, e.SeriesOut, e.Point.Value, e.Point.Center, e.Point.Rules.Names())
-	})
+	observe.AlertOn(obs, mon)
 	// The replan-trigger seam: a drift series leaving control means the
 	// plan the factory is executing no longer predicts reality.
 	obs.OnReplan(func(e spc.Event) {
@@ -808,14 +775,7 @@ func spcReport(db *statsdb.DB, campaign *factory.Campaign, mon *monitor.Monitor,
 			obs.ObserveDrift(r.Forecast, r.Day, r.End, r.End-r.LaunchETA)
 		}
 	}
-	// Per-node daily mean share from the usage timeline.
-	for day := campaign.StartDay(); day < campaign.StartDay()+campaign.Days(); day++ {
-		d0 := float64(day-campaign.StartDay()) * factory.SecondsPerDay
-		d1 := d0 + factory.SecondsPerDay
-		for _, n := range campaign.Cluster().Nodes() {
-			obs.ObserveNodeShare(n.Name(), day, d1, samp.MeanShareOver(n.Name(), d0, d1))
-		}
-	}
+	observe.NodeShares(obs, campaign, samp)
 	obs.Finalize()
 
 	if err := spc.LoadReport(db, obs.Report()); err != nil {

@@ -69,6 +69,9 @@ func (n *Node) Down() bool { return n.down }
 // Active returns the number of jobs currently executing on the node.
 func (n *Node) Active() int { return n.res.Active() }
 
+// Created returns the virtual time the node joined the cluster.
+func (n *Node) Created() float64 { return n.created }
+
 // Capacity returns the node's aggregate capacity (CPUs × speed) in
 // reference CPU-seconds per second, regardless of up/down state.
 func (n *Node) Capacity() float64 { return float64(n.cpus) * n.speed }

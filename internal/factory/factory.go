@@ -242,6 +242,18 @@ func (c *Campaign) AssignedNode(name string) string { return c.assign[name] }
 // the expected-production roster data-quality rules check against.
 func (c *Campaign) Forecasts() []string { return append([]string(nil), c.order...) }
 
+// AddedNodes returns the names of the nodes the campaign's AddNode events
+// bring online, in configuration order.
+func (c *Campaign) AddedNodes() []string {
+	var out []string
+	for _, ev := range c.cfg.Events {
+		if a, ok := ev.(AddNode); ok {
+			out = append(out, a.Node.Name)
+		}
+	}
+	return out
+}
+
 // Days returns the number of simulated days in the campaign.
 func (c *Campaign) Days() int { return c.cfg.Days }
 

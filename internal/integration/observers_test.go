@@ -3,18 +3,17 @@ package integration
 import (
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/engineprof"
 	"repro/internal/factory"
-	"repro/internal/harvest"
 	"repro/internal/logs"
 	"repro/internal/monitor"
-	"repro/internal/serving"
-	"repro/internal/spc"
+	"repro/internal/observe"
 	"repro/internal/statsdb"
 	"repro/internal/telemetry"
-	"repro/internal/usage"
 	"repro/internal/vfs"
 )
 
@@ -39,86 +38,30 @@ func growthCampaign(t *testing.T, tel *telemetry.Telemetry) *factory.Campaign {
 	return c
 }
 
-// attachObservers wires every observer cmd/factory can attach, as its
-// flags do: telemetry (already in the campaign), the kernel profiler, the
-// harvest schedule, the usage sampler, the serving edge on its own node
-// with a 20k-user crowd, and the monitor fed by the SPC charts.
-func attachObservers(t *testing.T, c *factory.Campaign) {
+// observedRun runs the growth campaign with every observer cmd/factory can
+// attach, through the wiring it uses, and closes them out. The alert
+// history and the trace join the observers' reports in the database.
+func observedRun(t *testing.T) (*factory.Campaign, []factory.RunResult, *statsdb.DB) {
 	t.Helper()
-	tel, eng := c.Telemetry(), c.Engine()
-	eng.SetProbe(engineprof.New())
-
-	harv, err := harvest.New(c.FS(), statsdb.NewDB(),
-		harvest.NewVFSJournal(c.FS(), "/harvest/journal.jsonl"),
-		harvest.Options{Telemetry: tel, Clock: eng.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	harvest.Schedule(eng, harv, 6*3600, c.Horizon(), func(err error) { t.Errorf("harvest: %v", err) })
-
-	samp := usage.NewSampler(c.Cluster(), usage.Options{Interval: 900, Telemetry: tel})
-	samp.Start(c.Horizon())
-
-	base := make(map[string]int)
-	for _, name := range c.Forecasts() {
-		base[name] = c.Spec(name).Priority
-	}
-	edge, err := serving.New(serving.Config{
-		Engine: eng, Server: c.Cluster().AddNode("public-server", 2, 1),
-		Products: serving.DefaultProducts(base), Telemetry: tel.Registry(),
+	tel := telemetry.New()
+	c := growthCampaign(t, tel)
+	o, err := observe.Observe(c, observe.Set{
+		HarvestEvery: 6 * 3600, UsageEvery: 900, ServingUsers: 20000, Monitor: true, EngineProf: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AddRunLogHook(func(r *logs.RunRecord) {
-		if r.End > 0 {
-			edge.PublishForecast(r.Forecast, r.Day-c.StartDay(), r.End)
-		}
-	})
-	gen, err := serving.NewGenerator(edge, serving.LoadConfig{Users: 20000})
-	if err != nil {
+	results := c.Run()
+	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
-	gen.Start(c.Horizon())
-
-	opts := monitor.DefaultOptions()
-	opts.Staleness = []monitor.StalenessRule{{
-		Name: "harvest_stale", Metric: harvest.MetricLastPassTime, MaxAge: 12 * 3600, Severity: monitor.SevCritical,
-	}}
-	opts.Rates = []monitor.RateRule{{
-		Name: "quarantine_spike", Metric: harvest.MetricQuarantinedTotal, PerHourAbove: 1, Severity: monitor.SevWarning,
-	}}
-	var nodes []string
-	for _, n := range c.Cluster().Nodes() {
-		nodes = append(nodes, n.Name())
+	if _, err := monitor.LoadAlerts(o.DB, o.Mon.Alerts()); err != nil {
+		t.Fatal(err)
 	}
-	opts.Thresholds = append(opts.Thresholds, monitor.UsageRules(nodes, 2*3600, monitor.SevWarning)...)
-	opts.Drift = monitor.DriftRule{RelAbove: 0.25, MinSecs: 600, Severity: monitor.SevWarning}
-	opts.OutOfControl = monitor.OutOfControlRule{Enabled: true, Severity: monitor.SevWarning}
-	opts.Changepoint = monitor.ChangepointRule{Enabled: true, Severity: monitor.SevWarning}
-	mon := monitor.New(opts, tel.Registry())
-	mon.Attach(c)
-
-	spcObs := spc.New(spc.DefaultParams())
-	spcObs.OnEvent(func(e spc.Event) {
-		if cp := e.Changepoint; cp != nil {
-			mon.ObserveChangepoint(e.Kind, e.Subject, cp.Day, cp.DetectedDay, cp.Cause, cp.Before, cp.After)
-		}
-		mon.ObserveControl(e.Kind, e.Subject, e.Point.Day, e.SeriesOut, e.Point.Value, e.Point.Center, e.Point.Rules.Names())
-	})
-	c.AddRunLogHook(func(r *logs.RunRecord) {
-		if r.End <= 0 || r.Walltime <= 0 {
-			return
-		}
-		deadline := 0.0
-		if s := c.Spec(r.Forecast); s != nil && s.Deadline > 0 {
-			deadline = float64(r.Day-c.StartDay())*factory.SecondsPerDay + s.Deadline
-		}
-		spcObs.ObserveRun(spc.RunObs{
-			Forecast: r.Forecast, Day: r.Day, Node: r.Node,
-			Walltime: r.Walltime, End: r.End, Deadline: deadline,
-		})
-	})
+	if _, err := statsdb.LoadSpans(o.DB, tel.Trace().Spans()); err != nil {
+		t.Fatal(err)
+	}
+	return c, results, o.DB
 }
 
 // runLogs returns every run.log under /runs, keyed by path.
@@ -139,19 +82,19 @@ func runLogs(t *testing.T, c *factory.Campaign) map[string]string {
 	return out
 }
 
-// TestObserversDoNotPerturbSimulation is the first half of the
-// determinism oracle: the growth campaign run bare on one OS thread and
-// run with every observer attached on all of them produces the same run
-// results, bit for bit, and the same run logs.
+// TestObserversDoNotPerturbSimulation is the determinism oracle: the
+// growth campaign run bare on one OS thread and run with every observer
+// attached on all of them produces the same run results, bit for bit, and
+// the same run logs; and the observers record the same tables on one OS
+// thread as on all of them.
 func TestObserversDoNotPerturbSimulation(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	bare := growthCampaign(t, nil)
 	bareResults := bare.Run()
+	_, _, oneProcDB := observedRun(t)
 	runtime.GOMAXPROCS(prev)
 
-	observed := growthCampaign(t, telemetry.New())
-	attachObservers(t, observed)
-	obsResults := observed.Run()
+	observed, obsResults, db := observedRun(t)
 
 	if len(bareResults) != len(obsResults) {
 		t.Fatalf("%d results bare, %d observed", len(bareResults), len(obsResults))
@@ -181,4 +124,42 @@ func TestObserversDoNotPerturbSimulation(t *testing.T) {
 			t.Fatalf("%s differs:\nbare\n%s\nobserved\n%s", path, text, obsLogs[path])
 		}
 	}
+
+	names := db.TableNames()
+	if !slices.Equal(oneProcDB.TableNames(), names) {
+		t.Fatalf("tables at GOMAXPROCS 1: %v, at %d: %v", oneProcDB.TableNames(), prev, names)
+	}
+	for _, name := range names {
+		a, b := oneProcDB.Table(name), db.Table(name)
+		if a.Len() != b.Len() {
+			t.Fatalf("%s: %d rows at GOMAXPROCS 1, %d at %d", name, a.Len(), b.Len(), prev)
+		}
+		ra, rb := rowsOf(a), rowsOf(b)
+		for i := range ra {
+			for j, col := range a.Schema() {
+				va, vb := ra[i][j], rb[i][j]
+				if name == engineprof.ProfileTableName && slices.Contains([]string{"wall_ns", "wall_max_ns", "wall_hist"}, col.Name) {
+					continue // handler timings are wall-clock
+				}
+				// Values compare as structs; a NaN matches by its rendering.
+				if va.Type() != vb.Type() || va != vb && va.String() != vb.String() {
+					t.Fatalf("%s row %d %s: %v at GOMAXPROCS 1, %v at %d", name, i, col.Name, va, vb, prev)
+				}
+			}
+		}
+	}
+}
+
+// rowsOf returns a table's rows. The kernel profiler ranks its rows by
+// wall-clock handler cost, so theirs are put in label order.
+func rowsOf(t *statsdb.Table) [][]statsdb.Value {
+	rows := make([][]statsdb.Value, t.Len())
+	for i := range rows {
+		rows[i] = t.Row(i)
+	}
+	if t.Name() == engineprof.ProfileTableName {
+		label := t.Schema().Index("label")
+		slices.SortFunc(rows, func(a, b []statsdb.Value) int { return strings.Compare(a[label].Str(), b[label].Str()) })
+	}
+	return rows
 }

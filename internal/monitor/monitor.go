@@ -50,7 +50,11 @@ type RunSLO struct {
 	Node     string  `json:"node"`
 	State    string  `json:"state"`
 	Start    float64 `json:"start"`
-	Deadline float64 `json:"deadline"`
+	// PlannedStart is the launch the plan called for: the day's start plus
+	// the spec's offset, as of the run's first record (its Start when the
+	// spec is unknown). Forensics measures start delay against it.
+	PlannedStart float64 `json:"planned_start"`
+	Deadline     float64 `json:"deadline"`
 	// ETA is the current completion prediction: the estimator's figure at
 	// launch, refined from simulation progress while the run executes,
 	// and the actual end once finished.
@@ -304,6 +308,16 @@ func (m *Monitor) deadlineFor(forecastName string, day int) float64 {
 	return m.dayStart(day) + rel
 }
 
+// plannedStart resolves a run's planned launch from its first record.
+func (m *Monitor) plannedStart(rec *logs.RunRecord) float64 {
+	if m.specOf != nil {
+		if s := m.specOf(rec.Forecast); s != nil {
+			return m.dayStart(rec.Day) + s.StartOffset
+		}
+	}
+	return rec.Start
+}
+
 // estimator returns the (lazily rebuilt) run-time estimator.
 func (m *Monitor) estimator() *core.Estimator {
 	if m.estDirty || m.est == nil {
@@ -354,7 +368,7 @@ func (m *Monitor) ObserveRecord(rec *logs.RunRecord) {
 		}
 		r, ok := m.runs[key]
 		if !ok {
-			r = &RunSLO{Forecast: rec.Forecast, Day: rec.Day}
+			r = &RunSLO{Forecast: rec.Forecast, Day: rec.Day, PlannedStart: m.plannedStart(rec)}
 			m.runs[key] = r
 			m.order = append(m.order, key)
 		}
@@ -381,7 +395,7 @@ func (m *Monitor) ObserveRecord(rec *logs.RunRecord) {
 			// Standalone feeds may deliver completions without a prior
 			// launch record; synthesize the entry.
 			r = &RunSLO{Forecast: rec.Forecast, Day: rec.Day, Start: rec.Start,
-				Deadline: m.deadlineFor(rec.Forecast, rec.Day)}
+				PlannedStart: m.plannedStart(rec), Deadline: m.deadlineFor(rec.Forecast, rec.Day)}
 			m.runs[key] = r
 			m.order = append(m.order, key)
 		} else {
@@ -412,7 +426,7 @@ func (m *Monitor) ObserveRecord(rec *logs.RunRecord) {
 		r, ok := m.runs[key]
 		if !ok {
 			r = &RunSLO{Forecast: rec.Forecast, Day: rec.Day, Start: rec.Start,
-				Deadline: m.deadlineFor(rec.Forecast, rec.Day)}
+				PlannedStart: m.plannedStart(rec), Deadline: m.deadlineFor(rec.Forecast, rec.Day)}
 			m.runs[key] = r
 			m.order = append(m.order, key)
 		} else if r.State == RunRunning {

@@ -24,6 +24,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -53,9 +54,11 @@ type Probe interface {
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
-// one with NewEngine.
+// one with NewEngine. Every method belongs to the goroutine that runs the
+// simulation, except Now, which any goroutine may call.
 type Engine struct {
 	now     float64
+	clock   atomic.Uint64 // now's bits, published for readers off the engine goroutine
 	seq     int64
 	queue   eventQueue
 	free    []*event // recycled events; see Timer for the aliasing guard
@@ -87,8 +90,16 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Now returns the current virtual time in seconds.
-func (e *Engine) Now() float64 { return e.now }
+// Now returns the current virtual time in seconds. It is safe to call
+// from any goroutine: a control-room handler reading it while the
+// simulation runs sees the time of the event being handled.
+func (e *Engine) Now() float64 { return math.Float64frombits(e.clock.Load()) }
+
+// setNow advances the clock and publishes it to Now's readers.
+func (e *Engine) setNow(t float64) {
+	e.now = t
+	e.clock.Store(math.Float64bits(t))
+}
 
 // EventsFired returns the number of events delivered since creation.
 func (e *Engine) EventsFired() int64 { return e.fired }
@@ -350,7 +361,7 @@ func (e *Engine) step() bool {
 		return false
 	}
 	ev := heap.Pop(&e.queue).(*event)
-	e.now = ev.when
+	e.setNow(ev.when)
 	e.fired++
 	fn, label, born, when := ev.fn, ev.label, ev.born, ev.when
 	// Recycle before running the handler: the handler's own scheduling
@@ -405,7 +416,7 @@ func (e *Engine) RunUntil(deadline float64) float64 {
 		e.step()
 	}
 	if !e.stopped && deadline > e.now {
-		e.now = deadline
+		e.setNow(deadline)
 	}
 	e.publish()
 	return e.now

@@ -7,6 +7,7 @@ import (
 	"repro/internal/factory"
 	"repro/internal/forecast"
 	"repro/internal/monitor"
+	"repro/internal/observe"
 	"repro/internal/spc"
 	"repro/internal/statsdb"
 	"repro/internal/telemetry"
@@ -62,12 +63,7 @@ func TestCampaignChangepointBlamesCodeVersionNotFailure(t *testing.T) {
 	// completion order, verdicts feeding the alert book — exactly what
 	// foreman -spc and the factory's live hook do.
 	obs := spc.New(spc.DefaultParams())
-	obs.OnEvent(func(e spc.Event) {
-		if cp := e.Changepoint; cp != nil {
-			mon.ObserveChangepoint(e.Kind, e.Subject, cp.Day, cp.DetectedDay, cp.Cause, cp.Before, cp.After)
-		}
-		mon.ObserveControl(e.Kind, e.Subject, e.Point.Day, e.SeriesOut, e.Point.Value, e.Point.Center, e.Point.Rules.Names())
-	})
+	observe.AlertOn(obs, mon)
 	runs := mon.Status().Runs
 	sort.Slice(runs, func(i, j int) bool { return runs[i].End < runs[j].End })
 	completed := 0

@@ -399,20 +399,26 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
+	// Describe rewrites a family's help and getSeries its kind under the
+	// registry lock, so both are copied while it is held.
+	type head struct {
+		f  *family
+		fs FamilySnapshot
 	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	out := make([]FamilySnapshot, 0, len(fams))
-	for _, f := range fams {
+	r.mu.RLock()
+	heads := make([]head, 0, len(r.families))
+	for _, f := range r.families {
 		if f.kind == -1 {
 			continue // described but never used
 		}
-		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind}
+		heads = append(heads, head{f, FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind}})
+	}
+	r.mu.RUnlock()
+	sort.Slice(heads, func(i, j int) bool { return heads[i].fs.Name < heads[j].fs.Name })
+
+	out := make([]FamilySnapshot, 0, len(heads))
+	for _, h := range heads {
+		f, fs := h.f, h.fs
 		f.mu.RLock()
 		keys := make([]string, 0, len(f.series))
 		for k := range f.series {
@@ -422,7 +428,7 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 		for _, k := range keys {
 			s := f.series[k]
 			ss := SeriesSnapshot{Labels: cloneLabels(s.labels)}
-			switch f.kind {
+			switch fs.Kind {
 			case KindCounter:
 				ss.Value = s.counter.Value()
 			case KindGauge:

@@ -712,7 +712,11 @@ type Status struct {
 }
 
 // Status snapshots the sampler. The grid covers the most recent
-// StatusCols buckets; windows are capped to the most recent 200.
+// StatusCols buckets; windows are capped to the most recent 200. A node's
+// utilization is as of the sampler's last advance over it (every node's,
+// after Finalize): Status reads what the sampler recorded, never a node's
+// live resource, so the control room can call it while the simulation
+// runs.
 func (s *Sampler) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -753,6 +757,10 @@ func (s *Sampler) Status() Status {
 		st.Grid.Share = append(st.Grid.Share, share)
 
 		cont, idle, down := ns.totContention+ns.contSecs, ns.totIdle+ns.idleSecs, ns.totDown+ns.downSecs
+		lifetime := 0.0
+		if elapsed := ns.last - ns.node.Created(); elapsed > 0 {
+			lifetime = ns.lastBusy / (ns.node.Capacity() * elapsed)
+		}
 		st.Nodes = append(st.Nodes, NodeSummary{
 			Name:           ns.node.Name(),
 			CPUs:           ns.cpus,
@@ -760,7 +768,7 @@ func (s *Sampler) Status() Status {
 			Active:         ns.k,
 			Down:           ns.down,
 			Share:          shareOf(ns.k, ns.cpus),
-			Utilization:    ns.node.Utilization(),
+			Utilization:    lifetime,
 			ContentionSecs: cont,
 			IdleSecs:       idle,
 			DownSecs:       down,
