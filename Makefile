@@ -41,13 +41,14 @@ check: fmt test vet race e2ebench
 
 # Native fuzzing of the readers of untrusted text (run logs, the statsdb
 # SQL subset, factory config files, the harvest journal and snapshot),
-# and of the vfs path lookup's in-place walk against path.Clean, 60 s
-# each. Their seed inputs also run in the tier-1 suite. A crasher is
+# of statsdb's answers against its reference evaluator, and of the vfs
+# path lookup's in-place walk against path.Clean, 60 s each. Their seed inputs also run in the tier-1 suite. A crasher is
 # written under the package's testdata/fuzz/ and lands as a regression
 # test with its fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/logs
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 60s ./internal/statsdb
+	$(GO) test -run '^$$' -fuzz '^FuzzQueryMatchesReference$$' -fuzztime 60s ./internal/statsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/config
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s ./internal/harvest
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 60s ./internal/harvest

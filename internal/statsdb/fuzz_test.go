@@ -28,6 +28,8 @@ func FuzzQuery(f *testing.F) {
 		"SELECT * FROM runs WHERE s = 'unterminated",
 		"SELECT COUNT( FROM runs",
 		"SELECT * FROM runs LIMIT -1",
+		"SELECT day FROM runs WHERE day = 9007199254740993",
+		"SELECT day FROM runs WHERE day > 9007199254740992",
 	} {
 		f.Add(seed)
 	}

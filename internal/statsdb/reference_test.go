@@ -1,0 +1,572 @@
+package statsdb
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The differential oracle: a reference evaluator over plain rows — nested
+// loops, no indexes, Compare for every value comparison — and a seeded
+// generator of well-typed tables and queries over the runs + nodes
+// fixture. The engine must give the reference's answer (or error where
+// it errors) on an indexed and on an unindexed copy of every table.
+
+// refTable is a table as plain rows, the reference's only input.
+type refTable struct {
+	schema Schema
+	rows   [][]Value
+}
+
+// Value pools: small, so predicates, groups and joins hit ties, with the
+// edges the comparison rules turn on — INTs on both sides of 2^53, the
+// int64 extremes, −0 beside +0, and floats past int64's range.
+var (
+	refInts    = []int64{0, 1, 2, -1, 3, 1 << 53, 1<<53 + 1, 1<<53 - 1, -(1 << 53) - 1, math.MaxInt64, math.MinInt64}
+	refFloats  = []float64{0, math.Copysign(0, -1), 0.5, 1, 2, -1.5, 2.5, 1 << 53, 1<<53 + 2, 1e300, -1e300, 1e19}
+	refStrings = []string{"", "a", "b", "ab", "fnode01", "fnode02", "it's"}
+)
+
+func genValue(rng *rand.Rand, t Type) Value {
+	switch t {
+	case Int:
+		return IntVal(refInts[rng.Intn(len(refInts))])
+	case Float:
+		return FloatVal(refFloats[rng.Intn(len(refFloats))])
+	case String:
+		return StringVal(refStrings[rng.Intn(len(refStrings))])
+	default:
+		return BoolVal(rng.Intn(2) == 1)
+	}
+}
+
+// genRow draws a row of schema from the pools.
+func genRow(rng *rand.Rand, schema Schema) []Value {
+	row := make([]Value, len(schema))
+	for i, c := range schema {
+		row[i] = genValue(rng, c.Type)
+	}
+	return row
+}
+
+// genFixture builds the runs + nodes fixture for seed: the engine's
+// tables, indexed on random columns (created before, between or after
+// the inserts) or not at all, and the reference's plain copy. Runs gains
+// a BOOL column by AddColumn part-way, and some rows are updated in
+// place, so both the index-building and the index-maintaining paths run.
+func genFixture(tb testing.TB, seed int64, indexed bool) (*DB, map[string]*refTable) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	irng := rand.New(rand.NewSource(^seed)) // index choices only: both builds hold the same rows
+	db := NewDB()
+	ref := map[string]*refTable{}
+	must := func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	nodeSchema := Schema{{Name: "name", Type: String}, {Name: "cpus", Type: Int}, {Name: "speed", Type: Float}}
+	for _, spec := range []struct {
+		name   string
+		schema Schema
+		rows   int
+	}{{RunsTableName, RunsSchema(), rng.Intn(13)}, {NodesTableName, nodeSchema, rng.Intn(6)}} {
+		tbl, err := db.CreateTable(spec.name, spec.schema)
+		must(err)
+		rt := &refTable{schema: tbl.Schema()}
+		ref[spec.name] = rt
+		indexAt, widenAt := irng.Intn(spec.rows+1), rng.Intn(spec.rows+1)
+		for i := 0; i <= spec.rows; i++ {
+			if indexed && i == indexAt {
+				for _, c := range tbl.Schema() {
+					if irng.Intn(2) == 0 {
+						must(tbl.CreateIndex(c.Name))
+					}
+				}
+			}
+			if spec.name == RunsTableName && i == widenAt {
+				must(tbl.AddColumn(Column{Name: "late", Type: Bool}, BoolVal(false)))
+				rt.schema = tbl.Schema()
+				for r := range rt.rows {
+					rt.rows[r] = append(rt.rows[r], BoolVal(false))
+				}
+			}
+			if i == spec.rows {
+				break
+			}
+			row := genRow(rng, rt.schema)
+			must(tbl.Insert(row))
+			rt.rows = append(rt.rows, row)
+		}
+		for u := rng.Intn(3); u > 0 && len(rt.rows) > 0; u-- {
+			r, row := rng.Intn(len(rt.rows)), genRow(rng, rt.schema)
+			must(tbl.Update(r, row))
+			rt.rows[r] = row
+		}
+	}
+	return db, ref
+}
+
+// genCol is a column reference as the SQL writes it and as it resolves.
+type genCol struct {
+	written, resolved string
+	typ               Type
+}
+
+// genQuery is one generated SELECT.
+type genQuery struct {
+	from, right string   // right is "" without a JOIN
+	on          []genCol // left, right ON operands
+	star        bool
+	cols        []genCol // plain select list
+	aggs        []Agg    // Col as written ("*" for COUNT(*))
+	aggCols     []genCol // resolved aggregate columns (zero for COUNT(*))
+	preds       []Pred   // Col as written
+	predCols    []genCol
+	group       []genCol
+	order       []OrderKey // Col is a result label
+	limit       int
+}
+
+// sql renders the query.
+func (g *genQuery) sql() string {
+	var b strings.Builder
+	b.WriteString("SELECT ")
+	var items []string
+	if g.star {
+		items = append(items, "*")
+	}
+	for _, c := range g.cols {
+		items = append(items, c.written)
+	}
+	for _, a := range g.aggs {
+		items = append(items, a.Fn.String()+"("+a.Col+")")
+	}
+	b.WriteString(strings.Join(items, ", ") + " FROM " + g.from)
+	if g.right != "" {
+		fmt.Fprintf(&b, " JOIN %s ON %s = %s", g.right, g.on[0].written, g.on[1].written)
+	}
+	for i, p := range g.preds {
+		kw := " AND "
+		if i == 0 {
+			kw = " WHERE "
+		}
+		b.WriteString(kw + p.Col + " " + p.Op.String() + " " + sqlLiteral(p.Val))
+	}
+	for i, c := range g.group {
+		kw := ", "
+		if i == 0 {
+			kw = " GROUP BY "
+		}
+		b.WriteString(kw + c.written)
+	}
+	for i, k := range g.order {
+		kw := ", "
+		if i == 0 {
+			kw = " ORDER BY "
+		}
+		dir := " ASC"
+		if k.Desc {
+			dir = " DESC"
+		}
+		b.WriteString(kw + k.Col + dir)
+	}
+	if g.limit > 0 {
+		fmt.Fprintf(&b, " LIMIT %d", g.limit)
+	}
+	return b.String()
+}
+
+// sqlLiteral renders a value so it parses back as the same typed value: a
+// FLOAT always in exponent form (2.0 would lex as an INT).
+func sqlLiteral(v Value) string {
+	switch v.Type() {
+	case Float:
+		return strconv.FormatFloat(v.Float(), 'e', -1, 64)
+	case String:
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
+	default:
+		return v.String()
+	}
+}
+
+// genQueryFor draws a query over the fixture's tables: a plain or starred
+// projection, a grouped or global aggregate, up to three predicates whose
+// literal mostly has the column's type (sometimes the other numeric type,
+// sometimes any type), an optional JOIN, ORDER BY and LIMIT.
+func genQueryFor(rng *rand.Rand, ref map[string]*refTable) *genQuery {
+	g := &genQuery{from: RunsTableName}
+	if rng.Intn(4) == 0 {
+		g.from = NodesTableName
+	}
+	var avail []genCol
+	addCols := func(table string, qualify bool) {
+		for _, c := range ref[table].schema {
+			gc := genCol{written: c.Name, resolved: c.Name, typ: c.Type}
+			if qualify {
+				gc.resolved = table + "." + c.Name
+				if rng.Intn(2) == 0 {
+					gc.written = gc.resolved
+				}
+			}
+			avail = append(avail, gc)
+		}
+	}
+	if g.from == RunsTableName && rng.Intn(3) == 0 {
+		g.right = NodesTableName
+		addCols(RunsTableName, true)
+		nRuns := len(avail)
+		addCols(NodesTableName, true)
+		// Mostly comparable ON pairs: node = name, year = cpus (INT),
+		// day = speed (INT with FLOAT), walltime = speed; sometimes any.
+		l, r := avail[rng.Intn(nRuns)], avail[nRuns+rng.Intn(len(avail)-nRuns)]
+		if rng.Intn(4) != 0 {
+			pairs := [][2]string{{"node", "name"}, {"year", "cpus"}, {"day", "speed"}, {"walltime", "speed"}, {"products", "cpus"}}
+			p := pairs[rng.Intn(len(pairs))]
+			for _, c := range avail {
+				switch c.resolved {
+				case "runs." + p[0]:
+					l = c
+				case "nodes." + p[1]:
+					r = c
+				}
+			}
+		}
+		g.on = []genCol{l, r}
+		if rng.Intn(2) == 0 {
+			g.on[0], g.on[1] = r, l
+		}
+	} else {
+		addCols(g.from, false)
+	}
+	pick := func() genCol { return avail[rng.Intn(len(avail))] }
+
+	for n := rng.Intn(4); n > 0; n-- {
+		c := pick()
+		lit := c.typ
+		switch rng.Intn(5) {
+		case 0:
+			lit = Type(rng.Intn(4))
+		case 1:
+			if c.typ == Int {
+				lit = Float
+			} else if c.typ == Float {
+				lit = Int
+			}
+		}
+		g.preds = append(g.preds, Pred{Col: c.written, Op: Op(rng.Intn(6)), Val: genValue(rng, lit)})
+		g.predCols = append(g.predCols, c)
+	}
+
+	var labels []string // result labels, the ORDER BY candidates
+	switch rng.Intn(3) {
+	case 0: // projection
+		if rng.Intn(3) == 0 {
+			g.star = true
+			for _, c := range avail {
+				labels = append(labels, c.resolved)
+			}
+		} else {
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				c := pick()
+				g.cols = append(g.cols, c)
+				labels = append(labels, c.resolved)
+			}
+		}
+	default: // aggregate, grouped or global
+		if rng.Intn(3) != 0 {
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				g.group = append(g.group, pick())
+			}
+			for _, c := range g.group {
+				if rng.Intn(2) == 0 {
+					g.cols = append(g.cols, c)
+					labels = append(labels, c.resolved)
+				}
+			}
+		}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			fn := AggFn(rng.Intn(5))
+			if fn == AggCount && rng.Intn(2) == 0 {
+				g.aggs = append(g.aggs, Agg{Fn: fn, Col: "*"})
+				g.aggCols = append(g.aggCols, genCol{})
+				labels = append(labels, "count(*)")
+				continue
+			}
+			c := pick()
+			g.aggs = append(g.aggs, Agg{Fn: fn, Col: c.written})
+			g.aggCols = append(g.aggCols, c)
+			labels = append(labels, Agg{Fn: fn, Col: c.resolved}.Label())
+		}
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		g.order = append(g.order, OrderKey{Col: labels[rng.Intn(len(labels))], Desc: rng.Intn(2) == 0})
+	}
+	if rng.Intn(3) == 0 {
+		g.limit = 1 + rng.Intn(4)
+	}
+	return g
+}
+
+// refRun evaluates the query the plain way: the join as nested loops,
+// each predicate by Compare on each row in turn (so a type error surfaces
+// exactly when a row reaches it), groups of identical keys in first-seen
+// order, then a stable sort and the limit.
+func refRun(ref map[string]*refTable, g *genQuery) ([]string, [][]Value, error) {
+	src := ref[g.from]
+	var names []string
+	if g.right == "" {
+		for _, c := range src.schema {
+			names = append(names, c.Name)
+		}
+	} else {
+		left, right := src, ref[g.right]
+		for _, c := range left.schema {
+			names = append(names, g.from+"."+c.Name)
+		}
+		for _, c := range right.schema {
+			names = append(names, g.right+"."+c.Name)
+		}
+		lc, rc := g.on[0], g.on[1]
+		if strings.HasPrefix(rc.resolved, g.from+".") {
+			lc, rc = rc, lc
+		}
+		li, ri := slices.Index(names, lc.resolved), slices.Index(names, rc.resolved)-len(left.schema)
+		lt, rt := left.schema[li].Type, right.schema[ri].Type
+		if lt != rt && !(lt != String && lt != Bool && rt != String && rt != Bool) {
+			return nil, nil, fmt.Errorf("join of %s with %s", lt, rt)
+		}
+		joined := &refTable{}
+		for _, l := range left.rows {
+			for _, r := range right.rows {
+				if c, _ := Compare(l[li], r[ri]); c == 0 {
+					joined.rows = append(joined.rows, append(slices.Clip(l), r...))
+				}
+			}
+		}
+		src = joined
+	}
+	at := func(c genCol) int { return slices.Index(names, c.resolved) }
+
+	var rows [][]Value
+	for _, row := range src.rows {
+		keep := true
+		for i, p := range g.preds {
+			c, err := Compare(row[at(g.predCols[i])], p.Val)
+			if err != nil {
+				return nil, nil, err
+			}
+			if keep = refOp(p.Op, c); !keep {
+				break
+			}
+		}
+		if keep {
+			rows = append(rows, row)
+		}
+	}
+
+	var cols []string
+	var out [][]Value
+	if len(g.aggs) == 0 && len(g.group) == 0 {
+		sel := g.cols
+		if g.star {
+			sel = nil
+			for _, n := range names {
+				sel = append(sel, genCol{resolved: n})
+			}
+		}
+		for _, c := range sel {
+			cols = append(cols, c.resolved)
+		}
+		for _, row := range rows {
+			var o []Value
+			for _, c := range sel {
+				o = append(o, row[at(c)])
+			}
+			out = append(out, o)
+		}
+	} else {
+		for _, c := range g.cols {
+			cols = append(cols, c.resolved)
+		}
+		for i, a := range g.aggs {
+			if a.Col != "*" {
+				a.Col = g.aggCols[i].resolved
+			}
+			cols = append(cols, a.Label())
+		}
+		var groups [][][]Value // each group's rows, first-seen order
+		for _, row := range rows {
+			gi := slices.IndexFunc(groups, func(grp [][]Value) bool {
+				for _, c := range g.group {
+					if !sameValue(grp[0][at(c)], row[at(c)]) {
+						return false
+					}
+				}
+				return true
+			})
+			if gi < 0 {
+				groups = append(groups, nil)
+				gi = len(groups) - 1
+			}
+			groups[gi] = append(groups[gi], row)
+		}
+		if len(g.group) == 0 && len(groups) == 0 {
+			groups = append(groups, nil) // a global aggregate over no rows
+		}
+		for _, grp := range groups {
+			var o []Value
+			for _, c := range g.cols {
+				o = append(o, grp[0][at(c)])
+			}
+			for i, a := range g.aggs {
+				v, err := refAgg(a, grp, at(g.aggCols[i]))
+				if err != nil {
+					return nil, nil, err
+				}
+				o = append(o, v)
+			}
+			out = append(out, o)
+		}
+	}
+
+	var sortErr error
+	sort.SliceStable(out, func(i, j int) bool {
+		for _, k := range g.order {
+			ci := slices.Index(cols, k.Col)
+			c, err := Compare(out[i][ci], out[j][ci])
+			if err != nil {
+				sortErr = err
+			}
+			if c != 0 {
+				return c < 0 != k.Desc
+			}
+		}
+		return false
+	})
+	if g.limit > 0 && len(out) > g.limit {
+		out = out[:g.limit]
+	}
+	return cols, out, sortErr
+}
+
+func refOp(op Op, c int) bool {
+	return [...]bool{OpEq: c == 0, OpNe: c != 0, OpLt: c < 0, OpLe: c <= 0, OpGt: c > 0, OpGe: c >= 0}[op]
+}
+
+// refAgg folds one aggregate over a group's rows: COUNT counts, SUM and
+// AVG add as float64 in row order (SUM of INTs reads back as an INT), MIN
+// and MAX keep the first of equal values; over no rows, SUM and AVG are
+// FLOAT 0 and MIN and MAX INT 0.
+func refAgg(a Agg, rows [][]Value, ci int) (Value, error) {
+	switch a.Fn {
+	case AggCount:
+		return IntVal(int64(len(rows))), nil
+	case AggSum, AggAvg:
+		sum, ints := 0.0, len(rows) > 0
+		for _, r := range rows {
+			if !r[ci].IsNumeric() {
+				return Value{}, fmt.Errorf("%s over %s", a.Fn, r[ci].Type())
+			}
+			sum += r[ci].Float()
+			ints = ints && r[ci].Type() == Int
+		}
+		switch {
+		case a.Fn == AggAvg && len(rows) == 0:
+			return FloatVal(0), nil
+		case a.Fn == AggAvg:
+			return FloatVal(sum / float64(len(rows))), nil
+		case ints:
+			return IntVal(int64(sum)), nil
+		}
+		return FloatVal(sum), nil
+	default:
+		if len(rows) == 0 {
+			return IntVal(0), nil
+		}
+		best := rows[0][ci]
+		for _, r := range rows[1:] {
+			if c, _ := Compare(r[ci], best); a.Fn == AggMin && c < 0 || a.Fn == AggMax && c > 0 {
+				best = r[ci]
+			}
+		}
+		return best, nil
+	}
+}
+
+// sameValue is identity: the same type and the same rendering, so −0 and
+// +0 (equal under Compare) stay apart, as they do in GROUP BY.
+func sameValue(a, b Value) bool { return a.Type() == b.Type() && a.String() == b.String() }
+
+func renderRow(row []Value) string {
+	var b strings.Builder
+	for _, v := range row {
+		fmt.Fprintf(&b, "%s:%s|", v.Type(), v)
+	}
+	return b.String()
+}
+
+// checkAgainstReference builds seed's fixture unindexed and indexed, draws
+// one query over it, and compares each engine's answer with the
+// reference's: the same columns, and the same rows in order under ORDER
+// BY and as a multiset otherwise — or an error from both.
+func checkAgainstReference(t *testing.T, seed int64) {
+	plain, ref := genFixture(t, seed, false)
+	indexed, _ := genFixture(t, seed, true)
+	g := genQueryFor(rand.New(rand.NewSource(seed+1)), ref)
+	sql := g.sql()
+	wantCols, wantRows, wantErr := refRun(ref, g)
+	want := make([]string, len(wantRows))
+	for i, r := range wantRows {
+		want[i] = renderRow(r)
+	}
+	if len(g.order) == 0 {
+		sort.Strings(want)
+	}
+	for _, db := range []*DB{plain, indexed} {
+		res, err := db.Query(sql)
+		which := fmt.Sprintf("seed %d, indexed %v: %s\n", seed, db == indexed, sql)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%sengine error %v, reference error %v", which, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !slices.Equal(res.Columns, wantCols) {
+			t.Fatalf("%scolumns %v, reference %v", which, res.Columns, wantCols)
+		}
+		got := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			got[i] = renderRow(r)
+		}
+		if len(g.order) == 0 {
+			sort.Strings(got)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%sengine    %q\nreference %q", which, got, want)
+		}
+	}
+}
+
+func TestQueryMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 3000; seed++ {
+		checkAgainstReference(t, seed)
+	}
+}
+
+// FuzzQueryMatchesReference searches seeds for a generated query on which
+// the engine and the reference disagree. Seeds 603 and 2476 found the two
+// disagreements of the boxed-row engine: an index probe that skipped the
+// row a scan failed a type error on, and INTs above 2^53 compared as
+// float64s by a scan but exactly by an index probe.
+func FuzzQueryMatchesReference(f *testing.F) {
+	for _, seed := range []int64{0, 1, 2, 42, 603, 2476, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(checkAgainstReference)
+}

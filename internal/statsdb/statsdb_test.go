@@ -391,3 +391,100 @@ func TestPropertyWhereMatchesReferenceFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestIntComparisonsExactAbove2To53(t *testing.T) {
+	// 2^53 and 2^53+1 are one float64: INT against INT compares as int64,
+	// so a scan, an index probe, MIN/MAX, ORDER BY and an INT join tell
+	// them apart. INT against FLOAT still compares as float64.
+	for _, indexed := range []bool{false, true} {
+		db := NewDB()
+		tbl, err := db.CreateTable("t", Schema{{Name: "id", Type: Int}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if indexed {
+			if err := tbl.CreateIndex("id"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, v := range []int64{1 << 53, 1<<53 + 1} {
+			if err := tbl.Insert([]Value{IntVal(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for sql, want := range map[string]string{
+			"SELECT id FROM t WHERE id = 9007199254740993":                 "9007199254740993",
+			"SELECT id FROM t WHERE id > 9007199254740992":                 "9007199254740993",
+			"SELECT id FROM t WHERE id < 9007199254740993":                 "9007199254740992",
+			"SELECT id FROM t WHERE id = 9007199254740992.0":               "9007199254740992,9007199254740993",
+			"SELECT MAX(id) FROM t":                                        "9007199254740993",
+			"SELECT id FROM t ORDER BY id DESC":                            "9007199254740993,9007199254740992",
+			"SELECT COUNT(*) FROM t WHERE id != 9007199254740992":          "1",
+			"SELECT id FROM t WHERE id >= 9007199254740993 AND id <= 1e20": "9007199254740993",
+		} {
+			res, err := db.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, row := range res.Rows {
+				got = append(got, row[0].String())
+			}
+			if strings.Join(got, ",") != want {
+				t.Errorf("indexed %v: %s = %v, want %s", indexed, sql, got, want)
+			}
+		}
+	}
+	left, _ := NewTable("l", Schema{{Name: "a", Type: Int}})
+	right, _ := NewTable("r", Schema{{Name: "b", Type: Int}})
+	for _, row := range [][2]int64{{1 << 53, 1<<53 + 1}, {1<<53 + 1, 7}} {
+		if err := left.Insert([]Value{IntVal(row[0])}); err != nil {
+			t.Fatal(err)
+		}
+		if err := right.Insert([]Value{IntVal(row[1])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j, err := Join(left, right, "a", "b"); err != nil || j.Len() != 1 || j.Row(0)[0].Int() != 1<<53+1 {
+		t.Fatalf("INT join: %v, %v", j, err)
+	}
+}
+
+func TestTypeErrorDoesNotDependOnIndexes(t *testing.T) {
+	// A predicate whose literal cannot compare with its column fails on
+	// the first row that reaches it. With an index on another column the
+	// query still scans, so it fails exactly when the unindexed table
+	// does; a well-typed query keeps its probe.
+	plan := func(tbl *Table, sql string) string {
+		res, err := (&DB{tables: map[string]*Table{"runs": tbl}}).Query("EXPLAIN " + sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].Str()
+	}
+	for _, sql := range []string{
+		"SELECT * FROM runs WHERE ok = 3 AND forecast = 'nosuch'",
+		"SELECT * FROM runs WHERE forecast = 'nosuch' AND day = 'x'",
+	} {
+		scan := runsFixture(t)
+		_, scanErr := (&DB{tables: map[string]*Table{"runs": scan}}).Query(sql)
+		tbl := runsFixture(t)
+		if err := tbl.CreateIndex("forecast"); err != nil {
+			t.Fatal(err)
+		}
+		_, err := (&DB{tables: map[string]*Table{"runs": tbl}}).Query(sql)
+		if (scanErr == nil) != (err == nil) {
+			t.Errorf("%s: unindexed error %v, indexed error %v", sql, scanErr, err)
+		}
+		if p := plan(tbl, sql); !strings.HasPrefix(p, "full scan") {
+			t.Errorf("%s: plan %q, want a full scan", sql, p)
+		}
+	}
+	tbl := runsFixture(t)
+	if err := tbl.CreateIndex("forecast"); err != nil {
+		t.Fatal(err)
+	}
+	if p := plan(tbl, "SELECT * FROM runs WHERE day = 2.5 AND forecast = 'dev'"); !strings.HasPrefix(p, "index probe") {
+		t.Errorf("well-typed plan %q, want an index probe", p)
+	}
+}
