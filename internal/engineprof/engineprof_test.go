@@ -173,6 +173,34 @@ func TestStatsdbRoundTrip(t *testing.T) {
 	}
 }
 
+func TestProfileRowsInLabelOrder(t *testing.T) {
+	// Two campaigns whose sampled wall costs rank the labels differently
+	// store the same engine_profile rows, in label order.
+	var got []string
+	for _, walls := range [][3]int64{{30, 20, 10}, {10, 20, 30}} {
+		rep := &engineprof.Report{}
+		for i, label := range []string{"ps", "harvest", "workflow"} {
+			rep.Labels = append(rep.Labels, engineprof.LabelReport{Label: label, Fired: 1, WallSampled: 1, WallNS: walls[i]})
+		}
+		db := statsdb.NewDB()
+		if err := engineprof.LoadReport(db, rep); err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Query("SELECT label FROM engine_profile")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var labels []string
+		for _, row := range res.Rows {
+			labels = append(labels, row[0].Str())
+		}
+		got = append(got, strings.Join(labels, ","))
+	}
+	if got[0] != "harvest,ps,workflow" || got[1] != got[0] {
+		t.Fatalf("engine_profile labels = %q", got)
+	}
+}
+
 func TestReadReportEmptyDB(t *testing.T) {
 	rep, err := engineprof.ReadReport(statsdb.NewDB())
 	if err != nil {

@@ -9,7 +9,9 @@ package engineprof
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/statsdb"
 )
@@ -47,7 +49,8 @@ func Migrations() []statsdb.Migration {
 // LoadReport persists one observatory snapshot into the engine_profile
 // and engine_queue_depth tables (created via the v6 migration when
 // missing). One snapshot covers a whole campaign, so load each report
-// once.
+// once. Labels are stored in label order, not the report's ranking by
+// sampled wall-clock cost, so the same campaign stores the same rows.
 func LoadReport(db *statsdb.DB, rep *Report) error {
 	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
 		return err
@@ -61,7 +64,9 @@ func LoadReport(db *statsdb.DB, rep *Report) error {
 	for i, p := range rep.Depth {
 		depth[i] = depthRow{i, p}
 	}
-	if _, err := profileTable.Insert(db, rep.Labels...); err != nil {
+	labels := slices.Clone(rep.Labels)
+	slices.SortFunc(labels, func(a, b LabelReport) int { return strings.Compare(a.Label, b.Label) })
+	if _, err := profileTable.Insert(db, labels...); err != nil {
 		return err
 	}
 	_, err := depthTable.Insert(db, depth...)

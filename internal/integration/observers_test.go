@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/engineprof"
@@ -150,16 +149,11 @@ func TestObserversDoNotPerturbSimulation(t *testing.T) {
 	}
 }
 
-// rowsOf returns a table's rows. The kernel profiler ranks its rows by
-// wall-clock handler cost, so theirs are put in label order.
+// rowsOf returns a table's rows.
 func rowsOf(t *statsdb.Table) [][]statsdb.Value {
 	rows := make([][]statsdb.Value, t.Len())
 	for i := range rows {
 		rows[i] = t.Row(i)
-	}
-	if t.Name() == engineprof.ProfileTableName {
-		label := t.Schema().Index("label")
-		slices.SortFunc(rows, func(a, b []statsdb.Value) int { return strings.Compare(a[label].Str(), b[label].Str()) })
 	}
 	return rows
 }
