@@ -295,6 +295,18 @@ func pruneStaleMarks(db *statsdb.DB, marks map[string]*Watermark) int {
 // DB returns the database the harvester ingests into.
 func (h *Harvester) DB() *statsdb.DB { return h.db }
 
+// Locked runs fn holding the harvester's lock, so fn may write the
+// database while Status is being served; on a nil harvester it just runs
+// fn.
+func (h *Harvester) Locked(fn func() error) error {
+	if h == nil {
+		return fn()
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return fn()
+}
+
 // Pass runs one incremental harvest over the tree: scan every run log,
 // skip files whose watermark still matches, parse and upsert the rest,
 // quarantine what fails to parse. The error return covers infrastructure

@@ -65,9 +65,11 @@ func TestSaturationRuleCoversAddedNodes(t *testing.T) {
 }
 
 // TestRoutesDoNotRaceTheReplay steps a campaign the way a paced replay
-// does, one sim-hour per RunUntil, while another goroutine requests every
-// control-room route; run it under -race. The day-2 AddForecast writes the
-// campaign's spec map while the forensics route builds its plan.
+// does, one sim-hour per RunUntil, and closes it out, while other
+// goroutines request every control-room route; run it under -race. The
+// day-2 AddForecast writes the campaign's spec map while the forensics
+// route builds its plan, and Close's report loads migrate the database
+// /api/harvest reads.
 func TestRoutesDoNotRaceTheReplay(t *testing.T) {
 	c := growingCampaign(t, 3)
 	o, err := observe.Observe(c, every)
@@ -78,13 +80,15 @@ func TestRoutesDoNotRaceTheReplay(t *testing.T) {
 	routes := []string{"/", "/healthz", "/metrics", "/api/alerts", "/api/status", "/api/slo",
 		"/api/harvest", "/api/utilization", "/api/forensics", "/api/spc", "/api/engine", "/api/serving"}
 
+	// One poller per route, so a slow route does not keep the others out
+	// of a short window such as Close's report loads.
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			for _, path := range routes {
+	for _, path := range routes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
 				select {
 				case <-done:
 					return
@@ -96,8 +100,8 @@ func TestRoutesDoNotRaceTheReplay(t *testing.T) {
 					t.Errorf("GET %s: %d", path, rec.Code)
 				}
 			}
-		}
-	}()
+		}()
+	}
 
 	c.Prepare()
 	eng := c.Engine()
@@ -105,10 +109,12 @@ func TestRoutesDoNotRaceTheReplay(t *testing.T) {
 		eng.RunUntil(min(eng.Now()+3600, c.Horizon()))
 		eng.ObserveReplayLag(eng.Now())
 	}
+	// The control room keeps serving while the campaign closes out.
+	c.Finish()
+	err = o.Close()
 	close(done)
 	wg.Wait()
-	c.Finish()
-	if err := o.Close(); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
 }
