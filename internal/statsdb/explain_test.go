@@ -98,3 +98,9 @@ func TestExplainNilTable(t *testing.T) {
 		t.Fatal("Explain on nil table accepted")
 	}
 }
+
+func TestExplainUnknownColumn(t *testing.T) {
+	if _, err := Select(runsFixture(t)).Where(Pred{"missing", OpEq, IntVal(1)}).Explain(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -37,10 +37,9 @@ func SchemaVersion(db *DB) int64 {
 	if t == nil {
 		return 0
 	}
-	vi := t.Schema().Index("version")
 	var max int64
-	for i := 0; i < t.Len(); i++ {
-		if v := t.Row(i)[vi].Int(); v > max {
+	for _, v := range t.cols[t.schema.Index("version")].ints {
+		if v > max {
 			max = v
 		}
 	}
@@ -70,10 +69,9 @@ func Migrate(db *DB, migrations []Migration) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	vi := t.Schema().Index("version")
-	done := make(map[int64]bool, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		done[t.Row(i)[vi].Int()] = true
+	done := make(map[int64]bool, t.n)
+	for _, v := range t.cols[t.schema.Index("version")].ints {
+		done[v] = true
 	}
 	var applied []int64
 	for _, m := range ms {

@@ -128,10 +128,10 @@ func TestTableUpdateMaintainsIndexes(t *testing.T) {
 	if err := tbl.Update(0, []Value{StringVal("c"), IntVal(9)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.lookupRows("k", StringVal("a")); len(got) != 1 || got[0] != 2 {
+	if got := tbl.lookupRows(nil, 0, StringVal("a")); len(got) != 1 || got[0] != 2 {
 		t.Fatalf(`lookup "a" = %v`, got)
 	}
-	if got := tbl.lookupRows("k", StringVal("c")); len(got) != 1 || got[0] != 0 {
+	if got := tbl.lookupRows(nil, 0, StringVal("c")); len(got) != 1 || got[0] != 0 {
 		t.Fatalf(`lookup "c" = %v`, got)
 	}
 	if tbl.Row(0)[1].Int() != 9 {

@@ -56,6 +56,9 @@ func LoadSpans(db *DB, spans []telemetry.Span) (*Table, error) {
 			}
 		}
 	}
+	idc := t.schema.Index("id")
+	var row []Value
+	var same []int32
 	for _, s := range spans {
 		day := 0
 		if d := s.Args["day"]; d != "" {
@@ -69,22 +72,11 @@ func LoadSpans(db *DB, spans []telemetry.Span) (*Table, error) {
 		if node == "" {
 			node = s.Track
 		}
-		row := []Value{
-			IntVal(s.ID),
-			IntVal(s.Parent),
-			StringVal(s.Cat),
-			StringVal(s.Name),
-			StringVal(s.Track),
-			FloatVal(s.Start),
-			FloatVal(s.End),
-			FloatVal(s.End - s.Start),
-			StringVal(s.Args["forecast"]),
-			IntVal(int64(day)),
-			StringVal(node),
-			BoolVal(s.Args["interrupted"] == "true"),
-		}
-		if ids := t.lookupRows("id", IntVal(s.ID)); len(ids) > 0 {
-			if err := t.Update(ids[0], row); err != nil {
+		row = append(row[:0], IntVal(s.ID), IntVal(s.Parent), StringVal(s.Cat), StringVal(s.Name), StringVal(s.Track),
+			FloatVal(s.Start), FloatVal(s.End), FloatVal(s.End-s.Start), StringVal(s.Args["forecast"]),
+			IntVal(int64(day)), StringVal(node), BoolVal(s.Args["interrupted"] == "true"))
+		if same = t.lookupRows(same[:0], idc, IntVal(s.ID)); len(same) > 0 {
+			if err := t.Update(int(same[0]), row); err != nil {
 				return nil, err
 			}
 		} else if err := t.Insert(row); err != nil {

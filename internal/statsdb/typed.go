@@ -195,21 +195,21 @@ func (tt *TypedTable[T]) Insert(db *DB, rows ...T) (*Table, error) {
 // value, and a missing or empty table reads as nil.
 func (tt *TypedTable[T]) Read(db *DB) ([]T, error) {
 	t := db.Table(tt.name)
-	if t == nil || len(t.rows) == 0 {
+	if t == nil || t.n == 0 {
 		return nil, nil
 	}
 	src := make([]int, len(tt.fields))
 	for i, c := range tt.schema {
 		src[i] = t.schema.Index(c.Name)
 	}
-	out := make([]T, len(t.rows))
-	for r, row := range t.rows {
+	out := make([]T, t.n)
+	for r := range out {
 		rv := reflect.ValueOf(&out[r]).Elem()
 		for i, f := range tt.fields {
 			if src[i] < 0 {
 				continue
 			}
-			if err := f.set(rv.FieldByIndex(f.path), row[src[i]]); err != nil {
+			if err := f.set(rv.FieldByIndex(f.path), t.cols[src[i]].value(r)); err != nil {
 				return nil, fmt.Errorf("statsdb: table %s row %d column %q: %w", tt.name, r, tt.schema[i].Name, err)
 			}
 		}

@@ -78,7 +78,7 @@ func TestTypedTableRoundTrip(t *testing.T) {
 	if r0[3].Str() != "high" || r0[4].Str() != "4,0,7" {
 		t.Fatalf("stored row = %v", r0)
 	}
-	if ids := tbl.lookupRows("kind", StringVal("b")); len(ids) != 1 || ids[0] != 1 {
+	if ids := tbl.lookupRows(nil, tbl.schema.Index("kind"), StringVal("b")); len(ids) != 1 || ids[0] != 1 {
 		t.Fatalf("index probe for kind=b = %v", ids)
 	}
 	got, err := typedRows.Read(db)
