@@ -227,6 +227,9 @@ func main() {
 		if *engineProfFlag {
 			fmt.Fprintln(os.Stderr, "-engineprof profiles the bootstrap campaign's engine; it is ignored with -harvest")
 		}
+		if *sloFlag {
+			fmt.Fprintln(os.Stderr, "-slo reports the bootstrap campaign's control room; it is ignored with -harvest")
+		}
 		records = harvestOSTree(db, *harvestDir)
 	} else {
 		assignments := make([]factory.Assignment, len(specs))
