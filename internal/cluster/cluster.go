@@ -100,23 +100,13 @@ func (n *Node) emit(kind, job string) {
 // Job is a serial job executing on a node.
 type Job struct {
 	task *ps.Task
-	node *Node
 }
-
-// Node returns the node the job runs on.
-func (j *Job) Node() *Node { return j.node }
 
 // Remaining returns the job's remaining work in reference CPU-seconds.
 func (j *Job) Remaining() float64 { return j.task.Remaining() }
 
 // Finished reports whether the job has completed.
 func (j *Job) Finished() bool { return j.task.Finished() }
-
-// Label returns the job's diagnostic label.
-func (j *Job) Label() string { return j.task.Label() }
-
-// Started returns the virtual time the job was submitted.
-func (j *Job) Started() float64 { return j.task.Started() }
 
 // Submit starts a serial job on the node. work is in reference
 // CPU-seconds; done (may be nil) runs at completion. Submitting to a down
@@ -130,7 +120,7 @@ func (n *Node) Submit(label string, work float64, done func()) *Job {
 		}
 	})
 	n.emit(EventSubmit, label)
-	return &Job{task: t, node: n}
+	return &Job{task: t}
 }
 
 // SubmitParallel starts a parallel "mega-job" that can consume up to
@@ -152,7 +142,7 @@ func (n *Node) SubmitParallel(label string, work float64, width int, done func()
 		}
 	})
 	n.emit(EventSubmit, label)
-	return &Job{task: t, node: n}
+	return &Job{task: t}
 }
 
 // Fail marks the node down. Running jobs stop progressing but keep their
@@ -249,16 +239,4 @@ func (c *Cluster) Nodes() []*Node {
 		out[i] = c.nodes[name]
 	}
 	return out
-}
-
-// TotalCapacity returns the aggregate CPU capacity (CPUs × speed) of all
-// nodes that are currently up, in reference CPU-seconds per second.
-func (c *Cluster) TotalCapacity() float64 {
-	var total float64
-	for _, n := range c.nodes {
-		if !n.down {
-			total += float64(n.cpus) * n.speed
-		}
-	}
-	return total
 }

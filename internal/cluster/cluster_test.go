@@ -66,8 +66,8 @@ func TestFailFreezesJobsAndRepairResumes(t *testing.T) {
 	n := c.AddNode("n", 2, 1.0)
 	var done float64
 	n.Submit("f", 100, func() { done = e.Now() })
-	e.At(40, func() { n.Fail() })
-	e.At(90, func() { n.Repair() })
+	e.Scope("test").At(40, func() { n.Fail() })
+	e.Scope("test").At(90, func() { n.Repair() })
 	e.Run()
 	if !almost(done, 150) {
 		t.Fatalf("job finished at %v, want 150 (40 run + 50 down + 60 run)", done)
@@ -84,7 +84,7 @@ func TestSubmitToDownNodeWaits(t *testing.T) {
 	}
 	var done float64
 	n.Submit("f", 10, func() { done = e.Now() })
-	e.At(100, func() { n.Repair() })
+	e.Scope("test").At(100, func() { n.Repair() })
 	e.Run()
 	if !almost(done, 110) {
 		t.Fatalf("job finished at %v, want 110", done)
@@ -115,13 +115,6 @@ func TestClusterAccessors(t *testing.T) {
 	}
 	if c.Node("a") == nil || c.Node("zz") != nil {
 		t.Fatal("Node lookup wrong")
-	}
-	if !almost(c.TotalCapacity(), 2*2.0+2*1.0) {
-		t.Fatalf("TotalCapacity = %v, want 6", c.TotalCapacity())
-	}
-	c.Node("a").Fail()
-	if !almost(c.TotalCapacity(), 2.0) {
-		t.Fatalf("TotalCapacity with a down = %v, want 2", c.TotalCapacity())
 	}
 	if c.Engine() != e {
 		t.Fatal("Engine accessor wrong")
@@ -181,9 +174,6 @@ func TestNodeAccessors(t *testing.T) {
 	j := n.Submit("f", 100, nil)
 	if n.Active() != 1 {
 		t.Fatalf("Active = %d", n.Active())
-	}
-	if j.Node() != n || j.Label() != "f" || j.Started() != 5 {
-		t.Fatalf("job accessors wrong: %v %v %v", j.Node(), j.Label(), j.Started())
 	}
 	e.RunUntil(15)
 	// 10 s at rate 1.5 → 15 done of 100.
@@ -264,26 +254,6 @@ func TestPropertyCPUSharingRule(t *testing.T) {
 	}
 }
 
-// Down nodes must not count as available capacity, and repairing restores
-// exactly what failing removed.
-func TestTotalCapacityAcrossFailRepair(t *testing.T) {
-	e := sim.NewEngine()
-	c := New(e)
-	c.AddNode("a", 2, 1.0)
-	b := c.AddNode("b", 4, 0.5)
-	if !almost(c.TotalCapacity(), 4) {
-		t.Fatalf("TotalCapacity = %v, want 4", c.TotalCapacity())
-	}
-	b.Fail()
-	if !almost(c.TotalCapacity(), 2) {
-		t.Fatalf("TotalCapacity with b down = %v, want 2", c.TotalCapacity())
-	}
-	b.Repair()
-	if !almost(c.TotalCapacity(), 4) {
-		t.Fatalf("TotalCapacity after repair = %v, want 4", c.TotalCapacity())
-	}
-}
-
 // Utilization's denominator keeps running while the node is down, and the
 // numerator freezes: a node busy for 100s, down for 300s, then busy again
 // for 100s has consumed 100 of 500 capacity-seconds per CPU.
@@ -292,8 +262,8 @@ func TestUtilizationAcrossDowntime(t *testing.T) {
 	c := New(e)
 	n := c.AddNode("n", 1, 1.0)
 	n.Submit("f", 200, nil) // 1 CPU: rate 1, finishes after 200 busy seconds
-	e.At(100, n.Fail)
-	e.At(400, n.Repair)
+	e.Scope("test").At(100, n.Fail)
+	e.Scope("test").At(400, n.Repair)
 	e.Run()
 	// Timeline: busy [0,100], frozen [100,400], busy [400,500].
 	if now := e.Now(); !almost(now, 500) {
@@ -328,9 +298,9 @@ func TestOnEventStream(t *testing.T) {
 	})
 	n.Submit("a", 100, nil)
 	n.Submit("b", 1000, nil)
-	e.At(50, n.Fail)
-	e.At(150, n.Repair)
-	e.At(200, func() { c.AddNode("m", 2, 1.0) })
+	e.Scope("test").At(50, n.Fail)
+	e.Scope("test").At(150, n.Repair)
+	e.Scope("test").At(200, func() { c.AddNode("m", 2, 1.0) })
 	e.Run()
 	want := []seen{
 		{"submit", "n", "a", 1, false}, // a running

@@ -49,11 +49,6 @@ func NewEstimator(records []*logs.RunRecord, nodes []NodeInfo) *Estimator {
 	return e
 }
 
-// History returns the completed records for a forecast, day ascending.
-func (e *Estimator) History(forecastName string) []*logs.RunRecord {
-	return append([]*logs.RunRecord(nil), e.byForecast[forecastName]...)
-}
-
 // Request describes one estimation question: how long will this forecast
 // take with these parameters on that node?
 type Request struct {

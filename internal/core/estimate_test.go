@@ -128,8 +128,8 @@ func TestEstimateErrors(t *testing.T) {
 	if _, err := e2.Estimate(Request{Forecast: "h", Node: "ref"}); err == nil {
 		t.Fatal("running-only history accepted")
 	}
-	if len(e.History("f")) != 1 || len(e.History("zz")) != 0 {
-		t.Fatal("History accessor wrong")
+	if len(e.byForecast["f"]) != 1 || len(e.byForecast["zz"]) != 0 {
+		t.Fatal("history grouped wrong")
 	}
 }
 

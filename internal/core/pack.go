@@ -162,12 +162,13 @@ func Pack(nodes []NodeInfo, runs []Run, h Heuristic) (map[string]string, error) 
 		reg.Describe("core_pack_iterations_total", "Bin-packing fit evaluations across all Pack calls.")
 		reg.Counter("core_planner_invocations_total",
 			telemetry.Labels{"pass": "pack", "heuristic": h.String()}).Inc()
-		span := t.Trace().Begin("planner", "pack:"+h.String(), "planner", nil)
+		tr := t.Trace()
+		span := tr.Begin("planner", "pack:"+h.String(), "planner", 0)
 		defer func() {
 			reg.Counter("core_pack_iterations_total", nil).Add(float64(iters))
-			span.SetArg("iterations", strconv.Itoa(iters))
-			span.SetArg("runs", strconv.Itoa(len(runs)))
-			span.EndSpan()
+			tr.SetArg(span, "iterations", strconv.Itoa(iters))
+			tr.SetArg(span, "runs", strconv.Itoa(len(runs)))
+			tr.End(span)
 		}()
 	}
 	plan := &Plan{Nodes: nodes, Runs: runs, Assign: map[string]string{}}

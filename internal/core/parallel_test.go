@@ -114,7 +114,7 @@ func TestPropertyPredictorMatchesSimulatorMultiNode(t *testing.T) {
 		for _, r := range runs {
 			r := r
 			node := cl.Node(assign[r.Name])
-			eng.At(r.Start, func() {
+			eng.Scope("test").At(r.Start, func() {
 				node.Submit(r.Name, r.Work, func() { simDone[r.Name] = eng.Now() })
 			})
 		}

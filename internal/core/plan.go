@@ -157,18 +157,6 @@ func (p *Plan) runsOn(node string) []Run {
 	return out
 }
 
-// Unassigned returns the names of runs without a node, sorted.
-func (p *Plan) Unassigned() []string {
-	var out []string
-	for _, r := range p.Runs {
-		if _, ok := p.Assign[r.Name]; !ok {
-			out = append(out, r.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Move reassigns one run to a node (the interactive drag in the ForeMan
 // interface). It returns an error for unknown runs or nodes.
 func (p *Plan) Move(run, node string) error {

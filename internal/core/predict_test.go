@@ -228,9 +228,6 @@ func TestPlanMoveAndClone(t *testing.T) {
 	if err := c.Move("a", "zz"); err == nil {
 		t.Fatal("moved to unknown node")
 	}
-	if got := (&Plan{Runs: []Run{{Name: "x"}}, Assign: map[string]string{}}).Unassigned(); len(got) != 1 || got[0] != "x" {
-		t.Fatalf("Unassigned = %v", got)
-	}
 }
 
 // Property: the analytic predictor agrees with the discrete-event
@@ -270,7 +267,7 @@ func TestPropertyPredictorMatchesSimulator(t *testing.T) {
 		simDone := make(map[string]float64, n)
 		for _, r := range runs {
 			r := r
-			eng.At(r.Start, func() {
+			eng.Scope("test").At(r.Start, func() {
 				cn.Submit(r.Name, r.Work, func() { simDone[r.Name] = eng.Now() })
 			})
 		}

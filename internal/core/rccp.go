@@ -65,16 +65,6 @@ func RoughCut(nodes []NodeInfo, runs []Run, window float64, assign map[string]st
 	return rep
 }
 
-// HeadroomRuns estimates how many more runs of the given work would fit in
-// the window — the long-range question "how many forecasts can this plant
-// take before we buy nodes?".
-func (r CapacityReport) HeadroomRuns(workPerRun float64) int {
-	if workPerRun <= 0 || r.Headroom <= 0 {
-		return 0
-	}
-	return int(r.Headroom / workPerRun)
-}
-
 // String renders the report as a short table.
 func (r CapacityReport) String() string {
 	var b strings.Builder

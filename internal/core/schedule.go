@@ -48,14 +48,16 @@ func (s *Schedule) Feasible() bool { return s.Prediction.Feasible(s.Plan) }
 // corrupt the caller's data. The plan is validated once, by Pack; every
 // later edit re-sweeps only the affected nodes.
 func BuildSchedule(nodes []NodeInfo, runs []Run, opts ScheduleOptions) (*Schedule, error) {
-	var span *telemetry.Span
+	var tr *telemetry.Tracer
+	var span int64
 	if t := plannerTelemetry(); t != nil {
 		t.Registry().Describe("core_planner_invocations_total", "Planner passes executed, by pass and heuristic.")
 		t.Registry().Counter("core_planner_invocations_total",
 			telemetry.Labels{"pass": "schedule", "heuristic": opts.Heuristic.String()}).Inc()
-		span = t.Trace().Begin("planner", "schedule:"+opts.Heuristic.String(), "planner", nil)
+		tr = t.Trace()
+		span = tr.Begin("planner", "schedule:"+opts.Heuristic.String(), "planner", 0)
 	}
-	defer span.EndSpan()
+	defer tr.End(span)
 	nodes = append([]NodeInfo(nil), nodes...)
 	runs = append([]Run(nil), runs...)
 	assign, err := Pack(nodes, runs, opts.Heuristic)
@@ -76,7 +78,7 @@ func BuildSchedule(nodes []NodeInfo, runs []Run, opts ScheduleOptions) (*Schedul
 			break
 		}
 		s.drop(victim)
-		span.SetArg("dropped", strconv.Itoa(len(s.Dropped)))
+		tr.SetArg(span, "dropped", strconv.Itoa(len(s.Dropped)))
 		if opts.fullRepredict {
 			if err := s.repredict(); err != nil {
 				return nil, err

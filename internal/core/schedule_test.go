@@ -281,11 +281,8 @@ func TestRoughCut(t *testing.T) {
 	if !almost(rep.TotalWork, 200000) || !almost(rep.TotalCapacity, 345600) {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.HeadroomRuns(100000) != 1 {
-		t.Fatalf("HeadroomRuns = %d, want 1", rep.HeadroomRuns(100000))
-	}
-	if rep.HeadroomRuns(0) != 0 {
-		t.Fatal("HeadroomRuns(0) should be 0")
+	if !almost(rep.Headroom, 345600-200000) {
+		t.Fatalf("Headroom = %v, want 145600", rep.Headroom)
 	}
 	if rep.String() == "" {
 		t.Fatal("empty report rendering")

@@ -14,7 +14,6 @@ package dataflow
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/cluster"
@@ -174,10 +173,10 @@ func Run(arch Architecture, p Params) Result {
 	tel.SetClock(eng.Now)
 	eng.Instrument(tel.Registry())
 	link.Instrument(tel)
-	var expSpan *telemetry.Span
+	var expSpan int64
 	if tel != nil {
 		expSpan = tel.Trace().Begin("experiment",
-			fmt.Sprintf("arch%d:%s", int(arch), p.Spec.Name), "dataflow", nil)
+			fmt.Sprintf("arch%d:%s", int(arch), p.Spec.Name), "dataflow", 0)
 	}
 
 	dir := "/runs/" + p.Spec.Name + "/day1"
@@ -285,7 +284,7 @@ func Run(arch Architecture, p Params) Result {
 		reg.Gauge("dataflow_total_bytes", al).Set(res.TotalBytes)
 		reg.Gauge("dataflow_end_to_end_seconds", al).Set(res.EndToEnd)
 	}
-	expSpan.EndSpan()
+	tel.Trace().End(expSpan)
 
 	// Normalize series by their final sizes.
 	names := make([]string, 0, len(samples))
@@ -334,15 +333,4 @@ func resolveWatch(run *workflow.Run, watch []string) map[string]string {
 func isOutput(run *workflow.Run, name string) bool {
 	_, ok := run.Spec().Output(name)
 	return ok
-}
-
-// TimeToFraction returns the first sampled time at which the series
-// reaches at least the given fraction, or NaN if it never does.
-func (s Series) TimeToFraction(frac float64) float64 {
-	for i, f := range s.Fraction {
-		if f >= frac {
-			return s.Times[i]
-		}
-	}
-	return math.NaN()
 }

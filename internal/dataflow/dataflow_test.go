@@ -79,11 +79,22 @@ func TestArchitecture2FinalProductsSlightlyLater(t *testing.T) {
 	}
 }
 
+// timeToFraction returns the first sampled time at which the series
+// reaches at least the given fraction, or NaN if it never does.
+func timeToFraction(s Series, frac float64) float64 {
+	for i, f := range s.Fraction {
+		if f >= frac {
+			return s.Times[i]
+		}
+	}
+	return math.NaN()
+}
+
 func seriesEnd(t *testing.T, r Result, name string) float64 {
 	t.Helper()
 	for _, s := range r.Series {
 		if s.Name == name {
-			v := s.TimeToFraction(0.999)
+			v := timeToFraction(s, 0.999)
 			if math.IsNaN(v) {
 				t.Fatalf("series %s never completed", name)
 			}
@@ -148,14 +159,14 @@ func TestTwoCPUClientRemovesMostContention(t *testing.T) {
 
 func TestTimeToFraction(t *testing.T) {
 	s := Series{Times: []float64{0, 10, 20}, Fraction: []float64{0, 0.5, 1}}
-	if got := s.TimeToFraction(0.4); got != 10 {
-		t.Fatalf("TimeToFraction(0.4) = %v, want 10", got)
+	if got := timeToFraction(s, 0.4); got != 10 {
+		t.Fatalf("timeToFraction(0.4) = %v, want 10", got)
 	}
-	if got := s.TimeToFraction(1.0); got != 20 {
-		t.Fatalf("TimeToFraction(1.0) = %v, want 20", got)
+	if got := timeToFraction(s, 1.0); got != 20 {
+		t.Fatalf("timeToFraction(1.0) = %v, want 20", got)
 	}
-	if !math.IsNaN((Series{Times: []float64{0}, Fraction: []float64{0.2}}).TimeToFraction(0.5)) {
-		t.Fatal("TimeToFraction should be NaN when never reached")
+	if !math.IsNaN(timeToFraction(Series{Times: []float64{0}, Fraction: []float64{0.2}}, 0.5)) {
+		t.Fatal("timeToFraction should be NaN when never reached")
 	}
 }
 

@@ -24,7 +24,7 @@ func TestProfilerAggregatesPerLabel(t *testing.T) {
 	wf.After(5, func() { time.Sleep(time.Millisecond) })
 	doomed := ps.At(99, func() { t.Fatal("cancelled event fired") })
 	doomed.Cancel()
-	e.At(1, func() {}) // plain At: untagged
+	e.Scope("").At(1, func() {}) // an empty name: untagged
 	e.Run()
 
 	rep := p.Report()

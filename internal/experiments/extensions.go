@@ -43,9 +43,6 @@ func extensionByID(id string) (Report, bool) {
 	}
 }
 
-// ExtensionIDs lists the extension experiment identifiers.
-func ExtensionIDs() []string { return []string{"x1", "x2", "x3", "x4"} }
-
 // IncrementalLead quantifies the paper's newspaper analogy: partial
 // forecasts are valuable because "the portion of the forecast completed
 // by 7am might cover the time period up until noon". For each

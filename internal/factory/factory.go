@@ -111,9 +111,8 @@ type Campaign struct {
 	runLogHooks []func(*logs.RunRecord)
 
 	// Telemetry wiring (all nil when cfg.Telemetry is nil).
-	campaignSpan *telemetry.Span
-	daySpan      *telemetry.Span
-	runSpans     map[string]*telemetry.Span // keyed like active
+	campaignSpan int64
+	daySpan      int64
 	mActiveRuns  *telemetry.Gauge
 	mCarryOver   *telemetry.Gauge
 	mWalltimes   *telemetry.Histogram
@@ -160,7 +159,6 @@ func New(cfg Config) (*Campaign, error) {
 		reg.Describe("factory_active_runs", "Runs currently executing.")
 		reg.Describe("factory_wip_carryover", "Runs still executing at midnight — the WIP carry-over of §4.3.1.")
 		reg.Describe("factory_run_walltime_seconds", "Completed run walltimes.")
-		c.runSpans = make(map[string]*telemetry.Span)
 		c.mActiveRuns = reg.Gauge("factory_active_runs", nil)
 		c.mCarryOver = reg.Gauge("factory_wip_carryover", nil)
 		c.mWalltimes = reg.Histogram("factory_run_walltime_seconds", nil, nil)
@@ -235,9 +233,6 @@ func (c *Campaign) Telemetry() *telemetry.Telemetry { return c.cfg.Telemetry }
 // Spec returns the current spec of a forecast (nil if absent).
 func (c *Campaign) Spec(name string) *forecast.Spec { return c.specs[name] }
 
-// AssignedNode returns the node a forecast currently runs on.
-func (c *Campaign) AssignedNode(name string) string { return c.assign[name] }
-
 // Forecasts returns the configured forecast names in configuration order —
 // the expected-production roster data-quality rules check against.
 func (c *Campaign) Forecasts() []string { return append([]string(nil), c.order...) }
@@ -279,10 +274,10 @@ func (c *Campaign) Prepare() {
 	}
 	c.prepared = true
 	if tel := c.cfg.Telemetry; tel != nil {
-		c.campaignSpan = tel.Trace().Begin("campaign",
-			fmt.Sprintf("campaign-%d", c.cfg.Year), "factory", nil)
-		c.campaignSpan.SetArg("days", fmt.Sprint(c.cfg.Days))
-		c.campaignSpan.SetArg("forecasts", fmt.Sprint(len(c.order)))
+		tr := tel.Trace()
+		c.campaignSpan = tr.Begin("campaign", fmt.Sprintf("campaign-%d", c.cfg.Year), "factory", 0)
+		tr.SetArg(c.campaignSpan, "days", fmt.Sprint(c.cfg.Days))
+		tr.SetArg(c.campaignSpan, "forecasts", fmt.Sprint(len(c.order)))
 	}
 	lastDay := c.cfg.StartDay + c.cfg.Days - 1
 	for day := c.cfg.StartDay; day <= lastDay; day++ {
@@ -299,8 +294,8 @@ func (c *Campaign) Finish() []RunResult {
 	c.eng.RunUntil(c.Horizon())
 
 	if tel := c.cfg.Telemetry; tel != nil {
-		c.daySpan.EndSpan()
-		c.campaignSpan.EndSpan()
+		tel.Trace().End(c.daySpan)
+		tel.Trace().End(c.campaignSpan)
 		// Interrupted runs keep their observed extent in the trace.
 		tel.Trace().EndOpen()
 		c.mActiveRuns.Set(float64(len(c.active)))
@@ -329,7 +324,7 @@ func (c *Campaign) startDay(day int) {
 	if tel := c.cfg.Telemetry; tel != nil {
 		// One span per factory day, midnight to midnight; WIP carry-over
 		// is whatever is still executing when the new day starts.
-		c.daySpan.EndSpan()
+		tel.Trace().End(c.daySpan)
 		c.daySpan = tel.Trace().Begin("day", fmt.Sprintf("day-%03d", day), "factory", c.campaignSpan)
 		c.mCarryOver.Set(float64(len(c.active)))
 	}
@@ -384,14 +379,14 @@ func (c *Campaign) launch(day int, name string, spec *forecast.Spec) {
 	})
 
 	runKey := fmt.Sprintf("%s/%d", name, day)
-	var runSpan *telemetry.Span
+	var runSpan int64
 	if tel := c.cfg.Telemetry; tel != nil {
 		tel.Registry().Counter("factory_launches_total", telemetry.Labels{"forecast": name}).Inc()
-		runSpan = tel.Trace().Begin("run", runKey, nodeName, c.daySpan)
-		runSpan.SetArg("forecast", name)
-		runSpan.SetArg("day", fmt.Sprint(day))
-		runSpan.SetArg("node", nodeName)
-		c.runSpans[runKey] = runSpan
+		tr := tel.Trace()
+		runSpan = tr.Begin("run", runKey, nodeName, c.daySpan)
+		tr.SetArg(runSpan, "forecast", name)
+		tr.SetArg(runSpan, "day", fmt.Sprint(day))
+		tr.SetArg(runSpan, "node", nodeName)
 		c.mActiveRuns.Add(1)
 	}
 	cfg := workflow.Config{
@@ -413,10 +408,7 @@ func (c *Campaign) launch(day int, name string, spec *forecast.Spec) {
 				tel.Registry().Counter("factory_runs_completed_total", telemetry.Labels{"forecast": name}).Inc()
 				c.mActiveRuns.Add(-1)
 				c.mWalltimes.Observe(res.Walltime)
-				if sp := c.runSpans[runKey]; sp != nil {
-					sp.EndSpan()
-					delete(c.runSpans, runKey)
-				}
+				tel.Trace().End(runSpan)
 			}
 			c.writeLog(res, logs.StatusCompleted)
 		},

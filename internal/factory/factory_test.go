@@ -270,8 +270,8 @@ func TestAccessors(t *testing.T) {
 	if c.Spec("f1") == nil || c.Spec("zz") != nil {
 		t.Fatal("Spec accessor wrong")
 	}
-	if c.AssignedNode("f1") != "fnode01" {
-		t.Fatal("AssignedNode wrong")
+	if c.assign["f1"] != "fnode01" {
+		t.Fatal("assignment wrong")
 	}
 	if c.Engine() == nil || c.FS() == nil || c.Cluster() == nil {
 		t.Fatal("nil accessors")

@@ -19,7 +19,6 @@ package forecast
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Calibration constants for the work model. They are chosen so that the
@@ -266,26 +265,6 @@ func (s *Spec) ProductWork() float64 {
 	return total
 }
 
-// ProductWorkFor returns the CPU cost of computing one named product over
-// the forecast's full outputs — the sizing input for a made-to-order
-// request. The second result is false for unknown products.
-func (s *Spec) ProductWorkFor(name string) (float64, bool) {
-	outBytes := s.OutputBytes()
-	shares := s.outputShares()
-	for _, p := range s.Products {
-		if p.Name != name {
-			continue
-		}
-		cpuPerMB, _ := p.Class.Profile()
-		var inputBytes float64
-		for _, in := range p.Inputs {
-			inputBytes += outBytes * shares[in]
-		}
-		return cpuPerMB * p.Scale * inputBytes / 1e6, true
-	}
-	return 0, false
-}
-
 // ProductBytes returns the total bytes of derived data products.
 func (s *Spec) ProductBytes() float64 {
 	total := 0.0
@@ -323,15 +302,6 @@ func (s *Spec) Output(name string) (OutputFile, bool) {
 	return OutputFile{}, false
 }
 
-// ProductNames returns product names in catalog order.
-func (s *Spec) ProductNames() []string {
-	out := make([]string, len(s.Products))
-	for i, p := range s.Products {
-		out[i] = p.Name
-	}
-	return out
-}
-
 // Clone returns a deep copy of the spec, so campaign events can mutate one
 // day's configuration without aliasing history.
 func (s *Spec) Clone() *Spec {
@@ -344,15 +314,4 @@ func (s *Spec) Clone() *Spec {
 		c.Products[i].DependsOn = append([]string(nil), p.DependsOn...)
 	}
 	return &c
-}
-
-// SortSpecs orders specs by descending priority, then name, for stable
-// planning input.
-func SortSpecs(specs []*Spec) {
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].Priority != specs[j].Priority {
-			return specs[i].Priority > specs[j].Priority
-		}
-		return specs[i].Name < specs[j].Name
-	})
 }

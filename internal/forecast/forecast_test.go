@@ -168,24 +168,6 @@ func TestOutputLookup(t *testing.T) {
 	}
 }
 
-func TestProductWorkFor(t *testing.T) {
-	s := DataflowForecast()
-	var sum float64
-	for _, p := range s.Products {
-		w, ok := s.ProductWorkFor(p.Name)
-		if !ok || w <= 0 {
-			t.Fatalf("ProductWorkFor(%s) = %v, %v", p.Name, w, ok)
-		}
-		sum += w
-	}
-	if math.Abs(sum-s.ProductWork()) > 1e-6*s.ProductWork() {
-		t.Fatalf("per-product sum %v != ProductWork %v", sum, s.ProductWork())
-	}
-	if _, ok := s.ProductWorkFor("nope"); ok {
-		t.Fatal("unknown product found")
-	}
-}
-
 func TestProductWorkPositiveAndScales(t *testing.T) {
 	s := DataflowForecast()
 	w := s.ProductWork()
@@ -199,18 +181,6 @@ func TestProductWorkPositiveAndScales(t *testing.T) {
 	small := NewSpec("s", "r", 2880, 26000, 2)
 	if small.ProductWork() >= w {
 		t.Fatalf("2-product work %v >= 12-product work %v", small.ProductWork(), w)
-	}
-}
-
-func TestSortSpecs(t *testing.T) {
-	a := NewSpec("a", "r", 100, 1000, 1)
-	b := NewSpec("b", "r", 100, 1000, 1)
-	c := NewSpec("c", "r", 100, 1000, 1)
-	b.Priority = 9
-	specs := []*Spec{c, a, b}
-	SortSpecs(specs)
-	if specs[0] != b || specs[1] != a || specs[2] != c {
-		t.Fatalf("sorted order: %s %s %s", specs[0].Name, specs[1].Name, specs[2].Name)
 	}
 }
 
@@ -230,14 +200,6 @@ func TestClassString(t *testing.T) {
 	}
 	if !strings.Contains(Class(99).String(), "99") {
 		t.Fatal("unknown class string wrong")
-	}
-}
-
-func TestProductNames(t *testing.T) {
-	s := NewSpec("f", "r", 960, 10000, 3)
-	names := s.ProductNames()
-	if len(names) != 3 || names[0] != s.Products[0].Name {
-		t.Fatalf("ProductNames = %v", names)
 	}
 }
 

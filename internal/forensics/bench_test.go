@@ -39,7 +39,7 @@ func benchReplay(nodes, runsWanted, incs int, analyze bool) int {
 	sampler.Start(horizon)
 
 	var plan []PlanEntry
-	root := tr.Begin("campaign", "bench", "factory", nil)
+	root := tr.Begin("campaign", "bench", "factory", 0)
 	runs := 0
 	for d := 0; d < days && runs < runsWanted; d++ {
 		for f := 0; f < nodes && runs < runsWanted; f++ {
@@ -51,17 +51,17 @@ func benchReplay(nodes, runsWanted, incs int, analyze bool) int {
 				Forecast: name, Day: d + 1, Node: names[f],
 				Start: start, End: start + 3000, Deadline: start + 7200,
 			})
-			e.At(start, func() {
+			e.Scope("test").At(start, func() {
 				rs := tr.Begin("run", name, names[f], root)
-				rs.SetArg("forecast", name)
-				rs.SetArg("day", fmt.Sprint(d+1))
-				rs.SetArg("node", names[f])
+				tr.SetArg(rs, "forecast", name)
+				tr.SetArg(rs, "day", fmt.Sprint(d+1))
+				tr.SetArg(rs, "node", names[f])
 				ss := tr.Begin("simulation", "sim "+name, names[f], rs)
 				var next func(i int)
 				next = func(i int) {
 					if i >= incs {
-						ss.EndSpan()
-						rs.EndSpan()
+						tr.End(ss)
+						tr.End(rs)
 						return
 					}
 					cn[f].Submit(fmt.Sprintf("%s[%d]", name, i),
@@ -72,7 +72,7 @@ func benchReplay(nodes, runsWanted, incs int, analyze bool) int {
 		}
 	}
 	e.Run()
-	root.EndSpan()
+	tr.End(root)
 	sampler.Finalize(e.Now())
 
 	if !analyze {

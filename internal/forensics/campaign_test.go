@@ -2,7 +2,6 @@ package forensics
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/factory"
@@ -19,21 +18,21 @@ func forensicSpec(name string) *forecast.Spec {
 	return s
 }
 
+// forensicNodes assigns the forensic campaign's forecasts: f1 and f2
+// share fnode01, f3 has fnode02 to itself.
+var forensicNodes = map[string]string{"f1": "fnode01", "f2": "fnode01", "f3": "fnode02"}
+
 // forensicCampaign runs a 3-day campaign engineered to exercise every
 // blame component: f1 and f2 share fnode01 (contention), f3 has fnode02
 // to itself but the node fails for 1200 s inside its first run.
 func forensicCampaign(t *testing.T) (*factory.Campaign, *telemetry.Telemetry, *usage.Sampler) {
 	t.Helper()
 	tel := telemetry.New()
-	c, err := factory.New(factory.Config{
-		Days: 3,
-		Forecasts: []factory.Assignment{
-			{Spec: forensicSpec("f1"), Node: "fnode01"},
-			{Spec: forensicSpec("f2"), Node: "fnode01"},
-			{Spec: forensicSpec("f3"), Node: "fnode02"},
-		},
-		Telemetry: tel,
-	})
+	var assign []factory.Assignment
+	for _, name := range []string{"f1", "f2", "f3"} {
+		assign = append(assign, factory.Assignment{Spec: forensicSpec(name), Node: forensicNodes[name]})
+	}
+	c, err := factory.New(factory.Config{Days: 3, Forecasts: assign, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +46,8 @@ func forensicCampaign(t *testing.T) (*factory.Campaign, *telemetry.Telemetry, *u
 	eng := c.Engine()
 	// Day 1: f3 launches at 3600 and runs for ~2222 s + products; fail its
 	// node mid-simulation.
-	eng.At(4000, func() { node.Fail() })
-	eng.At(5200, func() { node.Repair() })
+	eng.Scope("test").At(4000, func() { node.Fail() })
+	eng.Scope("test").At(5200, func() { node.Repair() })
 	c.Finish()
 	sampler.Finalize(eng.Now())
 	return c, tel, sampler
@@ -67,7 +66,7 @@ func campaignPlan(c *factory.Campaign, estimate float64) []PlanEntry {
 			plan = append(plan, PlanEntry{
 				Forecast: fc,
 				Day:      day,
-				Node:     c.AssignedNode(fc),
+				Node:     forensicNodes[fc],
 				Start:    start,
 				End:      start + estimate,
 				Deadline: float64(day-c.StartDay())*factory.SecondsPerDay + spec.Deadline,
@@ -86,7 +85,7 @@ func TestCampaignBlameSumsToLateness(t *testing.T) {
 	rep, err := Analyze(Input{
 		Spans:    tel.Trace().Spans(),
 		Plan:     campaignPlan(c, 2000),
-		Timeline: usage.NewTimeline(sampler.Samples()),
+		Timeline: sampler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +142,7 @@ func TestReportStatsdbRoundTrip(t *testing.T) {
 	rep, err := Analyze(Input{
 		Spans:    tel.Trace().Spans(),
 		Plan:     campaignPlan(c, 2000),
-		Timeline: usage.NewTimeline(sampler.Samples()),
+		Timeline: sampler,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,40 +197,5 @@ func TestReportStatsdbRoundTrip(t *testing.T) {
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("blame rows group into %d forecasts, want 3", len(res.Rows))
-	}
-}
-
-// TestAnalyzeFromPersistedTimeline checks the replayable half of the
-// usage pipeline: the node_usage rows a campaign persisted read back as
-// the sampler's own timeline, and a forensics pass over a Timeline
-// rebuilt from them reproduces the live sampler's analysis exactly —
-// long after the campaign's engine and sampler are gone.
-func TestAnalyzeFromPersistedTimeline(t *testing.T) {
-	c, tel, sampler := forensicCampaign(t)
-	plan := campaignPlan(c, 2000)
-	live, err := Analyze(Input{Spans: tel.Trace().Spans(), Plan: plan, Timeline: sampler})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := statsdb.NewDB()
-	if _, err := usage.LoadSamples(db, sampler.Samples()); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := usage.ReadSamples(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(samples, sampler.Samples()) {
-		t.Fatalf("read back %d samples that differ from the sampler's %d", len(samples), len(sampler.Samples()))
-	}
-	replayed, err := Analyze(Input{Spans: tel.Trace().Spans(), Plan: plan, Timeline: usage.NewTimeline(samples)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live.Runs) == 0 {
-		t.Fatal("live analysis found no runs")
-	}
-	if !reflect.DeepEqual(replayed, live) {
-		t.Fatalf("analysis from persisted node_usage differs from the live sampler's:\n%+v\nvs\n%+v", replayed.Runs, live.Runs)
 	}
 }

@@ -1,6 +1,6 @@
 // Package forensics answers the factory operator's question the paper's
 // whole management premise (§4.3) circles: why was this forecast late?
-// It is a post-hoc, replayable analysis layer over the sensors the
+// It is a post-hoc analysis layer over the sensors the
 // observability PRs built — telemetry spans give each run's causal chain,
 // the planner's prediction gives what should have happened, and the usage
 // timelines give what the node was doing while it happened. From those a
@@ -22,7 +22,6 @@ import (
 	"strconv"
 
 	"repro/internal/telemetry"
-	"repro/internal/usage"
 )
 
 // Component names, as persisted in the dominant column and served by
@@ -58,9 +57,8 @@ type PlanEntry struct {
 }
 
 // ShareSource supplies the observed node conditions the decomposition
-// charges the contention and failure components against. Both the live
-// usage.Sampler (zero-copy, mid-campaign) and the replayable
-// usage.Timeline (from persisted node_usage rows) implement it.
+// charges the contention and failure components against. The campaign's
+// usage.Sampler implements it, mid-campaign or after.
 type ShareSource interface {
 	MeanShareOver(node string, start, end float64) float64
 	DownSecsOver(node string, start, end float64) float64
@@ -75,8 +73,7 @@ type Input struct {
 	// Plan carries the planned start/end/deadline per (forecast, day).
 	// Runs without an entry are analyzed as unplanned.
 	Plan []PlanEntry
-	// Timeline supplies observed CPU shares and node down time (may be
-	// nil: share 1, no failures).
+	// Timeline supplies observed CPU shares and node down time.
 	Timeline ShareSource
 }
 
@@ -213,11 +210,6 @@ func Analyze(in Input) (*Report, error) {
 		}
 	}
 
-	shares := in.Timeline
-	if shares == nil {
-		shares = (*usage.Timeline)(nil) // nil-safe: share 1, no down time
-	}
-
 	rep := &Report{}
 	for _, rs := range runs {
 		forecastName := rs.Args["forecast"]
@@ -253,14 +245,14 @@ func Analyze(in Input) (*Report, error) {
 			Node:        node,
 			Start:       rs.Start,
 			End:         rs.End,
-			MeanShare:   shares.MeanShareOver(node, rs.Start, rs.End),
+			MeanShare:   in.Timeline.MeanShareOver(node, rs.Start, rs.End),
 			Interrupted: rs.Args["interrupted"] == "true",
 			Path:        criticalPath(rs, kids),
 		}
 
 		extent := rs.End - rs.Start
 		b.UpstreamWait = math.Max(0, extent-busySecs)
-		b.Failure = math.Min(shares.DownSecsOver(node, rs.Start, rs.End), busySecs)
+		b.Failure = math.Min(in.Timeline.DownSecsOver(node, rs.Start, rs.End), busySecs)
 		executing := busySecs - b.Failure
 		b.Contention = (1 - b.MeanShare) * executing
 		workSecs := b.MeanShare * executing // effective seconds at share 1

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
-	"repro/internal/usage"
 )
 
 const eps = 1e-6
@@ -17,7 +16,7 @@ const eps = 1e-6
 //	  simulation child  [150, 500]
 //	  product child     [520, 700]
 //	busy union 530 s → upstream wait 70 s
-//	node n1 sample [100, 700]: share 0.8, 50 s down
+//	node n1 over the run: share 0.8, 50 s down
 //	  → failure 50, executing 480, contention 96, work 384
 //	plan: start 50, end 434 (duration 384 → estimate error 0), deadline 600
 //	  → queue wait 50, lateness 700−434 = 266 = 50+96+50+70+0
@@ -32,11 +31,16 @@ func synthInput() Input {
 		Plan: []PlanEntry{
 			{Forecast: "f1", Day: 1, Node: "n1", Start: 50, End: 434, Deadline: 600},
 		},
-		Timeline: usage.NewTimeline([]usage.Sample{
-			{Node: "n1", Start: 100, End: 700, MeanShare: 0.8, DownSecs: 50},
-		}),
+		Timeline: fixedShares{share: 0.8, down: 50},
 	}
 }
+
+// fixedShares is a canned ShareSource: every node and window reads the
+// same mean share and down time.
+type fixedShares struct{ share, down float64 }
+
+func (f fixedShares) MeanShareOver(string, float64, float64) float64 { return f.share }
+func (f fixedShares) DownSecsOver(string, float64, float64) float64  { return f.down }
 
 func TestAnalyzeDecomposition(t *testing.T) {
 	rep, err := Analyze(synthInput())

@@ -292,9 +292,6 @@ func pruneStaleMarks(db *statsdb.DB, marks map[string]*Watermark) int {
 	return dropped
 }
 
-// DB returns the database the harvester ingests into.
-func (h *Harvester) DB() *statsdb.DB { return h.db }
-
 // Locked runs fn holding the harvester's lock, so fn may write the
 // database while Status is being served; on a nil harvester it just runs
 // fn.
@@ -318,7 +315,8 @@ func (h *Harvester) Pass() (PassStats, error) {
 
 	now := h.opts.Clock()
 	wallStart := time.Now()
-	span := h.opts.Telemetry.Trace().Begin("harvest", fmt.Sprintf("pass-%03d", h.passes+1), "harvest", nil)
+	tr := h.opts.Telemetry.Trace()
+	span := tr.Begin("harvest", fmt.Sprintf("pass-%03d", h.passes+1), "harvest", 0)
 	stats := PassStats{Pass: h.passes + 1, At: now}
 
 	err := func() error {
@@ -383,8 +381,8 @@ func (h *Harvester) Pass() (PassStats, error) {
 		})
 	}()
 	if err != nil {
-		span.SetArg("aborted", "true")
-		span.EndSpan()
+		tr.SetArg(span, "aborted", "true")
+		tr.End(span)
 		return stats, err
 	}
 
@@ -402,10 +400,10 @@ func (h *Harvester) Pass() (PassStats, error) {
 	h.mLastPass.Set(now)
 	h.mPassWall.Observe(stats.WallSeconds)
 	h.refreshGaugesLocked()
-	span.SetArg("scanned", fmt.Sprint(stats.Scanned))
-	span.SetArg("ingested", fmt.Sprint(stats.Ingested))
-	span.SetArg("quarantined", fmt.Sprint(stats.Quarantined))
-	span.EndSpan()
+	tr.SetArg(span, "scanned", fmt.Sprint(stats.Scanned))
+	tr.SetArg(span, "ingested", fmt.Sprint(stats.Ingested))
+	tr.SetArg(span, "quarantined", fmt.Sprint(stats.Quarantined))
+	tr.End(span)
 	if err := appendEntry(h.journal, journalEntry{Type: entryPass, Pass: &stats}); err != nil {
 		return stats, err
 	}

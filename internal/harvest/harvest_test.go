@@ -118,7 +118,7 @@ func TestPassIngestsTreeIncrementally(t *testing.T) {
 	if fs.reads != 1 {
 		t.Fatalf("incremental pass read %d bodies, want 1", fs.reads)
 	}
-	if n := h.DB().Table(statsdb.RunsTableName).Len(); n != 7 {
+	if n := h.db.Table(statsdb.RunsTableName).Len(); n != 7 {
 		t.Fatalf("runs table has %d rows, want 7", n)
 	}
 }
@@ -149,7 +149,7 @@ func TestPassUpdatesChangedLogInPlace(t *testing.T) {
 	if st.Ingested != 0 || st.Updated != 1 {
 		t.Fatalf("rewrite pass = %+v", st)
 	}
-	tbl := h.DB().Table(statsdb.RunsTableName)
+	tbl := h.db.Table(statsdb.RunsTableName)
 	if tbl.Len() != 1 {
 		t.Fatalf("rows = %d, want 1 (update in place)", tbl.Len())
 	}
@@ -214,7 +214,7 @@ func TestQuarantineHoldsCorruptLogsWithoutAborting(t *testing.T) {
 
 	// Unchanged corrupt file is not re-read, let alone re-reported.
 	counting := &countingFS{FS: fs}
-	h2, err := New(counting, h.DB(), h.journal, Options{Clock: func() float64 { return clock }})
+	h2, err := New(counting, h.db, h.journal, Options{Clock: func() float64 { return clock }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 	if err := journalFS.AppendString("/j", `{"type":"watermark","watermark":{"pa`); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := New(fs, h.DB(), journal, Options{Clock: func() float64 { return clock }})
+	h2, err := New(fs, h.db, journal, Options{Clock: func() float64 { return clock }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestScheduleRunsPassesOnEngine(t *testing.T) {
 	// Logs appear over sim time; the scheduled harvester picks each up.
 	for d := 1; d <= 3; d++ {
 		day := d
-		eng.At(float64(day)*3600-100, func() {
+		eng.Scope("test").At(float64(day)*3600-100, func() {
 			if err := logs.Write(fs, record("forecast-a", day, "v1")); err != nil {
 				t.Fatal(err)
 			}
@@ -502,7 +502,7 @@ func TestScheduleRunsPassesOnEngine(t *testing.T) {
 	if h.Status().Passes != 4 {
 		t.Fatalf("passes = %d, want 4", h.Status().Passes)
 	}
-	if n := h.DB().Table(statsdb.RunsTableName).Len(); n != 3 {
+	if n := h.db.Table(statsdb.RunsTableName).Len(); n != 3 {
 		t.Fatalf("rows = %d", n)
 	}
 	records, err := h.Records()
@@ -533,7 +533,7 @@ func TestQueryProvenanceAnswersCodeVersionQuestion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err := QueryProvenance(h.DB(), "elcirc-5.01")
+	p, err := QueryProvenance(h.db, "elcirc-5.01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func TestQueryProvenanceAnswersCodeVersionQuestion(t *testing.T) {
 	}
 
 	// Unknown version lists what exists instead.
-	miss, err := QueryProvenance(h.DB(), "elcirc-9.99")
+	miss, err := QueryProvenance(h.db, "elcirc-9.99")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/forensics"
 	"repro/internal/statsdb"
 	"repro/internal/telemetry"
-	"repro/internal/usage"
 )
 
 func TestBlameShiftRule(t *testing.T) {
@@ -80,9 +79,7 @@ func TestForensicsEndpointServesPersistedReport(t *testing.T) {
 		Plan: []forensics.PlanEntry{
 			{Forecast: "f1", Day: 1, Node: "n1", Start: 50, End: 434, Deadline: 600},
 		},
-		Timeline: usage.NewTimeline([]usage.Sample{
-			{Node: "n1", Start: 100, End: 700, MeanShare: 0.75, DownSecs: 30},
-		}),
+		Timeline: fixedShares{share: 0.75, down: 30},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,3 +155,10 @@ func TestDashboardHasBlamePanel(t *testing.T) {
 		}
 	}
 }
+
+// fixedShares is a canned forensics.ShareSource: every node and window
+// reads the same mean share and down time.
+type fixedShares struct{ share, down float64 }
+
+func (f fixedShares) MeanShareOver(string, float64, float64) float64 { return f.share }
+func (f fixedShares) DownSecsOver(string, float64, float64) float64  { return f.down }

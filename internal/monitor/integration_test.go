@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/factory"
@@ -142,7 +143,7 @@ func TestAlertsQueryableViaSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Indexed("rule") || !tab.Indexed("forecast") {
+	if !slices.Contains(tab.IndexedColumns(), "rule") || !slices.Contains(tab.IndexedColumns(), "forecast") {
 		t.Error("alerts table not indexed on rule and forecast")
 	}
 
@@ -237,11 +238,11 @@ func TestClockMonotonic(t *testing.T) {
 	m := testMonitor(Options{})
 	m.ObserveRecord(runningRec("f", 1, 3600))
 	m.ObserveRecord(completedRec("f", 1, 3600, 5000))
-	if now := m.Now(); now != 8600 {
+	if now := m.Status().Now; now != 8600 {
 		t.Errorf("now = %v, want 8600 (the completion instant)", now)
 	}
 	m.ObserveRecord(&logs.RunRecord{Forecast: "g", Day: 1, Node: "n", Status: logs.StatusRunning, Start: 4000})
-	if now := m.Now(); now != 8600 {
+	if now := m.Status().Now; now != 8600 {
 		t.Errorf("now = %v after an older record, want clock to hold at 8600", now)
 	}
 }

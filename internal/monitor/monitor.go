@@ -476,17 +476,6 @@ func (m *Monitor) ObserveSnapshot(snap factory.Snapshot, nodes []NodeStatus) {
 	m.evaluateLocked()
 }
 
-// Tick advances the monitor clock and evaluates all rules — the
-// standalone equivalent of a campaign tick for tests and replays.
-func (m *Monitor) Tick(now float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if now > m.now {
-		m.now = now
-	}
-	m.evaluateLocked()
-}
-
 // evaluateLocked runs deadline and threshold rules at the current clock.
 func (m *Monitor) evaluateLocked() {
 	for _, key := range m.order {
@@ -677,13 +666,6 @@ func (m *Monitor) Finalize(now float64) {
 	}
 	m.done = true
 	m.evaluateLocked()
-}
-
-// Now returns the monitor's clock (the latest virtual time observed).
-func (m *Monitor) Now() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.now
 }
 
 // Alerts returns the full alert history, oldest first.

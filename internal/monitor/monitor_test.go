@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/factory"
 	"repro/internal/logs"
 	"repro/internal/telemetry"
 )
@@ -79,7 +80,7 @@ func TestAlertEngine(t *testing.T) {
 			drive: func(m *Monitor) {
 				m.ObserveRecord(runningRec("f", 4, day4+3600))
 				// Mid-flight, before the deadline passes.
-				m.Tick(day4 + 5400)
+				m.ObserveSnapshot(factory.Snapshot{Now: day4 + 5400}, nil)
 				m.ObserveRecord(completedRec("f", 4, day4+3600, 10000))
 			},
 			check: func(t *testing.T, m *Monitor) {
@@ -184,8 +185,8 @@ func TestAlertEngine(t *testing.T) {
 			name: "still-running past deadline is an actual miss",
 			opts: Options{Deadlines: map[string]float64{"f": 7200}},
 			drive: func(m *Monitor) {
-				m.ObserveRecord(runningRec("f", 4, day4+3600)) // no history: ETA unknown
-				m.Tick(day4 + 8000)                            // clock passes the deadline
+				m.ObserveRecord(runningRec("f", 4, day4+3600))             // no history: ETA unknown
+				m.ObserveSnapshot(factory.Snapshot{Now: day4 + 8000}, nil) // clock passes the deadline
 			},
 			check: func(t *testing.T, m *Monitor) {
 				a := findAlert(m.Alerts(), "deadline")
@@ -217,14 +218,14 @@ func TestThresholdRuleLifecycle(t *testing.T) {
 	g := reg.Gauge("factory_wip_carryover", nil)
 
 	g.Set(5)
-	m.Tick(1000)
+	m.ObserveSnapshot(factory.Snapshot{Now: 1000}, nil)
 	firing := m.FiringAlerts()
 	if len(firing) != 1 || firing[0].Rule != "wip_high" || firing[0].Value != 5 {
 		t.Fatalf("firing = %+v, want one wip_high alert at value 5", firing)
 	}
 
 	g.Set(1)
-	m.Tick(2000)
+	m.ObserveSnapshot(factory.Snapshot{Now: 2000}, nil)
 	if n := len(m.FiringAlerts()); n != 0 {
 		t.Fatalf("still %d firing after the gauge recovered", n)
 	}

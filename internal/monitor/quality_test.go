@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/factory"
 	"repro/internal/harvest"
 	"repro/internal/logs"
 	"repro/internal/statsdb"
@@ -24,19 +25,19 @@ func TestStalenessRuleFiresAndResolves(t *testing.T) {
 	}, reg)
 
 	// No metric yet: the rule stays silent (nothing has ever harvested).
-	m.Tick(10000)
+	m.ObserveSnapshot(factory.Snapshot{Now: 10000}, nil)
 	if a := findAlert(m.Alerts(), "harvest_stale"); a != nil {
 		t.Fatalf("rule fired before the metric existed: %+v", a)
 	}
 
 	hb := reg.Gauge("harvest_last_pass_timestamp", nil)
 	hb.Set(10000)
-	m.Tick(12000) // age 2000 < 7200
+	m.ObserveSnapshot(factory.Snapshot{Now: 12000}, nil) // age 2000 < 7200
 	if a := findAlert(m.Alerts(), "harvest_stale"); a != nil {
 		t.Fatalf("rule fired within MaxAge: %+v", a)
 	}
 
-	m.Tick(20000) // age 10000 > 7200
+	m.ObserveSnapshot(factory.Snapshot{Now: 20000}, nil) // age 10000 > 7200
 	a := findAlert(m.FiringAlerts(), "harvest_stale")
 	if a == nil {
 		t.Fatal("staleness alert did not fire")
@@ -47,7 +48,7 @@ func TestStalenessRuleFiresAndResolves(t *testing.T) {
 
 	// The heartbeat returning resolves the alert.
 	hb.Set(20500)
-	m.Tick(21000)
+	m.ObserveSnapshot(factory.Snapshot{Now: 21000}, nil)
 	if len(m.FiringAlerts()) != 0 {
 		t.Fatalf("alert did not resolve: %+v", m.FiringAlerts())
 	}
@@ -65,21 +66,21 @@ func TestRateRuleFiresOnCounterSpike(t *testing.T) {
 
 	// First observation only seeds the rate state.
 	ctr.Add(1)
-	m.Tick(3600)
+	m.ObserveSnapshot(factory.Snapshot{Now: 3600}, nil)
 	if a := findAlert(m.Alerts(), "quarantine_spike"); a != nil {
 		t.Fatalf("rule fired on first sample: %+v", a)
 	}
 
 	// +1 over the next hour: 1/h, under the bound.
 	ctr.Add(1)
-	m.Tick(7200)
+	m.ObserveSnapshot(factory.Snapshot{Now: 7200}, nil)
 	if a := findAlert(m.Alerts(), "quarantine_spike"); a != nil {
 		t.Fatalf("rule fired at 1/h: %+v", a)
 	}
 
 	// +10 in the next hour: spike.
 	ctr.Add(10)
-	m.Tick(10800)
+	m.ObserveSnapshot(factory.Snapshot{Now: 10800}, nil)
 	a := findAlert(m.FiringAlerts(), "quarantine_spike")
 	if a == nil {
 		t.Fatal("rate alert did not fire on spike")
@@ -89,7 +90,7 @@ func TestRateRuleFiresOnCounterSpike(t *testing.T) {
 	}
 
 	// Quiet hour: resolves.
-	m.Tick(14400)
+	m.ObserveSnapshot(factory.Snapshot{Now: 14400}, nil)
 	if len(m.FiringAlerts()) != 0 {
 		t.Fatalf("rate alert did not resolve: %+v", m.FiringAlerts())
 	}
@@ -108,7 +109,7 @@ func TestMissingRunRule(t *testing.T) {
 	g := runningRec("g", 1, 3600)
 	g.Status = logs.StatusDropped
 	m.ObserveRecord(g)
-	m.Tick(10000) // past deadline+grace for day 1
+	m.ObserveSnapshot(factory.Snapshot{Now: 10000}, nil) // past deadline+grace for day 1
 	if a := findAlert(m.Alerts(), "missing_run"); a != nil {
 		t.Fatalf("missing_run fired although records exist: %+v", a)
 	}
@@ -116,7 +117,7 @@ func TestMissingRunRule(t *testing.T) {
 	// Day 2: f produces, g goes silent. At deadline+grace the alert fires
 	// for g day 2 only.
 	m.ObserveRecord(completedRec("f", 2, 86400+3600, 1800))
-	m.Tick(86400 + 7200 + 1801)
+	m.ObserveSnapshot(factory.Snapshot{Now: 86400 + 7200 + 1801}, nil)
 	firing := m.FiringAlerts()
 	a := findAlert(firing, "missing_run")
 	if a == nil {
@@ -137,12 +138,12 @@ func TestMissingRunRule(t *testing.T) {
 
 	// The record arriving late (a backfilled harvest) resolves it.
 	m.ObserveRecord(completedRec("g", 2, 86400+3600, 1800))
-	m.Tick(86400 + 12000)
+	m.ObserveSnapshot(factory.Snapshot{Now: 86400 + 12000}, nil)
 	if a := findAlert(m.FiringAlerts(), "missing_run"); a != nil {
 		t.Fatalf("missing_run did not resolve on backfill: %+v", a)
 	}
 	// Days beyond LastDay are never flagged.
-	m.Tick(10 * 86400)
+	m.ObserveSnapshot(factory.Snapshot{Now: 10 * 86400}, nil)
 	for _, al := range m.FiringAlerts() {
 		if al.Rule == "missing_run" && al.Day > 3 {
 			t.Fatalf("missing_run fired past LastDay: %+v", al)
@@ -186,7 +187,7 @@ func TestStaleHarvestAlertReachesDashboard(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock += 3600
-	m.Tick(clock)
+	m.ObserveSnapshot(factory.Snapshot{Now: clock}, nil)
 	if len(m.FiringAlerts()) != 0 {
 		t.Fatalf("alert fired while harvester healthy: %+v", m.FiringAlerts())
 	}
@@ -194,7 +195,7 @@ func TestStaleHarvestAlertReachesDashboard(t *testing.T) {
 	// The harvester stops; sim time moves past MaxAge; the alert fires
 	// and is served at /api/alerts.
 	clock += 3 * 3600
-	m.Tick(clock)
+	m.ObserveSnapshot(factory.Snapshot{Now: clock}, nil)
 	resp, err := ts.Client().Get(ts.URL + "/api/alerts?state=firing")
 	if err != nil {
 		t.Fatal(err)

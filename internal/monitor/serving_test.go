@@ -27,8 +27,8 @@ func TestServingEndpointServesEdgeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.At(10, func() { edge.Publish("x/plot", 0, 10) })
-	e.At(20, func() { edge.ArriveN("x/plot", 5) })
+	e.Scope("test").At(10, func() { edge.Publish("x/plot", 0, 10) })
+	e.Scope("test").At(20, func() { edge.ArriveN("x/plot", 5) })
 	e.Run()
 
 	m := testMonitor(Options{})

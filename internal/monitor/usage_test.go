@@ -120,7 +120,7 @@ func TestUtilizationEndpoint(t *testing.T) {
 	n := c.AddNode("unode01", 1, 1.0)
 	smp := usage.NewSampler(c, usage.Options{Interval: 300})
 	smp.Start(3600)
-	e.At(0, func() {
+	e.Scope("test").At(0, func() {
 		n.Submit("a", 600, nil)
 		n.Submit("b", 600, nil)
 	})

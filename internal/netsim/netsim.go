@@ -45,15 +45,6 @@ func NewLink(eng *sim.Engine, name string, bandwidth float64) *Link {
 	}
 }
 
-// Name returns the link's name.
-func (l *Link) Name() string { return l.name }
-
-// Bandwidth returns the link's capacity in bytes per second.
-func (l *Link) Bandwidth() float64 { return l.res.Capacity() }
-
-// Active returns the number of in-flight transfers.
-func (l *Link) Active() int { return l.res.Active() }
-
 // BytesMoved returns the total bytes delivered over the link so far.
 func (l *Link) BytesMoved() float64 { return l.bytesMoved }
 
@@ -76,16 +67,17 @@ func (l *Link) Instrument(tel *telemetry.Telemetry) {
 // Transfer moves size bytes over the link, invoking done on delivery.
 func (l *Link) Transfer(label string, size float64, done func()) *ps.Task {
 	start := l.eng.Now()
-	var span *telemetry.Span
-	if l.tel != nil {
-		span = l.tel.Trace().Begin("transfer", label, "link:"+l.name, nil)
-		span.SetArg("bytes", fmt.Sprintf("%.0f", size))
+	tr := l.tel.Trace()
+	var span int64
+	if tr != nil {
+		span = tr.Begin("transfer", label, "link:"+l.name, 0)
+		tr.SetArg(span, "bytes", fmt.Sprintf("%.0f", size))
 	}
 	return l.res.Submit(label, size, func() {
 		l.bytesMoved += size
 		l.mBytes.Add(size)
 		l.mLatency.Observe(l.eng.Now() - start)
-		span.EndSpan()
+		tr.End(span)
 		if done != nil {
 			done()
 		}
@@ -156,10 +148,6 @@ func (r *Rsync) Stop() {
 	r.timer.Cancel()
 	r.timer = sim.Timer{}
 }
-
-// Delivered returns the number of bytes delivered to the destination for
-// the given path.
-func (r *Rsync) Delivered(path string) int64 { return r.sent[path] }
 
 // Synced reports whether every file under the roots has been fully
 // delivered (source size equals delivered bytes and nothing is in flight).

@@ -42,12 +42,12 @@ func TestConcurrentTransfersShareBandwidth(t *testing.T) {
 func TestLinkAccessors(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, "lan", 1e6)
-	if l.Name() != "lan" || l.Bandwidth() != 1e6 || l.Active() != 0 {
+	if l.name != "lan" || l.res.Capacity() != 1e6 || l.res.Active() != 0 {
 		t.Fatal("accessors wrong")
 	}
 	l.Transfer("x", 100, nil)
-	if l.Active() != 1 {
-		t.Fatalf("Active = %d, want 1", l.Active())
+	if l.res.Active() != 1 {
+		t.Fatalf("Active = %d, want 1", l.res.Active())
 	}
 	e.Run()
 }
@@ -85,8 +85,8 @@ func TestRsyncMirrorsStaticFile(t *testing.T) {
 	if !r.Synced() {
 		t.Fatal("rsync should report synced")
 	}
-	if r.Delivered("/out/1_salt.63") != 2000 {
-		t.Fatalf("Delivered = %d, want 2000", r.Delivered("/out/1_salt.63"))
+	if got := r.sent["/out/1_salt.63"]; got != 2000 {
+		t.Fatalf("delivered = %d, want 2000", got)
 	}
 	r.Stop()
 }
@@ -96,7 +96,7 @@ func TestRsyncFollowsGrowingFile(t *testing.T) {
 	// Grow the file by 500 bytes every 5 seconds for 50 seconds.
 	for i := 0; i < 10; i++ {
 		d := float64(i * 5)
-		e.At(d, func() {
+		e.Scope("test").At(d, func() {
 			if err := src.Append("/out/f", 500); err != nil {
 				t.Error(err)
 			}
@@ -114,7 +114,7 @@ func TestRsyncFollowsGrowingFile(t *testing.T) {
 func TestRsyncObserverSeesMonotonicSizes(t *testing.T) {
 	e, src, dst, l := newRsyncFixture(t)
 	_ = src.Append("/out/f", 3000)
-	e.At(25, func() { _ = src.Append("/out/f", 1000) })
+	e.Scope("test").At(25, func() { _ = src.Append("/out/f", 1000) })
 	var times []float64
 	var sizes []int64
 	r := NewRsync(e, src, dst, l, 10, []string{"/out"}, func(tm float64, path string, size int64) {
@@ -230,7 +230,7 @@ func TestPropertyRsyncConservation(t *testing.T) {
 			bytes := int64(g) + 1
 			total += bytes
 			path := "/out/f" + string(rune('a'+i%4))
-			e.At(d, func() {
+			e.Scope("test").At(d, func() {
 				if err := src.Append(path, bytes); err != nil {
 					t.Error(err)
 				}
@@ -265,8 +265,8 @@ func TestRsyncOneInflightPerFile(t *testing.T) {
 	maxActive := 0
 	for i := 0; i < 50; i++ {
 		e.RunUntil(float64(i * 5))
-		if l.Active() > maxActive {
-			maxActive = l.Active()
+		if l.res.Active() > maxActive {
+			maxActive = l.res.Active()
 		}
 	}
 	e.RunUntil(300)
@@ -296,7 +296,7 @@ func TestRsyncRestartAfterStop(t *testing.T) {
 	}
 
 	r.Stop()
-	e.At(110, func() { _ = src.Append("/out/f", 500) })
+	e.Scope("test").At(110, func() { _ = src.Append("/out/f", 500) })
 	e.RunUntil(200)
 	if got := dst.Size("/out/f"); got != 1000 {
 		t.Fatalf("dst size grew to %d while stopped", got)

@@ -27,7 +27,6 @@ import (
 type Resource struct {
 	eng      *sim.Engine
 	sched    sim.Scope // completion events, labeled "ps" for the kernel profiler
-	name     string
 	capacity float64
 	taskCap  float64
 	tasks    []*Task // active tasks in submission order
@@ -58,7 +57,6 @@ func NewResource(eng *sim.Engine, name string, capacity, taskCap float64) *Resou
 	r := &Resource{
 		eng:      eng,
 		sched:    eng.Scope("ps"),
-		name:     name,
 		capacity: capacity,
 		taskCap:  taskCap,
 	}
@@ -66,20 +64,11 @@ func NewResource(eng *sim.Engine, name string, capacity, taskCap float64) *Resou
 	return r
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Capacity returns the aggregate capacity in work units per second.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
-// TaskCap returns the per-task rate cap.
-func (r *Resource) TaskCap() float64 { return r.taskCap }
-
 // Active returns the number of tasks currently sharing the resource.
 func (r *Resource) Active() int { return len(r.tasks) }
-
-// Frozen reports whether the resource is frozen (e.g. node down).
-func (r *Resource) Frozen() bool { return r.frozen }
 
 // waterFill computes the max-min fair allocation of the resource's
 // capacity among tasks with per-task caps ("mega-jobs" spanning multiple
@@ -119,8 +108,6 @@ type Task struct {
 	cap       float64 // per-task rate cap (default: the resource's)
 	settled   float64 // virtual time remaining was last brought up to date
 	done      func()
-	label     string
-	started   float64
 	finished  bool
 }
 
@@ -150,26 +137,12 @@ func (r *Resource) SubmitCapped(label string, work, cap float64, done func()) *T
 		cap:       cap,
 		settled:   r.eng.Now(),
 		done:      done,
-		label:     label,
-		started:   r.eng.Now(),
 	}
 	r.settleAll()
 	r.tasks = append(r.tasks, t)
 	r.retimeAll()
 	return t
 }
-
-// Label returns the task's diagnostic label.
-func (t *Task) Label() string { return t.label }
-
-// Cap returns the task's rate cap.
-func (t *Task) Cap() float64 { return t.cap }
-
-// Rate returns the task's current progress rate.
-func (t *Task) Rate() float64 { return t.rate }
-
-// Started returns the virtual time the task was submitted.
-func (t *Task) Started() float64 { return t.started }
 
 // Finished reports whether the task has completed.
 func (t *Task) Finished() bool { return t.finished }

@@ -75,7 +75,7 @@ func TestLateArrivalSlowsExisting(t *testing.T) {
 	r := NewResource(e, "cpu", 1.0, 1.0)
 	var tA float64
 	r.Submit("a", 100, func() { tA = e.Now() })
-	e.At(50, func() {
+	e.Scope("test").At(50, func() {
 		r.Submit("b", 100, nil)
 	})
 	e.Run()
@@ -89,7 +89,7 @@ func TestRemainingSettlesMidFlight(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewResource(e, "cpu", 1.0, 1.0)
 	task := r.Submit("a", 100, nil)
-	e.At(30, func() {
+	e.Scope("test").At(30, func() {
 		if !almost(task.Remaining(), 70) {
 			t.Errorf("Remaining at t=30 is %v, want 70", task.Remaining())
 		}
@@ -108,8 +108,8 @@ func TestFreezeAndThaw(t *testing.T) {
 	r := NewResource(e, "cpu", 1.0, 1.0)
 	var done float64
 	r.Submit("a", 100, func() { done = e.Now() })
-	e.At(30, func() { r.Freeze() })
-	e.At(80, func() { r.Thaw() })
+	e.Scope("test").At(30, func() { r.Freeze() })
+	e.Scope("test").At(80, func() { r.Thaw() })
 	e.Run()
 	// 30s of work, 50s frozen, 70s more work: finishes at 150.
 	if !almost(done, 150) {
@@ -123,7 +123,7 @@ func TestSubmitWhileFrozenWaits(t *testing.T) {
 	r.Freeze()
 	var done float64
 	r.Submit("a", 10, func() { done = e.Now() })
-	e.At(100, func() { r.Thaw() })
+	e.Scope("test").At(100, func() { r.Thaw() })
 	e.Run()
 	if !almost(done, 110) {
 		t.Fatalf("task finished at %v, want 110", done)
@@ -176,26 +176,23 @@ func TestBusySecondsTracksUtilization(t *testing.T) {
 func TestResourceAccessors(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewResource(e, "cpu:n1", 2.0, 1.0)
-	if r.Name() != "cpu:n1" || r.Capacity() != 2.0 || r.TaskCap() != 1.0 {
+	if r.Capacity() != 2.0 || r.taskCap != 1.0 {
 		t.Fatal("accessors wrong")
 	}
-	if r.Frozen() {
+	if r.frozen {
 		t.Fatal("new resource frozen")
 	}
 	r.Freeze()
-	if !r.Frozen() {
+	if !r.frozen {
 		t.Fatal("Freeze not reported")
 	}
 	r.Freeze() // idempotent
 	r.Thaw()
 	r.Thaw() // idempotent
-	if r.Frozen() {
+	if r.frozen {
 		t.Fatal("Thaw not reported")
 	}
 	task := r.Submit("a", 10, nil)
-	if task.Label() != "a" || task.Started() != 0 {
-		t.Fatal("task accessors wrong")
-	}
 	e.Run()
 	if !task.Finished() {
 		t.Fatal("task state wrong")

@@ -31,8 +31,8 @@ func TestOneCompletionEventPerResource(t *testing.T) {
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("thawed: %d pending events, want 1", got)
 	}
-	for r.Active() > 0 {
-		e.Step()
+	for at := 1.0; r.Active() > 0; at++ {
+		e.RunUntil(at) // the completions are more than a second apart
 		if want := min(r.Active(), 1); e.Pending() != want {
 			t.Fatalf("%d tasks left: %d pending events, want %d", r.Active(), e.Pending(), want)
 		}
@@ -202,7 +202,7 @@ func TestRandomSequencesMatchReference(t *testing.T) {
 		}
 		for _, when := range times {
 			batch := byTime[when]
-			e.At(when, func() {
+			e.Scope("test").At(when, func() {
 				for _, op := range batch {
 					switch op.kind {
 					case "submit":

@@ -24,8 +24,8 @@ func TestCapClampedToCapacity(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewResource(e, "cpu", 2.0, 1.0)
 	task := r.SubmitCapped("mega", 100, 99, nil)
-	if task.Cap() != 2.0 {
-		t.Fatalf("cap = %v, want clamped to 2", task.Cap())
+	if task.cap != 2.0 {
+		t.Fatalf("cap = %v, want clamped to 2", task.cap)
 	}
 	e.Run()
 }
@@ -81,14 +81,14 @@ func TestRateAccessor(t *testing.T) {
 	e := sim.NewEngine()
 	r := NewResource(e, "cpu", 2.0, 1.0)
 	a := r.Submit("a", 100, nil)
-	if !almost(a.Rate(), 1.0) {
-		t.Fatalf("rate = %v, want 1", a.Rate())
+	if !almost(a.rate, 1.0) {
+		t.Fatalf("rate = %v, want 1", a.rate)
 	}
 	for i := 0; i < 3; i++ {
 		r.Submit("other", 100, nil)
 	}
-	if !almost(a.Rate(), 0.5) {
-		t.Fatalf("rate with 4 tasks on 2 CPUs = %v, want 0.5", a.Rate())
+	if !almost(a.rate, 0.5) {
+		t.Fatalf("rate with 4 tasks on 2 CPUs = %v, want 0.5", a.rate)
 	}
 	e.Run()
 }
@@ -112,13 +112,13 @@ func TestPropertyWaterFillingInvariants(t *testing.T) {
 		var total float64
 		anyBelowCap := false
 		for _, task := range tasks {
-			if task.Rate() > task.Cap()+eps {
+			if task.rate > task.cap+eps {
 				return false
 			}
-			if task.Rate() < task.Cap()-eps {
+			if task.rate < task.cap-eps {
 				anyBelowCap = true
 			}
-			total += task.Rate()
+			total += task.rate
 		}
 		if total > capacity+eps {
 			return false
@@ -131,12 +131,12 @@ func TestPropertyWaterFillingInvariants(t *testing.T) {
 		// Max-min: a task below its cap must have rate ≥ every other
 		// task's rate (no one smaller-capped starves it).
 		for _, a := range tasks {
-			if a.Rate() < a.Cap()-eps {
+			if a.rate < a.cap-eps {
 				for _, b := range tasks {
-					if b.Rate() > a.Rate()+eps && b.Rate() > b.Cap()-eps {
+					if b.rate > a.rate+eps && b.rate > b.cap-eps {
 						continue // b is at its (smaller) cap — fine
 					}
-					if b.Rate() > a.Rate()+eps {
+					if b.rate > a.rate+eps {
 						return false
 					}
 				}

@@ -9,8 +9,6 @@ package serving
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -212,17 +210,4 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 	// not judged — the scenario horizon ends at the last simulated day.
 	sort.Strings(res.StockLate)
 	return res, nil
-}
-
-// StormCycleRenders extracts render counts for one cycle, keyed by
-// product — the coalescing proof for the flash-crowd cycle.
-func (r *ScenarioResult) StormCycleRenders(cycle int) map[string]int64 {
-	suffix := "@" + strconv.Itoa(cycle)
-	out := make(map[string]int64)
-	for k, n := range r.Renders {
-		if strings.HasSuffix(k, suffix) {
-			out[strings.TrimSuffix(k, suffix)] = n
-		}
-	}
-	return out
 }

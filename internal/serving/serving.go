@@ -255,9 +255,6 @@ func (e *Edge) PublishForecast(forecast string, cycle int, dataT float64) {
 	}
 }
 
-// Arrive serves one request for the product.
-func (e *Edge) Arrive(product string) { e.ArriveN(product, 1) }
-
 // ArriveN serves n simultaneous requests for the product — the batched
 // form the synthetic load generator uses so millions of simulated users
 // cost thousands of events, not millions.

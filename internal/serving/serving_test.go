@@ -29,9 +29,9 @@ func testEdge(t *testing.T, products []Product, tweak func(*Config)) (*sim.Engin
 
 func TestMissRendersThenHits(t *testing.T) {
 	eng, e := testEdge(t, onePlot(), nil)
-	eng.At(10, func() { e.Publish("x/plot", 0, 10) })
-	eng.At(20, func() { e.Arrive("x/plot") })  // miss → render (done at 120)
-	eng.At(500, func() { e.Arrive("x/plot") }) // fresh cache hit
+	eng.Scope("test").At(10, func() { e.Publish("x/plot", 0, 10) })
+	eng.Scope("test").At(20, func() { e.ArriveN("x/plot", 1) })  // miss → render (done at 120)
+	eng.Scope("test").At(500, func() { e.ArriveN("x/plot", 1) }) // fresh cache hit
 	eng.Run()
 	st := e.Stats()
 	if st.Renders != 1 || st.Misses != 1 || st.Hits != 1 {
@@ -50,9 +50,9 @@ func TestTTLExpiryForcesRerender(t *testing.T) {
 	prods := onePlot()
 	prods[0].Perish = 300
 	eng, e := testEdge(t, prods, nil)
-	eng.At(10, func() { e.Publish("x/plot", 0, 10) })
-	eng.At(20, func() { e.Arrive("x/plot") })  // render done 120, expires 420
-	eng.At(500, func() { e.Arrive("x/plot") }) // expired → re-render same cycle
+	eng.Scope("test").At(10, func() { e.Publish("x/plot", 0, 10) })
+	eng.Scope("test").At(20, func() { e.ArriveN("x/plot", 1) })  // render done 120, expires 420
+	eng.Scope("test").At(500, func() { e.ArriveN("x/plot", 1) }) // expired → re-render same cycle
 	eng.Run()
 	st := e.Stats()
 	if st.Renders != 2 || st.Hits != 0 {
@@ -65,10 +65,10 @@ func TestTTLExpiryForcesRerender(t *testing.T) {
 
 func TestCoalescingCollapsesConcurrentMisses(t *testing.T) {
 	eng, e := testEdge(t, onePlot(), nil)
-	eng.At(10, func() { e.Publish("x/plot", 0, 10) })
-	eng.At(20, func() { e.Arrive("x/plot") })       // starts the render
-	eng.At(50, func() { e.ArriveN("x/plot", 500) }) // coalesce
-	eng.At(60, func() { e.Arrive("x/plot") })       // coalesce
+	eng.Scope("test").At(10, func() { e.Publish("x/plot", 0, 10) })
+	eng.Scope("test").At(20, func() { e.ArriveN("x/plot", 1) })   // starts the render
+	eng.Scope("test").At(50, func() { e.ArriveN("x/plot", 500) }) // coalesce
+	eng.Scope("test").At(60, func() { e.ArriveN("x/plot", 1) })   // coalesce
 	eng.Run()
 	st := e.Stats()
 	if st.Renders != 1 {
@@ -86,10 +86,10 @@ func TestNewCycleInvalidatesCache(t *testing.T) {
 	prods := onePlot()
 	prods[0].Perish = 7 * 86400 // TTL never expires within the test
 	eng, e := testEdge(t, prods, nil)
-	eng.At(10, func() { e.Publish("x/plot", 0, 10) })
-	eng.At(20, func() { e.Arrive("x/plot") })
-	eng.At(86400+100, func() { e.Publish("x/plot", 1, 86400+100) })
-	eng.At(86400+200, func() { e.Arrive("x/plot") }) // cached cycle 0 is stale now
+	eng.Scope("test").At(10, func() { e.Publish("x/plot", 0, 10) })
+	eng.Scope("test").At(20, func() { e.ArriveN("x/plot", 1) })
+	eng.Scope("test").At(86400+100, func() { e.Publish("x/plot", 1, 86400+100) })
+	eng.Scope("test").At(86400+200, func() { e.ArriveN("x/plot", 1) }) // cached cycle 0 is stale now
 	eng.Run()
 	st := e.Stats()
 	if st.Renders != 2 {
@@ -103,7 +103,7 @@ func TestNewCycleInvalidatesCache(t *testing.T) {
 
 func TestShedWhenNothingPublished(t *testing.T) {
 	eng, e := testEdge(t, onePlot(), nil)
-	eng.At(20, func() { e.ArriveN("x/plot", 7) })
+	eng.Scope("test").At(20, func() { e.ArriveN("x/plot", 7) })
 	eng.Run()
 	st := e.Stats()
 	if st.Shed != 7 || st.Renders != 0 {
@@ -128,15 +128,15 @@ func TestQueueDisplacementPrefersHotTier(t *testing.T) {
 		c.HotRate = 50
 	})
 	// Build c's demand rate while nothing is published (those shed).
-	eng.At(5, func() { e.ArriveN("c/plot", 1000) })
-	eng.At(10, func() {
+	eng.Scope("test").At(5, func() { e.ArriveN("c/plot", 1000) })
+	eng.Scope("test").At(10, func() {
 		e.Publish("a/plot", 0, 10)
 		e.Publish("b/plot", 0, 10)
 		e.Publish("c/plot", 0, 10)
 	})
-	eng.At(20, func() { e.Arrive("a/plot") }) // occupies the render slot
-	eng.At(30, func() { e.Arrive("b/plot") }) // queued (cold)
-	eng.At(40, func() { e.Arrive("c/plot") }) // hot: displaces b
+	eng.Scope("test").At(20, func() { e.ArriveN("a/plot", 1) }) // occupies the render slot
+	eng.Scope("test").At(30, func() { e.ArriveN("b/plot", 1) }) // queued (cold)
+	eng.Scope("test").At(40, func() { e.ArriveN("c/plot", 1) }) // hot: displaces b
 	eng.Run()
 	st := e.Stats()
 	var a, b, c ProductStats
@@ -163,7 +163,7 @@ func TestQueueDisplacementPrefersHotTier(t *testing.T) {
 
 func TestPublishOlderCycleIgnored(t *testing.T) {
 	eng, e := testEdge(t, onePlot(), nil)
-	eng.At(10, func() {
+	eng.Scope("test").At(10, func() {
 		e.Publish("x/plot", 1, 10)
 		e.Publish("x/plot", 0, 10) // stale publish must not roll back
 	})
@@ -195,7 +195,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestUnknownProductCounted(t *testing.T) {
 	eng, e := testEdge(t, onePlot(), nil)
-	eng.At(20, func() { e.ArriveN("nope", 3) })
+	eng.Scope("test").At(20, func() { e.ArriveN("nope", 3) })
 	eng.Run()
 	if st := e.Stats(); st.Unknown != 3 || st.Requests != 0 {
 		t.Fatalf("unknown/requests = %d/%d, want 3/0", st.Unknown, st.Requests)
@@ -230,7 +230,7 @@ func TestDefaultProductsDeterministic(t *testing.T) {
 func TestForecastDemandAggregatesProducts(t *testing.T) {
 	prods := DefaultProducts(map[string]int{"x": 2})
 	eng, e := testEdge(t, prods, nil)
-	eng.At(10, func() {
+	eng.Scope("test").At(10, func() {
 		e.ArriveN("x/plot", 5)
 		e.ArriveN("x/anim", 3)
 	})

@@ -57,16 +57,14 @@ func TestStormScenarioWithLateForecast(t *testing.T) {
 
 	// Coalescing: the flash-crowd cycle triggered exactly one render per
 	// product despite tens of thousands of concurrent misses.
-	renders := res.StormCycleRenders(1)
 	for _, p := range storm.Products {
-		if n := renders[p.Name]; n > 1 {
+		if n := res.Renders[p.Name+"@1"]; n > 1 {
 			t.Fatalf("product %s rendered %d times in the storm cycle, want ≤ 1 (all: %v)",
-				p.Name, n, renders)
+				p.Name, n, res.Renders)
 		}
 	}
-	if renders["columbia/plot"] != 1 {
-		t.Fatalf("columbia/plot renders in storm cycle = %d, want exactly 1 (%v)",
-			renders["columbia/plot"], renders)
+	if n := res.Renders["columbia/plot@1"]; n != 1 {
+		t.Fatalf("columbia/plot renders in storm cycle = %d, want exactly 1 (%v)", n, res.Renders)
 	}
 	if res.Stats.Coalesced < 1000 {
 		t.Fatalf("coalesced = %d, want a miss storm (≥1000) collapsed onto in-flight renders",

@@ -6,12 +6,11 @@
 // in this repository bit-reproducible: there is no wall-clock time, no
 // goroutine scheduling, and no randomness inside the kernel.
 //
-// Scheduling is labeled: every subsystem obtains a Scope (Engine.Scope)
-// and schedules through it, so a kernel profiler (internal/engineprof,
-// attached via SetProbe) can attribute event counts, handler wall-clock
-// cost, and schedule→fire dwell to the subsystem that created each event.
-// The plain At/After methods remain for one-off callers and tag their
-// events "untagged" — a labeled campaign should have none.
+// Scheduling is labeled: the engine schedules only through a Scope
+// (Engine.Scope), so a kernel profiler (internal/engineprof, attached via
+// SetProbe) can attribute event counts, handler wall-clock cost, and
+// schedule→fire dwell to the subsystem that created each event. A scope
+// with an empty name is tagged "untagged" — a labeled campaign has none.
 //
 // Event structures are pooled on a free list: a fired or cancelled event
 // is recycled into the next schedule call, so a steady-state simulation
@@ -30,8 +29,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Untagged is the label attached to events scheduled through the plain
-// At/After methods rather than a named Scope.
+// Untagged is the label of a scope created with an empty name.
 const Untagged = "untagged"
 
 // Probe observes the kernel's event lifecycle. Attach one with SetProbe;
@@ -63,7 +61,6 @@ type Engine struct {
 	queue   eventQueue
 	free    []*event // recycled events; see Timer for the aliasing guard
 	running bool
-	stopped bool
 
 	fired     int64 // events delivered since creation
 	published int64 // fired as last added to mEvents
@@ -78,7 +75,7 @@ type Engine struct {
 	probeTick  int
 
 	// Optional telemetry handles, resolved once by Instrument. No event
-	// writes them: publish does, when Run, RunUntil or Step returns.
+	// writes them: publish does, when Run or RunUntil returns.
 	mEvents  *telemetry.Counter
 	mClock   *telemetry.Gauge
 	mPending *telemetry.Gauge
@@ -139,7 +136,7 @@ func (e *Engine) SetProbeSampling(n int) {
 // length (a growing queue while the clock stalls is the signature of an
 // engine pile-up), and sim_replay_lag_seconds (fed by ObserveReplayLag)
 // shows how far a paced replay trails its wall-clock schedule. The first
-// three publish when Run, RunUntil or Step returns; the counter counts
+// three publish when Run or RunUntil returns; the counter counts
 // from this call. A nil registry detaches the instruments.
 func (e *Engine) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
@@ -189,23 +186,17 @@ type event struct {
 }
 
 // Timer is a handle to a scheduled event. The zero Timer is inert: Active
-// reports false, Cancel is a no-op, When returns 0.
+// reports false and Cancel is a no-op.
 //
 // Handles stay valid after the event fires or is cancelled even though
 // the underlying event struct is recycled into later schedules: the
-// handle carries the event's generation and its scheduled time, so
-// Cancel/Active on a stale handle see the generation mismatch and report
-// false instead of touching the event's next life, and When keeps
-// answering with the original scheduled time.
+// handle carries the event's generation, so Cancel/Active on a stale
+// handle see the generation mismatch and report false instead of
+// touching the event's next life.
 type Timer struct {
-	ev   *event
-	gen  uint64
-	when float64
+	ev  *event
+	gen uint64
 }
-
-// When returns the virtual time the timer was scheduled to fire at. It
-// keeps answering after the timer fires or is cancelled.
-func (t Timer) When() float64 { return t.when }
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
@@ -251,8 +242,8 @@ type Scope struct {
 	label string
 }
 
-// Scope returns a labeled scheduler. An empty name falls back to the
-// untagged scope.
+// Scope returns a labeled scheduler. An empty name falls back to
+// Untagged.
 func (e *Engine) Scope(name string) Scope {
 	if name == "" {
 		name = Untagged
@@ -260,17 +251,11 @@ func (e *Engine) Scope(name string) Scope {
 	return Scope{e: e, label: name}
 }
 
-// Label returns the scope's label.
-func (s Scope) Label() string { return s.label }
-
-// Engine returns the underlying engine.
-func (s Scope) Engine() *Engine { return s.e }
-
-// Now returns the engine's current virtual time.
-func (s Scope) Now() float64 { return s.e.now }
-
-// At schedules fn at absolute virtual time when, tagged with the scope's
-// label. The same rules as Engine.At apply.
+// At schedules fn to run at absolute virtual time when, tagged with the
+// scope's label. Scheduling in the past (before Now) panics, because it
+// would silently corrupt causality. Scheduling exactly at Now is allowed
+// and fires after all currently queued events for this instant that were
+// scheduled earlier.
 func (s Scope) At(when float64, fn func()) Timer {
 	return s.e.schedule(s.label, when, fn)
 }
@@ -282,24 +267,6 @@ func (s Scope) After(d float64, fn func()) Timer {
 		panic(fmt.Sprintf("sim: After called with negative delay %v", d))
 	}
 	return s.e.schedule(s.label, s.e.now+d, fn)
-}
-
-// At schedules fn to run at absolute virtual time when, in the untagged
-// scope. Scheduling in the past (before Now) panics, because it would
-// silently corrupt causality. Scheduling exactly at Now is allowed and
-// fires after all currently queued events for this instant that were
-// scheduled earlier.
-func (e *Engine) At(when float64, fn func()) Timer {
-	return e.schedule(Untagged, when, fn)
-}
-
-// After schedules fn to run d seconds from now, in the untagged scope.
-// Negative d panics.
-func (e *Engine) After(d float64, fn func()) Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: After called with negative delay %v", d))
-	}
-	return e.schedule(Untagged, e.now+d, fn)
 }
 
 // schedule enqueues one event, reusing a recycled event struct when the
@@ -328,32 +295,11 @@ func (e *Engine) schedule(label string, when float64, fn func()) Timer {
 	if e.probe != nil {
 		e.probe.EventScheduled(label, e.now, when, len(e.queue))
 	}
-	return Timer{ev: ev, gen: ev.gen, when: when}
+	return Timer{ev: ev, gen: ev.gen}
 }
 
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
-
-// PeekNext returns the time of the next scheduled event, or +Inf when the
-// queue is empty.
-func (e *Engine) PeekNext() float64 {
-	if len(e.queue) == 0 {
-		return math.Inf(1)
-	}
-	return e.queue[0].when
-}
-
-// Stop makes the current Run or RunUntil call return after the in-flight
-// event handler completes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Step fires the single next event, advancing the clock to its time.
-// It reports whether an event was fired.
-func (e *Engine) Step() bool {
-	fired := e.step()
-	e.publish()
-	return fired
-}
 
 // step fires the next event, if any, without publishing.
 func (e *Engine) step() bool {
@@ -387,16 +333,15 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty or Stop is called. It returns
-// the final virtual time.
+// Run fires events until the queue is empty. It returns the final
+// virtual time.
 func (e *Engine) Run() float64 {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
-	for !e.stopped && e.step() {
+	for e.step() {
 	}
 	e.publish()
 	return e.now
@@ -410,12 +355,11 @@ func (e *Engine) RunUntil(deadline float64) float64 {
 		panic("sim: RunUntil called reentrantly")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].when <= deadline {
+	for len(e.queue) > 0 && e.queue[0].when <= deadline {
 		e.step()
 	}
-	if !e.stopped && deadline > e.now {
+	if deadline > e.now {
 		e.setNow(deadline)
 	}
 	e.publish()

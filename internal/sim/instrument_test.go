@@ -9,8 +9,8 @@ import (
 func TestInstrumentKernelMetrics(t *testing.T) {
 	e := NewEngine()
 	reg := telemetry.NewRegistry()
-	e.At(10, func() {})
-	e.At(20, func() { e.At(30, func() {}) })
+	e.Scope("test").At(10, func() {})
+	e.Scope("test").At(20, func() { e.Scope("test").At(30, func() {}) })
 	e.Instrument(reg)
 
 	pending := reg.Gauge("sim_pending_events", nil)
@@ -36,7 +36,7 @@ func TestObserveReplayLag(t *testing.T) {
 	e := NewEngine()
 	reg := telemetry.NewRegistry()
 	e.Instrument(reg)
-	e.At(100, func() { e.ObserveReplayLag(175) })
+	e.Scope("test").At(100, func() { e.ObserveReplayLag(175) })
 	e.Run()
 	if got := reg.Gauge("sim_replay_lag_seconds", nil).Value(); got != 75 {
 		t.Errorf("sim_replay_lag_seconds = %v, want 75", got)
@@ -49,7 +49,7 @@ func TestInstrumentDetach(t *testing.T) {
 	e := NewEngine()
 	e.Instrument(telemetry.NewRegistry())
 	e.Instrument(nil)
-	e.At(5, func() { e.ObserveReplayLag(10) })
+	e.Scope("test").At(5, func() { e.ObserveReplayLag(10) })
 	e.Run()
 	if e.EventsFired() != 1 {
 		t.Errorf("EventsFired = %d, want 1", e.EventsFired())
@@ -62,7 +62,7 @@ func TestInstrumentDetach(t *testing.T) {
 func TestKernelGaugesPublishAtReturn(t *testing.T) {
 	e := NewEngine()
 	for i := 1; i <= 6; i++ {
-		e.At(float64(10*i), func() { e.At(e.Now()+100, func() {}) })
+		e.Scope("test").At(float64(10*i), func() { e.Scope("test").At(e.Now()+100, func() {}) })
 	}
 	e.RunUntil(25) // two events fire before the instruments attach
 	reg := telemetry.NewRegistry()
@@ -80,14 +80,14 @@ func TestKernelGaugesPublishAtReturn(t *testing.T) {
 	check("at Instrument", 0)
 	e.RunUntil(45)
 	check("after RunUntil(45)", 2)
-	e.Step()
-	check("after Step", 3)
+	e.RunUntil(50)
+	check("after RunUntil(50)", 3)
 	e.RunUntil(1000)
 	check("after the drain", 10)
 }
 
-// An instrumented Step writes its gauges once, outside the handler, and
-// allocates nothing.
+// An instrumented RunUntil that fires one event writes its gauges once,
+// outside the handler, and allocates nothing.
 func TestInstrumentedStepAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	e.Instrument(telemetry.NewRegistry())
@@ -95,8 +95,8 @@ func TestInstrumentedStepAllocatesNothing(t *testing.T) {
 	var tick func()
 	tick = func() { s.After(1, tick) }
 	s.After(1, tick)
-	e.Step() // warm the free list
-	if n := testing.AllocsPerRun(100, func() { e.Step() }); n != 0 {
-		t.Fatalf("instrumented Step allocates %.1f objects, want 0", n)
+	e.RunUntil(1) // warm the free list
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 1) }); n != 0 {
+		t.Fatalf("instrumented RunUntil allocates %.1f objects, want 0", n)
 	}
 }

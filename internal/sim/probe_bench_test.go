@@ -21,7 +21,7 @@ func benchEvents(b *testing.B, attach Probe) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.At(e.Now(), nop)
-		e.Step()
+		e.step()
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func TestCancelAfterFire(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	timer := e.At(5, func() { fired = true })
+	timer := e.Scope("test").At(5, func() { fired = true })
 	e.Run()
 	if !fired {
 		t.Fatal("event did not fire")
@@ -27,30 +27,14 @@ func TestCancelAfterFire(t *testing.T) {
 	}
 }
 
-func TestWhenAfterFire(t *testing.T) {
-	e := NewEngine()
-	timer := e.At(42, func() {})
-	e.Run()
-	if timer.When() != 42 {
-		t.Fatalf("When() after fire = %v, want 42 (the scheduled time)", timer.When())
-	}
-	// Recycle the struct into a new event at a different time; the stale
-	// handle must keep answering with its own schedule.
-	e.At(e.Now()+8, func() {})
-	if timer.When() != 42 {
-		t.Fatalf("When() after pool reuse = %v, want 42", timer.When())
-	}
-	e.Run()
-}
-
 // A stale handle to a fired event must not cancel the event that reused
 // its pooled struct.
 func TestStaleHandleDoesNotAliasReusedEvent(t *testing.T) {
 	e := NewEngine()
-	stale := e.At(1, func() {})
+	stale := e.Scope("test").At(1, func() {})
 	e.Run() // fires and recycles the event struct
 	reusedFired := false
-	reused := e.At(e.Now()+1, func() { reusedFired = true })
+	reused := e.Scope("test").At(e.Now()+1, func() { reusedFired = true })
 	if stale.Cancel() {
 		t.Fatal("stale Cancel reported true")
 	}
@@ -70,11 +54,11 @@ func TestStaleHandleDoesNotAliasReusedEvent(t *testing.T) {
 // touching the struct's next life.
 func TestCancelledTimerHandleStaysInert(t *testing.T) {
 	e := NewEngine()
-	timer := e.At(5, func() { t.Fatal("cancelled event fired") })
+	timer := e.Scope("test").At(5, func() { t.Fatal("cancelled event fired") })
 	if !timer.Cancel() {
 		t.Fatal("first Cancel should report true")
 	}
-	live := e.At(3, func() {})
+	live := e.Scope("test").At(3, func() {})
 	if timer.Cancel() {
 		t.Fatal("second Cancel (post-recycle) should report true only for the live handle")
 	}
@@ -89,8 +73,8 @@ func TestCancelledTimerHandleStaysInert(t *testing.T) {
 func TestRunUntilDeadlineExactlyAtNextEvent(t *testing.T) {
 	e := NewEngine()
 	var fired []float64
-	e.At(10, func() { fired = append(fired, 10) })
-	e.At(10.000001, func() { fired = append(fired, 10.000001) })
+	e.Scope("test").At(10, func() { fired = append(fired, 10) })
+	e.Scope("test").At(10.000001, func() { fired = append(fired, 10.000001) })
 	e.RunUntil(10)
 	if len(fired) != 1 || fired[0] != 10 {
 		t.Fatalf("fired = %v, want exactly the deadline event [10]", fired)
@@ -111,7 +95,7 @@ func TestObserveReplayLagDetachReattach(t *testing.T) {
 	e := NewEngine()
 	reg := telemetry.NewRegistry()
 	e.Instrument(reg)
-	e.At(100, func() { e.ObserveReplayLag(150) })
+	e.Scope("test").At(100, func() { e.ObserveReplayLag(150) })
 	e.Run()
 	if got := reg.Gauge("sim_replay_lag_seconds", nil).Value(); got != 50 {
 		t.Fatalf("lag = %v, want 50", got)
@@ -123,7 +107,7 @@ func TestObserveReplayLagDetachReattach(t *testing.T) {
 	}
 	reg2 := telemetry.NewRegistry()
 	e.Instrument(reg2)
-	e.At(e.Now()+20, func() { e.ObserveReplayLag(e.Now() + 5) })
+	e.Scope("test").At(e.Now()+20, func() { e.ObserveReplayLag(e.Now() + 5) })
 	e.Run()
 	if got := reg2.Gauge("sim_replay_lag_seconds", nil).Value(); got != 5 {
 		t.Fatalf("lag after re-attach = %v, want 5", got)
@@ -138,11 +122,11 @@ func TestEventPoolSteadyStateAllocFree(t *testing.T) {
 	nop := func() {}
 	// Warm the pool and the heap's backing array.
 	for i := 0; i < 64; i++ {
-		e.At(e.Now(), nop)
+		e.Scope("test").At(e.Now(), nop)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(100, func() {
-		e.At(e.Now(), nop)
+		e.Scope("test").At(e.Now(), nop)
 		e.Run()
 	})
 	if allocs > 0 {
@@ -184,7 +168,7 @@ func TestScopeLabelsReachProbe(t *testing.T) {
 	wf := e.Scope("workflow")
 	ps.At(10, func() {})
 	wf.After(25, func() {})
-	e.After(5, func() {}) // plain After: untagged
+	e.Scope("").After(5, func() {}) // an empty name: untagged
 	doomed := ps.At(30, func() {})
 	doomed.Cancel()
 	e.Run()
@@ -212,9 +196,6 @@ func TestScopeLabelsReachProbe(t *testing.T) {
 	}
 	if got := rec.dwell["workflow"]; got != 25 {
 		t.Fatalf("workflow dwell = %v, want 25 (schedule→fire lag)", got)
-	}
-	if e.Scope("").Label() != Untagged {
-		t.Fatalf("empty scope label = %q, want %q", e.Scope("").Label(), Untagged)
 	}
 }
 

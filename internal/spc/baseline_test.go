@@ -43,7 +43,7 @@ func TestSeededSteadyHistoryStaysInControl(t *testing.T) {
 		end := float64(day-1)*86400 + 3600 + walltime
 		o.ObserveRun(RunObs{Forecast: "forecast-grays", Day: day, Walltime: walltime, End: end})
 	}
-	sr := o.Report().Find(KindRunTime, "forecast-grays")
+	sr := find(o.Report(), KindRunTime, "forecast-grays")
 	if sr == nil || len(sr.Points) != 12 {
 		t.Fatalf("seeded series = %+v, want 12 judged points", sr)
 	}

@@ -45,7 +45,7 @@ func benchReplay(nodes, runsWanted, incs int, observe bool) int {
 	samp := usage.NewSampler(cl, usage.Options{Interval: 900})
 	horizon := float64(days) * 86400
 	samp.Start(horizon)
-	root := tr.Begin("campaign", "bench", "factory", nil)
+	root := tr.Begin("campaign", "bench", "factory", 0)
 	runs := 0
 	for d := 0; d < days && runs < runsWanted; d++ {
 		for f := 0; f < nodes && runs < runsWanted; f++ {
@@ -56,13 +56,13 @@ func benchReplay(nodes, runsWanted, incs int, observe bool) int {
 			// Deterministic jitter so the charts judge varied points
 			// instead of a flat line.
 			cost := 3000.0 + float64((f*7+d*13)%11)
-			e.At(start, func() {
+			e.Scope("test").At(start, func() {
 				launched := e.Now()
 				rs := tr.Begin("run", name, names[f], root)
 				var next func(i int)
 				next = func(i int) {
 					if i >= incs {
-						rs.EndSpan()
+						tr.End(rs)
 						if obs != nil {
 							obs.ObserveRun(spc.RunObs{
 								Forecast: name, Day: d + 1, Node: names[f],
@@ -81,7 +81,7 @@ func benchReplay(nodes, runsWanted, incs int, observe bool) int {
 		}
 	}
 	e.Run()
-	root.EndSpan()
+	tr.End(root)
 	samp.Finalize(e.Now())
 	if obs == nil {
 		return 0

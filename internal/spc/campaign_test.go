@@ -90,7 +90,7 @@ func TestCampaignChangepointBlamesCodeVersionNotFailure(t *testing.T) {
 
 	// The slowed forecast's run-time chart pins the shift at the version
 	// change, with the mean moving up.
-	tr := rep.Find(spc.KindRunTime, tillamook.Name)
+	tr := findSeries(rep, spc.KindRunTime, tillamook.Name)
 	if tr == nil {
 		t.Fatal("no run_time series for the slowed forecast")
 	}
@@ -114,7 +114,7 @@ func TestCampaignChangepointBlamesCodeVersionNotFailure(t *testing.T) {
 
 	// The failed node's forecast took a one-day hit — a spike, not a
 	// shift. No changepoint may be declared anywhere near it.
-	cr := rep.Find(spc.KindRunTime, columbia.Name)
+	cr := findSeries(rep, spc.KindRunTime, columbia.Name)
 	if cr == nil {
 		t.Fatal("no run_time series for the failure-day forecast")
 	}
@@ -158,11 +158,22 @@ func TestCampaignChangepointBlamesCodeVersionNotFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptr := rt.Find(spc.KindRunTime, tillamook.Name)
+	ptr := findSeries(rt, spc.KindRunTime, tillamook.Name)
 	if ptr == nil || len(ptr.Changepoints) != len(tr.Changepoints) {
 		t.Fatalf("persisted report lost the changepoint: %+v", ptr)
 	}
 	if ptr.Changepoints[0].Day != tr.Changepoints[0].Day {
 		t.Errorf("persisted changepoint day %d, live %d", ptr.Changepoints[0].Day, tr.Changepoints[0].Day)
 	}
+}
+
+// findSeries returns the report's series for (kind, subject), nil when
+// absent.
+func findSeries(r *spc.Report, kind, subject string) *spc.SeriesReport {
+	for i := range r.Series {
+		if r.Series[i].Kind == kind && r.Series[i].Subject == subject {
+			return &r.Series[i]
+		}
+	}
+	return nil
 }

@@ -110,9 +110,6 @@ func ParseRuleSet(names ...string) RuleSet {
 	return r
 }
 
-// Has reports whether the named rule is in the set.
-func (r RuleSet) Has(name string) bool { return r&ParseRuleSet(name) != 0 }
-
 // Names returns the violated rule names in canonical order, nil when
 // the set is empty.
 func (r RuleSet) Names() []string {
@@ -192,7 +189,7 @@ type Params struct {
 	MinShiftRun int
 	// MinBaseline is how many points a series collects before freezing
 	// its first baseline and judging further points (default 8). Seeded
-	// baselines (SetBaseline / Seed) skip the learning phase.
+	// baselines (SeedFits, SeedFromDB) skip the learning phase.
 	MinBaseline int
 }
 
@@ -400,19 +397,6 @@ func (o *Observatory) OnEvent(fn func(Event)) {
 func (o *Observatory) OnReplan(fn func(Event)) {
 	o.mu.Lock()
 	o.onReplan = fn
-	o.mu.Unlock()
-}
-
-// SetBaseline freezes a series' baseline before any observation arrives
-// — typically from a history fit (see FitRunHistory) — so judging starts
-// at the first point instead of after MinBaseline learning points.
-// Non-positive sigma keeps the sigma floor behavior of learned baselines.
-func (o *Observatory) SetBaseline(kind, subject string, center, sigma float64) {
-	o.mu.Lock()
-	s := o.get(kind, subject)
-	s.center = center
-	s.sigma = sigmaFloor(sigma, center)
-	s.frozen = true
 	o.mu.Unlock()
 }
 
@@ -903,39 +887,10 @@ type SeriesReport struct {
 	Out        bool `json:"out"`
 }
 
-// LastDay returns the day of the newest point (0 when empty).
-func (sr *SeriesReport) LastDay() int {
-	if len(sr.Points) == 0 {
-		return 0
-	}
-	return sr.Points[len(sr.Points)-1].Day
-}
-
 // Report is one observatory's full state: every monitored series with
 // its points, verdicts, and changepoints, ordered by (kind, subject).
 type Report struct {
 	Series []SeriesReport `json:"series"`
-}
-
-// Find returns the series report for (kind, subject), nil when absent.
-func (r *Report) Find(kind, subject string) *SeriesReport {
-	for i := range r.Series {
-		if r.Series[i].Kind == kind && r.Series[i].Subject == subject {
-			return &r.Series[i]
-		}
-	}
-	return nil
-}
-
-// OutOfControl lists the series currently out of control.
-func (r *Report) OutOfControl() []*SeriesReport {
-	var out []*SeriesReport
-	for i := range r.Series {
-		if r.Series[i].Out {
-			out = append(out, &r.Series[i])
-		}
-	}
-	return out
 }
 
 // Report snapshots the observatory. The snapshot is deep: mutating it

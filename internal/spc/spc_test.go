@@ -16,11 +16,30 @@ func feed(o *Observatory, kind, subject string, vals []float64) {
 	}
 }
 
+// find returns the report's series for (kind, subject), nil when absent.
+func find(r *Report, kind, subject string) *SeriesReport {
+	for i := range r.Series {
+		if r.Series[i].Kind == kind && r.Series[i].Subject == subject {
+			return &r.Series[i]
+		}
+	}
+	return nil
+}
+
+// setBaseline freezes a series' baseline before any observation arrives,
+// so judging starts at the first point.
+func setBaseline(o *Observatory, kind, subject string, center, sigma float64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	s := o.get(kind, subject)
+	s.center, s.sigma, s.frozen = center, sigmaFloor(sigma, center), true
+}
+
 func TestLearningThenJudging(t *testing.T) {
 	o := New(DefaultParams())
 	feed(o, KindRunTime, "fc", []float64{100, 101, 99, 100, 102, 98, 100, 101})
 	rep := o.Report()
-	sr := rep.Find(KindRunTime, "fc")
+	sr := find(rep, KindRunTime, "fc")
 	if sr == nil {
 		t.Fatal("series missing from report")
 	}
@@ -41,7 +60,7 @@ func TestLearningThenJudging(t *testing.T) {
 
 	// The ninth point is judged against the frozen baseline.
 	o.Observe(KindRunTime, "fc", 8, 8*86400, 100)
-	sr = o.Report().Find(KindRunTime, "fc")
+	sr = find(o.Report(), KindRunTime, "fc")
 	p := sr.Points[8]
 	if p.Learning || p.Out {
 		t.Fatalf("in-control point judged wrong: %+v", p)
@@ -59,9 +78,9 @@ func TestShewhartSpikeFiresWE1(t *testing.T) {
 	o.Observe(KindRunTime, "fc", 8, 8*86400, 160) // wild spike
 	o.Observe(KindRunTime, "fc", 9, 9*86400, 100) // back to normal
 
-	sr := o.Report().Find(KindRunTime, "fc")
+	sr := find(o.Report(), KindRunTime, "fc")
 	spike := sr.Points[8]
-	if !spike.Out || !spike.Rules.Has(RuleWE1) {
+	if !spike.Out || spike.Rules&ParseRuleSet(RuleWE1) == 0 {
 		t.Fatalf("spike not flagged we1: %+v", spike)
 	}
 	if len(sr.Changepoints) != 0 {
@@ -91,7 +110,7 @@ func TestCUSUMDetectsSustainedShift(t *testing.T) {
 	for i, v := range shifted {
 		o.Observe(KindRunTime, "fc", 8+i, float64(8+i)*86400, v)
 	}
-	sr := o.Report().Find(KindRunTime, "fc")
+	sr := find(o.Report(), KindRunTime, "fc")
 	if len(sr.Changepoints) != 1 {
 		t.Fatalf("changepoints = %d, want 1 (%+v)", len(sr.Changepoints), sr.Changepoints)
 	}
@@ -107,7 +126,7 @@ func TestCUSUMDetectsSustainedShift(t *testing.T) {
 	}
 	// After re-baselining, shifted-level points are back in control.
 	o.Observe(KindRunTime, "fc", 16, 16*86400, 140)
-	sr = o.Report().Find(KindRunTime, "fc")
+	sr = find(o.Report(), KindRunTime, "fc")
 	last := sr.Points[len(sr.Points)-1]
 	if last.Out {
 		t.Fatalf("post-rebaseline point still out: %+v", last)
@@ -127,7 +146,7 @@ func TestSingleOutlierDoesNotTripCUSUM(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		o.Observe(KindRunTime, "fc", 9+i, float64(9+i)*86400, 100)
 	}
-	sr := o.Report().Find(KindRunTime, "fc")
+	sr := find(o.Report(), KindRunTime, "fc")
 	if len(sr.Changepoints) != 0 {
 		t.Fatalf("outlier declared a changepoint: %+v", sr.Changepoints)
 	}
@@ -148,9 +167,9 @@ func TestEWMACatchesSmallShift(t *testing.T) {
 	hit := false
 	for i := 0; i < 12 && !hit; i++ {
 		o.Observe(KindRunTime, "fc", 8+i, float64(8+i)*86400, 103.5)
-		sr := o.Report().Find(KindRunTime, "fc")
+		sr := find(o.Report(), KindRunTime, "fc")
 		last := sr.Points[len(sr.Points)-1]
-		hit = last.Rules.Has(RuleEWMA)
+		hit = last.Rules&ParseRuleSet(RuleEWMA) != 0
 	}
 	if !hit {
 		t.Fatal("EWMA never flagged a 1.2-sigma sustained shift in 12 points")
@@ -162,7 +181,7 @@ func TestZeroVarianceSeriesStaysFinite(t *testing.T) {
 	feed(o, KindRunTime, "fc", []float64{100, 100, 100, 100, 100, 100, 100, 100})
 	o.Observe(KindRunTime, "fc", 8, 8*86400, 100) // identical: in control
 	o.Observe(KindRunTime, "fc", 9, 9*86400, 101) // any departure: out
-	sr := o.Report().Find(KindRunTime, "fc")
+	sr := find(o.Report(), KindRunTime, "fc")
 	for _, p := range sr.Points {
 		for _, v := range []float64{p.Z, p.EWMA, p.CusumPos, p.CusumNeg, p.UCL, p.LCL} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -180,9 +199,9 @@ func TestZeroVarianceSeriesStaysFinite(t *testing.T) {
 
 func TestSetBaselineSkipsLearning(t *testing.T) {
 	o := New(DefaultParams())
-	o.SetBaseline(KindRunTime, "fc", 100, 2)
+	o.SeedFits([]BaselineFit{{Forecast: "fc", Center: 100, Sigma: 2}})
 	o.Observe(KindRunTime, "fc", 0, 0, 120) // 10 sigma out, judged immediately
-	sr := o.Report().Find(KindRunTime, "fc")
+	sr := find(o.Report(), KindRunTime, "fc")
 	if len(sr.Points) != 1 || sr.Points[0].Learning {
 		t.Fatalf("seeded series still learning: %+v", sr.Points)
 	}
@@ -205,7 +224,7 @@ func TestObserveRunFeedsSeriesAndLateness(t *testing.T) {
 	}
 	// Days 0..9 close once day-11 runs arrive (d-2 margin); 10, 11 pend.
 	rep := o.Report()
-	lat := rep.Find(KindLateness, SubjectFactory)
+	lat := find(rep, KindLateness, SubjectFactory)
 	if lat == nil || len(lat.Points) != 10 {
 		t.Fatalf("lateness points = %v, want 10 closed days", lat)
 	}
@@ -213,14 +232,14 @@ func TestObserveRunFeedsSeriesAndLateness(t *testing.T) {
 		t.Fatalf("day-0 lateness = %g, want 3600", lat.Points[0].Value)
 	}
 	o.Finalize()
-	lat = o.Report().Find(KindLateness, SubjectFactory)
+	lat = find(o.Report(), KindLateness, SubjectFactory)
 	if len(lat.Points) != 12 {
 		t.Fatalf("lateness points after Finalize = %d, want 12", len(lat.Points))
 	}
-	if rt := rep.Find(KindRunTime, "fc"); rt == nil || len(rt.Points) != 12 {
+	if rt := find(rep, KindRunTime, "fc"); rt == nil || len(rt.Points) != 12 {
 		t.Fatal("run_time series not fed")
 	}
-	ee := rep.Find(KindEstimateError, "fc")
+	ee := find(rep, KindEstimateError, "fc")
 	if ee == nil || ee.Points[0].Value != 100 {
 		t.Fatalf("estimate_error series wrong: %+v", ee)
 	}
@@ -230,8 +249,8 @@ func TestReplanHookFiresOnDriftOnly(t *testing.T) {
 	o := New(DefaultParams())
 	var replans []Event
 	o.OnReplan(func(e Event) { replans = append(replans, e) })
-	o.SetBaseline(KindDrift, "fc", 0, 60)
-	o.SetBaseline(KindRunTime, "fc", 100, 2)
+	setBaseline(o, KindDrift, "fc", 0, 60)
+	setBaseline(o, KindRunTime, "fc", 100, 2)
 	o.Observe(KindRunTime, "fc", 0, 0, 200) // out, but not drift
 	if len(replans) != 0 {
 		t.Fatal("replan hook fired for a non-drift series")
@@ -284,12 +303,12 @@ func TestFitRunHistorySegmentsAtCodeVersion(t *testing.T) {
 	// Seeding an observatory applies baseline and changepoint.
 	o := New(DefaultParams())
 	o.SeedFits(fits)
-	sr := o.Report().Find(KindRunTime, "fc")
+	sr := find(o.Report(), KindRunTime, "fc")
 	if sr == nil || len(sr.Changepoints) != 1 {
 		t.Fatalf("seeded series wrong: %+v", sr)
 	}
 	o.Observe(KindRunTime, "fc", 20, 20*86400, 141)
-	if p := o.Report().Find(KindRunTime, "fc").Points[0]; p.Learning || p.Out {
+	if p := find(o.Report(), KindRunTime, "fc").Points[0]; p.Learning || p.Out {
 		t.Fatalf("seeded series judged wrong: %+v", p)
 	}
 }
@@ -300,7 +319,7 @@ func TestStatsDBRoundTrip(t *testing.T) {
 	for i, v := range []float64{140, 141, 139, 140, 142, 138, 140} {
 		o.Observe(KindRunTime, "fc", 8+i, float64(8+i)*86400, v)
 	}
-	o.SetBaseline(KindNodeShare, "node-1", 0.8, 0.05)
+	setBaseline(o, KindNodeShare, "node-1", 0.8, 0.05)
 	o.Observe(KindNodeShare, "node-1", 3, 3*86400, 0.2)
 	want := o.Report()
 
@@ -363,7 +382,7 @@ func TestRenderSurfaces(t *testing.T) {
 	if !strings.Contains(sum, "run_time") || !strings.Contains(sum, "fc") {
 		t.Fatalf("summary missing series:\n%s", sum)
 	}
-	chart := SeriesChart(rep.Find(KindRunTime, "fc"), 60, 12)
+	chart := SeriesChart(find(rep, KindRunTime, "fc"), 60, 12)
 	for _, want := range []string{"run_time / fc", "UCL", "LCL", "^"} {
 		if !strings.Contains(chart, want) {
 			t.Fatalf("chart missing %q:\n%s", want, chart)
@@ -377,10 +396,10 @@ func TestRenderSurfaces(t *testing.T) {
 	o.Observe(KindLateness, SubjectFactory, 1, 86400, 0)
 	o.Observe(KindRunTime, "other", 1, 86400, 50)
 	f := FilterSubject(o.Report(), "fc")
-	if f.Find(KindRunTime, "other") != nil {
+	if find(f, KindRunTime, "other") != nil {
 		t.Fatal("filter kept foreign subject")
 	}
-	if f.Find(KindRunTime, "fc") == nil || f.Find(KindLateness, SubjectFactory) == nil {
+	if find(f, KindRunTime, "fc") == nil || find(f, KindLateness, SubjectFactory) == nil {
 		t.Fatal("filter dropped wanted series")
 	}
 }

@@ -13,9 +13,6 @@ import (
 
 func TestZeroVarianceBaseline(t *testing.T) {
 	flat := []float64{40000, 40000, 40000, 40000}
-	if sd := StdDev(flat); sd != 0 {
-		t.Fatalf("StdDev(flat) = %v, want 0", sd)
-	}
 	if mad := MAD(flat); mad != 0 {
 		t.Fatalf("MAD(flat) = %v, want 0", mad)
 	}
@@ -36,10 +33,6 @@ func TestSingleSample(t *testing.T) {
 	if mad := MAD(one); mad != 0 {
 		t.Fatalf("MAD = %v, want 0", mad)
 	}
-	// One sample has no spread to estimate: StdDev answers NaN.
-	if sd := StdDev(one); !math.IsNaN(sd) {
-		t.Fatalf("StdDev = %v, want NaN", sd)
-	}
 	if got := Outliers(one, 3); len(got) != 0 {
 		t.Fatalf("Outliers = %v, want none", got)
 	}
@@ -54,7 +47,6 @@ func TestEmptyInputNaNFree(t *testing.T) {
 		"Mean":   Mean(nil),
 		"Median": Median(nil),
 		"MAD":    MAD(nil),
-		"StdDev": StdDev(nil),
 	} {
 		if !math.IsNaN(got) {
 			t.Errorf("%s(nil) = %v, want NaN", name, got)

@@ -75,20 +75,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (NaN for n < 2).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, v := range xs {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // Median returns the median (NaN for empty input).
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -1,6 +1,7 @@
 package statsdb
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/logs"
@@ -40,7 +41,7 @@ func TestLoadRunsCreatesIndexedTable(t *testing.T) {
 		t.Fatalf("Len = %d", tbl.Len())
 	}
 	for _, col := range []string{"forecast", "code_version", "node"} {
-		if !tbl.Indexed(col) {
+		if !slices.Contains(tbl.IndexedColumns(), col) {
 			t.Fatalf("column %s not indexed", col)
 		}
 	}

@@ -1,6 +1,7 @@
 package statsdb
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -9,20 +10,20 @@ import (
 func TestLoadSpansAnswersQueries(t *testing.T) {
 	clock := 0.0
 	tr := telemetry.NewTracer(func() float64 { return clock })
-	campaign := tr.Begin("campaign", "campaign-2005", "factory", nil)
+	campaign := tr.Begin("campaign", "campaign-2005", "factory", 0)
 	day := tr.Begin("day", "day-001", "factory", campaign)
 	run := tr.Begin("run", "tillamook/1", "fnode01", day)
-	run.SetArg("forecast", "tillamook")
-	run.SetArg("day", "1")
-	run.SetArg("node", "fnode01")
+	tr.SetArg(run, "forecast", "tillamook")
+	tr.SetArg(run, "day", "1")
+	tr.SetArg(run, "node", "fnode01")
 	clock = 100
 	sim := tr.Begin("simulation", "sim:tillamook", "", run)
 	clock = 40100
-	sim.EndSpan()
-	run.EndSpan()
+	tr.End(sim)
+	tr.End(run)
 	clock = 86400
-	day.EndSpan()
-	campaign.EndSpan()
+	tr.End(day)
+	tr.End(campaign)
 
 	db := NewDB()
 	tbl, err := LoadSpans(db, tr.Spans())
@@ -33,7 +34,7 @@ func TestLoadSpansAnswersQueries(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", tbl.Len())
 	}
 	for _, col := range []string{"cat", "track"} {
-		if !tbl.Indexed(col) {
+		if !slices.Contains(tbl.IndexedColumns(), col) {
 			t.Fatalf("column %s not indexed", col)
 		}
 	}
@@ -64,8 +65,7 @@ func TestLoadSpansAnswersQueries(t *testing.T) {
 
 func TestLoadSpansInterruptedAndBadDay(t *testing.T) {
 	tr := telemetry.NewTracer(nil)
-	s := tr.Begin("run", "r", "n", nil)
-	_ = s
+	tr.Begin("run", "r", "n", 0)
 	tr.EndOpen() // closes the span with interrupted=true
 
 	db := NewDB()
@@ -82,9 +82,9 @@ func TestLoadSpansInterruptedAndBadDay(t *testing.T) {
 
 	// A non-integer day annotation is a descriptive error, not a panic.
 	bad := telemetry.NewTracer(nil)
-	b := bad.Begin("run", "b", "n", nil)
-	b.SetArg("day", "twenty")
-	b.EndSpan()
+	b := bad.Begin("run", "b", "n", 0)
+	bad.SetArg(b, "day", "twenty")
+	bad.End(b)
 	if _, err := LoadSpans(db, bad.Spans()); err == nil {
 		t.Fatal("expected error for non-integer day annotation")
 	}
@@ -96,7 +96,7 @@ func TestLoadSpansInterruptedAndBadDay(t *testing.T) {
 func TestLoadSpansIdempotent(t *testing.T) {
 	clock := 0.0
 	tr := telemetry.NewTracer(func() float64 { return clock })
-	run := tr.Begin("run", "tillamook/1", "fnode01", nil)
+	run := tr.Begin("run", "tillamook/1", "fnode01", 0)
 	clock = 500
 
 	db := NewDB()
@@ -112,7 +112,7 @@ func TestLoadSpansIdempotent(t *testing.T) {
 	if tbl.Len() != 1 {
 		t.Fatalf("after duplicate load Len = %d, want 1", tbl.Len())
 	}
-	if !tbl.Indexed("id") {
+	if !slices.Contains(tbl.IndexedColumns(), "id") {
 		t.Fatal("span id not indexed")
 	}
 
@@ -120,8 +120,8 @@ func TestLoadSpansIdempotent(t *testing.T) {
 	// and a new child. The old row is updated, the child inserted.
 	sim := tr.Begin("simulation", "sim:tillamook", "", run)
 	clock = 900
-	sim.EndSpan()
-	run.EndSpan()
+	tr.End(sim)
+	tr.End(run)
 	if _, err := LoadSpans(db, tr.Spans()); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package statsdb
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -110,7 +111,7 @@ func TestIndexProbeMatchesScan(t *testing.T) {
 			if err := tbl.CreateIndex(c.pred.Col); err != nil {
 				t.Fatal(err)
 			}
-			if !tbl.Indexed(c.pred.Col) {
+			if !slices.Contains(tbl.IndexedColumns(), c.pred.Col) {
 				t.Fatal("index not reported")
 			}
 			probe, probeErr := Select(tbl).Where(c.pred).Run()

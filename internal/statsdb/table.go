@@ -224,9 +224,6 @@ func NewTable(name string, schema Schema) (*Table, error) {
 	return &Table{name: name, schema: append(Schema(nil), schema...), cols: cols}, nil
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
 // Schema returns a copy of the table's schema.
 func (t *Table) Schema() Schema { return append(Schema(nil), t.schema...) }
 
@@ -249,12 +246,6 @@ func (t *Table) CreateIndex(column string) error {
 		c.index.add(c.key(r), int32(r))
 	}
 	return nil
-}
-
-// Indexed reports whether a column has a hash index.
-func (t *Table) Indexed(column string) bool {
-	ci := t.schema.Index(column)
-	return ci >= 0 && t.cols[ci].index != nil
 }
 
 // IndexedColumns returns the indexed column names, sorted.

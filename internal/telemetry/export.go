@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -128,40 +127,4 @@ func promFloat(v float64) string {
 	default:
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
-}
-
-// jsonSeries mirrors SeriesSnapshot with stable JSON field names.
-type jsonSeries struct {
-	Labels     Labels    `json:"labels,omitempty"`
-	Value      float64   `json:"value"`
-	Count      uint64    `json:"count,omitempty"`
-	Bounds     []float64 `json:"bounds,omitempty"`
-	Cumulative []uint64  `json:"cumulative,omitempty"`
-}
-
-type jsonFamily struct {
-	Name   string       `json:"name"`
-	Kind   string       `json:"kind"`
-	Help   string       `json:"help,omitempty"`
-	Series []jsonSeries `json:"series"`
-}
-
-// WriteJSON renders the registry as a JSON array of metric families, for
-// programmatic consumers that do not speak the Prometheus text format.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	fams := r.Snapshot()
-	out := make([]jsonFamily, 0, len(fams))
-	for _, f := range fams {
-		jf := jsonFamily{Name: f.Name, Kind: f.Kind.String(), Help: f.Help}
-		for _, s := range f.Series {
-			jf.Series = append(jf.Series, jsonSeries{
-				Labels: s.Labels, Value: s.Value, Count: s.Count,
-				Bounds: s.Bounds, Cumulative: s.Cumulative,
-			})
-		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

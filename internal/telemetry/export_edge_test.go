@@ -58,18 +58,6 @@ func TestWritePrometheusEmptyRegistry(t *testing.T) {
 	}
 }
 
-// TestWriteJSONEmptyRegistry must produce an empty array, not null, so
-// consumers can always range over the result.
-func TestWriteJSONEmptyRegistry(t *testing.T) {
-	var b bytes.Buffer
-	if err := NewRegistry().WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(b.String()); got != "[]" {
-		t.Errorf("empty registry JSON = %q, want []", got)
-	}
-}
-
 // TestHistogramBucketBoundarySemantics pins down the `le` contract: an
 // observation exactly at a bucket bound counts into that bucket.
 func TestHistogramBucketBoundarySemantics(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 func TestWriteFiles(t *testing.T) {
 	tel := New()
 	tel.Registry().Counter("jobs_total", nil).Add(3)
-	tel.Trace().Begin("run", "sim", "fnode01", nil).EndSpan()
+	tel.Trace().End(tel.Trace().Begin("run", "sim", "fnode01", 0))
 	var notes bytes.Buffer
 	dir := t.TempDir()
 	metrics, trace := filepath.Join(dir, "m.prom"), filepath.Join(dir, "t.json")

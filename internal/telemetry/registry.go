@@ -7,14 +7,14 @@
 // store. The seed repository reconstructed behaviour after the fact by
 // crawling log files; this package collects it online instead, the way
 // Tuor et al. feed scheduler decisions from continuously collected run
-// telemetry. Metrics export as Prometheus text and JSON; spans export as
+// telemetry. Metrics export as Prometheus text; spans export as
 // Chrome trace-event JSON (chrome://tracing) and load into
 // internal/statsdb so they are SQL-queryable alongside run records.
 //
 // Every type in this package is nil-safe: methods on a nil *Registry,
-// *Counter, *Gauge, *Histogram, *Tracer, or *Span are no-ops. Code
-// instruments its hot paths unconditionally and pays (almost) nothing
-// when telemetry is disabled.
+// *Counter, *Gauge, *Histogram or *Tracer are no-ops. Code instruments
+// its hot paths unconditionally and pays (almost) nothing when telemetry
+// is disabled.
 package telemetry
 
 import (
@@ -156,16 +156,6 @@ func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // snapshot returns bounds and cumulative counts.

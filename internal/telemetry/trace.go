@@ -10,17 +10,9 @@ import (
 
 // Span is one timed operation in the factory's hierarchy:
 // campaign → day → run → {simulation, product task, rsync transfer,
-// planner pass}. Spans are created by Tracer.Begin and closed by End; a
-// nil Span ignores all operations, so call sites need no telemetry
-// checks.
-//
-// A live span (one Begin returned) carries the fields fixed at Begin —
-// ID, Parent, Cat, Name, Track and Start — and reads its end and
-// annotations through Finished, Duration and Arg. The detached copies
-// Tracer.Spans returns carry every field.
+// planner pass}, as Tracer.Spans reports it. Spans are opened by
+// Tracer.Begin, which returns the span's ID, and closed by Tracer.End.
 type Span struct {
-	tracer *Tracer
-
 	ID     int64
 	Parent int64 // 0 = root
 	Cat    string
@@ -30,79 +22,8 @@ type Span struct {
 	// the link name for transfers.
 	Track string
 	Start float64 // sim seconds
-	End   float64 // sim seconds; valid once Finished
+	End   float64 // sim seconds; the current sim time while still open
 	Args  map[string]string
-
-	finished bool
-}
-
-// Finished reports whether the span has ended.
-func (s *Span) Finished() bool {
-	if s == nil {
-		return false
-	}
-	if s.tracer == nil { // detached copy from Spans()
-		return s.finished
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return s.tracer.rec(s.ID).finished
-}
-
-// Duration returns End-Start for a finished span, else the time elapsed
-// so far.
-func (s *Span) Duration() float64 {
-	if s == nil {
-		return 0
-	}
-	if s.tracer == nil {
-		return s.End - s.Start
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	if r := s.tracer.rec(s.ID); r.finished {
-		return r.end - r.start
-	}
-	return s.tracer.clock() - s.Start
-}
-
-// SetArg attaches a key/value annotation (forecast name, day, bytes...).
-func (s *Span) SetArg(key, value string) {
-	if s == nil {
-		return
-	}
-	if s.tracer == nil {
-		if s.Args == nil {
-			s.Args = make(map[string]string, 4)
-		}
-		s.Args[key] = value
-		return
-	}
-	s.tracer.mu.Lock()
-	s.tracer.setArg(s.ID, key, value)
-	s.tracer.mu.Unlock()
-}
-
-// Arg reads an annotation ("" when absent or on nil).
-func (s *Span) Arg(key string) string {
-	if s == nil {
-		return ""
-	}
-	if s.tracer == nil {
-		return s.Args[key]
-	}
-	s.tracer.mu.Lock()
-	defer s.tracer.mu.Unlock()
-	return s.tracer.args[s.ID][key]
-}
-
-// EndSpan closes the span at the tracer's current sim time. Ending an
-// already-ended, detached, or nil span is a no-op.
-func (s *Span) EndSpan() {
-	if s == nil || s.tracer == nil {
-		return
-	}
-	s.tracer.EndID(s.ID)
 }
 
 // spanRec is the tracer's own record of one span. It holds no pointers
@@ -119,8 +40,9 @@ type spanRec struct {
 	hasArgs          bool
 }
 
-// Tracer records sim-time spans. Create with NewTracer; a nil Tracer
-// hands out nil spans. Safe for concurrent use.
+// Tracer records sim-time spans. Create with NewTracer. A nil Tracer
+// hands out span ID 0, and every method ignores ID 0, so call sites need
+// no telemetry checks. Safe for concurrent use.
 type Tracer struct {
 	mu    sync.Mutex
 	clock func() float64
@@ -202,53 +124,45 @@ func (t *Tracer) setArg(id int64, key, value string) {
 	t.rec(id).hasArgs = true
 }
 
-// Begin opens a span under parent (nil for a root span) at the current
-// sim time.
-func (t *Tracer) Begin(cat, name, track string, parent *Span) *Span {
-	id := t.BeginID(cat, name, track, parent)
-	if id == 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r := t.rec(id)
-	return &Span{tracer: t, ID: id, Parent: r.parent, Cat: cat, Name: name, Track: t.strs[r.track], Start: r.start}
-}
-
-// BeginID opens a span as Begin does but returns only its ID and
-// allocates nothing: for a hot path that opens many short spans and
-// closes each with EndID, such as a campaign's product tasks. A nil
-// tracer returns 0, which EndID ignores.
-func (t *Tracer) BeginID(cat, name, track string, parent *Span) int64 {
+// Begin opens a span under parent (0 for a root span) at the current
+// sim time and returns its ID. A span with no track of its own inherits
+// its parent's. Begin allocates nothing once the span's strings are
+// interned, so a hot path may open many short spans, such as a
+// campaign's product tasks.
+func (t *Tracer) Begin(cat, name, track string, parent int64) int64 {
 	if t == nil {
 		return 0
 	}
-	var pid int64
-	if parent != nil {
-		pid = parent.ID
-		if track == "" {
-			track = parent.Track
-		}
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	r := spanRec{parent: parent, start: t.clock(), cat: t.intern(cat), name: t.intern(name)}
+	if track == "" && parent > 0 && parent <= t.n {
+		r.track = t.rec(parent).track
+	} else {
+		r.track = t.intern(track)
+	}
 	if t.n%tracerChunk == 0 {
 		t.chunks = append(t.chunks, make([]spanRec, tracerChunk))
 	}
 	t.n++
-	*t.rec(t.n) = spanRec{
-		parent: pid,
-		start:  t.clock(),
-		cat:    t.intern(cat),
-		name:   t.intern(name),
-		track:  t.intern(track),
-	}
+	*t.rec(t.n) = r
 	return t.n
 }
 
-// EndID closes span id at the current sim time, as Span.EndSpan does.
-// Ending an already-ended span, or ID 0, is a no-op.
-func (t *Tracer) EndID(id int64) {
+// SetArg attaches a key/value annotation (forecast name, day, bytes...)
+// to span id. ID 0 is ignored.
+func (t *Tracer) SetArg(id int64, key, value string) {
+	if t == nil || id <= 0 {
+		return
+	}
+	t.mu.Lock()
+	t.setArg(id, key, value)
+	t.mu.Unlock()
+}
+
+// End closes span id at the current sim time. Ending an already-ended
+// span, or ID 0, is a no-op.
+func (t *Tracer) End(id int64) {
 	if t == nil || id <= 0 {
 		return
 	}
@@ -303,14 +217,13 @@ func (t *Tracer) Spans() []Span {
 		id := int64(i) + 1
 		r := t.rec(id)
 		c := Span{
-			ID:       id,
-			Parent:   r.parent,
-			Cat:      t.strs[r.cat],
-			Name:     t.strs[r.name],
-			Track:    t.strs[r.track],
-			Start:    r.start,
-			End:      r.end,
-			finished: r.finished,
+			ID:     id,
+			Parent: r.parent,
+			Cat:    t.strs[r.cat],
+			Name:   t.strs[r.name],
+			Track:  t.strs[r.track],
+			Start:  r.start,
+			End:    r.end,
 		}
 		if !r.finished {
 			c.End = now

@@ -12,15 +12,15 @@ import (
 func TestNestedSpansEndedOutOfOrder(t *testing.T) {
 	clock := 0.0
 	tr := NewTracer(func() float64 { return clock })
-	parent := tr.Begin("run", "r", "n1", nil)
+	parent := tr.Begin("run", "r", "n1", 0)
 	clock = 10
 	child := tr.Begin("simulation", "s", "", parent)
 	// The parent ends before its child — a crashed workflow master whose
 	// simulation stream is still draining.
 	clock = 50
-	parent.EndSpan()
+	tr.End(parent)
 	clock = 80
-	child.EndSpan()
+	tr.End(child)
 
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -46,10 +46,10 @@ func TestNestedSpansEndedOutOfOrder(t *testing.T) {
 func TestEndOpenMarksOnlyUnfinishedSpans(t *testing.T) {
 	clock := 0.0
 	tr := NewTracer(func() float64 { return clock })
-	done := tr.Begin("run", "done", "n1", nil)
+	done := tr.Begin("run", "done", "n1", 0)
 	clock = 100
-	done.EndSpan()
-	open := tr.Begin("run", "open", "n1", nil)
+	tr.End(done)
+	open := tr.Begin("run", "open", "n1", 0)
 	clock = 250
 	tr.EndOpen()
 
@@ -57,77 +57,70 @@ func TestEndOpenMarksOnlyUnfinishedSpans(t *testing.T) {
 	for _, s := range tr.Spans() {
 		byName[s.Name] = s
 	}
-	if got := byName["done"]; got.End != 100 || got.Arg("interrupted") != "" {
+	if got := byName["done"]; got.End != 100 || got.Args["interrupted"] != "" {
 		t.Errorf("finished span was rewritten by EndOpen: %+v", got)
 	}
-	if got := byName["open"]; got.End != 250 || got.Arg("interrupted") != "true" {
+	if got := byName["open"]; got.End != 250 || got.Args["interrupted"] != "true" {
 		t.Errorf("open span not stamped interrupted at 250: %+v", got)
 	}
 
-	// EndSpan after EndOpen is a no-op: the interruption time stands
-	// (the span ran 100 → 250).
+	// End after EndOpen is a no-op: the interruption time stands (the
+	// span ran 100 → 250).
 	clock = 400
-	open.EndSpan()
-	if got := open.Duration(); got != 150 {
-		t.Errorf("duration after late EndSpan = %v, want 150", got)
+	tr.End(open)
+	if got := tr.Spans()[open-1]; got.End-got.Start != 150 {
+		t.Errorf("duration after late End = %v, want 150", got.End-got.Start)
 	}
 }
 
 func TestDurationOnUnfinishedSpans(t *testing.T) {
 	clock := 0.0
 	tr := NewTracer(func() float64 { return clock })
-	s := tr.Begin("run", "r", "n1", nil)
+	s := tr.Begin("run", "r", "n1", 0)
 	clock = 30
-	// A live unfinished span reports elapsed time so far.
-	if got := s.Duration(); got != 30 {
-		t.Errorf("live unfinished duration = %v, want 30", got)
-	}
-	if s.Finished() {
-		t.Error("span reports finished before EndSpan")
-	}
-	// A detached snapshot freezes the unfinished span at export time.
+	// An unfinished span is exported with the elapsed time so far, and
+	// the exported copy stays frozen at export time.
 	snap := tr.Spans()[0]
+	if got := snap.End - snap.Start; got != 30 {
+		t.Errorf("unfinished duration = %v, want 30", got)
+	}
 	clock = 90
-	if got := snap.Duration(); got != 30 {
-		t.Errorf("detached unfinished duration = %v, want frozen 30", got)
+	if got := snap.End - snap.Start; got != 30 {
+		t.Errorf("exported unfinished duration = %v, want frozen 30", got)
 	}
-	if snap.Finished() {
-		t.Error("detached copy of an unfinished span claims to be finished")
+	// The tracer keeps tracking the clock, then freezes the span at End.
+	if got := tr.Spans()[0].End; got != 90 {
+		t.Errorf("unfinished end after clock advance = %v, want 90", got)
 	}
-	// The live span keeps tracking the clock, then freezes at EndSpan.
-	if got := s.Duration(); got != 90 {
-		t.Errorf("live duration after clock advance = %v, want 90", got)
-	}
-	s.EndSpan()
+	tr.End(s)
 	clock = 500
-	if got := s.Duration(); got != 90 {
-		t.Errorf("finished duration = %v, want 90", got)
+	if got := tr.Spans()[0].End; got != 90 {
+		t.Errorf("finished end = %v, want 90", got)
 	}
-	if !s.Finished() {
-		t.Error("span not finished after EndSpan")
+	// A nil tracer (disabled telemetry) hands out ID 0 and is inert.
+	var nilTr *Tracer
+	if id := nilTr.Begin("run", "r", "n1", 0); id != 0 {
+		t.Errorf("nil tracer Begin = %d, want 0", id)
 	}
-	// Nil spans (disabled telemetry) are inert.
-	var nilSpan *Span
-	if nilSpan.Duration() != 0 || nilSpan.Finished() {
-		t.Error("nil span must report zero duration, not finished")
+	nilTr.End(0) // must not panic
+	tr.End(0)    // ID 0 is ignored
+	tr.SetArg(0, "k", "v")
+	if got := tr.Spans()[0]; got.End != 90 || got.Args != nil {
+		t.Errorf("ID 0 touched span 1: %+v", got)
 	}
-	nilSpan.EndSpan() // must not panic
 }
 
 func TestLiveSpanArgs(t *testing.T) {
 	tr := NewTracer(nil)
-	s := tr.Begin("run", "r", "n1", nil)
-	s.SetArg("forecast", "f")
-	if got := s.Arg("forecast"); got != "f" {
-		t.Errorf("live Arg(forecast) = %q, want f", got)
+	s := tr.Begin("run", "r", "n1", 0)
+	tr.SetArg(s, "forecast", "f")
+	if got := tr.Spans()[0].Args["forecast"]; got != "f" {
+		t.Errorf("Args[forecast] of an open span = %q, want f", got)
 	}
 	tr.EndOpen()
-	if got := s.Arg("interrupted"); got != "true" {
-		t.Errorf("live Arg(interrupted) = %q after EndOpen, want true", got)
-	}
 	// Exported args are copies: editing one leaves the trace as recorded.
 	snap := tr.Spans()[0]
-	if len(snap.Args) != 2 || snap.Args["forecast"] != "f" {
+	if len(snap.Args) != 2 || snap.Args["forecast"] != "f" || snap.Args["interrupted"] != "true" {
 		t.Fatalf("exported args = %v", snap.Args)
 	}
 	snap.Args["forecast"] = "edited"

@@ -16,22 +16,22 @@ func TestSpanHierarchy(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.Now)
 
-	campaign := tr.Begin("campaign", "campaign-2005", "factory", nil)
+	campaign := tr.Begin("campaign", "campaign-2005", "factory", 0)
 	clk.now = 100
 	day := tr.Begin("day", "day-021", "factory", campaign)
 	run := tr.Begin("run", "forecast-tillamook/21", "fnode01", day)
-	run.SetArg("forecast", "forecast-tillamook")
+	tr.SetArg(run, "forecast", "forecast-tillamook")
 	clk.now = 500
 	sim := tr.Begin("simulation", "sim:forecast-tillamook", "", run)
-	if sim.Track != "fnode01" {
-		t.Fatalf("child track = %q, want inherited fnode01", sim.Track)
+	if got := tr.Spans()[sim-1].Track; got != "fnode01" {
+		t.Fatalf("child track = %q, want inherited fnode01", got)
 	}
 	clk.now = 900
-	sim.EndSpan()
-	run.EndSpan()
-	day.EndSpan()
+	tr.End(sim)
+	tr.End(run)
+	tr.End(day)
 	clk.now = 1000
-	campaign.EndSpan()
+	tr.End(campaign)
 
 	spans := tr.Spans()
 	if len(spans) != 4 {
@@ -47,42 +47,39 @@ func TestSpanHierarchy(t *testing.T) {
 	if spans[2].Args["forecast"] != "forecast-tillamook" {
 		t.Fatalf("run span args = %v", spans[2].Args)
 	}
-	if run.Duration() != 800 {
-		t.Fatalf("run duration = %v, want 800", run.Duration())
+	if d := spans[2].End - spans[2].Start; d != 800 {
+		t.Fatalf("run duration = %v, want 800", d)
 	}
 }
 
 func TestEndOpenMarksInterrupted(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.Now)
-	s := tr.Begin("run", "r", "n", nil)
+	s := tr.Begin("run", "r", "n", 0)
 	clk.now = 50
 	tr.EndOpen()
-	if !s.Finished() {
-		t.Fatal("EndOpen left span unfinished")
-	}
 	got := tr.Spans()[0]
 	if got.End != 50 || got.Args["interrupted"] != "true" {
 		t.Fatalf("span = %+v", got)
 	}
 	// Double-end is a no-op.
 	clk.now = 99
-	s.EndSpan()
+	tr.End(s)
 	if tr.Spans()[0].End != 50 {
-		t.Fatal("EndSpan after EndOpen moved the end time")
+		t.Fatal("End after EndOpen moved the end time")
 	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.Now)
-	a := tr.Begin("run", "runA", "fnode01", nil)
+	a := tr.Begin("run", "runA", "fnode01", 0)
 	clk.now = 2
 	b := tr.Begin("transfer", "rsync:x", "lan", a)
 	clk.now = 3
-	b.EndSpan()
+	tr.End(b)
 	clk.now = 5
-	a.EndSpan()
+	tr.End(a)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -134,9 +131,9 @@ func TestTracerConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s := tr.Begin("cat", "n", "track", nil)
-				s.SetArg("i", "x")
-				s.EndSpan()
+				s := tr.Begin("cat", "n", "track", 0)
+				tr.SetArg(s, "i", "x")
+				tr.End(s)
 			}
 		}()
 	}

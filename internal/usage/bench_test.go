@@ -37,7 +37,7 @@ func benchCampaign(forecasts, days, incs int, sampled bool) float64 {
 			n := nodes[f%len(nodes)]
 			name := fmt.Sprintf("f%02d", f)
 			start := float64(d)*86400 + float64(f%4)*900
-			e.At(start, func() {
+			e.Scope("test").At(start, func() {
 				var next func(i int)
 				next = func(i int) {
 					if i >= incs {

@@ -43,13 +43,6 @@ func LoadSamples(db *statsdb.DB, samples []Sample) (*statsdb.Table, error) {
 	return samplesTable.Insert(db, samples...)
 }
 
-// ReadSamples reads the node_usage rows back in table order — the
-// inverse of LoadSamples, so a forensics Timeline can be rebuilt from a
-// persisted database long after the sampler is gone.
-func ReadSamples(db *statsdb.DB) ([]Sample, error) {
-	return samplesTable.Read(db)
-}
-
 // LoadDrift appends drift records into the drift table, creating it (via
 // the v3 migration) if missing.
 func LoadDrift(db *statsdb.DB, ds []Drift) (*statsdb.Table, error) {

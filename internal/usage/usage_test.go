@@ -2,6 +2,7 @@ package usage
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -109,7 +110,7 @@ func TestSeparateWindowsAcrossRealGap(t *testing.T) {
 	s := NewSampler(c, Options{Interval: 600})
 	n.Submit("a", 100, nil)
 	n.Submit("b", 100, nil) // both done at 200; contention [0,200]
-	e.At(300, func() {
+	e.Scope("test").At(300, func() {
 		n.Submit("c", 100, nil)
 		n.Submit("d", 100, nil) // contention [300,500]
 	})
@@ -139,8 +140,8 @@ func TestDownNodeAccounting(t *testing.T) {
 	s := NewSampler(c, Options{Interval: 1000})
 	n.Submit("a", 200, nil)
 	n.Submit("b", 200, nil) // contended from 0
-	e.At(100, func() { n.Fail() })
-	e.At(400, func() { n.Repair() })
+	e.Scope("test").At(100, func() { n.Fail() })
+	e.Scope("test").At(400, func() { n.Repair() })
 	e.Run() // jobs freeze 100..400, finish at 100+300(down)+300 = 700
 	s.Finalize(1000)
 
@@ -197,7 +198,7 @@ func TestNodeAddedMidRun(t *testing.T) {
 	c.AddNode("m", 1, 1.0)
 	s := NewSampler(c, Options{Interval: 100})
 	s.Start(600)
-	e.At(250, func() {
+	e.Scope("test").At(250, func() {
 		b := c.AddNode("b", 1, 1.0)
 		b.Submit("x", 100, nil)
 		b.Submit("y", 100, nil) // both at share 1/2 until 450
@@ -261,34 +262,29 @@ func TestNodeAddedMidRun(t *testing.T) {
 	}
 }
 
-// TestTimelineIntegrals integrates a replayed timeline: share weighted by
-// running time, down time pro-rated, and the nil Timeline's defaults.
+// TestTimelineIntegrals integrates one node's timeline: share weighted
+// by running time, down time pro-rated, and no samples' defaults.
 func TestTimelineIntegrals(t *testing.T) {
-	tl := NewTimeline([]Sample{
+	n1 := []Sample{
 		{Node: "n1", Start: 0, End: 100, MeanShare: 1.0},
 		{Node: "n1", Start: 100, End: 200, MeanShare: 0.5, DownSecs: 20},
-		{Node: "n2", Start: 0, End: 100, MeanShare: 0.25},
-	})
-	// Full overlap of both n1 samples: run time 100 + 80, share-weighted.
+	}
+	// Full overlap of both samples: run time 100 + 80, share-weighted.
 	want := (1.0*100 + 0.5*80) / 180
-	if got := tl.MeanShareOver("n1", 0, 200); !almost(got, want) {
-		t.Errorf("MeanShareOver(n1, 0, 200) = %v, want %v", got, want)
+	if got := meanShareOver(n1, 0, 200); !almost(got, want) {
+		t.Errorf("meanShareOver(n1, 0, 200) = %v, want %v", got, want)
 	}
 	// Half overlap of the second sample pro-rates run and down time.
 	want = (1.0*100 + 0.5*40) / 140
-	if got := tl.MeanShareOver("n1", 0, 150); !almost(got, want) {
-		t.Errorf("MeanShareOver(n1, 0, 150) = %v, want %v", got, want)
+	if got := meanShareOver(n1, 0, 150); !almost(got, want) {
+		t.Errorf("meanShareOver(n1, 0, 150) = %v, want %v", got, want)
 	}
-	if got := tl.DownSecsOver("n1", 0, 150); !almost(got, 10) {
-		t.Errorf("DownSecsOver(n1, 0, 150) = %v, want 10", got)
+	if got := downSecsOver(n1, 0, 150); !almost(got, 10) {
+		t.Errorf("downSecsOver(n1, 0, 150) = %v, want 10", got)
 	}
-	// No samples / nil timeline: share 1, no down time.
-	if got := tl.MeanShareOver("missing", 0, 100); got != 1 {
-		t.Errorf("MeanShareOver on unknown node = %v, want 1", got)
-	}
-	var nilTL *Timeline
-	if nilTL.MeanShareOver("n1", 0, 10) != 1 || nilTL.DownSecsOver("n1", 0, 10) != 0 {
-		t.Error("nil Timeline must report share 1 and no down time")
+	// No samples: share 1, no down time.
+	if meanShareOver(nil, 0, 100) != 1 || downSecsOver(nil, 0, 100) != 0 {
+		t.Error("a node without samples must report share 1 and no down time")
 	}
 }
 
@@ -479,7 +475,7 @@ func TestStatsdbRoundTrip(t *testing.T) {
 	if row[3].Float() != 0 || row[4].Float() != 0 {
 		t.Errorf("non-finite floats persisted as %v/%v, want 0/0", row[3].Float(), row[4].Float())
 	}
-	if !tbl.Indexed("node") {
+	if !slices.Contains(tbl.IndexedColumns(), "node") {
 		t.Error("node_usage missing node index")
 	}
 
@@ -489,8 +485,8 @@ func TestStatsdbRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dtbl.Len() != 1 || !dtbl.Indexed("forecast") {
-		t.Fatalf("drift table: %d rows, indexed=%v", dtbl.Len(), dtbl.Indexed("forecast"))
+	if dtbl.Len() != 1 || !slices.Contains(dtbl.IndexedColumns(), "forecast") {
+		t.Fatalf("drift table: %d rows, indexed=%v", dtbl.Len(), slices.Contains(dtbl.IndexedColumns(), "forecast"))
 	}
 
 	// Loading again is pure append: the migration must not re-run or fail.

@@ -47,7 +47,7 @@ type File struct {
 	// sorted caches a directory's children in name order. Adding a child
 	// drops it (sets it to nil, never edits it in place, so a walk
 	// already iterating the old slice keeps its snapshot); the next Walk
-	// or ReadDir of the directory rebuilds it.
+	// of the directory rebuilds it.
 	sorted []*File
 }
 
@@ -110,9 +110,9 @@ func regular(f *File) *File {
 // FS is an in-memory filesystem. The zero value is not usable; use New.
 //
 // An FS has no lock and is not safe for concurrent use; the simulation
-// drives it from one goroutine. Reads are not read-only either: Walk and
-// ReadDir fill each directory's name-ordered listing cache on first read
-// after a change.
+// drives it from one goroutine. Reads are not read-only either: Walk
+// fills each directory's name-ordered listing cache on first read after
+// a change.
 type FS struct {
 	root *File
 	// clock supplies the virtual time for mtimes. It may be nil, in which
@@ -228,13 +228,6 @@ func (fs *FS) create(p string) (*File, error) {
 	return f, nil
 }
 
-// Create makes an empty regular file (size-only). Parents are created as
-// needed. It is an error if the file already exists.
-func (fs *FS) Create(p string) error {
-	_, err := fs.create(p)
-	return err
-}
-
 // Append grows a size-only file by n bytes, creating it if absent.
 func (fs *FS) Append(p string, n int64) error {
 	if n < 0 {
@@ -311,15 +304,6 @@ func (fs *FS) ReadFile(p string) (string, error) {
 	return string(f.content), nil
 }
 
-// Stat returns metadata for a path.
-func (fs *FS) Stat(p string) (FileInfo, error) {
-	f := fs.lookup(p)
-	if f == nil {
-		return FileInfo{}, fmt.Errorf("stat %s: %w", clean(p), ErrNotExist)
-	}
-	return f.info, nil
-}
-
 // Exists reports whether the path exists.
 func (fs *FS) Exists(p string) bool { return fs.lookup(p) != nil }
 
@@ -338,23 +322,6 @@ func (fs *FS) OpenDir(p string) *Dir {
 		return (*Dir)(f)
 	}
 	return nil
-}
-
-// ReadDir lists the entries of a directory in name order.
-func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
-	f := fs.lookup(p)
-	if f == nil {
-		return nil, fmt.Errorf("readdir %s: %w", clean(p), ErrNotExist)
-	}
-	if !f.info.IsDir {
-		return nil, fmt.Errorf("readdir %s: %w", clean(p), ErrNotDir)
-	}
-	ents := f.entries()
-	infos := make([]FileInfo, len(ents))
-	for i, c := range ents {
-		infos[i] = c.info
-	}
-	return infos, nil
 }
 
 // Walk visits every file and directory under root in depth-first,

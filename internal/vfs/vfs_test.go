@@ -11,12 +11,21 @@ import (
 	"testing/quick"
 )
 
+// stat returns the metadata at p.
+func stat(fs *FS, p string) (FileInfo, error) {
+	f := fs.lookup(p)
+	if f == nil {
+		return FileInfo{}, ErrNotExist
+	}
+	return f.info, nil
+}
+
 func TestCreateAndStat(t *testing.T) {
 	fs := New(nil)
-	if err := fs.Create("/runs/tillamook/out.63"); err != nil {
+	if _, err := fs.create("/runs/tillamook/out.63"); err != nil {
 		t.Fatal(err)
 	}
-	info, err := fs.Stat("/runs/tillamook/out.63")
+	info, err := stat(fs, "/runs/tillamook/out.63")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +33,7 @@ func TestCreateAndStat(t *testing.T) {
 		t.Fatalf("unexpected info %+v", info)
 	}
 	// Parents were created.
-	dir, err := fs.Stat("/runs/tillamook")
+	dir, err := stat(fs, "/runs/tillamook")
 	if err != nil || !dir.IsDir {
 		t.Fatalf("parent dir: %+v, %v", dir, err)
 	}
@@ -32,10 +41,10 @@ func TestCreateAndStat(t *testing.T) {
 
 func TestCreateExistingFails(t *testing.T) {
 	fs := New(nil)
-	if err := fs.Create("/a"); err != nil {
+	if _, err := fs.create("/a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Create("/a"); !errors.Is(err, ErrExist) {
+	if _, err := fs.create("/a"); !errors.Is(err, ErrExist) {
 		t.Fatalf("err = %v, want ErrExist", err)
 	}
 }
@@ -107,13 +116,13 @@ func TestMTimeUsesClock(t *testing.T) {
 	if err := fs.Append("/f", 1); err != nil {
 		t.Fatal(err)
 	}
-	info, _ := fs.Stat("/f")
+	info, _ := stat(fs, "/f")
 	if info.MTime != 42 {
 		t.Fatalf("MTime = %v, want 42", info.MTime)
 	}
 	now = 100
 	_ = fs.Append("/f", 1)
-	info, _ = fs.Stat("/f")
+	info, _ = stat(fs, "/f")
 	if info.MTime != 100 {
 		t.Fatalf("MTime = %v, want 100", info.MTime)
 	}
@@ -122,17 +131,13 @@ func TestMTimeUsesClock(t *testing.T) {
 func TestReadDirSorted(t *testing.T) {
 	fs := New(nil)
 	for _, name := range []string{"/d/c", "/d/a", "/d/b"} {
-		if err := fs.Create(name); err != nil {
+		if _, err := fs.create(name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	infos, err := fs.ReadDir("/d")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var names []string
-	for _, info := range infos {
-		names = append(names, info.Name)
+	for _, f := range fs.lookup("/d").entries() {
+		names = append(names, f.info.Name)
 	}
 	if strings.Join(names, ",") != "a,b,c" {
 		t.Fatalf("names = %v", names)
@@ -141,12 +146,12 @@ func TestReadDirSorted(t *testing.T) {
 
 func TestReadDirErrors(t *testing.T) {
 	fs := New(nil)
-	if _, err := fs.ReadDir("/missing"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("err = %v, want ErrNotExist", err)
+	if fs.OpenDir("/missing") != nil {
+		t.Fatal("opened a missing directory")
 	}
-	_ = fs.Create("/file")
-	if _, err := fs.ReadDir("/file"); !errors.Is(err, ErrNotDir) {
-		t.Fatalf("err = %v, want ErrNotDir", err)
+	fs.create("/file")
+	if fs.OpenDir("/file") != nil {
+		t.Fatal("opened a regular file as a directory")
 	}
 }
 
@@ -154,7 +159,7 @@ func TestWalkVisitsEverything(t *testing.T) {
 	fs := New(nil)
 	paths := []string{"/runs/a/out.63", "/runs/a/run.log", "/runs/b/out.63"}
 	for _, p := range paths {
-		if err := fs.Create(p); err != nil {
+		if _, err := fs.create(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +183,7 @@ func TestWalkVisitsEverything(t *testing.T) {
 }
 
 // TestListingsTrackChangesBetweenWalks interleaves creates and MkdirAll
-// with walks: every Walk and ReadDir lists exactly the live entries
+// with walks: every Walk and directory listing holds exactly the live entries
 // in the order a fresh sort gives. Names like "a" and "a-b" make the walk
 // order differ from a plain sort of full paths ('-' sorts before '/').
 func TestListingsTrackChangesBetweenWalks(t *testing.T) {
@@ -197,7 +202,7 @@ func TestListingsTrackChangesBetweenWalks(t *testing.T) {
 		p := randomPath()
 		switch rng.Intn(2) {
 		case 0:
-			if fs.Create(p) == nil {
+			if _, err := fs.create(p); err == nil {
 				for q := p; q != "/"; q = path.Dir(q) {
 					live[q] = true
 				}
@@ -225,16 +230,12 @@ func TestListingsTrackChangesBetweenWalks(t *testing.T) {
 			t.Fatalf("step %d: walk = %v, want %v", step, walked, want)
 		}
 		for _, dir := range want {
-			if info, _ := fs.Stat(dir); !info.IsDir {
+			if info, _ := stat(fs, dir); !info.IsDir {
 				continue
 			}
-			infos, err := fs.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var got, wantKids []string
-			for _, info := range infos {
-				got = append(got, info.Path)
+			for _, f := range fs.lookup(dir).entries() {
+				got = append(got, f.info.Path)
 			}
 			for _, q := range want {
 				if q != "/" && path.Dir(q) == dir {
@@ -242,7 +243,7 @@ func TestListingsTrackChangesBetweenWalks(t *testing.T) {
 				}
 			}
 			if !slices.Equal(got, wantKids) {
-				t.Fatalf("step %d: ReadDir(%s) = %v, want %v", step, dir, got, wantKids)
+				t.Fatalf("step %d: entries of %s = %v, want %v", step, dir, got, wantKids)
 			}
 		}
 	}
@@ -250,8 +251,8 @@ func TestListingsTrackChangesBetweenWalks(t *testing.T) {
 
 func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
 	fs := New(nil)
-	_ = fs.Create("/d/a")
-	_ = fs.Create("/d/c")
+	fs.create("/d/a")
+	fs.create("/d/c")
 	visit := func(during func(FileInfo)) []string {
 		var visited []string
 		err := fs.Walk("/d", func(info FileInfo) error {
@@ -267,7 +268,7 @@ func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
 	// /d/b lands in /d after the walk has listed it.
 	current := visit(func(info FileInfo) {
 		if info.Path == "/d/a" {
-			if err := fs.Create("/d/b"); err != nil {
+			if _, err := fs.create("/d/b"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -282,8 +283,8 @@ func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
 
 func TestWalkErrorStops(t *testing.T) {
 	fs := New(nil)
-	_ = fs.Create("/d/a")
-	_ = fs.Create("/d/b")
+	fs.create("/d/a")
+	fs.create("/d/b")
 	sentinel := errors.New("stop")
 	count := 0
 	err := fs.Walk("/d", func(info FileInfo) error {
@@ -315,7 +316,7 @@ func TestTreeSize(t *testing.T) {
 
 func TestMkdirAllOverFileFails(t *testing.T) {
 	fs := New(nil)
-	_ = fs.Create("/a")
+	fs.create("/a")
 	if err := fs.MkdirAll("/a/b"); !errors.Is(err, ErrNotDir) {
 		t.Fatalf("err = %v, want ErrNotDir", err)
 	}
@@ -323,7 +324,7 @@ func TestMkdirAllOverFileFails(t *testing.T) {
 
 func TestPathNormalization(t *testing.T) {
 	fs := New(nil)
-	if err := fs.Create("runs//f1/./out.63"); err != nil {
+	if _, err := fs.create("runs//f1/./out.63"); err != nil {
 		t.Fatal(err)
 	}
 	if !fs.Exists("/runs/f1/out.63") {

@@ -66,7 +66,7 @@ func TestPropertyRunByteConservation(t *testing.T) {
 				return false
 			}
 			// Every product fully consumed its input.
-			if frac := r.ProductFraction(p.Name); math.Abs(frac-1) > 1e-6 {
+			if frac := consumedFraction(r.engine, p.Name); math.Abs(frac-1) > 1e-6 {
 				t.Logf("product %s consumed fraction %v", p.Name, frac)
 				return false
 			}

@@ -36,9 +36,9 @@ type ProductConfig struct {
 	OnDone     func()
 
 	// Telemetry, when non-nil, receives master-process metrics and
-	// product-task spans, nested under Span.
+	// product-task spans, nested under the span whose ID is Span.
 	Telemetry *telemetry.Telemetry
-	Span      *telemetry.Span
+	Span      int64
 }
 
 // ProductEngine incrementally computes data products as model-output
@@ -143,16 +143,6 @@ func (p *ProductEngine) ProductPath(name string) string {
 
 // processPath is the master process's log file.
 func (p *ProductEngine) processPath() string { return p.cfg.Dir + "/process/master.out" }
-
-// ConsumedFraction reports the named product's progress in [0, 1], or -1
-// for an unknown product.
-func (p *ProductEngine) ConsumedFraction(name string) float64 {
-	st, ok := p.byName[name]
-	if !ok {
-		return -1
-	}
-	return st.consumedFraction()
-}
 
 // availableFraction returns how much of a product's total input is ready
 // to process. A product reading several model-output files consumes each
@@ -284,10 +274,10 @@ func (p *ProductEngine) startTask(st *productState, bytes float64) {
 	var span int64
 	if tel := p.cfg.Telemetry; tel != nil {
 		st.mTasks.Inc()
-		span = tel.Trace().BeginID("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
+		span = tel.Trace().Begin("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
 	}
 	p.cfg.Node.Submit(st.taskName, work, func() {
-		p.cfg.Telemetry.Trace().EndID(span)
+		p.cfg.Telemetry.Trace().End(span)
 		st.active = false
 		st.consumed += st.dispatched
 		p.active--

@@ -10,6 +10,19 @@ import (
 	"repro/internal/vfs"
 )
 
+// consumedFraction reports the named product's progress in [0, 1], or
+// -1 for an unknown product or a simulation-only run.
+func consumedFraction(p *ProductEngine, name string) float64 {
+	if p == nil {
+		return -1
+	}
+	st, ok := p.byName[name]
+	if !ok {
+		return -1
+	}
+	return st.consumedFraction()
+}
+
 func engineFixture() (*sim.Engine, *cluster.Node, *vfs.FS) {
 	e := sim.NewEngine()
 	c := cluster.New(e)
@@ -48,11 +61,11 @@ func TestProductEngineStandalone(t *testing.T) {
 		if fs.Size(pe.ProductPath(p.Name)) <= 0 {
 			t.Fatalf("product %s empty", p.Name)
 		}
-		if f := pe.ConsumedFraction(p.Name); f != 1 {
+		if f := consumedFraction(pe, p.Name); f != 1 {
 			t.Fatalf("product %s fraction %v", p.Name, f)
 		}
 	}
-	if pe.ConsumedFraction("nope") != -1 {
+	if consumedFraction(pe, "nope") != -1 {
 		t.Fatal("unknown product should report -1")
 	}
 }
@@ -127,7 +140,7 @@ func TestIdlePollAllocatesNothing(t *testing.T) {
 	if pe.Finished() || e.Pending() != 1 {
 		t.Fatalf("engine finished=%v with %d pending events, want an idle poll loop", pe.Finished(), e.Pending())
 	}
-	if n := testing.AllocsPerRun(100, func() { e.Step() }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + DefaultPoll) }); n != 0 {
 		t.Fatalf("an idle poll allocates %.1f objects, want 0", n)
 	}
 }

@@ -40,10 +40,10 @@ type Config struct {
 	OnDone      func(*Run)
 
 	// Telemetry, when non-nil, receives workflow metrics and spans; Span
-	// is the parent (typically the factory's per-run span) under which
-	// the simulation and product-task spans nest.
+	// is the ID of the parent (typically the factory's per-run span) under
+	// which the simulation and product-task spans nest.
 	Telemetry *telemetry.Telemetry
-	Span      *telemetry.Span
+	Span      int64
 }
 
 // productState tracks incremental progress of one product.
@@ -102,7 +102,7 @@ type Run struct {
 	finished bool
 	endTime  float64
 
-	simSpan       *telemetry.Span
+	simSpan       int64
 	mIncrements   *telemetry.Counter
 	mSimWalltimes *telemetry.Histogram
 
@@ -159,20 +159,6 @@ func (r *Run) Walltime() float64 {
 	}
 	return r.endTime - r.started
 }
-
-// ProductFraction reports a product's consumed-input fraction in [0, 1],
-// or -1 for an unknown product (or a simulation-only run).
-func (r *Run) ProductFraction(name string) float64 {
-	if r.engine == nil {
-		return -1
-	}
-	return r.engine.ConsumedFraction(name)
-}
-
-// IncrementBytes returns the bytes appended to the named output file per
-// increment of its active window (the increments covering its forecast
-// day).
-func (r *Run) IncrementBytes(name string) int64 { return r.incBytes[name] }
 
 // TotalOutputBytes returns the exact total size the named output file will
 // reach; both producer and (possibly remote) consumer derive totals from
@@ -333,7 +319,7 @@ func (r *Run) incrementDone() {
 		return
 	}
 	r.simEnd = r.eng.Now()
-	r.simSpan.EndSpan()
+	r.cfg.Telemetry.Trace().End(r.simSpan)
 	r.mSimWalltimes.Observe(r.simEnd - r.started)
 	r.checkDone()
 }

@@ -62,7 +62,7 @@ func TestOutputFilesReachExactTotals(t *testing.T) {
 			t.Fatalf("output %s: size %d, want %d", o.Name, got, want)
 		}
 		// A two-day run writes each day's files over half the increments.
-		if want != r.IncrementBytes(o.Name)*DefaultIncrements/2 {
+		if want != r.incBytes[o.Name]*DefaultIncrements/2 {
 			t.Fatalf("output %s: totals inconsistent", o.Name)
 		}
 	}
@@ -152,9 +152,9 @@ func TestDependentProductLagsItsDependency(t *testing.T) {
 	// Check at several points that the dependent product's consumed
 	// fraction never exceeds its dependencies'.
 	check := func() {
-		a := r.ProductFraction(anim.Name)
+		a := consumedFraction(r.engine, anim.Name)
 		for _, dep := range anim.DependsOn {
-			d := r.ProductFraction(dep)
+			d := consumedFraction(r.engine, dep)
 			if a > d+1e-9 {
 				t.Errorf("dependent %s at %.3f ahead of dependency %s at %.3f",
 					anim.Name, a, dep, d)
