@@ -9,17 +9,11 @@ import (
 // Script is the executable realization of one run's placement: the staging
 // and launch commands the factory's existing scripts perform. When the
 // user accepts an assignment in ForeMan, "the back end will automatically
-// generate the needed scripts and commands" — and "can be tailored to any
-// underlying scheduler or resource manager", hence the interface.
+// generate the needed scripts and commands".
 type Script struct {
 	RunName  string
 	Node     string
 	Commands []string
-}
-
-// Backend turns an accepted schedule into scripts.
-type Backend interface {
-	Generate(s *Schedule) ([]Script, error)
 }
 
 // ShellBackend emits plain shell-style staging/launch/stage-out command
@@ -29,7 +23,7 @@ type ShellBackend struct {
 	Repository string
 }
 
-// Generate implements Backend.
+// Generate turns an accepted schedule into scripts.
 func (b ShellBackend) Generate(s *Schedule) ([]Script, error) {
 	if s == nil || s.Plan == nil {
 		return nil, fmt.Errorf("core: Generate on nil schedule")

@@ -202,11 +202,10 @@ func (p *sqlParser) parseSelect() (*Query, error) {
 		return nil, err
 	}
 
+	// * leaves the select list empty, which Select reads as *.
 	var items []selectItem
-	star := false
 	if p.peek().kind == tokSymbol && p.peek().text == "*" {
 		p.next()
-		star = true
 	} else {
 		for {
 			item, err := p.parseSelectItem()
@@ -250,17 +249,7 @@ func (p *sqlParser) parseSelect() (*Query, error) {
 			cols = append(cols, it.col)
 		}
 	}
-	var q *Query
-	switch {
-	case star || (len(cols) == 0 && len(aggs) == 0):
-		q = Select(table)
-	case len(cols) == 0:
-		// Aggregate-only select list: no plain columns projected.
-		q = &Query{table: table}
-	default:
-		q = Select(table, cols...)
-	}
-	q.Aggregate(aggs...)
+	q := Select(table, cols...).Aggregate(aggs...)
 
 	if p.keyword("WHERE") {
 		for {
