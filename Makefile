@@ -77,7 +77,7 @@ fuzz:
 # query shapes, Harvester.Records, the run-tree walk) that profile one
 # layer with -cpuprofile in its own package.
 bench:
-	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/core ./internal/engineprof ./internal/forensics ./internal/harvest ./internal/serving ./internal/spc ./internal/statsdb ./internal/usage ./internal/vfs
+	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/core ./internal/engineprof ./internal/forensics ./internal/harvest ./internal/serving ./internal/sim ./internal/spc ./internal/statsdb ./internal/usage ./internal/vfs
 	BENCH_OUT=$(CURDIR)/BENCH_harvest.json $(GO) test -run TestEmitBenchReport -v ./internal/harvest
 	BENCH_OUT=$(CURDIR)/BENCH_usage.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/usage
 	BENCH_OUT=$(CURDIR)/BENCH_planner.json $(GO) test -count=1 -run TestEmitPlannerBenchReport -v ./internal/core

@@ -33,10 +33,12 @@ const (
 // Events fire at the virtual instant the transition takes effect, after
 // the node's resource state already reflects it — an observer reading
 // Node.Active or Node.BusySeconds from the callback sees the new state.
+// The event carries the node itself, so an observer keeps its per-node
+// state without looking the name up.
 type JobEvent struct {
 	Kind string
-	Node string
-	Job  string // job label; empty for fail/repair
+	Node *Node
+	Job  string // job label; empty for add/fail/repair
 	Time float64
 }
 
@@ -93,34 +95,26 @@ func (n *Node) Utilization() float64 {
 // emit delivers a lifecycle event to the cluster's observer, if any.
 func (n *Node) emit(kind, job string) {
 	if n.cl != nil && n.cl.onEvent != nil {
-		n.cl.onEvent(JobEvent{Kind: kind, Node: n.name, Job: job, Time: n.eng.Now()})
+		n.cl.onEvent(JobEvent{Kind: kind, Node: n, Job: job, Time: n.eng.Now()})
 	}
 }
 
-// Job is a serial job executing on a node.
-type Job struct {
-	task *ps.Task
-}
+// finished is the node resource's completion observer: it reports the
+// finish after the resource has retimed and before the job's done runs.
+func (n *Node) finished(label string) { n.emit(EventFinish, label) }
 
-// Remaining returns the job's remaining work in reference CPU-seconds.
-func (j *Job) Remaining() float64 { return j.task.Remaining() }
-
-// Finished reports whether the job has completed.
-func (j *Job) Finished() bool { return j.task.Finished() }
+// Job is a job executing on a node: the node resource's task itself, whose
+// Remaining is in reference CPU-seconds.
+type Job = ps.Task
 
 // Submit starts a serial job on the node. work is in reference
 // CPU-seconds; done (may be nil) runs at completion. Submitting to a down
 // node is allowed — the job waits frozen until the node is repaired, which
 // models scripts queued against an unavailable machine.
 func (n *Node) Submit(label string, work float64, done func()) *Job {
-	t := n.res.Submit(label, work, func() {
-		n.emit(EventFinish, label)
-		if done != nil {
-			done()
-		}
-	})
+	t := n.res.Submit(label, work, done)
 	n.emit(EventSubmit, label)
-	return &Job{task: t}
+	return t
 }
 
 // SubmitParallel starts a parallel "mega-job" that can consume up to
@@ -135,14 +129,9 @@ func (n *Node) SubmitParallel(label string, work float64, width int, done func()
 	if width > n.cpus {
 		width = n.cpus
 	}
-	t := n.res.SubmitCapped(label, work, float64(width)*n.speed, func() {
-		n.emit(EventFinish, label)
-		if done != nil {
-			done()
-		}
-	})
+	t := n.res.SubmitCapped(label, work, float64(width)*n.speed, done)
 	n.emit(EventSubmit, label)
-	return &Job{task: t}
+	return t
 }
 
 // Fail marks the node down. Running jobs stop progressing but keep their
@@ -220,8 +209,8 @@ func (c *Cluster) AddNode(name string, cpus int, speed float64) *Node {
 		eng:     c.eng,
 		cl:      c,
 		created: c.eng.Now(),
-		res:     ps.NewResource(c.eng, "cpu:"+name, float64(cpus)*speed, speed),
 	}
+	n.res = ps.NewResource(c.eng, "cpu:"+name, float64(cpus)*speed, speed, n.finished)
 	c.nodes[name] = n
 	c.order = append(c.order, name)
 	sort.Strings(c.order)

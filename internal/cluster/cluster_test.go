@@ -290,8 +290,11 @@ func TestOnEventStream(t *testing.T) {
 	}
 	var first, second []seen
 	c.OnEvent(func(ev JobEvent) {
-		at := c.Node(ev.Node)
-		first = append(first, seen{ev.Kind, ev.Node, ev.Job, at.Active(), at.Down()})
+		at := ev.Node
+		if at != c.Node(at.Name()) {
+			t.Errorf("%s event carries node %p, not the cluster's %q", ev.Kind, at, at.Name())
+		}
+		first = append(first, seen{ev.Kind, at.Name(), ev.Job, at.Active(), at.Down()})
 	})
 	c.OnEvent(func(ev JobEvent) { // chained after the first observer
 		second = append(second, seen{kind: ev.Kind})

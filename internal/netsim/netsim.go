@@ -41,7 +41,7 @@ func NewLink(eng *sim.Engine, name string, bandwidth float64) *Link {
 	return &Link{
 		name: name,
 		eng:  eng,
-		res:  ps.NewResource(eng, "link:"+name, bandwidth, bandwidth),
+		res:  ps.NewResource(eng, "link:"+name, bandwidth, bandwidth, nil),
 	}
 }
 

@@ -38,6 +38,10 @@ type Resource struct {
 	next  *Task
 	fire  func()
 
+	// finished, when set, hears each completion by its task's label,
+	// after the resource retimes and before the task's done runs.
+	finished func(label string)
+
 	// busyIntegral accumulates ∫ rate_total dt for utilization accounting.
 	// totalRate caches Σ task rates, maintained by retimeAll, so settling
 	// the integral is O(1) — callers like the usage sampler settle on
@@ -49,8 +53,9 @@ type Resource struct {
 
 // NewResource creates a fair-share resource. capacity is the aggregate rate
 // (work units per second) and taskCap is the maximum rate a single task may
-// consume. Both must be positive.
-func NewResource(eng *sim.Engine, name string, capacity, taskCap float64) *Resource {
+// consume. Both must be positive. finished (may be nil) observes every
+// completion, so an owner that reports them needs no closure per task.
+func NewResource(eng *sim.Engine, name string, capacity, taskCap float64, finished func(label string)) *Resource {
 	if capacity <= 0 || taskCap <= 0 {
 		panic(fmt.Sprintf("ps: resource %q needs positive capacity (%v) and task cap (%v)", name, capacity, taskCap))
 	}
@@ -59,6 +64,7 @@ func NewResource(eng *sim.Engine, name string, capacity, taskCap float64) *Resou
 		sched:    eng.Scope("ps"),
 		capacity: capacity,
 		taskCap:  taskCap,
+		finished: finished,
 	}
 	r.fire = r.completeNext
 	return r
@@ -102,17 +108,18 @@ func (r *Resource) waterFill() {
 
 // Task is one unit of work executing on a Resource.
 type Task struct {
-	res       *Resource
+	res       *Resource // nil once the task has finished
+	label     string
 	remaining float64
 	rate      float64
 	cap       float64 // per-task rate cap (default: the resource's)
 	settled   float64 // virtual time remaining was last brought up to date
 	done      func()
-	finished  bool
 }
 
 // Submit adds a task with the given amount of work (in work units). done is
-// invoked (may be nil) when the work completes. The label is diagnostic.
+// invoked (may be nil) when the work completes. The label names the task
+// to the resource's finished observer.
 func (r *Resource) Submit(label string, work float64, done func()) *Task {
 	return r.SubmitCapped(label, work, r.taskCap, done)
 }
@@ -133,6 +140,7 @@ func (r *Resource) SubmitCapped(label string, work, cap float64, done func()) *T
 	}
 	t := &Task{
 		res:       r,
+		label:     label,
 		remaining: work,
 		cap:       cap,
 		settled:   r.eng.Now(),
@@ -145,11 +153,11 @@ func (r *Resource) SubmitCapped(label string, work, cap float64, done func()) *T
 }
 
 // Finished reports whether the task has completed.
-func (t *Task) Finished() bool { return t.finished }
+func (t *Task) Finished() bool { return t.res == nil }
 
 // Remaining returns the work left, settling progress up to the current time.
 func (t *Task) Remaining() float64 {
-	if t.finished {
+	if t.res == nil {
 		return 0
 	}
 	now := t.res.eng.Now()
@@ -244,11 +252,14 @@ func (r *Resource) retimeAll() {
 func (r *Resource) completeNext() {
 	t := r.next
 	r.settleAll()
-	t.finished = true
+	t.res = nil
 	t.remaining = 0
 	i := slices.Index(r.tasks, t)
 	r.tasks = slices.Delete(r.tasks, i, i+1)
 	r.retimeAll()
+	if r.finished != nil {
+		r.finished(t.label)
+	}
 	if t.done != nil {
 		t.done()
 	}

@@ -15,7 +15,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < eps }
 
 func TestSingleTaskRunsAtCap(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 2.0, 1.0) // 2 CPUs, serial task
+	r := NewResource(e, "cpu", 2.0, 1.0, nil) // 2 CPUs, serial task
 	var doneAt float64
 	r.Submit("job", 100, func() { doneAt = e.Now() })
 	e.Run()
@@ -26,7 +26,7 @@ func TestSingleTaskRunsAtCap(t *testing.T) {
 
 func TestTwoTasksOnTwoCPUsDoNotInterfere(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 2.0, 1.0)
+	r := NewResource(e, "cpu", 2.0, 1.0, nil)
 	var t1, t2 float64
 	r.Submit("a", 100, func() { t1 = e.Now() })
 	r.Submit("b", 50, func() { t2 = e.Now() })
@@ -39,7 +39,7 @@ func TestTwoTasksOnTwoCPUsDoNotInterfere(t *testing.T) {
 func TestThreeTasksShareTwoCPUs(t *testing.T) {
 	// Paper §4.1: three forecasts on a 2-CPU node each get 2/3 of a CPU.
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 2.0, 1.0)
+	r := NewResource(e, "cpu", 2.0, 1.0, nil)
 	var finish []float64
 	for i := 0; i < 3; i++ {
 		r.Submit("job", 100, func() { finish = append(finish, e.Now()) })
@@ -55,7 +55,7 @@ func TestThreeTasksShareTwoCPUs(t *testing.T) {
 
 func TestDepartureSpeedsUpRemainder(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0) // 1 CPU
+	r := NewResource(e, "cpu", 1.0, 1.0, nil) // 1 CPU
 	var tShort, tLong float64
 	r.Submit("short", 10, func() { tShort = e.Now() })
 	r.Submit("long", 30, func() { tLong = e.Now() })
@@ -72,7 +72,7 @@ func TestDepartureSpeedsUpRemainder(t *testing.T) {
 
 func TestLateArrivalSlowsExisting(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
+	r := NewResource(e, "cpu", 1.0, 1.0, nil)
 	var tA float64
 	r.Submit("a", 100, func() { tA = e.Now() })
 	e.Scope("test").At(50, func() {
@@ -87,7 +87,7 @@ func TestLateArrivalSlowsExisting(t *testing.T) {
 
 func TestRemainingSettlesMidFlight(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
+	r := NewResource(e, "cpu", 1.0, 1.0, nil)
 	task := r.Submit("a", 100, nil)
 	e.Scope("test").At(30, func() {
 		if !almost(task.Remaining(), 70) {
@@ -105,7 +105,7 @@ func TestRemainingSettlesMidFlight(t *testing.T) {
 
 func TestFreezeAndThaw(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
+	r := NewResource(e, "cpu", 1.0, 1.0, nil)
 	var done float64
 	r.Submit("a", 100, func() { done = e.Now() })
 	e.Scope("test").At(30, func() { r.Freeze() })
@@ -119,7 +119,7 @@ func TestFreezeAndThaw(t *testing.T) {
 
 func TestSubmitWhileFrozenWaits(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
+	r := NewResource(e, "cpu", 1.0, 1.0, nil)
 	r.Freeze()
 	var done float64
 	r.Submit("a", 10, func() { done = e.Now() })
@@ -134,7 +134,7 @@ func TestSubmitWhileFrozenWaits(t *testing.T) {
 // task has left from the middle of the active list.
 func TestTiedCompletionsFireInSubmissionOrder(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 5.0, 1.0)
+	r := NewResource(e, "cpu", 5.0, 1.0, nil)
 	var order []string
 	for _, tc := range []struct {
 		label string
@@ -151,7 +151,7 @@ func TestTiedCompletionsFireInSubmissionOrder(t *testing.T) {
 
 func TestZeroWorkTaskCompletesImmediately(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
+	r := NewResource(e, "cpu", 1.0, 1.0, nil)
 	var done bool
 	r.Submit("zero", 0, func() { done = true })
 	e.Run()
@@ -165,7 +165,7 @@ func TestZeroWorkTaskCompletesImmediately(t *testing.T) {
 
 func TestBusySecondsTracksUtilization(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 2.0, 1.0)
+	r := NewResource(e, "cpu", 2.0, 1.0, nil)
 	r.Submit("a", 100, nil) // runs alone: 100s at rate 1 on capacity 2
 	e.Run()
 	if !almost(r.BusySeconds(), 100) {
@@ -175,7 +175,7 @@ func TestBusySecondsTracksUtilization(t *testing.T) {
 
 func TestResourceAccessors(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu:n1", 2.0, 1.0)
+	r := NewResource(e, "cpu:n1", 2.0, 1.0, nil)
 	if r.Capacity() != 2.0 || r.taskCap != 1.0 {
 		t.Fatal("accessors wrong")
 	}
@@ -208,14 +208,14 @@ func TestInvalidConstruction(t *testing.T) {
 					t.Errorf("NewResource(%v, %v) did not panic", tc.c, tc.m)
 				}
 			}()
-			NewResource(e, "bad", tc.c, tc.m)
+			NewResource(e, "bad", tc.c, tc.m, nil)
 		}()
 	}
 }
 
 func TestNegativeWorkPanics(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1.0, 1.0)
+	r := NewResource(e, "cpu", 1.0, 1.0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative work did not panic")
@@ -234,7 +234,7 @@ func TestPropertyEqualTasksMakespan(t *testing.T) {
 		w := float64(wRaw%5000) + 1
 		cpus := float64(cpusRaw%4) + 1
 		e := sim.NewEngine()
-		r := NewResource(e, "cpu", cpus, 1.0)
+		r := NewResource(e, "cpu", cpus, 1.0, nil)
 		finishes := make([]float64, 0, n)
 		for i := 0; i < n; i++ {
 			r.Submit("job", w, func() { finishes = append(finishes, e.Now()) })
@@ -266,7 +266,7 @@ func TestPropertySojournAndOrdering(t *testing.T) {
 			return true
 		}
 		e := sim.NewEngine()
-		r := NewResource(e, "cpu", 1.0, 1.0)
+		r := NewResource(e, "cpu", 1.0, 1.0, nil)
 		type result struct {
 			work   float64
 			finish float64
@@ -295,5 +295,27 @@ func TestPropertySojournAndOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The finished observer hears each completion by label after the resource
+// has retimed (the survivors' rates already reflect the departure) and
+// before the task's own done runs.
+func TestFinishedObserverRunsBeforeDone(t *testing.T) {
+	e := sim.NewEngine()
+	var log []string
+	var r *Resource
+	r = NewResource(e, "cpu", 1.0, 1.0, func(label string) {
+		log = append(log, "finished "+label)
+		if label == "a" && !almost(r.tasks[0].rate, 1) {
+			t.Errorf("survivor rate %v at a's finish, want 1 (retimed)", r.tasks[0].rate)
+		}
+	})
+	r.Submit("a", 10, func() { log = append(log, "done a") })
+	r.Submit("b", 30, nil)
+	e.Run()
+	want := "finished a, done a, finished b"
+	if got := strings.Join(log, ", "); got != want {
+		t.Fatalf("completion order %q, want %q", got, want)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // none while frozen, and none once it is empty.
 func TestOneCompletionEventPerResource(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 3.0, 1.0)
+	r := NewResource(e, "cpu", 3.0, 1.0, nil)
 	for k := 1; k <= 5; k++ {
 		r.Submit(fmt.Sprint("t", k), float64(10*k), nil)
 		if got := e.Pending(); got != 1 {
@@ -48,7 +48,7 @@ func TestOneCompletionEventPerResource(t *testing.T) {
 func TestCompletionTiesWithOtherScopesKeepOrder(t *testing.T) {
 	e := sim.NewEngine()
 	other := e.Scope("other")
-	r := NewResource(e, "cpu", 3.0, 1.0)
+	r := NewResource(e, "cpu", 3.0, 1.0, nil)
 	var order []string
 	note := func(s string) func() { return func() { order = append(order, s) } }
 
@@ -187,7 +187,7 @@ func TestRandomSequencesMatchReference(t *testing.T) {
 		ops = append(ops, refOp{at: at + 1, kind: "thaw"})
 
 		e := sim.NewEngine()
-		r := NewResource(e, "cpu", capacity, taskCap)
+		r := NewResource(e, "cpu", capacity, taskCap, nil)
 		got := map[int]float64{}
 		var gotOrder []int
 		// Operations at one instant go in list order, ahead of any

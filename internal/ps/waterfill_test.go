@@ -10,7 +10,7 @@ import (
 
 func TestCappedTaskAloneUsesItsCap(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 2.0, 1.0) // 2 CPUs
+	r := NewResource(e, "cpu", 2.0, 1.0, nil) // 2 CPUs
 	var done float64
 	// A width-2 mega-job alone consumes both CPUs.
 	r.SubmitCapped("mega", 100, 2.0, func() { done = e.Now() })
@@ -22,7 +22,7 @@ func TestCappedTaskAloneUsesItsCap(t *testing.T) {
 
 func TestCapClampedToCapacity(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 2.0, 1.0)
+	r := NewResource(e, "cpu", 2.0, 1.0, nil)
 	task := r.SubmitCapped("mega", 100, 99, nil)
 	if task.cap != 2.0 {
 		t.Fatalf("cap = %v, want clamped to 2", task.cap)
@@ -34,7 +34,7 @@ func TestMegaJobYieldsToSerialJobsFairly(t *testing.T) {
 	// 2 CPUs: a serial job (cap 1) and a mega-job (cap 2). Max-min: the
 	// serial job gets 1, the mega-job the remaining 1.
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 2.0, 1.0)
+	r := NewResource(e, "cpu", 2.0, 1.0, nil)
 	var tSerial, tMega float64
 	r.Submit("serial", 100, func() { tSerial = e.Now() })
 	r.SubmitCapped("mega", 100, 2.0, func() { tMega = e.Now() })
@@ -53,7 +53,7 @@ func TestMegaJobSoaksLeftoverCapacity(t *testing.T) {
 	// 3 CPUs: two serial jobs (1 each) + one mega-job (cap 3) → mega gets
 	// the leftover 1 CPU while they run, then all 3 CPUs.
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 3.0, 1.0)
+	r := NewResource(e, "cpu", 3.0, 1.0, nil)
 	var tMega float64
 	r.Submit("s1", 50, nil)
 	r.Submit("s2", 50, nil)
@@ -68,7 +68,7 @@ func TestMegaJobSoaksLeftoverCapacity(t *testing.T) {
 
 func TestInvalidCapPanics(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 1, 1)
+	r := NewResource(e, "cpu", 1, 1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("zero cap did not panic")
@@ -79,7 +79,7 @@ func TestInvalidCapPanics(t *testing.T) {
 
 func TestRateAccessor(t *testing.T) {
 	e := sim.NewEngine()
-	r := NewResource(e, "cpu", 2.0, 1.0)
+	r := NewResource(e, "cpu", 2.0, 1.0, nil)
 	a := r.Submit("a", 100, nil)
 	if !almost(a.rate, 1.0) {
 		t.Fatalf("rate = %v, want 1", a.rate)
@@ -103,7 +103,7 @@ func TestPropertyWaterFillingInvariants(t *testing.T) {
 		}
 		capacity := 1 + float64(capacityRaw%8)
 		e := sim.NewEngine()
-		r := NewResource(e, "cpu", capacity, capacity)
+		r := NewResource(e, "cpu", capacity, capacity, nil)
 		var tasks []*Task
 		for i, c := range capsRaw {
 			cap := 0.25 + float64(c%12)*0.25

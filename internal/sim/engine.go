@@ -20,7 +20,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -173,12 +172,11 @@ func (e *Engine) ObserveReplayLag(expected float64) {
 
 // event is the pooled kernel record behind a Timer handle. After it fires
 // or is cancelled its generation is bumped and the struct returns to the
-// engine's free list for the next schedule call.
+// engine's free list for the next schedule call. Its ordering key lives in
+// its queue entry, not here.
 type event struct {
-	when  float64
 	born  float64 // sim time the event was scheduled
-	seq   int64
-	index int // index in the heap, -1 once fired or cancelled
+	index int     // index in the queue, -1 once fired or cancelled
 	gen   uint64
 	label string
 	fn    func()
@@ -213,9 +211,9 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	e := ev.owner
-	heap.Remove(&e.queue, ev.index)
+	when := e.queue.remove(ev.index)
 	if e.probe != nil {
-		e.probe.EventCancelled(ev.label, ev.born, ev.when, e.now, len(e.queue))
+		e.probe.EventCancelled(ev.label, ev.born, when, e.now, len(e.queue))
 	}
 	e.recycle(ev)
 	return true
@@ -290,8 +288,8 @@ func (e *Engine) schedule(label string, when float64, fn func()) Timer {
 	} else {
 		ev = &event{owner: e}
 	}
-	ev.when, ev.born, ev.seq, ev.label, ev.fn = when, e.now, e.seq, label, fn
-	heap.Push(&e.queue, ev)
+	ev.born, ev.label, ev.fn = e.now, label, fn
+	e.queue.push(entry{when: when, seq: e.seq, ev: ev})
 	if e.probe != nil {
 		e.probe.EventScheduled(label, e.now, when, len(e.queue))
 	}
@@ -306,10 +304,10 @@ func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
-	e.setNow(ev.when)
+	when, ev := e.queue.pop()
+	e.setNow(when)
 	e.fired++
-	fn, label, born, when := ev.fn, ev.label, ev.born, ev.when
+	fn, label, born := ev.fn, ev.label, ev.born
 	// Recycle before running the handler: the handler's own scheduling
 	// reuses this struct while it is still hot in cache, and the
 	// generation bump has already invalidated stale handles.
@@ -366,35 +364,101 @@ func (e *Engine) RunUntil(deadline float64) float64 {
 	return e.now
 }
 
-// eventQueue is a min-heap ordered by (when, seq).
-type eventQueue []*event
+// entry is one queued event: its ordering key inline beside the event, so
+// the heap compares without dereferencing an event.
+type entry struct {
+	when float64
+	seq  int64
+	ev   *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// before reports whether a fires before b: earlier time first, then
+// schedule order. seq is unique, so no two entries tie.
+func (a *entry) before(b *entry) bool {
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// eventQueue is a 4-ary min-heap of entries ordered by (when, seq): the
+// children of i are 4i+1 … 4i+4. Each move writes the entry's index into
+// its event, so Timer.Cancel removes an event where it sits.
+type eventQueue []entry
+
+// push adds an entry.
+func (q *eventQueue) push(x entry) {
+	*q = append(*q, x)
+	q.up(len(*q)-1, x)
+}
+
+// pop removes the first entry, returning its time and event; the caller
+// recycles the event, which marks it unqueued.
+func (q *eventQueue) pop() (float64, *event) {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	*q = h[:n]
+	if n > 0 {
+		q.down(0, last)
 	}
-	return q[i].seq < q[j].seq
+	return top.when, top.ev
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// remove removes the entry at i, returning its time; the caller recycles
+// its event, as after pop.
+func (q *eventQueue) remove(i int) float64 {
+	h := *q
+	x := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	*q = h[:n]
+	if i < n {
+		if i > 0 && last.before(&h[(i-1)/4]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
+	return x.when
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+// up places x at hole i or above it.
+func (q eventQueue) up(i int, x entry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = x
+	x.ev.index = i
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// down places x at hole i or below it.
+func (q eventQueue) down(i int, x entry) {
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = x
+	x.ev.index = i
 }

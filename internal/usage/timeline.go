@@ -5,24 +5,35 @@ import (
 	"sort"
 )
 
-// meanShareOver integrates one node's timeline — disjoint buckets in
-// start order — into the time-average per-job share across [start, end],
-// weighting each bucket by its running time within the window (1 when
-// the window holds no running time).
-func meanShareOver(ss []Sample, start, end float64) float64 {
+// series is one node's flushed timeline, read through its offsets into
+// the sampler's store: disjoint buckets in start order.
+type series struct {
+	store []bucket
+	offs  []int32
+}
+
+// at returns the series' i-th bucket.
+func (r series) at(i int) *bucket { return &r.store[r.offs[i]] }
+
+// meanShareOver integrates one node's timeline into the time-average
+// per-job share across [start, end], weighting each bucket by its running
+// time within the window (1 when the window holds no running time).
+func meanShareOver(r series, start, end float64) float64 {
 	if end <= start {
 		return 1
 	}
 	var shareInt, runSecs float64
-	for _, sm := range overlappingSamples(ss, start, end) {
-		lo, hi := math.Max(sm.Start, start), math.Min(sm.End, end)
+	lo, hi := r.overlapping(start, end)
+	for i := lo; i < hi; i++ {
+		b := r.at(i)
+		lo, hi := math.Max(b.start, start), math.Min(b.end, end)
 		if hi <= lo {
 			continue
 		}
-		frac := (hi - lo) / (sm.End - sm.Start)
-		// runSecs within the sample = elapsed − idle − down.
-		run := (sm.End - sm.Start - sm.IdleSecs - sm.DownSecs) * frac
-		shareInt += sm.MeanShare * run
+		frac := (hi - lo) / (b.end - b.start)
+		// runSecs within the bucket = elapsed − idle − down.
+		run := (b.end - b.start - b.idleSecs - b.downSecs) * frac
+		shareInt += b.meanShare * run
 		runSecs += run
 	}
 	if runSecs <= 0 {
@@ -33,27 +44,30 @@ func meanShareOver(ss []Sample, start, end float64) float64 {
 
 // downSecsOver sums one node's down time overlapping [start, end],
 // pro-rated within partially overlapped buckets.
-func downSecsOver(ss []Sample, start, end float64) float64 {
+func downSecsOver(r series, start, end float64) float64 {
 	if end <= start {
 		return 0
 	}
 	var down float64
-	for _, sm := range overlappingSamples(ss, start, end) {
-		lo, hi := math.Max(sm.Start, start), math.Min(sm.End, end)
+	lo, hi := r.overlapping(start, end)
+	for i := lo; i < hi; i++ {
+		b := r.at(i)
+		lo, hi := math.Max(b.start, start), math.Min(b.end, end)
 		if hi <= lo {
 			continue
 		}
-		down += sm.DownSecs * (hi - lo) / (sm.End - sm.Start)
+		down += b.downSecs * (hi - lo) / (b.end - b.start)
 	}
 	return down
 }
 
-// overlappingSamples narrows a node's timeline (disjoint buckets in start
-// order) to the ones that can intersect [start, end] — binary search on
-// both ends, so window queries over a long campaign cost O(log n +
-// overlap) instead of a full rescan per query.
-func overlappingSamples(ss []Sample, start, end float64) []Sample {
-	lo := sort.Search(len(ss), func(i int) bool { return ss[i].End > start })
-	hi := lo + sort.Search(len(ss)-lo, func(i int) bool { return ss[lo+i].Start >= end })
-	return ss[lo:hi]
+// overlapping narrows the series to the index range [lo, hi) of buckets
+// that can intersect [start, end] — binary search on both ends, so window
+// queries over a long campaign cost O(log n + overlap) instead of a full
+// rescan per query.
+func (r series) overlapping(start, end float64) (lo, hi int) {
+	n := len(r.offs)
+	lo = sort.Search(n, func(i int) bool { return r.at(i).end > start })
+	hi = lo + sort.Search(n-lo, func(i int) bool { return r.at(lo+i).start >= end })
+	return lo, hi
 }

@@ -105,6 +105,29 @@ type Window struct {
 // Duration returns the window length in sim seconds.
 func (w Window) Duration() float64 { return w.End - w.Start }
 
+// bucket is a flushed Sample as the sampler stores it: without the node
+// name, since the offsets that point at it say whose it is.
+type bucket struct {
+	start, end     float64
+	utilization    float64
+	meanShare      float64
+	meanActive     float64
+	peakActive     int
+	contentionSecs float64
+	idleSecs       float64
+	downSecs       float64
+}
+
+// sample returns the bucket as node's Sample.
+func (b *bucket) sample(node string) Sample {
+	return Sample{
+		Node: node, Start: b.start, End: b.end,
+		Utilization: b.utilization, MeanShare: b.meanShare,
+		MeanActive: b.meanActive, PeakActive: b.peakActive,
+		ContentionSecs: b.contentionSecs, IdleSecs: b.idleSecs, DownSecs: b.downSecs,
+	}
+}
+
 // nodeState carries one node's open segment, current-bucket
 // accumulators, lifetime totals, and open windows.
 type nodeState struct {
@@ -158,7 +181,9 @@ type nodeState struct {
 	// settled end-of-burst state is classified.
 	dirty bool
 
-	samples []Sample
+	// offs locates the node's flushed buckets in the sampler's store, in
+	// time order.
+	offs []int32
 
 	gShare   *telemetry.Gauge
 	gActive  *telemetry.Gauge
@@ -172,11 +197,14 @@ type nodeState struct {
 type Sampler struct {
 	mu     sync.Mutex
 	eng    *sim.Engine
-	cl     *cluster.Cluster
 	opts   Options
 	epoch  float64 // where every node's bucket boundaries start
-	nodes  map[string]*nodeState
+	nodes  map[*cluster.Node]*nodeState
 	states []*nodeState // name-ordered; the hot paths iterate this
+
+	// store holds every node's flushed buckets in flush order, so a tick
+	// writes its buckets side by side instead of into one array per node.
+	store []bucket
 
 	// Incremental counts behind the imbalance gauges, maintained by
 	// refreshLocked so the per-event path never re-scans the cluster.
@@ -216,10 +244,9 @@ func NewSampler(cl *cluster.Cluster, opts Options) *Sampler {
 	}
 	s := &Sampler{
 		eng:           cl.Engine(),
-		cl:            cl,
 		opts:          opts,
 		epoch:         cl.Engine().Now(),
-		nodes:         make(map[string]*nodeState),
+		nodes:         make(map[*cluster.Node]*nodeState),
 		imbalanceOpen: math.NaN(),
 	}
 	if opts.Telemetry != nil {
@@ -278,12 +305,17 @@ func (s *Sampler) track(n *cluster.Node, now float64) *nodeState {
 	if ns.wasIdle {
 		s.idleUpNodes++
 	}
-	s.nodes[n.Name()] = ns
-	i, _ := slices.BinarySearchFunc(s.states, n.Name(), func(ns *nodeState, name string) int {
-		return strings.Compare(ns.node.Name(), name)
-	})
+	s.nodes[n] = ns
+	i, _ := s.find(n.Name())
 	s.states = slices.Insert(s.states, i, ns)
 	return ns
+}
+
+// find returns where the node named name is, or would be, in states.
+func (s *Sampler) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.states, name, func(ns *nodeState, name string) int {
+		return strings.Compare(ns.node.Name(), name)
+	})
 }
 
 // Start schedules the per-interval tick on the engine until horizon —
@@ -291,14 +323,15 @@ func (s *Sampler) track(n *cluster.Node, now float64) *nodeState {
 // imbalance gauges fresh even when no job events fire.
 func (s *Sampler) Start(horizon float64) {
 	interval := s.opts.Interval
-	// The horizon bounds the timeline length; reserving it up front keeps
-	// sample appends out of the allocator on the event path.
+	// The horizon bounds the timeline length; reserving it up front, in
+	// one store and one block of offsets, keeps bucket appends out of the
+	// allocator on the event path.
 	if expect := int((horizon-s.eng.Now())/interval) + 2; expect > 0 && expect < 1<<20 {
 		s.mu.Lock()
-		for _, ns := range s.states {
-			if cap(ns.samples) < expect {
-				ns.samples = append(make([]Sample, 0, expect), ns.samples...)
-			}
+		s.store = slices.Grow(s.store, expect*len(s.states))
+		offs := make([]int32, expect*len(s.states))
+		for i, ns := range s.states {
+			ns.offs = append(offs[i*expect:i*expect:(i+1)*expect], ns.offs...)
 		}
 		s.mu.Unlock()
 	}
@@ -354,8 +387,8 @@ func (s *Sampler) onEvent(ev cluster.JobEvent) {
 	}
 	ns := s.lastNS
 	if ev.Kind == cluster.EventAdd {
-		ns = s.track(s.cl.Node(ev.Node), ev.Time)
-	} else if ns == nil || ns.node.Name() != ev.Node {
+		ns = s.track(ev.Node, ev.Time)
+	} else if ns == nil || ns.node != ev.Node {
 		ns = s.nodes[ev.Node]
 	}
 	s.lastNS = ns
@@ -432,29 +465,29 @@ func (s *Sampler) advanceLocked(ns *nodeState, now float64) {
 	ns.lastBusy = busyNow
 }
 
-// flushBucketLocked emits the current bucket as a Sample and resets the
-// accumulators for the next one starting at end.
+// flushBucketLocked appends the current bucket to the store and resets
+// the accumulators for the next one starting at end.
 func (s *Sampler) flushBucketLocked(ns *nodeState, end float64) {
 	elapsed := end - ns.bucketStart
 	if elapsed <= 0 {
 		return
 	}
-	sm := Sample{
-		Node:           ns.node.Name(),
-		Start:          ns.bucketStart,
-		End:            end,
-		Utilization:    ns.busyAcc / (ns.node.Capacity() * elapsed),
-		MeanShare:      1,
-		MeanActive:     ns.activeInt / elapsed,
-		PeakActive:     ns.peak,
-		ContentionSecs: ns.contSecs,
-		IdleSecs:       ns.idleSecs,
-		DownSecs:       ns.downSecs,
-	}
+	share := 1.0
 	if ns.runSecs > 0 {
-		sm.MeanShare = ns.shareInt / ns.runSecs
+		share = ns.shareInt / ns.runSecs
 	}
-	ns.samples = append(ns.samples, sm)
+	ns.offs = append(ns.offs, int32(len(s.store)))
+	s.store = append(s.store, bucket{
+		start:          ns.bucketStart,
+		end:            end,
+		utilization:    ns.busyAcc / (ns.node.Capacity() * elapsed),
+		meanShare:      share,
+		meanActive:     ns.activeInt / elapsed,
+		peakActive:     ns.peak,
+		contentionSecs: ns.contSecs,
+		idleSecs:       ns.idleSecs,
+		downSecs:       ns.downSecs,
+	})
 	ns.totContention += ns.contSecs
 	ns.totIdle += ns.idleSecs
 	ns.totDown += ns.downSecs
@@ -632,13 +665,12 @@ func (s *Sampler) Finalize(now float64) {
 func (s *Sampler) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	total := 0
+	out := make([]Sample, 0, len(s.store))
 	for _, ns := range s.states {
-		total += len(ns.samples)
-	}
-	out := make([]Sample, 0, total)
-	for _, ns := range s.states {
-		out = append(out, ns.samples...)
+		name := ns.node.Name()
+		for _, off := range ns.offs {
+			out = append(out, s.store[off].sample(name))
+		}
 	}
 	return out
 }
@@ -658,7 +690,7 @@ func (s *Sampler) Windows() []Window {
 func (s *Sampler) MeanShareOver(node string, start, end float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return meanShareOver(s.samplesOf(node), start, end)
+	return meanShareOver(s.seriesOf(node), start, end)
 }
 
 // DownSecsOver returns the node's down time overlapping [start, end],
@@ -667,15 +699,16 @@ func (s *Sampler) MeanShareOver(node string, start, end float64) float64 {
 func (s *Sampler) DownSecsOver(node string, start, end float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return downSecsOver(s.samplesOf(node), start, end)
+	return downSecsOver(s.seriesOf(node), start, end)
 }
 
-// samplesOf returns the node's flushed timeline (nil for an unknown node).
-func (s *Sampler) samplesOf(node string) []Sample {
-	if ns := s.nodes[node]; ns != nil {
-		return ns.samples
+// seriesOf returns the node's flushed timeline (empty for an unknown
+// node).
+func (s *Sampler) seriesOf(node string) series {
+	if i, ok := s.find(node); ok {
+		return series{s.store, s.states[i].offs}
 	}
-	return nil
+	return series{}
 }
 
 // NodeSummary is one node's aggregate standing in the Status snapshot.
@@ -726,11 +759,14 @@ func (s *Sampler) Status() Status {
 	// Every node's buckets share one set of boundaries, so a sample's
 	// column is the bucket holding its midpoint: a node added mid-run
 	// starts partway along its row. The grid ends at the latest bucket.
-	col := func(sm Sample) int { return int(((sm.Start+sm.End)/2 - s.epoch) / step) }
+	col := func(off int32) int {
+		b := &s.store[off]
+		return int(((b.start+b.end)/2 - s.epoch) / step)
+	}
 	total := 0
 	for _, ns := range s.states {
-		if n := len(ns.samples); n > 0 {
-			total = max(total, col(ns.samples[n-1])+1)
+		if n := len(ns.offs); n > 0 {
+			total = max(total, col(ns.offs[n-1])+1)
 		}
 	}
 	first := max(0, total-s.opts.StatusCols)
@@ -745,13 +781,13 @@ func (s *Sampler) Status() Status {
 		for i := range share {
 			share[i] = 1
 		}
-		for i := len(ns.samples) - 1; i >= 0; i-- {
-			c := col(ns.samples[i]) - first
+		for i := len(ns.offs) - 1; i >= 0; i-- {
+			c := col(ns.offs[i]) - first
 			if c < 0 {
 				break
 			}
-			util[c] = ns.samples[i].Utilization
-			share[c] = ns.samples[i].MeanShare
+			util[c] = s.store[ns.offs[i]].utilization
+			share[c] = s.store[ns.offs[i]].meanShare
 		}
 		st.Grid.Utilization = append(st.Grid.Utilization, util)
 		st.Grid.Share = append(st.Grid.Share, share)

@@ -2,6 +2,7 @@ package usage
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -187,6 +188,100 @@ func TestMeanShareOver(t *testing.T) {
 	if got := s.MeanShareOver("nosuch", 0, 1); !almost(got, 1) {
 		t.Errorf("MeanShareOver on unknown node = %v, want 1", got)
 	}
+
+	checkLookupsAgainstScan(t, 1)
+	checkLookupsAgainstScan(t, 2)
+}
+
+// scanOver integrates one node's samples over [start, end] by a full
+// scan of the timeline: the answers MeanShareOver and DownSecsOver must
+// give, summed in the same order.
+func scanOver(samples []Sample, node string, start, end float64) (share, down float64) {
+	if end <= start {
+		return 1, 0
+	}
+	var shareInt, runSecs float64
+	for _, sm := range samples {
+		lo, hi := math.Max(sm.Start, start), math.Min(sm.End, end)
+		if sm.Node != node || hi <= lo {
+			continue
+		}
+		frac := (hi - lo) / (sm.End - sm.Start)
+		run := (sm.End - sm.Start - sm.IdleSecs - sm.DownSecs) * frac
+		shareInt += sm.MeanShare * run
+		runSecs += run
+		down += sm.DownSecs * (hi - lo) / (sm.End - sm.Start)
+	}
+	if runSecs <= 0 {
+		return 1, down
+	}
+	return shareInt / runSecs, down
+}
+
+// checkLookupsAgainstScan samples a seeded random campaign — a node
+// added mid-run, another failed and repaired, Finalize mid-bucket — and
+// checks MeanShareOver and DownSecsOver on random windows against a full
+// scan of Samples(), and Status()'s grid against each node's last
+// StatusCols samples.
+func checkLookupsAgainstScan(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	e := sim.NewEngine()
+	c := cluster.New(e)
+	a, f := c.AddNode("a", 2, 1.0), c.AddNode("f", 1, 1.5)
+	s := NewSampler(c, Options{Interval: 100, StatusCols: 7})
+	s.Start(3000)
+	test := e.Scope("test")
+	nodes := []*cluster.Node{a, f}
+	test.At(730, func() { nodes = append(nodes, c.AddNode("b", 3, 0.5)) })
+	test.At(1210, f.Fail)
+	test.At(1655, f.Repair)
+	for i := 0; i < 60; i++ {
+		at, work := 2800*rng.Float64(), 20+400*rng.Float64()
+		pick := rng.Intn(3)
+		test.At(at, func() { nodes[pick%len(nodes)].Submit("job", work, nil) })
+	}
+	e.RunUntil(2943.5)
+	s.Finalize(e.Now())
+
+	samples := s.Samples()
+	for i := 0; i < 300; i++ {
+		node := []string{"a", "b", "f"}[rng.Intn(3)]
+		start := -100 + 3200*rng.Float64()
+		end := start + 900*rng.Float64()
+		if i%10 == 0 {
+			end = start - 1 // empty window
+		}
+		wantShare, wantDown := scanOver(samples, node, start, end)
+		if got := s.MeanShareOver(node, start, end); got != wantShare {
+			t.Errorf("seed %d: MeanShareOver(%s, %v, %v) = %v, scan gives %v", seed, node, start, end, got, wantShare)
+		}
+		if got := s.DownSecsOver(node, start, end); got != wantDown {
+			t.Errorf("seed %d: DownSecsOver(%s, %v, %v) = %v, scan gives %v", seed, node, start, end, got, wantDown)
+		}
+	}
+
+	st := s.Status()
+	for row, node := range st.Grid.Nodes {
+		var own []Sample
+		for _, sm := range samples {
+			if sm.Node == node {
+				own = append(own, sm)
+			}
+		}
+		cols := len(st.Grid.Utilization[row])
+		wantUtil, wantShare := make([]float64, cols), make([]float64, cols)
+		for i := range wantShare {
+			wantShare[i] = 1
+		}
+		for _, sm := range own[max(0, len(own)-cols):] {
+			col := int(((sm.Start+sm.End)/2 - st.Grid.Start) / st.Grid.Step)
+			wantUtil[col], wantShare[col] = sm.Utilization, sm.MeanShare
+		}
+		if !slices.Equal(st.Grid.Utilization[row], wantUtil) || !slices.Equal(st.Grid.Share[row], wantShare) {
+			t.Errorf("seed %d: grid row %s = %v / %v, want the last %d samples %v / %v", seed, node,
+				st.Grid.Utilization[row], st.Grid.Share[row], cols, wantUtil, wantShare)
+		}
+	}
 }
 
 // TestNodeAddedMidRun: a node that joins after the sampler starts is
@@ -262,13 +357,27 @@ func TestNodeAddedMidRun(t *testing.T) {
 	}
 }
 
+// timelineOf stores samples, in order, as one node's timeline.
+func timelineOf(samples []Sample) series {
+	var r series
+	for i, sm := range samples {
+		r.store = append(r.store, bucket{
+			start: sm.Start, end: sm.End, utilization: sm.Utilization, meanShare: sm.MeanShare,
+			meanActive: sm.MeanActive, peakActive: sm.PeakActive,
+			contentionSecs: sm.ContentionSecs, idleSecs: sm.IdleSecs, downSecs: sm.DownSecs,
+		})
+		r.offs = append(r.offs, int32(i))
+	}
+	return r
+}
+
 // TestTimelineIntegrals integrates one node's timeline: share weighted
 // by running time, down time pro-rated, and no samples' defaults.
 func TestTimelineIntegrals(t *testing.T) {
-	n1 := []Sample{
+	n1 := timelineOf([]Sample{
 		{Node: "n1", Start: 0, End: 100, MeanShare: 1.0},
 		{Node: "n1", Start: 100, End: 200, MeanShare: 0.5, DownSecs: 20},
-	}
+	})
 	// Full overlap of both samples: run time 100 + 80, share-weighted.
 	want := (1.0*100 + 0.5*80) / 180
 	if got := meanShareOver(n1, 0, 200); !almost(got, want) {
@@ -283,7 +392,7 @@ func TestTimelineIntegrals(t *testing.T) {
 		t.Errorf("downSecsOver(n1, 0, 150) = %v, want 10", got)
 	}
 	// No samples: share 1, no down time.
-	if meanShareOver(nil, 0, 100) != 1 || downSecsOver(nil, 0, 100) != 0 {
+	if meanShareOver(series{}, 0, 100) != 1 || downSecsOver(series{}, 0, 100) != 0 {
 		t.Error("a node without samples must report share 1 and no down time")
 	}
 }

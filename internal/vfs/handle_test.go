@@ -89,7 +89,7 @@ func FuzzLookup(f *testing.F) {
 	_ = fs.Append("/a/c/d", 5)
 	_ = fs.Append("/b", 7)
 	_ = fs.MkdirAll("/e/.f")
-	fs.create("/runs/f1/out.63")
+	fs.Append("/runs/f1/out.63", 0)
 	for _, seed := range []string{
 		"", "a", "//a", "/a/./b", "/a/../b", "/a/b/", "/..", "/a//b",
 		"runs//f1/./out.63", "/runs/f1/out.63", "/e/.f", "/a/c/d/..", ".", "/./",

@@ -23,7 +23,6 @@ import (
 // Common errors returned by FS operations.
 var (
 	ErrNotExist = errors.New("vfs: file does not exist")
-	ErrExist    = errors.New("vfs: file already exists")
 	ErrIsDir    = errors.New("vfs: is a directory")
 	ErrNotDir   = errors.New("vfs: not a directory")
 )
@@ -205,26 +204,29 @@ func (fs *FS) MkdirAll(p string) error {
 	return nil
 }
 
-// create makes a regular file node, creating parents as needed.
-func (fs *FS) create(p string) (*File, error) {
-	p = clean(p)
-	dir, name := path.Split(p)
-	if name == "" {
-		return nil, fmt.Errorf("create %s: %w", p, ErrIsDir)
-	}
-	if err := fs.MkdirAll(dir); err != nil {
-		return nil, err
-	}
-	parent := fs.lookup(dir)
-	if existing, ok := parent.children[name]; ok {
-		if existing.info.IsDir {
-			return nil, fmt.Errorf("create %s: %w", p, ErrIsDir)
+// file returns the regular file at p for the operation op, creating it
+// (and its parents) when lookup finds nothing there; a text file starts
+// with empty content, a size-only one with none. A directory at p is an
+// error.
+func (fs *FS) file(op, p string, text bool) (*File, error) {
+	f := fs.lookup(p)
+	if f == nil {
+		cp := clean(p)
+		dir, name := path.Split(cp)
+		if err := fs.MkdirAll(dir); err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("create %s: %w", p, ErrExist)
+		f = &File{fs: fs, info: FileInfo{Path: cp, Name: name, MTime: fs.now()}}
+		if text {
+			f.content = []byte{}
+		}
+		parent := fs.lookup(dir)
+		parent.children[name] = f
+		parent.sorted = nil
 	}
-	f := &File{fs: fs, info: FileInfo{Path: p, Name: name, MTime: fs.now()}}
-	parent.children[name] = f
-	parent.sorted = nil
+	if f.info.IsDir {
+		return nil, fmt.Errorf("%s %s: %w", op, p, ErrIsDir)
+	}
 	return f, nil
 }
 
@@ -233,32 +235,18 @@ func (fs *FS) Append(p string, n int64) error {
 	if n < 0 {
 		return fmt.Errorf("append %s: negative size %d", p, n)
 	}
-	f := fs.lookup(p)
-	if f == nil {
-		var err error
-		f, err = fs.create(p)
-		if err != nil {
-			return err
-		}
-	}
-	if f.info.IsDir {
-		return fmt.Errorf("append %s: %w", p, ErrIsDir)
+	f, err := fs.file("append", p, false)
+	if err != nil {
+		return err
 	}
 	return f.Append(n)
 }
 
 // WriteString replaces the content of a text file, creating it if absent.
 func (fs *FS) WriteString(p, s string) error {
-	f := fs.lookup(p)
-	if f == nil {
-		var err error
-		f, err = fs.create(p)
-		if err != nil {
-			return err
-		}
-	}
-	if f.info.IsDir {
-		return fmt.Errorf("write %s: %w", p, ErrIsDir)
+	f, err := fs.file("write", p, false)
+	if err != nil {
+		return err
 	}
 	f.content = []byte(s)
 	f.info.Size = int64(len(f.content))
@@ -268,17 +256,9 @@ func (fs *FS) WriteString(p, s string) error {
 
 // AppendString appends text to a text file, creating it if absent.
 func (fs *FS) AppendString(p, s string) error {
-	f := fs.lookup(p)
-	if f == nil {
-		var err error
-		f, err = fs.create(p)
-		if err != nil {
-			return err
-		}
-		f.content = []byte{}
-	}
-	if f.info.IsDir {
-		return fmt.Errorf("append %s: %w", p, ErrIsDir)
+	f, err := fs.file("append", p, true)
+	if err != nil {
+		return err
 	}
 	if f.content == nil && f.info.Size > 0 {
 		return fmt.Errorf("append %s: text append to size-only file", p)

@@ -22,7 +22,7 @@ func stat(fs *FS, p string) (FileInfo, error) {
 
 func TestCreateAndStat(t *testing.T) {
 	fs := New(nil)
-	if _, err := fs.create("/runs/tillamook/out.63"); err != nil {
+	if err := fs.Append("/runs/tillamook/out.63", 0); err != nil {
 		t.Fatal(err)
 	}
 	info, err := stat(fs, "/runs/tillamook/out.63")
@@ -36,16 +36,6 @@ func TestCreateAndStat(t *testing.T) {
 	dir, err := stat(fs, "/runs/tillamook")
 	if err != nil || !dir.IsDir {
 		t.Fatalf("parent dir: %+v, %v", dir, err)
-	}
-}
-
-func TestCreateExistingFails(t *testing.T) {
-	fs := New(nil)
-	if _, err := fs.create("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.create("/a"); !errors.Is(err, ErrExist) {
-		t.Fatalf("err = %v, want ErrExist", err)
 	}
 }
 
@@ -131,7 +121,7 @@ func TestMTimeUsesClock(t *testing.T) {
 func TestReadDirSorted(t *testing.T) {
 	fs := New(nil)
 	for _, name := range []string{"/d/c", "/d/a", "/d/b"} {
-		if _, err := fs.create(name); err != nil {
+		if err := fs.Append(name, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +139,7 @@ func TestReadDirErrors(t *testing.T) {
 	if fs.OpenDir("/missing") != nil {
 		t.Fatal("opened a missing directory")
 	}
-	fs.create("/file")
+	fs.Append("/file", 0)
 	if fs.OpenDir("/file") != nil {
 		t.Fatal("opened a regular file as a directory")
 	}
@@ -159,7 +149,7 @@ func TestWalkVisitsEverything(t *testing.T) {
 	fs := New(nil)
 	paths := []string{"/runs/a/out.63", "/runs/a/run.log", "/runs/b/out.63"}
 	for _, p := range paths {
-		if _, err := fs.create(p); err != nil {
+		if err := fs.Append(p, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,7 +192,7 @@ func TestListingsTrackChangesBetweenWalks(t *testing.T) {
 		p := randomPath()
 		switch rng.Intn(2) {
 		case 0:
-			if _, err := fs.create(p); err == nil {
+			if fs.Append(p, 0) == nil {
 				for q := p; q != "/"; q = path.Dir(q) {
 					live[q] = true
 				}
@@ -251,8 +241,8 @@ func TestListingsTrackChangesBetweenWalks(t *testing.T) {
 
 func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
 	fs := New(nil)
-	fs.create("/d/a")
-	fs.create("/d/c")
+	fs.Append("/d/a", 0)
+	fs.Append("/d/c", 0)
 	visit := func(during func(FileInfo)) []string {
 		var visited []string
 		err := fs.Walk("/d", func(info FileInfo) error {
@@ -268,7 +258,7 @@ func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
 	// /d/b lands in /d after the walk has listed it.
 	current := visit(func(info FileInfo) {
 		if info.Path == "/d/a" {
-			if _, err := fs.create("/d/b"); err != nil {
+			if err := fs.Append("/d/b", 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -283,8 +273,8 @@ func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
 
 func TestWalkErrorStops(t *testing.T) {
 	fs := New(nil)
-	fs.create("/d/a")
-	fs.create("/d/b")
+	fs.Append("/d/a", 0)
+	fs.Append("/d/b", 0)
 	sentinel := errors.New("stop")
 	count := 0
 	err := fs.Walk("/d", func(info FileInfo) error {
@@ -316,7 +306,7 @@ func TestTreeSize(t *testing.T) {
 
 func TestMkdirAllOverFileFails(t *testing.T) {
 	fs := New(nil)
-	fs.create("/a")
+	fs.Append("/a", 0)
 	if err := fs.MkdirAll("/a/b"); !errors.Is(err, ErrNotDir) {
 		t.Fatalf("err = %v, want ErrNotDir", err)
 	}
@@ -324,7 +314,7 @@ func TestMkdirAllOverFileFails(t *testing.T) {
 
 func TestPathNormalization(t *testing.T) {
 	fs := New(nil)
-	if _, err := fs.create("runs//f1/./out.63"); err != nil {
+	if err := fs.Append("runs//f1/./out.63", 0); err != nil {
 		t.Fatal(err)
 	}
 	if !fs.Exists("/runs/f1/out.63") {

@@ -107,6 +107,7 @@ func StartProducts(eng *sim.Engine, cfg ProductConfig) *ProductEngine {
 	}
 	for _, spec := range cfg.Products {
 		st := &productState{spec: spec, taskName: "prod:" + spec.Name}
+		st.done = func() { p.taskDone(st) }
 		if reg != nil {
 			st.mTasks = reg.Counter("workflow_product_tasks_total",
 				telemetry.Labels{"class": spec.Class.String()})
@@ -261,7 +262,7 @@ func (p *ProductEngine) dispatch() {
 }
 
 func (p *ProductEngine) startTask(st *productState, bytes float64) {
-	cpuPerMB, ratio := st.spec.Class.Profile()
+	cpuPerMB, _ := st.spec.Class.Profile()
 	work := p.cfg.WorkFactor * cpuPerMB * st.spec.Scale * bytes / 1e6
 	st.active = true
 	st.dispatched = bytes
@@ -271,37 +272,42 @@ func (p *ProductEngine) startTask(st *productState, bytes float64) {
 	// a campaign dispatches thousands of product tasks and a map
 	// allocation per span is measurable against the telemetry overhead
 	// budget. Aggregate byte counts live in the metrics registry instead.
-	var span int64
+	st.span = 0
 	if tel := p.cfg.Telemetry; tel != nil {
 		st.mTasks.Inc()
-		span = tel.Trace().Begin("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
+		st.span = tel.Trace().Begin("product", st.taskName, p.cfg.Node.Name(), p.cfg.Span)
 	}
-	p.cfg.Node.Submit(st.taskName, work, func() {
-		p.cfg.Telemetry.Trace().End(span)
-		st.active = false
-		st.consumed += st.dispatched
-		p.active--
-		p.mActive.Set(float64(p.active))
-		outBytes := int64(math.Round(ratio * st.spec.Scale * st.dispatched))
-		if outBytes > 0 {
-			st.outWritten += outBytes
-			if st.out == nil {
-				st.out = create(p.cfg.FS, p.ProductPath(st.spec.Name))
-			}
-			if err := st.out.Append(outBytes); err != nil {
-				panic(fmt.Sprintf("workflow: append product: %v", err))
-			}
+	p.cfg.Node.Submit(st.taskName, work, st.done)
+}
+
+// taskDone completes the product's in-flight task: it writes the
+// product bytes and the process log, then dispatches again.
+func (p *ProductEngine) taskDone(st *productState) {
+	_, ratio := st.spec.Class.Profile()
+	p.cfg.Telemetry.Trace().End(st.span)
+	st.active = false
+	st.consumed += st.dispatched
+	p.active--
+	p.mActive.Set(float64(p.active))
+	outBytes := int64(math.Round(ratio * st.spec.Scale * st.dispatched))
+	if outBytes > 0 {
+		st.outWritten += outBytes
+		if st.out == nil {
+			st.out = create(p.cfg.FS, p.ProductPath(st.spec.Name))
 		}
-		if p.master == nil {
-			p.master = create(p.cfg.FS, p.processPath())
+		if err := st.out.Append(outBytes); err != nil {
+			panic(fmt.Sprintf("workflow: append product: %v", err))
 		}
-		if err := p.master.Append(4096); err != nil {
-			panic(fmt.Sprintf("workflow: append process log: %v", err))
-		}
-		st.dispatched = 0
-		p.dispatch()
-		p.checkDone()
-	})
+	}
+	if p.master == nil {
+		p.master = create(p.cfg.FS, p.processPath())
+	}
+	if err := p.master.Append(4096); err != nil {
+		panic(fmt.Sprintf("workflow: append process log: %v", err))
+	}
+	st.dispatched = 0
+	p.dispatch()
+	p.checkDone()
 }
 
 // create resolves a size-only file for appending through its handle,

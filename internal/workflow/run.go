@@ -57,11 +57,14 @@ type productState struct {
 	out        *vfs.File // the product's data file, once first written
 	active     bool
 
-	// taskName ("prod:<name>") and mTasks (the per-class task counter)
-	// are resolved once at startup so the dispatch path pays neither a
-	// string concatenation nor a registry lookup per task.
+	// taskName ("prod:<name>"), mTasks (the per-class task counter) and
+	// done (the task completion handler) are resolved once at startup so
+	// the dispatch path pays no string concatenation, registry lookup or
+	// closure per task. span is the in-flight task's span.
 	taskName string
 	mTasks   *telemetry.Counter
+	done     func()
+	span     int64
 }
 
 // productInput is a model-output file a product reads; file is nil until
