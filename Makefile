@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race e2ebench fuzz bench clean
+.PHONY: all build test check fmt vet race e2ebench fuzz bench loc clean
 
 all: build
 
@@ -85,6 +85,14 @@ bench:
 	BENCH_OUT=$(CURDIR)/BENCH_spc.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/spc
 	BENCH_OUT=$(CURDIR)/BENCH_sim.json BENCH_BASELINE=$(CURDIR)/BENCH_sim_baseline.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/engineprof
 	BENCH_OUT=$(CURDIR)/BENCH_serving.json $(GO) test -count=1 -run TestEmitBenchReport -v ./internal/serving
+
+# Non-test Go lines per package, then their total: the size every change
+# reports its delta against. The benchmark module (e2ebench/) and its
+# build directory are not part of ./... and are not counted.
+loc:
+	@$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}{{end}}' ./... | \
+	while read pkg files; do printf '%6d  %s\n' $$(cat $$files | wc -l) $$pkg; done | \
+	awk '{ print; sum += $$1 } END { printf "%6d  total\n", sum }'
 
 clean:
 	$(GO) clean ./...

@@ -40,12 +40,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"sort"
+	"syscall"
 	"time"
 
 	"repro/internal/config"
@@ -186,8 +189,11 @@ func main() {
 		})
 	}
 
-	// The control room serves from a wall-clock goroutine.
+	// The control room serves from a wall-clock goroutine until the
+	// campaign is over and the operator stops it; stopServing lets its
+	// in-flight requests finish and waits for it.
 	var servedAddr net.Addr
+	var stopServing func()
 	if *monitorAddr != "" {
 		ln, err := net.Listen("tcp", *monitorAddr)
 		if err != nil {
@@ -198,11 +204,15 @@ func main() {
 		if *pprofOn {
 			srv.EnablePprof()
 		}
+		ctx, cancel := context.WithCancel(context.Background())
+		served := make(chan struct{})
 		go func() {
-			if err := srv.Serve(ln); err != nil {
+			defer close(served)
+			if err := srv.Serve(ctx, ln); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
+		stopServing = func() { cancel(); <-served }
 		servedAddr = ln.Addr()
 		fmt.Printf("control room serving on http://%s\n", servedAddr)
 	}
@@ -385,6 +395,11 @@ func main() {
 				len(alerts), firing)
 		}
 		fmt.Printf("\ncontrol room still serving on http://%s — Ctrl-C to exit\n", servedAddr)
-		select {}
+		// Only now does an interrupt let in-flight requests finish;
+		// during the replay it still stops the process at once.
+		interrupted, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		<-interrupted.Done()
+		stop()
+		stopServing()
 	}
 }

@@ -574,17 +574,12 @@ func utilizationReplay(schedule *core.Schedule, specs []*forecast.Spec, db *stat
 		}
 		replaySched.At(run.Start, func() {
 			start := eng.Now()
-			done := func() {
+			node.Submit(run.Name, work, func() {
 				outcomes = append(outcomes, usage.Outcome{
 					Run: run.Name, Node: nodeName,
 					Start: start, End: eng.Now(), Finished: true,
 				})
-			}
-			if run.Width > 1 {
-				node.SubmitParallel(run.Name, work, run.Width, done)
-			} else {
-				node.Submit(run.Name, work, done)
-			}
+			})
 		})
 	}
 

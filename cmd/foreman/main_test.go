@@ -62,19 +62,21 @@ func TestHarvestWarnsOfIgnoredFlags(t *testing.T) {
 }
 
 // TestGoldenStdout pins the command's stdout for invocations that print no
-// wall-clock figure or address: a refactor of the CLI must leave it byte
-// for byte as it was. Refresh with `go test ./cmd/foreman -update`.
+// wall-clock figure or address, and its flags through the -h text: a
+// refactor of the CLI must leave them byte for byte as they were. Refresh with `go test ./cmd/foreman -update`.
 func TestGoldenStdout(t *testing.T) {
 	for name, args := range map[string]string{
 		"fail-reshuffle": "-fail fnode03 -policy reshuffle -scripts",
 		"observatories":  "-blame all -spc all -serving -utilization all -slo",
+		"help":           "-h",
 	} {
 		t.Run(name, func(t *testing.T) { checkGolden(t, name, strings.Fields(args)) })
 	}
 }
 
-// checkGolden runs the command with args and compares its stdout with
-// testdata/<name>.golden, reporting the first line that differs.
+// checkGolden runs the command with args and compares its stdout (its
+// flags' help text for -h) with testdata/<name>.golden, reporting the
+// first line that differs.
 func checkGolden(t *testing.T, name string, args []string) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
@@ -83,6 +85,9 @@ func checkGolden(t *testing.T, name string, args []string) {
 	got, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+	}
+	if name == "help" {
+		got = flagHelp(stderr.Bytes())
 	}
 	path := filepath.Join("testdata", name+".golden")
 	if *update {
@@ -111,4 +116,22 @@ func checkGolden(t *testing.T, name string, args []string) {
 			t.Fatalf("%v: stdout differs from %s at line %d:\ngot  %q\nwant %q", args, path, i+1, gl, wl)
 		}
 	}
+}
+
+// flagHelp keeps the command's own flags from -h output on stderr. Its
+// first line names the binary, here the test binary's temporary path,
+// and the test binary adds its -test.* and -update flags.
+func flagHelp(out []byte) []byte {
+	var b bytes.Buffer
+	skip := false
+	for _, line := range strings.SplitAfter(string(out), "\n")[1:] {
+		if strings.HasPrefix(line, "  -") {
+			name := strings.Fields(line)[0][1:]
+			skip = strings.HasPrefix(name, "test.") || name == "update"
+		}
+		if !skip {
+			b.WriteString(line)
+		}
+	}
+	return b.Bytes()
 }

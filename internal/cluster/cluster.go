@@ -117,23 +117,6 @@ func (n *Node) Submit(label string, work float64, done func()) *Job {
 	return t
 }
 
-// SubmitParallel starts a parallel "mega-job" that can consume up to
-// width CPUs at once — the extension footnote 1 of the paper anticipates
-// for parallel forecast codes. width is clamped to the node's CPU count;
-// width ≤ 1 is a serial job. Sharing with other jobs follows max-min
-// fairness: a mega-job only uses cycles serial jobs cannot.
-func (n *Node) SubmitParallel(label string, work float64, width int, done func()) *Job {
-	if width < 1 {
-		width = 1
-	}
-	if width > n.cpus {
-		width = n.cpus
-	}
-	t := n.res.SubmitCapped(label, work, float64(width)*n.speed, done)
-	n.emit(EventSubmit, label)
-	return t
-}
-
 // Fail marks the node down. Running jobs stop progressing but keep their
 // exact remaining work; they resume on Repair. This models the paper's
 // "node becomes temporarily unavailable" scenario.

@@ -186,45 +186,6 @@ func TestNodeAccessors(t *testing.T) {
 	}
 }
 
-func TestSubmitParallelMegaJob(t *testing.T) {
-	e := sim.NewEngine()
-	c := New(e)
-	n := c.AddNode("n", 4, 1.0)
-	var done float64
-	// Width clamps to the CPU count; width < 1 behaves serially.
-	n.SubmitParallel("mega", 400, 99, func() { done = e.Now() })
-	e.Run()
-	if math.Abs(done-100) > eps {
-		t.Fatalf("mega-job finished at %v, want 100 (4 CPUs)", done)
-	}
-	var serialDone float64
-	n.SubmitParallel("serial", 100, 0, func() { serialDone = e.Now() })
-	e.Run()
-	if math.Abs(serialDone-200) > eps {
-		t.Fatalf("width-0 job finished at %v, want 200 (serial)", serialDone)
-	}
-}
-
-func TestParallelAndSerialShareFairly(t *testing.T) {
-	// 3 CPUs: serial job keeps a full CPU; width-3 mega-job soaks the
-	// other two.
-	e := sim.NewEngine()
-	c := New(e)
-	n := c.AddNode("n", 3, 1.0)
-	var tSerial, tMega float64
-	n.Submit("serial", 100, func() { tSerial = e.Now() })
-	n.SubmitParallel("mega", 500, 3, func() { tMega = e.Now() })
-	e.Run()
-	if math.Abs(tSerial-100) > eps {
-		t.Fatalf("serial finished at %v, want 100", tSerial)
-	}
-	// Mega: 2/s for 100 s (200 done), then 3/s for the remaining 300 →
-	// finishes at 200.
-	if math.Abs(tMega-200) > eps {
-		t.Fatalf("mega finished at %v, want 200", tMega)
-	}
-}
-
 // Property: the paper's CPU-sharing rule. k identical serial jobs of work W
 // started together on a node with c CPUs of speed s all finish at
 // W / (s·min(1, c/k)).

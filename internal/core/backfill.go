@@ -12,9 +12,8 @@ import (
 // Unlike forecasts these are not perishable; they soak idle capacity but
 // must never delay a forecast past its deadline.
 type BackfillJob struct {
-	Name     string
-	Work     float64 // reference CPU-seconds
-	Priority int     // higher backfills first
+	Name string
+	Work float64 // reference CPU-seconds
 }
 
 // BackfillPlacement records where and when a backfill job was scheduled.
@@ -26,14 +25,14 @@ type BackfillPlacement struct {
 }
 
 // PlanBackfill extends a forecast schedule with hindcast/calibration work
-// without making any forecast late: each job is placed, highest priority
-// first, on the node and start time yielding the earliest predicted
+// without making any forecast late: each job is placed, in name order,
+// on the node and start time yielding the earliest predicted
 // completion among placements that keep every deadline in the schedule
 // intact and finish within the horizon (seconds after midnight; <= 0
 // means one week). Jobs that fit nowhere are returned in skipped.
 //
 // The schedule is modified in place: placed jobs appear as runs named
-// "backfill:<name>" with priority as given, so the Gantt view and later
+// "backfill:<name>" with priority 0, so the Gantt view and later
 // what-ifs see them.
 func PlanBackfill(s *Schedule, jobs []BackfillJob, horizon float64) (placed []BackfillPlacement, skipped []BackfillJob, err error) {
 	if s == nil || s.Plan == nil {
@@ -43,12 +42,7 @@ func PlanBackfill(s *Schedule, jobs []BackfillJob, horizon float64) (placed []Ba
 		horizon = 7 * 86400
 	}
 	ordered := append([]BackfillJob(nil), jobs...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].Priority != ordered[j].Priority {
-			return ordered[i].Priority > ordered[j].Priority
-		}
-		return ordered[i].Name < ordered[j].Name
-	})
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Name < ordered[j].Name })
 
 	for _, job := range ordered {
 		if job.Work < 0 {
@@ -83,12 +77,7 @@ func PlanBackfill(s *Schedule, jobs []BackfillJob, horizon float64) (placed []Ba
 			}
 			for _, start := range starts {
 				trial := s.Plan.Clone()
-				trial.Runs = append(trial.Runs, Run{
-					Name:     runName,
-					Work:     job.Work,
-					Start:    start,
-					Priority: job.Priority,
-				})
+				trial.Runs = append(trial.Runs, Run{Name: runName, Work: job.Work, Start: start})
 				trial.Assign[runName] = node.Name
 				pred, err := trial.Predict()
 				if err != nil {
@@ -111,12 +100,7 @@ func PlanBackfill(s *Schedule, jobs []BackfillJob, horizon float64) (placed []Ba
 			skipped = append(skipped, job)
 			continue
 		}
-		s.Plan.Runs = append(s.Plan.Runs, Run{
-			Name:     runName,
-			Work:     job.Work,
-			Start:    best.start,
-			Priority: job.Priority,
-		})
+		s.Plan.Runs = append(s.Plan.Runs, Run{Name: runName, Work: job.Work, Start: best.start})
 		s.Plan.Assign[runName] = best.node
 		if err := s.repredict(); err != nil {
 			return nil, nil, err

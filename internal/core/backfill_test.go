@@ -26,8 +26,8 @@ func forecastSchedule(t *testing.T) *Schedule {
 func TestBackfillFillsIdleCapacityWithoutLateness(t *testing.T) {
 	s := forecastSchedule(t)
 	placed, skipped, err := PlanBackfill(s, []BackfillJob{
-		{Name: "hindcast-1999", Work: 60000, Priority: 2},
-		{Name: "calibration-v2", Work: 30000, Priority: 5},
+		{Name: "hindcast-1999", Work: 60000},
+		{Name: "calibration-v2", Work: 30000},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestBackfillFillsIdleCapacityWithoutLateness(t *testing.T) {
 	if !s.Feasible() {
 		t.Fatalf("backfill made forecasts late: %v", s.Late())
 	}
-	// Higher-priority calibration run placed first.
+	// Jobs are placed in name order, whatever order they came in.
 	if placed[0].Job.Name != "calibration-v2" {
 		t.Fatalf("placement order: %v first", placed[0].Job.Name)
 	}

@@ -60,9 +60,6 @@ func randomPlant(rng *rand.Rand) ([]NodeInfo, []Run) {
 		if rng.Intn(3) > 0 {
 			r.Deadline = r.Start + float64(10000+rng.Intn(150000))
 		}
-		if rng.Intn(4) == 0 {
-			r.Width = 1 + rng.Intn(3)
-		}
 		runs[i] = r
 	}
 	return nodes, runs

@@ -43,17 +43,6 @@ type Run struct {
 	Deadline float64 // desired completion, seconds after midnight
 	Priority int     // higher = more important
 	PrevNode string  // yesterday's node: the default assignment
-	// Width is the number of CPUs a parallel ("mega-job") forecast can
-	// consume at once; 0 or 1 means serial, the paper's default.
-	Width int
-}
-
-// width returns the effective CPU width.
-func (r Run) width() int {
-	if r.Width < 1 {
-		return 1
-	}
-	return r.Width
 }
 
 // Plan is a set of runs, a plant, and an assignment of runs to nodes.
@@ -96,9 +85,6 @@ func (p *Plan) Validate() error {
 		}
 		if r.Deadline > 0 && r.Deadline < r.Start {
 			return fmt.Errorf("core: run %q deadline %v before start %v", r.Name, r.Deadline, r.Start)
-		}
-		if r.Width < 0 {
-			return fmt.Errorf("core: run %q has negative width %d", r.Name, r.Width)
 		}
 	}
 	for run, node := range p.Assign {

@@ -152,10 +152,10 @@ func sweepNode(node NodeInfo, runs []Run) map[string]float64 {
 	return predictNode(node, runs)
 }
 
-// predictNode sweeps one node's processor-sharing timeline. Serial runs
-// are capped at one CPU; parallel mega-jobs (Width > 1) at Width CPUs;
-// the node's capacity is shared max-min fairly, matching the simulator's
-// water-filling discipline by an independent implementation.
+// predictNode sweeps one node's processor-sharing timeline. Each run is
+// capped at one CPU and the node's capacity is shared max-min fairly,
+// matching the simulator's water-filling discipline by an independent
+// implementation.
 func predictNode(node NodeInfo, runs []Run) map[string]float64 {
 	type state struct {
 		run       Run
@@ -183,19 +183,11 @@ func predictNode(node NodeInfo, runs []Run) map[string]float64 {
 		for _, s := range active {
 			states = append(states, s)
 		}
-		sort.Slice(states, func(i, j int) bool {
-			ci := float64(min(states[i].run.width(), node.CPUs)) * node.Speed
-			cj := float64(min(states[j].run.width(), node.CPUs)) * node.Speed
-			if ci != cj {
-				return ci < cj
-			}
-			return states[i].run.Name < states[j].run.Name
-		})
+		sort.Slice(states, func(i, j int) bool { return states[i].run.Name < states[j].run.Name })
 		remaining := float64(node.CPUs) * node.Speed
 		for i, s := range states {
-			cap := float64(min(s.run.width(), node.CPUs)) * node.Speed
 			share := remaining / float64(len(states)-i)
-			s.rate = math.Min(cap, share)
+			s.rate = math.Min(node.Speed, share)
 			remaining -= s.rate
 		}
 	}

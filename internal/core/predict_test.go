@@ -286,3 +286,66 @@ func TestPropertyPredictorMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the predictor matches the simulator across a multi-node
+// plant with heterogeneous speeds and staggered starts.
+func TestPropertyPredictorMatchesSimulatorMultiNode(t *testing.T) {
+	f := func(worksRaw []uint16, startsRaw []uint8, nodesRaw uint8) bool {
+		n := len(worksRaw)
+		if n == 0 || n > 10 || len(startsRaw) < n {
+			return true
+		}
+		nNodes := int(nodesRaw%3) + 1
+		nodes := make([]NodeInfo, nNodes)
+		for i := range nodes {
+			nodes[i] = NodeInfo{
+				Name:  string(rune('A' + i)),
+				CPUs:  1 + i%2,
+				Speed: 0.5 + float64(i)*0.5,
+			}
+		}
+		runs := make([]Run, n)
+		assign := make(map[string]string, n)
+		for i := 0; i < n; i++ {
+			name := string(rune('a' + i))
+			runs[i] = Run{
+				Name:  name,
+				Work:  float64(worksRaw[i]%8000) + 1,
+				Start: float64(startsRaw[i]) * 53,
+			}
+			assign[name] = nodes[i%nNodes].Name
+		}
+		plan := &Plan{Nodes: nodes, Runs: runs, Assign: assign}
+		pred, err := plan.Predict()
+		if err != nil {
+			return false
+		}
+
+		eng := sim.NewEngine()
+		cl := cluster.New(eng)
+		for _, node := range nodes {
+			cl.AddNode(node.Name, node.CPUs, node.Speed)
+		}
+		simDone := make(map[string]float64, n)
+		for _, r := range runs {
+			r := r
+			node := cl.Node(assign[r.Name])
+			eng.Scope("test").At(r.Start, func() {
+				node.Submit(r.Name, r.Work, func() { simDone[r.Name] = eng.Now() })
+			})
+		}
+		eng.Run()
+
+		for _, r := range runs {
+			a, b := pred.Completion[r.Name], simDone[r.Name]
+			if math.Abs(a-b) > 1e-6*math.Max(1, b) {
+				t.Logf("run %s: predictor %v vs simulator %v", r.Name, a, b)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -22,6 +23,13 @@ var testOnlyExports = map[string]string{
 	"statsdb.Table.IndexedColumns": "TestObservatorySchemasGolden",
 }
 
+// testOnlyFields lists the exported struct fields in internal/ that no
+// non-test code writes but that stay for a reader outside the guard's
+// reach. Each entry gives the reason.
+var testOnlyFields = map[string]string{
+	"factory.RunResult.Dropped": "e2ebench/campaign.go reads it; it goes with the benchmark's next change",
+}
+
 // standardMethods are the method names of standard-library interfaces a
 // type may implement without the module calling the method by name.
 var standardMethods = map[string]bool{
@@ -33,8 +41,9 @@ var standardMethods = map[string]bool{
 
 // TestEveryExportHasACaller type-checks the module's non-test Go, with
 // the end-to-end benchmark and the examples, and fails on each exported
-// function or method in internal/ that only tests reach: such a path is
-// a second way to do what production does, kept alive by its tests.
+// function or method in internal/ that only tests reach, and on each
+// exported field that only tests write: such a path, or such an input,
+// is a second way to do what production does, kept alive by its tests.
 func TestEveryExportHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
@@ -48,6 +57,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		fset:         token.NewFileSet(),
 		pkgs:         map[string]*types.Package{},
 		used:         map[types.Object]bool{},
+		written:      map[*types.Var]bool{},
 		ifaceMethods: map[string]bool{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil).(types.ImporterFrom)
@@ -78,7 +88,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		}
 	}
 
-	var missing []string
+	var missing, unwritten []string
 	for path, pkg := range s.pkgs {
 		if !strings.HasPrefix(path, "repro/internal/") {
 			continue
@@ -96,6 +106,21 @@ func TestEveryExportHasACaller(t *testing.T) {
 				if !ok || obj.IsAlias() {
 					continue
 				}
+				if st, ok := named.Underlying().(*types.Struct); ok && obj.Exported() {
+					for i := 0; i < st.NumFields(); i++ {
+						f, tag := st.Field(i), reflect.StructTag(st.Tag(i))
+						if !f.Exported() || f.Embedded() || s.written[f] {
+							continue
+						}
+						if _, ok := tag.Lookup("db"); ok {
+							continue
+						}
+						if _, ok := tag.Lookup("json"); ok {
+							continue
+						}
+						unwritten = append(unwritten, short+"."+name+"."+f.Name())
+					}
+				}
 				for i := 0; i < named.NumMethods(); i++ {
 					m := named.Method(i)
 					if m.Exported() && !s.used[m] && !standardMethods[m.Name()] && !s.ifaceMethods[m.Name()] {
@@ -105,20 +130,28 @@ func TestEveryExportHasACaller(t *testing.T) {
 			}
 		}
 	}
-	sort.Strings(missing)
+	checkAllowlist(t, missing, testOnlyExports, "testOnlyExports", "exports in internal/ that no non-test code calls")
+	checkAllowlist(t, unwritten, testOnlyFields, "testOnlyFields", "exported fields in internal/ that no non-test code writes")
+}
+
+// checkAllowlist fails on each name in found that the allowlist does
+// not name, and on each allowlisted name that found no longer holds.
+func checkAllowlist(t *testing.T, found []string, allow map[string]string, allowName, what string) {
+	t.Helper()
+	sort.Strings(found)
 	var failed []string
-	for _, m := range missing {
-		if testOnlyExports[m] == "" {
-			failed = append(failed, m)
+	for _, f := range found {
+		if allow[f] == "" {
+			failed = append(failed, f)
 		}
 	}
 	if len(failed) > 0 {
-		t.Errorf("%d exports in internal/ have no non-test caller; delete them, or list each with the test that needs it:\n\t%s",
-			len(failed), strings.Join(failed, "\n\t"))
+		t.Errorf("%d %s; delete them, or list each in %s with the reason it stays:\n\t%s",
+			len(failed), what, allowName, strings.Join(failed, "\n\t"))
 	}
-	for name := range testOnlyExports {
-		if !contains(missing, name) {
-			t.Errorf("allowlisted %s has a non-test caller or is gone; drop it from testOnlyExports", name)
+	for name := range allow {
+		if !contains(found, name) {
+			t.Errorf("%s lists %s, which is gone or no longer one of the %s; drop it", allowName, name, what)
 		}
 	}
 }
@@ -129,14 +162,15 @@ func contains(list []string, s string) bool {
 }
 
 // exportScan type-checks the module's packages from source, recording
-// every object non-test code refers to and the method names of every
-// interface the module declares.
+// every object non-test code refers to, every struct field it writes,
+// and the method names of every interface the module declares.
 type exportScan struct {
 	root         string
 	fset         *token.FileSet
 	std          types.ImporterFrom
 	pkgs         map[string]*types.Package
 	used         map[types.Object]bool
+	written      map[*types.Var]bool
 	ifaceMethods map[string]bool
 }
 
@@ -168,7 +202,12 @@ func (s *exportScan) ImportFrom(path, dir string, mode types.ImportMode) (*types
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Uses:       map[*ast.Ident]types.Object{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	conf := types.Config{Importer: s}
 	pkg, err := conf.Check(path, s.fset, files, info)
 	if err != nil {
@@ -204,6 +243,9 @@ func (s *exportScan) ImportFrom(path, dir string, mode types.ImportMode) (*types
 			s.used[obj] = true
 		}
 	}
+	for _, f := range files {
+		s.recordWrites(f, info)
+	}
 	for _, name := range pkg.Scope().Names() {
 		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
 		if !ok {
@@ -216,4 +258,46 @@ func (s *exportScan) ImportFrom(path, dir string, mode types.ImportMode) (*types
 		}
 	}
 	return pkg, nil
+}
+
+// recordWrites marks each struct field that f writes: by a keyed or
+// positional composite literal, as an assignment or inc/dec target, or
+// by taking its address.
+func (s *exportScan) recordWrites(f *ast.File, info *types.Info) {
+	field := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if x, ok := info.Selections[sel]; ok && x.Kind() == types.FieldVal {
+				s.written[x.Obj().(*types.Var).Origin()] = true
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						s.written[v.Origin()] = true
+					}
+				} else {
+					s.written[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				field(lhs)
+			}
+		case *ast.IncDecStmt:
+			field(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				field(n.X)
+			}
+		}
+		return true
+	})
 }

@@ -127,10 +127,7 @@ func TestRetiredForecastNotMissing(t *testing.T) {
 // alerts persisted into statsdb join against the runs table.
 func TestAlertsQueryableViaSQL(t *testing.T) {
 	history := seedHistory("f", 10000, 10000, 10000)
-	m := testMonitor(Options{
-		History:   history,
-		Deadlines: map[string]float64{"f": 7200},
-	})
+	m := attachedMonitor(t, Options{}, nil, heavySpec("f", 7200))
 	day4rec := completedRec("f", 4, day4+3600, 10000)
 	m.ObserveRecord(runningRec("f", 4, day4+3600))
 	m.ObserveRecord(day4rec)

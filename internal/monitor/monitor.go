@@ -85,7 +85,8 @@ type NodeStatus struct {
 // Options configure a Monitor. The zero value is the standard control
 // room: the deadline and run-time regression rules always apply, and an
 // attached monitor also checks for missing runs; the fields below add
-// rules and inputs.
+// rules. Deadlines, node speeds and the expected roster come from the
+// attached campaign, and run history from the records it writes.
 type Options struct {
 	// Thresholds are metric threshold rules evaluated every tick.
 	Thresholds []ThresholdRule
@@ -107,27 +108,6 @@ type Options struct {
 	// level shift (fed via ObserveChangepoint). Zero values disable both.
 	OutOfControl OutOfControlRule
 	Changepoint  ChangepointRule
-	// Expected lists the forecasts that must produce a run every day —
-	// the data-quality rule for "a run we expected never appeared". Empty
-	// disables the check. An attached monitor expects the campaign's
-	// roster as of each day instead.
-	Expected []string
-	// LastDay bounds the missing-run check over Expected (Attach bounds
-	// it at the last campaign day so drain time is not flagged).
-	LastDay int
-	// MissingRunGrace is how far past a day's deadline the monitor waits
-	// before declaring an expected run missing (sim seconds).
-	MissingRunGrace float64
-	// History seeds the estimator and the regression baselines with
-	// completed run records (e.g. harvested from the statsdb runs table).
-	History []*logs.RunRecord
-	// Nodes supplies node speeds for the estimator. Attach overrides it
-	// from the campaign's cluster.
-	Nodes []core.NodeInfo
-	// Deadlines overrides the per-forecast deadline (seconds after
-	// midnight). Unlisted forecasts use the campaign spec's deadline when
-	// attached, else end of day.
-	Deadlines map[string]float64
 }
 
 // DefaultOptions returns the standard control-room configuration.
@@ -154,13 +134,16 @@ type Monitor struct {
 	// startDay anchors day-of-year to campaign seconds (1 unless a
 	// campaign is attached). specOf resolves a forecast's current spec
 	// for deadline lookup and history-less estimates; Attach wires it to
-	// Campaign.Spec.
+	// Campaign.Spec, and sets plant, the node speeds the estimator
+	// scales by, from the campaign's cluster.
 	startDay int
 	specOf   func(name string) *forecast.Spec
+	plant    []core.NodeInfo
 	// expected is the missing-run rule's roster: expected[i] lists the
-	// forecasts that must produce a run on day startDay+i. The first
-	// settled past days have a record for every expected run; records
-	// are never forgotten, so the check skips them.
+	// forecasts that must produce a run on day startDay+i, as the tick
+	// records it on that day. The first settled past days have a record
+	// for every expected run; records are never forgotten, so the check
+	// skips them. An unattached monitor expects nothing.
 	expected [][]string
 	settled  int
 
@@ -206,18 +189,6 @@ func New(opts Options, reg *telemetry.Registry) *Monitor {
 		mPredicted: reg.Counter("monitor_predicted_misses_total", nil),
 		mRunning:   reg.Gauge("monitor_runs_tracked", nil),
 	}
-	for _, r := range opts.History {
-		if r.Status == logs.StatusCompleted && r.Walltime > 0 {
-			m.records = append(m.records, r)
-			m.walltimes[r.Forecast] = append(m.walltimes[r.Forecast], r.Walltime)
-		}
-	}
-	m.estDirty = len(m.records) > 0
-	if len(opts.Expected) > 0 {
-		for day := m.startDay; day <= opts.LastDay; day++ {
-			m.expected = append(m.expected, opts.Expected)
-		}
-	}
 	return m
 }
 
@@ -235,9 +206,9 @@ func (m *Monitor) Attach(c *factory.Campaign) {
 	m.specOf = c.Spec
 	m.expected = make([][]string, c.Days())
 	m.settled = 0
-	m.opts.Nodes = nil
+	m.plant = nil
 	for _, n := range c.Cluster().Nodes() {
-		m.opts.Nodes = append(m.opts.Nodes, core.NodeInfo{Name: n.Name(), CPUs: n.CPUs(), Speed: n.Speed()})
+		m.plant = append(m.plant, core.NodeInfo{Name: n.Name(), CPUs: n.CPUs(), Speed: n.Speed()})
 	}
 	m.estDirty = true
 	m.mu.Unlock()
@@ -292,17 +263,13 @@ func (m *Monitor) dayStart(day int) float64 {
 	return float64(day-m.startDay) * factory.SecondsPerDay
 }
 
-// deadlineFor resolves a forecast's absolute deadline for a day.
+// deadlineFor resolves a forecast's absolute deadline for a day: the
+// spec's, or the end of the day when there is none.
 func (m *Monitor) deadlineFor(forecastName string, day int) float64 {
-	rel, ok := m.opts.Deadlines[forecastName]
-	if !ok {
-		if m.specOf != nil {
-			if s := m.specOf(forecastName); s != nil && s.Deadline > 0 {
-				rel = s.Deadline
-			}
-		}
-		if rel <= 0 {
-			rel = factory.SecondsPerDay // end of day
+	rel := factory.SecondsPerDay
+	if m.specOf != nil {
+		if s := m.specOf(forecastName); s != nil && s.Deadline > 0 {
+			rel = s.Deadline
 		}
 	}
 	return m.dayStart(day) + rel
@@ -321,7 +288,7 @@ func (m *Monitor) plannedStart(rec *logs.RunRecord) float64 {
 // estimator returns the (lazily rebuilt) run-time estimator.
 func (m *Monitor) estimator() *core.Estimator {
 	if m.estDirty || m.est == nil {
-		m.est = core.NewEstimator(m.records, m.opts.Nodes)
+		m.est = core.NewEstimator(m.records, m.plant)
 		m.estDirty = false
 	}
 	return m.est
@@ -343,7 +310,7 @@ func (m *Monitor) launchETA(rec *logs.RunRecord) float64 {
 	}
 	if m.specOf != nil {
 		if spec := m.specOf(rec.Forecast); spec != nil {
-			for _, n := range m.opts.Nodes {
+			for _, n := range m.plant {
 				if n.Name == rec.Node && n.Speed > 0 {
 					return rec.Start + core.EstimateFromSpec(spec, n).Seconds
 				}
@@ -552,8 +519,8 @@ func (m *Monitor) checkRates() {
 }
 
 // checkMissingRuns flags expected forecast runs that never produced any
-// record — not even a launch or a drop — once their day's deadline (plus
-// grace) has passed. A record appearing later (a delayed harvest, a
+// record — not even a launch or a drop — once their day's deadline has
+// passed. A record appearing later (a delayed harvest, a
 // backfill) resolves the alert.
 func (m *Monitor) checkMissingRuns() {
 	curDay := m.startDay + int(m.now/factory.SecondsPerDay)
@@ -570,7 +537,7 @@ func (m *Monitor) checkMissingRuns() {
 				continue
 			}
 			complete = false
-			if m.now > m.deadlineFor(f, day)+m.opts.MissingRunGrace {
+			if m.now > m.deadlineFor(f, day) {
 				m.book.fire(m.now, Alert{
 					Rule: "missing_run", Key: "missing_run:" + key,
 					Severity: missingRunSeverity, Forecast: f, Day: day,

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/factory"
+	"repro/internal/forecast"
 	"repro/internal/logs"
 	"repro/internal/telemetry"
 )
@@ -43,9 +43,48 @@ func seedHistory(forecastName string, walltimes ...float64) []*logs.RunRecord {
 	return recs
 }
 
+// observeHistory feeds completed records for earlier days through the
+// monitor, as an attached campaign's run-log hook would.
+func observeHistory(m *Monitor, recs []*logs.RunRecord) {
+	for _, r := range recs {
+		m.ObserveRecord(r)
+	}
+}
+
 func testMonitor(opts Options) *Monitor {
-	opts.Nodes = []core.NodeInfo{{Name: "fnode01", CPUs: 2, Speed: 1}}
 	return New(opts, telemetry.NewRegistry())
+}
+
+// heavySpec is a forecast due deadline seconds after midnight whose spec
+// work model predicts a ~10,000 s run (9,999 s) on a speed-1 node: the
+// launch ETA of a run with no history.
+func heavySpec(name string, deadline float64) *forecast.Spec {
+	s := forecast.NewSpec(name, "r", 960, 42650, 2)
+	s.Deadline = deadline
+	return s
+}
+
+// attachedMonitor attaches a monitor to an unrun 3-day campaign on the
+// default plant (2-CPU, speed-1 nodes) whose forecasts are specs: the
+// specs give each forecast its deadline and a first run its launch ETA.
+// Tests then drive the monitor with records and snapshots as the
+// campaign would. reg may be nil.
+func attachedMonitor(t *testing.T, opts Options, reg *telemetry.Registry, specs ...*forecast.Spec) *Monitor {
+	t.Helper()
+	var forecasts []factory.Assignment
+	for _, s := range specs {
+		forecasts = append(forecasts, factory.Assignment{Spec: s, Node: "fnode01"})
+	}
+	c, err := factory.New(factory.Config{Days: 3, Forecasts: forecasts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	m := New(opts, reg)
+	m.Attach(c)
+	return m
 }
 
 // findAlert returns the first alert matching rule, or nil.
@@ -64,19 +103,17 @@ func findAlert(alerts []Alert, rule string) *Alert {
 func TestAlertEngine(t *testing.T) {
 	cases := []struct {
 		name  string
-		opts  Options
+		spec  *forecast.Spec
 		drive func(m *Monitor)
 		check func(t *testing.T, m *Monitor)
 	}{
 		{
-			// A run whose estimator ETA overshoots a tight deadline: the
-			// predicted miss fires at launch — before the run ends — and
-			// escalates to an actual (critical) miss at completion.
+			// A first run whose spec-model ETA (~10,000 s) overshoots a
+			// tight deadline: the predicted miss fires at launch — before
+			// the run ends — and escalates to an actual (critical) miss at
+			// completion.
 			name: "deadline miss predicted before it occurs",
-			opts: Options{
-				History:   seedHistory("f", 10000, 10000, 10000),
-				Deadlines: map[string]float64{"f": 7200}, // 2h after midnight
-			},
+			spec: heavySpec("f", 7200), // 2h after midnight
 			drive: func(m *Monitor) {
 				m.ObserveRecord(runningRec("f", 4, day4+3600))
 				// Mid-flight, before the deadline passes.
@@ -115,10 +152,7 @@ func TestAlertEngine(t *testing.T) {
 			// The ETA predicts a miss, but the run lands in time: the
 			// predicted alert resolves instead of escalating.
 			name: "predicted miss resolved by on-time landing",
-			opts: Options{
-				History:   seedHistory("f", 10000, 10000, 10000),
-				Deadlines: map[string]float64{"f": 7200},
-			},
+			spec: heavySpec("f", 7200),
 			drive: func(m *Monitor) {
 				m.ObserveRecord(runningRec("f", 4, day4+3600))
 				m.ObserveRecord(completedRec("f", 4, day4+3600, 3000)) // lands at +4600 < 7200
@@ -140,10 +174,9 @@ func TestAlertEngine(t *testing.T) {
 			// A run that doubles its walltime against the trailing median
 			// trips the regression rule; the next normal run resolves it.
 			name: "runtime regression against trailing history",
-			opts: Options{
-				History: seedHistory("f", 980, 1000, 1010, 990, 1000, 1020, 1000),
-			},
+			spec: attachSpec("f", 86400),
 			drive: func(m *Monitor) {
+				observeHistory(m, seedHistory("f", 980, 1000, 1010, 990, 1000, 1020, 1000))
 				m.ObserveRecord(completedRec("f", 8, 7*86400+3600, 2000))
 				m.ObserveRecord(completedRec("f", 9, 8*86400+3600, 1000))
 			},
@@ -169,8 +202,9 @@ func TestAlertEngine(t *testing.T) {
 		{
 			// Too little history: the regression rule stays silent.
 			name: "regression needs MinSamples of history",
-			opts: Options{History: seedHistory("f", 1000, 1000)},
+			spec: attachSpec("f", 86400),
 			drive: func(m *Monitor) {
+				observeHistory(m, seedHistory("f", 1000, 1000))
 				m.ObserveRecord(completedRec("f", 3, 2*86400+3600, 9000))
 			},
 			check: func(t *testing.T, m *Monitor) {
@@ -181,11 +215,12 @@ func TestAlertEngine(t *testing.T) {
 		},
 		{
 			// A run executing past its deadline is a real miss even before
-			// it completes.
+			// it completes, and even though its ETA said it would land in
+			// time.
 			name: "still-running past deadline is an actual miss",
-			opts: Options{Deadlines: map[string]float64{"f": 7200}},
+			spec: attachSpec("f", 7200),
 			drive: func(m *Monitor) {
-				m.ObserveRecord(runningRec("f", 4, day4+3600))             // no history: ETA unknown
+				m.ObserveRecord(runningRec("f", 4, day4+3600))             // spec-model ETA +2,344 s: on time
 				m.ObserveSnapshot(factory.Snapshot{Now: day4 + 8000}, nil) // clock passes the deadline
 			},
 			check: func(t *testing.T, m *Monitor) {
@@ -201,7 +236,7 @@ func TestAlertEngine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := testMonitor(tc.opts)
+			m := attachedMonitor(t, Options{}, nil, tc.spec)
 			tc.drive(m)
 			tc.check(t, m)
 		})
@@ -237,11 +272,7 @@ func TestThresholdRuleLifecycle(t *testing.T) {
 
 func TestMonitorSelfMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m := New(Options{
-		History:   seedHistory("f", 10000, 10000, 10000),
-		Deadlines: map[string]float64{"f": 7200},
-		Nodes:     []core.NodeInfo{{Name: "fnode01", CPUs: 2, Speed: 1}},
-	}, reg)
+	m := attachedMonitor(t, Options{}, reg, heavySpec("f", 7200))
 	m.ObserveRecord(runningRec("f", 4, day4+3600))
 	m.ObserveRecord(completedRec("f", 4, day4+3600, 10000))
 
@@ -257,7 +288,7 @@ func TestMonitorSelfMetrics(t *testing.T) {
 }
 
 func TestSLOReport(t *testing.T) {
-	m := testMonitor(Options{Deadlines: map[string]float64{"a": 7200, "b": 86400}})
+	m := attachedMonitor(t, Options{}, nil, attachSpec("a", 7200), attachSpec("b", 86400))
 	// a: one on-time (end 3600+1000 < 7200), one late (end 10000 > 7200).
 	m.ObserveRecord(completedRec("a", 1, 3600, 1000))
 	m.ObserveRecord(completedRec("a", 2, 86400+3600, 6400+3000))

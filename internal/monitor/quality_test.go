@@ -97,27 +97,26 @@ func TestRateRuleFiresOnCounterSpike(t *testing.T) {
 }
 
 func TestMissingRunRule(t *testing.T) {
-	m := testMonitor(Options{
-		Expected:        []string{"f", "g"},
-		LastDay:         3,
-		Deadlines:       map[string]float64{"f": 7200, "g": 7200},
-		MissingRunGrace: 1800,
-	})
+	m := attachedMonitor(t, Options{}, nil, attachSpec("f", 7200), attachSpec("g", 7200))
+	// The monitor's tick records each campaign day's roster.
+	for day := 1; day <= 3; day++ {
+		m.expectOn(day, []string{"f", "g"})
+	}
 
 	// Day 1, both produce records (g's run is dropped — still a record).
 	m.ObserveRecord(completedRec("f", 1, 3600, 1800))
 	g := runningRec("g", 1, 3600)
 	g.Status = logs.StatusDropped
 	m.ObserveRecord(g)
-	m.ObserveSnapshot(factory.Snapshot{Now: 10000}, nil) // past deadline+grace for day 1
+	m.ObserveSnapshot(factory.Snapshot{Now: 10000}, nil) // past day 1's deadline
 	if a := findAlert(m.Alerts(), "missing_run"); a != nil {
 		t.Fatalf("missing_run fired although records exist: %+v", a)
 	}
 
-	// Day 2: f produces, g goes silent. At deadline+grace the alert fires
-	// for g day 2 only.
+	// Day 2: f produces, g goes silent. Past the deadline the alert
+	// fires for g day 2 only.
 	m.ObserveRecord(completedRec("f", 2, 86400+3600, 1800))
-	m.ObserveSnapshot(factory.Snapshot{Now: 86400 + 7200 + 1801}, nil)
+	m.ObserveSnapshot(factory.Snapshot{Now: 86400 + 7201}, nil)
 	firing := m.FiringAlerts()
 	a := findAlert(firing, "missing_run")
 	if a == nil {
@@ -142,11 +141,11 @@ func TestMissingRunRule(t *testing.T) {
 	if a := findAlert(m.FiringAlerts(), "missing_run"); a != nil {
 		t.Fatalf("missing_run did not resolve on backfill: %+v", a)
 	}
-	// Days beyond LastDay are never flagged.
+	// Days past the campaign's last day (3) are never flagged.
 	m.ObserveSnapshot(factory.Snapshot{Now: 10 * 86400}, nil)
 	for _, al := range m.FiringAlerts() {
 		if al.Rule == "missing_run" && al.Day > 3 {
-			t.Fatalf("missing_run fired past LastDay: %+v", al)
+			t.Fatalf("missing_run fired past the last campaign day: %+v", al)
 		}
 	}
 }

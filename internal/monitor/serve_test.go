@@ -1,10 +1,12 @@
 package monitor
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -19,7 +21,7 @@ func TestServeDropsStalledClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go NewServer(New(Options{}, nil), nil).Serve(ln)
+	go NewServer(New(Options{}, nil), nil).Serve(context.Background(), ln)
 
 	stalled, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -56,5 +58,65 @@ func TestServeDropsStalledClients(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < readHeaderTimeout-slack {
 		t.Fatalf("stalled connection dropped after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+}
+
+// TestServeShutsDownGracefully: cancelling Serve's context while a
+// report is being computed stops the server only after the request has
+// its answer, and Serve then returns nil.
+func TestServeShutsDownGracefully(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(New(Options{}, nil), nil)
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.Attach("slow", func() any {
+		close(entered)
+		<-release
+		return "done"
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+
+	type answer struct {
+		status int
+		body   string
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String() + "/api/slow")
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		answered <- answer{resp.StatusCode, string(body), err}
+	}()
+
+	<-entered
+	cancel()
+	select {
+	case err := <-served:
+		t.Fatalf("Serve returned %v with a request in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	a := <-answered
+	if a.err != nil || a.status != http.StatusOK || !strings.Contains(a.body, "done") {
+		t.Fatalf("in-flight request during shutdown: status %d, body %q, err %v", a.status, a.body, a.err)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve returned %v after a graceful shutdown, want nil", err)
+		}
+	case <-time.After(shutdownWait + time.Second):
+		t.Fatal("Serve did not return after its context was cancelled")
 	}
 }

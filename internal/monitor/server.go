@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -40,6 +41,9 @@ type Server struct {
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute
+	// shutdownWait bounds how long Serve, once its context is done, waits
+	// for in-flight requests before it closes their connections.
+	shutdownWait = 5 * time.Second
 )
 
 // NewServer builds a Server for a monitor. reg (may be nil) backs
@@ -83,16 +87,31 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Serve accepts control-room connections on ln until it fails, under
-// the connection timeouts above, so a client that stalls mid-request
-// cannot hold a connection forever.
-func (s *Server) Serve(ln net.Listener) error {
+// Serve accepts control-room connections on ln until it fails or ctx is
+// done, under the connection timeouts above, so a client that stalls
+// mid-request cannot hold a connection forever. Once ctx is done it
+// stops accepting, lets in-flight requests finish for up to
+// shutdownWait, closes what is left, and returns nil.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	return hs.Serve(ln)
+	failed := make(chan error, 1)
+	go func() { failed <- hs.Serve(ln) }()
+	select {
+	case err := <-failed:
+		return err
+	case <-ctx.Done():
+	}
+	wait, cancel := context.WithTimeout(context.Background(), shutdownWait)
+	defer cancel()
+	if hs.Shutdown(wait) != nil {
+		hs.Close()
+	}
+	<-failed // hs.Serve returned ErrServerClosed when Shutdown began
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -16,11 +15,7 @@ import (
 func testServer(t *testing.T) (*Monitor, *telemetry.Registry, *httptest.Server) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	m := New(Options{
-		History:   seedHistory("f", 10000, 10000, 10000),
-		Deadlines: map[string]float64{"f": 7200},
-		Nodes:     []core.NodeInfo{{Name: "fnode01", CPUs: 2, Speed: 1}},
-	}, reg)
+	m := attachedMonitor(t, Options{}, reg, heavySpec("f", 7200))
 	m.ObserveRecord(runningRec("f", 4, day4+3600))
 	m.ObserveRecord(completedRec("f", 4, day4+3600, 10000))
 	srv := httptest.NewServer(NewServer(m, reg).Handler())

@@ -12,13 +12,10 @@ import (
 	"repro/internal/usage"
 )
 
-// driftMonitor builds a monitor whose estimator predicts ~10000s runs
-// and whose drift rule tolerates 25% relative error.
-func driftMonitor(rule DriftRule) *Monitor {
-	return testMonitor(Options{
-		History: seedHistory("f", 10000, 10000, 10000),
-		Drift:   rule,
-	})
+// driftMonitor builds a monitor that predicts ~10000s runs of f from its
+// spec and applies the drift rule.
+func driftMonitor(t *testing.T, rule DriftRule) *Monitor {
+	return attachedMonitor(t, Options{Drift: rule}, nil, heavySpec("f", 86400))
 }
 
 func TestDriftAlert(t *testing.T) {
@@ -42,7 +39,7 @@ func TestDriftAlert(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := driftMonitor(tc.rule)
+			m := driftMonitor(t, tc.rule)
 			m.ObserveRecord(runningRec("f", 4, day4+3600))
 			m.ObserveRecord(completedRec("f", 4, day4+3600, tc.walltime))
 			a := findAlert(m.Alerts(), "plan_drift")
@@ -71,7 +68,7 @@ func TestDriftAlert(t *testing.T) {
 // A corrected completion record that lands back on plan retires the
 // drift alert for that run.
 func TestDriftAlertResolves(t *testing.T) {
-	m := driftMonitor(DriftRule{RelAbove: 0.25, Severity: SevWarning})
+	m := driftMonitor(t, DriftRule{RelAbove: 0.25, Severity: SevWarning})
 	m.ObserveRecord(runningRec("f", 4, day4+3600))
 	m.ObserveRecord(completedRec("f", 4, day4+3600, 16000))
 	if a := findAlert(m.Alerts(), "plan_drift"); a == nil || !a.Firing() {

@@ -5,12 +5,13 @@
 //
 // Requests for custom products (a transect at a new location, an
 // animation over specific depths, a hindcast product) arrive during the
-// production day. An admission policy decides, per request, whether to
-// run it now — and where — or defer it until the made-to-stock forecasts
-// are safe, or reject it. The deadline-aware policy uses ForeMan's
-// completion-time predictor as a what-if oracle: a request is only placed
-// on a node if the resulting plan still meets every made-to-stock
-// deadline.
+// production day. Requests are best effort: they carry no deadline or
+// priority of their own. An admission policy decides, per request,
+// whether to run it now — and where — or defer it until the
+// made-to-stock forecasts are safe, or reject it. The deadline-aware
+// policy uses ForeMan's completion-time predictor as a what-if oracle: a
+// request is only placed on a node if the resulting plan still meets
+// every made-to-stock deadline.
 package ondemand
 
 import (
@@ -23,13 +24,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Request is one made-to-order product request.
+// Request is one made-to-order product request, served best effort.
 type Request struct {
-	ID       string
-	Arrival  float64 // seconds after midnight
-	Work     float64 // reference CPU-seconds to compute the product
-	Deadline float64 // 0 = best effort
-	Priority int
+	ID      string
+	Arrival float64 // seconds after midnight
+	Work    float64 // reference CPU-seconds to compute the product
 }
 
 // Outcome classifies what happened to a request.
@@ -108,8 +107,7 @@ func (GreedyPolicy) String() string { return "greedy" }
 
 // DeadlineAwarePolicy admits a request only onto a node where the
 // predictor says every made-to-stock run still meets its deadline with
-// the request's work added; otherwise the request is deferred (or
-// rejected if it has a deadline that deferral would miss).
+// the request's work added; otherwise the request is deferred.
 type DeadlineAwarePolicy struct{}
 
 // Decide implements Policy.
@@ -124,12 +122,7 @@ func (DeadlineAwarePolicy) Decide(req Request, state *State) (string, Outcome) {
 			continue
 		}
 		trial := state.Stock.Clone()
-		trial.Runs = append(trial.Runs, core.Run{
-			Name:     "ondemand:" + req.ID,
-			Work:     req.Work,
-			Start:    state.Now,
-			Priority: req.Priority,
-		})
+		trial.Runs = append(trial.Runs, core.Run{Name: "ondemand:" + req.ID, Work: req.Work, Start: state.Now})
 		trial.Assign["ondemand:"+req.ID] = n.Name
 		pred, err := trial.Predict()
 		if err != nil {
@@ -139,26 +132,12 @@ func (DeadlineAwarePolicy) Decide(req Request, state *State) (string, Outcome) {
 			continue
 		}
 		c := pred.Completion["ondemand:"+req.ID]
-		if req.Deadline > 0 && c > req.Deadline {
-			continue
-		}
 		if best == nil || c < best.completion {
 			best = &candidate{node: n.Name, completion: c}
 		}
 	}
 	if best != nil {
 		return best.node, Admitted
-	}
-	if req.Deadline > 0 {
-		// Deferral runs after the stock drains; if that provably misses
-		// the request's deadline, reject outright.
-		drain := 0.0
-		if pred, err := state.Stock.Predict(); err == nil {
-			drain = pred.Makespan()
-		}
-		if drain+req.Work > req.Deadline {
-			return "", Rejected
-		}
 	}
 	return "", Deferred
 }
@@ -177,23 +156,15 @@ type RequestResult struct {
 // Latency is completion minus arrival (NaN if never ran).
 func (r RequestResult) Latency() float64 { return r.Completed - r.Request.Arrival }
 
-// Outage takes a node down mid-simulation and, when To > From, repairs
-// it again. Queued work on the node resumes at repair (cluster
-// semantics); the admission policy sees the live down state.
-type Outage struct {
-	Node     string
-	From, To float64
-}
-
 // Config describes an on-demand simulation: a plant, the day's
 // made-to-stock runs, the request stream, and the admission policy.
+// A node's Down state holds for the whole day.
 type Config struct {
 	Nodes    []core.NodeInfo
 	Stock    []core.Run        // made-to-stock runs (with Start, Deadline)
 	Assign   map[string]string // stock assignment
 	Requests []Request
 	Policy   Policy
-	Outages  []Outage
 }
 
 // Result summarizes a simulated day.
@@ -246,22 +217,10 @@ func Run(cfg Config) (Result, error) {
 	eng := sim.NewEngine()
 	sched := eng.Scope("ondemand")
 	cl := cluster.New(eng)
-	nodeInfo := make(map[string]core.NodeInfo, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
 		node := cl.AddNode(n.Name, n.CPUs, n.Speed)
 		if n.Down {
 			node.Fail()
-		}
-		nodeInfo[n.Name] = n
-	}
-	for _, o := range cfg.Outages {
-		if _, ok := nodeInfo[o.Node]; !ok {
-			return Result{}, fmt.Errorf("ondemand: outage for unknown node %q", o.Node)
-		}
-		node := cl.Node(o.Node)
-		sched.At(o.From, node.Fail)
-		if o.To > o.From {
-			sched.At(o.To, node.Repair)
 		}
 	}
 
@@ -308,47 +267,33 @@ func Run(cfg Config) (Result, error) {
 		return best
 	}
 
-	var drainDeferred func()
-	drainDeferred = func() {
+	// drainDeferred runs the deferred requests, in arrival order, once
+	// the stock has finished. On a plant with every node down none of
+	// them ever runs.
+	drainDeferred := func() {
 		if stockDone < len(cfg.Stock) {
 			return
 		}
-		// Highest priority first; FIFO within a priority class.
-		sort.SliceStable(deferred, func(i, j int) bool {
-			return deferred[i].Request.Priority > deferred[j].Request.Priority
-		})
-		kept := deferred[:0]
 		for _, rr := range deferred {
 			if node := leastLoadedUp(); node != "" {
 				runRequest(rr, node)
-			} else {
-				// Every node is down: keep the request queued for the next
-				// night-shift poll instead of dropping it.
-				kept = append(kept, rr)
 			}
 		}
-		deferred = kept
+		deferred = nil
 	}
 
-	// currentState snapshots remaining stock work for the policy. Node
-	// infos carry the LIVE down state so mid-day outages are visible to
-	// the what-if oracle, not just the configured state at t=0.
+	// currentState snapshots remaining stock work for the policy.
 	currentState := func() *State {
 		now := eng.Now()
-		nodesNow := make([]core.NodeInfo, len(cfg.Nodes))
-		for i, n := range cfg.Nodes {
-			n.Down = cl.Node(n.Name).Down()
-			nodesNow[i] = n
-		}
 		st := &State{
 			Now:    now,
-			Nodes:  nodesNow,
+			Nodes:  cfg.Nodes,
 			Active: make(map[string]int, len(cfg.Nodes)),
 		}
 		for _, n := range cfg.Nodes {
 			st.Active[n.Name] = cl.Node(n.Name).Active()
 		}
-		stock := &core.Plan{Nodes: nodesNow, Assign: map[string]string{}}
+		stock := &core.Plan{Nodes: cfg.Nodes, Assign: map[string]string{}}
 		for _, r := range cfg.Stock {
 			job, running := stockJobs[r.Name]
 			if _, finished := res.StockCompletion[r.Name]; finished {

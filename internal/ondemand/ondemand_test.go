@@ -148,48 +148,6 @@ func TestGreedyLowerLatencyAtStockExpense(t *testing.T) {
 	}
 }
 
-func TestRejectWhenDeadlineUnreachable(t *testing.T) {
-	runs, assign := tightStock()
-	res, err := Run(Config{
-		Nodes:  plant(),
-		Stock:  runs,
-		Assign: assign,
-		Requests: []Request{
-			// Wants completion by noon, but the stock is saturated until
-			// nearly midnight and deferral would be far too late.
-			{ID: "urgent", Arrival: 20000, Work: 20000, Deadline: 43200},
-		},
-		Policy: DeadlineAwarePolicy{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests[0].Outcome != Rejected {
-		t.Fatalf("outcome = %v, want rejected", res.Requests[0].Outcome)
-	}
-	if !math.IsNaN(res.Requests[0].Completed) {
-		t.Fatal("rejected request ran anyway")
-	}
-}
-
-func TestRequestWithFeasibleDeadlineAdmitted(t *testing.T) {
-	runs, assign := looseStock()
-	res, err := Run(Config{
-		Nodes:    plant(),
-		Stock:    runs,
-		Assign:   assign,
-		Requests: []Request{{ID: "r", Arrival: 10000, Work: 5000, Deadline: 30000}},
-		Policy:   DeadlineAwarePolicy{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := res.Requests[0]
-	if rr.Outcome != Admitted || rr.Completed > 30000 {
-		t.Fatalf("result = %+v", rr)
-	}
-}
-
 func TestDefaultPolicyIsDeadlineAware(t *testing.T) {
 	runs, assign := looseStock()
 	res, err := Run(Config{
@@ -267,23 +225,19 @@ func TestWedgedStockRunFlaggedLate(t *testing.T) {
 	}
 }
 
-// Regression: if every node is down when the night shift drains the
-// deferred queue, the requests must stay queued for the next poll rather
-// than being dropped with no retry.
+// Node states hold for the whole day: with every node down and no stock
+// to wait for, the night shift's first poll (at 300 s) finds no node for
+// the request deferred before it, which never runs, and the day still
+// ends.
 func TestDeferredSurvivesAllNodesDownAtDrain(t *testing.T) {
-	runs, assign := tightStock()
+	nodes := []core.NodeInfo{
+		{Name: "n1", CPUs: 2, Speed: 1, Down: true},
+		{Name: "n2", CPUs: 2, Speed: 1, Down: true},
+	}
 	res, err := Run(Config{
-		Nodes:    plant(),
-		Stock:    runs,
-		Assign:   assign,
-		Requests: []Request{{ID: "r", Arrival: 20000, Work: 20000}},
+		Nodes:    nodes,
+		Requests: []Request{{ID: "r", Arrival: 100, Work: 20000}},
 		Policy:   DeadlineAwarePolicy{},
-		Outages: []Outage{
-			// Both nodes go down right after the stock drains (83600) and
-			// come back at 90000 — the first drain polls find no node up.
-			{Node: "n1", From: 83650, To: 90000},
-			{Node: "n2", From: 83650, To: 90000},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,95 +246,14 @@ func TestDeferredSurvivesAllNodesDownAtDrain(t *testing.T) {
 	if rr.Outcome != Deferred {
 		t.Fatalf("outcome = %v, want deferred", rr.Outcome)
 	}
-	if math.IsNaN(rr.Completed) {
-		t.Fatal("deferred request dropped when all nodes were down at drain time")
-	}
-	if rr.Started < 90000 {
-		t.Fatalf("request started at %v, before the nodes were repaired", rr.Started)
-	}
-}
-
-// Regression: the deferred queue drains by priority, not arrival order —
-// the high-priority request gets the fast node even though it arrived
-// second.
-func TestDeferredDrainsByPriority(t *testing.T) {
-	nodes := []core.NodeInfo{
-		{Name: "n1", CPUs: 2, Speed: 10},
-		{Name: "n2", CPUs: 2, Speed: 1},
-	}
-	// Two serial jobs per node finishing at 83600 with only 50s of slack:
-	// any admitted extra work slips a deadline, so requests defer.
-	runs := []core.Run{
-		{Name: "s1", Work: 800000, Start: 3600, Deadline: 83650},
-		{Name: "s2", Work: 800000, Start: 3600, Deadline: 83650},
-		{Name: "s3", Work: 80000, Start: 3600, Deadline: 83650},
-		{Name: "s4", Work: 80000, Start: 3600, Deadline: 83650},
-	}
-	assign := map[string]string{"s1": "n1", "s2": "n1", "s3": "n2", "s4": "n2"}
-	res, err := Run(Config{
-		Nodes:  nodes,
-		Stock:  runs,
-		Assign: assign,
-		Requests: []Request{
-			{ID: "low", Arrival: 20000, Work: 50000, Priority: 1},
-			{ID: "high", Arrival: 21000, Work: 50000, Priority: 9},
-		},
-		Policy: DeadlineAwarePolicy{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.StockLate) != 0 {
-		t.Fatalf("stock late: %v", res.StockLate)
-	}
-	var low, high RequestResult
-	for _, rr := range res.Requests {
-		switch rr.Request.ID {
-		case "low":
-			low = rr
-		case "high":
-			high = rr
-		}
-	}
-	if low.Outcome != Deferred || high.Outcome != Deferred {
-		t.Fatalf("outcomes = %v/%v, want both deferred", low.Outcome, high.Outcome)
-	}
-	if high.Node != "n1" {
-		t.Fatalf("high-priority request drained to %s, want the fast node n1", high.Node)
-	}
-	if !(high.Completed < low.Completed) {
-		t.Fatalf("high-priority completed at %v, low at %v — priority ignored at drain",
-			high.Completed, low.Completed)
-	}
-}
-
-// Direct coverage of the reject path: no node can absorb the request
-// without slipping the stock, and deferral provably misses the request's
-// own deadline.
-func TestDecideRejectsWhenDrainMissesDeadline(t *testing.T) {
-	nodes := []core.NodeInfo{{Name: "n1", CPUs: 1, Speed: 1}}
-	stock := &core.Plan{
-		Nodes:  nodes,
-		Runs:   []core.Run{{Name: "s", Work: 50000, Start: 0, Deadline: 50500}},
-		Assign: map[string]string{"s": "n1"},
-	}
-	st := &State{Now: 0, Nodes: nodes, Stock: stock, Active: map[string]int{"n1": 1}}
-
-	node, out := DeadlineAwarePolicy{}.Decide(Request{ID: "r", Work: 10000, Deadline: 20000}, st)
-	if node != "" || out != Rejected {
-		t.Fatalf("decide = (%q, %v), want rejected: drain 50000 + work 10000 > deadline 20000", node, out)
-	}
-
-	// Same request with a deadline past the drain is deferred, not rejected.
-	node, out = DeadlineAwarePolicy{}.Decide(Request{ID: "r", Work: 10000, Deadline: 70000}, st)
-	if node != "" || out != Deferred {
-		t.Fatalf("decide = (%q, %v), want deferred", node, out)
+	if !math.IsNaN(rr.Completed) || rr.Node != "" {
+		t.Fatalf("request ran on %q at %v with every node down", rr.Node, rr.Completed)
 	}
 }
 
 // Direct coverage of the Predict-error continue: a stock plan that fails
 // validation (assignment to an unknown node) errors in every trial, so no
-// node is chosen; the drain estimate degrades to zero.
+// node is chosen.
 func TestDecideSkipsNodesOnPredictError(t *testing.T) {
 	nodes := []core.NodeInfo{{Name: "n1", CPUs: 2, Speed: 1}}
 	stock := &core.Plan{
@@ -393,25 +266,5 @@ func TestDecideSkipsNodesOnPredictError(t *testing.T) {
 	node, out := DeadlineAwarePolicy{}.Decide(Request{ID: "r", Work: 100}, st)
 	if node != "" || out != Deferred {
 		t.Fatalf("decide = (%q, %v), want deferred when every Predict errors", node, out)
-	}
-
-	// With a deadline, the zero drain estimate still rejects impossible work.
-	node, out = DeadlineAwarePolicy{}.Decide(Request{ID: "r", Work: 100, Deadline: 50}, st)
-	if node != "" || out != Rejected {
-		t.Fatalf("decide = (%q, %v), want rejected (work alone exceeds deadline)", node, out)
-	}
-}
-
-// Outages must name known nodes.
-func TestOutageUnknownNodeRejected(t *testing.T) {
-	runs, assign := looseStock()
-	_, err := Run(Config{
-		Nodes:   plant(),
-		Stock:   runs,
-		Assign:  assign,
-		Outages: []Outage{{Node: "ghost", From: 100}},
-	})
-	if err == nil {
-		t.Fatal("outage for unknown node accepted")
 	}
 }

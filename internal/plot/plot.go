@@ -20,22 +20,18 @@ type Series struct {
 // markers cycles through per-series point symbols.
 var markers = []byte{'*', '+', 'o', 'x', '#', '@', '%', '&'}
 
-// Chart describes an ASCII chart.
+// Chart describes an ASCII chart with a plot area 72 columns wide.
 type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Width  int // plot area columns (default 72)
 	Height int // plot area rows (default 20)
 	Series []Series
 }
 
 // Render draws the chart.
 func (c Chart) Render() string {
-	width := c.Width
-	if width <= 0 {
-		width = 72
-	}
+	const width = 72
 	height := c.Height
 	if height <= 0 {
 		height = 20

@@ -2,7 +2,8 @@
 // of the discrete-event engine.
 //
 // A Resource has a total capacity C (work units per second) and a per-task
-// cap M. When k tasks are active, each progresses at rate min(M, C/k).
+// cap M, both set per resource. When k tasks are active, each progresses
+// at rate min(M, C/k).
 // This single abstraction models both the paper's CPU-sharing assumption
 // (§4.1: k serial forecast runs on a node with c CPUs of speed s each
 // receive s·min(1, c/k) of a CPU) and a shared network link (capacity =
@@ -15,7 +16,6 @@
 package ps
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -53,10 +53,11 @@ type Resource struct {
 
 // NewResource creates a fair-share resource. capacity is the aggregate rate
 // (work units per second) and taskCap is the maximum rate a single task may
-// consume. Both must be positive. finished (may be nil) observes every
-// completion, so an owner that reports them needs no closure per task.
+// consume. Both must be positive (not NaN). finished (may be nil)
+// observes every completion, so an owner that reports them needs no
+// closure per task.
 func NewResource(eng *sim.Engine, name string, capacity, taskCap float64, finished func(label string)) *Resource {
-	if capacity <= 0 || taskCap <= 0 {
+	if !(capacity > 0 && taskCap > 0) {
 		panic(fmt.Sprintf("ps: resource %q needs positive capacity (%v) and task cap (%v)", name, capacity, taskCap))
 	}
 	r := &Resource{
@@ -77,11 +78,9 @@ func (r *Resource) Capacity() float64 { return r.capacity }
 func (r *Resource) Active() int { return len(r.tasks) }
 
 // waterFill computes the max-min fair allocation of the resource's
-// capacity among tasks with per-task caps ("mega-jobs" spanning multiple
-// CPUs get a larger cap — the extension footnote 1 of the paper
-// anticipates). Tasks are filled lowest-cap first, ties in submission
-// order: each takes min(cap, remaining/left); leftovers flow to tasks
-// that can use them.
+// capacity among its tasks, in submission order: each takes
+// min(cap, remaining/left). The running remainder, rather than the
+// closed form min(cap, C/k), fixes how the rates round.
 func (r *Resource) waterFill() {
 	if r.frozen {
 		for _, t := range r.tasks {
@@ -89,19 +88,10 @@ func (r *Resource) waterFill() {
 		}
 		return
 	}
-	// The tasks are already in submission order, so a stable sort by cap
-	// fills ties in that order; with one cap throughout (every serial job)
-	// there is nothing to sort.
-	byCap := func(a, b *Task) int { return cmp.Compare(a.cap, b.cap) }
-	sorted := r.tasks
-	if !slices.IsSortedFunc(sorted, byCap) {
-		sorted = slices.Clone(sorted)
-		slices.SortStableFunc(sorted, byCap)
-	}
 	remaining := r.capacity
-	for i, t := range sorted {
-		share := remaining / float64(len(sorted)-i)
-		t.rate = math.Min(t.cap, share)
+	for i, t := range r.tasks {
+		share := remaining / float64(len(r.tasks)-i)
+		t.rate = math.Min(r.taskCap, share)
 		remaining -= t.rate
 	}
 }
@@ -112,7 +102,6 @@ type Task struct {
 	label     string
 	remaining float64
 	rate      float64
-	cap       float64 // per-task rate cap (default: the resource's)
 	settled   float64 // virtual time remaining was last brought up to date
 	done      func()
 }
@@ -121,28 +110,13 @@ type Task struct {
 // invoked (may be nil) when the work completes. The label names the task
 // to the resource's finished observer.
 func (r *Resource) Submit(label string, work float64, done func()) *Task {
-	return r.SubmitCapped(label, work, r.taskCap, done)
-}
-
-// SubmitCapped adds a task with its own rate cap, overriding the
-// resource's default. A cap above the default models a parallel job that
-// can consume several CPUs at once; the cap is clamped to the resource's
-// total capacity.
-func (r *Resource) SubmitCapped(label string, work, cap float64, done func()) *Task {
 	if work < 0 || math.IsNaN(work) {
 		panic(fmt.Sprintf("ps: task %q submitted with invalid work %v", label, work))
-	}
-	if cap <= 0 || math.IsNaN(cap) {
-		panic(fmt.Sprintf("ps: task %q submitted with invalid cap %v", label, cap))
-	}
-	if cap > r.capacity {
-		cap = r.capacity
 	}
 	t := &Task{
 		res:       r,
 		label:     label,
 		remaining: work,
-		cap:       cap,
 		settled:   r.eng.Now(),
 		done:      done,
 	}

@@ -201,7 +201,7 @@ func TestResourceAccessors(t *testing.T) {
 
 func TestInvalidConstruction(t *testing.T) {
 	e := sim.NewEngine()
-	for _, tc := range []struct{ c, m float64 }{{0, 1}, {1, 0}, {-1, 1}, {1, -1}} {
+	for _, tc := range []struct{ c, m float64 }{{0, 1}, {1, 0}, {-1, 1}, {1, -1}, {1, math.NaN()}, {math.NaN(), 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -70,26 +69,26 @@ func TestCompletionTiesWithOtherScopesKeepOrder(t *testing.T) {
 
 // refTask is one task in the reference model.
 type refTask struct {
-	id             int
-	remaining, cap float64
-	rate           float64
+	id              int
+	remaining, rate float64
 }
 
 // refOp is one scheduled operation in a random sequence.
 type refOp struct {
-	at     float64
-	kind   string // "submit", "freeze", "thaw"
-	task   int
-	work   float64
-	capped float64
+	at   float64
+	kind string // "submit", "freeze", "thaw"
+	task int
+	work float64
 }
 
-// reference runs ops through a direct processor-sharing model: between
-// two operations it settles every task, water-fills the capacity
-// (lowest cap first, ties in submission order) and completes the task
-// with the earliest finish time (ties in submission order), one at a
-// time; an operation due with a completion goes first. It returns each
-// task's completion time and the completion order.
+// reference runs ops through a direct processor-sharing model: at each
+// operation that changes something it settles every task and
+// water-fills the capacity in submission order; between operations it
+// completes the task with the earliest finish time (ties in submission
+// order), one at a time; an operation due with a completion goes first.
+// A freeze of a frozen resource and a thaw of a running one change
+// nothing, so they settle nothing. It returns each task's completion
+// time and the completion order.
 func reference(capacity, taskCap float64, ops []refOp) (map[int]float64, []int) {
 	var active []*refTask
 	frozen := false
@@ -101,11 +100,9 @@ func reference(capacity, taskCap float64, ops []refOp) (map[int]float64, []int) 
 			}
 			return
 		}
-		byCap := slices.Clone(active)
-		slices.SortStableFunc(byCap, func(a, b *refTask) int { return cmp.Compare(a.cap, b.cap) })
 		left := capacity
-		for i, t := range byCap {
-			t.rate = math.Min(t.cap, left/float64(len(byCap)-i))
+		for i, t := range active {
+			t.rate = math.Min(taskCap, left/float64(len(active)-i))
 			left -= t.rate
 		}
 	}
@@ -136,11 +133,13 @@ func reference(capacity, taskCap float64, ops []refOp) (map[int]float64, []int) 
 		if i < len(ops) && ops[i].at <= eta {
 			op := ops[i]
 			i++
+			if op.kind == "freeze" && frozen || op.kind == "thaw" && !frozen {
+				continue
+			}
 			settle(op.at)
 			switch op.kind {
 			case "submit":
-				c := math.Min(op.capped, capacity)
-				active = append(active, &refTask{id: op.task, remaining: op.work, cap: c})
+				active = append(active, &refTask{id: op.task, remaining: op.work})
 			case "freeze":
 				frozen = true
 			case "thaw":
@@ -160,10 +159,10 @@ func reference(capacity, taskCap float64, ops []refOp) (map[int]float64, []int) 
 	}
 }
 
-// Random submit, freeze and thaw sequences with mixed caps complete
-// every task at the reference model's time and in its order.
+// Random submit, freeze and thaw sequences complete every task at the
+// reference model's time and in its order.
 func TestRandomSequencesMatchReference(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
+	for seed := int64(1); seed <= 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := float64(1 + rng.Intn(4))
 		taskCap := 1.0
@@ -177,12 +176,8 @@ func TestRandomSequencesMatchReference(t *testing.T) {
 			case 1:
 				ops = append(ops, refOp{at: at, kind: "thaw"})
 			}
-			capped := taskCap
-			if rng.Intn(3) == 0 {
-				capped = float64(1 + rng.Intn(5)) // a parallel job, maybe clamped
-			}
 			work := float64(rng.Intn(6)) * 10 // equal works tie
-			ops = append(ops, refOp{at: at, kind: "submit", task: id, work: work, capped: capped})
+			ops = append(ops, refOp{at: at, kind: "submit", task: id, work: work})
 		}
 		ops = append(ops, refOp{at: at + 1, kind: "thaw"})
 
@@ -207,7 +202,7 @@ func TestRandomSequencesMatchReference(t *testing.T) {
 					switch op.kind {
 					case "submit":
 						id := op.task
-						r.SubmitCapped("t", op.work, op.capped, func() {
+						r.Submit("t", op.work, func() {
 							got[id] = e.Now()
 							gotOrder = append(gotOrder, id)
 						})

@@ -30,13 +30,6 @@ type ScenarioConfig struct {
 	// cache-miss-storm failure mode.
 	LateDay int
 	LateBy  float64
-
-	// NoStockGuard disables the admission oracle — the control arm that
-	// shows why the guard matters.
-	NoStockGuard bool
-
-	MaxRenders int
-	MaxQueue   int
 }
 
 // The scenario's fixed plant.
@@ -146,33 +139,28 @@ func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
 		})
 	}
 
-	var stockState func(now float64) *ondemand.State
-	if !cfg.NoStockGuard {
-		stockState = func(now float64) *ondemand.State {
-			plan := &core.Plan{Nodes: serverInfo, Assign: map[string]string{}}
-			for name, job := range stockJobs {
-				plan.Runs = append(plan.Runs, core.Run{
-					Name: name, Work: job.Remaining(), Start: now, Deadline: deadlines[name],
-				})
-				plan.Assign[name] = server.Name()
-			}
-			return &ondemand.State{
-				Now:    now,
-				Nodes:  serverInfo,
-				Stock:  plan,
-				Active: map[string]int{server.Name(): server.Active()},
-			}
+	stockState := func(now float64) *ondemand.State {
+		plan := &core.Plan{Nodes: serverInfo, Assign: map[string]string{}}
+		for name, job := range stockJobs {
+			plan.Runs = append(plan.Runs, core.Run{
+				Name: name, Work: job.Remaining(), Start: now, Deadline: deadlines[name],
+			})
+			plan.Assign[name] = server.Name()
+		}
+		return &ondemand.State{
+			Now:    now,
+			Nodes:  serverInfo,
+			Stock:  plan,
+			Active: map[string]int{server.Name(): server.Active()},
 		}
 	}
 
 	var err error
 	edge, err = New(Config{
-		Engine:     eng,
-		Server:     server,
-		Products:   cfg.Products,
-		MaxRenders: cfg.MaxRenders,
-		MaxQueue:   cfg.MaxQueue,
-		Stock:      stockState,
+		Engine:   eng,
+		Server:   server,
+		Products: cfg.Products,
+		Stock:    stockState,
 	})
 	if err != nil {
 		return nil, err

@@ -15,7 +15,6 @@ import (
 // sampler's clock (for a one-day replay, seconds after midnight).
 type Outcome struct {
 	Run      string
-	Day      int
 	Node     string
 	Start    float64
 	End      float64
@@ -70,7 +69,6 @@ func ComputeDrift(plan *core.Plan, pred core.Prediction, outcomes []Outcome, sha
 		run, _ := plan.Run(o.Run)
 		d := Drift{
 			Run:         o.Run,
-			Day:         o.Day,
 			PlannedNode: plan.Assign[o.Run],
 			ActualNode:  o.Node,
 			PredStart:   run.Start,
