@@ -64,6 +64,49 @@ func BenchmarkHarvestWarmPass(b *testing.B) {
 	}
 }
 
+// BenchmarkHarvestDailyPass times the pass of an operator's day, the
+// shape of a planning session's: 2,000 forecasts with 30 days harvested,
+// then each iteration writes one more day of 2,000 logs with the timer
+// stopped and times the pass that ingests them. Days past 366 roll into
+// the next year. BenchmarkHarvestWarmPass's 200 unchanged logs cannot
+// show what a pass pays per unchanged log of a large tree.
+func BenchmarkHarvestDailyPass(b *testing.B) {
+	const forecasts, histDays = 2000, 30
+	clock := 0.0
+	fs := vfs.New(func() float64 { return clock })
+	writeDay := func(d int) {
+		clock = float64(d) * 86400
+		for f := 0; f < forecasts; f++ {
+			r := record(fmt.Sprintf("forecast-%04d", f), (d-1)%366+1, "elcirc-5.01")
+			r.Year += (d - 1) / 366
+			r.Start, r.End = clock, clock+r.Walltime
+			if err := logs.Write(fs, r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for d := 1; d <= histDays; d++ {
+		writeDay(d)
+	}
+	h, err := New(fs, statsdb.NewDB(), NewVFSJournal(vfs.New(nil), "/j"), Options{Clock: func() float64 { return clock }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := h.Pass(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		writeDay(histDays + 1 + i)
+		b.StartTimer()
+		if st, err := h.Pass(); err != nil || st.Ingested != forecasts {
+			b.Fatalf("daily pass = %+v, %v; want %d ingested", st, err, forecasts)
+		}
+	}
+}
+
 // BenchmarkRecords reads 80k harvested runs back as sorted records, in
 // the row order an operator's session leaves behind: a cold harvest of 30
 // days in walk order (forecast, then day), then each later day's logs

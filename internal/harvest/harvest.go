@@ -11,7 +11,10 @@
 // are quarantined with their ParseError rather than aborting the pass,
 // and a crash mid-pass resumes idempotently because ingestion is an
 // upsert keyed on (forecast, day, start) and the journal line for a file
-// is appended only after its database write.
+// is appended only after its database write. On a vfs tree a pass skips
+// even the watermark lookup for a log the vfs change counter shows
+// unwritten since the last complete pass, so a daily pass costs its new
+// logs plus one walk.
 //
 // Ingestion is versioned: Migrations evolves the runs table with the
 // provenance columns (harvested_at, source_path) that power the paper's
@@ -24,11 +27,8 @@
 package harvest
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,6 +59,8 @@ const (
 
 // FS is the slice of vfs.FS the harvester needs. Tests substitute a
 // counting wrapper to prove the watermark fast path reads no log bodies.
+// An FS whose Walk leaves vfs.FileInfo.Gen at 0 (an OS tree) gets the
+// watermark lookup for every log.
 type FS interface {
 	Walk(root string, fn func(info vfs.FileInfo) error) error
 	ReadFile(path string) (string, error)
@@ -176,7 +178,14 @@ type Harvester struct {
 	journal JournalStore
 	opts    Options
 
-	marks     map[string]*Watermark
+	marks map[string]*Watermark
+	// quarantined and newest track the marks held out of the database and
+	// the newest mark mtime (at least 0), for the gauges and Status.
+	quarantined int
+	newest      float64
+	// seen is the highest vfs.FileInfo.Gen among the logs the last
+	// complete pass visited, 0 before one completes.
+	seen      uint64
 	passes    int
 	lastPass  PassStats
 	totals    Totals
@@ -258,6 +267,7 @@ func New(fs FS, db *statsdb.DB, journal JournalStore, opts Options) (*Harvester,
 	h.mQuarSize = reg.Gauge(MetricQuarantineSize, nil)
 	h.mPassWall = reg.Histogram(MetricPassWallSeconds,
 		[]float64{0.0001, 0.001, 0.01, 0.1, 1, 10}, nil)
+	h.countMarksLocked()
 	h.refreshGaugesLocked()
 	return h, nil
 }
@@ -309,6 +319,14 @@ func (h *Harvester) Locked(fn func() error) error {
 // quarantine what fails to parse. The error return covers infrastructure
 // failures (journal writes, walk errors) only; parse failures never abort
 // a pass.
+//
+// A log whose vfs.FileInfo.Gen is set and at most the highest Gen the
+// last complete pass visited is a watermark hit without the watermark
+// lookup: that pass left a watermark matching it, and nothing has
+// written it since. This relies on nothing writing the tree while a pass
+// walks it: a vfs is driven from one goroutine, the one running the pass.
+// A pass that returns an error leaves that highest Gen as it was, and New
+// starts it at 0, so a restarted harvester looks up every log once.
 func (h *Harvester) Pass() (PassStats, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -318,6 +336,7 @@ func (h *Harvester) Pass() (PassStats, error) {
 	tr := h.opts.Telemetry.Trace()
 	span := tr.Begin("harvest", fmt.Sprintf("pass-%03d", h.passes+1), "harvest", 0)
 	stats := PassStats{Pass: h.passes + 1, At: now}
+	var seen uint64
 
 	err := func() error {
 		if !h.fs.Exists(runsRoot) {
@@ -329,9 +348,15 @@ func (h *Harvester) Pass() (PassStats, error) {
 			}
 			stats.Scanned++
 			h.mScanned.Inc()
+			seen = max(seen, info.Gen)
 
-			wm := h.marks[info.Path]
-			if wm != nil && wm.MTime == info.MTime && wm.Size == info.Size {
+			unchanged := info.Gen != 0 && info.Gen <= h.seen
+			var wm *Watermark
+			if !unchanged {
+				wm = h.marks[info.Path]
+				unchanged = wm != nil && wm.MTime == info.MTime && wm.Size == info.Size
+			}
+			if unchanged {
 				// Watermark hit: nothing about the file changed; its body
 				// is never read.
 				stats.WatermarkHits++
@@ -341,10 +366,11 @@ func (h *Harvester) Pass() (PassStats, error) {
 
 			body, err := h.fs.ReadFile(info.Path)
 			if err != nil {
-				// Size-only or vanished files are quarantined like corrupt
-				// ones; a transient read failure retries next pass because
-				// no watermark advances.
-				return h.quarantineLocked(&stats, info, "", now, err)
+				// A body that cannot be read (a size-only or vanished
+				// file, a transient failure) is quarantined like a
+				// corrupt one: its watermark holds it out until its mtime
+				// or size changes.
+				return h.quarantineLocked(&stats, wm, info, "", now, err)
 			}
 			stats.BodiesRead++
 			h.mBodies.Inc()
@@ -353,14 +379,14 @@ func (h *Harvester) Pass() (PassStats, error) {
 				// Touched but unchanged (a re-copied file, a rewritten
 				// identical log): refresh the watermark, skip the ingest.
 				stats.Refreshed++
-				return h.markLocked(&Watermark{
+				return h.markLocked(wm, &Watermark{
 					Path: info.Path, MTime: info.MTime, Size: info.Size, Hash: hash, At: wm.At,
 				})
 			}
 
 			rec, err := logs.ParseFrom(body, info.Path)
 			if err != nil {
-				return h.quarantineLocked(&stats, info, hash, now, err)
+				return h.quarantineLocked(&stats, wm, info, hash, now, err)
 			}
 			_, up, err := statsdb.UpsertRuns(h.db, []*logs.RunRecord{rec}, now)
 			if err != nil {
@@ -375,7 +401,7 @@ func (h *Harvester) Pass() (PassStats, error) {
 					return err
 				}
 			}
-			return h.markLocked(&Watermark{
+			return h.markLocked(wm, &Watermark{
 				Path: info.Path, MTime: info.MTime, Size: info.Size, Hash: hash, At: now,
 			})
 		})
@@ -407,42 +433,59 @@ func (h *Harvester) Pass() (PassStats, error) {
 	if err := appendEntry(h.journal, journalEntry{Type: entryPass, Pass: &stats}); err != nil {
 		return stats, err
 	}
+	h.seen = seen
 	return stats, nil
 }
 
-// markLocked records a watermark in memory and appends it to the journal.
-func (h *Harvester) markLocked(wm *Watermark) error {
+// markLocked records wm, replacing old (the path's current mark, nil for
+// none), in memory and appends it to the journal.
+func (h *Harvester) markLocked(old, wm *Watermark) error {
 	h.marks[wm.Path] = wm
+	if old != nil && old.Quarantined {
+		h.quarantined--
+	}
+	if wm.Quarantined {
+		h.quarantined++
+	}
+	if wm.MTime > h.newest {
+		h.newest = wm.MTime
+	} else if old != nil && old.MTime == h.newest && wm.MTime < old.MTime {
+		h.countMarksLocked() // the newest mark moved back
+	}
 	return appendEntry(h.journal, journalEntry{Type: entryWatermark, Watermark: wm})
 }
 
 // quarantineLocked holds a corrupt file out of the database, watermarked
-// so it is not re-read until it changes.
-func (h *Harvester) quarantineLocked(stats *PassStats, info vfs.FileInfo, hash string, now float64, cause error) error {
+// so it is not re-read until it changes; old is its current mark.
+func (h *Harvester) quarantineLocked(stats *PassStats, old *Watermark, info vfs.FileInfo, hash string, now float64, cause error) error {
 	stats.Quarantined++
 	h.mQuarantined.Inc()
-	return h.markLocked(&Watermark{
+	return h.markLocked(old, &Watermark{
 		Path: info.Path, MTime: info.MTime, Size: info.Size, Hash: hash, At: now,
 		Quarantined: true, Error: cause.Error(),
 	})
 }
 
-// refreshGaugesLocked recomputes the derived gauges after a pass or load.
-func (h *Harvester) refreshGaugesLocked() {
-	h.mMarks.Set(float64(len(h.marks)))
-	quar := 0
-	newest := 0.0
+// countMarksLocked counts the quarantined marks and finds the newest
+// mtime from scratch.
+func (h *Harvester) countMarksLocked() {
+	h.quarantined, h.newest = 0, 0
 	for _, wm := range h.marks {
 		if wm.Quarantined {
-			quar++
+			h.quarantined++
 		}
-		if wm.MTime > newest {
-			newest = wm.MTime
+		if wm.MTime > h.newest {
+			h.newest = wm.MTime
 		}
 	}
-	h.mQuarSize.Set(float64(quar))
+}
+
+// refreshGaugesLocked publishes the derived gauges after a pass or load.
+func (h *Harvester) refreshGaugesLocked() {
+	h.mMarks.Set(float64(len(h.marks)))
+	h.mQuarSize.Set(float64(h.quarantined))
 	if len(h.marks) > 0 {
-		lag := h.opts.Clock() - newest
+		lag := h.opts.Clock() - h.newest
 		if lag < 0 {
 			lag = 0
 		}
@@ -465,18 +508,16 @@ func (h *Harvester) Status() Status {
 		Recovered:     h.recovered,
 		Totals:        h.totals,
 	}
-	newest := 0.0
-	for _, wm := range h.marks {
-		if wm.Quarantined {
-			st.Quarantine = append(st.Quarantine, QuarantineEntry{Path: wm.Path, Error: wm.Error, At: wm.At})
+	if h.quarantined > 0 {
+		for _, wm := range h.marks {
+			if wm.Quarantined {
+				st.Quarantine = append(st.Quarantine, QuarantineEntry{Path: wm.Path, Error: wm.Error, At: wm.At})
+			}
 		}
-		if wm.MTime > newest {
-			newest = wm.MTime
-		}
+		sort.Slice(st.Quarantine, func(i, j int) bool { return st.Quarantine[i].Path < st.Quarantine[j].Path })
 	}
-	sort.Slice(st.Quarantine, func(i, j int) bool { return st.Quarantine[i].Path < st.Quarantine[j].Path })
 	if len(h.marks) > 0 {
-		if lag := h.opts.Clock() - newest; lag > 0 {
+		if lag := h.opts.Clock() - h.newest; lag > 0 {
 			st.WatermarkLag = lag
 		}
 	}
@@ -488,26 +529,15 @@ func (h *Harvester) Quarantine() []QuarantineEntry {
 	return h.Status().Quarantine
 }
 
-// Records reads the harvested run records back from the database, sorted
-// by (forecast, year, day) like logs.Crawl, so planners built on crawled
-// slices can feed from a harvested database unchanged.
+// Records reads the harvested run records back from the database in
+// (forecast, year, day) order like logs.Crawl, so planners built on
+// crawled slices can feed from a harvested database unchanged. Runs of
+// one forecast and day (a rerun, at another start) come in harvest
+// order, as statsdb.ReadRuns gives them.
 func (h *Harvester) Records() ([]*logs.RunRecord, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	records, err := statsdb.ReadRuns(h.db)
-	if err != nil {
-		return nil, err
-	}
-	slices.SortFunc(records, func(a, b *logs.RunRecord) int {
-		if c := strings.Compare(a.Forecast, b.Forecast); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Year, b.Year); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Day, b.Day)
-	})
-	return records, nil
+	return statsdb.ReadRuns(h.db)
 }
 
 // Schedule runs a harvest pass every interval sim-seconds on eng, from

@@ -163,6 +163,27 @@ func ParseFile(fs *vfs.FS, path string) (*RunRecord, error) {
 	return parse(text, path)
 }
 
+// The keys a log knows, in Format's order: indexes into the record a
+// parse keeps of the line each key came on.
+const (
+	keyForecast = iota
+	keyRegion
+	keyYear
+	keyDay
+	keyNode
+	keyCodeVersion
+	keyCodeFactor
+	keyMesh
+	keyMeshSides
+	keyTimesteps
+	keyStart
+	keyEnd
+	keyWalltime
+	keyStatus
+	keyProducts
+	numKeys
+)
+
 func parse(text, path string) (*RunRecord, error) {
 	fail := func(line int, format string, args ...any) error {
 		return &ParseError{Path: path, Line: line, Msg: fmt.Sprintf(format, args...)}
@@ -173,15 +194,18 @@ func parse(text, path string) (*RunRecord, error) {
 	if !strings.HasSuffix(text, "\n") {
 		// Every writer ends the log with a newline; its absence means the
 		// file was cut off mid-write (a crashed run, a partial rsync).
-		lines := strings.Split(text, "\n")
-		return nil, fail(len(lines), "truncated log: last line %q has no newline", lines[len(lines)-1])
+		last := text[strings.LastIndexByte(text, '\n')+1:]
+		return nil, fail(strings.Count(text, "\n")+1, "truncated log: last line %q has no newline", last)
 	}
 	r := &RunRecord{}
-	seen := make(map[string]int)
-	for i, raw := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
-		lineNo := i + 1
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
+	var seen [numKeys]int // the line each known key came on; 0 until it does
+	lineNo := 0
+	for rest := text; rest != ""; {
+		lineNo++
+		end := strings.IndexByte(rest, '\n') // text ends with a newline
+		line := strings.TrimSpace(rest[:end])
+		rest = rest[end+1:]
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		key, value, ok := strings.Cut(line, ":")
@@ -193,63 +217,71 @@ func parse(text, path string) (*RunRecord, error) {
 		if key == "" {
 			return nil, fail(lineNo, "empty key in %q", line)
 		}
-		known := true
+		k := -1
 		var err error
 		switch key {
 		case "forecast":
-			r.Forecast = value
+			k, r.Forecast = keyForecast, value
 		case "region":
-			r.Region = value
+			k, r.Region = keyRegion, value
 		case "year":
+			k = keyYear
 			r.Year, err = strconv.Atoi(value)
 		case "day":
+			k = keyDay
 			r.Day, err = strconv.Atoi(value)
 		case "node":
-			r.Node = value
+			k, r.Node = keyNode, value
 		case "code_version":
-			r.CodeVersion = value
+			k, r.CodeVersion = keyCodeVersion, value
 		case "code_factor":
+			k = keyCodeFactor
 			r.CodeFactor, err = strconv.ParseFloat(value, 64)
 		case "mesh":
-			r.MeshName = value
+			k, r.MeshName = keyMesh, value
 		case "mesh_sides":
+			k = keyMeshSides
 			r.MeshSides, err = strconv.Atoi(value)
 		case "timesteps":
+			k = keyTimesteps
 			r.Timesteps, err = strconv.Atoi(value)
 		case "start":
+			k = keyStart
 			r.Start, err = strconv.ParseFloat(value, 64)
 		case "end":
+			k = keyEnd
 			r.End, err = strconv.ParseFloat(value, 64)
 		case "walltime":
+			k = keyWalltime
 			r.Walltime, err = strconv.ParseFloat(value, 64)
 		case "status":
-			r.Status = value
+			k, r.Status = keyStatus, value
 		case "products":
+			k = keyProducts
 			r.Products, err = strconv.Atoi(value)
-		default:
-			known = false
 		}
 		if err != nil {
 			return nil, fail(lineNo, "bad %s value %q: %v", key, value, err)
 		}
-		if known {
-			if prev, dup := seen[key]; dup {
+		if k >= 0 {
+			if prev := seen[k]; prev != 0 {
 				return nil, fail(lineNo, "duplicate key %s (first on line %d)", key, prev)
 			}
-			seen[key] = lineNo
+			seen[k] = lineNo
 		}
 	}
-	for _, f := range []struct {
+	for _, f := range [...]struct {
+		k   int
 		key string
 		val float64
 	}{
-		{"code_factor", r.CodeFactor},
-		{"start", r.Start},
-		{"end", r.End},
-		{"walltime", r.Walltime},
+		{keyCodeFactor, "code_factor", r.CodeFactor},
+		{keyStart, "start", r.Start},
+		{keyEnd, "end", r.End},
+		{keyWalltime, "walltime", r.Walltime},
 	} {
 		if math.IsNaN(f.val) || math.IsInf(f.val, 0) {
-			return nil, fail(seen[f.key], "non-finite %s value %v", f.key, f.val)
+			return nil, fail(seen[f.k], "non-finite %s value %v", f.key, f.val)
 		}
 	}
 	if err := r.Validate(); err != nil {

@@ -1,8 +1,10 @@
 package statsdb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/logs"
 )
@@ -30,50 +32,84 @@ func RunsSchema() Schema {
 	return s
 }
 
-// runField is one runs column and the record field it stores: a *string,
-// *int or *float64 (none for harvested_at).
+// runField is one runs column and the record field it stores (none for
+// harvested_at): get reads the field as a value of the column's type, and
+// set fills the field from a row of a column, as the accessor of the
+// field's type reads the row's value.
 type runField struct {
 	Column
-	field func(r *logs.RunRecord) any
+	get func(r *logs.RunRecord) Value
+	set func(r *logs.RunRecord, c *column, row int)
 }
 
 // runFields are the runs columns in a harvested table's order: the base
 // schema, then the provenance columns. They are the plan UpsertRuns writes
 // rows by and ReadRuns reads them back by.
 var runFields = []runField{
-	{Column{"forecast", String}, func(r *logs.RunRecord) any { return &r.Forecast }},
-	{Column{"region", String}, func(r *logs.RunRecord) any { return &r.Region }},
-	{Column{"year", Int}, func(r *logs.RunRecord) any { return &r.Year }},
-	{Column{"day", Int}, func(r *logs.RunRecord) any { return &r.Day }},
-	{Column{"node", String}, func(r *logs.RunRecord) any { return &r.Node }},
-	{Column{"code_version", String}, func(r *logs.RunRecord) any { return &r.CodeVersion }},
-	{Column{"code_factor", Float}, func(r *logs.RunRecord) any { return &r.CodeFactor }},
-	{Column{"mesh", String}, func(r *logs.RunRecord) any { return &r.MeshName }},
-	{Column{"mesh_sides", Int}, func(r *logs.RunRecord) any { return &r.MeshSides }},
-	{Column{"timesteps", Int}, func(r *logs.RunRecord) any { return &r.Timesteps }},
-	{Column{"start", Float}, func(r *logs.RunRecord) any { return &r.Start }},
-	{Column{"end", Float}, func(r *logs.RunRecord) any { return &r.End }},
-	{Column{"walltime", Float}, func(r *logs.RunRecord) any { return &r.Walltime }},
-	{Column{"status", String}, func(r *logs.RunRecord) any { return &r.Status }},
-	{Column{"products", Int}, func(r *logs.RunRecord) any { return &r.Products }},
-	{Column{ColHarvestedAt, Float}, nil},
-	{Column{ColSourcePath, String}, func(r *logs.RunRecord) any { return &r.SourcePath }},
+	{Column{"forecast", String},
+		func(r *logs.RunRecord) Value { return StringVal(r.Forecast) },
+		func(r *logs.RunRecord, c *column, i int) { r.Forecast = c.strAt(i) }},
+	{Column{"region", String},
+		func(r *logs.RunRecord) Value { return StringVal(r.Region) },
+		func(r *logs.RunRecord, c *column, i int) { r.Region = c.strAt(i) }},
+	{Column{"year", Int},
+		func(r *logs.RunRecord) Value { return IntVal(int64(r.Year)) },
+		func(r *logs.RunRecord, c *column, i int) { r.Year = int(c.intAt(i)) }},
+	{Column{"day", Int},
+		func(r *logs.RunRecord) Value { return IntVal(int64(r.Day)) },
+		func(r *logs.RunRecord, c *column, i int) { r.Day = int(c.intAt(i)) }},
+	{Column{"node", String},
+		func(r *logs.RunRecord) Value { return StringVal(r.Node) },
+		func(r *logs.RunRecord, c *column, i int) { r.Node = c.strAt(i) }},
+	{Column{"code_version", String},
+		func(r *logs.RunRecord) Value { return StringVal(r.CodeVersion) },
+		func(r *logs.RunRecord, c *column, i int) { r.CodeVersion = c.strAt(i) }},
+	{Column{"code_factor", Float},
+		func(r *logs.RunRecord) Value { return FloatVal(r.CodeFactor) },
+		func(r *logs.RunRecord, c *column, i int) { r.CodeFactor = c.floatAt(i) }},
+	{Column{"mesh", String},
+		func(r *logs.RunRecord) Value { return StringVal(r.MeshName) },
+		func(r *logs.RunRecord, c *column, i int) { r.MeshName = c.strAt(i) }},
+	{Column{"mesh_sides", Int},
+		func(r *logs.RunRecord) Value { return IntVal(int64(r.MeshSides)) },
+		func(r *logs.RunRecord, c *column, i int) { r.MeshSides = int(c.intAt(i)) }},
+	{Column{"timesteps", Int},
+		func(r *logs.RunRecord) Value { return IntVal(int64(r.Timesteps)) },
+		func(r *logs.RunRecord, c *column, i int) { r.Timesteps = int(c.intAt(i)) }},
+	{Column{"start", Float},
+		func(r *logs.RunRecord) Value { return FloatVal(r.Start) },
+		func(r *logs.RunRecord, c *column, i int) { r.Start = c.floatAt(i) }},
+	{Column{"end", Float},
+		func(r *logs.RunRecord) Value { return FloatVal(r.End) },
+		func(r *logs.RunRecord, c *column, i int) { r.End = c.floatAt(i) }},
+	{Column{"walltime", Float},
+		func(r *logs.RunRecord) Value { return FloatVal(r.Walltime) },
+		func(r *logs.RunRecord, c *column, i int) { r.Walltime = c.floatAt(i) }},
+	{Column{"status", String},
+		func(r *logs.RunRecord) Value { return StringVal(r.Status) },
+		func(r *logs.RunRecord, c *column, i int) { r.Status = c.strAt(i) }},
+	{Column{"products", Int},
+		func(r *logs.RunRecord) Value { return IntVal(int64(r.Products)) },
+		func(r *logs.RunRecord, c *column, i int) { r.Products = int(c.intAt(i)) }},
+	{Column: Column{ColHarvestedAt, Float}},
+	{Column{ColSourcePath, String},
+		func(r *logs.RunRecord) Value { return StringVal(r.SourcePath) },
+		func(r *logs.RunRecord, c *column, i int) { r.SourcePath = c.strAt(i) }},
 }
 
 // runPlan resolves each of the table's columns to its record field once
 // per call (nil for a column no field stores). A column at its usual
 // position resolves without a search.
-func runPlan(schema Schema) []func(*logs.RunRecord) any {
-	plan := make([]func(*logs.RunRecord) any, 0, len(schema))
+func runPlan(schema Schema) []*runField {
+	plan := make([]*runField, len(schema))
 	for i, c := range schema {
-		if i >= len(runFields) || runFields[i].Name != c.Name {
-			i = slices.IndexFunc(runFields, func(f runField) bool { return f.Name == c.Name })
+		j := i
+		if j >= len(runFields) || runFields[j].Name != c.Name {
+			j = slices.IndexFunc(runFields, func(f runField) bool { return f.Name == c.Name })
 		}
-		var field func(r *logs.RunRecord) any
-		if i >= 0 {
-			field = runFields[i].field
+		if j >= 0 && runFields[j].get != nil {
+			plan[i] = &runFields[j]
 		}
-		plan = append(plan, field)
 	}
 	return plan
 }
@@ -154,10 +190,10 @@ func UpsertRuns(db *DB, records []*logs.RunRecord, harvestedAt float64) (*Table,
 			return nil, stats, fmt.Errorf("statsdb: load runs: %w", err)
 		}
 		// Unknown columns get zero values of their type.
-		for i, field := range plan {
-			switch f := field; {
+		for i, f := range plan {
+			switch {
 			case f != nil:
-				row[i] = fieldValue(f(r))
+				row[i] = f.get(r)
 			case t.schema[i].Name == ColHarvestedAt:
 				row[i] = FloatVal(harvestedAt)
 			default:
@@ -200,6 +236,11 @@ func LoadRuns(db *DB, records []*logs.RunRecord) (*Table, error) {
 // monitor's history seed) can feed from a harvested database. Provenance
 // columns, when present, populate SourcePath; unknown columns are ignored.
 // The records are allocated as one block.
+//
+// Records come in (forecast, year, day) order, like logs.Crawl; rows
+// that tie on all three (a rerun at another start) keep their row order,
+// which for a harvested table is harvest order. A table that lacks one of
+// those columns reads in row order.
 func ReadRuns(db *DB) ([]*logs.RunRecord, error) {
 	t := db.Table(RunsTableName)
 	if t == nil {
@@ -210,41 +251,65 @@ func ReadRuns(db *DB) ([]*logs.RunRecord, error) {
 	plan := runPlan(t.schema)
 	recs := make([]logs.RunRecord, t.n)
 	out := make([]*logs.RunRecord, t.n)
-	for i := range recs {
-		for ci, field := range plan {
-			if field != nil {
-				setField(field(&recs[i]), t.cols[ci].value(i))
+	for i, row := range runOrder(t) {
+		rec := &recs[i]
+		for ci, f := range plan {
+			if f != nil {
+				f.set(rec, &t.cols[ci], int(row))
 			}
 		}
-		if err := recs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("statsdb: read runs row %d: %w", i, err)
+		if err := rec.Validate(); err != nil {
+			return nil, fmt.Errorf("statsdb: read runs row %d: %w", row, err)
 		}
-		out[i] = &recs[i]
+		out[i] = rec
 	}
 	return out, nil
 }
 
-// fieldValue boxes a record field.
-func fieldValue(field any) Value {
-	switch f := field.(type) {
-	case *string:
-		return StringVal(*f)
-	case *int:
-		return IntVal(int64(*f))
-	default:
-		return FloatVal(*field.(*float64))
+// runOrder returns the runs table's row ids in (forecast, year, day, row)
+// order, or in row order when the table lacks one of the first three (or
+// holds it as another type). It ranks the forecast dictionary once,
+// buckets the rows by rank, and sorts each bucket: one forecast's rows,
+// which a harvest appends nearly in day order.
+func runOrder(t *Table) []int32 {
+	ids := make([]int32, t.n)
+	fi, yi, di := t.schema.Index("forecast"), t.schema.Index("year"), t.schema.Index("day")
+	if fi < 0 || yi < 0 || di < 0 || t.cols[fi].typ != String || t.cols[yi].typ != Int || t.cols[di].typ != Int {
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		return ids
 	}
-}
-
-// setField stores v in a record field, as v's accessor for the field's
-// type reads it.
-func setField(field any, v Value) {
-	switch f := field.(type) {
-	case *string:
-		*f = v.Str()
-	case *int:
-		*f = int(v.Int())
-	case *float64:
-		*f = v.Float()
+	fc, years, days := &t.cols[fi], t.cols[yi].ints, t.cols[di].ints
+	byName := make([]uint32, len(fc.dict))
+	for code := range byName {
+		byName[code] = uint32(code)
 	}
+	slices.SortFunc(byName, func(a, b uint32) int { return strings.Compare(fc.dict[a], fc.dict[b]) })
+	rank := make([]int32, len(fc.dict))
+	for r, code := range byName {
+		rank[code] = int32(r)
+	}
+	// next[r] is where rank r's next row goes: the counts' running sum.
+	next := make([]int32, len(fc.dict)+1)
+	for _, code := range fc.codes {
+		next[rank[code]+1]++
+	}
+	for r := 1; r < len(next); r++ {
+		next[r] += next[r-1]
+	}
+	for row, code := range fc.codes {
+		r := rank[code]
+		ids[next[r]] = int32(row)
+		next[r]++
+	}
+	// next[r] is now where rank r's bucket ends.
+	start := int32(0)
+	for _, end := range next[:len(fc.dict)] {
+		slices.SortFunc(ids[start:end], func(a, b int32) int {
+			return cmp.Or(cmp.Compare(years[a], years[b]), cmp.Compare(days[a], days[b]), cmp.Compare(a, b))
+		})
+		start = end
+	}
+	return ids
 }

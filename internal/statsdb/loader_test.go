@@ -1,7 +1,11 @@
 package statsdb
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/logs"
@@ -200,7 +204,8 @@ func TestReadRunsAcrossSchemas(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := []logs.RunRecord{*done, *running}
+			// ReadRuns orders by (forecast, year, day): dev before tillamook.
+			want := []logs.RunRecord{*running, *done}
 			if tbl.Schema().Index(ColSourcePath) < 0 {
 				want[0].SourcePath, want[1].SourcePath = "", ""
 			}
@@ -213,6 +218,90 @@ func TestReadRunsAcrossSchemas(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadRunsOrder checks ReadRuns against the table's rows in row
+// order, stable-sorted by (forecast, year, day), on random tables:
+// forecasts inserted out of name order, reruns that tie on all three
+// keys at distinct starts, rows updated in place (which keeps their row),
+// with and without the provenance columns, and without the year column,
+// which leaves row order.
+func TestReadRunsOrder(t *testing.T) {
+	names := []string{"tillamook", "dev", "a", "columbia-2", "b", "zz", "columbia", "dev-old"}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		db := NewDB()
+		provenance, noYear := seed%3 != 0, seed%7 == 0
+		var tbl *Table
+		var err error
+		if noYear {
+			var schema Schema
+			for _, c := range RunsSchema() {
+				if c.Name != "year" {
+					schema = append(schema, c)
+				}
+			}
+			tbl, err = db.CreateTable(RunsTableName, schema)
+		} else {
+			tbl, err = EnsureRunsTable(db)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if provenance {
+			if err := tbl.AddColumn(Column{Name: ColHarvestedAt, Type: Float}, FloatVal(0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.AddColumn(Column{Name: ColSourcePath, Type: String}, StringVal("")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// rows mirrors the table in row order: an upsert keyed on
+		// (forecast, day, start) replaces its row or appends one.
+		var rows []logs.RunRecord
+		for n := 5 + rng.Intn(300); n > 0; n-- {
+			r := *rec(names[rng.Intn(len(names))], 1+rng.Intn(20), float64(1+rng.Intn(9000)), "v1")
+			r.Year = 2004 + rng.Intn(3)
+			r.Start = float64(rng.Intn(3)) // ties on (forecast, year, day) at distinct starts
+			r.SourcePath = fmt.Sprintf("/runs/%s/%d-%03d/run.log", r.Forecast, r.Year, r.Day)
+			if _, _, err := UpsertRuns(db, []*logs.RunRecord{&r}, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !provenance {
+				r.SourcePath = ""
+			}
+			if noYear {
+				r.Year = 0
+			}
+			i := slices.IndexFunc(rows, func(x logs.RunRecord) bool {
+				return x.Forecast == r.Forecast && x.Day == r.Day && x.Start == r.Start
+			})
+			if i < 0 {
+				rows = append(rows, r)
+			} else {
+				rows[i] = r
+			}
+		}
+		want := slices.Clone(rows)
+		if !noYear {
+			slices.SortStableFunc(want, func(a, b logs.RunRecord) int {
+				return cmp.Or(strings.Compare(a.Forecast, b.Forecast), cmp.Compare(a.Year, b.Year), cmp.Compare(a.Day, b.Day))
+			})
+		}
+		got, err := ReadRuns(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: ReadRuns returned %d records, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if *got[i] != want[i] {
+				t.Fatalf("seed %d (provenance %v, no year %v): record %d:\ngot  %+v\nwant %+v",
+					seed, provenance, noYear, i, *got[i], want[i])
+			}
+		}
 	}
 }
 

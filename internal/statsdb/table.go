@@ -65,6 +65,32 @@ func (c *column) value(r int) Value {
 	}
 }
 
+// strAt, intAt and floatAt read row r as Value's Str, Int and Float read
+// value(r), without boxing it.
+func (c *column) strAt(r int) string {
+	if c.typ == String {
+		return c.dict[c.codes[r]]
+	}
+	return ""
+}
+
+func (c *column) intAt(r int) int64 {
+	if c.typ == Int {
+		return c.ints[r]
+	}
+	return 0
+}
+
+func (c *column) floatAt(r int) float64 {
+	switch c.typ {
+	case Int:
+		return float64(c.ints[r])
+	case Float:
+		return c.flts[r]
+	}
+	return 0
+}
+
 // key is row r's value as a hash key: a STRING's code, else valueKey.
 func (c *column) key(r int) uint64 {
 	if c.typ == String {

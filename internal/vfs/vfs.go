@@ -33,6 +33,11 @@ type FileInfo struct {
 	Name  string  // base name
 	Size  int64   // logical size in bytes
 	MTime float64 // virtual time of last modification
+	// Gen is the FS's change count at the file's last write: every write
+	// takes the next value of one counter for the whole FS, so a file
+	// whose Gen is at most another's was last written no later. It is 0
+	// for directories and for files never written.
+	Gen   uint64
 	IsDir bool
 }
 
@@ -43,11 +48,23 @@ type File struct {
 	info     FileInfo
 	content  []byte // only for text files; nil for size-only bulk data
 	children map[string]*File
-	// sorted caches a directory's children in name order. Adding a child
-	// drops it (sets it to nil, never edits it in place, so a walk
-	// already iterating the old slice keeps its snapshot); the next Walk
-	// of the directory rebuilds it.
+	// sorted caches a directory's children in name order. A child that
+	// sorts after the last entry is appended to it; any other addition
+	// drops it (sets it to nil), and the next Walk of the directory
+	// rebuilds it. Neither edits an entry a walk can see: a walk already
+	// iterating the old slice keeps its own length, so it keeps its
+	// snapshot.
 	sorted []*File
+}
+
+// add links a new child into the directory.
+func (f *File) add(c *File) {
+	f.children[c.info.Name] = c
+	if n := len(f.sorted); n > 0 && f.sorted[n-1].info.Name < c.info.Name {
+		f.sorted = append(f.sorted, c)
+	} else {
+		f.sorted = nil
+	}
 }
 
 // entries returns a directory's children in name order.
@@ -71,8 +88,8 @@ func (f *File) Size() int64 {
 	return f.info.Size
 }
 
-// Append grows a size-only file by n bytes and stamps its mtime from the
-// FS clock, as FS.Append does.
+// Append grows a size-only file by n bytes and stamps the write (mtime
+// and change count), as FS.Append does.
 func (f *File) Append(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("append %s: negative size %d", f.info.Path, n)
@@ -81,8 +98,16 @@ func (f *File) Append(n int64) error {
 		return fmt.Errorf("append %s: size-only append to content file", f.info.Path)
 	}
 	f.info.Size += n
-	f.info.MTime = f.fs.now()
+	f.touch()
 	return nil
+}
+
+// touch stamps a write: the mtime from the FS clock and the next change
+// count.
+func (f *File) touch() {
+	f.info.MTime = f.fs.now()
+	f.fs.gen++
+	f.info.Gen = f.fs.gen
 }
 
 // Dir is a handle to a directory, for a watcher that probes it for a
@@ -117,6 +142,7 @@ type FS struct {
 	// clock supplies the virtual time for mtimes. It may be nil, in which
 	// case mtimes are zero.
 	clock func() float64
+	gen   uint64 // the last write's change count (FileInfo.Gen)
 }
 
 // New creates an empty filesystem. clock, if non-nil, supplies virtual
@@ -194,8 +220,7 @@ func (fs *FS) MkdirAll(p string) error {
 				info:     FileInfo{Path: walked, Name: part, IsDir: true, MTime: fs.now()},
 				children: make(map[string]*File),
 			}
-			cur.children[part] = next
-			cur.sorted = nil
+			cur.add(next)
 		} else if !next.info.IsDir {
 			return fmt.Errorf("mkdir %s: %w", walked, ErrNotDir)
 		}
@@ -220,9 +245,7 @@ func (fs *FS) file(op, p string, text bool) (*File, error) {
 		if text {
 			f.content = []byte{}
 		}
-		parent := fs.lookup(dir)
-		parent.children[name] = f
-		parent.sorted = nil
+		fs.lookup(dir).add(f)
 	}
 	if f.info.IsDir {
 		return nil, fmt.Errorf("%s %s: %w", op, p, ErrIsDir)
@@ -250,7 +273,7 @@ func (fs *FS) WriteString(p, s string) error {
 	}
 	f.content = []byte(s)
 	f.info.Size = int64(len(f.content))
-	f.info.MTime = fs.now()
+	f.touch()
 	return nil
 }
 
@@ -265,7 +288,7 @@ func (fs *FS) AppendString(p, s string) error {
 	}
 	f.content = append(f.content, s...)
 	f.info.Size = int64(len(f.content))
-	f.info.MTime = fs.now()
+	f.touch()
 	return nil
 }
 

@@ -255,19 +255,77 @@ func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
 		}
 		return visited
 	}
-	// /d/b lands in /d after the walk has listed it.
+	// /d/e lands in /d after the walk has listed it. It sorts after every
+	// entry, so it is appended to the listing the walk is iterating; /d/b
+	// sorts before /d/c and drops that listing.
 	current := visit(func(info FileInfo) {
-		if info.Path == "/d/a" {
+		switch info.Path {
+		case "/d/a":
+			if err := fs.Append("/d/e", 0); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(fs.lookup("/d").sorted); n != 3 {
+				t.Fatalf("listing after creating /d/e has %d entries, want 3 (appended in place)", n)
+			}
+		case "/d/c":
 			if err := fs.Append("/d/b", 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 	if want := []string{"/d", "/d/a", "/d/c"}; !slices.Equal(current, want) {
-		t.Fatalf("walk that created /d/b = %v, want %v", current, want)
+		t.Fatalf("walk that created /d/e and /d/b = %v, want %v", current, want)
 	}
-	if next, want := visit(func(FileInfo) {}), []string{"/d", "/d/a", "/d/b", "/d/c"}; !slices.Equal(next, want) {
+	if next, want := visit(func(FileInfo) {}), []string{"/d", "/d/a", "/d/b", "/d/c", "/d/e"}; !slices.Equal(next, want) {
 		t.Fatalf("next walk = %v, want %v", next, want)
+	}
+}
+
+// TestGenCountsEveryWrite checks that each write path stamps the file
+// with a change count above every earlier one, and that directories and
+// failed writes leave Gen alone.
+func TestGenCountsEveryWrite(t *testing.T) {
+	fs := New(nil)
+	gen := func(p string) uint64 {
+		info, err := stat(fs, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Gen
+	}
+	var last uint64
+	for _, w := range []struct {
+		name, path string
+		write      func() error
+	}{
+		{"WriteString", "/runs/a/run.log", func() error { return fs.WriteString("/runs/a/run.log", "x") }},
+		{"AppendString", "/runs/a/run.log", func() error { return fs.AppendString("/runs/a/run.log", "y") }},
+		{"FS.Append", "/runs/a/out.63", func() error { return fs.Append("/runs/a/out.63", 10) }},
+		{"File.Append", "/runs/a/out.63", func() error { return fs.Open("/runs/a/out.63").Append(5) }},
+		{"WriteString again", "/runs/a/run.log", func() error { return fs.WriteString("/runs/a/run.log", "x") }},
+	} {
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if g := gen(w.path); g <= last {
+			t.Fatalf("%s: Gen = %d, want above %d", w.name, g, last)
+		} else {
+			last = g
+		}
+	}
+	if err := fs.Open("/runs/a/run.log").Append(1); err == nil {
+		t.Fatal("size-only append to a text file succeeded")
+	}
+	if g := gen("/runs/a/run.log"); g != last {
+		t.Fatalf("failed append moved Gen to %d, want %d", g, last)
+	}
+	if err := fs.MkdirAll("/runs/b"); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"/", "/runs", "/runs/a", "/runs/b"} {
+		if g := gen(dir); g != 0 {
+			t.Fatalf("directory %s has Gen %d, want 0", dir, g)
+		}
 	}
 }
 
