@@ -42,8 +42,9 @@ check: fmt test vet race e2ebench
 # Native fuzzing of the readers of untrusted text (run logs, the statsdb
 # SQL subset, factory config files, the harvest journal and snapshot),
 # of the run-log parser and statsdb's answers against their reference
-# implementations, and of the vfs path lookup's in-place walk against
-# path.Clean, 60 s each. Their seed inputs also run in the tier-1 suite. A crasher is
+# implementations, of statsdb's batch append against row-by-row inserts,
+# and of the vfs path lookup's in-place walk against path.Clean, 60 s
+# each. Their seed inputs also run in the tier-1 suite. A crasher is
 # written under the package's testdata/fuzz/ and lands as a regression
 # test with its fix.
 fuzz:
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime 60s ./internal/logs
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 60s ./internal/statsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryMatchesReference$$' -fuzztime 60s ./internal/statsdb
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendMatchesInsert$$' -fuzztime 60s ./internal/statsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/config
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s ./internal/harvest
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 60s ./internal/harvest
@@ -77,7 +79,9 @@ fuzz:
 # line runs every benchmark once so they keep building, among them the
 # per-layer ones at an operator planning session's size (estimate replay,
 # query shapes, a daily harvest pass, Harvester.Records, the run-tree
-# walk) that profile one layer with -cpuprofile in its own package.
+# walk) and at an observed campaign's close-out (LoadSpans, Analyze and
+# LoadSamples over a fig-8 campaign's trace and timeline) that profile
+# one layer with -cpuprofile in its own package.
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/core ./internal/engineprof ./internal/forensics ./internal/harvest ./internal/serving ./internal/sim ./internal/spc ./internal/statsdb ./internal/usage ./internal/vfs
 	BENCH_OUT=$(CURDIR)/BENCH_harvest.json $(GO) test -run TestEmitBenchReport -v ./internal/harvest

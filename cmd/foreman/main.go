@@ -471,7 +471,7 @@ func main() {
 	fmt.Print(plot.Gantt{Title: "today's plan (predicted completions)", Bars: bars, Now: *nowHour * 3600, Horizon: 86400}.Render())
 
 	if *utilizationFlag != "" {
-		utilizationReplay(schedule, specs, db, tel, *utilizationFlag, *engineProfFlag)
+		utilizationReplay(schedule, specs, planDay(records), db, tel, *utilizationFlag, *engineProfFlag)
 		if *sqlFlag != "" {
 			fmt.Println()
 			runSQL(db, *sqlFlag)
@@ -532,11 +532,12 @@ func validateForecastFlag(flagName, value string, specs []*forecast.Spec) error 
 // spec's true work (not the estimator's figure) — so the replay drifts
 // from the plan exactly the way reality does: through estimate error and
 // CPU-share contention. The usage sampler records the per-node timeline;
-// drift joins the observed completions against the prediction; both
-// persist into the statistics database (schema v3) for -sql queries.
+// drift joins the observed completions against the prediction, each
+// record keyed on the plan's day; both persist into the statistics
+// database (schema v3) for -sql queries.
 // forecastName narrows the drift report ("all" = every run); the replay,
 // the heatmap, and the persisted tables always cover the whole plan.
-func utilizationReplay(schedule *core.Schedule, specs []*forecast.Spec, db *statsdb.DB, tel *telemetry.Telemetry, forecastName string, profile bool) {
+func utilizationReplay(schedule *core.Schedule, specs []*forecast.Spec, day int, db *statsdb.DB, tel *telemetry.Telemetry, forecastName string, profile bool) {
 	eng := sim.NewEngine()
 	if tel != nil {
 		eng.Instrument(tel.Registry())
@@ -606,7 +607,7 @@ func utilizationReplay(schedule *core.Schedule, specs []*forecast.Spec, db *stat
 		Width: 96,
 	}.Render())
 
-	drifts := usage.ComputeDrift(schedule.Plan, schedule.Prediction, outcomes, samp)
+	drifts := usage.ComputeDrift(schedule.Plan, schedule.Prediction, day, outcomes, samp)
 	shown := drifts
 	if forecastName != "all" {
 		shown = nil
@@ -641,6 +642,21 @@ func utilizationReplay(schedule *core.Schedule, specs []*forecast.Spec, db *stat
 		fmt.Println()
 		fmt.Print(engineprof.DepthChart(rep))
 	}
+}
+
+// planDay is the day today's plan is for: the day after the newest
+// history record it was estimated from.
+func planDay(records []*logs.RunRecord) int {
+	var newest *logs.RunRecord
+	for _, r := range records {
+		if newest == nil || r.Year > newest.Year || r.Year == newest.Year && r.Day > newest.Day {
+			newest = r
+		}
+	}
+	if newest == nil {
+		return 1
+	}
+	return newest.Day + 1
 }
 
 // engineprofReport persists the bootstrap campaign's kernel profile into

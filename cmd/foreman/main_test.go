@@ -61,6 +61,23 @@ func TestHarvestWarnsOfIgnoredFlags(t *testing.T) {
 	}
 }
 
+// TestUtilizationDriftCarriesPlanDay checks that the drift rows persist
+// the day the plan is for: the day after the 3-day bootstrap's history,
+// so they join runs on (forecast, day).
+func TestUtilizationDriftCarriesPlanDay(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-utilization", "all", "-sql", "SELECT day, COUNT(*) FROM drift GROUP BY day")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	if !strings.HasSuffix(string(out), "\nday | count(*)\n4 | 10\n") {
+		t.Fatalf("drift days: stdout ends %q, want the SQL answer \"4 | 10\"", string(out[max(0, len(out)-80):]))
+	}
+}
+
 // TestGoldenStdout pins the command's stdout for invocations that print no
 // wall-clock figure or address, and its flags through the -h text: a
 // refactor of the CLI must leave them byte for byte as they were. Refresh with `go test ./cmd/foreman -update`.

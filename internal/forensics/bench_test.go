@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -108,6 +109,92 @@ func BenchmarkReplayAnalyzed(b *testing.B) {
 			b.Fatalf("analyzed %d runs, want 2000", n)
 		}
 	}
+}
+
+// BenchmarkAnalyze is the forensics pass alone over an observed fig-8
+// campaign's trace, ~192k spans recorded through a tracer in the
+// campaign's shape (see campaignTrace), with a plan entry per run and a
+// stub share source.
+func BenchmarkAnalyze(b *testing.B) {
+	spans := campaignTrace().Spans()
+	var plan []PlanEntry
+	for _, s := range spans {
+		if s.Cat == "run" {
+			day, _ := strconv.Atoi(s.Args["day"])
+			plan = append(plan, PlanEntry{Forecast: s.Args["forecast"], Day: day, Node: s.Track,
+				Start: s.Start - 600, End: s.Start + 30000, Deadline: s.Start + 40000})
+		}
+	}
+	in := Input{Spans: spans, Plan: plan, Timeline: fixedShares{share: 0.8, down: 60}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep, err := Analyze(in); err != nil || len(rep.Runs) != 282 {
+			b.Fatalf("Analyze: %v", err)
+		}
+	}
+}
+
+// campaignTrace records the shape of an observed fig-8 campaign's trace:
+// 76 day spans, 282 runs on 5 nodes, each a simulation span and 680
+// product-task spans interleaved with its day's other runs, and 316
+// harvest passes: ~192k spans, 689 names on 7 tracks. Only run spans
+// carry annotations, as in the campaign. statsdb's BenchmarkLoadSpans
+// loads the same trace.
+func campaignTrace() *telemetry.Tracer {
+	clock := 0.0
+	tr := telemetry.NewTracer(func() float64 { return clock })
+	campaign := tr.Begin("campaign", "campaign-2005", "factory", 0)
+	var prods [6]string
+	for i := range prods {
+		prods[i] = fmt.Sprintf("prod:p%d", i)
+	}
+	pass := 0
+	for day := 1; day <= 76; day++ {
+		clock = float64(day-1) * 86400
+		daySpan := tr.Begin("day", fmt.Sprintf("day-%03d", day), "factory", campaign)
+		var runs, sims []int64
+		for r := 0; r < 3 || r < 4 && day <= 54; r++ { // 54 days of 4 runs, 22 of 3
+			fc, node := fmt.Sprintf("fc-%d", (day+r)%8), fmt.Sprintf("fnode%02d", 1+(day+r)%5)
+			run := tr.Begin("run", fmt.Sprintf("%s/%d", fc, day), node, daySpan)
+			tr.SetArg(run, "forecast", fc)
+			tr.SetArg(run, "day", fmt.Sprint(day))
+			tr.SetArg(run, "node", node)
+			runs, sims = append(runs, run), append(sims, tr.Begin("simulation", "sim:"+fc, "", run))
+		}
+		clock += 3600
+		for _, sim := range sims {
+			tr.End(sim)
+		}
+		// Each run keeps six product tasks in flight; a step ends one at
+		// random and starts the next, so tasks overlap and end out of
+		// start order.
+		open := make([][6]int64, len(runs))
+		x := uint32(day)
+		for p := 0; p < 680; p++ {
+			clock += 60
+			x = x*1103515245 + 12345
+			slot := x >> 16 % 6
+			for r, run := range runs {
+				tr.End(open[r][slot])
+				open[r][slot] = tr.Begin("product", prods[slot], "", run)
+			}
+			if p%170 == 0 || p == 85 && day%6 == 0 { // 4 passes a day, 5 every 6th
+				pass++
+				tr.End(tr.Begin("harvest", fmt.Sprintf("pass-%03d", pass), "harvest", 0))
+			}
+		}
+		clock += 600
+		for r, run := range runs {
+			for _, id := range open[r] {
+				tr.End(id)
+			}
+			tr.End(run)
+		}
+		tr.End(daySpan)
+	}
+	tr.End(campaign)
+	return tr
 }
 
 // TestEmitBenchReport measures the forensics pass's cost on a 200-node ×

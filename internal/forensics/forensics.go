@@ -18,6 +18,7 @@ package forensics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -197,21 +198,46 @@ func Analyze(in Input) (*Report, error) {
 		plan[runKey(p.Forecast, p.Day)] = p
 	}
 
-	// Index the trace: run spans anchor runs; child simulation/product
-	// spans reconstruct what was executing inside them.
-	children := make(map[int64][]telemetry.Span)
-	var runs []telemetry.Span
-	for _, s := range in.Spans {
-		switch s.Cat {
-		case "run":
-			runs = append(runs, s)
-		case "simulation", "product":
-			children[s.Parent] = append(children[s.Parent], s)
+	// Index the trace once: run spans anchor runs, by id; each run's
+	// child simulation/product spans reconstruct what was executing
+	// inside it. The children are positions into in.Spans, in trace
+	// order, one shared block grouped by run (a counting sort).
+	spans := in.Spans
+	var runs []int32
+	group := make(map[int64]int32) // run span id → its children's group
+	for i := range spans {
+		if spans[i].Cat == "run" {
+			if _, ok := group[spans[i].ID]; !ok {
+				group[spans[i].ID] = int32(len(group))
+			}
+			runs = append(runs, int32(i))
+		}
+	}
+	of := make([]int32, len(spans)) // 1 + a child's group, 0 for any other span
+	starts := make([]int32, len(group)+1)
+	for i := range spans {
+		if s := &spans[i]; s.Cat == "simulation" || s.Cat == "product" {
+			if g, ok := group[s.Parent]; ok {
+				of[i] = g + 1
+				starts[g+1]++
+			}
+		}
+	}
+	for g := 1; g < len(starts); g++ {
+		starts[g] += starts[g-1]
+	}
+	block := make([]int32, starts[len(group)])
+	next := slices.Clone(starts)
+	for i, g := range of {
+		if g > 0 {
+			block[next[g-1]] = int32(i)
+			next[g-1]++
 		}
 	}
 
 	rep := &Report{}
-	for _, rs := range runs {
+	for _, ri := range runs {
+		rs := &spans[ri]
 		forecastName := rs.Args["forecast"]
 		if forecastName == "" {
 			forecastName = rs.Name
@@ -232,8 +258,9 @@ func Analyze(in Input) (*Report, error) {
 			return nil, fmt.Errorf("forensics: run span %d (%s) ends before it starts", rs.ID, rs.Name)
 		}
 
-		kids := children[rs.ID]
-		busy := clipUnion(kids, rs.Start, rs.End)
+		g := group[rs.ID]
+		kids := block[starts[g]:starts[g+1]]
+		busy := clipUnion(spans, kids, rs.Start, rs.End)
 		var busySecs float64
 		for _, iv := range busy {
 			busySecs += iv[1] - iv[0]
@@ -247,7 +274,7 @@ func Analyze(in Input) (*Report, error) {
 			End:         rs.End,
 			MeanShare:   in.Timeline.MeanShareOver(node, rs.Start, rs.End),
 			Interrupted: rs.Args["interrupted"] == "true",
-			Path:        criticalPath(rs, kids),
+			Path:        criticalPath(rs, spans, kids),
 		}
 
 		extent := rs.End - rs.Start
@@ -336,13 +363,15 @@ func aggregateDays(runs []RunBlame) []DayBlame {
 	return out
 }
 
-// clipUnion returns the union of the child spans' intervals clipped to
-// [lo, hi], as sorted disjoint [start, end] pairs — the time at least one
-// piece of the run (simulation increment stream, product task) was
-// submitted to a node. Everything outside the union is upstream wait.
-func clipUnion(kids []telemetry.Span, lo, hi float64) [][2]float64 {
+// clipUnion returns the union of the child spans' intervals (spans at
+// positions kids) clipped to [lo, hi], as sorted disjoint [start, end]
+// pairs — the time at least one piece of the run (simulation increment
+// stream, product task) was submitted to a node. Everything outside the
+// union is upstream wait.
+func clipUnion(spans []telemetry.Span, kids []int32, lo, hi float64) [][2]float64 {
 	ivs := make([][2]float64, 0, len(kids))
-	for _, k := range kids {
+	for _, p := range kids {
+		k := &spans[p]
 		s, e := math.Max(k.Start, lo), math.Min(k.End, hi)
 		if e > s {
 			ivs = append(ivs, [2]float64{s, e})
@@ -364,13 +393,14 @@ func clipUnion(kids []telemetry.Span, lo, hi float64) [][2]float64 {
 	return out
 }
 
-// criticalPath walks the run's child spans backward from its end: at each
-// point the chain adopts the child that finished last at or before the
-// current frontier — the span that gated progress — and any gap between
-// it and the frontier becomes a wait segment (the run existed but none of
-// its work was executing: blocked on dataflow inputs or dispatch). The
-// result covers [run.Start, run.End] and reads forward in Seq order.
-func criticalPath(run telemetry.Span, kids []telemetry.Span) []Segment {
+// criticalPath walks the run's child spans (spans at positions kids)
+// backward from its end: at each point the chain adopts the child that
+// finished last at or before the current frontier — the span that gated
+// progress — and any gap between it and the frontier becomes a wait
+// segment (the run existed but none of its work was executing: blocked
+// on dataflow inputs or dispatch). The result covers [run.Start,
+// run.End] and reads forward in Seq order.
+func criticalPath(run *telemetry.Span, spans []telemetry.Span, kids []int32) []Segment {
 	node := run.Args["node"]
 	if node == "" {
 		node = run.Track
@@ -378,20 +408,23 @@ func criticalPath(run telemetry.Span, kids []telemetry.Span) []Segment {
 	if run.End <= run.Start {
 		return nil
 	}
-	// Sort by end time so the backward walk can scan for the latest
-	// finisher at or before the frontier.
-	sorted := make([]telemetry.Span, 0, len(kids))
-	for _, k := range kids {
-		if math.Min(k.End, run.End) > math.Max(k.Start, run.Start) {
-			sorted = append(sorted, k)
+	// Sort the overlapping children's positions by end time so the
+	// backward walk can scan for the latest finisher at or before the
+	// frontier. sort.Slice permutes by the comparisons alone, so ties
+	// keep the order they had when it sorted the spans themselves.
+	sorted := make([]int32, 0, len(kids))
+	for _, p := range kids {
+		if k := &spans[p]; math.Min(k.End, run.End) > math.Max(k.Start, run.Start) {
+			sorted = append(sorted, p)
 		}
 	}
 	if len(sorted) > 1 {
 		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].End != sorted[j].End {
-				return sorted[i].End < sorted[j].End
+			a, b := &spans[sorted[i]], &spans[sorted[j]]
+			if a.End != b.End {
+				return a.End < b.End
 			}
-			return sorted[i].Start < sorted[j].Start
+			return a.Start < b.Start
 		})
 	}
 
@@ -400,7 +433,7 @@ func criticalPath(run telemetry.Span, kids []telemetry.Span) []Segment {
 	idx := len(sorted) - 1
 	for frontier > run.Start+pathEps {
 		// Latest-finishing child at or before the frontier.
-		for idx >= 0 && sorted[idx].End > frontier+pathEps {
+		for idx >= 0 && spans[sorted[idx]].End > frontier+pathEps {
 			idx--
 		}
 		if idx < 0 {
@@ -408,7 +441,7 @@ func criticalPath(run telemetry.Span, kids []telemetry.Span) []Segment {
 				Start: run.Start, End: frontier})
 			break
 		}
-		k := sorted[idx]
+		k := &spans[sorted[idx]]
 		kStart := math.Max(k.Start, run.Start)
 		if kStart >= frontier-pathEps {
 			// Degenerate (zero-length after clipping): skip, keep walking.

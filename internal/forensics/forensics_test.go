@@ -180,7 +180,7 @@ func TestClipUnion(t *testing.T) {
 		{Start: -50, End: -5},  // entirely before lo
 		{Start: 90, End: 90},   // zero length
 	}
-	got := clipUnion(kids, 0, 100)
+	got := clipUnion(kids, []int32{0, 1, 2, 3, 4, 5, 6}, 0, 100)
 	want := [][2]float64{{10, 40}, {60, 100}}
 	if len(got) != len(want) {
 		t.Fatalf("clipUnion = %v, want %v", got, want)

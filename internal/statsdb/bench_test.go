@@ -90,31 +90,11 @@ func BenchmarkReadRuns(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadSpans loads an observed fig-8 campaign's trace, ~190k
-// spans: a run span per forecast-day on its node, product-task spans
-// under it, and rsync transfers on their links.
+// BenchmarkLoadSpans loads an observed fig-8 campaign's trace into a
+// fresh table, as the campaign's close-out does. The trace is recorded
+// through a tracer in the campaign's shape (see campaignTrace).
 func BenchmarkLoadSpans(b *testing.B) {
-	var spans []telemetry.Span
-	id := int64(0)
-	add := func(parent int64, cat, name, track string, start, end float64, args map[string]string) int64 {
-		id++
-		spans = append(spans, telemetry.Span{ID: id, Parent: parent, Cat: cat, Name: name, Track: track,
-			Start: start, End: end, Args: args})
-		return id
-	}
-	for day := 1; day <= 76; day++ {
-		for f := 0; f < 50; f++ {
-			fc, node := fmt.Sprintf("fc-%02d", f), fmt.Sprintf("fnode%02d", 1+f%6)
-			args := map[string]string{"forecast": fc, "day": fmt.Sprint(day), "node": node}
-			start := float64(day)*86400 + float64(f)*600
-			run := add(0, "run", fc, node, start, start+30000, args)
-			for p := 0; p < 48; p++ {
-				add(run, "task", fmt.Sprintf("product-%02d", p), node, start+float64(p)*600, start+float64(p)*600+300,
-					map[string]string{"forecast": fc, "day": fmt.Sprint(day)})
-			}
-			add(run, "transfer", "rsync", "link-"+node, start+30000, start+30600, args)
-		}
-	}
+	spans := campaignTrace().Spans()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,6 +102,67 @@ func BenchmarkLoadSpans(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// campaignTrace records the shape of an observed fig-8 campaign's trace:
+// 76 day spans, 282 runs on 5 nodes, each a simulation span and 680
+// product-task spans interleaved with its day's other runs, and 316
+// harvest passes: ~192k spans, 689 names on 7 tracks. Only run spans
+// carry annotations, as in the campaign.
+func campaignTrace() *telemetry.Tracer {
+	clock := 0.0
+	tr := telemetry.NewTracer(func() float64 { return clock })
+	campaign := tr.Begin("campaign", "campaign-2005", "factory", 0)
+	var prods [6]string
+	for i := range prods {
+		prods[i] = fmt.Sprintf("prod:p%d", i)
+	}
+	pass := 0
+	for day := 1; day <= 76; day++ {
+		clock = float64(day-1) * 86400
+		daySpan := tr.Begin("day", fmt.Sprintf("day-%03d", day), "factory", campaign)
+		var runs, sims []int64
+		for r := 0; r < 3 || r < 4 && day <= 54; r++ { // 54 days of 4 runs, 22 of 3
+			fc, node := fmt.Sprintf("fc-%d", (day+r)%8), fmt.Sprintf("fnode%02d", 1+(day+r)%5)
+			run := tr.Begin("run", fmt.Sprintf("%s/%d", fc, day), node, daySpan)
+			tr.SetArg(run, "forecast", fc)
+			tr.SetArg(run, "day", fmt.Sprint(day))
+			tr.SetArg(run, "node", node)
+			runs, sims = append(runs, run), append(sims, tr.Begin("simulation", "sim:"+fc, "", run))
+		}
+		clock += 3600
+		for _, sim := range sims {
+			tr.End(sim)
+		}
+		// Each run keeps six product tasks in flight; a step ends one at
+		// random and starts the next, so tasks overlap and end out of
+		// start order.
+		open := make([][6]int64, len(runs))
+		x := uint32(day)
+		for p := 0; p < 680; p++ {
+			clock += 60
+			x = x*1103515245 + 12345
+			slot := x >> 16 % 6
+			for r, run := range runs {
+				tr.End(open[r][slot])
+				open[r][slot] = tr.Begin("product", prods[slot], "", run)
+			}
+			if p%170 == 0 || p == 85 && day%6 == 0 { // 4 passes a day, 5 every 6th
+				pass++
+				tr.End(tr.Begin("harvest", fmt.Sprintf("pass-%03d", pass), "harvest", 0))
+			}
+		}
+		clock += 600
+		for r, run := range runs {
+			for _, id := range open[r] {
+				tr.End(id)
+			}
+			tr.End(run)
+		}
+		tr.End(daySpan)
+	}
+	tr.End(campaign)
+	return tr
 }
 
 // BenchmarkQuery runs the query shapes of an operator's planning session

@@ -1,6 +1,7 @@
 package statsdb
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -85,14 +86,34 @@ func TestLoadSpansInterruptedAndBadDay(t *testing.T) {
 	b := bad.Begin("run", "b", "n", 0)
 	bad.SetArg(b, "day", "twenty")
 	bad.End(b)
+	before := cloneTable(db.Table(SpansTableName))
 	if _, err := LoadSpans(db, bad.Spans()); err == nil {
 		t.Fatal("expected error for non-integer day annotation")
+	}
+	if diff := diffTables(db.Table(SpansTableName), before); diff != "" {
+		t.Fatalf("failed load changed the table: %s", diff)
+	}
+
+	// The same holds when the bad span comes after spans the load would
+	// otherwise add (a batch) or update (known ids): none of them land.
+	for _, spans := range [][]telemetry.Span{
+		{{ID: 7, Cat: "run", Name: "new", Track: "n"}, {ID: 8, Cat: "run", Name: "b", Args: map[string]string{"day": "x"}}},
+		{{ID: 1, Cat: "run", Name: "renamed", Track: "n"}, {ID: 9, Cat: "run", Name: "new", Track: "n"},
+			{ID: 10, Cat: "run", Name: "nan", Start: math.NaN()}},
+	} {
+		if _, err := LoadSpans(db, spans); err == nil {
+			t.Fatalf("load of %v succeeded", spans)
+		}
+		if diff := diffTables(db.Table(SpansTableName), before); diff != "" {
+			t.Fatalf("failed load of %v changed the table: %s", spans, diff)
+		}
 	}
 }
 
 // TestLoadSpansIdempotent re-loads the same trace (plus a continuation)
 // and checks rows update in place: the monitor-flush-then-final-flush
-// sequence must not duplicate spans.
+// sequence must not duplicate spans, and a load mixing known and new ids
+// must leave what loading its spans one by one would.
 func TestLoadSpansIdempotent(t *testing.T) {
 	clock := 0.0
 	tr := telemetry.NewTracer(func() float64 { return clock })
@@ -134,5 +155,36 @@ func TestLoadSpansIdempotent(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 900 {
 		t.Fatalf("run duration after re-load = %v, want one row of 900", res.Rows)
+	}
+
+	// Loads that mix known ids with new ones must leave the table as one
+	// call per span would: every row, code and index entry in place.
+	// Cases: a trace and its continuation (known ids, then new ascending
+	// ones), a repeated id late in the call, and a new id below one
+	// already loaded.
+	span := func(id int64, name string, end float64) telemetry.Span {
+		return telemetry.Span{ID: id, Parent: id / 2, Cat: "product", Name: name, Track: "fnode0" + name[:1], End: end}
+	}
+	first := []telemetry.Span{span(1, "1a", 10), span(2, "2b", 20), span(3, "3c", 30)}
+	for name, next := range map[string][]telemetry.Span{
+		"continuation":    {span(2, "2b", 25), span(3, "3d", 35), span(4, "4e", 40), span(5, "5a", 50)},
+		"late repeat":     {span(4, "4e", 40), span(5, "5f", 50), span(6, "6g", 60), span(5, "5h", 55), span(7, "7a", 70)},
+		"new id below":    {span(9, "9a", 90), span(8, "8b", 80), span(10, "1c", 100)},
+		"known ids alone": {span(3, "3x", 33), span(1, "1y", 11)},
+	} {
+		batched, single := NewDB(), NewDB()
+		for _, spans := range [][]telemetry.Span{first, next} {
+			if _, err := LoadSpans(batched, spans); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range spans {
+				if _, err := LoadSpans(single, []telemetry.Span{s}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if diff := diffTables(batched.Table(SpansTableName), single.Table(SpansTableName)); diff != "" {
+			t.Errorf("%s: %s", name, diff)
+		}
 	}
 }

@@ -91,12 +91,16 @@ func (c *column) floatAt(r int) float64 {
 	return 0
 }
 
-// key is row r's value as a hash key: a STRING's code, else valueKey.
+// key is row r's value as a hash key: a STRING's or BOOL's code, else
+// valueKey, read without boxing the value.
 func (c *column) key(r int) uint64 {
-	if c.typ == String {
-		return uint64(c.codes[r])
+	switch c.typ {
+	case Int:
+		return uint64(c.ints[r])
+	case Float:
+		return valueKey(FloatVal(c.flts[r]))
 	}
-	return valueKey(c.value(r))
+	return uint64(c.codes[r])
 }
 
 // valueKey is a non-STRING value as a hash key: an INT's bits, a FLOAT's
@@ -160,6 +164,106 @@ func (c *column) set(r int, v Value) {
 	}
 }
 
+// push appends v, of the column's type, leaving the index to indexRows.
+// A string that repeats the column's previous value takes that row's
+// code without a dictionary lookup.
+func (c *column) push(v Value) {
+	switch c.typ {
+	case Int:
+		c.ints = append(c.ints, v.i)
+	case Float:
+		c.flts = append(c.flts, v.f)
+	case String:
+		if n := len(c.codes); n > 0 && c.dict[c.codes[n-1]] == v.s {
+			c.codes = append(c.codes, c.codes[n-1])
+		} else {
+			c.codes = append(c.codes, c.intern(v.s))
+		}
+	default:
+		c.codes = append(c.codes, boolCode(v.b))
+	}
+}
+
+// grow makes room for n more rows in the column's vector.
+func (c *column) grow(n int) {
+	switch c.typ {
+	case Int:
+		c.ints = slices.Grow(c.ints, n)
+	case Float:
+		c.flts = slices.Grow(c.flts, n)
+	default:
+		c.codes = slices.Grow(c.codes, n)
+	}
+}
+
+// truncate drops the rows from r on and the dictionary entries from code
+// d on: what a failed batch appended, before any index saw it.
+func (c *column) truncate(r, d int) {
+	switch c.typ {
+	case Int:
+		c.ints = c.ints[:r]
+	case Float:
+		c.flts = c.flts[:r]
+	default:
+		c.codes = c.codes[:r]
+	}
+	for _, s := range c.dict[d:] {
+		delete(c.code, s)
+	}
+	clear(c.dict[d:])
+	c.dict = c.dict[:d]
+}
+
+// indexRows adds rows lo..hi-1, the last rows appended, to the index. A
+// STRING column buckets them by code, codes in first-appearance order and
+// rows ascending in each (a counting sort over the batch), so each
+// distinct code costs one index write. Any other column adds row by row,
+// into a map sized for the batch when the index is empty.
+func (c *column) indexRows(lo, hi int) {
+	x := c.index
+	if c.typ != String {
+		if len(x.ids) == 0 {
+			x.ids = make(map[uint64]int32, hi-lo)
+		}
+		for r := lo; r < hi; r++ {
+			x.add(c.key(r), int32(r))
+		}
+		return
+	}
+	codes := c.codes[lo:hi]
+	slot := make(map[uint32]int32)  // code → its bucket
+	var keys []uint32               // bucket → code
+	var ends []int32                // bucket → its row count, then its end in rows
+	at := make([]int32, len(codes)) // batch row → its bucket
+	for i, k := range codes {
+		if i > 0 && k == codes[i-1] {
+			at[i] = at[i-1]
+		} else if b, ok := slot[k]; ok {
+			at[i] = b
+		} else {
+			at[i] = int32(len(keys))
+			slot[k] = at[i]
+			keys, ends = append(keys, k), append(ends, 0)
+		}
+		ends[at[i]]++
+	}
+	for b := 1; b < len(ends); b++ {
+		ends[b] += ends[b-1]
+	}
+	rows := make([]int32, len(codes))
+	for i := len(codes) - 1; i >= 0; i-- { // backward, so each bucket ascends
+		ends[at[i]]--
+		rows[ends[at[i]]] = int32(lo + i)
+	}
+	for b, k := range keys { // ends[b] is now bucket b's start
+		end := int32(len(rows))
+		if b+1 < len(keys) {
+			end = ends[b+1]
+		}
+		x.addRows(uint64(k), rows[ends[b]:end:end])
+	}
+}
+
 func put[T any](vec []T, r int, x T) []T {
 	if r == len(vec) {
 		return append(vec, x)
@@ -201,6 +305,26 @@ func (x *hashIndex) add(k uint64, r int32) {
 		x.lists = append(x.lists, []int32{id, r})
 	default:
 		x.lists[^id] = append(x.lists[^id], r)
+	}
+}
+
+// addRows adds rows, ascending and above every row k already holds, in
+// one write. A list it starts is rows itself, so rows must not be shared.
+func (x *hashIndex) addRows(k uint64, rows []int32) {
+	if x.ids == nil {
+		x.ids = make(map[uint64]int32)
+	}
+	switch id, ok := x.ids[k]; {
+	case !ok && len(rows) == 1:
+		x.ids[k] = rows[0]
+	case !ok:
+		x.ids[k] = ^int32(len(x.lists))
+		x.lists = append(x.lists, rows)
+	case id >= 0:
+		x.ids[k] = ^int32(len(x.lists))
+		x.lists = append(x.lists, append([]int32{id}, rows...))
+	default:
+		x.lists[^id] = append(x.lists[^id], rows...)
 	}
 }
 
@@ -313,6 +437,44 @@ func (t *Table) Insert(row []Value) error {
 		t.cols[i].set(t.n, v)
 	}
 	t.n++
+	return nil
+}
+
+// appendRows appends n rows and leaves the table as n calls of Insert
+// would, at batch cost: fill appends row i to an empty buffer, each row
+// is checked as Insert checks it, strings intern in row order, each
+// vector grows once, and each index takes the batch's rows once they are
+// all in. On an error from fill or a check, the table is left as it was
+// before the call.
+func (t *Table) appendRows(n int, fill func(row []Value, i int) ([]Value, error)) error {
+	base := t.n
+	dicts := make([]int, len(t.cols)) // each dictionary's length before the batch
+	for ci := range t.cols {
+		t.cols[ci].grow(n)
+		dicts[ci] = len(t.cols[ci].dict)
+	}
+	row := make([]Value, 0, len(t.cols))
+	for i := 0; i < n; i++ {
+		var err error
+		if row, err = fill(row[:0], i); err == nil {
+			err = t.check(row)
+		}
+		if err != nil {
+			for ci := range t.cols {
+				t.cols[ci].truncate(base, dicts[ci])
+			}
+			return err
+		}
+		for ci, v := range row {
+			t.cols[ci].push(v)
+		}
+	}
+	t.n += n
+	for ci := range t.cols {
+		if t.cols[ci].index != nil {
+			t.cols[ci].indexRows(base, t.n)
+		}
+	}
 	return nil
 }
 

@@ -167,25 +167,28 @@ func TableMigration(version int64, name string, tables ...interface{ Create(*DB)
 
 // Insert appends rows to the table Create made and returns it. A table
 // whose schema differs from the declaration is an error, never a
-// misaligned row.
+// misaligned row. The rows go in as one batch, filled from the field
+// getters: Insert either adds every row or returns the error (a
+// MarshalText failure, a value the table rejects) and leaves the table
+// as it was.
 func (tt *TypedTable[T]) Insert(db *DB, rows ...T) (*Table, error) {
 	t := db.Table(tt.name)
 	if t == nil || !reflect.DeepEqual(t.schema, tt.schema) {
 		return nil, fmt.Errorf("statsdb: table %s is missing or not of schema %v", tt.name, tt.schema)
 	}
-	row := make([]Value, len(tt.fields))
-	for r := range rows {
+	err := t.appendRows(len(rows), func(row []Value, r int) ([]Value, error) {
 		rv := reflect.ValueOf(&rows[r]).Elem()
 		for i, f := range tt.fields {
 			v, err := f.get(rv.FieldByIndex(f.path))
 			if err != nil {
 				return nil, fmt.Errorf("statsdb: table %s column %q: %w", tt.name, tt.schema[i].Name, err)
 			}
-			row[i] = v
+			row = append(row, v)
 		}
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

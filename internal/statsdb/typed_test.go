@@ -1,6 +1,7 @@
 package statsdb
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -11,6 +12,9 @@ import (
 type level int
 
 func (l level) MarshalText() ([]byte, error) {
+	if l < 0 || l > 1 {
+		return nil, fmt.Errorf("level %d has no name", int(l))
+	}
 	return []byte([]string{"low", "high"}[l]), nil
 }
 
@@ -109,6 +113,26 @@ func TestTypedTableNonFiniteFloatsPersistAsZero(t *testing.T) {
 		if r.Value != 0 {
 			t.Errorf("row %d value = %v, want 0", i, r.Value)
 		}
+	}
+}
+
+// TestTypedTableInsertIsWhole checks that an Insert whose row fails to
+// convert (here a MarshalText error) adds none of its rows.
+func TestTypedTableInsertIsWhole(t *testing.T) {
+	db := NewDB()
+	if err := typedRows.Create(db); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := typedRows.Insert(db, typedRow{Kind: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	before := cloneTable(db.Table("typed"))
+	_, err := typedRows.Insert(db, typedRow{Kind: "b"}, typedRow{Kind: "c", Level: 7}, typedRow{Kind: "d"})
+	if err == nil || !strings.Contains(err.Error(), "level 7 has no name") {
+		t.Fatalf("Insert error = %v, want the MarshalText failure", err)
+	}
+	if diff := diffTables(db.Table("typed"), before); diff != "" {
+		t.Fatalf("failed Insert changed the table: %s", diff)
 	}
 }
 

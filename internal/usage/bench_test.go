@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/factory"
 	"repro/internal/sim"
+	"repro/internal/statsdb"
 )
 
 // benchCampaign drives a synthetic multi-day campaign: forecasts×days
@@ -122,6 +123,29 @@ func BenchmarkFactorySampled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchFactory(6, true)
+	}
+}
+
+// BenchmarkLoadSamples loads an observed fig-8 campaign's node_usage
+// timeline into a fresh database, as its close-out does: 53,088 samples,
+// 7,584 15-minute buckets on each of 7 nodes, in Sampler.Samples order
+// (node by node).
+func BenchmarkLoadSamples(b *testing.B) {
+	var samples []Sample
+	for n := 1; n <= 7; n++ {
+		for i := 0; i < 7584; i++ {
+			start := float64(i) * 900
+			samples = append(samples, Sample{Node: fmt.Sprintf("fnode%02d", n), Start: start, End: start + 900,
+				Utilization: float64(i%10) / 10, MeanShare: 1 - float64(i%4)/8, MeanActive: float64(i % 3),
+				PeakActive: i % 4, ContentionSecs: float64(i%5) * 60, IdleSecs: float64(i%7) * 30})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadSamples(statsdb.NewDB(), samples); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -51,12 +51,13 @@ type ShareSource interface {
 	MeanShareOver(node string, start, end float64) float64
 }
 
-// ComputeDrift joins a plan and its prediction against observed
-// outcomes. Runs the planner dropped (no finite predicted completion)
+// ComputeDrift joins day's plan and its prediction against observed
+// outcomes; each record carries day, the key it joins runs on with its
+// forecast. Runs the planner dropped (no finite predicted completion)
 // and outcomes that never finished are skipped — there is no completion
 // to compare. shares may be nil (MeanShare reported as 1). Results are
 // sorted by descending |EndDelta|: the worst drift first.
-func ComputeDrift(plan *core.Plan, pred core.Prediction, outcomes []Outcome, shares ShareSource) []Drift {
+func ComputeDrift(plan *core.Plan, pred core.Prediction, day int, outcomes []Outcome, shares ShareSource) []Drift {
 	var out []Drift
 	for _, o := range outcomes {
 		if !o.Finished {
@@ -69,6 +70,7 @@ func ComputeDrift(plan *core.Plan, pred core.Prediction, outcomes []Outcome, sha
 		run, _ := plan.Run(o.Run)
 		d := Drift{
 			Run:         o.Run,
+			Day:         day,
 			PlannedNode: plan.Assign[o.Run],
 			ActualNode:  o.Node,
 			PredStart:   run.Start,

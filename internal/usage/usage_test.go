@@ -525,9 +525,12 @@ func TestComputeDrift(t *testing.T) {
 		{Run: "c", Node: "n1", Start: 0, End: 200, Finished: true},     // Inf prediction: skipped
 		{Run: "d", Node: "n1", Start: 0, End: 0, Finished: false},      // never finished: skipped
 	}
-	ds := ComputeDrift(plan, pred, outcomes, fixedShares{0.5})
+	ds := ComputeDrift(plan, pred, 4, outcomes, fixedShares{0.5})
 	if len(ds) != 2 {
 		t.Fatalf("got %d drifts, want 2: %+v", len(ds), ds)
+	}
+	if ds[0].Day != 4 || ds[1].Day != 4 {
+		t.Errorf("days = %d, %d, want the compared day 4", ds[0].Day, ds[1].Day)
 	}
 	// Sorted worst |delta| first: b (600) before a (300).
 	if ds[0].Run != "b" || ds[1].Run != "a" {
@@ -555,7 +558,7 @@ func TestComputeDrift(t *testing.T) {
 	}
 
 	// nil share source reports share 1.
-	ds = ComputeDrift(plan, pred, outcomes[:1], nil)
+	ds = ComputeDrift(plan, pred, 4, outcomes[:1], nil)
 	if len(ds) != 1 || !almost(ds[0].MeanShare, 1) {
 		t.Errorf("nil share source drift = %+v, want share 1", ds)
 	}
