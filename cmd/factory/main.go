@@ -59,7 +59,6 @@ import (
 	"repro/internal/plot"
 	"repro/internal/serving"
 	"repro/internal/spc"
-	"repro/internal/statsdb"
 	"repro/internal/telemetry"
 	"repro/internal/usage"
 )
@@ -304,8 +303,7 @@ func main() {
 		}
 		fmt.Println()
 		fmt.Print(hm.Render())
-		fmt.Printf("node_usage table: %d rows (schema v%d)\n",
-			o.DB.Table(usage.NodeUsageTableName).Len(), statsdb.SchemaVersion(o.DB))
+		fmt.Printf("node_usage table: %d rows\n", o.DB.Table(usage.NodeUsageTableName).Len())
 	}
 
 	if o.Harv != nil {
@@ -328,8 +326,7 @@ func main() {
 		// cycle's priority boost for storm-hit forecasts.
 		fmt.Println()
 		fmt.Print(serving.DemandTable(o.ServingBase, edge.ForecastDemand()))
-		fmt.Printf("serving_stats table: %d products (schema v%d)\n",
-			len(st.Products), statsdb.SchemaVersion(o.DB))
+		fmt.Printf("serving_stats table: %d products\n", len(st.Products))
 	}
 
 	tel := c.Telemetry()
@@ -363,11 +360,10 @@ func main() {
 	}
 
 	if o.Prof != nil {
-		// Rendered from the v6 rows Close persisted: the same rows
+		// Rendered from the engine rows Close persisted: the same rows
 		// foreman -engineprof and /api/engine derive from.
 		if rep, err := engineprof.ReadReport(o.DB); err == nil {
-			fmt.Printf("\nengine observatory (schema v%d; live report at /api/engine):\n",
-				statsdb.SchemaVersion(o.DB))
+			fmt.Println("\nengine observatory (live report at /api/engine):")
 			fmt.Print(engineprof.SummaryTable(rep, 8))
 		}
 	}
@@ -376,8 +372,7 @@ func main() {
 		fmt.Println("\nSLO report (deadline attainment):")
 		fmt.Print(mon.Report())
 		if rep, err := spc.ReadReport(o.DB); err == nil && len(rep.Series) > 0 {
-			fmt.Printf("\nprocess control (schema v%d; full report at /api/spc):\n",
-				statsdb.SchemaVersion(o.DB))
+			fmt.Println("\nprocess control (full report at /api/spc):")
 			fmt.Print(spc.SummaryTable(rep))
 			if cps := spc.ChangepointTable(rep); cps != "" {
 				fmt.Println()

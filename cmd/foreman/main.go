@@ -22,7 +22,7 @@
 // CPU-share timelines (rendered as a heatmap), detects contention and
 // idle windows, and the drift report compares every observed completion
 // against ForeMan's prediction. Timelines land in the node_usage table
-// and drift records in the drift table (schema v3), both queryable in a
+// and drift records in the drift table, both queryable in a
 // later -sql invocation's database when combined with -harvest trees.
 //
 // -serving exercises the public product-serving edge: a two-day
@@ -32,7 +32,7 @@
 // shedding. The report shows hit rate, staleness-at-delivery
 // percentiles, shed fractions by tier, the per-product breakdown, and
 // the demand-feedback priority table; results persist to the
-// serving_stats table (schema v7) for a same-invocation -sql query.
+// serving_stats table for a same-invocation -sql query.
 //
 // The -sql flag accepts the statsdb SELECT subset, including JOINs against
 // the nodes table and EXPLAIN; the bootstrap campaign's trace spans are
@@ -534,7 +534,7 @@ func validateForecastFlag(flagName, value string, specs []*forecast.Spec) error 
 // CPU-share contention. The usage sampler records the per-node timeline;
 // drift joins the observed completions against the prediction, each
 // record keyed on the plan's day; both persist into the statistics
-// database (schema v3) for -sql queries.
+// database for -sql queries.
 // forecastName narrows the drift report ("all" = every run); the replay,
 // the heatmap, and the persisted tables always cover the whole plan.
 func utilizationReplay(schedule *core.Schedule, specs []*forecast.Spec, day int, db *statsdb.DB, tel *telemetry.Telemetry, forecastName string, profile bool) {
@@ -628,9 +628,8 @@ func utilizationReplay(schedule *core.Schedule, specs []*forecast.Spec, day int,
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("persisted: node_usage %d rows, drift %d rows (schema v%d; query with -sql)\n",
-		db.Table(usage.NodeUsageTableName).Len(), db.Table(usage.DriftTableName).Len(),
-		statsdb.SchemaVersion(db))
+	fmt.Printf("persisted: node_usage %d rows, drift %d rows (query with -sql)\n",
+		db.Table(usage.NodeUsageTableName).Len(), db.Table(usage.DriftTableName).Len())
 
 	if kprof != nil {
 		// The replay engine's profile renders live (the statsdb rows hold
@@ -645,7 +644,8 @@ func utilizationReplay(schedule *core.Schedule, specs []*forecast.Spec, day int,
 }
 
 // planDay is the day today's plan is for: the day after the newest
-// history record it was estimated from.
+// history record it was estimated from, which after a year's last day is
+// the next year's day 1.
 func planDay(records []*logs.RunRecord) int {
 	var newest *logs.RunRecord
 	for _, r := range records {
@@ -653,14 +653,14 @@ func planDay(records []*logs.RunRecord) int {
 			newest = r
 		}
 	}
-	if newest == nil {
+	if newest == nil || newest.Day >= time.Date(newest.Year, 12, 31, 0, 0, 0, 0, time.UTC).YearDay() {
 		return 1
 	}
 	return newest.Day + 1
 }
 
 // engineprofReport persists the bootstrap campaign's kernel profile into
-// the v6 tables and re-reads it before rendering, so this output, the
+// the engine tables and re-reads it before rendering, so this output, the
 // statsdb rows, and the monitor's /api/engine endpoint agree — the same
 // discipline as -blame and -spc.
 func engineprofReport(db *statsdb.DB, kprof *engineprof.Profiler) {
@@ -679,17 +679,16 @@ func engineprofReport(db *statsdb.DB, kprof *engineprof.Profiler) {
 	fmt.Print(engineprof.HistTable(rep, 10))
 	fmt.Println()
 	fmt.Print(engineprof.DepthChart(rep))
-	fmt.Printf("persisted: %s %d rows, %s %d rows (schema v%d; query with -sql)\n",
+	fmt.Printf("persisted: %s %d rows, %s %d rows (query with -sql)\n",
 		engineprof.ProfileTableName, db.Table(engineprof.ProfileTableName).Len(),
-		engineprof.DepthTableName, db.Table(engineprof.DepthTableName).Len(),
-		statsdb.SchemaVersion(db))
+		engineprof.DepthTableName, db.Table(engineprof.DepthTableName).Len())
 }
 
 // blameForensics reconstructs the bootstrap campaign's causal chains and
 // prints the lateness forensics: the per-run blame decomposition, the
 // per-day aggregate with its stacked blame-mix bar, and the worst run's
-// critical path as a Gantt. The analysis is persisted into the v4 tables
-// (lateness_blame, critical_paths) first and the report re-read from
+// critical path as a Gantt. The analysis is persisted into the tables
+// lateness_blame and critical_paths first and the report re-read from
 // them, so this output and the monitor's /api/forensics endpoint render
 // the same rows. Each day's dominant cause also feeds the monitor's
 // blame-shift rule, whose alerts join the alert history.
@@ -712,8 +711,8 @@ func blameForensics(db *statsdb.DB, mon *monitor.Monitor, samp *usage.Sampler, t
 		os.Exit(1)
 	}
 
-	fmt.Printf("\nlateness blame%s (schema v%d; tables lateness_blame, critical_paths):\n",
-		blameForClause(forecastName), statsdb.SchemaVersion(db))
+	fmt.Printf("\nlateness blame%s (tables lateness_blame, critical_paths):\n",
+		blameForClause(forecastName))
 	fmt.Print(forensics.BlameTable(rep, forecastName))
 	fmt.Println("\nper-day blame mix:")
 	fmt.Print(forensics.DayTable(rep, 40))
@@ -746,8 +745,8 @@ func blameForClause(forecastName string) string {
 // order — walltime, estimate error, plan-vs-actual drift, daily
 // lateness, and per-node daily mean share. The observatory's verdicts
 // feed the monitor's out_of_control/changepoint rules as they happen,
-// the snapshot persists into the v5 tables (control_points,
-// changepoints), and the report is re-read from them — so this output
+// the snapshot persists into the tables control_points and
+// changepoints, and the report is re-read from them — so this output
 // and the monitor's /api/spc endpoint render the same rows.
 func spcReport(db *statsdb.DB, campaign *factory.Campaign, mon *monitor.Monitor,
 	samp *usage.Sampler, forecastName string) {
@@ -803,8 +802,8 @@ func spcReport(db *statsdb.DB, campaign *factory.Campaign, mon *monitor.Monitor,
 	}
 	rep = spc.FilterSubject(rep, subject)
 
-	fmt.Printf("\nprocess control%s (schema v%d; tables control_points, changepoints; %d history baselines):\n",
-		blameForClause(subject), statsdb.SchemaVersion(db), len(fits))
+	fmt.Printf("\nprocess control%s (tables control_points, changepoints; %d history baselines):\n",
+		blameForClause(subject), len(fits))
 	fmt.Print(spc.SummaryTable(rep))
 	fmt.Println()
 	fmt.Print(spc.ChangepointTable(rep))
@@ -868,8 +867,8 @@ func servingReport(db *statsdb.DB, specs []*forecast.Spec) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("\nproduct serving edge (schema v%d; table serving_stats): %d users over %d days, storm on %s, day-1 forecast %.0fh late\n",
-		statsdb.SchemaVersion(db), cfg.Users, cfg.Days, stormRegion, cfg.LateBy/3600)
+	fmt.Printf("\nproduct serving edge (table serving_stats): %d users over %d days, storm on %s, day-1 forecast %.0fh late\n",
+		cfg.Users, cfg.Days, stormRegion, cfg.LateBy/3600)
 	fmt.Print(serving.SummaryTable(res.Stats))
 	fmt.Println()
 	fmt.Print(serving.ProductTable(res.Stats, 10))

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/logs"
 )
 
 // runMainEnv turns the test binary into the foreman command: with it set,
@@ -57,6 +59,87 @@ func TestHarvestWarnsOfIgnoredFlags(t *testing.T) {
 		}
 		if want := args[0] + " "; !strings.Contains(stderr.String(), want) || !strings.Contains(stderr.String(), "it is ignored with -harvest") {
 			t.Errorf("-harvest %v: stderr %q has no warning that %s is ignored", args, stderr.String(), args[0])
+		}
+	}
+}
+
+// TestPlanDayWrapsAtYearEnd checks that the plan is for the day after the
+// newest history record, and that the day after a year's last day, in a
+// leap year or not, is day 1.
+func TestPlanDayWrapsAtYearEnd(t *testing.T) {
+	for _, c := range []struct{ year, day, want int }{
+		{2005, 365, 1},
+		{2004, 365, 366},
+		{2004, 366, 1},
+		{2005, 42, 43},
+	} {
+		records := []*logs.RunRecord{{Year: c.year - 1, Day: 300}, {Year: c.year, Day: c.day}, {Year: c.year, Day: 1}}
+		if got := planDay(records); got != c.want {
+			t.Errorf("planDay after %d-%03d = %d, want %d", c.year, c.day, got, c.want)
+		}
+	}
+	if got := planDay(nil); got != 1 {
+		t.Errorf("planDay with no records = %d, want 1", got)
+	}
+}
+
+// TestHarvestOSTreeRoundTrip harvests a run tree on disk twice, then asks
+// it for a code version's provenance. The cold invocation ingests every
+// log; the warm one, its database restored from the snapshot, finds each
+// log unchanged by its watermark and ingests none; the report names each
+// forecast on that version with the paths of its logs under /runs.
+func TestHarvestOSTreeRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	versions := map[string]string{"forecast-a": "elcirc-5.01", "forecast-b": "elcirc-5.01", "forecast-c": "elcirc-5.02"}
+	n := 0
+	for forecast, version := range versions {
+		for day := 1; day <= 2; day++ {
+			r := &logs.RunRecord{
+				Forecast: forecast, Region: "columbia", Year: 2005, Day: day, Node: "fnode01",
+				CodeVersion: version, CodeFactor: 1, MeshName: "m", MeshSides: 30000, Timesteps: 5760,
+				Start: 3600, End: 43600, Walltime: 40000, Status: logs.StatusCompleted, Products: 8,
+			}
+			path := filepath.Join(dir, filepath.FromSlash(strings.TrimPrefix(logs.LogPath(logs.RunDir(forecast, 2005, day)), "/runs/")))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(logs.Format(r)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	run := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+		}
+		return string(out)
+	}
+	for _, c := range []struct{ name, want string }{
+		{"cold", fmt.Sprintf("scanned %d, ingested %d, updated 0, unchanged 0, quarantined 0\n", n, n)},
+		{"warm", fmt.Sprintf("scanned %d, ingested 0, updated 0, unchanged %d, quarantined 0\n", n, n)},
+	} {
+		if out := run("-harvest", dir); !strings.Contains(out, "harvest "+dir+": "+c.want) {
+			t.Errorf("%s harvest: stdout has no line ending %q:\n%s", c.name, c.want, out)
+		}
+	}
+	out := run("-harvest", dir, "-provenance", "elcirc-5.01")
+	_, report, _ := strings.Cut(out, "provenance: code version elcirc-5.01\n")
+	for _, want := range []string{
+		"  4 run(s) across 2 forecast(s)\n",
+		"  forecast-a                      2 runs  2005-001 .. 2005-002  nodes fnode01\n" +
+			"      /runs/forecast-a/2005-001/run.log\n      /runs/forecast-a/2005-002/run.log\n",
+		"  forecast-b                      2 runs  2005-001 .. 2005-002  nodes fnode01\n" +
+			"      /runs/forecast-b/2005-001/run.log\n      /runs/forecast-b/2005-002/run.log\n",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("provenance report lacks %q:\n%s", want, out)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // The same Report feeds every surface: `foreman -engineprof` renders the
 // hotspot table and queue-depth chart, the monitor serves it at
 // /api/engine and draws the dashboard panel, and cmd/factory prints a
-// campaign-end summary. Reports persist through statsdb schema v6
+// campaign-end summary. Reports persist in statsdb tables
 // (LoadReport/ReadReport), so all surfaces read the same rows.
 package engineprof
 

@@ -1,9 +1,9 @@
-// Schema v6: the engine observatory's persisted state. engine_profile
-// holds one row per scheduling label with its counters, wall-clock
-// accumulators and cost histogram; engine_queue_depth holds the
-// pending-queue-depth timeline. `foreman -engineprof`, /api/engine and
-// the factory's campaign-end summary all render a Report read back from
-// these rows, so the surfaces cannot disagree.
+// The engine observatory's persisted state. engine_profile holds one row
+// per scheduling label with its counters, wall-clock accumulators and
+// cost histogram; engine_queue_depth holds the pending-queue-depth
+// timeline. `foreman -engineprof`, /api/engine and the factory's
+// campaign-end summary all render a Report read back from these rows, so
+// the surfaces cannot disagree.
 
 package engineprof
 
@@ -16,7 +16,7 @@ import (
 	"repro/internal/statsdb"
 )
 
-// Table names added by the schema v6 migration.
+// The engine observatory's table names.
 const (
 	ProfileTableName = "engine_profile"
 	DepthTableName   = "engine_queue_depth"
@@ -37,24 +37,12 @@ var (
 	depthTable   = statsdb.NewTypedTable[depthRow](DepthTableName)
 )
 
-// Migrations returns the engine observatory's schema migrations: v6
-// creates the engine_profile and engine_queue_depth tables. Combine
-// with harvest.Migrations() (v1, v2), usage.Migrations() (v3),
-// forensics.Migrations() (v4) and spc.Migrations() (v5); Migrate tracks
-// each independently.
-func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{statsdb.TableMigration(6, "engine-observatory-tables", profileTable, depthTable)}
-}
-
 // LoadReport persists one observatory snapshot into the engine_profile
-// and engine_queue_depth tables (created via the v6 migration when
-// missing). One snapshot covers a whole campaign, so load each report
-// once. Labels are stored in label order, not the report's ranking by
-// sampled wall-clock cost, so the same campaign stores the same rows.
+// and engine_queue_depth tables (created when missing). One snapshot
+// covers a whole campaign, so load each report once. Labels are stored in
+// label order, not the report's ranking by sampled wall-clock cost, so the
+// same campaign stores the same rows.
 func LoadReport(db *statsdb.DB, rep *Report) error {
-	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
-		return err
-	}
 	for _, l := range rep.Labels {
 		if l.Label == "" {
 			return fmt.Errorf("engineprof: label report with empty label")

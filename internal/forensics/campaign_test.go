@@ -190,7 +190,7 @@ func TestReportStatsdbRoundTrip(t *testing.T) {
 			t.Errorf("day %d: %+v vs %+v", i, rep.Days[i], got.Days[i])
 		}
 	}
-	// The v4 tables join with the rest of the stats database over SQL.
+	// The forensics tables join with the rest of the stats database over SQL.
 	res, err := db.Query("SELECT forecast, COUNT(*) FROM lateness_blame GROUP BY forecast ORDER BY forecast ASC")
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,8 @@ import (
 	"repro/internal/statsdb"
 )
 
-// Table names added by the schema v4 migration. Both join with the runs,
-// spans, and node_usage tables on (forecast, day) and node.
+// The forensics layer's table names. Both join with the runs, spans, and
+// node_usage tables on (forecast, day) and node.
 const (
 	BlameTableName = "lateness_blame"
 	PathsTableName = "critical_paths"
@@ -30,22 +30,11 @@ var (
 	pathsTable = statsdb.NewTypedTable[pathRow](PathsTableName, "forecast")
 )
 
-// Migrations returns the forensics layer's schema migrations: v4 creates
-// the lateness_blame and critical_paths tables with their lookup indexes.
-// Combine with harvest.Migrations() (v1, v2) and usage.Migrations() (v3);
-// Migrate tracks each version independently.
-func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{statsdb.TableMigration(4, "forensics-tables", blameTable, pathsTable)}
-}
-
 // LoadReport persists one pass's results into the lateness_blame and
-// critical_paths tables (created via the v4 migration when missing).
-// One pass analyzes a whole campaign, so load each report once; the CLI
-// report and /api/forensics both read these rows back via ReadReport.
+// critical_paths tables (created when missing). One pass analyzes a whole
+// campaign, so load each report once; the CLI report and /api/forensics
+// both read these rows back via ReadReport.
 func LoadReport(db *statsdb.DB, rep *Report) error {
-	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
-		return err
-	}
 	var paths []pathRow
 	for i := range rep.Runs {
 		r := &rep.Runs[i]

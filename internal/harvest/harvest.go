@@ -16,10 +16,9 @@
 // unwritten since the last complete pass, so a daily pass costs its new
 // logs plus one walk.
 //
-// Ingestion is versioned: Migrations evolves the runs table with the
-// provenance columns (harvested_at, source_path) that power the paper's
-// "find all forecasts that use code version X" query as a first-class
-// report (QueryProvenance).
+// Each ingested row carries provenance columns (harvested_at,
+// source_path) that power the paper's "find all forecasts that use code
+// version X" query as a first-class report (QueryProvenance).
 //
 // The harvester is itself observable: telemetry counters, gauges, and
 // histograms under harvest_*, one trace span per pass, and a Status
@@ -82,42 +81,6 @@ type Options struct {
 // run directory.
 const runsRoot = "/runs"
 
-// Migrations returns the schema migrations the harvester applies to its
-// database before ingesting:
-//
-//	v1 create-runs            the base runs table with its indexes
-//	v2 runs-provenance        adds harvested_at and source_path columns
-//
-// Both are idempotent against databases that already carry the state, so
-// a harvester can adopt a database built by one-shot LoadRuns.
-func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{
-		{Version: 1, Name: "create-runs", Apply: func(db *statsdb.DB) error {
-			_, err := statsdb.EnsureRunsTable(db)
-			return err
-		}},
-		{Version: 2, Name: "runs-provenance", Apply: func(db *statsdb.DB) error {
-			t, err := statsdb.EnsureRunsTable(db)
-			if err != nil {
-				return err
-			}
-			if t.Schema().Index(statsdb.ColHarvestedAt) < 0 {
-				err = t.AddColumn(statsdb.Column{Name: statsdb.ColHarvestedAt, Type: statsdb.Float}, statsdb.FloatVal(0))
-				if err != nil {
-					return err
-				}
-			}
-			if t.Schema().Index(statsdb.ColSourcePath) < 0 {
-				err = t.AddColumn(statsdb.Column{Name: statsdb.ColSourcePath, Type: statsdb.String}, statsdb.StringVal(""))
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-	}
-}
-
 // PassStats summarizes one harvest pass.
 type PassStats struct {
 	Pass int     `json:"pass"`
@@ -143,13 +106,12 @@ type QuarantineEntry struct {
 
 // Status is the harvester's observable state, served as /api/harvest.
 type Status struct {
-	Root          string    `json:"root"`
-	Passes        int       `json:"passes"`
-	LastPass      PassStats `json:"last_pass"`
-	Watermarks    int       `json:"watermarks"`
-	WatermarkLag  float64   `json:"watermark_lag_seconds"`
-	SchemaVersion int64     `json:"schema_version"`
-	TornLines     int       `json:"torn_journal_lines,omitempty"`
+	Root         string    `json:"root"`
+	Passes       int       `json:"passes"`
+	LastPass     PassStats `json:"last_pass"`
+	Watermarks   int       `json:"watermarks"`
+	WatermarkLag float64   `json:"watermark_lag_seconds"`
+	TornLines    int       `json:"torn_journal_lines,omitempty"`
 	// Recovered counts journal watermarks dropped at startup because
 	// their rows were missing from the database (the files re-read on the
 	// next pass).
@@ -213,8 +175,9 @@ type Harvester struct {
 }
 
 // New builds a Harvester over fs, ingesting into db through journal.
-// It applies the schema migrations to db and replays the journal so a
-// restarted harvester resumes from its watermarks instead of re-scanning.
+// It creates db's runs table (statsdb.EnsureRunsTable, which refuses one
+// of another layout) and replays the journal so a restarted harvester
+// resumes from its watermarks instead of re-scanning.
 func New(fs FS, db *statsdb.DB, journal JournalStore, opts Options) (*Harvester, error) {
 	if fs == nil || db == nil || journal == nil {
 		return nil, fmt.Errorf("harvest: fs, db, and journal are all required")
@@ -222,14 +185,15 @@ func New(fs FS, db *statsdb.DB, journal JournalStore, opts Options) (*Harvester,
 	if opts.Clock == nil {
 		opts.Clock = func() float64 { return 0 }
 	}
-	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
+	runs, err := statsdb.EnsureRunsTable(db)
+	if err != nil {
 		return nil, err
 	}
 	marks, lastPass, passes, torn, err := loadJournal(journal)
 	if err != nil {
 		return nil, fmt.Errorf("harvest: load journal: %w", err)
 	}
-	recovered := pruneStaleMarks(db, marks)
+	recovered := pruneStaleMarks(runs, marks)
 	h := &Harvester{
 		fs:        fs,
 		db:        db,
@@ -279,16 +243,14 @@ func New(fs FS, db *statsdb.DB, journal JournalStore, opts Options) (*Harvester,
 // silently skip a file whose data was lost. Dropping the mark forces a
 // re-read, which the idempotent upsert absorbs; quarantined marks carry
 // no rows by design and are kept.
-func pruneStaleMarks(db *statsdb.DB, marks map[string]*Watermark) int {
+func pruneStaleMarks(runs *statsdb.Table, marks map[string]*Watermark) int {
 	if len(marks) == 0 {
 		return 0
 	}
 	have := map[string]bool{}
-	if t := db.Table(statsdb.RunsTableName); t != nil && t.Schema().Index(statsdb.ColSourcePath) >= 0 {
-		if res, err := statsdb.Select(t, statsdb.ColSourcePath).Run(); err == nil {
-			for _, row := range res.Rows {
-				have[row[0].Str()] = true
-			}
+	if res, err := statsdb.Select(runs, statsdb.ColSourcePath).Run(); err == nil {
+		for _, row := range res.Rows {
+			have[row[0].Str()] = true
 		}
 	}
 	dropped := 0
@@ -300,18 +262,6 @@ func pruneStaleMarks(db *statsdb.DB, marks map[string]*Watermark) int {
 		dropped++
 	}
 	return dropped
-}
-
-// Locked runs fn holding the harvester's lock, so fn may write the
-// database while Status is being served; on a nil harvester it just runs
-// fn.
-func (h *Harvester) Locked(fn func() error) error {
-	if h == nil {
-		return fn()
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return fn()
 }
 
 // Pass runs one incremental harvest over the tree: scan every run log,
@@ -499,14 +449,13 @@ func (h *Harvester) Status() Status {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := Status{
-		Root:          runsRoot,
-		Passes:        h.passes,
-		LastPass:      h.lastPass,
-		Watermarks:    len(h.marks),
-		SchemaVersion: statsdb.SchemaVersion(h.db),
-		TornLines:     h.torn,
-		Recovered:     h.recovered,
-		Totals:        h.totals,
+		Root:       runsRoot,
+		Passes:     h.passes,
+		LastPass:   h.lastPass,
+		Watermarks: len(h.marks),
+		TornLines:  h.torn,
+		Recovered:  h.recovered,
+		Totals:     h.totals,
 	}
 	if h.quarantined > 0 {
 		for _, wm := range h.marks {

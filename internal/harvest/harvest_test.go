@@ -576,9 +576,9 @@ func TestJournalToleratesTornTrailingLine(t *testing.T) {
 	}
 }
 
-func TestMigrationsAdoptDatabaseBuiltByLoadRuns(t *testing.T) {
-	// A database populated by the one-shot loader gains the provenance
-	// columns without losing its rows.
+func TestHarvestAdoptsDatabaseBuiltByLoadRuns(t *testing.T) {
+	// A database populated by the one-shot loader is harvested into as it
+	// is: the harvested copy of the same run updates the loader's row.
 	db := statsdb.NewDB()
 	if _, err := statsdb.LoadRuns(db, []*logs.RunRecord{record("forecast-a", 1, "v1")}); err != nil {
 		t.Fatal(err)
@@ -590,20 +590,44 @@ func TestMigrationsAdoptDatabaseBuiltByLoadRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := db.Table(statsdb.RunsTableName)
-	sch := tbl.Schema()
-	if sch.Index(statsdb.ColHarvestedAt) < 0 || sch.Index(statsdb.ColSourcePath) < 0 {
-		t.Fatalf("provenance columns missing after migration: %v", sch)
-	}
-	if got := statsdb.SchemaVersion(db); got != 2 {
-		t.Fatalf("schema version = %d", got)
-	}
-	// The harvested copy of the same run updates the loader's row.
 	st, err := h.Pass()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Updated != 1 || st.Ingested != 0 || tbl.Len() != 1 {
 		t.Fatalf("pass = %+v, rows = %d", st, tbl.Len())
+	}
+}
+
+// TestForeignRunsLayoutIsRefused checks that LoadSnapshot and New refuse a
+// runs table laid out other than statsdb.RunsSchema, one column short or
+// one over, instead of harvesting zero-filled rows into it.
+func TestForeignRunsLayoutIsRefused(t *testing.T) {
+	layout := statsdb.RunsSchema()
+	snap := filepath.Join(t.TempDir(), "snapshot.jsonl")
+	if err := SaveSnapshot(snap, []*logs.RunRecord{record("forecast-a", 1, "v1")}); err != nil {
+		t.Fatal(err)
+	}
+	clock := 5.0
+	fs := tree(t, &clock, []string{"forecast-a"}, 1)
+	for name, schema := range map[string]statsdb.Schema{
+		"a column missing": layout[1:],
+		"one extra":        append(layout, statsdb.Column{Name: "operator_note", Type: statsdb.Int}),
+	} {
+		db := statsdb.NewDB()
+		tbl, err := db.CreateTable(statsdb.RunsTableName, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(db, snap); err == nil {
+			t.Errorf("%s: LoadSnapshot accepted the table", name)
+		}
+		if _, err := New(fs, db, NewVFSJournal(vfs.New(nil), "/j"), Options{}); err == nil {
+			t.Errorf("%s: New accepted the table", name)
+		}
+		if tbl.Len() != 0 {
+			t.Errorf("%s: %d rows written into the refused table", name, tbl.Len())
+		}
 	}
 }
 
@@ -640,9 +664,6 @@ func TestHarvestMetricsAndStatus(t *testing.T) {
 	}
 	if st.WatermarkLag != 86490 {
 		t.Fatalf("status lag = %v", st.WatermarkLag)
-	}
-	if st.SchemaVersion != 2 {
-		t.Fatalf("schema version = %d", st.SchemaVersion)
 	}
 }
 

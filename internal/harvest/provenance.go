@@ -51,13 +51,7 @@ func QueryProvenance(db *statsdb.DB, codeVersion string) (*Provenance, error) {
 	if t == nil {
 		return nil, fmt.Errorf("provenance: no %s table — harvest first", statsdb.RunsTableName)
 	}
-	sch := t.Schema()
-	cols := []string{"forecast", "year", "day", "node"}
-	hasSource := sch.Index(statsdb.ColSourcePath) >= 0
-	if hasSource {
-		cols = append(cols, statsdb.ColSourcePath)
-	}
-	res, err := statsdb.Select(t, cols...).
+	res, err := statsdb.Select(t, "forecast", "year", "day", "node", statsdb.ColSourcePath).
 		Where(statsdb.Pred{Col: "code_version", Op: statsdb.OpEq, Val: statsdb.StringVal(codeVersion)}).
 		Run()
 	if err != nil {
@@ -102,7 +96,7 @@ func QueryProvenance(db *statsdb.DB, codeVersion string) (*Provenance, error) {
 			fp.LastYear, fp.LastDay = year, day
 		}
 		nodes[name][row[ni].Str()] = true
-		if si >= 0 && len(fp.Sources) < maxSourceSample {
+		if len(fp.Sources) < maxSourceSample {
 			if src := row[si].Str(); src != "" {
 				fp.Sources = append(fp.Sources, src)
 			}

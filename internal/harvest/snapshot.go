@@ -28,13 +28,13 @@ import (
 // bytes, so a longer line is corrupt and skipped like any unparsable one.
 const maxSnapshotLine = 64 << 10
 
-// LoadSnapshot applies the harvest migrations to db and upserts the
-// records stored at path into it. A missing snapshot is a cold start, not
-// an error. Unparsable lines (a torn final write, an over-long corrupt
-// line) are skipped — their files simply get re-read. Returns the number
-// of records loaded.
+// LoadSnapshot creates db's runs table and upserts the records stored at
+// path into it. A missing snapshot is a cold start, not an error.
+// Unparsable lines (a torn final write, an over-long corrupt line) are
+// skipped — their files simply get re-read. Returns the number of records
+// loaded.
 func LoadSnapshot(db *statsdb.DB, path string) (int, error) {
-	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
+	if _, err := statsdb.EnsureRunsTable(db); err != nil {
 		return 0, err
 	}
 	f, err := os.Open(path)

@@ -21,6 +21,7 @@ var testOnlyExports = map[string]string{
 	"statsdb.DB.TableNames":        "TestObserversDoNotPerturbSimulation",
 	"statsdb.Table.Row":            "TestObserversDoNotPerturbSimulation",
 	"statsdb.Table.IndexedColumns": "TestObservatorySchemasGolden",
+	"statsdb.Table.Schema":         "TestObservatorySchemasGolden",
 }
 
 // testOnlyFields lists the exported struct fields in internal/ that no

@@ -1,7 +1,6 @@
 package integration
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -16,8 +15,8 @@ import (
 
 // observatorySchemas is the golden layout of every fixed-schema table
 // the observatories persist: column names, types and order, and the
-// indexed columns. Stored databases and positional readers depend on
-// it, so a change here is a schema change and needs a migration.
+// indexed columns. The readers read by position and refuse a table laid
+// out otherwise, so a change here changes what every reader expects.
 var observatorySchemas = []struct {
 	table, columns, indexes string
 }{
@@ -71,26 +70,23 @@ var observatorySchemas = []struct {
 }
 
 // TestObservatorySchemasGolden creates every observatory table the way
-// the CLIs do — the versioned v3–v7 migrations, then the alerts and
-// nodes loaders — and checks each against its golden layout, plus the
-// migration ledger the tables are recorded under.
+// the CLIs do, through its loader, each given nothing to load, and checks
+// each against its golden layout.
 func TestObservatorySchemasGolden(t *testing.T) {
 	db := statsdb.NewDB()
-	var migrations []statsdb.Migration
-	for _, ms := range [][]statsdb.Migration{
-		usage.Migrations(), forensics.Migrations(), spc.Migrations(),
-		engineprof.Migrations(), serving.Migrations(),
+	for name, load := range map[string]func() error{
+		"usage samples": func() error { _, err := usage.LoadSamples(db, nil); return err },
+		"usage drift":   func() error { _, err := usage.LoadDrift(db, nil); return err },
+		"forensics":     func() error { return forensics.LoadReport(db, &forensics.Report{}) },
+		"spc":           func() error { return spc.LoadReport(db, &spc.Report{}) },
+		"engineprof":    func() error { return engineprof.LoadReport(db, &engineprof.Report{}) },
+		"serving":       func() error { return serving.LoadReport(db, serving.Stats{}) },
+		"alerts":        func() error { _, err := monitor.LoadAlerts(db, nil); return err },
+		"nodes":         func() error { _, err := statsdb.LoadNodes(db, nil); return err },
 	} {
-		migrations = append(migrations, ms...)
-	}
-	if _, err := statsdb.Migrate(db, migrations); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := monitor.LoadAlerts(db, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := statsdb.LoadNodes(db, nil); err != nil {
-		t.Fatal(err)
+		if err := load(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 
 	for _, g := range observatorySchemas {
@@ -110,20 +106,7 @@ func TestObservatorySchemasGolden(t *testing.T) {
 			t.Errorf("%s indexes = %q, want %q", g.table, got, g.indexes)
 		}
 	}
-
-	ledger, err := db.Query("SELECT version, name FROM schema_migrations ORDER BY version ASC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, row := range ledger.Rows {
-		got = append(got, fmt.Sprintf("v%s %s", row[0], row[1]))
-	}
-	want := "v3 usage-tables, v4 forensics-tables, v5 spc-tables, v6 engine-observatory-tables, v7 serving-tables"
-	if strings.Join(got, ", ") != want {
-		t.Errorf("migrations = %v, want %s", got, want)
-	}
-	if v := statsdb.SchemaVersion(db); v != 7 {
-		t.Errorf("SchemaVersion = %d, want 7", v)
+	if got, want := len(db.TableNames()), len(observatorySchemas); got != want {
+		t.Errorf("the loaders made %d tables %v, want the %d golden ones", got, db.TableNames(), want)
 	}
 }

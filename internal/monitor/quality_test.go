@@ -218,7 +218,7 @@ func TestStaleHarvestAlertReachesDashboard(t *testing.T) {
 	if err := json.NewDecoder(hr.Body).Decode(&hs); err != nil {
 		t.Fatal(err)
 	}
-	if hs.Passes != 1 || hs.Totals.Ingested != 1 || hs.SchemaVersion != 2 {
+	if hs.Passes != 1 || hs.Totals.Ingested != 1 {
 		t.Fatalf("/api/harvest = %+v", hs)
 	}
 

@@ -308,7 +308,7 @@ async function refresh() {
       " · updated " + (lp.updated || 0) + " · watermark hits " + (lp.watermark_hits || 0) +
       " · lag " + hhmm(h.watermark_lag_seconds || 0) +
       " · totals: " + h.totals.ingested + " ingested / " +
-      h.totals.quarantined + " quarantined · schema v" + h.schema_version;
+      h.totals.quarantined + " quarantined";
     const q = h.quarantine || [];
     document.getElementById("harvest-quarantine").innerHTML = q.length === 0 ? "" :
       "<tr><th>quarantined file</th><th>error</th></tr>" +

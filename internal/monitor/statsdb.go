@@ -33,9 +33,6 @@ var alertsTable = statsdb.NewTypedTable[alertRow](AlertsTableName, "rule", "fore
 // history (Monitor.Alerts), indexing rule and forecast. resolved_at is
 // zero for alerts still firing when the history was taken.
 func LoadAlerts(db *statsdb.DB, alerts []Alert) (*statsdb.Table, error) {
-	if err := alertsTable.Create(db); err != nil {
-		return nil, err
-	}
 	rows := make([]alertRow, len(alerts))
 	for i, a := range alerts {
 		rows[i] = alertRow{

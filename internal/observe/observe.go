@@ -166,9 +166,6 @@ func (o *Observed) Close() error {
 			errs = append(errs, fmt.Errorf("%s: %w", what, err))
 		}
 	}
-	// The report loads migrate and write DB, which /api/harvest reads
-	// under the harvester's lock while the control room keeps serving.
-	load := func(what string, fn func() error) { wrap(what, o.Harv.Locked(fn)) }
 	now := o.c.Engine().Now()
 	if o.Harv != nil {
 		_, err := o.Harv.Pass()
@@ -194,16 +191,17 @@ func (o *Observed) Close() error {
 			NodeShares(o.SPC, o.c, o.Samp)
 		}
 		o.SPC.Finalize()
-		load("spc", func() error { return spc.LoadReport(o.DB, o.SPC.Report()) })
+		wrap("spc", spc.LoadReport(o.DB, o.SPC.Report()))
 	}
 	if o.Samp != nil {
-		load("usage", func() error { _, err := usage.LoadSamples(o.DB, o.Samp.Samples()); return err })
+		_, err := usage.LoadSamples(o.DB, o.Samp.Samples())
+		wrap("usage", err)
 	}
 	if o.Edge != nil {
-		load("serving", func() error { return serving.LoadReport(o.DB, o.Edge.Stats()) })
+		wrap("serving", serving.LoadReport(o.DB, o.Edge.Stats()))
 	}
 	if o.Prof != nil {
-		load("engineprof", func() error { return engineprof.LoadReport(o.DB, o.Prof.Report()) })
+		wrap("engineprof", engineprof.LoadReport(o.DB, o.Prof.Report()))
 	}
 	return errors.Join(errs...)
 }

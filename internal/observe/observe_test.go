@@ -68,8 +68,8 @@ func TestSaturationRuleCoversAddedNodes(t *testing.T) {
 // does, one sim-hour per RunUntil, and closes it out, while other
 // goroutines request every control-room route; run it under -race. The
 // day-2 AddForecast writes the campaign's spec map while the forensics
-// route builds its plan, and Close's report loads migrate the database
-// /api/harvest reads.
+// route builds its plan, and Close's report loads write the database
+// while every route answers.
 func TestRoutesDoNotRaceTheReplay(t *testing.T) {
 	c := growingCampaign(t, 3)
 	o, err := observe.Observe(c, every)

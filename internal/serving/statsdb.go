@@ -1,8 +1,8 @@
-// Schema v7: the serving edge's persisted counters. serving_stats holds
-// one row per product plus one edge-total row (product = "__edge__")
-// carrying the staleness quantiles and queueing aggregates. `foreman
-// -serving`, /api/serving, and the campaign-end summary all render a
-// Stats read back from these rows, so the surfaces cannot disagree.
+// The serving edge's persisted counters. serving_stats holds one row per
+// product plus one edge-total row (product = "__edge__") carrying the
+// staleness quantiles and queueing aggregates. `foreman -serving`,
+// /api/serving, and the campaign-end summary all render a Stats read back
+// from these rows, so the surfaces cannot disagree.
 
 package serving
 
@@ -42,19 +42,9 @@ type statsRow struct {
 
 var statsTable = statsdb.NewTypedTable[statsRow](TableName, "product")
 
-// Migrations returns the serving layer's schema migrations: v7 creates
-// serving_stats with its product index. Combine with the earlier layers
-// (harvest v1–v2, usage v3, forensics v4, spc v5, engineprof v6).
-func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{statsdb.TableMigration(7, "serving-tables", statsTable)}
-}
-
-// LoadReport persists one edge snapshot (created via the v7 migration
-// when missing). One snapshot covers a whole campaign; load each once.
+// LoadReport persists one edge snapshot (the table is created when
+// missing). One snapshot covers a whole campaign; load each once.
 func LoadReport(db *statsdb.DB, st Stats) error {
-	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
-		return err
-	}
 	rows := make([]statsRow, 0, 1+len(st.Products))
 	rows = append(rows, statsRow{
 		Product:  EdgeRow,

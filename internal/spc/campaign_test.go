@@ -148,7 +148,7 @@ func TestCampaignChangepointBlamesCodeVersionNotFailure(t *testing.T) {
 		t.Error("no changepoint alert for the slowed forecast")
 	}
 
-	// Round-trip the verdict through the v5 tables — the rows foreman
+	// Round-trip the verdict through the SPC tables — the rows foreman
 	// -spc, /api/spc, and the dashboard all render.
 	db := statsdb.NewDB()
 	if err := spc.LoadReport(db, rep); err != nil {

@@ -21,8 +21,8 @@
 // rule and back in control at the next clean point, the same
 // firing→resolved shape the monitor's alert book keeps. Events stream to
 // a callback seam (the replan-trigger hook uncertainty-aware planning
-// will consume); the full state persists as statsdb schema v5
-// (control_points, changepoints) so `foreman -spc`, /api/spc, and the
+// will consume); the full state persists in the statsdb tables
+// control_points and changepoints, so `foreman -spc`, /api/spc, and the
 // dashboard panel all render one ReadReport.
 package spc
 

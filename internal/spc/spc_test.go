@@ -327,9 +327,6 @@ func TestStatsDBRoundTrip(t *testing.T) {
 	if err := LoadReport(db, want); err != nil {
 		t.Fatalf("LoadReport: %v", err)
 	}
-	if v := statsdb.SchemaVersion(db); v != 5 {
-		t.Fatalf("schema version = %d, want 5", v)
-	}
 	got, err := ReadReport(db)
 	if err != nil {
 		t.Fatalf("ReadReport: %v", err)

@@ -1,8 +1,8 @@
-// Schema v5: the SPC observatory's persisted state. control_points
-// holds every charted observation with its verdict; changepoints holds
-// the detected (and history-supplied) level shifts. `foreman -spc`,
-// /api/spc, and the dashboard all render a Report read back from these
-// rows, so the three surfaces cannot disagree.
+// The SPC observatory's persisted state. control_points holds every
+// charted observation with its verdict; changepoints holds the detected
+// (and history-supplied) level shifts. `foreman -spc`, /api/spc, and the
+// dashboard all render a Report read back from these rows, so the three
+// surfaces cannot disagree.
 
 package spc
 
@@ -13,7 +13,7 @@ import (
 	"repro/internal/statsdb"
 )
 
-// Table names added by the schema v5 migration.
+// The SPC observatory's table names.
 const (
 	PointsTableName       = "control_points"
 	ChangepointsTableName = "changepoints"
@@ -40,21 +40,10 @@ var (
 	changepointsTable = statsdb.NewTypedTable[changepointRow](ChangepointsTableName, "subject")
 )
 
-// Migrations returns the SPC layer's schema migrations: v5 creates the
-// control_points and changepoints tables with their lookup indexes.
-// Combine with harvest.Migrations() (v1, v2), usage.Migrations() (v3),
-// and forensics.Migrations() (v4); Migrate tracks each independently.
-func Migrations() []statsdb.Migration {
-	return []statsdb.Migration{statsdb.TableMigration(5, "spc-tables", pointsTable, changepointsTable)}
-}
-
 // LoadReport persists one observatory snapshot into the control_points
-// and changepoints tables (created via the v5 migration when missing).
-// One snapshot covers a whole campaign, so load each report once.
+// and changepoints tables (created when missing). One snapshot covers a
+// whole campaign, so load each report once.
 func LoadReport(db *statsdb.DB, rep *Report) error {
-	if _, err := statsdb.Migrate(db, Migrations()); err != nil {
-		return err
-	}
 	var points []pointRow
 	var cps []changepointRow
 	for i := range rep.Series {

@@ -42,37 +42,18 @@ func benchRuns(tb testing.TB, forecasts, days int) *DB {
 	return db
 }
 
-// harvestedRuns creates a runs table carrying the harvester's provenance
-// columns.
-func harvestedRuns(db *DB) error {
-	t, err := EnsureRunsTable(db)
-	if err == nil {
-		err = t.AddColumn(Column{Name: ColHarvestedAt, Type: Float}, FloatVal(0))
-	}
-	if err == nil {
-		err = t.AddColumn(Column{Name: ColSourcePath, Type: String}, StringVal(""))
-	}
-	return err
-}
-
 // BenchmarkUpsertRuns is a cold harvest of 60k run logs: one UpsertRuns
-// per parsed log into a runs table carrying the harvester's provenance
-// columns, as harvest.Harvester.Pass does.
+// per parsed log, as harvest.Harvester.Pass does.
 func BenchmarkUpsertRuns(b *testing.B) {
 	records := benchRecords(1500, 40)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := NewDB()
-		err := harvestedRuns(db)
 		for _, r := range records {
-			if err != nil {
-				break
+			if _, _, err := UpsertRuns(db, []*logs.RunRecord{r}, r.End); err != nil {
+				b.Fatal(err)
 			}
-			_, _, err = UpsertRuns(db, []*logs.RunRecord{r}, r.End)
-		}
-		if err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -173,11 +154,7 @@ func campaignTrace() *telemetry.Tracer {
 // -bench 'Query/<name>' -cpuprofile.
 func BenchmarkQuery(b *testing.B) {
 	db := NewDB()
-	err := harvestedRuns(db)
-	if err == nil {
-		_, _, err = UpsertRuns(db, benchRecords(2000, 40), 0)
-	}
-	if err != nil {
+	if _, _, err := UpsertRuns(db, benchRecords(2000, 40), 0); err != nil {
 		b.Fatal(err)
 	}
 	shapes := []struct{ name, sql string }{

@@ -28,6 +28,7 @@ func joinFixture(t *testing.T) *DB {
 		FloatVal(fast.CodeFactor), StringVal(fast.MeshName), IntVal(int64(fast.MeshSides)),
 		IntVal(int64(fast.Timesteps)), FloatVal(fast.Start), FloatVal(fast.End),
 		FloatVal(fast.Walltime), StringVal(fast.Status), IntVal(int64(fast.Products)),
+		FloatVal(0), StringVal(fast.SourcePath),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -12,39 +12,39 @@ import (
 // RunsTableName is the conventional name of the run-statistics table.
 const RunsTableName = "runs"
 
-// Names of the provenance columns the harvester's schema migrations add
-// to the runs table (see internal/harvest). Loading handles their
-// presence or absence transparently.
+// Names of the runs table's provenance columns: the sim time the
+// harvester wrote the row (0 for LoadRuns) and the log it was parsed from.
 const (
 	ColHarvestedAt = "harvested_at"
 	ColSourcePath  = "source_path"
 )
 
-// RunsSchema returns the base schema of the run-statistics table: one
-// tuple per run execution, as harvested from run logs. Databases built by
-// the harvester carry additional provenance columns on top (harvested_at,
-// source_path) via migrations.
+// RunsSchema returns the layout of the run-statistics table: one tuple
+// per run execution, as harvested from run logs, then the provenance
+// columns.
 func RunsSchema() Schema {
-	s := make(Schema, len(runFields)-2)
+	s := make(Schema, len(runFields))
 	for i := range s {
 		s[i] = runFields[i].Column
 	}
 	return s
 }
 
+// runsSchema is the runs table's layout, built once so that checking a
+// table against it allocates nothing.
+var runsSchema = RunsSchema()
+
 // runField is one runs column and the record field it stores (none for
 // harvested_at): get reads the field as a value of the column's type, and
-// set fills the field from a row of a column, as the accessor of the
-// field's type reads the row's value.
+// set fills the field from a row of the column.
 type runField struct {
 	Column
 	get func(r *logs.RunRecord) Value
 	set func(r *logs.RunRecord, c *column, row int)
 }
 
-// runFields are the runs columns in a harvested table's order: the base
-// schema, then the provenance columns. They are the plan UpsertRuns writes
-// rows by and ReadRuns reads them back by.
+// runFields are the runs columns in order: UpsertRuns writes rows by them
+// and ReadRuns reads them back by position.
 var runFields = []runField{
 	{Column{"forecast", String},
 		func(r *logs.RunRecord) Value { return StringVal(r.Forecast) },
@@ -97,23 +97,6 @@ var runFields = []runField{
 		func(r *logs.RunRecord, c *column, i int) { r.SourcePath = c.strAt(i) }},
 }
 
-// runPlan resolves each of the table's columns to its record field once
-// per call (nil for a column no field stores). A column at its usual
-// position resolves without a search.
-func runPlan(schema Schema) []*runField {
-	plan := make([]*runField, len(schema))
-	for i, c := range schema {
-		j := i
-		if j >= len(runFields) || runFields[j].Name != c.Name {
-			j = slices.IndexFunc(runFields, func(f runField) bool { return f.Name == c.Name })
-		}
-		if j >= 0 && runFields[j].get != nil {
-			plan[i] = &runFields[j]
-		}
-	}
-	return plan
-}
-
 // NodesTableName is the conventional name of the plant-metadata table.
 const NodesTableName = "nodes"
 
@@ -129,9 +112,6 @@ var nodesTable = NewTypedTable[NodeRow](NodesTableName, "name")
 // LoadNodes creates (or extends) the nodes table, enabling joined queries
 // such as speed-normalized walltimes per node.
 func LoadNodes(db *DB, nodes []NodeRow) (*Table, error) {
-	if err := nodesTable.Create(db); err != nil {
-		return nil, err
-	}
 	for _, n := range nodes {
 		if n.Name == "" {
 			return nil, fmt.Errorf("statsdb: node row with empty name")
@@ -140,23 +120,11 @@ func LoadNodes(db *DB, nodes []NodeRow) (*Table, error) {
 	return nodesTable.Insert(db, nodes...)
 }
 
-// EnsureRunsTable finds or creates the runs table with the base schema,
-// indexing the columns the factory's common queries probe: forecast name,
-// code version, and node.
+// EnsureRunsTable finds or creates the runs table, indexing the columns
+// the factory's common queries probe: forecast name, code version, and
+// node. A runs table laid out other than RunsSchema is an error.
 func EnsureRunsTable(db *DB) (*Table, error) {
-	if t := db.Table(RunsTableName); t != nil {
-		return t, nil
-	}
-	t, err := db.CreateTable(RunsTableName, RunsSchema())
-	if err != nil {
-		return nil, err
-	}
-	for _, col := range []string{"forecast", "code_version", "node"} {
-		if err := t.CreateIndex(col); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return db.declare(RunsTableName, runsSchema, "forecast", "code_version", "node")
 }
 
 // UpsertStats counts what one upsert batch did.
@@ -170,34 +138,29 @@ type UpsertStats struct {
 // instead of appending a duplicate. This is what makes re-harvesting the
 // same logs (a crash-recovery re-scan, a running log superseded by its
 // completed version) idempotent. harvestedAt fills the harvested_at
-// provenance column when the table carries it.
+// provenance column.
 func UpsertRuns(db *DB, records []*logs.RunRecord, harvestedAt float64) (*Table, UpsertStats, error) {
 	var stats UpsertStats
 	t, err := EnsureRunsTable(db)
 	if err != nil {
 		return nil, stats, err
 	}
-	plan := runPlan(t.schema)
 	// The harvester upserts one log per call: the row and the ids of the
 	// rows sharing its forecast (one per day harvested) stay on the stack
 	// when they fit.
 	var rowBuf [24]Value
 	var sameBuf [64]int32
-	row, same := slices.Grow(rowBuf[:0], len(plan))[:len(plan)], sameBuf[:0]
+	row, same := slices.Grow(rowBuf[:0], len(runFields))[:len(runFields)], sameBuf[:0]
 	fi, di, si := t.schema.Index("forecast"), t.schema.Index("day"), t.schema.Index("start")
 	for _, r := range records {
 		if err := r.Validate(); err != nil {
 			return nil, stats, fmt.Errorf("statsdb: load runs: %w", err)
 		}
-		// Unknown columns get zero values of their type.
-		for i, f := range plan {
-			switch {
-			case f != nil:
-				row[i] = f.get(r)
-			case t.schema[i].Name == ColHarvestedAt:
+		for i := range runFields {
+			if get := runFields[i].get; get != nil {
+				row[i] = get(r)
+			} else {
 				row[i] = FloatVal(harvestedAt)
-			default:
-				row[i] = Value{t: t.schema[i].Type}
 			}
 		}
 		id := -1
@@ -233,29 +196,28 @@ func LoadRuns(db *DB, records []*logs.RunRecord) (*Table, error) {
 
 // ReadRuns converts the runs table back into run records — the inverse of
 // UpsertRuns, so consumers built on []*logs.RunRecord (the estimator, the
-// monitor's history seed) can feed from a harvested database. Provenance
-// columns, when present, populate SourcePath; unknown columns are ignored.
-// The records are allocated as one block.
+// monitor's history seed) can feed from a harvested database. A runs
+// table laid out other than RunsSchema is an error. The records are
+// allocated as one block.
 //
 // Records come in (forecast, year, day) order, like logs.Crawl; rows
 // that tie on all three (a rerun at another start) keep their row order,
-// which for a harvested table is harvest order. A table that lacks one of
-// those columns reads in row order.
+// which for a harvested table is harvest order.
 func ReadRuns(db *DB) ([]*logs.RunRecord, error) {
 	t := db.Table(RunsTableName)
 	if t == nil {
 		return nil, nil
 	}
-	// A field whose column the table lacks (such as source_path before the
-	// provenance migration) reads as the zero value.
-	plan := runPlan(t.schema)
+	if err := t.checkLayout(runsSchema); err != nil {
+		return nil, err
+	}
 	recs := make([]logs.RunRecord, t.n)
 	out := make([]*logs.RunRecord, t.n)
 	for i, row := range runOrder(t) {
 		rec := &recs[i]
-		for ci, f := range plan {
-			if f != nil {
-				f.set(rec, &t.cols[ci], int(row))
+		for ci := range runFields {
+			if set := runFields[ci].set; set != nil {
+				set(rec, &t.cols[ci], int(row))
 			}
 		}
 		if err := rec.Validate(); err != nil {
@@ -267,19 +229,12 @@ func ReadRuns(db *DB) ([]*logs.RunRecord, error) {
 }
 
 // runOrder returns the runs table's row ids in (forecast, year, day, row)
-// order, or in row order when the table lacks one of the first three (or
-// holds it as another type). It ranks the forecast dictionary once,
-// buckets the rows by rank, and sorts each bucket: one forecast's rows,
-// which a harvest appends nearly in day order.
+// order. It ranks the forecast dictionary once, buckets the rows by rank,
+// and sorts each bucket: one forecast's rows, which a harvest appends
+// nearly in day order.
 func runOrder(t *Table) []int32 {
 	ids := make([]int32, t.n)
 	fi, yi, di := t.schema.Index("forecast"), t.schema.Index("year"), t.schema.Index("day")
-	if fi < 0 || yi < 0 || di < 0 || t.cols[fi].typ != String || t.cols[yi].typ != Int || t.cols[di].typ != Int {
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		return ids
-	}
 	fc, years, days := &t.cols[fi], t.cols[yi].ints, t.cols[di].ints
 	byName := make([]uint32, len(fc.dict))
 	for code := range byName {

@@ -134,12 +134,6 @@ func TestUpsertRunsFillsProvenanceColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.AddColumn(Column{Name: ColHarvestedAt, Type: Float}, FloatVal(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.AddColumn(Column{Name: ColSourcePath, Type: String}, StringVal("")); err != nil {
-		t.Fatal(err)
-	}
 	r := rec("a", 1, 100, "v")
 	r.SourcePath = "/runs/a/2005-001/run.log"
 	if _, _, err := UpsertRuns(db, []*logs.RunRecord{r}, 42); err != nil {
@@ -163,59 +157,94 @@ func TestUpsertRunsFillsProvenanceColumns(t *testing.T) {
 	}
 }
 
+// TestReadRunsAcrossSchemas round-trips records field by field through
+// the runs table's one layout, and checks that a runs table laid out
+// otherwise is refused by every reader and writer of it: UpsertRuns
+// writes no zero-filled row into it, and ReadRuns neither zero-fills its
+// records nor reads them in row order.
 func TestReadRunsAcrossSchemas(t *testing.T) {
-	provenance := []Column{{Name: ColHarvestedAt, Type: Float}, {Name: ColSourcePath, Type: String}}
+	without := func(names ...string) Schema {
+		return slices.DeleteFunc(RunsSchema(), func(c Column) bool { return slices.Contains(names, c.Name) })
+	}
 	cases := []struct {
-		name  string
-		added []Column // columns the table gains before loading
+		name   string
+		schema Schema // the table's layout; nil for EnsureRunsTable's
 	}{
-		{"base schema", nil},
-		{"after the provenance migrations", provenance},
-		{"with an unknown column", append(append([]Column(nil), provenance...), Column{Name: "operator_note", Type: Int})},
+		{"base schema", without(ColHarvestedAt, ColSourcePath)},
+		{"one layout", nil},
+		{"without the year column", without("year")},
+		{"with an unknown column", append(RunsSchema(), Column{Name: "operator_note", Type: Int})},
+	}
+	done := &logs.RunRecord{
+		Forecast: "tillamook", Region: "columbia", Year: 2005, Day: 42, Node: "fnode03",
+		CodeVersion: "elcirc-5.01", CodeFactor: 1.1, MeshName: "m2", MeshSides: 31000,
+		Timesteps: 5760, Start: 3600.5, End: 43600.25, Walltime: 39999.75,
+		Status: logs.StatusCompleted, Products: 8, SourcePath: "/runs/tillamook/2005-042/run.log",
+	}
+	running := &logs.RunRecord{
+		Forecast: "dev", Region: "r", Year: 2006, Day: 1, Node: "fnode01", CodeVersion: "v2",
+		CodeFactor: 0.9, MeshName: "m", MeshSides: 12000, Timesteps: 2880, Start: 7200,
+		Status: logs.StatusRunning, SourcePath: "/runs/dev/2006-001/run.log",
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			db := NewDB()
-			tbl, err := EnsureRunsTable(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, col := range c.added {
-				def := map[Type]Value{Int: IntVal(0), Float: FloatVal(0), String: StringVal("")}[col.Type]
-				if err := tbl.AddColumn(col, def); err != nil {
+			if c.schema == nil {
+				if _, _, err := UpsertRuns(db, []*logs.RunRecord{done, running}, 42); err != nil {
 					t.Fatal(err)
 				}
+				back, err := ReadRuns(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// ReadRuns orders by (forecast, year, day): dev before tillamook.
+				want := []logs.RunRecord{*running, *done}
+				if len(back) != len(want) {
+					t.Fatalf("ReadRuns returned %d records, want %d", len(back), len(want))
+				}
+				for i := range want {
+					if *back[i] != want[i] {
+						t.Fatalf("record %d:\ngot  %+v\nwant %+v", i, *back[i], want[i])
+					}
+				}
+				return
 			}
-			done := &logs.RunRecord{
-				Forecast: "tillamook", Region: "columbia", Year: 2005, Day: 42, Node: "fnode03",
-				CodeVersion: "elcirc-5.01", CodeFactor: 1.1, MeshName: "m2", MeshSides: 31000,
-				Timesteps: 5760, Start: 3600.5, End: 43600.25, Walltime: 39999.75,
-				Status: logs.StatusCompleted, Products: 8, SourcePath: "/runs/tillamook/2005-042/run.log",
-			}
-			running := &logs.RunRecord{
-				Forecast: "dev", Region: "r", Year: 2006, Day: 1, Node: "fnode01", CodeVersion: "v2",
-				CodeFactor: 0.9, MeshName: "m", MeshSides: 12000, Timesteps: 2880, Start: 7200,
-				Status: logs.StatusRunning, SourcePath: "/runs/dev/2006-001/run.log",
-			}
-			if _, _, err := UpsertRuns(db, []*logs.RunRecord{done, running}, 42); err != nil {
-				t.Fatal(err)
-			}
-			back, err := ReadRuns(db)
+			// The table holds the record's row, each of its columns
+			// filled by name from the record's row in the one layout.
+			ref := NewDB()
+			refTbl, _, err := UpsertRuns(ref, []*logs.RunRecord{done}, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// ReadRuns orders by (forecast, year, day): dev before tillamook.
-			want := []logs.RunRecord{*running, *done}
-			if tbl.Schema().Index(ColSourcePath) < 0 {
-				want[0].SourcePath, want[1].SourcePath = "", ""
-			}
-			if len(back) != len(want) {
-				t.Fatalf("ReadRuns returned %d records, want %d", len(back), len(want))
-			}
-			for i := range want {
-				if *back[i] != want[i] {
-					t.Fatalf("record %d:\ngot  %+v\nwant %+v", i, *back[i], want[i])
+			var row []Value
+			for _, col := range c.schema {
+				if i := runsSchema.Index(col.Name); i >= 0 {
+					row = append(row, refTbl.Row(0)[i])
+				} else {
+					row = append(row, IntVal(0))
 				}
+			}
+			tbl, err := db.CreateTable(RunsTableName, c.schema)
+			if err == nil {
+				err = tbl.Insert(row)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := EnsureRunsTable(db); err == nil {
+				t.Error("EnsureRunsTable accepted the table")
+			}
+			if _, err := LoadRuns(db, []*logs.RunRecord{running}); err == nil {
+				t.Error("LoadRuns accepted the table")
+			}
+			if _, _, err := UpsertRuns(db, []*logs.RunRecord{done, running}, 42); err == nil {
+				t.Error("UpsertRuns accepted the table")
+			}
+			if back, err := ReadRuns(db); err == nil {
+				t.Errorf("ReadRuns read the table as %+v", back)
+			}
+			if tbl.Len() != 1 || !slices.Equal(tbl.Row(0), row) {
+				t.Errorf("the refused writes changed the table: %d rows, row 0 = %v", tbl.Len(), tbl.Row(0))
 			}
 		})
 	}
@@ -224,39 +253,13 @@ func TestReadRunsAcrossSchemas(t *testing.T) {
 // TestReadRunsOrder checks ReadRuns against the table's rows in row
 // order, stable-sorted by (forecast, year, day), on random tables:
 // forecasts inserted out of name order, reruns that tie on all three
-// keys at distinct starts, rows updated in place (which keeps their row),
-// with and without the provenance columns, and without the year column,
-// which leaves row order.
+// keys at distinct starts, and rows updated in place (which keeps their
+// row).
 func TestReadRunsOrder(t *testing.T) {
 	names := []string{"tillamook", "dev", "a", "columbia-2", "b", "zz", "columbia", "dev-old"}
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		db := NewDB()
-		provenance, noYear := seed%3 != 0, seed%7 == 0
-		var tbl *Table
-		var err error
-		if noYear {
-			var schema Schema
-			for _, c := range RunsSchema() {
-				if c.Name != "year" {
-					schema = append(schema, c)
-				}
-			}
-			tbl, err = db.CreateTable(RunsTableName, schema)
-		} else {
-			tbl, err = EnsureRunsTable(db)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if provenance {
-			if err := tbl.AddColumn(Column{Name: ColHarvestedAt, Type: Float}, FloatVal(0)); err != nil {
-				t.Fatal(err)
-			}
-			if err := tbl.AddColumn(Column{Name: ColSourcePath, Type: String}, StringVal("")); err != nil {
-				t.Fatal(err)
-			}
-		}
 		// rows mirrors the table in row order: an upsert keyed on
 		// (forecast, day, start) replaces its row or appends one.
 		var rows []logs.RunRecord
@@ -268,12 +271,6 @@ func TestReadRunsOrder(t *testing.T) {
 			if _, _, err := UpsertRuns(db, []*logs.RunRecord{&r}, 0); err != nil {
 				t.Fatal(err)
 			}
-			if !provenance {
-				r.SourcePath = ""
-			}
-			if noYear {
-				r.Year = 0
-			}
 			i := slices.IndexFunc(rows, func(x logs.RunRecord) bool {
 				return x.Forecast == r.Forecast && x.Day == r.Day && x.Start == r.Start
 			})
@@ -284,11 +281,9 @@ func TestReadRunsOrder(t *testing.T) {
 			}
 		}
 		want := slices.Clone(rows)
-		if !noYear {
-			slices.SortStableFunc(want, func(a, b logs.RunRecord) int {
-				return cmp.Or(strings.Compare(a.Forecast, b.Forecast), cmp.Compare(a.Year, b.Year), cmp.Compare(a.Day, b.Day))
-			})
-		}
+		slices.SortStableFunc(want, func(a, b logs.RunRecord) int {
+			return cmp.Or(strings.Compare(a.Forecast, b.Forecast), cmp.Compare(a.Year, b.Year), cmp.Compare(a.Day, b.Day))
+		})
 		got, err := ReadRuns(db)
 		if err != nil {
 			t.Fatal(err)
@@ -298,8 +293,7 @@ func TestReadRunsOrder(t *testing.T) {
 		}
 		for i := range want {
 			if *got[i] != want[i] {
-				t.Fatalf("seed %d (provenance %v, no year %v): record %d:\ngot  %+v\nwant %+v",
-					seed, provenance, noYear, i, *got[i], want[i])
+				t.Fatalf("seed %d: record %d:\ngot  %+v\nwant %+v", seed, i, *got[i], want[i])
 			}
 		}
 	}

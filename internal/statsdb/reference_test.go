@@ -57,9 +57,9 @@ func genRow(rng *rand.Rand, schema Schema) []Value {
 
 // genFixture builds the runs + nodes fixture for seed: the engine's
 // tables, indexed on random columns (created before, between or after
-// the inserts) or not at all, and the reference's plain copy. Runs gains
-// a BOOL column by AddColumn part-way, and some rows are updated in
-// place, so both the index-building and the index-maintaining paths run.
+// the inserts) or not at all, and the reference's plain copy. Runs
+// carries a BOOL column, and some rows are updated in place, so both the
+// index-building and the index-maintaining paths run.
 func genFixture(tb testing.TB, seed int64, indexed bool) (*DB, map[string]*refTable) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -76,25 +76,21 @@ func genFixture(tb testing.TB, seed int64, indexed bool) (*DB, map[string]*refTa
 		name   string
 		schema Schema
 		rows   int
-	}{{RunsTableName, RunsSchema(), rng.Intn(13)}, {NodesTableName, nodeSchema, rng.Intn(6)}} {
+	}{
+		{RunsTableName, append(RunsSchema(), Column{Name: "late", Type: Bool}), rng.Intn(13)},
+		{NodesTableName, nodeSchema, rng.Intn(6)},
+	} {
 		tbl, err := db.CreateTable(spec.name, spec.schema)
 		must(err)
 		rt := &refTable{schema: tbl.Schema()}
 		ref[spec.name] = rt
-		indexAt, widenAt := irng.Intn(spec.rows+1), rng.Intn(spec.rows+1)
+		indexAt := irng.Intn(spec.rows + 1)
 		for i := 0; i <= spec.rows; i++ {
 			if indexed && i == indexAt {
 				for _, c := range tbl.Schema() {
 					if irng.Intn(2) == 0 {
 						must(tbl.CreateIndex(c.Name))
 					}
-				}
-			}
-			if spec.name == RunsTableName && i == widenAt {
-				must(tbl.AddColumn(Column{Name: "late", Type: Bool}, BoolVal(false)))
-				rt.schema = tbl.Schema()
-				for r := range rt.rows {
-					rt.rows[r] = append(rt.rows[r], BoolVal(false))
 				}
 			}
 			if i == spec.rows {

@@ -54,18 +54,9 @@ func SpansSchema() Schema {
 // the table as it was: a bad span (a non-integer day annotation, a NaN
 // start, end or duration) fails it before any row changes.
 func LoadSpans(db *DB, spans []telemetry.Span) (*Table, error) {
-	t := db.Table(SpansTableName)
-	if t == nil {
-		var err error
-		t, err = db.CreateTable(SpansTableName, SpansSchema())
-		if err != nil {
-			return nil, err
-		}
-		for _, col := range []string{"id", "cat", "track"} {
-			if err := t.CreateIndex(col); err != nil {
-				return nil, err
-			}
-		}
+	t, err := db.declare(SpansTableName, SpansSchema(), "id", "cat", "track")
+	if err != nil {
+		return nil, err
 	}
 	idc := t.schema.Index("id")
 	top := int64(math.MinInt64) // the highest id in the table or earlier in the call
@@ -77,7 +68,6 @@ func LoadSpans(db *DB, spans []telemetry.Span) (*Table, error) {
 		// More than one step: check every span first. A lone batch
 		// undoes itself on error.
 		for i := range spans {
-			var err error
 			if row, err = spanRow(row[:0], &spans[i]); err == nil {
 				err = t.check(row)
 			}
@@ -93,7 +83,6 @@ func LoadSpans(db *DB, spans []telemetry.Span) (*Table, error) {
 			top = spans[j].ID
 			j++
 		}
-		var err error
 		if j > i { // a run of new spans: one batch
 			batch := spans[i:j]
 			err = t.appendRows(len(batch), func(row []Value, r int) ([]Value, error) { return spanRow(row, &batch[r]) })

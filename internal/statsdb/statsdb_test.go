@@ -489,3 +489,37 @@ func TestTypeErrorDoesNotDependOnIndexes(t *testing.T) {
 		t.Errorf("well-typed plan %q, want an index probe", p)
 	}
 }
+
+func TestTableUpdateMaintainsIndexes(t *testing.T) {
+	tbl, err := NewTable("t", Schema{
+		{Name: "k", Type: String},
+		{Name: "v", Type: Int},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "a"} {
+		if err := tbl.Insert([]Value{StringVal(k), IntVal(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Move row 0 from key "a" to key "c".
+	if err := tbl.Update(0, []Value{StringVal("c"), IntVal(9)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.lookupRows(nil, 0, StringVal("a")); len(got) != 1 || got[0] != 2 {
+		t.Fatalf(`lookup "a" = %v`, got)
+	}
+	if got := tbl.lookupRows(nil, 0, StringVal("c")); len(got) != 1 || got[0] != 0 {
+		t.Fatalf(`lookup "c" = %v`, got)
+	}
+	if tbl.Row(0)[1].Int() != 9 {
+		t.Fatalf("row 0 = %v", tbl.Row(0))
+	}
+	if err := tbl.Update(5, []Value{StringVal("x"), IntVal(0)}); err == nil {
+		t.Fatal("out-of-range update accepted")
+	}
+}

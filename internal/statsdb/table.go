@@ -65,31 +65,11 @@ func (c *column) value(r int) Value {
 	}
 }
 
-// strAt, intAt and floatAt read row r as Value's Str, Int and Float read
-// value(r), without boxing it.
-func (c *column) strAt(r int) string {
-	if c.typ == String {
-		return c.dict[c.codes[r]]
-	}
-	return ""
-}
-
-func (c *column) intAt(r int) int64 {
-	if c.typ == Int {
-		return c.ints[r]
-	}
-	return 0
-}
-
-func (c *column) floatAt(r int) float64 {
-	switch c.typ {
-	case Int:
-		return float64(c.ints[r])
-	case Float:
-		return c.flts[r]
-	}
-	return 0
-}
+// strAt, intAt and floatAt read row r of a STRING, INT and FLOAT column
+// without boxing it.
+func (c *column) strAt(r int) string    { return c.dict[c.codes[r]] }
+func (c *column) intAt(r int) int64     { return c.ints[r] }
+func (c *column) floatAt(r int) float64 { return c.flts[r] }
 
 // key is row r's value as a hash key: a STRING's or BOOL's code, else
 // valueKey, read without boxing the value.
@@ -377,6 +357,15 @@ func NewTable(name string, schema Schema) (*Table, error) {
 // Schema returns a copy of the table's schema.
 func (t *Table) Schema() Schema { return append(Schema(nil), t.schema...) }
 
+// checkLayout is an error unless the table is laid out as schema: the
+// same columns, of the same types, in the same order.
+func (t *Table) checkLayout(schema Schema) error {
+	if !slices.Equal(t.schema, schema) {
+		return fmt.Errorf("statsdb: table %s is laid out as %v, not as its declaration %v", t.name, t.schema, schema)
+	}
+	return nil
+}
+
 // Len returns the number of rows.
 func (t *Table) Len() int { return t.n }
 
@@ -504,32 +493,6 @@ func (t *Table) Update(i int, row []Value) error {
 	return nil
 }
 
-// AddColumn widens the table with a new column, filling every existing
-// row with def — the in-place half of a schema migration. Indexes on
-// existing columns are untouched.
-func (t *Table) AddColumn(col Column, def Value) error {
-	if col.Name == "" {
-		return fmt.Errorf("statsdb: table %s: new column needs a name", t.name)
-	}
-	if t.schema.Index(col.Name) >= 0 {
-		return fmt.Errorf("statsdb: table %s already has column %q", t.name, col.Name)
-	}
-	if def.Type() != col.Type {
-		return fmt.Errorf("statsdb: table %s column %q default is %s, want %s",
-			t.name, col.Name, def.Type(), col.Type)
-	}
-	if err := checkValue(def); err != nil {
-		return fmt.Errorf("statsdb: table %s column %q: %w", t.name, col.Name, err)
-	}
-	c := column{typ: col.Type}
-	for r := 0; r < t.n; r++ {
-		c.set(r, def)
-	}
-	t.schema = append(t.schema, col)
-	t.cols = append(t.cols, c)
-	return nil
-}
-
 // lookupRows appends to dst the ids of rows whose column ci equals v, of
 // the column's type, using the hash index when one exists and a scan
 // otherwise.
@@ -570,6 +533,28 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 		return nil, err
 	}
 	db.tables[name] = t
+	return t, nil
+}
+
+// declare returns table name, creating it with schema and a hash index on
+// each of indexes when db lacks it: the first write to a declared table
+// creates it. A table laid out other than schema is an error.
+func (db *DB) declare(name string, schema Schema, indexes ...string) (*Table, error) {
+	if t := db.tables[name]; t != nil {
+		if err := t.checkLayout(schema); err != nil {
+			return nil, err
+		}
+		return t, nil
+	}
+	t, err := db.CreateTable(name, schema)
+	for _, col := range indexes {
+		if err == nil {
+			err = t.CreateIndex(col)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 

@@ -137,46 +137,18 @@ func columnOf(t reflect.Type) (Type, typedField) {
 	return 0, typedField{}
 }
 
-// Create makes the table and its indexes; an existing table is left as
-// it is. It runs inside the layer's versioned migration (TableMigration).
-func (tt *TypedTable[T]) Create(db *DB) error {
-	if db.Table(tt.name) != nil {
-		return nil
-	}
-	t, err := db.CreateTable(tt.name, tt.schema)
-	for _, col := range tt.indexes {
-		if err == nil {
-			err = t.CreateIndex(col)
-		}
-	}
-	return err
-}
-
-// TableMigration is the versioned migration that creates a layer's
-// typed tables: adding a table to the layer is one more argument.
-func TableMigration(version int64, name string, tables ...interface{ Create(*DB) error }) Migration {
-	return Migration{Version: version, Name: name, Apply: func(db *DB) error {
-		for _, t := range tables {
-			if err := t.Create(db); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
-}
-
-// Insert appends rows to the table Create made and returns it. A table
-// whose schema differs from the declaration is an error, never a
-// misaligned row. The rows go in as one batch, filled from the field
-// getters: Insert either adds every row or returns the error (a
-// MarshalText failure, a value the table rejects) and leaves the table
-// as it was.
+// Insert appends rows to the table and returns it, creating the table and
+// its indexes when db lacks it, even for no rows. A table laid out other
+// than the declaration is an error, never a misaligned row. The rows go
+// in as one batch, filled from the field getters: Insert either adds
+// every row or returns the error (a MarshalText failure, a value the
+// table rejects) and leaves the table as it was.
 func (tt *TypedTable[T]) Insert(db *DB, rows ...T) (*Table, error) {
-	t := db.Table(tt.name)
-	if t == nil || !reflect.DeepEqual(t.schema, tt.schema) {
-		return nil, fmt.Errorf("statsdb: table %s is missing or not of schema %v", tt.name, tt.schema)
+	t, err := db.declare(tt.name, tt.schema, tt.indexes...)
+	if err != nil {
+		return nil, err
 	}
-	err := t.appendRows(len(rows), func(row []Value, r int) ([]Value, error) {
+	err = t.appendRows(len(rows), func(row []Value, r int) ([]Value, error) {
 		rv := reflect.ValueOf(&rows[r]).Elem()
 		for i, f := range tt.fields {
 			v, err := f.get(rv.FieldByIndex(f.path))
@@ -193,26 +165,22 @@ func (tt *TypedTable[T]) Insert(db *DB, rows ...T) (*Table, error) {
 	return t, nil
 }
 
-// Read returns the table's rows in table order, matching columns to
-// fields by name: a declared column the table lacks reads as the zero
-// value, and a missing or empty table reads as nil.
+// Read returns the table's rows in table order, each column read into its
+// field by position. A missing or empty table reads as nil; a table laid
+// out other than the declaration is an error.
 func (tt *TypedTable[T]) Read(db *DB) ([]T, error) {
 	t := db.Table(tt.name)
-	if t == nil || t.n == 0 {
+	if t == nil {
 		return nil, nil
 	}
-	src := make([]int, len(tt.fields))
-	for i, c := range tt.schema {
-		src[i] = t.schema.Index(c.Name)
+	if err := t.checkLayout(tt.schema); err != nil || t.n == 0 {
+		return nil, err
 	}
 	out := make([]T, t.n)
 	for r := range out {
 		rv := reflect.ValueOf(&out[r]).Elem()
 		for i, f := range tt.fields {
-			if src[i] < 0 {
-				continue
-			}
-			if err := f.set(rv.FieldByIndex(f.path), t.cols[src[i]].value(r)); err != nil {
+			if err := f.set(rv.FieldByIndex(f.path), t.cols[i].value(r)); err != nil {
 				return nil, fmt.Errorf("statsdb: table %s row %d column %q: %w", tt.name, r, tt.schema[i].Name, err)
 			}
 		}

@@ -3,6 +3,7 @@ package statsdb
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,13 +46,10 @@ var typedRows = NewTypedTable[typedRow]("typed", "kind")
 
 func TestTypedTableSchemaFlattensEmbedded(t *testing.T) {
 	db := NewDB()
-	if err := typedRows.Create(db); err != nil {
+	tbl, err := typedRows.Insert(db)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := typedRows.Create(db); err != nil {
-		t.Fatalf("second Create: %v", err)
-	}
-	tbl := db.Table("typed")
 	want := Schema{
 		{"kind", String}, {"seq", Int}, {"value", Float},
 		{"level", String}, {"hist", String}, {"ok", Bool}, {"n", Int},
@@ -66,9 +64,6 @@ func TestTypedTableSchemaFlattensEmbedded(t *testing.T) {
 
 func TestTypedTableRoundTrip(t *testing.T) {
 	db := NewDB()
-	if err := typedRows.Create(db); err != nil {
-		t.Fatal(err)
-	}
 	rows := []typedRow{
 		{Kind: "a", typedPoint: typedPoint{Seq: 1, Value: 2.5, Note: "dropped"}, Level: 1, Hist: [3]int64{4, 0, 7}, OK: true, N: -3},
 		{Kind: "b", typedPoint: typedPoint{Seq: 2, Value: -1}},
@@ -97,9 +92,6 @@ func TestTypedTableRoundTrip(t *testing.T) {
 
 func TestTypedTableNonFiniteFloatsPersistAsZero(t *testing.T) {
 	db := NewDB()
-	if err := typedRows.Create(db); err != nil {
-		t.Fatal(err)
-	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := typedRows.Insert(db, typedRow{typedPoint: typedPoint{Value: v}}); err != nil {
 			t.Fatalf("insert %v: %v", v, err)
@@ -120,9 +112,6 @@ func TestTypedTableNonFiniteFloatsPersistAsZero(t *testing.T) {
 // convert (here a MarshalText error) adds none of its rows.
 func TestTypedTableInsertIsWhole(t *testing.T) {
 	db := NewDB()
-	if err := typedRows.Create(db); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := typedRows.Insert(db, typedRow{Kind: "a"}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,45 +125,55 @@ func TestTypedTableInsertIsWhole(t *testing.T) {
 	}
 }
 
-func TestTypedTableReadMatchesColumnsByName(t *testing.T) {
-	db := NewDB()
-	// An older table: columns reordered, "level" and "n" absent, one
-	// extra column the declaration does not know.
-	tbl, err := db.CreateTable("typed", Schema{
-		{"extra", Int}, {"value", Float}, {"kind", String}, {"seq", Int},
-		{"ok", Bool}, {"hist", String},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Insert([]Value{IntVal(9), FloatVal(1.5), StringVal("k"), IntVal(4), BoolVal(true), StringVal("1,x")}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := typedRows.Read(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []typedRow{{Kind: "k", typedPoint: typedPoint{Seq: 4, Value: 1.5}, OK: true, Hist: [3]int64{1, 0, 0}}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("read %+v, want %+v", got, want)
-	}
-	// Inserting through a declaration that no longer matches is an
-	// error, never a misaligned row.
-	if _, err := typedRows.Insert(db, typedRow{}); err == nil {
-		t.Fatal("insert into a mismatched table succeeded")
+// TestTypedTableRefusesOtherLayouts checks that a table laid out other
+// than its declaration is an error to Read and to Insert into, never
+// read into the wrong fields or written as a misaligned row.
+func TestTypedTableRefusesOtherLayouts(t *testing.T) {
+	declared := typedRows.schema
+	reordered := append(Schema{declared[1], declared[0]}, declared[2:]...)
+	retyped := append(Schema{{"kind", Int}}, declared[1:]...)
+	for name, schema := range map[string]Schema{
+		"older":     {{"extra", Int}, {"value", Float}, {"kind", String}, {"seq", Int}, {"ok", Bool}, {"hist", String}},
+		"reordered": reordered,
+		"retyped":   retyped,
+		"narrower":  declared[:len(declared)-1],
+		"wider":     append(declared[:len(declared):len(declared)], Column{"extra", Int}),
+	} {
+		db := NewDB()
+		tbl, err := db.CreateTable("typed", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := genRow(rand.New(rand.NewSource(1)), schema)
+		if err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := typedRows.Read(db); err == nil {
+			t.Errorf("%s table: Read returned %+v", name, got)
+		}
+		if _, err := typedRows.Insert(db, typedRow{Kind: "k"}); err == nil {
+			t.Errorf("%s table: Insert succeeded", name)
+		}
+		if tbl.Len() != 1 {
+			t.Errorf("%s table: the refused Insert left %d rows", name, tbl.Len())
+		}
 	}
 }
 
+// TestTypedTableMissingOrEmptyTableReadsNil checks that a table reads as
+// nil before its first Insert and while empty, and that a first Insert of
+// no rows creates it with its indexes.
 func TestTypedTableMissingOrEmptyTableReadsNil(t *testing.T) {
 	db := NewDB()
 	if got, err := typedRows.Read(db); got != nil || err != nil {
 		t.Fatalf("missing table read = %v, %v", got, err)
 	}
-	if _, err := typedRows.Insert(db, typedRow{}); err == nil {
-		t.Fatal("insert before Create succeeded")
-	}
-	if err := typedRows.Create(db); err != nil {
+	tbl, err := typedRows.Insert(db)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if db.Table("typed") != tbl || tbl.Len() != 0 || !reflect.DeepEqual(tbl.IndexedColumns(), []string{"kind"}) {
+		t.Fatalf("first Insert made %v with %d rows, indexes %v", db.TableNames(), tbl.Len(), tbl.IndexedColumns())
 	}
 	if got, err := typedRows.Read(db); got != nil || err != nil {
 		t.Fatalf("empty table read = %v, %v", got, err)

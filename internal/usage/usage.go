@@ -10,7 +10,7 @@
 // invisible. This package closes that loop the way Tuor et al.
 // (arXiv:1905.09219) argue schedulers need: utilization is collected
 // continuously, queryable next to run statistics (statsdb tables
-// node_usage and drift, schema v3), and watchable live
+// node_usage and drift), and watchable live
 // (/api/utilization and the dashboard heatmap).
 //
 // The sampler is exact, not polled: cluster events close the current
