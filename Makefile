@@ -43,10 +43,11 @@ check: fmt test vet race e2ebench
 # SQL subset, factory config files, the harvest journal and snapshot),
 # of the run-log parser and statsdb's answers against their reference
 # implementations, of statsdb's batch append against row-by-row inserts,
-# and of the vfs path lookup's in-place walk against path.Clean, 60 s
-# each. Their seed inputs also run in the tier-1 suite. A crasher is
-# written under the package's testdata/fuzz/ and lands as a regression
-# test with its fix.
+# of the vfs path lookup's in-place walk against path.Clean, and of the
+# planner's Pack against its kept by-name reference
+# (FuzzPackMatchesReference), 60 s each. Their seed inputs also run in
+# the tier-1 suite. A crasher is written under the package's
+# testdata/fuzz/ and lands as a regression test with its fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/logs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime 60s ./internal/logs
@@ -57,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s ./internal/harvest
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 60s ./internal/harvest
 	$(GO) test -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 60s ./internal/vfs
+	$(GO) test -run '^$$' -fuzz '^FuzzPackMatchesReference$$' -fuzztime 60s ./internal/core
 
 # Experiment benchmarks plus the machine-readable reports uploaded as CI
 # artifacts: the harvest pipeline (BENCH_harvest.json), the usage
@@ -78,6 +80,8 @@ fuzz:
 # crowd, gating on zero made-to-stock deadlines displaced). The first
 # line runs every benchmark once so they keep building, among them the
 # per-layer ones at an operator planning session's size (estimate replay,
+# a worst-fit-decreasing Pack (BenchmarkPack), a full-reshuffle
+# reschedule after a node failure (BenchmarkRescheduleFullReshuffle),
 # query shapes, a daily harvest pass, Harvester.Records, the run-tree
 # walk) and at an observed campaign's close-out (LoadSpans, Analyze and
 # LoadSamples over a fig-8 campaign's trace and timeline) that profile

@@ -99,28 +99,11 @@ func TestHarvestOSTreeRoundTrip(t *testing.T) {
 				CodeVersion: version, CodeFactor: 1, MeshName: "m", MeshSides: 30000, Timesteps: 5760,
 				Start: 3600, End: 43600, Walltime: 40000, Status: logs.StatusCompleted, Products: 8,
 			}
-			path := filepath.Join(dir, filepath.FromSlash(strings.TrimPrefix(logs.LogPath(logs.RunDir(forecast, 2005, day)), "/runs/")))
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(logs.Format(r)), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeRunLog(t, dir, r)
 			n++
 		}
 	}
-	run := func(args ...string) string {
-		t.Helper()
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
-		}
-		return string(out)
-	}
+	run := func(args ...string) string { t.Helper(); return runForeman(t, args...) }
 	for _, c := range []struct{ name, want string }{
 		{"cold", fmt.Sprintf("scanned %d, ingested %d, updated 0, unchanged 0, quarantined 0\n", n, n)},
 		{"warm", fmt.Sprintf("scanned %d, ingested 0, updated 0, unchanged %d, quarantined 0\n", n, n)},
@@ -142,6 +125,56 @@ func TestHarvestOSTreeRoundTrip(t *testing.T) {
 			t.Errorf("provenance report lacks %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestHarvestOverflowingHistoryPlansFinite harvests one log whose
+// walltime, scaled from its one timestep to the spec's 5760, overflows
+// float64. The estimate is refused, so the plan falls back to the spec's
+// work model: no node's load and no completion reads +Inf, and the day's
+// deadlines are judged on finite numbers.
+func TestHarvestOverflowingHistoryPlansFinite(t *testing.T) {
+	dir := t.TempDir()
+	writeRunLog(t, dir, &logs.RunRecord{
+		Forecast: "forecast-columbia", Region: "columbia", Year: 2005, Day: 1, Node: "fnode01",
+		CodeVersion: "elcirc-5.01", CodeFactor: 1, MeshName: "m", MeshSides: 28000, Timesteps: 1,
+		Start: 3600, End: 43600, Walltime: 1e308, Status: logs.StatusCompleted, Products: 8,
+	})
+	out := runForeman(t, "-harvest", dir)
+	if !strings.Contains(out, "ingested 1,") {
+		t.Fatalf("the log was not harvested:\n%s", out)
+	}
+	for _, bad := range []string{"Inf", "NaN"} {
+		if strings.Contains(out, bad) {
+			t.Errorf("stdout holds %q:\n%s", bad, out)
+		}
+	}
+}
+
+// writeRunLog writes r's run log where the run tree under dir keeps it.
+func writeRunLog(t *testing.T, dir string, r *logs.RunRecord) {
+	t.Helper()
+	path := filepath.Join(dir, filepath.FromSlash(strings.TrimPrefix(logs.LogPath(logs.RunDir(r.Forecast, r.Year, r.Day)), "/runs/")))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(logs.Format(r)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runForeman re-executes the test binary as the foreman command and
+// returns its stdout, failing the test on a non-zero exit.
+func runForeman(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+	}
+	return string(out)
 }
 
 // TestUtilizationDriftCarriesPlanDay checks that the drift rows persist

@@ -78,7 +78,13 @@ func EvaluateEstimates(records []*logs.RunRecord, nodes []NodeInfo) EstimateAccu
 		reg.Describe("core_estimate_abs_pct_error", "Absolute percentage error of replayed estimates.")
 	}
 
-	var acc EstimateAccuracy
+	// Every record after its forecast's first is a sample unless its
+	// estimate fails, so this bounds the sample count.
+	bound := 0
+	for _, rs := range byForecast {
+		bound += len(rs) - 1
+	}
+	acc := EstimateAccuracy{Samples: make([]EstimateSample, 0, bound)}
 	var errSum float64
 	for _, name := range names {
 		rs := byForecast[name]
@@ -125,8 +131,10 @@ func EvaluateEstimates(records []*logs.RunRecord, nodes []NodeInfo) EstimateAccu
 			}
 		}
 	}
-	if len(acc.Samples) > 0 {
-		acc.MAPE = errSum / float64(len(acc.Samples))
+	if len(acc.Samples) == 0 {
+		acc.Samples = nil // no sample reads as nil, not as an empty slice
+		return acc
 	}
+	acc.MAPE = errSum / float64(len(acc.Samples))
 	return acc
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"sort"
@@ -36,6 +38,34 @@ func plannerBenchPlant(nNodes, nRuns int) ([]NodeInfo, []Run) {
 			Start:    float64((i % 8) * 900),
 			Deadline: 86400,
 			Priority: i % 10,
+		}
+	}
+	return nodes, runs
+}
+
+// sessionPlant is an operator planning session's plant and day: 200
+// nodes, every fifth with 4 CPUs and the rest with 2, at speeds 1, 1.25
+// and 1.5 in turn, and 2000 seeded runs starting 1–6 hours after midnight
+// with the day's deadline.
+func sessionPlant() ([]NodeInfo, []Run) {
+	nodes := make([]NodeInfo, 200)
+	for i := range nodes {
+		cpus := 2
+		if i%5 == 4 {
+			cpus = 4
+		}
+		nodes[i] = NodeInfo{Name: fmt.Sprintf("node%03d", i), CPUs: cpus, Speed: 1 + 0.25*float64(i%3)}
+	}
+	rng := rand.New(rand.NewSource(1))
+	runs := make([]Run, 2000)
+	for i := range runs {
+		runs[i] = Run{
+			Name:     fmt.Sprintf("fc-%04d", i),
+			Work:     math.Round(8000 + 24000*rng.Float64()),
+			Start:    math.Round((1 + 5*rng.Float64()) * 3600),
+			Deadline: 86400,
+			Priority: 1 + rng.Intn(9),
+			PrevNode: nodes[i%len(nodes)].Name,
 		}
 	}
 	return nodes, runs
@@ -91,6 +121,24 @@ func BenchmarkPredictFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := plan.Predict(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRescheduleFullReshuffle times a node failure answered by
+// re-packing the whole session plant (worst fit decreasing) and
+// re-sweeping the nodes whose run set changed.
+func BenchmarkRescheduleFullReshuffle(b *testing.B) {
+	nodes, runs := sessionPlant()
+	s, err := BuildSchedule(nodes, runs, ScheduleOptions{Heuristic: WorstFitDecreasing, AllowDrop: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RescheduleAfterFailure(s, nodes[i%len(nodes)].Name, FullReshuffle, WorstFitDecreasing); err != nil {
 			b.Fatal(err)
 		}
 	}

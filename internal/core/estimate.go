@@ -135,8 +135,17 @@ func estimateFrom(base *logs.RunRecord, req Request, nodeSpeed map[string]float6
 			fmt.Sprintf("mesh changed %.0f%% in sides; other mesh properties (e.g. depth) may shift run time further",
 				100*math.Abs(ratio-1)))
 	}
+	// Finite history can still overflow: a walltime near the float64
+	// limit scaled up by a timestep ratio. A NaN walltime is not caught by
+	// the Walltime <= 0 filter either. A plan must never see such work:
+	// the predictor cannot retire an infinite or NaN run.
+	seconds := work / targetSpeed
+	if !isFinite(work) || !isFinite(seconds) {
+		return Estimate{}, fmt.Errorf("core: estimate for %q from its %d-%03d run is not finite (work %v)",
+			req.Forecast, base.Year, base.Day, work)
+	}
 	return Estimate{
-		Seconds: work / targetSpeed,
+		Seconds: seconds,
 		Work:    work,
 		Basis:   base,
 		Caveats: caveats,

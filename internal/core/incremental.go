@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -172,10 +173,15 @@ func (s *Schedule) flushDirty() {
 
 // refreshDeparted fixes the completion entry of a run that left a
 // re-swept node, reporting false when its new node was never re-swept
-// (the caller under-marked and a full resync is needed).
+// (the caller under-marked and a full resync is needed). A dropped run is
+// found in the sorted Dropped list before any scan of the plan's runs.
 func (s *Schedule) refreshDeparted(name string) bool {
 	node, ok := s.Plan.Assign[name]
 	if !ok {
+		if _, dropped := slices.BinarySearch(s.Dropped, name); dropped {
+			delete(s.Prediction.Completion, name)
+			return true
+		}
 		if _, exists := s.Plan.Run(name); !exists {
 			delete(s.Prediction.Completion, name)
 			return true

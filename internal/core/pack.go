@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/telemetry"
 )
@@ -53,54 +55,65 @@ func (h Heuristic) String() string {
 // updates. Only up nodes are indexed; charging load to an unindexed node
 // is a no-op. Ties break by node name — the same node the old strict-less
 // scan over name-sorted nodes picked.
+//
+// Per-node state is dense: a node's index is its position in the
+// name-sorted nodes slice, and caps, loads, norms and pos are parallel to
+// it, so Pack's fit scan reads slices instead of looking names up, and a
+// heap swap rewrites two slice cells. (norm, name) is a total order over
+// unique names, so the least node does not depend on the heap's layout.
 type loadIndex struct {
-	entries []loadEntry
-	pos     map[string]int // node name → heap position
-}
-
-type loadEntry struct {
-	node NodeInfo
-	load float64 // reference CPU-seconds charged so far
-	norm float64 // load / capacity
+	nodes []NodeInfo     // up nodes in name order
+	caps  []float64      // nodes[i].Capacity()
+	loads []float64      // reference CPU-seconds charged so far
+	norms []float64      // loads[i] / caps[i]
+	heap  []int          // node indices, least (norm, name) first
+	pos   []int          // node index → heap position
+	index map[string]int // node name → node index, written once
 }
 
 // newLoadIndex indexes the up nodes with zero initial load.
 func newLoadIndex(nodes []NodeInfo) *loadIndex {
-	ix := &loadIndex{pos: make(map[string]int, len(nodes))}
+	ix := &loadIndex{index: make(map[string]int, len(nodes))}
 	for _, n := range nodes {
-		if n.Down {
-			continue
+		if !n.Down {
+			ix.nodes = append(ix.nodes, n)
 		}
-		ix.pos[n.Name] = len(ix.entries)
-		ix.entries = append(ix.entries, loadEntry{node: n})
 	}
-	for i := len(ix.entries)/2 - 1; i >= 0; i-- {
-		ix.siftDown(i)
+	slices.SortFunc(ix.nodes, func(a, b NodeInfo) int { return strings.Compare(a.Name, b.Name) })
+	n := len(ix.nodes)
+	ix.caps, ix.loads, ix.norms = make([]float64, n), make([]float64, n), make([]float64, n)
+	ix.heap, ix.pos = make([]int, n), make([]int, n)
+	for i, node := range ix.nodes {
+		ix.caps[i] = node.Capacity()
+		ix.index[node.Name] = i
+		ix.heap[i], ix.pos[i] = i, i // every load is zero: name order is a heap
 	}
 	return ix
 }
 
+// lessAt orders heap positions by (norm, name); node indices follow name
+// order.
 func (ix *loadIndex) lessAt(i, j int) bool {
-	a, b := &ix.entries[i], &ix.entries[j]
-	if a.norm != b.norm {
-		return a.norm < b.norm
+	a, b := ix.heap[i], ix.heap[j]
+	if ix.norms[a] != ix.norms[b] {
+		return ix.norms[a] < ix.norms[b]
 	}
-	return a.node.Name < b.node.Name
+	return a < b
 }
 
 func (ix *loadIndex) swapAt(i, j int) {
-	ix.entries[i], ix.entries[j] = ix.entries[j], ix.entries[i]
-	ix.pos[ix.entries[i].node.Name] = i
-	ix.pos[ix.entries[j].node.Name] = j
+	ix.heap[i], ix.heap[j] = ix.heap[j], ix.heap[i]
+	ix.pos[ix.heap[i]] = i
+	ix.pos[ix.heap[j]] = j
 }
 
 func (ix *loadIndex) siftDown(i int) {
 	for {
 		smallest := i
-		if l := 2*i + 1; l < len(ix.entries) && ix.lessAt(l, smallest) {
+		if l := 2*i + 1; l < len(ix.heap) && ix.lessAt(l, smallest) {
 			smallest = l
 		}
-		if r := 2*i + 2; r < len(ix.entries) && ix.lessAt(r, smallest) {
+		if r := 2*i + 2; r < len(ix.heap) && ix.lessAt(r, smallest) {
 			smallest = r
 		}
 		if smallest == i {
@@ -111,40 +124,42 @@ func (ix *loadIndex) siftDown(i int) {
 	}
 }
 
-// add charges work reference CPU-seconds to a node. Loads only grow, so
-// the entry can only sink in the heap.
+// add charges work reference CPU-seconds to a node by name.
 func (ix *loadIndex) add(name string, work float64) {
-	i, ok := ix.pos[name]
-	if !ok {
-		return
+	if i, ok := ix.index[name]; ok {
+		ix.addAt(i, work)
 	}
-	e := &ix.entries[i]
-	e.load += work
-	e.norm = e.load / e.node.Capacity()
-	ix.siftDown(i)
+}
+
+// addAt charges work to node index i. Loads only grow, so the node can
+// only sink in the heap.
+func (ix *loadIndex) addAt(i int, work float64) {
+	ix.loads[i] += work
+	ix.norms[i] = ix.loads[i] / ix.caps[i]
+	ix.siftDown(ix.pos[i])
 }
 
 // least returns the node with the smallest normalized load (name
 // tiebreak), or false when no up node is indexed.
 func (ix *loadIndex) least() (NodeInfo, bool) {
-	if len(ix.entries) == 0 {
+	if len(ix.heap) == 0 {
 		return NodeInfo{}, false
 	}
-	return ix.entries[0].node, true
+	return ix.nodes[ix.heap[0]], true
 }
 
 // load returns a node's accumulated reference CPU-seconds.
 func (ix *loadIndex) load(name string) float64 {
-	if i, ok := ix.pos[name]; ok {
-		return ix.entries[i].load
+	if i, ok := ix.index[name]; ok {
+		return ix.loads[i]
 	}
 	return 0
 }
 
 // node looks up an indexed (up) node by name.
 func (ix *loadIndex) node(name string) (NodeInfo, bool) {
-	if i, ok := ix.pos[name]; ok {
-		return ix.entries[i].node, true
+	if i, ok := ix.index[name]; ok {
+		return ix.nodes[i], true
 	}
 	return NodeInfo{}, false
 }
@@ -176,50 +191,27 @@ func Pack(nodes []NodeInfo, runs []Run, h Heuristic) (map[string]string, error) 
 		return nil, err
 	}
 	ix := newLoadIndex(nodes)
-	up := make([]NodeInfo, 0, len(ix.entries))
-	for _, n := range nodes {
-		if !n.Down {
-			up = append(up, n)
-		}
-	}
+	up := ix.nodes // name order
 	if len(up) == 0 {
 		return nil, fmt.Errorf("core: no nodes available for packing")
 	}
-	sort.Slice(up, func(i, j int) bool { return up[i].Name < up[j].Name })
 
 	assign := make(map[string]string, len(runs))
 
-	place := func(r Run, node NodeInfo) {
-		assign[r.Name] = node.Name
-		ix.add(node.Name, r.Work)
+	place := func(r Run, i int) {
+		assign[r.Name] = up[i].Name
+		ix.addAt(i, r.Work)
 	}
-	leastLoaded := func() NodeInfo {
+	leastLoaded := func() int {
 		iters++
-		n, _ := ix.least()
-		return n
-	}
-	// slack is the remaining capacity-seconds of a node within the run's
-	// window after placing the run; negative means the window is
-	// over-committed.
-	slack := func(r Run, n NodeInfo) float64 {
-		iters++
-		window := r.Deadline - r.Start
-		if r.Deadline <= 0 {
-			// No deadline: pack against the rest of the production day
-			// the run starts in. The modulus keeps the window positive
-			// for runs starting past the first day (Start ≥ 86400),
-			// which would otherwise fail every fit and silently fall
-			// through to the least-loaded node.
-			window = 86400 - math.Mod(r.Start, 86400)
-		}
-		return n.Capacity()*window - (ix.load(n.Name) + r.Work)
+		return ix.heap[0]
 	}
 
 	switch h {
 	case StayPut:
 		for _, r := range runs {
-			if prev, ok := ix.node(r.PrevNode); ok {
-				place(r, prev)
+			if i, ok := ix.index[r.PrevNode]; ok {
+				place(r, i)
 				continue
 			}
 			place(r, leastLoaded())
@@ -227,49 +219,66 @@ func Pack(nodes []NodeInfo, runs []Run, h Heuristic) (map[string]string, error) 
 		return assign, nil
 
 	case FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing:
-		ordered := append([]Run(nil), runs...)
-		sort.Slice(ordered, func(i, j int) bool {
-			if ordered[i].Work != ordered[j].Work {
-				return ordered[i].Work > ordered[j].Work
+		// Work, then name: a total order, since Validate refuses duplicate
+		// names and non-finite work.
+		ordered := slices.Clone(runs)
+		slices.SortFunc(ordered, func(a, b Run) int {
+			if a.Work != b.Work {
+				return cmp.Compare(b.Work, a.Work)
 			}
-			return ordered[i].Name < ordered[j].Name
+			return strings.Compare(a.Name, b.Name)
 		})
+		caps, loads := ix.caps, ix.loads
 		for _, r := range ordered {
-			var chosen *NodeInfo
+			// A node's slack is caps[i]*window - (loads[i] + r.Work): the
+			// capacity-seconds left in the run's window after placing it;
+			// negative means the window is over-committed.
+			window := r.Deadline - r.Start
+			if r.Deadline <= 0 {
+				// No deadline: pack against the rest of the production day
+				// the run starts in. The modulus keeps the window positive
+				// for runs starting past the first day (Start ≥ 86400),
+				// which would otherwise fail every fit and silently fall
+				// through to the least-loaded node.
+				window = 86400 - math.Mod(r.Start, 86400)
+			}
+			chosen := -1
 			switch h {
 			case FirstFitDecreasing:
-				for i := range up {
-					if slack(r, up[i]) >= 0 {
-						chosen = &up[i]
+				for i := range caps {
+					iters++
+					if caps[i]*window-(loads[i]+r.Work) >= 0 {
+						chosen = i
 						break
 					}
 				}
 			case BestFitDecreasing:
+				iters += len(caps)
 				bestSlack := 0.0
-				for i := range up {
-					s := slack(r, up[i])
-					if s >= 0 && (chosen == nil || s < bestSlack) {
-						chosen = &up[i]
+				for i := range caps {
+					s := caps[i]*window - (loads[i] + r.Work)
+					if s >= 0 && (chosen < 0 || s < bestSlack) {
+						chosen = i
 						bestSlack = s
 					}
 				}
 			case WorstFitDecreasing:
+				iters += len(caps)
 				bestSlack := 0.0
-				for i := range up {
-					s := slack(r, up[i])
-					if s >= 0 && (chosen == nil || s > bestSlack) {
-						chosen = &up[i]
+				for i := range caps {
+					s := caps[i]*window - (loads[i] + r.Work)
+					if s >= 0 && (chosen < 0 || s > bestSlack) {
+						chosen = i
 						bestSlack = s
 					}
 				}
 			}
-			if chosen == nil {
+			if chosen < 0 {
 				// Nothing fits in the window: overload the least-loaded
 				// node and let the deadline policy sort it out.
-				n := leastLoaded()
-				chosen = &n
+				chosen = leastLoaded()
 			}
-			place(r, *chosen)
+			place(r, chosen)
 		}
 		return assign, nil
 

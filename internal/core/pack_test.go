@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/telemetry"
 )
 
 func plant(n int) []NodeInfo {
@@ -331,5 +336,192 @@ func TestPropertyWFDBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// packCase decodes a Pack input from bytes, for the seeded and fuzzed
+// comparisons with referencePack; missing bytes read as zero. The first
+// byte picks the regime: bit 0 gives every node the same capacity, bit 1
+// draws works from four values, zero among them, so that equal works
+// break by name and equal loads by node name, and bit 2 scales works past
+// any window, so that runs fit nowhere and go to the least-loaded node.
+// Then come the nodes (capacity, down, a name whose order differs from
+// the input order) and the runs (work, a start up to ~3 days, a deadline
+// that is zero, negative or after the start, and a previous node that may
+// be gone).
+func packCase(data []byte) ([]NodeInfo, []Run) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	mode := next()
+	speeds := []float64{0.5, 1, 1.25, 1.5}
+	nodes := make([]NodeInfo, 1+next()%8)
+	for i := range nodes {
+		b := next()
+		n := NodeInfo{Name: fmt.Sprintf("n%d-%d", next()%8, i), CPUs: 2, Speed: 1, Down: b%5 == 0}
+		if mode&1 == 0 {
+			n.CPUs = 1 + (b>>3)%4
+			n.Speed = speeds[(b>>5)%4]
+		}
+		nodes[i] = n
+	}
+	runs := make([]Run, next()%48)
+	for i := range runs {
+		r := Run{Name: fmt.Sprintf("r%02d-%d", next()%16, i)}
+		if mode&2 != 0 {
+			r.Work = float64(next()%4) * 30000
+		} else {
+			r.Work = float64(next()) * float64(next()) * 5
+		}
+		if mode&4 != 0 {
+			r.Work *= 8
+		}
+		r.Start = float64(next()) * 1000
+		switch d := next(); {
+		case d >= 64:
+			r.Deadline = r.Start + float64(d)*600
+		case d%2 == 1:
+			r.Deadline = -float64(d)
+		}
+		if p := next() % (len(nodes) + 1); p < len(nodes) {
+			r.PrevNode = nodes[p].Name
+		} else {
+			r.PrevNode = "gone"
+		}
+		runs[i] = r
+	}
+	return nodes, runs
+}
+
+// packDiff runs Pack and referencePack on one input and describes how
+// they differ: the assignment, the error, or the fit evaluations each
+// adds to core_pack_iterations_total. It returns "" when they agree, and
+// Pack's fit evaluations.
+func packDiff(reg *telemetry.Registry, nodes []NodeInfo, runs []Run, h Heuristic) (string, float64) {
+	iters := func() float64 { return reg.Counter("core_pack_iterations_total", nil).Value() }
+	before := iters()
+	want, wantErr := referencePack(nodes, runs, h)
+	mid := iters()
+	got, gotErr := Pack(nodes, runs, h)
+	after := iters()
+	switch {
+	case fmt.Sprint(gotErr) != fmt.Sprint(wantErr):
+		return fmt.Sprintf("%v: error %v, reference %v", h, gotErr, wantErr), 0
+	case !reflect.DeepEqual(got, want):
+		return fmt.Sprintf("%v: assignment %v, reference %v", h, got, want), 0
+	case after-mid != mid-before:
+		return fmt.Sprintf("%v: %v fit evaluations, reference %v", h, after-mid, mid-before), 0
+	}
+	return "", after - mid
+}
+
+var packHeuristics = []Heuristic{StayPut, FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing}
+
+// TestPackMatchesReference holds Pack's dense fit scan and index-keyed
+// heap to the by-name implementation they replaced: the same assignment
+// and the same fit-evaluation count, for every heuristic over 512 seeded
+// plants. It also checks that the seeds reach every case the two could
+// disagree on.
+func TestPackMatchesReference(t *testing.T) {
+	tel := telemetry.New()
+	SetTelemetry(tel)
+	defer SetTelemetry(nil)
+	reg := tel.Registry()
+
+	var equalCaps, mixedCaps, down, workTies, lateNoDeadline, zeroWork, fallbacks int
+	for seed := int64(0); seed < 512; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 8+rng.Intn(400))
+		rng.Read(data)
+		data[0] = byte(seed % 8)
+		nodes, runs := packCase(data)
+		up := 0
+		for _, n := range nodes {
+			if !n.Down {
+				up++
+			}
+		}
+		for _, h := range packHeuristics {
+			diff, iters := packDiff(reg, nodes, runs, h)
+			if diff != "" {
+				t.Fatalf("seed %d: %s", seed, diff)
+			}
+			if h == WorstFitDecreasing {
+				// Every run scans every up node; the rest are fallbacks.
+				fallbacks += int(iters) - len(runs)*up
+			}
+		}
+		switch {
+		case len(nodes) < 2:
+		case data[0]&1 != 0:
+			equalCaps++
+		default:
+			mixedCaps++
+		}
+		if up < len(nodes) {
+			down++
+		}
+		seen := map[float64]bool{}
+		for _, r := range runs {
+			if seen[r.Work] {
+				workTies++
+			}
+			seen[r.Work] = true
+			if r.Deadline <= 0 && r.Start >= 86400 {
+				lateNoDeadline++
+			}
+			if r.Work == 0 {
+				zeroWork++
+			}
+		}
+	}
+	for name, n := range map[string]int{
+		"equal capacities": equalCaps, "mixed capacities": mixedCaps, "down nodes": down,
+		"equal works": workTies, "no deadline, start past day 1": lateNoDeadline,
+		"zero work": zeroWork, "least-loaded fallbacks": fallbacks,
+	} {
+		if n == 0 {
+			t.Errorf("no seed reached %s", name)
+		}
+	}
+}
+
+// FuzzPackMatchesReference is TestPackMatchesReference on fuzzed plants;
+// `make fuzz` runs it for 60 s, and its seeds, one per regime, run in the
+// tier-1 suite.
+func FuzzPackMatchesReference(f *testing.F) {
+	for mode := byte(0); mode < 8; mode++ {
+		f.Add([]byte{mode, 3, 17, 2, 99, 5, 200, 7, 40, 12, 3, 1, 90, 70, 8, 4, 255, 0, 66, 9, 130, 2, 11, 150, 33, 1})
+	}
+	tel := telemetry.New()
+	SetTelemetry(tel)
+	defer SetTelemetry(nil)
+	reg := tel.Registry()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nodes, runs := packCase(data)
+		for _, h := range packHeuristics {
+			if diff, _ := packDiff(reg, nodes, runs, h); diff != "" {
+				t.Fatal(diff)
+			}
+		}
+	})
+}
+
+// BenchmarkPack times one worst-fit-decreasing Pack on the planning
+// session's plant: 200 nodes of 2 or 4 CPUs at speeds 1, 1.25 and 1.5,
+// and 2000 runs.
+func BenchmarkPack(b *testing.B) {
+	nodes, runs := sessionPlant()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Pack(nodes, runs, WorstFitDecreasing); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -53,7 +54,9 @@ type Plan struct {
 }
 
 // Validate checks structural consistency: unique names, known nodes,
-// sensible run parameters.
+// sensible run parameters. Every number must be finite: the predictor
+// cannot retire a run of infinite or NaN work or start, or one on a node
+// of such a speed, and a NaN or infinite deadline is never missed.
 func (p *Plan) Validate() error {
 	nodeSet := make(map[string]NodeInfo, len(p.Nodes))
 	for _, n := range p.Nodes {
@@ -63,8 +66,8 @@ func (p *Plan) Validate() error {
 		if _, dup := nodeSet[n.Name]; dup {
 			return fmt.Errorf("core: duplicate node %q", n.Name)
 		}
-		if n.CPUs <= 0 || n.Speed <= 0 {
-			return fmt.Errorf("core: node %q needs positive CPUs (%d) and speed (%v)", n.Name, n.CPUs, n.Speed)
+		if n.CPUs <= 0 || n.Speed <= 0 || !isFinite(n.Speed) {
+			return fmt.Errorf("core: node %q needs positive CPUs (%d) and a positive finite speed (%v)", n.Name, n.CPUs, n.Speed)
 		}
 		nodeSet[n.Name] = n
 	}
@@ -77,6 +80,10 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("core: duplicate run %q", r.Name)
 		}
 		runSet[r.Name] = true
+		if !isFinite(r.Work) || !isFinite(r.Start) || !isFinite(r.Deadline) {
+			return fmt.Errorf("core: run %q has a non-finite work (%v), start (%v) or deadline (%v)",
+				r.Name, r.Work, r.Start, r.Deadline)
+		}
 		if r.Work < 0 {
 			return fmt.Errorf("core: run %q has negative work %v", r.Name, r.Work)
 		}
@@ -97,6 +104,9 @@ func (p *Plan) Validate() error {
 	}
 	return nil
 }
+
+// isFinite reports whether x is neither NaN nor ±Inf.
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Node returns the named node info and whether it exists.
 func (p *Plan) Node(name string) (NodeInfo, bool) {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -156,60 +159,61 @@ func sweepNode(node NodeInfo, runs []Run) map[string]float64 {
 // capped at one CPU and the node's capacity is shared max-min fairly,
 // matching the simulator's water-filling discipline by an independent
 // implementation.
+//
+// The active set is a slice kept in name order, the order the max-min
+// fill visits it, so each run gets the same rate bits whichever order the
+// runs arrived in. The next event is a minimum and the retired set does
+// not depend on order, so neither needs a sort.
 func predictNode(node NodeInfo, runs []Run) map[string]float64 {
 	type state struct {
-		run       Run
+		name      string
+		work      float64
 		remaining float64
 		rate      float64
 	}
-	// Arrivals sorted by start time (name tiebreak for determinism).
-	pending := append([]Run(nil), runs...)
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].Start != pending[j].Start {
-			return pending[i].Start < pending[j].Start
+	// Arrivals by start time, then name: a total order, since Validate
+	// refuses duplicate names and non-finite starts.
+	pending := slices.Clone(runs)
+	slices.SortFunc(pending, func(a, b Run) int {
+		if a.Start != b.Start {
+			return cmp.Compare(a.Start, b.Start)
 		}
-		return pending[i].Name < pending[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
 
 	out := make(map[string]float64, len(runs))
-	active := make(map[string]*state)
+	active := make([]state, 0, len(runs))
 	t := 0.0
 	if len(pending) > 0 {
 		t = pending[0].Start
 	}
-	// refill recomputes max-min fair rates for the active set.
-	refill := func() {
-		states := make([]*state, 0, len(active))
-		for _, s := range active {
-			states = append(states, s)
-		}
-		sort.Slice(states, func(i, j int) bool { return states[i].run.Name < states[j].run.Name })
-		remaining := float64(node.CPUs) * node.Speed
-		for i, s := range states {
-			share := remaining / float64(len(states)-i)
-			s.rate = math.Min(node.Speed, share)
-			remaining -= s.rate
-		}
-	}
-
 	for len(pending) > 0 || len(active) > 0 {
 		// Admit arrivals at time t.
 		for len(pending) > 0 && pending[0].Start <= t {
-			r := pending[0]
+			r := &pending[0]
+			i, _ := slices.BinarySearchFunc(active, r.Name, func(s state, name string) int {
+				return strings.Compare(s.name, name)
+			})
+			active = slices.Insert(active, i, state{name: r.Name, work: r.Work, remaining: r.Work})
 			pending = pending[1:]
-			active[r.Name] = &state{run: r, remaining: r.Work}
 		}
 		if len(active) == 0 {
 			// Idle gap: jump to the next arrival.
 			t = pending[0].Start
 			continue
 		}
-		refill()
+		// Max-min fair rates for the active set, in name order.
+		capacity := float64(node.CPUs) * node.Speed
+		for i := range active {
+			share := capacity / float64(len(active)-i)
+			active[i].rate = math.Min(node.Speed, share)
+			capacity -= active[i].rate
+		}
 		// Next event: earliest completion at current rates, or the next
 		// arrival.
 		nextEvent := math.Inf(1)
-		for _, s := range active {
-			if s.rate > 0 {
+		for i := range active {
+			if s := &active[i]; s.rate > 0 {
 				if eta := t + s.remaining/s.rate; eta < nextEvent {
 					nextEvent = eta
 				}
@@ -219,22 +223,21 @@ func predictNode(node NodeInfo, runs []Run) map[string]float64 {
 			nextEvent = pending[0].Start
 		}
 		dt := nextEvent - t
-		for _, s := range active {
-			s.remaining -= s.rate * dt
+		for i := range active {
+			active[i].remaining -= active[i].rate * dt
 		}
 		t = nextEvent
-		// Retire completed runs (tolerate float dust).
-		var done []string
-		for name, s := range active {
-			if s.remaining <= 1e-9*math.Max(1, s.run.Work) {
-				done = append(done, name)
+		// Retire completed runs (tolerate float dust), keeping the rest in
+		// name order.
+		kept := active[:0]
+		for _, s := range active {
+			if s.remaining <= 1e-9*math.Max(1, s.work) {
+				out[s.name] = t
+				continue
 			}
+			kept = append(kept, s)
 		}
-		sort.Strings(done)
-		for _, name := range done {
-			out[name] = t
-			delete(active, name)
-		}
+		active = kept
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -161,8 +162,8 @@ func (s *Schedule) drop(name string) {
 		}
 	}
 	delete(s.Plan.Assign, name)
-	s.Dropped = append(s.Dropped, name)
-	sort.Strings(s.Dropped)
+	i, _ := slices.BinarySearch(s.Dropped, name) // names are unique
+	s.Dropped = slices.Insert(s.Dropped, i, name)
 	if s.pred == nil {
 		return
 	}
@@ -214,8 +215,8 @@ func (s *Schedule) Move(run, node string) error {
 // delayed"), or the other half of the ForeMan interaction ("their
 // starting times may be adjusted"). Only the run's node is re-swept.
 func (s *Schedule) Delay(run string, newStart float64) error {
-	if newStart < 0 {
-		return fmt.Errorf("core: Delay(%q) to negative start %v", run, newStart)
+	if newStart < 0 || !isFinite(newStart) {
+		return fmt.Errorf("core: Delay(%q) to negative or non-finite start %v", run, newStart)
 	}
 	for i := range s.Plan.Runs {
 		if s.Plan.Runs[i].Name != run {
