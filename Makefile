@@ -43,9 +43,10 @@ check: fmt test vet race e2ebench
 # SQL subset, factory config files, the harvest journal and snapshot),
 # of the run-log parser and statsdb's answers against their reference
 # implementations, of statsdb's batch append against row-by-row inserts,
-# of the vfs path lookup's in-place walk against path.Clean, and of the
-# planner's Pack against its kept by-name reference
-# (FuzzPackMatchesReference), 60 s each. Their seed inputs also run in
+# of statsdb's typed-table codec against the reflection codec it
+# replaced (FuzzTypedTableMatchesReference), of the vfs path lookup's
+# in-place walk against path.Clean, and of the planner's Pack against its
+# kept by-name reference (FuzzPackMatchesReference), 60 s each. Their seed inputs also run in
 # the tier-1 suite. A crasher is written under the package's
 # testdata/fuzz/ and lands as a regression test with its fix.
 fuzz:
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuery$$' -fuzztime 60s ./internal/statsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzQueryMatchesReference$$' -fuzztime 60s ./internal/statsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendMatchesInsert$$' -fuzztime 60s ./internal/statsdb
+	$(GO) test -run '^$$' -fuzz '^FuzzTypedTableMatchesReference$$' -fuzztime 60s ./internal/statsdb
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/config
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s ./internal/harvest
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 60s ./internal/harvest

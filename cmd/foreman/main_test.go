@@ -127,6 +127,46 @@ func TestHarvestOSTreeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHarvestRestartKeepsEveryColumn harvests a run tree on disk, then
+// harvests it again in a new process, whose database the snapshot
+// restores: the second invocation must answer a query over the runs
+// key and provenance columns with the first one's rows, harvested_at
+// included.
+func TestHarvestRestartKeepsEveryColumn(t *testing.T) {
+	dir := t.TempDir()
+	for _, forecast := range []string{"forecast-b", "forecast-a"} {
+		writeRunLog(t, dir, &logs.RunRecord{
+			Forecast: forecast, Region: "columbia", Year: 2005, Day: 1, Node: "fnode01",
+			CodeVersion: "elcirc-5.01", CodeFactor: 1, MeshName: "m", MeshSides: 30000, Timesteps: 5760,
+			Start: 3600, End: 43600, Walltime: 40000, Status: logs.StatusCompleted, Products: 8,
+		})
+	}
+	const header = "forecast | day | start | harvested_at | source_path\n"
+	answer := func() string {
+		t.Helper()
+		out := runForeman(t, "-harvest", dir, "-sql",
+			"SELECT forecast, day, start, harvested_at, source_path FROM runs ORDER BY forecast")
+		_, rows, ok := strings.Cut(out, header)
+		if !ok {
+			t.Fatalf("stdout has no SQL answer:\n%s", out)
+		}
+		return rows
+	}
+	cold := answer()
+	lines := strings.Split(strings.TrimSuffix(cold, "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("cold harvest answered %d rows, want 2:\n%s", len(lines), cold)
+	}
+	for _, line := range lines {
+		if cells := strings.Split(line, " | "); len(cells) != 5 || cells[3] == "0" {
+			t.Fatalf("cold harvest row %q has no harvested_at", line)
+		}
+	}
+	if warm := answer(); warm != cold {
+		t.Errorf("restarted harvest answered\n%swant the first invocation's\n%s", warm, cold)
+	}
+}
+
 // TestHarvestOverflowingHistoryPlansFinite harvests one log whose
 // walltime, scaled from its one timestep to the spec's 5760, overflows
 // float64. The estimate is refused, so the plan falls back to the spec's

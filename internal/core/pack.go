@@ -148,22 +148,6 @@ func (ix *loadIndex) least() (NodeInfo, bool) {
 	return ix.nodes[ix.heap[0]], true
 }
 
-// load returns a node's accumulated reference CPU-seconds.
-func (ix *loadIndex) load(name string) float64 {
-	if i, ok := ix.index[name]; ok {
-		return ix.loads[i]
-	}
-	return 0
-}
-
-// node looks up an indexed (up) node by name.
-func (ix *loadIndex) node(name string) (NodeInfo, bool) {
-	if i, ok := ix.index[name]; ok {
-		return ix.nodes[i], true
-	}
-	return NodeInfo{}, false
-}
-
 // Pack assigns every run to a node using the heuristic. The load model
 // used for packing is capacity-seconds: a run contributes Work, a node
 // offers Capacity() × window. Deadline feasibility of the resulting plan

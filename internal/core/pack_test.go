@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -237,8 +238,8 @@ func TestLoadIndex(t *testing.T) {
 		{Name: "b", CPUs: 4, Speed: 1},
 	}
 	ix := newLoadIndex(nodes)
-	if _, ok := ix.node("dead"); ok {
-		t.Fatal("down node indexed")
+	if _, ok := ix.index["dead"]; ok || len(ix.nodes) != 3 {
+		t.Fatalf("indexed %v, want the three up nodes", ix.nodes)
 	}
 	if n, ok := ix.least(); !ok || n.Name != "a" {
 		t.Fatalf("least of zero loads = %v, want a (name tiebreak)", n.Name)
@@ -256,10 +257,10 @@ func TestLoadIndex(t *testing.T) {
 	if n, _ := ix.least(); n.Name != "a" {
 		t.Fatalf("least = %v, want a", n.Name)
 	}
-	if ix.load("b") != 400 || ix.load("dead") != 0 || ix.load("nope") != 0 {
-		t.Fatalf("loads: b=%v dead=%v", ix.load("b"), ix.load("dead"))
+	if !slices.Equal(ix.loads, []float64{100, 400, 200}) { // a, b, c: the charge to dead went nowhere
+		t.Fatalf("loads in name order = %v, want [100 400 200]", ix.loads)
 	}
-	if n, ok := ix.node("c"); !ok || n.CPUs != 2 {
+	if i, ok := ix.index["c"]; !ok || ix.nodes[i].Name != "c" || ix.nodes[i].CPUs != 2 {
 		t.Fatal("node lookup failed")
 	}
 	empty := newLoadIndex([]NodeInfo{{Name: "x", CPUs: 1, Speed: 1, Down: true}})

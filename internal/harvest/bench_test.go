@@ -132,7 +132,7 @@ func BenchmarkRecords(b *testing.B) {
 			add(f, d)
 		}
 	}
-	if _, _, err := statsdb.UpsertRuns(db, records, 0); err != nil {
+	if _, _, err := statsdb.UpsertRuns(db, records); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -65,6 +65,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		append(append([]byte(nil), first...), first...),
 		bytes.Replace(first, []byte(`"Day":1`), []byte(`"Day":0`), 1),
 		bytes.Replace(first, []byte(`"Status":"completed"`), []byte(`"Status":"exploded"`), 1),
+		bytes.Replace(first, []byte(`"HarvestedAt":100,`), nil, 1), // written before records carried it
 		[]byte(`{"Forecast":"f","Day":1,"Status":"running"}`),
 		[]byte(`{"Forecast":"f","Day":1e999}`),
 		[]byte(`null`),

@@ -338,7 +338,8 @@ func (h *Harvester) Pass() (PassStats, error) {
 			if err != nil {
 				return h.quarantineLocked(&stats, wm, info, hash, now, err)
 			}
-			_, up, err := statsdb.UpsertRuns(h.db, []*logs.RunRecord{rec}, now)
+			rec.HarvestedAt = now
+			_, up, err := statsdb.UpsertRuns(h.db, []*logs.RunRecord{rec})
 			if err != nil {
 				return err
 			}

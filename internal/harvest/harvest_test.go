@@ -600,10 +600,15 @@ func TestHarvestAdoptsDatabaseBuiltByLoadRuns(t *testing.T) {
 }
 
 // TestForeignRunsLayoutIsRefused checks that LoadSnapshot and New refuse a
-// runs table laid out other than statsdb.RunsSchema, one column short or
-// one over, instead of harvesting zero-filled rows into it.
+// runs table laid out other than statsdb.EnsureRunsTable lays it out,
+// one column short or one over, instead of harvesting zero-filled rows
+// into it.
 func TestForeignRunsLayoutIsRefused(t *testing.T) {
-	layout := statsdb.RunsSchema()
+	runs, err := statsdb.EnsureRunsTable(statsdb.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := runs.Schema()
 	snap := filepath.Join(t.TempDir(), "snapshot.jsonl")
 	if err := SaveSnapshot(snap, []*logs.RunRecord{record("forecast-a", 1, "v1")}); err != nil {
 		t.Fatal(err)
@@ -850,6 +855,24 @@ func TestSnapshotWarmsFreshDatabase(t *testing.T) {
 	}
 	if recs2[0].SourcePath == "" {
 		t.Fatalf("snapshot lost source path: %+v", recs2[0])
+	}
+}
+
+// TestSnapshotLineWithoutHarvestedAtLoads checks that a snapshot line
+// written before records carried HarvestedAt still loads, as 0.
+func TestSnapshotLineWithoutHarvestedAtLoads(t *testing.T) {
+	clock := 100.0
+	_, recs, _, snapshot := coldHarvest(t, &clock)
+	first, _, _ := strings.Cut(string(snapshot), "\n")
+	old := strings.Replace(first, `"HarvestedAt":100,`, "", 1)
+	if old == first {
+		t.Fatalf("snapshot line %s holds no HarvestedAt of 100", first)
+	}
+	got, err := readSnapshot(strings.NewReader(old))
+	want := *recs[0]
+	want.HarvestedAt = 0
+	if err != nil || len(got) != 1 || *got[0] != want {
+		t.Fatalf("readSnapshot(%s) = %+v, %v; want %+v", old, got, err, want)
 	}
 }
 

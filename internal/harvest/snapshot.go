@@ -49,7 +49,7 @@ func LoadSnapshot(db *statsdb.DB, path string) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("harvest: load snapshot: %w", err)
 	}
-	if _, _, err := statsdb.UpsertRuns(db, recs, 0); err != nil {
+	if _, _, err := statsdb.UpsertRuns(db, recs); err != nil {
 		return 0, err
 	}
 	return len(recs), nil

@@ -14,8 +14,8 @@ import (
 )
 
 // observatorySchemas is the golden layout of every fixed-schema table
-// the observatories persist: column names, types and order, and the
-// indexed columns. The readers read by position and refuse a table laid
+// the observatories persist, and of the runs and spans tables: column
+// names, types and order, and the indexed columns. The readers read by position and refuse a table laid
 // out otherwise, so a change here changes what every reader expects.
 var observatorySchemas = []struct {
 	table, columns, indexes string
@@ -67,6 +67,15 @@ var observatorySchemas = []struct {
 	{"nodes",
 		"name STRING, cpus INT, speed FLOAT",
 		"name"},
+	{"runs",
+		"forecast STRING, region STRING, year INT, day INT, node STRING, code_version STRING, " +
+			"code_factor FLOAT, mesh STRING, mesh_sides INT, timesteps INT, start FLOAT, end FLOAT, " +
+			"walltime FLOAT, status STRING, products INT, harvested_at FLOAT, source_path STRING",
+		"code_version, forecast, node"},
+	{"spans",
+		"id INT, parent INT, cat STRING, name STRING, track STRING, start FLOAT, end FLOAT, " +
+			"duration FLOAT, forecast STRING, day INT, node STRING, interrupted BOOL",
+		"cat, id, track"},
 }
 
 // TestObservatorySchemasGolden creates every observatory table the way
@@ -83,6 +92,8 @@ func TestObservatorySchemasGolden(t *testing.T) {
 		"serving":       func() error { return serving.LoadReport(db, serving.Stats{}) },
 		"alerts":        func() error { _, err := monitor.LoadAlerts(db, nil); return err },
 		"nodes":         func() error { _, err := statsdb.LoadNodes(db, nil); return err },
+		"runs":          func() error { _, err := statsdb.LoadRuns(db, nil); return err },
+		"spans":         func() error { _, err := statsdb.LoadSpans(db, nil); return err },
 	} {
 		if err := load(); err != nil {
 			t.Fatalf("%s: %v", name, err)

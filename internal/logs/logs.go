@@ -30,30 +30,36 @@ const (
 // the paper's observation that the statistics database stays small because
 // it records runs, not the thousands of per-task executions inside them.
 type RunRecord struct {
-	Forecast    string
-	Region      string
-	Year        int
-	Day         int // day of year, 1-based
-	Node        string
-	CodeVersion string
-	CodeFactor  float64
-	MeshName    string
-	MeshSides   int
-	Timesteps   int
-	Start       float64 // seconds since campaign epoch
-	End         float64 // seconds since campaign epoch (0 if running)
-	Walltime    float64 // seconds (0 if running)
-	Status      string
-	Products    int
+	Forecast    string  `db:"forecast"`
+	Region      string  `db:"region"`
+	Year        int     `db:"year"`
+	Day         int     `db:"day"` // day of year, 1-based
+	Node        string  `db:"node"`
+	CodeVersion string  `db:"code_version"`
+	CodeFactor  float64 `db:"code_factor"`
+	MeshName    string  `db:"mesh"`
+	MeshSides   int     `db:"mesh_sides"`
+	Timesteps   int     `db:"timesteps"`
+	Start       float64 `db:"start"`    // seconds since campaign epoch
+	End         float64 `db:"end"`      // seconds since campaign epoch (0 if running)
+	Walltime    float64 `db:"walltime"` // seconds (0 if running)
+	Status      string  `db:"status"`
+	Products    int     `db:"products"`
+	// HarvestedAt is the sim time a harvester wrote the record into the
+	// statistics database (0 for a record loaded any other way). Like
+	// SourcePath it is never written into the log text.
+	HarvestedAt float64 `db:"harvested_at"`
 	// SourcePath is the log file this record was parsed from ("" when the
 	// record was built in memory). It travels with the record into the
 	// statistics database so every row is traceable back to disk without
 	// re-crawling the run tree; it is derived from the file's location,
 	// never written into the log text itself.
-	SourcePath string
+	SourcePath string `db:"source_path"`
 }
 
 // Validate checks the record for the fields every consumer relies on.
+// Its numbers must be finite: the statistics database would store a
+// non-finite one as 0.
 func (r *RunRecord) Validate() error {
 	if r.Forecast == "" {
 		return fmt.Errorf("logs: record has empty forecast name")
@@ -65,6 +71,14 @@ func (r *RunRecord) Validate() error {
 	case StatusCompleted, StatusRunning, StatusDropped:
 	default:
 		return fmt.Errorf("logs: record %s/%d has unknown status %q", r.Forecast, r.Day, r.Status)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"code factor", r.CodeFactor}, {"start", r.Start}, {"end", r.End}, {"walltime", r.Walltime}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("logs: record %s/%d has non-finite %s %v", r.Forecast, r.Day, f.name, f.v)
+		}
 	}
 	// Format stores walltimes to 0.01 s: a completed run shorter than
 	// that would be written as 0.00 and could not be read back.

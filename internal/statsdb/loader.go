@@ -13,89 +13,17 @@ import (
 const RunsTableName = "runs"
 
 // Names of the runs table's provenance columns: the sim time the
-// harvester wrote the row (0 for LoadRuns) and the log it was parsed from.
+// harvester wrote the row (0 for a record it did not harvest) and the log
+// it was parsed from.
 const (
 	ColHarvestedAt = "harvested_at"
 	ColSourcePath  = "source_path"
 )
 
-// RunsSchema returns the layout of the run-statistics table: one tuple
-// per run execution, as harvested from run logs, then the provenance
-// columns.
-func RunsSchema() Schema {
-	s := make(Schema, len(runFields))
-	for i := range s {
-		s[i] = runFields[i].Column
-	}
-	return s
-}
-
-// runsSchema is the runs table's layout, built once so that checking a
-// table against it allocates nothing.
-var runsSchema = RunsSchema()
-
-// runField is one runs column and the record field it stores (none for
-// harvested_at): get reads the field as a value of the column's type, and
-// set fills the field from a row of the column.
-type runField struct {
-	Column
-	get func(r *logs.RunRecord) Value
-	set func(r *logs.RunRecord, c *column, row int)
-}
-
-// runFields are the runs columns in order: UpsertRuns writes rows by them
-// and ReadRuns reads them back by position.
-var runFields = []runField{
-	{Column{"forecast", String},
-		func(r *logs.RunRecord) Value { return StringVal(r.Forecast) },
-		func(r *logs.RunRecord, c *column, i int) { r.Forecast = c.strAt(i) }},
-	{Column{"region", String},
-		func(r *logs.RunRecord) Value { return StringVal(r.Region) },
-		func(r *logs.RunRecord, c *column, i int) { r.Region = c.strAt(i) }},
-	{Column{"year", Int},
-		func(r *logs.RunRecord) Value { return IntVal(int64(r.Year)) },
-		func(r *logs.RunRecord, c *column, i int) { r.Year = int(c.intAt(i)) }},
-	{Column{"day", Int},
-		func(r *logs.RunRecord) Value { return IntVal(int64(r.Day)) },
-		func(r *logs.RunRecord, c *column, i int) { r.Day = int(c.intAt(i)) }},
-	{Column{"node", String},
-		func(r *logs.RunRecord) Value { return StringVal(r.Node) },
-		func(r *logs.RunRecord, c *column, i int) { r.Node = c.strAt(i) }},
-	{Column{"code_version", String},
-		func(r *logs.RunRecord) Value { return StringVal(r.CodeVersion) },
-		func(r *logs.RunRecord, c *column, i int) { r.CodeVersion = c.strAt(i) }},
-	{Column{"code_factor", Float},
-		func(r *logs.RunRecord) Value { return FloatVal(r.CodeFactor) },
-		func(r *logs.RunRecord, c *column, i int) { r.CodeFactor = c.floatAt(i) }},
-	{Column{"mesh", String},
-		func(r *logs.RunRecord) Value { return StringVal(r.MeshName) },
-		func(r *logs.RunRecord, c *column, i int) { r.MeshName = c.strAt(i) }},
-	{Column{"mesh_sides", Int},
-		func(r *logs.RunRecord) Value { return IntVal(int64(r.MeshSides)) },
-		func(r *logs.RunRecord, c *column, i int) { r.MeshSides = int(c.intAt(i)) }},
-	{Column{"timesteps", Int},
-		func(r *logs.RunRecord) Value { return IntVal(int64(r.Timesteps)) },
-		func(r *logs.RunRecord, c *column, i int) { r.Timesteps = int(c.intAt(i)) }},
-	{Column{"start", Float},
-		func(r *logs.RunRecord) Value { return FloatVal(r.Start) },
-		func(r *logs.RunRecord, c *column, i int) { r.Start = c.floatAt(i) }},
-	{Column{"end", Float},
-		func(r *logs.RunRecord) Value { return FloatVal(r.End) },
-		func(r *logs.RunRecord, c *column, i int) { r.End = c.floatAt(i) }},
-	{Column{"walltime", Float},
-		func(r *logs.RunRecord) Value { return FloatVal(r.Walltime) },
-		func(r *logs.RunRecord, c *column, i int) { r.Walltime = c.floatAt(i) }},
-	{Column{"status", String},
-		func(r *logs.RunRecord) Value { return StringVal(r.Status) },
-		func(r *logs.RunRecord, c *column, i int) { r.Status = c.strAt(i) }},
-	{Column{"products", Int},
-		func(r *logs.RunRecord) Value { return IntVal(int64(r.Products)) },
-		func(r *logs.RunRecord, c *column, i int) { r.Products = int(c.intAt(i)) }},
-	{Column: Column{ColHarvestedAt, Float}},
-	{Column{ColSourcePath, String},
-		func(r *logs.RunRecord) Value { return StringVal(r.SourcePath) },
-		func(r *logs.RunRecord, c *column, i int) { r.SourcePath = c.strAt(i) }},
-}
+// runsTable is the run-statistics table: one tuple per run execution, as
+// harvested from run logs, declared by logs.RunRecord's tags, provenance
+// columns last.
+var runsTable = NewTypedTable[logs.RunRecord](RunsTableName, "forecast", "code_version", "node")
 
 // NodesTableName is the conventional name of the plant-metadata table.
 const NodesTableName = "nodes"
@@ -122,10 +50,9 @@ func LoadNodes(db *DB, nodes []NodeRow) (*Table, error) {
 
 // EnsureRunsTable finds or creates the runs table, indexing the columns
 // the factory's common queries probe: forecast name, code version, and
-// node. A runs table laid out other than RunsSchema is an error.
-func EnsureRunsTable(db *DB) (*Table, error) {
-	return db.declare(RunsTableName, runsSchema, "forecast", "code_version", "node")
-}
+// node. A runs table laid out other than logs.RunRecord's tags is an
+// error.
+func EnsureRunsTable(db *DB) (*Table, error) { return runsTable.declare(db) }
 
 // UpsertStats counts what one upsert batch did.
 type UpsertStats struct {
@@ -137,9 +64,9 @@ type UpsertStats struct {
 // row with the same (forecast, day, start) key — one run execution —
 // instead of appending a duplicate. This is what makes re-harvesting the
 // same logs (a crash-recovery re-scan, a running log superseded by its
-// completed version) idempotent. harvestedAt fills the harvested_at
-// provenance column.
-func UpsertRuns(db *DB, records []*logs.RunRecord, harvestedAt float64) (*Table, UpsertStats, error) {
+// completed version) idempotent. Every column, harvested_at included,
+// stores what the record holds.
+func UpsertRuns(db *DB, records []*logs.RunRecord) (*Table, UpsertStats, error) {
 	var stats UpsertStats
 	t, err := EnsureRunsTable(db)
 	if err != nil {
@@ -150,23 +77,19 @@ func UpsertRuns(db *DB, records []*logs.RunRecord, harvestedAt float64) (*Table,
 	// when they fit.
 	var rowBuf [24]Value
 	var sameBuf [64]int32
-	row, same := slices.Grow(rowBuf[:0], len(runFields))[:len(runFields)], sameBuf[:0]
+	row, same := rowBuf[:0], sameBuf[:0]
 	fi, di, si := t.schema.Index("forecast"), t.schema.Index("day"), t.schema.Index("start")
 	for _, r := range records {
 		if err := r.Validate(); err != nil {
 			return nil, stats, fmt.Errorf("statsdb: load runs: %w", err)
 		}
-		for i := range runFields {
-			if get := runFields[i].get; get != nil {
-				row[i] = get(r)
-			} else {
-				row[i] = FloatVal(harvestedAt)
-			}
+		if row, err = runsTable.encode(row[:0], r); err != nil {
+			return nil, stats, err
 		}
 		id := -1
 		same = t.lookupRows(same[:0], fi, StringVal(r.Forecast))
 		for _, s := range same {
-			if t.cols[di].value(int(s)).Int() == int64(r.Day) && t.cols[si].value(int(s)).Float() == r.Start {
+			if t.cols[di].intAt(int(s)) == int64(r.Day) && t.cols[si].floatAt(int(s)) == r.Start {
 				id = int(s)
 				break
 			}
@@ -190,15 +113,15 @@ func UpsertRuns(db *DB, records []*logs.RunRecord, harvestedAt float64) (*Table,
 // Loading is an upsert keyed on (forecast, day, start): loading the same
 // records twice leaves the table unchanged rather than duplicating rows.
 func LoadRuns(db *DB, records []*logs.RunRecord) (*Table, error) {
-	t, _, err := UpsertRuns(db, records, 0)
+	t, _, err := UpsertRuns(db, records)
 	return t, err
 }
 
 // ReadRuns converts the runs table back into run records — the inverse of
 // UpsertRuns, so consumers built on []*logs.RunRecord (the estimator, the
 // monitor's history seed) can feed from a harvested database. A runs
-// table laid out other than RunsSchema is an error. The records are
-// allocated as one block.
+// table laid out other than logs.RunRecord's tags is an error. The
+// records are allocated as one block.
 //
 // Records come in (forecast, year, day) order, like logs.Crawl; rows
 // that tie on all three (a rerun at another start) keep their row order,
@@ -208,19 +131,18 @@ func ReadRuns(db *DB) ([]*logs.RunRecord, error) {
 	if t == nil {
 		return nil, nil
 	}
-	if err := t.checkLayout(runsSchema); err != nil {
+	if err := t.checkLayout(runsTable.schema); err != nil {
 		return nil, err
 	}
 	recs := make([]logs.RunRecord, t.n)
 	out := make([]*logs.RunRecord, t.n)
 	for i, row := range runOrder(t) {
 		rec := &recs[i]
-		for ci := range runFields {
-			if set := runFields[ci].set; set != nil {
-				set(rec, &t.cols[ci], int(row))
-			}
+		err := runsTable.decode(t, int(row), rec)
+		if err == nil {
+			err = rec.Validate()
 		}
-		if err := rec.Validate(); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("statsdb: read runs row %d: %w", row, err)
 		}
 		out[i] = rec

@@ -3,12 +3,14 @@ package statsdb
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/logs"
+	"repro/internal/telemetry"
 )
 
 func rec(forecast string, day int, wall float64, code string) *logs.RunRecord {
@@ -95,7 +97,7 @@ func TestUpsertRunsReplacesByKey(t *testing.T) {
 	running := rec("a", 1, 0, "v")
 	running.Status = logs.StatusRunning
 	running.End, running.Walltime = 0, 0
-	if _, st, err := UpsertRuns(db, []*logs.RunRecord{running}, 10); err != nil {
+	if _, st, err := UpsertRuns(db, []*logs.RunRecord{running}); err != nil {
 		t.Fatal(err)
 	} else if st.Inserted != 1 || st.Updated != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -103,7 +105,7 @@ func TestUpsertRunsReplacesByKey(t *testing.T) {
 	// The completed record for the same (forecast, day, start) replaces
 	// the provisional running row.
 	done := rec("a", 1, 4000, "v")
-	tbl, st, err := UpsertRuns(db, []*logs.RunRecord{done}, 20)
+	tbl, st, err := UpsertRuns(db, []*logs.RunRecord{done})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestUpsertRunsReplacesByKey(t *testing.T) {
 	// A different start is a different execution, not a replacement.
 	rerun := rec("a", 1, 4100, "v")
 	rerun.Start = 7200
-	if tbl, _, err = UpsertRuns(db, []*logs.RunRecord{rerun}, 30); err != nil {
+	if tbl, _, err = UpsertRuns(db, []*logs.RunRecord{rerun}); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Len() != 2 {
@@ -136,7 +138,8 @@ func TestUpsertRunsFillsProvenanceColumns(t *testing.T) {
 	}
 	r := rec("a", 1, 100, "v")
 	r.SourcePath = "/runs/a/2005-001/run.log"
-	if _, _, err := UpsertRuns(db, []*logs.RunRecord{r}, 42); err != nil {
+	r.HarvestedAt = 42
+	if _, _, err := UpsertRuns(db, []*logs.RunRecord{r}); err != nil {
 		t.Fatal(err)
 	}
 	sch := tbl.Schema()
@@ -152,7 +155,7 @@ func TestUpsertRunsFillsProvenanceColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 || back[0].SourcePath != r.SourcePath || back[0].Walltime != 100 {
+	if len(back) != 1 || back[0].SourcePath != r.SourcePath || back[0].HarvestedAt != 42 || back[0].Walltime != 100 {
 		t.Fatalf("ReadRuns = %+v", back[0])
 	}
 }
@@ -163,8 +166,9 @@ func TestUpsertRunsFillsProvenanceColumns(t *testing.T) {
 // writes no zero-filled row into it, and ReadRuns neither zero-fills its
 // records nor reads them in row order.
 func TestReadRunsAcrossSchemas(t *testing.T) {
+	layout := runsLayout(t)
 	without := func(names ...string) Schema {
-		return slices.DeleteFunc(RunsSchema(), func(c Column) bool { return slices.Contains(names, c.Name) })
+		return slices.DeleteFunc(slices.Clone(layout), func(c Column) bool { return slices.Contains(names, c.Name) })
 	}
 	cases := []struct {
 		name   string
@@ -173,24 +177,24 @@ func TestReadRunsAcrossSchemas(t *testing.T) {
 		{"base schema", without(ColHarvestedAt, ColSourcePath)},
 		{"one layout", nil},
 		{"without the year column", without("year")},
-		{"with an unknown column", append(RunsSchema(), Column{Name: "operator_note", Type: Int})},
+		{"with an unknown column", append(slices.Clone(layout), Column{Name: "operator_note", Type: Int})},
 	}
 	done := &logs.RunRecord{
 		Forecast: "tillamook", Region: "columbia", Year: 2005, Day: 42, Node: "fnode03",
 		CodeVersion: "elcirc-5.01", CodeFactor: 1.1, MeshName: "m2", MeshSides: 31000,
 		Timesteps: 5760, Start: 3600.5, End: 43600.25, Walltime: 39999.75,
-		Status: logs.StatusCompleted, Products: 8, SourcePath: "/runs/tillamook/2005-042/run.log",
+		Status: logs.StatusCompleted, Products: 8, HarvestedAt: 42, SourcePath: "/runs/tillamook/2005-042/run.log",
 	}
 	running := &logs.RunRecord{
 		Forecast: "dev", Region: "r", Year: 2006, Day: 1, Node: "fnode01", CodeVersion: "v2",
 		CodeFactor: 0.9, MeshName: "m", MeshSides: 12000, Timesteps: 2880, Start: 7200,
-		Status: logs.StatusRunning, SourcePath: "/runs/dev/2006-001/run.log",
+		Status: logs.StatusRunning, HarvestedAt: 42, SourcePath: "/runs/dev/2006-001/run.log",
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			db := NewDB()
 			if c.schema == nil {
-				if _, _, err := UpsertRuns(db, []*logs.RunRecord{done, running}, 42); err != nil {
+				if _, _, err := UpsertRuns(db, []*logs.RunRecord{done, running}); err != nil {
 					t.Fatal(err)
 				}
 				back, err := ReadRuns(db)
@@ -212,13 +216,13 @@ func TestReadRunsAcrossSchemas(t *testing.T) {
 			// The table holds the record's row, each of its columns
 			// filled by name from the record's row in the one layout.
 			ref := NewDB()
-			refTbl, _, err := UpsertRuns(ref, []*logs.RunRecord{done}, 42)
+			refTbl, _, err := UpsertRuns(ref, []*logs.RunRecord{done})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var row []Value
 			for _, col := range c.schema {
-				if i := runsSchema.Index(col.Name); i >= 0 {
+				if i := layout.Index(col.Name); i >= 0 {
 					row = append(row, refTbl.Row(0)[i])
 				} else {
 					row = append(row, IntVal(0))
@@ -237,7 +241,7 @@ func TestReadRunsAcrossSchemas(t *testing.T) {
 			if _, err := LoadRuns(db, []*logs.RunRecord{running}); err == nil {
 				t.Error("LoadRuns accepted the table")
 			}
-			if _, _, err := UpsertRuns(db, []*logs.RunRecord{done, running}, 42); err == nil {
+			if _, _, err := UpsertRuns(db, []*logs.RunRecord{done, running}); err == nil {
 				t.Error("UpsertRuns accepted the table")
 			}
 			if back, err := ReadRuns(db); err == nil {
@@ -268,7 +272,7 @@ func TestReadRunsOrder(t *testing.T) {
 			r.Year = 2004 + rng.Intn(3)
 			r.Start = float64(rng.Intn(3)) // ties on (forecast, year, day) at distinct starts
 			r.SourcePath = fmt.Sprintf("/runs/%s/%d-%03d/run.log", r.Forecast, r.Year, r.Day)
-			if _, _, err := UpsertRuns(db, []*logs.RunRecord{&r}, 0); err != nil {
+			if _, _, err := UpsertRuns(db, []*logs.RunRecord{&r}); err != nil {
 				t.Fatal(err)
 			}
 			i := slices.IndexFunc(rows, func(x logs.RunRecord) bool {
@@ -305,5 +309,75 @@ func TestLoadRunsRejectsInvalidRecords(t *testing.T) {
 	bad.Day = 0
 	if _, err := LoadRuns(db, []*logs.RunRecord{bad}); err == nil {
 		t.Fatal("invalid record accepted")
+	}
+}
+
+// runsLayout is the runs table's layout, as EnsureRunsTable creates it.
+func runsLayout(tb testing.TB) Schema {
+	tb.Helper()
+	t, err := EnsureRunsTable(NewDB())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return t.Schema()
+}
+
+// TestNonFiniteInputsAreRefused checks that a NaN or ±Inf in a run
+// record's float fields, or in a span's start or end, is refused where
+// the record or trace enters the database (Validate, UpsertRuns,
+// LoadSpans), leaving the table as it was, never stored as the 0 a
+// typed table persists a non-finite float as.
+func TestNonFiniteInputsAreRefused(t *testing.T) {
+	fields := map[string]func(r *logs.RunRecord) *float64{
+		"code_factor": func(r *logs.RunRecord) *float64 { return &r.CodeFactor },
+		"start":       func(r *logs.RunRecord) *float64 { return &r.Start },
+		"end":         func(r *logs.RunRecord) *float64 { return &r.End },
+		"walltime":    func(r *logs.RunRecord) *float64 { return &r.Walltime },
+	}
+	bad := map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)}
+	for field, at := range fields {
+		for name, x := range bad {
+			t.Run("runs "+field+" "+name, func(t *testing.T) {
+				db := NewDB()
+				if _, err := LoadRuns(db, []*logs.RunRecord{rec("a", 1, 100, "v")}); err != nil {
+					t.Fatal(err)
+				}
+				before := cloneTable(db.Table(RunsTableName))
+				r := rec("a", 2, 100, "v")
+				*at(r) = x
+				if err := r.Validate(); err == nil {
+					t.Error("Validate accepted the record")
+				}
+				if _, _, err := UpsertRuns(db, []*logs.RunRecord{r}); err == nil {
+					t.Error("UpsertRuns accepted the record")
+				}
+				if diff := diffTables(db.Table(RunsTableName), before); diff != "" {
+					t.Errorf("the refused upsert changed the table: %s", diff)
+				}
+			})
+		}
+	}
+	for _, field := range []string{"start", "end"} {
+		for name, x := range bad {
+			t.Run("spans "+field+" "+name, func(t *testing.T) {
+				db := NewDB()
+				if _, err := LoadSpans(db, []telemetry.Span{{ID: 1, Cat: "run", Name: "r", End: 5}}); err != nil {
+					t.Fatal(err)
+				}
+				before := cloneTable(db.Table(SpansTableName))
+				s := telemetry.Span{ID: 3, Cat: "run", Name: "bad", Start: 1, End: 2}
+				if field == "start" {
+					s.Start = x
+				} else {
+					s.End = x
+				}
+				if _, err := LoadSpans(db, []telemetry.Span{{ID: 2, Cat: "run", Name: "ok", End: 1}, s}); err == nil {
+					t.Error("LoadSpans accepted the span")
+				}
+				if diff := diffTables(db.Table(SpansTableName), before); diff != "" {
+					t.Errorf("the refused load changed the table: %s", diff)
+				}
+			})
+		}
 	}
 }

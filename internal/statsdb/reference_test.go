@@ -1,10 +1,12 @@
 package statsdb
 
 import (
+	"encoding"
 	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -72,12 +74,14 @@ func genFixture(tb testing.TB, seed int64, indexed bool) (*DB, map[string]*refTa
 		}
 	}
 	nodeSchema := Schema{{Name: "name", Type: String}, {Name: "cpus", Type: Int}, {Name: "speed", Type: Float}}
+	runs, err := EnsureRunsTable(NewDB())
+	must(err)
 	for _, spec := range []struct {
 		name   string
 		schema Schema
 		rows   int
 	}{
-		{RunsTableName, append(RunsSchema(), Column{Name: "late", Type: Bool}), rng.Intn(13)},
+		{RunsTableName, append(runs.Schema(), Column{Name: "late", Type: Bool}), rng.Intn(13)},
 		{NodesTableName, nodeSchema, rng.Intn(6)},
 	} {
 		tbl, err := db.CreateTable(spec.name, spec.schema)
@@ -584,4 +588,155 @@ func FuzzQueryMatchesReference(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(checkAgainstReference)
+}
+
+// referenceTypedTable is the reflection codec TypedTable had before its
+// fields were resolved to offsets, kept as the codec's oracle: per cell it
+// walks FieldByIndex and calls a boxed getter or setter. addFields,
+// referenceColumnOf, Insert and Read are that codec's code, with the
+// names changed and the BOOL setter reading the payload directly.
+type referenceTypedTable[T any] struct {
+	name    string
+	schema  Schema
+	fields  []referenceField // fields[i] backs schema[i]
+	indexes []string
+}
+
+// referenceField locates one column's struct field and converts it.
+type referenceField struct {
+	path []int // field index through embedded structs
+	get  func(f reflect.Value) (Value, error)
+	set  func(f reflect.Value, v Value) error
+}
+
+func newReferenceTypedTable[T any](name string, indexes ...string) *referenceTypedTable[T] {
+	tt := &referenceTypedTable[T]{name: name, indexes: indexes}
+	tt.addFields(reflect.TypeFor[T](), nil)
+	return tt
+}
+
+func (tt *referenceTypedTable[T]) addFields(rt reflect.Type, parent []int) {
+	for i := 0; rt.Kind() == reflect.Struct && i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		path := append(parent[:len(parent):len(parent)], i)
+		col, tagged := f.Tag.Lookup("db")
+		if !tagged {
+			if f.Anonymous {
+				tt.addFields(f.Type, path)
+			}
+			continue
+		}
+		typ, field := referenceColumnOf(f.Type)
+		if field.get == nil || !f.IsExported() {
+			panic(fmt.Sprintf("statsdb: table %s: column %q (field %s %s) cannot be stored", tt.name, col, f.Name, f.Type))
+		}
+		field.path = path
+		tt.schema = append(tt.schema, Column{Name: col, Type: typ})
+		tt.fields = append(tt.fields, field)
+	}
+}
+
+// referenceColumnOf maps a field type to its column type and conversions
+// (none when no column can store it).
+func referenceColumnOf(t reflect.Type) (Type, referenceField) {
+	ptr, k := reflect.PointerTo(t), t.Kind()
+	switch {
+	case ptr.Implements(reflect.TypeFor[encoding.TextMarshaler]()) &&
+		ptr.Implements(reflect.TypeFor[encoding.TextUnmarshaler]()):
+		return String, referenceField{
+			get: func(f reflect.Value) (Value, error) {
+				b, err := f.Addr().Interface().(encoding.TextMarshaler).MarshalText()
+				return StringVal(string(b)), err
+			},
+			set: func(f reflect.Value, v Value) error {
+				return f.Addr().Interface().(encoding.TextUnmarshaler).UnmarshalText([]byte(v.Str()))
+			},
+		}
+	case k == reflect.Int || k == reflect.Int64:
+		return Int, referenceField{
+			get: func(f reflect.Value) (Value, error) { return IntVal(f.Int()), nil },
+			set: func(f reflect.Value, v Value) error { f.SetInt(v.Int()); return nil },
+		}
+	case k == reflect.Float64:
+		return Float, referenceField{
+			get: func(f reflect.Value) (Value, error) {
+				if x := f.Float(); !math.IsNaN(x) && !math.IsInf(x, 0) {
+					return FloatVal(x), nil
+				}
+				return FloatVal(0), nil
+			},
+			set: func(f reflect.Value, v Value) error { f.SetFloat(v.Float()); return nil },
+		}
+	case k == reflect.String:
+		return String, referenceField{
+			get: func(f reflect.Value) (Value, error) { return StringVal(f.String()), nil },
+			set: func(f reflect.Value, v Value) error { f.SetString(v.Str()); return nil },
+		}
+	case k == reflect.Bool:
+		return Bool, referenceField{
+			get: func(f reflect.Value) (Value, error) { return BoolVal(f.Bool()), nil },
+			set: func(f reflect.Value, v Value) error { f.SetBool(v.b); return nil },
+		}
+	case k == reflect.Array && (t.Elem().Kind() == reflect.Int || t.Elem().Kind() == reflect.Int64):
+		return String, referenceField{
+			get: func(f reflect.Value) (Value, error) {
+				parts := make([]string, f.Len())
+				for j := range parts {
+					parts[j] = strconv.FormatInt(f.Index(j).Int(), 10)
+				}
+				return StringVal(strings.Join(parts, ",")), nil
+			},
+			set: func(f reflect.Value, v Value) error { // malformed or missing elements read as 0
+				for j, part := range strings.Split(v.Str(), ",") {
+					if x, err := strconv.ParseInt(part, 10, 64); err == nil && j < f.Len() {
+						f.Index(j).SetInt(x)
+					}
+				}
+				return nil
+			},
+		}
+	}
+	return 0, referenceField{}
+}
+
+func (tt *referenceTypedTable[T]) Insert(db *DB, rows ...T) (*Table, error) {
+	t, err := db.declare(tt.name, tt.schema, tt.indexes...)
+	if err != nil {
+		return nil, err
+	}
+	err = t.appendRows(len(rows), func(row []Value, r int) ([]Value, error) {
+		rv := reflect.ValueOf(&rows[r]).Elem()
+		for i, f := range tt.fields {
+			v, err := f.get(rv.FieldByIndex(f.path))
+			if err != nil {
+				return nil, fmt.Errorf("statsdb: table %s column %q: %w", tt.name, tt.schema[i].Name, err)
+			}
+			row = append(row, v)
+		}
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func (tt *referenceTypedTable[T]) Read(db *DB) ([]T, error) {
+	t := db.Table(tt.name)
+	if t == nil {
+		return nil, nil
+	}
+	if err := t.checkLayout(tt.schema); err != nil || t.n == 0 {
+		return nil, err
+	}
+	out := make([]T, t.n)
+	for r := range out {
+		rv := reflect.ValueOf(&out[r]).Elem()
+		for i, f := range tt.fields {
+			if err := f.set(rv.FieldByIndex(f.path), t.cols[i].value(r)); err != nil {
+				return nil, fmt.Errorf("statsdb: table %s row %d column %q: %w", tt.name, r, tt.schema[i].Name, err)
+			}
+		}
+	}
+	return out, nil
 }

@@ -110,81 +110,39 @@ func TestLoadSpansInterruptedAndBadDay(t *testing.T) {
 	}
 }
 
-// TestLoadSpansIdempotent re-loads the same trace (plus a continuation)
-// and checks rows update in place: the monitor-flush-then-final-flush
-// sequence must not duplicate spans, and a load mixing known and new ids
-// must leave what loading its spans one by one would.
-func TestLoadSpansIdempotent(t *testing.T) {
-	clock := 0.0
-	tr := telemetry.NewTracer(func() float64 { return clock })
-	run := tr.Begin("run", "tillamook/1", "fnode01", 0)
-	clock = 500
-
-	db := NewDB()
-	// First load: mid-campaign, the run span is still open (End = now).
-	if _, err := LoadSpans(db, tr.Spans()); err != nil {
-		t.Fatal(err)
-	}
-	// Second load of the identical export: no new rows.
-	tbl, err := LoadSpans(db, tr.Spans())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("after duplicate load Len = %d, want 1", tbl.Len())
-	}
-	if !slices.Contains(tbl.IndexedColumns(), "id") {
-		t.Fatal("span id not indexed")
-	}
-
-	// The campaign continues; the final flush carries the finished span
-	// and a new child. The old row is updated, the child inserted.
-	sim := tr.Begin("simulation", "sim:tillamook", "", run)
-	clock = 900
-	tr.End(sim)
-	tr.End(run)
-	if _, err := LoadSpans(db, tr.Spans()); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 2 {
-		t.Fatalf("after final flush Len = %d, want 2", tbl.Len())
-	}
-	res, err := db.Query("SELECT duration FROM spans WHERE cat = 'run'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 900 {
-		t.Fatalf("run duration after re-load = %v, want one row of 900", res.Rows)
-	}
-
-	// Loads that mix known ids with new ones must leave the table as one
-	// call per span would: every row, code and index entry in place.
-	// Cases: a trace and its continuation (known ids, then new ascending
-	// ones), a repeated id late in the call, and a new id below one
-	// already loaded.
+// TestLoadSpansAppendsOneTrace checks that a load appends spans whose
+// ids ascend above every id already in the table, and refuses any other
+// span (a reloaded trace, a repeated id, an id below one loaded) with an
+// error, leaving the table as it was.
+func TestLoadSpansAppendsOneTrace(t *testing.T) {
 	span := func(id int64, name string, end float64) telemetry.Span {
 		return telemetry.Span{ID: id, Parent: id / 2, Cat: "product", Name: name, Track: "fnode0" + name[:1], End: end}
 	}
 	first := []telemetry.Span{span(1, "1a", 10), span(2, "2b", 20), span(3, "3c", 30)}
-	for name, next := range map[string][]telemetry.Span{
-		"continuation":    {span(2, "2b", 25), span(3, "3d", 35), span(4, "4e", 40), span(5, "5a", 50)},
-		"late repeat":     {span(4, "4e", 40), span(5, "5f", 50), span(6, "6g", 60), span(5, "5h", 55), span(7, "7a", 70)},
-		"new id below":    {span(9, "9a", 90), span(8, "8b", 80), span(10, "1c", 100)},
-		"known ids alone": {span(3, "3x", 33), span(1, "1y", 11)},
+	db := NewDB()
+	if _, err := LoadSpans(db, first); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := LoadSpans(db, []telemetry.Span{span(4, "4d", 40), span(6, "6e", 60)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != 5 || !slices.Contains(tbl.IndexedColumns(), "id") {
+		t.Fatalf("after the continuation: %d rows, indexes %v", tbl.Len(), tbl.IndexedColumns())
+	}
+	before := cloneTable(tbl)
+	for name, spans := range map[string][]telemetry.Span{
+		"reloaded trace": first,
+		"known id":       {span(7, "7a", 70), span(6, "6f", 65)},
+		"repeated id":    {span(7, "7a", 70), span(8, "8b", 80), span(8, "8c", 85)},
+		"id below":       {span(5, "5a", 50)},
+		"descending ids": {span(10, "1a", 100), span(9, "9b", 90)},
 	} {
-		batched, single := NewDB(), NewDB()
-		for _, spans := range [][]telemetry.Span{first, next} {
-			if _, err := LoadSpans(batched, spans); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range spans {
-				if _, err := LoadSpans(single, []telemetry.Span{s}); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if _, err := LoadSpans(db, spans); err == nil {
+			t.Errorf("%s: load succeeded", name)
 		}
-		if diff := diffTables(batched.Table(SpansTableName), single.Table(SpansTableName)); diff != "" {
-			t.Errorf("%s: %s", name, diff)
+		if diff := diffTables(db.Table(SpansTableName), before); diff != "" {
+			t.Errorf("%s: the refused load changed the table: %s", name, diff)
 		}
 	}
 }

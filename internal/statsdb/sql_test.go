@@ -169,7 +169,7 @@ func TestSQLBoolAndFloatLiterals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Bool() {
+	if len(res.Rows) != 1 || res.Rows[0][0] != BoolVal(false) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // TypedTable declares a fixed-schema table by a struct type, so a struct
@@ -17,8 +19,15 @@ import (
 // STRING, bool as BOOL; a TextMarshaler/TextUnmarshaler stores its text
 // and a fixed int array its comma-joined elements, both as STRING.
 //
+// Every Go value that becomes a row goes through one codec: the
+// declaration resolves each column to its field's byte offset in T and
+// its kind, and a row is encoded and decoded through that list, reading
+// and writing each INT, FLOAT, STRING or BOOL field in place. Only the
+// two text-coded kinds convert per cell.
+//
 // One NaN policy covers every table: non-finite floats persist as 0,
 // since the engine rejects NaN (it breaks index hashing and ordering).
+// Loaders of outside input (run logs, traces) refuse them first.
 type TypedTable[T any] struct {
 	name    string
 	schema  Schema
@@ -26,11 +35,24 @@ type TypedTable[T any] struct {
 	indexes []string
 }
 
-// typedField locates one column's struct field and converts it.
+// fieldKind is how one field's bytes convert to and from its column.
+type fieldKind uint8
+
+const (
+	kindInt    fieldKind = iota // int → INT
+	kindInt64                   // int64 → INT
+	kindFloat                   // float64 → FLOAT, non-finite as 0
+	kindString                  // string → STRING
+	kindBool                    // bool → BOOL
+	kindText                    // TextMarshaler and TextUnmarshaler → STRING
+	kindInts                    // fixed array of int or int64 → comma-joined STRING
+)
+
+// typedField locates one column's struct field and says how it converts.
 type typedField struct {
-	path []int // field index through embedded structs
-	get  func(f reflect.Value) (Value, error)
-	set  func(f reflect.Value, v Value) error
+	off  uintptr // byte offset in T, summed through embedded structs
+	kind fieldKind
+	typ  reflect.Type // the field's type, for kindText and kindInts
 }
 
 // NewTypedTable declares table name over T's tagged fields, with a hash
@@ -39,7 +61,7 @@ type typedField struct {
 // at init rather than on the first insert.
 func NewTypedTable[T any](name string, indexes ...string) *TypedTable[T] {
 	tt := &TypedTable[T]{name: name, indexes: indexes}
-	tt.addFields(reflect.TypeFor[T](), nil)
+	tt.addFields(reflect.TypeFor[T](), 0)
 	if _, err := NewTable(name, tt.schema); err != nil {
 		panic(err.Error())
 	}
@@ -51,123 +73,151 @@ func NewTypedTable[T any](name string, indexes ...string) *TypedTable[T] {
 	return tt
 }
 
-func (tt *TypedTable[T]) addFields(rt reflect.Type, parent []int) {
+func (tt *TypedTable[T]) addFields(rt reflect.Type, base uintptr) {
 	for i := 0; rt.Kind() == reflect.Struct && i < rt.NumField(); i++ {
 		f := rt.Field(i)
-		path := append(parent[:len(parent):len(parent)], i)
 		col, tagged := f.Tag.Lookup("db")
 		if !tagged {
 			if f.Anonymous {
-				tt.addFields(f.Type, path)
+				tt.addFields(f.Type, base+f.Offset)
 			}
 			continue
 		}
-		typ, field := columnOf(f.Type)
-		if field.get == nil || !f.IsExported() {
+		typ, kind, ok := columnOf(f.Type)
+		if !ok || !f.IsExported() {
 			panic(fmt.Sprintf("statsdb: table %s: column %q (field %s %s) cannot be stored", tt.name, col, f.Name, f.Type))
 		}
-		field.path = path
 		tt.schema = append(tt.schema, Column{Name: col, Type: typ})
-		tt.fields = append(tt.fields, field)
+		tt.fields = append(tt.fields, typedField{off: base + f.Offset, kind: kind, typ: f.Type})
 	}
 }
 
-// columnOf maps a field type to its column type and conversions (none
-// when no column can store it).
-func columnOf(t reflect.Type) (Type, typedField) {
+// columnOf maps a field type to its column type and kind (false when no
+// column can store it).
+func columnOf(t reflect.Type) (Type, fieldKind, bool) {
 	// The interface types are resolved here, not held in package
 	// variables: tables are declared at init, maybe before those are.
 	ptr, k := reflect.PointerTo(t), t.Kind()
 	switch {
 	case ptr.Implements(reflect.TypeFor[encoding.TextMarshaler]()) &&
 		ptr.Implements(reflect.TypeFor[encoding.TextUnmarshaler]()):
-		return String, typedField{
-			get: func(f reflect.Value) (Value, error) {
-				b, err := f.Addr().Interface().(encoding.TextMarshaler).MarshalText()
-				return StringVal(string(b)), err
-			},
-			set: func(f reflect.Value, v Value) error {
-				return f.Addr().Interface().(encoding.TextUnmarshaler).UnmarshalText([]byte(v.Str()))
-			},
-		}
-	case k == reflect.Int || k == reflect.Int64:
-		return Int, typedField{
-			get: func(f reflect.Value) (Value, error) { return IntVal(f.Int()), nil },
-			set: func(f reflect.Value, v Value) error { f.SetInt(v.Int()); return nil },
-		}
+		return String, kindText, true
+	case k == reflect.Int:
+		return Int, kindInt, true
+	case k == reflect.Int64:
+		return Int, kindInt64, true
 	case k == reflect.Float64:
-		return Float, typedField{
-			get: func(f reflect.Value) (Value, error) {
-				if x := f.Float(); !math.IsNaN(x) && !math.IsInf(x, 0) {
-					return FloatVal(x), nil
-				}
-				return FloatVal(0), nil
-			},
-			set: func(f reflect.Value, v Value) error { f.SetFloat(v.Float()); return nil },
-		}
+		return Float, kindFloat, true
 	case k == reflect.String:
-		return String, typedField{
-			get: func(f reflect.Value) (Value, error) { return StringVal(f.String()), nil },
-			set: func(f reflect.Value, v Value) error { f.SetString(v.Str()); return nil },
-		}
+		return String, kindString, true
 	case k == reflect.Bool:
-		return Bool, typedField{
-			get: func(f reflect.Value) (Value, error) { return BoolVal(f.Bool()), nil },
-			set: func(f reflect.Value, v Value) error { f.SetBool(v.Bool()); return nil },
-		}
+		return Bool, kindBool, true
 	case k == reflect.Array && (t.Elem().Kind() == reflect.Int || t.Elem().Kind() == reflect.Int64):
-		return String, typedField{
-			get: func(f reflect.Value) (Value, error) {
-				parts := make([]string, f.Len())
-				for j := range parts {
-					parts[j] = strconv.FormatInt(f.Index(j).Int(), 10)
-				}
-				return StringVal(strings.Join(parts, ",")), nil
-			},
-			set: func(f reflect.Value, v Value) error { // malformed or missing elements read as 0
-				for j, part := range strings.Split(v.Str(), ",") {
-					if x, err := strconv.ParseInt(part, 10, 64); err == nil && j < f.Len() {
-						f.Index(j).SetInt(x)
-					}
-				}
-				return nil
-			},
+		return String, kindInts, true
+	}
+	return 0, 0, false
+}
+
+// encode appends p's row to row, each column read from its field.
+func (tt *TypedTable[T]) encode(row []Value, p *T) ([]Value, error) {
+	n := len(row)
+	row = slices.Grow(row, len(tt.fields))[:n+len(tt.fields)]
+	for i := range tt.fields {
+		f := &tt.fields[i]
+		at := unsafe.Add(unsafe.Pointer(p), f.off)
+		switch f.kind {
+		case kindInt:
+			row[n+i] = IntVal(int64(*(*int)(at)))
+		case kindInt64:
+			row[n+i] = IntVal(*(*int64)(at))
+		case kindFloat:
+			x := *(*float64)(at)
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				x = 0
+			}
+			row[n+i] = FloatVal(x)
+		case kindString:
+			row[n+i] = StringVal(*(*string)(at))
+		case kindBool:
+			row[n+i] = BoolVal(*(*bool)(at))
+		case kindText:
+			b, err := reflect.NewAt(f.typ, at).Interface().(encoding.TextMarshaler).MarshalText()
+			if err != nil {
+				return nil, fmt.Errorf("statsdb: table %s column %q: %w", tt.name, tt.schema[i].Name, err)
+			}
+			row[n+i] = StringVal(string(b))
+		case kindInts:
+			a := reflect.NewAt(f.typ, at).Elem()
+			parts := make([]string, a.Len())
+			for j := range parts {
+				parts[j] = strconv.FormatInt(a.Index(j).Int(), 10)
+			}
+			row[n+i] = StringVal(strings.Join(parts, ","))
 		}
 	}
-	return 0, typedField{}
+	return row, nil
+}
+
+// decode fills p's fields from row r of t, a table laid out as the
+// declaration.
+func (tt *TypedTable[T]) decode(t *Table, r int, p *T) error {
+	for i := range tt.fields {
+		f, c := &tt.fields[i], &t.cols[i]
+		at := unsafe.Add(unsafe.Pointer(p), f.off)
+		switch f.kind {
+		case kindInt:
+			*(*int)(at) = int(c.ints[r])
+		case kindInt64:
+			*(*int64)(at) = c.ints[r]
+		case kindFloat:
+			*(*float64)(at) = c.flts[r]
+		case kindString:
+			*(*string)(at) = c.strAt(r)
+		case kindBool:
+			*(*bool)(at) = c.codes[r] == 1
+		case kindText:
+			if err := reflect.NewAt(f.typ, at).Interface().(encoding.TextUnmarshaler).UnmarshalText([]byte(c.strAt(r))); err != nil {
+				return fmt.Errorf("statsdb: table %s row %d column %q: %w", tt.name, r, tt.schema[i].Name, err)
+			}
+		case kindInts: // malformed or missing elements read as 0
+			a := reflect.NewAt(f.typ, at).Elem()
+			for j, part := range strings.Split(c.strAt(r), ",") {
+				if x, err := strconv.ParseInt(part, 10, 64); err == nil && j < a.Len() {
+					a.Index(j).SetInt(x)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// declare returns the table in db, creating it and its indexes when db
+// lacks it; a table laid out other than the declaration is an error.
+func (tt *TypedTable[T]) declare(db *DB) (*Table, error) {
+	return db.declare(tt.name, tt.schema, tt.indexes...)
 }
 
 // Insert appends rows to the table and returns it, creating the table and
 // its indexes when db lacks it, even for no rows. A table laid out other
 // than the declaration is an error, never a misaligned row. The rows go
-// in as one batch, filled from the field getters: Insert either adds
+// in as one batch, each encoded from its fields: Insert either adds
 // every row or returns the error (a MarshalText failure, a value the
 // table rejects) and leaves the table as it was.
 func (tt *TypedTable[T]) Insert(db *DB, rows ...T) (*Table, error) {
-	t, err := db.declare(tt.name, tt.schema, tt.indexes...)
+	t, err := tt.declare(db)
 	if err != nil {
 		return nil, err
 	}
-	err = t.appendRows(len(rows), func(row []Value, r int) ([]Value, error) {
-		rv := reflect.ValueOf(&rows[r]).Elem()
-		for i, f := range tt.fields {
-			v, err := f.get(rv.FieldByIndex(f.path))
-			if err != nil {
-				return nil, fmt.Errorf("statsdb: table %s column %q: %w", tt.name, tt.schema[i].Name, err)
-			}
-			row = append(row, v)
-		}
-		return row, nil
-	})
+	err = t.appendRows(len(rows), func(row []Value, r int) ([]Value, error) { return tt.encode(row, &rows[r]) })
 	if err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// Read returns the table's rows in table order, each column read into its
-// field by position. A missing or empty table reads as nil; a table laid
-// out other than the declaration is an error.
+// Read returns the table's rows in table order, each column decoded into
+// its field by position. A missing or empty table reads as nil; a table
+// laid out other than the declaration is an error.
 func (tt *TypedTable[T]) Read(db *DB) ([]T, error) {
 	t := db.Table(tt.name)
 	if t == nil {
@@ -178,11 +228,8 @@ func (tt *TypedTable[T]) Read(db *DB) ([]T, error) {
 	}
 	out := make([]T, t.n)
 	for r := range out {
-		rv := reflect.ValueOf(&out[r]).Elem()
-		for i, f := range tt.fields {
-			if err := f.set(rv.FieldByIndex(f.path), t.cols[i].value(r)); err != nil {
-				return nil, fmt.Errorf("statsdb: table %s row %d column %q: %w", tt.name, r, tt.schema[i].Name, err)
-			}
+		if err := tt.decode(t, r, &out[r]); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

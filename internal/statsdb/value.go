@@ -83,9 +83,6 @@ func (v Value) Float() float64 {
 // Str returns the STRING payload ("" for other types).
 func (v Value) Str() string { return v.s }
 
-// Bool returns the BOOL payload (false for other types).
-func (v Value) Bool() bool { return v.b }
-
 // IsNumeric reports whether the value is INT or FLOAT.
 func (v Value) IsNumeric() bool { return v.t == Int || v.t == Float }
 
