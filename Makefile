@@ -45,10 +45,12 @@ check: fmt test vet race e2ebench
 # implementations, of statsdb's batch append against row-by-row inserts,
 # of statsdb's typed-table codec against the reflection codec it
 # replaced (FuzzTypedTableMatchesReference), of the vfs path lookup's
-# in-place walk against path.Clean, and of the planner's Pack against its
-# kept by-name reference (FuzzPackMatchesReference), 60 s each. Their seed inputs also run in
-# the tier-1 suite. A crasher is written under the package's
-# testdata/fuzz/ and lands as a regression test with its fix.
+# in-place walk against path.Clean, of the vfs write feed against a
+# whole-tree walk (FuzzWalkSinceMatchesWalk), and of the planner's Pack
+# against its kept by-name reference (FuzzPackMatchesReference), 60 s
+# each. Their seed inputs also run in the tier-1 suite. A crasher is
+# written under the package's testdata/fuzz/ and lands as a regression
+# test with its fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/logs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime 60s ./internal/logs
@@ -60,10 +62,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadJournal$$' -fuzztime 60s ./internal/harvest
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 60s ./internal/harvest
 	$(GO) test -run '^$$' -fuzz '^FuzzLookup$$' -fuzztime 60s ./internal/vfs
+	$(GO) test -run '^$$' -fuzz '^FuzzWalkSinceMatchesWalk$$' -fuzztime 60s ./internal/vfs
 	$(GO) test -run '^$$' -fuzz '^FuzzPackMatchesReference$$' -fuzztime 60s ./internal/core
 
 # Experiment benchmarks plus the machine-readable reports uploaded as CI
-# artifacts: the harvest pipeline (BENCH_harvest.json), the usage
+# artifacts: the harvest pipeline (BENCH_harvest.json: cold and warm
+# passes, and one daily pass of 2,000 new logs over 60,000), the usage
 # sampler's overhead budget (BENCH_usage.json, < 5% slowdown on the
 # standard fig8 campaign), the planner's incremental-prediction
 # speedup (BENCH_planner.json, ≥ 5× over full repredict on the

@@ -887,16 +887,17 @@ func servingReport(db *statsdb.DB, specs []*forecast.Spec) {
 // mounting the tree root at "/runs" so journal paths and source_path
 // columns stay stable no matter where the tree lives on disk. ReadFile
 // only touches disk when the harvester asks, so watermark hits cost one
-// stat, not one read.
+// stat, not one read. An OS tree keeps no change count, so WalkSince
+// offers every regular file, whatever since is.
 type osFS struct{ root string }
 
 func (o osFS) real(vpath string) string {
 	return filepath.Join(o.root, filepath.FromSlash(strings.TrimPrefix(vpath, "/runs")))
 }
 
-func (o osFS) Walk(root string, fn func(vfs.FileInfo) error) error {
+func (o osFS) WalkSince(root string, _ uint64, fn func(vfs.FileInfo) error) error {
 	return filepath.WalkDir(o.root, func(p string, d iofs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || d.IsDir() {
 			return err
 		}
 		rel, err := filepath.Rel(o.root, p)
@@ -916,7 +917,6 @@ func (o osFS) Walk(root string, fn func(vfs.FileInfo) error) error {
 			Name:  d.Name(),
 			Size:  info.Size(),
 			MTime: float64(info.ModTime().Unix()),
-			IsDir: d.IsDir(),
 		})
 	})
 }

@@ -3,6 +3,7 @@ package harvest
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 	"time"
@@ -64,45 +65,55 @@ func BenchmarkHarvestWarmPass(b *testing.B) {
 	}
 }
 
-// BenchmarkHarvestDailyPass times the pass of an operator's day, the
-// shape of a planning session's: 2,000 forecasts with 30 days harvested,
-// then each iteration writes one more day of 2,000 logs with the timer
-// stopped and times the pass that ingests them. Days past 366 roll into
-// the next year. BenchmarkHarvestWarmPass's 200 unchanged logs cannot
-// show what a pass pays per unchanged log of a large tree.
-func BenchmarkHarvestDailyPass(b *testing.B) {
-	const forecasts, histDays = 2000, 30
+// Daily passes run over dailyForecasts forecasts with dailyHistDays days
+// harvested: a planning session's shape.
+const dailyForecasts, dailyHistDays = 2000, 30
+
+// dailyHarvest writes dailyHistDays days of logs and harvests them, and
+// returns the harvester with writeDay, which writes day d's logs (days
+// past 366 roll into the next year).
+func dailyHarvest(tb testing.TB) (h *Harvester, writeDay func(d int)) {
 	clock := 0.0
 	fs := vfs.New(func() float64 { return clock })
-	writeDay := func(d int) {
+	writeDay = func(d int) {
 		clock = float64(d) * 86400
-		for f := 0; f < forecasts; f++ {
+		for f := 0; f < dailyForecasts; f++ {
 			r := record(fmt.Sprintf("forecast-%04d", f), (d-1)%366+1, "elcirc-5.01")
 			r.Year += (d - 1) / 366
 			r.Start, r.End = clock, clock+r.Walltime
 			if err := logs.Write(fs, r); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
-	for d := 1; d <= histDays; d++ {
+	for d := 1; d <= dailyHistDays; d++ {
 		writeDay(d)
 	}
 	h, err := New(fs, statsdb.NewDB(), NewVFSJournal(vfs.New(nil), "/j"), Options{Clock: func() float64 { return clock }})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := h.Pass(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return h, writeDay
+}
+
+// BenchmarkHarvestDailyPass times the pass of an operator's day: each
+// iteration writes one more day of 2,000 logs with the timer stopped and
+// times the pass that ingests them. BenchmarkHarvestWarmPass's 200
+// unchanged logs cannot show what a pass pays per unchanged log of a
+// large tree.
+func BenchmarkHarvestDailyPass(b *testing.B) {
+	h, writeDay := dailyHarvest(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		writeDay(histDays + 1 + i)
+		writeDay(dailyHistDays + 1 + i)
 		b.StartTimer()
-		if st, err := h.Pass(); err != nil || st.Ingested != forecasts {
-			b.Fatalf("daily pass = %+v, %v; want %d ingested", st, err, forecasts)
+		if st, err := h.Pass(); err != nil || st.Ingested != dailyForecasts {
+			b.Fatalf("daily pass = %+v, %v; want %d ingested", st, err, dailyForecasts)
 		}
 	}
 }
@@ -175,12 +186,28 @@ func TestEmitBenchReport(t *testing.T) {
 		}
 	}
 	warm := time.Since(start).Seconds() / warmIters
+	// The daily pass: the minimum over a few days of the pass that ingests
+	// a day's logs. tree_logs is the history the first of those days lands
+	// on; each day adds dailyForecasts more.
+	dh, writeDay := dailyHarvest(t)
+	daily := math.Inf(1)
+	for d := dailyHistDays + 1; d <= dailyHistDays+5; d++ {
+		writeDay(d)
+		start = time.Now()
+		if st, err := dh.Pass(); err != nil || st.Ingested != dailyForecasts {
+			t.Fatalf("daily pass = %+v, %v; want %d ingested", st, err, dailyForecasts)
+		}
+		daily = min(daily, time.Since(start).Seconds())
+	}
 	report := map[string]any{
 		"logs":               forecasts * days,
 		"cold_pass_seconds":  cold,
 		"warm_pass_seconds":  warm,
 		"warm_speedup":       cold / warm,
 		"records_per_second": float64(st.Ingested) / cold,
+		"daily_pass_seconds": daily,
+		"daily_logs":         dailyForecasts,
+		"tree_logs":          dailyForecasts * dailyHistDays,
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -11,10 +11,10 @@
 // are quarantined with their ParseError rather than aborting the pass,
 // and a crash mid-pass resumes idempotently because ingestion is an
 // upsert keyed on (forecast, day, start) and the journal line for a file
-// is appended only after its database write. On a vfs tree a pass skips
-// even the watermark lookup for a log the vfs change counter shows
-// unwritten since the last complete pass, so a daily pass costs its new
-// logs plus one walk.
+// is appended only after its database write. On a vfs tree a pass asks
+// only for the files written since the last complete pass
+// (vfs.FS.WalkSince), so a daily pass costs the day's logs, not the
+// tree's.
 //
 // Each ingested row carries provenance columns (harvested_at,
 // source_path) that power the paper's "find all forecasts that use code
@@ -26,6 +26,7 @@
 package harvest
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -58,10 +59,13 @@ const (
 
 // FS is the slice of vfs.FS the harvester needs. Tests substitute a
 // counting wrapper to prove the watermark fast path reads no log bodies.
-// An FS whose Walk leaves vfs.FileInfo.Gen at 0 (an OS tree) gets the
-// watermark lookup for every log.
+// WalkSince offers the regular files at or under root written after the
+// change count since, in vfs.FS.Walk's order; since 0 offers them all.
+// An FS that keeps no change count (an OS tree) offers every file, with
+// vfs.FileInfo.Gen and Born at 0, so each pass looks up every log's
+// watermark.
 type FS interface {
-	Walk(root string, fn func(info vfs.FileInfo) error) error
+	WalkSince(root string, since uint64, fn func(info vfs.FileInfo) error) error
 	ReadFile(path string) (string, error)
 	Exists(path string) bool
 }
@@ -145,9 +149,12 @@ type Harvester struct {
 	// the newest mark mtime (at least 0), for the gauges and Status.
 	quarantined int
 	newest      float64
-	// seen is the highest vfs.FileInfo.Gen among the logs the last
-	// complete pass visited, 0 before one completes.
+	// seen is the pass cursor: the highest vfs.FileInfo.Gen among the
+	// files the complete passes since New were offered, 0 before one
+	// completes. counted is the number of logs the last complete pass
+	// counted (its Scanned).
 	seen      uint64
+	counted   int
 	passes    int
 	lastPass  PassStats
 	totals    Totals
@@ -270,13 +277,22 @@ func pruneStaleMarks(runs *statsdb.Table, marks map[string]*Watermark) int {
 // failures (journal writes, walk errors) only; parse failures never abort
 // a pass.
 //
-// A log whose vfs.FileInfo.Gen is set and at most the highest Gen the
-// last complete pass visited is a watermark hit without the watermark
-// lookup: that pass left a watermark matching it, and nothing has
-// written it since. This relies on nothing writing the tree while a pass
-// walks it: a vfs is driven from one goroutine, the one running the pass.
-// A pass that returns an error leaves that highest Gen as it was, and New
-// starts it at 0, so a restarted harvester looks up every log once.
+// A pass asks the FS only for the files written after its cursor, the
+// highest vfs.FileInfo.Gen the complete passes before it were offered. A
+// log it is not offered is a watermark hit without the watermark lookup:
+// a complete pass left a watermark matching it, and nothing has written
+// it since. This relies on nothing writing the tree while a pass reads
+// it: a vfs is driven from one goroutine, the one running the pass.
+//
+// The counts are those of a walk over every log. A pass starts Scanned
+// and WatermarkHits at the number of logs the last complete pass counted,
+// each a hit unless it is offered again. An offered log born after the
+// cursor adds one to Scanned; any other takes one from WatermarkHits.
+// Each offered log is then classified by its watermark. A pass that
+// fails counts, with one walk, the logs up to the one it failed on, and
+// leaves the cursor and that number as they were. New starts both at 0,
+// so the first pass after New, like every pass over an FS that keeps no
+// change count, is offered every log and counts each.
 func (h *Harvester) Pass() (PassStats, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -286,33 +302,37 @@ func (h *Harvester) Pass() (PassStats, error) {
 	tr := h.opts.Telemetry.Trace()
 	span := tr.Begin("harvest", fmt.Sprintf("pass-%03d", h.passes+1), "harvest", 0)
 	stats := PassStats{Pass: h.passes + 1, At: now}
-	var seen uint64
+	if h.seen != 0 {
+		stats.Scanned, stats.WatermarkHits = h.counted, h.counted
+	}
+	seen := h.seen
+	var last string // the last log offered
+	missed := 0     // offered logs that were not watermark hits
 
 	err := func() error {
 		if !h.fs.Exists(runsRoot) {
 			return nil // nothing harvested yet; an empty pass, not an error
 		}
-		return h.fs.Walk(runsRoot, func(info vfs.FileInfo) error {
-			if info.IsDir || info.Name != logs.LogName {
+		return h.fs.WalkSince(runsRoot, h.seen, func(info vfs.FileInfo) error {
+			seen = max(seen, info.Gen)
+			if info.Name != logs.LogName {
 				return nil
 			}
-			stats.Scanned++
-			h.mScanned.Inc()
-			seen = max(seen, info.Gen)
-
-			unchanged := info.Gen != 0 && info.Gen <= h.seen
-			var wm *Watermark
-			if !unchanged {
-				wm = h.marks[info.Path]
-				unchanged = wm != nil && wm.MTime == info.MTime && wm.Size == info.Size
+			last = info.Path
+			if h.seen == 0 || info.Born > h.seen {
+				stats.Scanned++
+			} else {
+				stats.WatermarkHits--
 			}
-			if unchanged {
+
+			wm := h.marks[info.Path]
+			if wm != nil && wm.MTime == info.MTime && wm.Size == info.Size {
 				// Watermark hit: nothing about the file changed; its body
 				// is never read.
 				stats.WatermarkHits++
-				h.mHits.Inc()
 				return nil
 			}
+			missed++
 
 			body, err := h.fs.ReadFile(info.Path)
 			if err != nil {
@@ -357,6 +377,12 @@ func (h *Harvester) Pass() (PassStats, error) {
 			})
 		})
 	}()
+	if err != nil && h.seen != 0 {
+		stats.Scanned = h.logsThrough(last)
+		stats.WatermarkHits = stats.Scanned - missed
+	}
+	h.mScanned.Add(float64(stats.Scanned))
+	h.mHits.Add(float64(stats.WatermarkHits))
 	if err != nil {
 		tr.SetArg(span, "aborted", "true")
 		tr.End(span)
@@ -384,8 +410,25 @@ func (h *Harvester) Pass() (PassStats, error) {
 	if err := appendEntry(h.journal, journalEntry{Type: entryPass, Pass: &stats}); err != nil {
 		return stats, err
 	}
-	h.seen = seen
+	h.seen, h.counted = seen, stats.Scanned
 	return stats, nil
+}
+
+// logsThrough counts the logs a walk visits up to and including the log
+// at path.
+func (h *Harvester) logsThrough(path string) int {
+	n := 0
+	stop := errors.New("stop")
+	_ = h.fs.WalkSince(runsRoot, 0, func(info vfs.FileInfo) error { // stop, once it reaches path
+		if info.Name == logs.LogName {
+			n++
+		}
+		if info.Path == path {
+			return stop
+		}
+		return nil
+	})
+	return n
 }
 
 // markLocked records wm, replacing old (the path's current mark, nil for

@@ -3,6 +3,7 @@ package harvest
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -288,27 +289,33 @@ func TestUnreadableLogIsQuarantinedUntilItChanges(t *testing.T) {
 	}
 }
 
-// noGenFS hides the vfs change counter: every log reads Gen 0, as on a
-// tree that keeps none, so each takes the watermark lookup.
+// noGenFS is an FS that keeps no change count, as an OS tree does: it
+// offers every file whatever the cursor, each with Gen and Born 0, so
+// every pass counts every log and looks up each one's watermark.
 type noGenFS struct{ *vfs.FS }
 
-func (f noGenFS) Walk(root string, fn func(vfs.FileInfo) error) error {
-	return f.FS.Walk(root, func(info vfs.FileInfo) error {
-		info.Gen = 0
+func (f noGenFS) WalkSince(root string, _ uint64, fn func(vfs.FileInfo) error) error {
+	return f.FS.WalkSince(root, 0, func(info vfs.FileInfo) error {
+		info.Gen, info.Born = 0, 0
 		return fn(info)
 	})
 }
 
-// TestGenFastPathMatchesLookup harvests one tree with two harvesters,
-// one seeing the vfs change counter and one through noGenFS, over random
-// steps with passes between them: new logs, identical and changed
-// rewrites (some with an older mtime), corrupt logs fixed later,
-// size-only run.logs, other files beside the logs, a crash in the middle
-// of a pass, and restarts. Every pass must give both the same stats,
-// Status and runs table, and the quarantine count and newest mtime each
-// keeps must match a recount.
+// TestGenFastPathMatchesLookup harvests one tree with two harvesters:
+// one over the vfs write feed, which offers a pass only the files written
+// since its cursor, and one through noGenFS, which keeps no change count
+// and so offers every file and gets every log's watermark looked up, as
+// an OS tree does. Random steps run passes between new logs, identical
+// and changed rewrites (some with an older mtime), corrupt logs fixed
+// later, size-only run.logs, other files beside the logs, a crash in the
+// middle of a pass, and restarts. Every pass, a failed one too, must give
+// both the same stats, Status, runs table and harvest_* counters and
+// gauges, and the quarantine count and newest mtime each keeps must match
+// a recount. The seeds must reach a failed pass with a non-zero cursor,
+// whose counts the feed arm takes from a walk.
 func TestGenFastPathMatchesLookup(t *testing.T) {
 	forecasts := []string{"forecast-a", "forecast-b", "forecast-c"}
+	failedWithCursor := 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		clock := 10.0
@@ -317,18 +324,19 @@ func TestGenFastPathMatchesLookup(t *testing.T) {
 			fs      FS
 			db      *statsdb.DB
 			journal JournalStore
+			tel     *telemetry.Telemetry
 			h       *Harvester
 		}
 		arms := []*arm{{fs: fs}, {fs: noGenFS{fs}}}
 		start := func(a *arm) {
-			h, err := New(a.fs, a.db, a.journal, Options{Clock: func() float64 { return clock }})
+			h, err := New(a.fs, a.db, a.journal, Options{Telemetry: a.tel, Clock: func() float64 { return clock }})
 			if err != nil {
 				t.Fatal(err)
 			}
 			a.h = h
 		}
 		for _, a := range arms {
-			a.db, a.journal = statsdb.NewDB(), NewVFSJournal(vfs.New(nil), "/j")
+			a.db, a.journal, a.tel = statsdb.NewDB(), NewVFSJournal(vfs.New(nil), "/j"), telemetry.New()
 			start(a)
 		}
 		for step := 0; step < 40; step++ {
@@ -364,6 +372,7 @@ func TestGenFastPathMatchesLookup(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				crashAt = 1 + rng.Intn(3)
 			}
+			cursor := arms[0].h.seen
 			var stats [2]PassStats
 			var errs [2]error
 			for i, a := range arms {
@@ -381,6 +390,13 @@ func TestGenFastPathMatchesLookup(t *testing.T) {
 			where := fmt.Sprintf("seed %d step %d", seed, step)
 			if stats[0] != stats[1] || (errs[0] == nil) != (errs[1] == nil) {
 				t.Fatalf("%s: pass = %+v, %v with the counter; %+v, %v without", where, stats[0], errs[0], stats[1], errs[1])
+			}
+			if errs[0] != nil && cursor != 0 {
+				failedWithCursor++
+			}
+			m0, m1 := harvestMetrics(arms[0].tel), harvestMetrics(arms[1].tel)
+			if _, ok := m0[MetricFilesScannedTotal]; !ok || !maps.Equal(m0, m1) {
+				t.Fatalf("%s: metrics = %v with the counter, %v without", where, m0, m1)
 			}
 			var status [2]Status
 			for i, a := range arms {
@@ -407,6 +423,22 @@ func TestGenFastPathMatchesLookup(t *testing.T) {
 			}
 		}
 	}
+	if failedWithCursor == 0 {
+		t.Fatal("no seed failed a pass with a non-zero cursor: the failed-pass counts went unchecked")
+	}
+}
+
+// harvestMetrics returns the value of every harvest_* counter and gauge.
+func harvestMetrics(tel *telemetry.Telemetry) map[string]float64 {
+	out := map[string]float64{}
+	for _, f := range tel.Registry().Snapshot() {
+		if strings.HasPrefix(f.Name, "harvest_") && f.Kind != telemetry.KindHistogram {
+			for _, s := range f.Series {
+				out[f.Name] = s.Value
+			}
+		}
+	}
+	return out
 }
 
 func TestCrashMidPassResumesWithoutDuplicatesOrLoss(t *testing.T) {

@@ -65,12 +65,19 @@ type UpsertStats struct {
 // instead of appending a duplicate. This is what makes re-harvesting the
 // same logs (a crash-recovery re-scan, a running log superseded by its
 // completed version) idempotent. Every column, harvested_at included,
-// stores what the record holds.
+// stores what the record holds. Every record is validated before the
+// first write, so a call that refuses one adds none and leaves the table
+// as it was.
 func UpsertRuns(db *DB, records []*logs.RunRecord) (*Table, UpsertStats, error) {
 	var stats UpsertStats
 	t, err := EnsureRunsTable(db)
 	if err != nil {
 		return nil, stats, err
+	}
+	for _, r := range records {
+		if err := r.Validate(); err != nil {
+			return nil, stats, fmt.Errorf("statsdb: load runs: %w", err)
+		}
 	}
 	// The harvester upserts one log per call: the row and the ids of the
 	// rows sharing its forecast (one per day harvested) stay on the stack
@@ -80,9 +87,6 @@ func UpsertRuns(db *DB, records []*logs.RunRecord) (*Table, UpsertStats, error) 
 	row, same := rowBuf[:0], sameBuf[:0]
 	fi, di, si := t.schema.Index("forecast"), t.schema.Index("day"), t.schema.Index("start")
 	for _, r := range records {
-		if err := r.Validate(); err != nil {
-			return nil, stats, fmt.Errorf("statsdb: load runs: %w", err)
-		}
 		if row, err = runsTable.encode(row[:0], r); err != nil {
 			return nil, stats, err
 		}

@@ -381,3 +381,27 @@ func TestNonFiniteInputsAreRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestUpsertRunsAddsEveryRecordOrNone checks that a call whose last
+// record is refused writes none of the records before it: not the row it
+// would update, not the row it would add.
+func TestUpsertRunsAddsEveryRecordOrNone(t *testing.T) {
+	for name, upsert := range map[string]func(db *DB, records []*logs.RunRecord) error{
+		"UpsertRuns": func(db *DB, records []*logs.RunRecord) error { _, _, err := UpsertRuns(db, records); return err },
+		"LoadRuns":   func(db *DB, records []*logs.RunRecord) error { _, err := LoadRuns(db, records); return err },
+	} {
+		db := NewDB()
+		if _, err := LoadRuns(db, []*logs.RunRecord{rec("a", 1, 100, "v1")}); err != nil {
+			t.Fatal(err)
+		}
+		before := cloneTable(db.Table(RunsTableName))
+		bad := rec("a", 3, 100, "v1")
+		bad.Start = math.NaN()
+		if err := upsert(db, []*logs.RunRecord{rec("a", 1, 100, "v2"), rec("a", 2, 100, "v1"), bad}); err == nil {
+			t.Errorf("%s accepted a record with a NaN start", name)
+		}
+		if diff := diffTables(db.Table(RunsTableName), before); diff != "" {
+			t.Errorf("%s: the refused call changed the table: %s", name, diff)
+		}
+	}
+}

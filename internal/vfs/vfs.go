@@ -10,9 +10,15 @@
 // Files are never removed, so a handle from Open or OpenDir stays valid
 // for the life of its FS: a watcher resolves a path once, then reads
 // through one pointer instead of walking the path again.
+//
+// Every write takes the next value of one change count for the whole FS,
+// and the FS keeps its regular files in the order of their last write,
+// so WalkSince can answer "which files changed after count N?" without
+// walking the tree.
 package vfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path"
@@ -35,48 +41,54 @@ type FileInfo struct {
 	MTime float64 // virtual time of last modification
 	// Gen is the FS's change count at the file's last write: every write
 	// takes the next value of one counter for the whole FS, so a file
-	// whose Gen is at most another's was last written no later. It is 0
-	// for directories and for files never written.
+	// whose Gen is at most another's was last written no later. Born is
+	// the change count of the file's first write, so Born <= Gen. Both
+	// are 0 for directories and for files never written.
 	Gen   uint64
+	Born  uint64
 	IsDir bool
 }
 
 // File is a node in the tree: a regular file or a directory. Open hands
 // out a *File for a regular file as a handle to it.
 type File struct {
-	fs       *FS // for the mtime clock of appends through a handle
-	info     FileInfo
-	content  []byte // only for text files; nil for size-only bulk data
-	children map[string]*File
-	// sorted caches a directory's children in name order. A child that
-	// sorts after the last entry is appended to it; any other addition
-	// drops it (sets it to nil), and the next Walk of the directory
-	// rebuilds it. Neither edits an entry a walk can see: a walk already
-	// iterating the old slice keeps its own length, so it keeps its
-	// snapshot.
-	sorted []*File
+	fs      *FS // for the clock, change count and write order of a write through a handle
+	info    FileInfo
+	content []byte // only for text files; nil for size-only bulk data
+	// children holds a directory's entries in name order. A walk keeps the
+	// slice it took, so a change never edits an entry a walk can see: a
+	// child that sorts after the last entry is appended, past the length
+	// any walk took, and any other child builds a new slice.
+	children []*File
+	// prev and next link the regular files in the order of their last
+	// write, newest at FS.newest (write order is Gen order).
+	prev, next *File
 }
 
-// add links a new child into the directory.
-func (f *File) add(c *File) {
-	f.children[c.info.Name] = c
-	if n := len(f.sorted); n > 0 && f.sorted[n-1].info.Name < c.info.Name {
-		f.sorted = append(f.sorted, c)
-	} else {
-		f.sorted = nil
-	}
-}
-
-// entries returns a directory's children in name order.
-func (f *File) entries() []*File {
-	if f.sorted == nil && len(f.children) > 0 {
-		f.sorted = make([]*File, 0, len(f.children))
-		for _, c := range f.children {
-			f.sorted = append(f.sorted, c)
+// find returns where name is, or would be, among the directory's
+// entries, and whether it is there. It is slices.BinarySearchFunc written
+// out: a directory probe costs no call per comparison.
+func (f *File) find(name string) (int, bool) {
+	lo, hi := 0, len(f.children)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if f.children[m].info.Name < name {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		slices.SortFunc(f.sorted, func(a, b *File) int { return strings.Compare(a.info.Name, b.info.Name) })
 	}
-	return f.sorted
+	return lo, lo < len(f.children) && f.children[lo].info.Name == name
+}
+
+// add links a new child into the directory's entries, in name order.
+func (f *File) add(c *File) {
+	i, _ := f.find(c.info.Name)
+	if i == len(f.children) {
+		f.children = append(f.children, c)
+	} else {
+		f.children = slices.Insert(slices.Clip(f.children), i, c)
+	}
 }
 
 // Size returns the file's logical size. A nil handle (a file that did not
@@ -102,12 +114,30 @@ func (f *File) Append(n int64) error {
 	return nil
 }
 
-// touch stamps a write: the mtime from the FS clock and the next change
-// count.
+// touch stamps a write, the mtime from the FS clock and the next change
+// count, and moves the file to the newest end of the write order.
 func (f *File) touch() {
-	f.info.MTime = f.fs.now()
-	f.fs.gen++
-	f.info.Gen = f.fs.gen
+	fs := f.fs
+	f.info.MTime = fs.now()
+	fs.gen++
+	f.info.Gen = fs.gen
+	if f.info.Born == 0 {
+		f.info.Born = fs.gen
+	}
+	if fs.newest == f {
+		return
+	}
+	if f.prev != nil {
+		f.prev.next = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	}
+	f.prev, f.next = fs.newest, nil
+	if fs.newest != nil {
+		fs.newest.next = f
+	}
+	fs.newest = f
 }
 
 // Dir is a handle to a directory, for a watcher that probes it for a
@@ -120,7 +150,10 @@ func (d *Dir) Open(name string) *File {
 	if d == nil {
 		return nil
 	}
-	return regular(d.children[name])
+	if i, ok := (*File)(d).find(name); ok {
+		return regular(d.children[i])
+	}
+	return nil
 }
 
 // regular returns f if it is a regular file, else nil.
@@ -134,25 +167,21 @@ func regular(f *File) *File {
 // FS is an in-memory filesystem. The zero value is not usable; use New.
 //
 // An FS has no lock and is not safe for concurrent use; the simulation
-// drives it from one goroutine. Reads are not read-only either: Walk
-// fills each directory's name-ordered listing cache on first read after
-// a change.
+// drives it from one goroutine.
 type FS struct {
 	root *File
 	// clock supplies the virtual time for mtimes. It may be nil, in which
 	// case mtimes are zero.
-	clock func() float64
-	gen   uint64 // the last write's change count (FileInfo.Gen)
+	clock  func() float64
+	gen    uint64 // the last write's change count (FileInfo.Gen)
+	newest *File  // the last regular file written; File.prev leads back
 }
 
 // New creates an empty filesystem. clock, if non-nil, supplies virtual
 // timestamps for modification times (typically sim.Engine.Now).
 func New(clock func() float64) *FS {
 	return &FS{
-		root: &File{
-			info:     FileInfo{Path: "/", Name: "/", IsDir: true},
-			children: make(map[string]*File),
-		},
+		root:  &File{info: FileInfo{Path: "/", Name: "/", IsDir: true}},
 		clock: clock,
 	}
 }
@@ -195,9 +224,11 @@ func (fs *FS) lookup(p string) *File {
 		} else {
 			rest = ""
 		}
-		if cur = cur.children[seg]; cur == nil {
+		i, ok := cur.find(seg)
+		if !ok {
 			return nil
 		}
+		cur = cur.children[i]
 	}
 	return cur
 }
@@ -214,17 +245,13 @@ func (fs *FS) MkdirAll(p string) error {
 	walked := ""
 	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
 		walked += "/" + part
-		next, ok := cur.children[part]
+		i, ok := cur.find(part)
 		if !ok {
-			next = &File{
-				info:     FileInfo{Path: walked, Name: part, IsDir: true, MTime: fs.now()},
-				children: make(map[string]*File),
-			}
-			cur.add(next)
-		} else if !next.info.IsDir {
+			cur.add(&File{info: FileInfo{Path: walked, Name: part, IsDir: true, MTime: fs.now()}})
+		} else if !cur.children[i].info.IsDir {
 			return fmt.Errorf("mkdir %s: %w", walked, ErrNotDir)
 		}
-		cur = next
+		cur = cur.children[i]
 	}
 	return nil
 }
@@ -344,12 +371,75 @@ func walk(f *File, fn func(info FileInfo) error) error {
 	if err := fn(f.info); err != nil {
 		return err
 	}
-	for _, c := range f.entries() {
+	for _, c := range f.children {
 		if err := walk(c, fn); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WalkSince visits every regular file at or under root whose Gen is above
+// since, in Walk's order, calling fn with each one's FileInfo as it is
+// when fn is called. It picks the files before its first call to fn: a
+// file written by fn that was not picked is offered by the next call.
+// Since 0 walks the tree and offers every regular file; any other since
+// reads the newest end of the write order, so a call costs the k files
+// written after since (and the sort of them, O(k log k)), not the tree.
+// A missing root is an error, as for Walk.
+func (fs *FS) WalkSince(root string, since uint64, fn func(info FileInfo) error) error {
+	f := fs.lookup(root)
+	if f == nil {
+		return fmt.Errorf("walk %s: %w", clean(root), ErrNotExist)
+	}
+	var picked []*File
+	if since == 0 {
+		picked = regulars(f, nil)
+	} else {
+		prefix := strings.TrimSuffix(f.info.Path, "/") + "/"
+		for c := fs.newest; c != nil && c.info.Gen > since; c = c.prev {
+			if c == f || strings.HasPrefix(c.info.Path, prefix) {
+				picked = append(picked, c)
+			}
+		}
+		slices.SortFunc(picked, func(a, b *File) int { return walkCompare(a.info.Path, b.info.Path) })
+	}
+	for _, c := range picked {
+		if err := fn(c.info); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// regulars appends the regular files at or under f to out, in Walk's
+// order.
+func regulars(f *File, out []*File) []*File {
+	if !f.info.IsDir {
+		return append(out, f)
+	}
+	for _, c := range f.children {
+		out = regulars(c, out)
+	}
+	return out
+}
+
+// walkCompare orders two clean paths as Walk visits them: name by name
+// down the tree, so '/' ranks below every other byte ("/a/x" comes before
+// "/a-b/x", though '-' is below '/').
+func walkCompare(a, b string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			switch {
+			case a[i] == '/':
+				return -1
+			case b[i] == '/':
+				return 1
+			}
+			return cmp.Compare(a[i], b[i])
+		}
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // TreeSize returns the total size in bytes of all regular files under root.

@@ -126,7 +126,7 @@ func TestReadDirSorted(t *testing.T) {
 		}
 	}
 	var names []string
-	for _, f := range fs.lookup("/d").entries() {
+	for _, f := range fs.lookup("/d").children {
 		names = append(names, f.info.Name)
 	}
 	if strings.Join(names, ",") != "a,b,c" {
@@ -224,7 +224,7 @@ func TestListingsTrackChangesBetweenWalks(t *testing.T) {
 				continue
 			}
 			var got, wantKids []string
-			for _, f := range fs.lookup(dir).entries() {
+			for _, f := range fs.lookup(dir).children {
 				got = append(got, f.info.Path)
 			}
 			for _, q := range want {
@@ -257,14 +257,14 @@ func TestWalkKeepsEnteredDirectoriesFixed(t *testing.T) {
 	}
 	// /d/e lands in /d after the walk has listed it. It sorts after every
 	// entry, so it is appended to the listing the walk is iterating; /d/b
-	// sorts before /d/c and drops that listing.
+	// sorts before /d/c and builds a new listing.
 	current := visit(func(info FileInfo) {
 		switch info.Path {
 		case "/d/a":
 			if err := fs.Append("/d/e", 0); err != nil {
 				t.Fatal(err)
 			}
-			if n := len(fs.lookup("/d").sorted); n != 3 {
+			if n := len(fs.lookup("/d").children); n != 3 {
 				t.Fatalf("listing after creating /d/e has %d entries, want 3 (appended in place)", n)
 			}
 		case "/d/c":
